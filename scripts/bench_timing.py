@@ -6,8 +6,9 @@ uncached code paths plus the search-layer behaviors of the
 pre-optimization tree (full re-implication per refine, full window
 refinement per fault, fresh faulty simulator per candidate vector):
 
-* **STA full pass** — ``TimingAnalyzer.analyze()`` over a benchmark
-  circuit (batched NumPy corner kernels vs. the scalar reference).
+* **STA full pass, per-gate walk** — ``TimingAnalyzer.analyze_per_gate()``
+  over a benchmark circuit (batched NumPy corner kernels vs. the scalar
+  reference).
 * **STA full pass, level engine** — the level-compiled
   structure-of-arrays pass (``repro.sta.compile``) vs. the scalar
   reference on the two largest packaged circuits.
@@ -209,13 +210,15 @@ def _best_of(repeats, fn):
 
 
 def bench_sta(circuit, library, passes):
-    """Full-pass STA: batched kernels vs. scalar reference."""
+    """Per-gate full pass: batched kernels vs. scalar reference."""
     out = {"circuit": circuit.name, "passes": passes}
     for label, perf in (("baseline", BASELINE), ("optimized", OPTIMIZED)):
         # A fresh analyzer per pass so the memo never carries over:
         # this benchmarks the kernels, not the cache.
         def one_pass(perf=perf):
-            return TimingAnalyzer(circuit, library, perf=perf).analyze()
+            return TimingAnalyzer(
+                circuit, library, perf=perf
+            ).analyze_per_gate()
 
         scope = (
             _seed_scalar_layer() if label == "baseline"
@@ -246,7 +249,7 @@ def bench_sta_level(circuits, library, passes):
         def scalar_pass(circuit=circuit):
             return TimingAnalyzer(
                 circuit, library, perf=BASELINE
-            ).analyze()
+            ).analyze_per_gate()
 
         with _seed_scalar_layer():
             base_s, _ = _best_of(passes, scalar_pass)
@@ -375,8 +378,8 @@ def bench_atpg(circuit, library, n_faults, jobs, repeats):
 def bench_mc(circuit, library, samples, baseline_passes, repeats):
     """Monte Carlo sample throughput vs. one-STA-pass-per-sample.
 
-    The baseline leg times a handful of fresh full analyzer passes (what
-    sampling would cost without the vectorized engine) and extrapolates
+    The baseline leg times a handful of fresh per-gate full passes (what
+    sampling would cost without a batched sample axis) and extrapolates
     to per-sample cost; the MC leg runs the real ``run_mc`` serially so
     the comparison is vectorization, not the process pool.
     """
@@ -384,12 +387,12 @@ def bench_mc(circuit, library, samples, baseline_passes, repeats):
         "circuit": circuit.name,
         "samples": samples,
         "baseline_passes": baseline_passes,
-        "baseline": "one fresh TimingAnalyzer.analyze() per sample "
-                    "(extrapolated from best-of timed passes)",
+        "baseline": "one fresh TimingAnalyzer.analyze_per_gate() per "
+                    "sample (extrapolated from best-of timed passes)",
     }
 
     def one_pass():
-        return TimingAnalyzer(circuit, library).analyze()
+        return TimingAnalyzer(circuit, library).analyze_per_gate()
 
     base_pass_s, _ = _best_of(baseline_passes, one_pass)
     mc_s, _ = _best_of(
@@ -432,9 +435,7 @@ def bench_sta_incremental(circuits, library, passes, trial_gates):
     }
     total_full = total_retime = total_trial = 0.0
     for circuit in circuits:
-        analyzer = TimingAnalyzer(
-            circuit, library, perf=PerfConfig(engine="level")
-        )
+        analyzer = TimingAnalyzer(circuit, library)
         incr = IncrementalAnalyzer(analyzer)
         incr.analyze()
         full_s, _ = _best_of(passes, analyzer.analyze)
@@ -506,7 +507,7 @@ def bench_corner(circuit, library, passes):
         STANDARD_CORNERS["slow_derated"],
     ]
     libraries = [scaled_library(library, corner) for corner in corners]
-    batched = CornerAnalyzer(circuit, corners, libraries, engine="level")
+    batched = CornerAnalyzer(circuit, corners, libraries)
     separates = [
         LevelCompiledAnalyzer(circuit, lib) for lib in libraries
     ]

@@ -205,7 +205,9 @@ class CrosstalkAtpg:
         self.engine = ItrEngine(circuit, library, model, sta_config, perf)
         self.model = self.engine.analyzer.model
         self.sta_config = self.engine.analyzer.config
-        self._sta = self.engine.analyzer.analyze()
+        # The per-gate walk, not the compiled pass: it fills the memo
+        # that the base ITR refinement of every search is served from.
+        self._sta = self.engine.analyzer.analyze_per_gate()
         self.period = (
             self.config.period
             if self.config.period is not None

@@ -73,7 +73,6 @@ from .obs import (
 )
 from .obs.manifest import MANIFEST_FIELDS, attach_manifest
 from .sta import (
-    PerfConfig,
     PiStimulus,
     TimingAnalyzer,
     TimingReporter,
@@ -116,23 +115,12 @@ def _corner_set(args: argparse.Namespace, library):
     return CornerLibrary.derived(library, parse_corner_list(spec)).ordered()
 
 
-def _perf_from_args(args: argparse.Namespace) -> PerfConfig:
-    """The :class:`PerfConfig` selected by the command's ``--engine``.
-
-    Commands without the flag get the default (``gate``) engine, so
-    every handler can call this unconditionally.
-    """
-    return PerfConfig(engine=getattr(args, "engine", "gate"))
-
-
-def _sta_corners(circuit, corner_set, perf, max_outputs: int) -> int:
+def _sta_corners(circuit, corner_set, max_outputs: int) -> int:
     """Multi-corner ``sta``: per-corner table plus the merged envelope."""
     from .pvt import CornerAnalyzer
 
     corners, libraries = corner_set
-    result = CornerAnalyzer(
-        circuit, corners, libraries, engine=perf.engine
-    ).analyze()
+    result = CornerAnalyzer(circuit, corners, libraries).analyze()
     print(f"{circuit!r}")
     print(f"\nper-corner summary ({len(corners)} corners, one batched "
           "pass; ns):")
@@ -164,19 +152,18 @@ def _sta_corners(circuit, corner_set, perf, max_outputs: int) -> int:
 def _cmd_sta(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
     library = CellLibrary.load_default()
-    perf = _perf_from_args(args)
     try:
         corner_set = _corner_set(args, library)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if corner_set is not None:
-        return _sta_corners(circuit, corner_set, perf, args.max_outputs)
+        return _sta_corners(circuit, corner_set, args.max_outputs)
     print(f"{circuit!r}")
     rows = []
     for label, model in (("proposed", VShapeModel()),
                          ("pin2pin", PinToPinModel())):
-        result = TimingAnalyzer(circuit, library, model, perf=perf).analyze()
+        result = TimingAnalyzer(circuit, library, model).analyze()
         rows.append((label, result))
         print(f"\n[{label}] per-output windows (ns):")
         for po in circuit.outputs[: args.max_outputs]:
@@ -235,17 +222,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             f"sizing at worst corner {corners[worst].name!r} "
             f"(delay scale {corners[worst].delay_scale():.3f})"
         )
-    result = optimize_sizing(
-        circuit, sizing_library, config=config, perf=_perf_from_args(args)
-    )
+    result = optimize_sizing(circuit, sizing_library, config=config)
     print(result.format())
     if corner_set is not None:
         from .pvt import CornerAnalyzer
 
-        signoff = CornerAnalyzer(
-            circuit, corners, corner_libraries,
-            engine=_perf_from_args(args).engine,
-        ).analyze()
+        signoff = CornerAnalyzer(circuit, corners, corner_libraries).analyze()
         print("post-sizing per-corner bounds (ns):")
         for corner, res in zip(corners, signoff.results):
             print(
@@ -302,7 +284,6 @@ def _mc_corners(circuit, corner_set, variation, qs, args) -> int:
             seed=args.seed,
             jobs=args.jobs,
             block=args.block,
-            engine=_perf_from_args(args).engine,
             derate=corner.derates,
         )
         summary = result.summary(qs, period)
@@ -353,7 +334,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=args.jobs,
             block=args.block,
-            engine=_perf_from_args(args).engine,
         )
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -928,9 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
                          parents=[common])
     sta.add_argument("circuit", help=".bench path or packaged name (c17...)")
     sta.add_argument("--max-outputs", type=int, default=8)
-    sta.add_argument("--engine", choices=("gate", "level"), default="gate",
-                     help="forward-pass engine: per-gate kernels or the "
-                     "level-compiled SoA pass (bit-identical results)")
     sta.add_argument("--corners", default=None, metavar="SPEC,...",
                      help="PVT corners to analyze in one batched pass "
                      "(standard names like typ,fast,slow, or inline "
@@ -966,9 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed for the annealing proposals")
     opt.add_argument("--mc-samples", type=int, default=96, metavar="N",
                      help="Monte Carlo samples for --cost mc_q95")
-    opt.add_argument("--engine", choices=("gate", "level"), default="level",
-                     help="forward-pass engine (default: level — trial "
-                          "batches run as compiled column sweeps)")
     opt.add_argument("--corners", default=None, metavar="SPEC,...",
                      help="size at the slowest of these PVT corners and "
                      "report the sized netlist across all of them")
@@ -1008,9 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--quantiles", default="0.5,0.95,0.99",
                     metavar="Q,...", help="delay/slack quantiles to "
                     "report (default: 0.5,0.95,0.99)")
-    mc.add_argument("--engine", choices=("gate", "level"), default="gate",
-                    help="per-block forward-pass engine (bit-identical "
-                    "results either way)")
     mc.add_argument("--model", choices=sorted(MC_MODELS),
                     default="vshape", help="delay model (default: vshape)")
     mc.add_argument("--period", type=float, default=None, metavar="NS",

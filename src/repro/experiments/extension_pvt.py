@@ -46,9 +46,7 @@ def run(bench: str = "c432s") -> ExperimentResult:
     library = default_library()
     corners = [STANDARD_CORNERS[name] for name in CORNER_NAMES]
     libraries = [scaled_library(library, corner) for corner in corners]
-    batched = CornerAnalyzer(
-        circuit, corners, libraries, engine="level"
-    ).analyze()
+    batched = CornerAnalyzer(circuit, corners, libraries).analyze()
 
     # The reference the batched pass must reproduce bit-for-bit: one
     # independent single-corner engine per corner.

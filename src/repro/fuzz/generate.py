@@ -190,9 +190,9 @@ def random_query_mix(
 
     Draws from every daemon method — windows over random line subsets,
     slack tables with and without a clock, max/min path traces, small
-    Monte Carlo runs on both forward engines, and what-if resize/swap
-    batches — then appends an exact duplicate of one query so the
-    dedup/memo path is exercised on every case.
+    Monte Carlo runs, and what-if resize/swap batches — then appends an
+    exact duplicate of one query so the dedup/memo path is exercised on
+    every case.
     """
     from .case import _deep_copy_jsonish
 
@@ -224,7 +224,6 @@ def random_query_mix(
                 sigma_ind=rng.choice([0.0, 0.04]),
                 block=rng.choice([2, 3, 4]),
                 quantiles=[0.5, 0.9],
-                engine=rng.choice(["gate", "level"]),
             )
             if rng.random() < 0.4:
                 params["period_ns"] = round(rng.uniform(0.5, 3.0), 3)

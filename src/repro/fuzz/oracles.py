@@ -5,14 +5,17 @@ The registered set covers every optimization the perf PRs introduced,
 plus a physical ground-truth check:
 
 * ``kernels``   — batched NumPy corner kernels vs. the scalar corner
-  search, across delay models, bit for bit;
-* ``memo``      — propagation-memo analyzer vs. memo-free, bit for bit;
+  search, both through the per-gate walk, across delay models, bit for
+  bit;
+* ``memo``      — propagation-memo per-gate walk vs. memo-free, bit for
+  bit;
 * ``level``     — the level-compiled structure-of-arrays pass
-  (``PerfConfig(engine="level")``) vs. the scalar corner search, bit
-  for bit;
+  (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, bit for
+  bit;
 * ``incremental`` — cone-limited re-timing and ``try_edits`` trial
   batches vs. a fresh scalar analysis after every edit of a random
-  mutation sequence, on both engines, bit for bit;
+  mutation sequence (batched cone replay, and the per-gate gear once a
+  rewire stales the compiled form), bit for bit;
 * ``itr``       — incremental refinement under a random decision
   sequence, fast timing core vs. scalar reference;
 * ``atpg-jobs`` — fault-parallel ATPG (``jobs=2``) vs. the serial path:
@@ -20,8 +23,8 @@ plus a physical ground-truth check:
 * ``char-jobs`` — pooled characterization (``jobs=2``) vs. serial,
   comparing every fitted coefficient of the produced library;
 * ``mc``        — Monte Carlo STA: pooled sample blocks (``jobs=2``)
-  vs. serial, bit for bit, and a zero-sigma single sample vs. the
-  deterministic analyzer, bit for bit;
+  vs. serial, bit for bit, and a zero-sigma single sample (and the
+  engine's nominal pass) vs. the scalar per-gate walk, bit for bit;
 * ``serve``     — the timing daemon: a concurrent query mix (windows,
   slack, paths, Monte Carlo, what-if batches, planted duplicates)
   against an in-process server vs. fresh scalar references formatted
@@ -171,8 +174,14 @@ def _window_mismatches(circuit, base, fast, limit: int = 4) -> List[str]:
     return problems
 
 
-def _compare_sta(case: FuzzCase, fast_perf: PerfConfig) -> OracleResult:
-    """Scalar-reference STA vs. ``fast_perf`` STA over the case's models."""
+def _compare_sta(
+    case: FuzzCase, fast_perf: Optional[PerfConfig]
+) -> OracleResult:
+    """The scalar per-gate walk vs. a fast path over the case's models.
+
+    The fast path is the per-gate walk under ``fast_perf``, or the
+    level-compiled :meth:`TimingAnalyzer.analyze` when it is None.
+    """
     circuit = case.build_circuit()
     config = case.build_sta_config()
     overrides = case.build_pi_overrides()
@@ -180,10 +189,15 @@ def _compare_sta(case: FuzzCase, fast_perf: PerfConfig) -> OracleResult:
     for name, model in case.build_models():
         base = TimingAnalyzer(
             circuit, library, model, config, perf=SCALAR
-        ).analyze(pi_overrides=overrides)
-        fast = TimingAnalyzer(
+        ).analyze_per_gate(pi_overrides=overrides)
+        fast_analyzer = TimingAnalyzer(
             circuit, library, model, config, perf=fast_perf
-        ).analyze(pi_overrides=overrides)
+        )
+        fast = (
+            fast_analyzer.analyze(pi_overrides=overrides)
+            if fast_perf is None
+            else fast_analyzer.analyze_per_gate(pi_overrides=overrides)
+        )
         problems = _window_mismatches(circuit, base, fast)
         if problems:
             return OracleResult(
@@ -273,7 +287,7 @@ def _gen_level(rng: random.Random) -> FuzzCase:
 
 
 def _check_level(case: FuzzCase) -> OracleResult:
-    return _compare_sta(case, PerfConfig(engine="level"))
+    return _compare_sta(case, None)
 
 
 register_oracle(Oracle(
@@ -313,8 +327,9 @@ def _apply_edit(circuit, edit) -> None:
 def _check_incremental(case: FuzzCase) -> OracleResult:
     """Incremental state == fresh scalar analysis, after every edit.
 
-    Covers both engines, every edit kind (including no-ops and
-    shape-changing swaps that force a compiled rebuild), and — once the
+    Covers every edit kind (including no-ops, and rewires and
+    shape-changing swaps that stale the compiled form and move
+    re-timing to the per-gate gear), and — once the
     sequence is replayed — a ``try_edits`` trial batch, column by
     column, plus a master-untouched check afterwards.
     """
@@ -328,73 +343,68 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
     config = case.build_sta_config()
     edits = case.edits or []
     for name, model in case.build_models():
-        for engine in ("gate", "level"):
-            tag = f"model={name} engine={engine}"
-            circuit = case.build_circuit()
-            incr = IncrementalAnalyzer(TimingAnalyzer(
-                circuit, library, model, config,
-                perf=PerfConfig(engine=engine),
-            ))
-            incr.analyze()
-            replayed: List[list] = []
+        tag = f"model={name}"
+        circuit = case.build_circuit()
+        incr = IncrementalAnalyzer(
+            TimingAnalyzer(circuit, library, model, config)
+        )
+        incr.analyze()
+        replayed: List[list] = []
 
-            def reference():
-                ref_circuit = case.build_circuit()
-                for edit in replayed:
-                    _apply_edit(ref_circuit, edit)
-                return TimingAnalyzer(
-                    ref_circuit, library, model, config, perf=SCALAR
-                ).analyze()
+        def reference():
+            ref_circuit = case.build_circuit()
+            for edit in replayed:
+                _apply_edit(ref_circuit, edit)
+            return TimingAnalyzer(
+                ref_circuit, library, model, config, perf=SCALAR
+            ).analyze_per_gate()
 
-            for step, edit in enumerate(edits):
-                _apply_edit(circuit, edit)
-                replayed.append(edit)
-                result = incr.retime()
-                problems = _window_mismatches(circuit, reference(), result)
-                if problems:
-                    return OracleResult(
-                        False,
-                        f"{tag} step={step} {edit[0]} {edit[1]}: "
-                        + "; ".join(problems),
-                    )
-            # Trial batch: two resize candidates for each of (up to)
-            # four gates, each column vs. a fresh scalar analysis of
-            # that single-edit variant.
-            targets = sorted(circuit.gates)[:4]
-            trial_edits = [
-                TrialEdit("resize", line, size)
-                for line in targets
-                for size in (0.5, 2.0)
-            ]
-            trial = incr.try_edits(trial_edits)
-            for k, t_edit in enumerate(trial_edits):
-                variant = case.build_circuit()
-                for edit in replayed:
-                    _apply_edit(variant, edit)
-                variant.resize_gate(t_edit.line, t_edit.value)
-                ref = TimingAnalyzer(
-                    variant, library, model, config, perf=SCALAR
-                ).analyze()
-                for line in variant.lines:
-                    if not _timings_equal(
-                        trial.line_timing(line, k), ref.line(line)
-                    ):
-                        return OracleResult(
-                            False,
-                            f"{tag} trial k={k} "
-                            f"resize {t_edit.line}->x{t_edit.value} "
-                            f"differs on {line}",
-                        )
-            # Trials must leave the master state untouched.
-            problems = _window_mismatches(
-                circuit, reference(), incr.result()
-            )
+        for step, edit in enumerate(edits):
+            _apply_edit(circuit, edit)
+            replayed.append(edit)
+            result = incr.retime()
+            problems = _window_mismatches(circuit, reference(), result)
             if problems:
                 return OracleResult(
                     False,
-                    f"{tag} master drifted after trials: "
+                    f"{tag} step={step} {edit[0]} {edit[1]}: "
                     + "; ".join(problems),
                 )
+        # Trial batch: two resize candidates for each of (up to) four
+        # gates, each column vs. a fresh scalar analysis of that
+        # single-edit variant.
+        targets = sorted(circuit.gates)[:4]
+        trial_edits = [
+            TrialEdit("resize", line, size)
+            for line in targets
+            for size in (0.5, 2.0)
+        ]
+        trial = incr.try_edits(trial_edits)
+        for k, t_edit in enumerate(trial_edits):
+            variant = case.build_circuit()
+            for edit in replayed:
+                _apply_edit(variant, edit)
+            variant.resize_gate(t_edit.line, t_edit.value)
+            ref = TimingAnalyzer(
+                variant, library, model, config, perf=SCALAR
+            ).analyze_per_gate()
+            for line in variant.lines:
+                if not _timings_equal(
+                    trial.line_timing(line, k), ref.line(line)
+                ):
+                    return OracleResult(
+                        False,
+                        f"{tag} trial k={k} "
+                        f"resize {t_edit.line}->x{t_edit.value} "
+                        f"differs on {line}",
+                    )
+        # Trials must leave the master state untouched.
+        problems = _window_mismatches(circuit, reference(), incr.result())
+        if problems:
+            return OracleResult(
+                False,
+                f"{tag} master drifted after trials: " + "; ".join(problems),
+            )
     return OracleResult(True)
 
 
@@ -646,8 +656,9 @@ def _check_mc(case: FuzzCase) -> OracleResult:
             f"jobs={spec.get('jobs', 2)} diverges from serial on "
             f"{bad} per-output sample values",
         )
-    # A single zero-sigma sample must reproduce the deterministic STA
-    # windows bit-for-bit, on every line and direction.
+    # A single zero-sigma sample, and the engine's nominal pass, must
+    # reproduce the scalar per-gate walk bit-for-bit, on every line and
+    # direction (both come from the engine's compile).
     engine = MonteCarloEngine(
         circuit, library, MC_MODELS[model_name](), config
     )
@@ -656,15 +667,20 @@ def _check_mc(case: FuzzCase) -> OracleResult:
         line: engine.line_timing_at(windows, line, 0)
         for line in circuit.lines
     }
-    problems = _window_mismatches(
-        circuit, engine.nominal, StaResult(circuit, timings)
-    )
-    if problems:
-        return OracleResult(
-            False,
-            f"sigma=0 vs deterministic STA (model={model_name}): "
-            + "; ".join(problems),
-        )
+    reference = TimingAnalyzer(
+        circuit, library, MC_MODELS[model_name](), config, perf=SCALAR
+    ).analyze_per_gate()
+    for label, result in (
+        ("sigma=0", StaResult(circuit, timings)),
+        ("nominal", engine.nominal),
+    ):
+        problems = _window_mismatches(circuit, reference, result)
+        if problems:
+            return OracleResult(
+                False,
+                f"{label} vs deterministic STA (model={model_name}): "
+                + "; ".join(problems),
+            )
     return OracleResult(True)
 
 
@@ -742,7 +758,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
                 case.build_circuit(), library, MC_MODELS[model](),
                 perf=SCALAR,
             )
-            base[model] = (analyzer, analyzer.analyze())
+            base[model] = (analyzer, analyzer.analyze_per_gate())
         return base[model]
 
     def reference(request) -> dict:
@@ -776,7 +792,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
                     sigma_ind=params["sigma_ind"],
                 ),
                 samples=params["samples"], seed=params["seed"],
-                jobs=1, block=params["block"], engine=params["engine"],
+                jobs=1, block=params["block"],
             ).summary(tuple(params["quantiles"]), period)
         # whatif: each edit vs. a fresh scalar analysis of its variant.
         arrivals = []
@@ -788,7 +804,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
                 variant.swap_cell(edit["line"], edit["value"])
             arrivals.append(TimingAnalyzer(
                 variant, library, MC_MODELS[model](), perf=SCALAR
-            ).analyze().output_max_arrival())
+            ).analyze_per_gate().output_max_arrival())
         _, base_result = scalar(model)
         return srv.whatif_payload(
             params["edits"], np.asarray(arrivals),
@@ -842,8 +858,9 @@ def _check_corners(case: FuzzCase) -> OracleResult:
     The references are per-corner single-library compiles with scalar
     derates — one per corner, nothing batched — diffed against the
     corner columns of one corner-batched level pass and against the
-    per-gate mirror engine.  The merged envelope must also contain
-    every per-corner window (conservative by construction).
+    per-gate Monte Carlo mirror run per corner.  The merged envelope
+    must also contain every per-corner window (conservative by
+    construction).
     """
     from ..pvt import CornerAnalyzer, scaled_library
     from ..sta.compile import LevelCompiledAnalyzer
@@ -855,12 +872,9 @@ def _check_corners(case: FuzzCase) -> OracleResult:
         libraries = [
             scaled_library(shared_library(), corner) for corner in corners
         ]
-        batched = CornerAnalyzer(
-            circuit, corners, libraries, model, config, engine="level"
-        ).analyze()
-        mirrored = CornerAnalyzer(
-            circuit, corners, libraries, model, config, engine="gate"
-        ).analyze()
+        analyzer = CornerAnalyzer(circuit, corners, libraries, model, config)
+        batched = analyzer.analyze()
+        mirrored = analyzer.analyze_per_gate()
         for i, (corner, library) in enumerate(zip(corners, libraries)):
             reference = LevelCompiledAnalyzer(
                 circuit, library, model, config

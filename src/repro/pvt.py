@@ -26,7 +26,9 @@ margins (timing derates) on top.  This module adds that workload class:
 Exactness contract: corner column ``c`` of a batched pass performs
 bit-for-bit the float operations of a single-corner pass with corner
 ``c``'s library and scalar derates.  ``tests/test_pvt.py`` and the
-``corners`` fuzz oracle enforce this for both engines.
+``corners`` fuzz oracle enforce this, and diff the batched pass
+against the per-gate Monte Carlo mirror run once per corner
+(:meth:`CornerAnalyzer.analyze_per_gate`, a reference only).
 """
 
 from __future__ import annotations
@@ -649,6 +651,10 @@ class CornerSetResult:
 class CornerAnalyzer:
     """Corner-batched STA over a fixed circuit and corner set.
 
+    All corners compile into one corner-batched
+    :class:`LevelCompiledAnalyzer` whose trailing batch axis is the
+    corner axis, so an N-corner full pass is one sweep.
+
     Args:
         circuit: Gate-level circuit under analysis.
         corners: The corner set, in column order.
@@ -656,11 +662,6 @@ class CornerAnalyzer:
             ``corners`` (see :meth:`CornerLibrary.ordered`).
         model: Delay model (defaults to the proposed V-shape model).
         config: STA boundary conditions.
-        engine: ``"level"`` compiles all corners into one corner-batched
-            :class:`LevelCompiledAnalyzer` whose trailing batch axis is
-            the corner axis — an N-corner full pass is one sweep.
-            ``"gate"`` runs the per-gate sample-axis mirrors once per
-            corner (the reference the batched path is diffed against).
     """
 
     def __init__(
@@ -670,12 +671,7 @@ class CornerAnalyzer:
         libraries: Sequence[CellLibrary],
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
-        engine: str = "level",
     ) -> None:
-        if engine not in ("gate", "level"):
-            raise ValueError(
-                f"engine must be 'gate' or 'level', got {engine!r}"
-            )
         if len(corners) != len(libraries):
             raise ValueError(
                 f"{len(corners)} corners vs {len(libraries)} libraries"
@@ -687,13 +683,10 @@ class CornerAnalyzer:
         self.libraries = list(libraries)
         self.model = model
         self.config = config or StaConfig()
-        self.engine = engine
         self._obs = get_registry()
-        self._level: Optional[LevelCompiledAnalyzer] = None
-        if engine == "level":
-            self._level = LevelCompiledAnalyzer(
-                circuit, self.libraries, model, self.config
-            )
+        self._level = LevelCompiledAnalyzer(
+            circuit, self.libraries, model, self.config
+        )
 
     @classmethod
     def from_library(
@@ -703,10 +696,9 @@ class CornerAnalyzer:
         names: Optional[Sequence[str]] = None,
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
-        engine: str = "level",
     ) -> "CornerAnalyzer":
         corners, libraries = library.ordered(names)
-        return cls(circuit, corners, libraries, model, config, engine)
+        return cls(circuit, corners, libraries, model, config)
 
     @property
     def n_corners(self) -> int:
@@ -719,14 +711,23 @@ class CornerAnalyzer:
             np.array([c.derate_late for c in self.corners]),
         )
         with self._obs.timer("pvt.pass_s"):
-            if self._level is not None:
-                results = self._level.analyze_corners(derates=derates)
-            else:
-                results = [
-                    self._gate_corner_pass(corner, library)
-                    for corner, library in zip(self.corners, self.libraries)
-                ]
+            results = self._level.analyze_corners(derates=derates)
         self._obs.counter("pvt.corners_analyzed").inc(self.n_corners)
+        return self._corner_set(results)
+
+    def analyze_per_gate(self) -> CornerSetResult:
+        """Every corner through the per-gate mirrors (reference only).
+
+        Bit-identical to :meth:`analyze`; the parity tests and the
+        ``corners`` fuzz oracle diff the batched pass against it.
+        """
+        return self._corner_set([
+            self._gate_corner_pass(corner, library)
+            for corner, library in zip(self.corners, self.libraries)
+        ])
+
+    def _corner_set(self, results: List[StaResult]) -> CornerSetResult:
+        """Per-corner results plus their merged setup/hold envelope."""
         merged = StaResult(
             self.circuit,
             {
@@ -743,11 +744,11 @@ class CornerAnalyzer:
     def _gate_corner_pass(
         self, corner: Corner, library: CellLibrary
     ) -> StaResult:
-        """One corner through the per-gate mirrors (reference engine).
+        """One corner through the per-gate Monte Carlo mirror.
 
         A deterministic corner pass is the sigma-zero one-sample case
-        of the Monte Carlo gate engine with the corner's derates — the
-        exact per-site multiply order the compiled corner columns use.
+        of the mirror with the corner's derates — the exact per-site
+        multiply order the compiled corner columns use.
         """
         from .stat.engine import MonteCarloEngine
 
@@ -756,10 +757,9 @@ class CornerAnalyzer:
             library,
             self.model,
             self.config,
-            engine="gate",
             derate=corner.derates,
         )
-        windows = mc.propagate(np.ones((mc.n_gates, 1)))
+        windows = mc.propagate_per_gate(np.ones((mc.n_gates, 1)))
         return StaResult(
             self.circuit,
             {
@@ -775,11 +775,10 @@ def analyze_corners(
     libraries: Sequence[CellLibrary],
     model: Optional[DelayModel] = None,
     config: Optional[StaConfig] = None,
-    engine: str = "level",
 ) -> CornerSetResult:
     """One-shot :class:`CornerAnalyzer` convenience wrapper."""
     return CornerAnalyzer(
-        circuit, corners, libraries, model, config, engine
+        circuit, corners, libraries, model, config
     ).analyze()
 
 

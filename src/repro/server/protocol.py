@@ -180,7 +180,7 @@ def _norm_path(params: dict, max_batch: int) -> dict:
 def _norm_mc(params: dict, max_batch: int) -> dict:
     _reject_unknown(params, (
         "model", "samples", "seed", "sigma_corr", "sigma_ind", "block",
-        "quantiles", "period_ns", "engine",
+        "quantiles", "period_ns",
     ))
     qs = params.get("quantiles", [0.5, 0.95, 0.99])
     if not isinstance(qs, list) or not qs:
@@ -205,9 +205,6 @@ def _norm_mc(params: dict, max_batch: int) -> dict:
         "quantiles": qs,
         "period_ns": None if period is None else _as_float(
             "period_ns", period
-        ),
-        "engine": _as_str(
-            "engine", params.get("engine", "gate"), ("gate", "level")
         ),
     }
 

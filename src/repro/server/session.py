@@ -1,20 +1,18 @@
 """Warm per-circuit analysis sessions behind the timing daemon.
 
-A :class:`CircuitSession` owns, per delay model, one level-compiled
+A :class:`CircuitSession` owns, per delay model, one
 :class:`~repro.sta.analysis.TimingAnalyzer` wrapped in an
 :class:`~repro.sta.incremental.IncrementalAnalyzer` (for K-column
-what-if trials) plus one :class:`~repro.stat.engine.MonteCarloEngine`
-per requested forward engine — built on first use and reused for every
-later query, which is the entire point of the daemon: clients share one
-hot in-memory timing model instead of paying the cold CLI cost per
-question.
+what-if trials) and one :class:`~repro.stat.engine.MonteCarloEngine`,
+both built on first use and reused for every later query, which is the
+entire point of the daemon: clients share one hot in-memory timing
+model instead of paying the cold CLI cost per question.
 
 Bitwise parity with the one-shot CLI is a hard contract, kept by
 construction rather than by luck:
 
 * windows/slack/path answers read the master ``StaResult`` of a full
-  level-engine pass, which the engine-parity suite pins bit-identical
-  to the gate engine the CLI defaults to;
+  level-compiled pass, the same pass the CLI's ``sta`` runs;
 * ``mc`` replays the exact serial loop of :func:`repro.stat.runner.run_mc`
   (same ``plan_blocks`` decomposition, same ``_run_block`` per block,
   same ``McResult.summary``), so the response equals ``repro-sta mc
@@ -37,7 +35,7 @@ import numpy as np
 from ..characterize import CellLibrary
 from ..circuit import Circuit
 from ..obs import get_registry
-from ..sta.analysis import PerfConfig, StaConfig, StaResult, TimingAnalyzer
+from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from ..sta.incremental import IncrementalAnalyzer, TrialEdit
 from ..sta.report import TimingReporter
 from ..stat.aggregate import McResult
@@ -229,10 +227,9 @@ class CircuitSession:
         self.circuit = circuit
         self.library = library
         self.config = config or StaConfig()
-        self._perf = PerfConfig(engine="level")
         self._incr: Dict[str, IncrementalAnalyzer] = {}
         self._results: Dict[str, StaResult] = {}
-        self._mc: Dict[tuple, MonteCarloEngine] = {}
+        self._mc: Dict[str, MonteCarloEngine] = {}
         self._corner: Dict[tuple, tuple] = {}
         self._obs = get_registry()
         self._lines = set(circuit.lines)
@@ -244,7 +241,7 @@ class CircuitSession:
         if incr is None:
             analyzer = TimingAnalyzer(
                 self.circuit, self.library, MC_MODELS[model](),
-                config=self.config, perf=self._perf,
+                config=self.config,
             )
             incr = IncrementalAnalyzer(analyzer)
             self._incr[model] = incr
@@ -258,15 +255,14 @@ class CircuitSession:
             self._results[model] = result
         return result
 
-    def _mc_engine(self, model: str, engine: str) -> MonteCarloEngine:
-        key = (model, engine)
-        mc = self._mc.get(key)
+    def _mc_engine(self, model: str) -> MonteCarloEngine:
+        mc = self._mc.get(model)
         if mc is None:
             mc = MonteCarloEngine(
                 self.circuit, self.library, MC_MODELS[model](),
-                self.config, engine=engine,
+                self.config,
             )
-            self._mc[key] = mc
+            self._mc[model] = mc
             self._obs.counter("server.session.mc_engines_built").inc()
         return mc
 
@@ -290,7 +286,6 @@ class CircuitSession:
             analyzer = CornerAnalyzer(
                 self.circuit, corners, libraries,
                 model=MC_MODELS[model](), config=self.config,
-                engine="level",
             )
             state = (corners, analyzer.analyze())
             self._corner[key] = state
@@ -344,7 +339,7 @@ class CircuitSession:
         # The exact serial loop of run_mc(jobs=1), over a warm engine —
         # engine reuse is already run_mc's own behaviour across blocks,
         # so the response is bit-identical to a fresh CLI invocation.
-        engine = self._mc_engine(params["model"], params["engine"])
+        engine = self._mc_engine(params["model"])
         variation = VariationModel(
             sigma_corr=params["sigma_corr"], sigma_ind=params["sigma_ind"]
         )

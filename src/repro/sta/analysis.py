@@ -5,6 +5,13 @@ corner identification of :mod:`repro.sta.corners`; backward traversal
 computes required-time windows; the two together flag potential delay
 errors (arrival range outside the required range).
 
+Full forward passes run on the level-compiled engine of
+:mod:`repro.sta.compile`.  The gate-at-a-time walk
+(:meth:`TimingAnalyzer.propagate_gate`) serves the per-gate work of ITR,
+ATPG and incremental seeding, and as a whole pass
+(:meth:`TimingAnalyzer.analyze_per_gate`) it is the scalar reference the
+compiled pass is diffed against.
+
 The analyzer is model-parametric: with :class:`~repro.models.VShapeModel`
 it exploits simultaneous to-controlling switching (smaller, more accurate
 min-delays); with :class:`~repro.models.PinToPinModel` it reproduces the
@@ -60,11 +67,16 @@ class StaConfig:
 
 @dataclasses.dataclass(frozen=True)
 class PerfConfig:
-    """Performance knobs of the timing core.
+    """Performance knobs of the per-gate walk.
 
-    Both fast paths are bit-identical to the scalar/uncached reference
-    (the parity test suite enforces this), so the defaults are on; the
-    flags exist for debugging and for the parity tests themselves.
+    They tune :meth:`TimingAnalyzer.propagate_gate` — the gate-at-a-time
+    corner searches behind ITR, ATPG, incremental seeding and
+    :meth:`TimingAnalyzer.analyze_per_gate`.  Full passes
+    (:meth:`TimingAnalyzer.analyze`) always run on the level-compiled
+    engine and ignore them.  Both fast paths are bit-identical to the
+    scalar/uncached reference (the parity test suite enforces this), so
+    the defaults are on; the flags exist for debugging and for the
+    parity tests themselves.
 
     Args:
         batched_kernels: Evaluate corner candidates through the NumPy
@@ -81,12 +93,6 @@ class PerfConfig:
         memo_quantum: Quantization step (seconds) for memo hash keys;
             exactness is guaranteed by tag verification, so this only
             affects hash bucketing.
-        engine: Forward-pass engine: ``"gate"`` walks the circuit one
-            gate at a time (required by ITR/ATPG incremental use);
-            ``"level"`` compiles the circuit into the level-ordered
-            structure-of-arrays form of :mod:`repro.sta.compile` and
-            evaluates each level in a handful of NumPy ops — the same
-            windows, bit for bit, at a fraction of the full-pass cost.
     """
 
     batched_kernels: bool = True
@@ -94,11 +100,6 @@ class PerfConfig:
     memo_enabled: bool = True
     memo_max_entries: int = 100_000
     memo_quantum: float = 1e-15
-    engine: str = "gate"
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("gate", "level"):
-            raise ValueError(f"unknown STA engine {self.engine!r}")
 
 
 def compute_loads(
@@ -179,8 +180,10 @@ class TimingAnalyzer:
         library: Characterized cell library.
         model: Delay model (defaults to the proposed V-shape model).
         config: Boundary conditions.
-        perf: Performance knobs (defaults to batched + memoized; both
-            paths are bit-identical to the scalar/uncached reference).
+        perf: Knobs of the per-gate walk (defaults to batched +
+            memoized; both paths are bit-identical to the
+            scalar/uncached reference).  Full passes run on the
+            level-compiled engine regardless.
     """
 
     def __init__(
@@ -372,7 +375,11 @@ class TimingAnalyzer:
     def analyze(
         self, pi_overrides: Optional[Dict[str, LineTiming]] = None
     ) -> StaResult:
-        """Run the forward traversal.
+        """Run the forward traversal on the level-compiled engine.
+
+        The circuit is compiled once per analyzer and edit epoch (see
+        :meth:`level_engine`); every later call is one batched pass.
+        Bit-identical to :meth:`analyze_per_gate`.
 
         Args:
             pi_overrides: Optional per-PI timing windows replacing the
@@ -382,8 +389,26 @@ class TimingAnalyzer:
             Windows for every line in the circuit.
         """
         self._sync_epoch()
-        if self.perf.engine == "level":
-            return self.level_engine().analyze(pi_overrides=pi_overrides)
+        return self.level_engine().analyze(pi_overrides=pi_overrides)
+
+    def analyze_per_gate(
+        self, pi_overrides: Optional[Dict[str, LineTiming]] = None
+    ) -> StaResult:
+        """The scalar reference walk: one gate at a time, in topo order.
+
+        Every gate goes through :meth:`propagate_gate`, so this pass
+        honours :class:`PerfConfig` and fills the propagation memo that
+        ITR and ATPG reuse.  The parity tests and fuzz oracles diff the
+        compiled :meth:`analyze` against it.
+
+        Args:
+            pi_overrides: Optional per-PI timing windows replacing the
+                default boundary condition.
+
+        Returns:
+            Windows for every line in the circuit.
+        """
+        self._sync_epoch()
         timings: Dict[str, LineTiming] = {}
         with self._obs.timer("sta.forward_s"):
             default = self.pi_timing()
@@ -420,8 +445,8 @@ class TimingAnalyzer:
 
         Returns:
             A :class:`repro.pvt.CornerSetResult` (per-corner results
-            plus the merged setup/hold envelope) from the engine this
-            analyzer's ``perf.engine`` selects.
+            plus the merged setup/hold envelope) from one corner-batched
+            level-compiled pass.
         """
         from .. import pvt
 
@@ -442,7 +467,6 @@ class TimingAnalyzer:
             list(libraries),
             self.model,
             self.config,
-            engine=self.perf.engine,
         )
 
     # ------------------------------------------------------------------

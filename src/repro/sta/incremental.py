@@ -21,31 +21,31 @@ How it works:
 * loads are re-derived per affected line with the exact summation order
   of :func:`~repro.sta.analysis.compute_loads`, keeping them — and
   everything downstream — bit-identical to a fresh analyzer;
-* with the ``level`` engine, coefficient-only edits (resize/cell swap)
-  are patched into the :class:`~repro.sta.compile.CompiledCircuit` SoA
-  arrays in place (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`),
-  so neither re-timing nor a later full batched pass ever pays a
-  recompile; only structural edits (rewires) or shape-changing swaps
-  trigger one.
+* coefficient-only edits (resize/cell swap) are patched into the
+  :class:`~repro.sta.compile.CompiledCircuit` SoA arrays in place
+  (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`), so neither
+  re-timing nor a later full pass ever pays a recompile; only
+  structural edits (rewires) or shape-changing swaps trigger one.
 
-Re-timing itself comes in two gears.  Under the ``gate`` engine (or
-right after a structural edit staled the compiled form) the cone is
-recomputed gate-at-a-time through ``propagate_gate``.  Under the
-``level`` engine the analyzer keeps the raw SoA window state of the
-last full pass and replays the cone *batched*: per level, the dirty
+Re-timing itself comes in two gears.  Normally the analyzer keeps the
+raw SoA window state of the last full (level-compiled) pass and
+replays the cone *batched*: per level, the dirty
 gates of each compiled group are sliced into a column subset
 (:func:`~repro.sta.compile.subset_group`) and run through the same
 level kernels against the persistent state, then the output rows are
 diffed bitwise to decide which fan-outs join the frontier.  That keeps
 the per-gate cost of a re-time at full-pass kernel rates instead of
 scalar rates — the difference between ~4x and ~20x+ on c7552s cones.
+Right after a structural edit staled the compiled form, until the next
+full pass recompiles it, the cone is recomputed gate-at-a-time through
+``propagate_gate`` instead.
 
 Early termination is *bitwise*, not tolerance-based: a timestamp/dirty-
 bit scheme would either re-run the whole cone every time or risk serving
 windows that differ from a fresh pass in the last ulp.  The differential
 fuzz oracle ``incremental`` and the property tests enforce the contract
-"after any edit sequence, stored windows == fresh full analysis" on both
-engines.
+"after any edit sequence, stored windows == fresh full analysis" in
+both gears.
 
 Metrics are published under ``sta.incr.*``.
 """
@@ -226,10 +226,10 @@ class IncrementalAnalyzer:
     """Cone-limited re-timing on top of a :class:`TimingAnalyzer`.
 
     Args:
-        analyzer: The wrapped analyzer.  Its ``perf.engine`` decides how
-            full passes run; per-gate recomputation always goes through
-            the gate-level corner searches, which the parity contract
-            guarantees are bitwise-identical to the level engine.
+        analyzer: The wrapped analyzer.  Full passes run on its
+            level-compiled engine; per-gate recomputation goes through
+            its gate-level corner searches, which the parity contract
+            guarantees are bitwise-identical to the compiled pass.
 
     Usage::
 
@@ -254,7 +254,7 @@ class IncrementalAnalyzer:
         self._outputs = set(self.circuit.outputs)
         self._pos: Optional[Dict[str, int]] = None
         self._lvl: Optional[Dict[str, int]] = None
-        #: Compiled-form bookkeeping (level engine only).
+        #: Compiled-form bookkeeping.
         self._patch_pending: Set[str] = set()
         self._compiled_stale = False
         #: Persistent SoA window state of the last full level pass; the
@@ -287,9 +287,7 @@ class IncrementalAnalyzer:
         self._sync_compiled()
         result = self.analyzer.analyze()
         self._timings = result.timings
-        level = self.analyzer._level
-        if level is not None:
-            self._cw = level.last_windows
+        self._cw = self.analyzer._level.last_windows
         self._m_full.inc()
         return result
 
@@ -309,14 +307,17 @@ class IncrementalAnalyzer:
         self._m_retimes.inc()
         if not seeds:
             return StaResult(self.circuit, self._timings)
-        if self.analyzer.perf.engine == "level":
-            self._sync_compiled()
-            if self.analyzer._level is not None and self._cw is not None:
-                return self._retime_batched(seeds)
+        self._sync_compiled()
+        if self.analyzer._level is not None:
+            return self._retime_batched(seeds)
         return self._retime_scalar(seeds)
 
     def _retime_scalar(self, seeds: Set[str]) -> StaResult:
-        """Gate-at-a-time cone replay through ``propagate_gate``."""
+        """Gate-at-a-time cone replay through ``propagate_gate``.
+
+        The gear for a staled compiled form (after a structural edit,
+        until the next full pass recompiles).
+        """
         analyzer = self.analyzer
         circuit = self.circuit
         timings = self._timings
@@ -445,7 +446,7 @@ class IncrementalAnalyzer:
             apply/revert pairs appear in the edit log but are consumed
             here).
 
-        Under the ``level`` engine the K variants run as ONE batched
+        With a current compiled form the K variants run as ONE batched
         cone sweep with K columns: each variant's edited gate and
         re-loaded fan-in drivers are seeded scalarly into its own column
         (their coefficients differ per variant), then the union cone
@@ -473,11 +474,7 @@ class IncrementalAnalyzer:
         self._m_trials.inc(len(edits))
         self._m_trial_batches.inc()
         with self._obs.timer("sta.incr.trial_s"):
-            if (
-                self.analyzer.perf.engine == "level"
-                and self.analyzer._level is not None
-                and self._cw is not None
-            ):
+            if self.analyzer._level is not None:
                 result = self._try_batched(edits)
                 if result is not None:
                     return result
@@ -911,14 +908,14 @@ class IncrementalAnalyzer:
         return self._lvl
 
     # ------------------------------------------------------------------
-    # Compiled-form maintenance (level engine)
+    # Compiled-form maintenance
     # ------------------------------------------------------------------
     def _compiled(self):
         level = self.analyzer._level
         return None if level is None else level.compiled
 
     def _queue_patch(self, line: str) -> None:
-        if self.analyzer.perf.engine != "level" or self._compiled_stale:
+        if self._compiled_stale:
             return
         if self._compiled() is None:
             # Nothing compiled yet; a future compile sees the current
@@ -932,8 +929,6 @@ class IncrementalAnalyzer:
         Coefficient-only edits are patched column-wise in place; only
         structural edits (or shape-changing swaps) pay a recompile.
         """
-        if self.analyzer.perf.engine != "level":
-            return
         compiled = self._compiled()
         if compiled is None:
             self._patch_pending.clear()

@@ -223,7 +223,6 @@ class GateSizer:
             self.incr.library,
             samples=self.config.mc_samples,
             seed=self.config.seed,
-            engine=self.incr.analyzer.perf.engine,
         )
         q = result.quantiles((self.config.mc_quantile,))
         return q[self.config.mc_quantile] - self._required
@@ -416,12 +415,6 @@ def optimize_sizing(
 
     if library is None:
         library = CellLibrary.load_default()
-    analyzer = TimingAnalyzer(
-        circuit,
-        library,
-        model,
-        sta_config,
-        perf=perf or PerfConfig(engine="level"),
-    )
+    analyzer = TimingAnalyzer(circuit, library, model, sta_config, perf)
     sizer = GateSizer(IncrementalAnalyzer(analyzer), config)
     return sizer.run()

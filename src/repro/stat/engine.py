@@ -1,17 +1,19 @@
 """Sample-axis vectorized Monte Carlo window propagation.
 
-One deterministic STA pass evaluates each gate's corner candidates once
-(:mod:`repro.sta.kernels`).  A naive Monte Carlo re-times the circuit N
-times, paying the full per-gate Python dispatch N times over.  This
-engine instead gives every numeric window field a trailing *sample axis*
-and pushes all N coefficient draws through the batched corner kernels in
-**one pass per gate**: candidate arrays grow from ``(combos,)`` to
-``(combos, N)``, and NumPy amortizes the dispatch across the block.
+A naive Monte Carlo re-times the circuit N times.  This engine instead
+gives every numeric window field a trailing *sample axis* and pushes
+all N coefficient draws of a block through **one** forward pass: the
+level-compiled engine of :mod:`repro.sta.compile`, whose trailing batch
+axis is the sample axis.  The deterministic nominal pass comes from the
+same compile, so an engine pays for one compile and no per-gate walk.
 
-The translation from :mod:`repro.sta.kernels` is mechanical — every
-scalar that depended on window values becomes an array over samples,
-every data-dependent Python branch becomes a mask — with two engine
-specific ingredients:
+This module also keeps the per-gate *mirror* of that pass
+(:meth:`MonteCarloEngine.propagate_per_gate`): a mechanical translation
+of :mod:`repro.sta.kernels` in which every scalar that depended on
+window values becomes an array over samples and every data-dependent
+Python branch becomes a mask.  It is a reference only — the parity
+tests and the per-gate corner reference of :mod:`repro.pvt` diff the
+compiled pass against it.  Two ingredients are specific to Monte Carlo:
 
 * the per-gate variation factor ``F`` (see
   :class:`repro.stat.variation.VariationModel`) multiplies every
@@ -23,11 +25,11 @@ specific ingredients:
   never on numeric window values — so they are computed once and shared
   by every sample.
 
-Exactness contract: with ``F == 1.0`` the engine performs bit-for-bit
-the same float operations as the batched kernels (multiplying an IEEE
-double by 1.0 is the identity), which are themselves bit-identical to
-the scalar reference.  The ``mc`` fuzz oracle and the sigma-zero parity
-tests enforce this against :class:`repro.sta.analysis.TimingAnalyzer`.
+Exactness contract: with ``F == 1.0`` both passes perform bit-for-bit
+the same float operations as the scalar reference (multiplying an IEEE
+double by 1.0 is the identity).  The ``mc`` fuzz oracle and the
+sigma-zero parity tests enforce this against
+:meth:`repro.sta.analysis.TimingAnalyzer.analyze_per_gate`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..sta import kernels
 from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
-from ..sta.compile import LevelCompiledAnalyzer
 from ..sta.kernels import (
     _pair_combos,
     _peak_delay,
@@ -117,11 +118,6 @@ class MonteCarloEngine:
         library: Characterized cell library.
         model: Delay model (defaults to the proposed V-shape model).
         config: STA boundary conditions.
-        engine: ``"gate"`` runs the per-gate sample-axis kernels of this
-            module; ``"level"`` delegates each block to the
-            level-compiled SoA pass (:mod:`repro.sta.compile`), whose
-            trailing batch axis generalizes the sample axis.  Both
-            produce bit-identical windows.
         derate: Optional ``(early, late)`` timing-derate pair (see
             :mod:`repro.pvt`): min-side responses multiply by the early
             derate and max-side responses by the late derate, after the
@@ -136,35 +132,23 @@ class MonteCarloEngine:
         library: CellLibrary,
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
-        engine: str = "gate",
         derate: Optional[Tuple[float, float]] = None,
     ) -> None:
-        if engine not in ("gate", "level"):
-            raise ValueError(
-                f"engine must be 'gate' or 'level', got {engine!r}"
-            )
         self.circuit = circuit
         self.library = library
         self.model = model if model is not None else VShapeModel()
         self.config = config or StaConfig()
-        self.engine = engine
         self.derate = (
             None if derate is None
             else (float(derate[0]), float(derate[1]))
         )
-        self._level = (
-            LevelCompiledAnalyzer(
-                circuit, library, self.model, self.config
-            )
-            if engine == "level"
-            else None
-        )
         self.analyzer = TimingAnalyzer(
             circuit, library, self.model, self.config
         )
-        #: Deterministic reference pass; also supplies the structural
-        #: window states shared by every sample.
+        #: Deterministic pass (no variation, no derate) from the compile
+        #: the sample blocks run on.
         self.nominal: StaResult = self.analyzer.analyze()
+        self._level = self.analyzer.level_engine()
         self._ctx = kernels.KernelContext()
         #: Gate output lines in propagation order; row ``i`` of a factor
         #: matrix perturbs ``gate_order[i]``.
@@ -186,25 +170,30 @@ class MonteCarloEngine:
     # Forward propagation
     # ------------------------------------------------------------------
     def propagate(self, factors: np.ndarray) -> BlockWindows:
-        """One vectorized pass: all samples of a block, every line.
+        """One compiled pass: all samples of a block, every line.
 
         Args:
             factors: Per-gate variation factors, shape
-                ``(n_gates, n_samples)`` aligned with ``gate_order``.
+                ``(n_gates, n_samples)`` aligned with ``gate_order``
+                (the compiled pass's factor rows use the same order).
 
         Returns:
             ``{line: (rise, fall)}`` sample windows for every line.
         """
+        return self._from_compiled(
+            self._level.propagate(factors, derates=self.derate)
+        )
+
+    def propagate_per_gate(self, factors: np.ndarray) -> BlockWindows:
+        """The per-gate mirror of :meth:`propagate` (reference only).
+
+        Walks the circuit one gate at a time through this module's
+        sample-axis translation of the batched kernels; bit-identical
+        to :meth:`propagate`.
+        """
         if factors.shape[0] != self.n_gates:
             raise ValueError(
                 f"factor rows ({factors.shape[0]}) != gates ({self.n_gates})"
-            )
-        if self._level is not None:
-            # One compiled pass over the whole block: the level engine's
-            # batch axis is this engine's sample axis (both factor
-            # matrices align with topological order).
-            return self._from_compiled(
-                self._level.propagate(factors, derates=self.derate)
             )
         n = factors.shape[1]
         a_s, a_l = self.config.pi_arrival

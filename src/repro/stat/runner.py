@@ -83,7 +83,6 @@ def _pool_init(
     variation_fields: dict,
     seed: int,
     obs_enabled: bool = False,
-    engine: str = "gate",
     derate: Optional[Tuple[float, float]] = None,
 ) -> None:
     """Build one engine per worker process (per-block work reuses it).
@@ -113,7 +112,7 @@ def _pool_init(
     _WORKER = {
         "engine": MonteCarloEngine(
             circuit, library, MC_MODELS[model_name](), config,
-            engine=engine, derate=derate,
+            derate=derate,
         ),
         "variation": VariationModel.from_dict(variation_fields),
         "seed": seed,
@@ -146,7 +145,6 @@ def run_mc(
     seed: int = 0,
     jobs: int = 1,
     block: int = DEFAULT_BLOCK,
-    engine: str = "gate",
     derate: Optional[Tuple[float, float]] = None,
 ) -> McResult:
     """Variation-aware Monte Carlo STA over ``samples`` draws.
@@ -163,10 +161,6 @@ def run_mc(
         jobs: Worker processes; results are bit-identical at any value.
         block: Sample-block size (part of the result's identity — see
             the module docstring).
-        engine: Forward-pass engine per block: ``"gate"`` (per-gate
-            sample-axis kernels) or ``"level"`` (level-compiled SoA
-            pass).  Bit-identical either way — pure execution strategy,
-            like ``jobs``.
         derate: Optional ``(early, late)`` timing-derate pair applied
             to every sample's windows (PVT corner margins; see
             :class:`MonteCarloEngine`).
@@ -188,8 +182,7 @@ def run_mc(
     block_hist = obs.histogram("stat.mc.block_s")
 
     mc_engine = MonteCarloEngine(
-        circuit, library, MC_MODELS[model](), config, engine=engine,
-        derate=derate,
+        circuit, library, MC_MODELS[model](), config, derate=derate,
     )
     pieces: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     with obs.timer("stat.mc.wall_s"):
@@ -216,7 +209,6 @@ def run_mc(
                 variation.to_dict(),
                 seed,
                 obs.enabled,
-                engine,
                 derate,
             )
             workers = min(jobs, len(blocks))

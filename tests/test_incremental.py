@@ -25,15 +25,30 @@ from repro.sta.incremental import _timings_equal
 #: Reference configuration: no kernels, no memo — the plain definition.
 SCALAR = PerfConfig(batched_kernels=False, memo_enabled=False)
 
-ENGINES = ("gate", "level")
+#: Re-timing gears: ``level`` replays cones through the compiled form,
+#: ``gate`` walks them gate by gate (the state a structural edit leaves
+#: until the next full pass).
+GEARS = ("gate", "level")
 
 
-def _incremental(circuit, library, engine):
-    analyzer = TimingAnalyzer(
-        circuit, library, VShapeModel(), StaConfig(),
-        perf=PerfConfig(engine=engine),
+def _incremental(circuit, library, gear):
+    """A baselined :class:`IncrementalAnalyzer` in the given gear."""
+    incr = IncrementalAnalyzer(
+        TimingAnalyzer(circuit, library, VShapeModel(), StaConfig())
     )
-    return IncrementalAnalyzer(analyzer)
+    incr.analyze()
+    if gear == "gate":
+        # A rewire and its revert stale the compiled form without
+        # changing the circuit.
+        line = next(g for g in sorted(circuit.gates)
+                    if circuit.gates[g].n_inputs >= 2)
+        old = circuit.gates[line].inputs[0]
+        new = next(pi for pi in circuit.inputs
+                   if pi not in circuit.gates[line].inputs)
+        incr.rewire_input(line, 0, new)
+        incr.rewire_input(line, 0, old)
+        assert incr.analyzer._level is None
+    return incr
 
 
 def _fresh_timings(circuit, library, perf=SCALAR):
@@ -42,7 +57,7 @@ def _fresh_timings(circuit, library, perf=SCALAR):
     analyzer = TimingAnalyzer(
         rebuilt, library, VShapeModel(), StaConfig(), perf=perf
     )
-    return analyzer.analyze()
+    return analyzer.analyze_per_gate()
 
 
 def _assert_all_lines_equal(circuit, result, reference):
@@ -85,11 +100,10 @@ def _apply(circuit, edit):
 
 
 class TestRetime:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_matches_fresh_after_each_edit(self, library, engine):
+    @pytest.mark.parametrize("gear", GEARS)
+    def test_matches_fresh_after_each_edit(self, library, gear):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, engine)
-        incr.analyze()
+        incr = _incremental(circuit, library, gear)
         for edit in _edit_script(circuit):
             _apply(circuit, edit)
             result = incr.retime()
@@ -99,7 +113,6 @@ class TestRetime:
     def test_matches_fresh_on_c432s_level(self, library):
         circuit = load_packaged_bench("c432s")
         incr = _incremental(circuit, library, "level")
-        incr.analyze()
         for edit in _edit_script(circuit):
             _apply(circuit, edit)
         result = incr.retime()
@@ -113,7 +126,6 @@ class TestRetime:
         # compiled form, not just the incremental window state).
         circuit = load_packaged_bench("c17")
         incr = _incremental(circuit, library, "level")
-        incr.analyze()
         incr.resize_gate(sorted(circuit.gates)[0], 3.3)
         result = incr.analyzer.analyze()
         reference = _fresh_timings(circuit, library)
@@ -121,11 +133,10 @@ class TestRetime:
 
 
 class TestTryEdits:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_columns_match_fresh_variants(self, library, engine):
+    @pytest.mark.parametrize("gear", GEARS)
+    def test_columns_match_fresh_variants(self, library, gear):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, engine)
-        incr.analyze()
+        incr = _incremental(circuit, library, gear)
         gates = sorted(circuit.gates)
         two_in = next(g for g in gates if circuit.gates[g].n_inputs == 2)
         edits = [
@@ -141,18 +152,17 @@ class TestTryEdits:
             _apply(variant, (e.op, e.line, e.value, None))
             reference = TimingAnalyzer(
                 variant, library, VShapeModel(), StaConfig(), perf=SCALAR
-            ).analyze()
+            ).analyze_per_gate()
             for line in variant.lines:
                 assert _timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), f"k={k} {line}"
             assert trial.max_arrivals()[k] == reference.output_max_arrival()
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_master_state_is_untouched(self, library, engine):
+    @pytest.mark.parametrize("gear", GEARS)
+    def test_master_state_is_untouched(self, library, gear):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, engine)
-        incr.analyze()
+        incr = _incremental(circuit, library, gear)
         before = {line: incr.result().line(line) for line in circuit.lines}
         sizes_before = {g: circuit.gates[g].size for g in circuit.gates}
         incr.try_edits([
@@ -182,7 +192,6 @@ class TestTryEdits:
             name="crossfeed",
         )
         incr = _incremental(circuit, library, "level")
-        incr.analyze()
         edits = [TrialEdit("resize", "g10", s) for s in (0.5, 2.0)]
         trial = incr.try_edits(edits)
         for k, e in enumerate(edits):
@@ -190,7 +199,7 @@ class TestTryEdits:
             variant.resize_gate(e.line, e.value)
             reference = TimingAnalyzer(
                 variant, library, VShapeModel(), StaConfig(), perf=SCALAR
-            ).analyze()
+            ).analyze_per_gate()
             for line in variant.lines:
                 assert _timings_equal(
                     trial.line_timing(line, k), reference.line(line)
@@ -199,7 +208,6 @@ class TestTryEdits:
     def test_rejects_empty_and_structural_edits(self, library):
         circuit = load_packaged_bench("c17")
         incr = _incremental(circuit, library, "level")
-        incr.analyze()
         with pytest.raises(ValueError):
             incr.try_edits([])
         with pytest.raises(ValueError):
@@ -229,13 +237,12 @@ class TestMemoEpoch:
     def test_analyzer_epoch_tracks_circuit_edits(self, library):
         circuit = load_packaged_bench("c17")
         analyzer = TimingAnalyzer(
-            circuit, library, VShapeModel(), StaConfig(),
-            perf=PerfConfig(engine="gate"),
+            circuit, library, VShapeModel(), StaConfig()
         )
-        first = analyzer.analyze()
+        first = analyzer.analyze_per_gate()
         target = sorted(circuit.gates)[0]
         circuit.resize_gate(target, 4.0)
-        second = analyzer.analyze()
+        second = analyzer.analyze_per_gate()
         reference = _fresh_timings(circuit, library)
         _assert_all_lines_equal(circuit, second, reference)
         assert not _timings_equal(

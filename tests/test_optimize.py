@@ -12,12 +12,9 @@ from repro.sta.optimize import (
 )
 
 
-def _fresh_worst_arrival(circuit, library, engine="level"):
+def _fresh_worst_arrival(circuit, library):
     rebuilt = Circuit.from_dict(circuit.to_dict())
-    analyzer = TimingAnalyzer(
-        rebuilt, library, VShapeModel(), StaConfig(),
-        perf=PerfConfig(engine=engine),
-    )
+    analyzer = TimingAnalyzer(rebuilt, library, VShapeModel(), StaConfig())
     return analyzer.analyze().output_max_arrival()
 
 
@@ -80,14 +77,23 @@ class TestOptimizeSizing:
         assert result.cost_mode == "tns"
         assert result.final_cost <= result.initial_cost
 
-    def test_gate_engine_also_supported(self, library):
-        circuit = load_packaged_bench("c17")
+    def test_scalar_perf_config_gives_same_result(self, library):
+        # The per-gate knobs only change how trial seeds are computed,
+        # never what the sizer decides.
         config = SizingConfig(max_passes=1, gates_per_pass=2)
-        result = optimize_sizing(
-            circuit, library, config=config,
-            perf=PerfConfig(engine="gate"),
-        )
-        assert result.final_wns >= result.initial_wns
+        results = [
+            optimize_sizing(
+                load_packaged_bench("c17"), library, config=config,
+                perf=perf,
+            )
+            for perf in (
+                None, PerfConfig(batched_kernels=False, memo_enabled=False)
+            )
+        ]
+        default, scalar = results
+        assert scalar.final_wns >= scalar.initial_wns
+        assert scalar.resizes == default.resizes
+        assert scalar.final_cost == default.final_cost
 
 
 class TestOptimizeCli:

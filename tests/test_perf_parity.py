@@ -49,8 +49,10 @@ def test_sta_full_circuit_parity(bench, model_cls, library):
     circuit = load_packaged_bench(bench)
     base = TimingAnalyzer(
         circuit, library, model_cls(), perf=SCALAR
-    ).analyze()
-    fast = TimingAnalyzer(circuit, library, model_cls(), perf=FAST).analyze()
+    ).analyze_per_gate()
+    fast = TimingAnalyzer(
+        circuit, library, model_cls(), perf=FAST
+    ).analyze_per_gate()
     assert_results_equal(circuit, base, fast)
 
 
@@ -67,7 +69,9 @@ def test_sta_parity_over_random_boundary_windows(library, c880s):
         config = StaConfig(pi_arrival=(a_s, a_l), pi_trans=(t_s, t_l))
         base = TimingAnalyzer(c880s, library, config=config, perf=SCALAR)
         fast = TimingAnalyzer(c880s, library, config=config, perf=FAST)
-        assert_results_equal(c880s, base.analyze(), fast.analyze())
+        assert_results_equal(
+            c880s, base.analyze_per_gate(), fast.analyze_per_gate()
+        )
 
 
 def test_itr_decision_sequence_parity(library):

@@ -23,7 +23,7 @@ from repro.pvt import (
     scaled_library,
 )
 from repro.obs import use_registry
-from repro.sta.analysis import PerfConfig, TimingAnalyzer
+from repro.sta.analysis import TimingAnalyzer
 from repro.sta.compile import LevelCompiledAnalyzer
 
 from .test_perf_parity import assert_results_equal, assert_windows_equal
@@ -45,15 +45,12 @@ def corner_set(library):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", BENCHES)
 def test_batched_corners_bitwise_identical(bench, library, corner_set):
-    """One batched N-corner pass == N separate runs, both engines."""
+    """One batched N-corner pass == N separate runs == the mirrors."""
     circuit = load_packaged_bench(bench)
     corners, libraries = corner_set
-    batched = CornerAnalyzer(
-        circuit, corners, libraries, engine="level"
-    ).analyze()
-    mirrored = CornerAnalyzer(
-        circuit, corners, libraries, engine="gate"
-    ).analyze()
+    analyzer = CornerAnalyzer(circuit, corners, libraries)
+    batched = analyzer.analyze()
+    mirrored = analyzer.analyze_per_gate()
     for i, (corner, corner_library) in enumerate(zip(corners, libraries)):
         reference = LevelCompiledAnalyzer(
             circuit, corner_library
@@ -71,9 +68,7 @@ def test_typ_corner_matches_legacy_single_corner_analyze(
     corners, libraries = corner_set
     assert corners[0].name == "typ"
     assert corners[0].derates == (1.0, 1.0)
-    legacy = TimingAnalyzer(
-        circuit, library, perf=PerfConfig(engine="level")
-    ).analyze()
+    legacy = TimingAnalyzer(circuit, library).analyze_per_gate()
     batched = CornerAnalyzer(circuit, corners, libraries).analyze()
     assert_results_equal(circuit, legacy, batched.results[0])
 
@@ -224,9 +219,9 @@ class TestEntryPoints:
         circuit = load_packaged_bench("c17")
         corners, libraries = corner_set
         direct = analyze_corners(circuit, corners, libraries)
-        via_analyzer = TimingAnalyzer(
-            circuit, library, perf=PerfConfig(engine="level")
-        ).analyze_corners(corners, libraries)
+        via_analyzer = TimingAnalyzer(circuit, library).analyze_corners(
+            corners, libraries
+        )
         for a, b in zip(direct.results, via_analyzer.results):
             assert_results_equal(circuit, a, b)
         by_name = via_analyzer.result("slow")
@@ -239,9 +234,7 @@ class TestEntryPoints:
     def test_delegate_derives_libraries_when_omitted(self, library):
         circuit = load_packaged_bench("c17")
         corners = [STANDARD_CORNERS["typ"], STANDARD_CORNERS["slow"]]
-        result = TimingAnalyzer(
-            circuit, library, perf=PerfConfig(engine="level")
-        ).analyze_corners(corners)
+        result = TimingAnalyzer(circuit, library).analyze_corners(corners)
         expected = analyze_corners(
             circuit,
             corners,
@@ -277,14 +270,9 @@ class TestEntryPoints:
         deterministic = CornerAnalyzer(
             circuit, [corner], [libraries[-1]]
         ).analyze().results[0]
-        for engine in ("gate", "level"):
-            mc = MonteCarloEngine(
-                circuit,
-                libraries[-1],
-                engine=engine,
-                derate=corner.derates,
-            )
-            windows = mc.propagate(np.ones((mc.n_gates, 1)))
+        mc = MonteCarloEngine(circuit, libraries[-1], derate=corner.derates)
+        for propagate in (mc.propagate_per_gate, mc.propagate):
+            windows = propagate(np.ones((mc.n_gates, 1)))
             sampled = StaResult(circuit, {
                 line: mc.line_timing_at(windows, line, 0)
                 for line in circuit.lines

@@ -137,11 +137,9 @@ class TestSigmaZeroDeterminism:
         deterministic = CornerAnalyzer(
             c17, [corner], [lib]
         ).analyze().results[0]
-        for engine in ("gate", "level"):
-            mc = MonteCarloEngine(
-                c17, lib, engine=engine, derate=corner.derates
-            )
-            windows = mc.propagate(np.ones((mc.n_gates, 1)))
+        mc = MonteCarloEngine(c17, lib, derate=corner.derates)
+        for propagate in (mc.propagate_per_gate, mc.propagate):
+            windows = propagate(np.ones((mc.n_gates, 1)))
             sampled = StaResult(c17, {
                 line: mc.line_timing_at(windows, line, 0)
                 for line in c17.lines

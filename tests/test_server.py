@@ -119,6 +119,8 @@ class TestProtocol:
         (query("corners", {"corners": ["typ"], "lines": "G1"}),
          "bad_request"),
         (query("windows", timeout_s=0.0), "bad_request"),
+        # mc takes no engine field: every pass runs on the compiled engine.
+        (query("mc", {"engine": "level"}), "bad_request"),
     ]
 
     def test_corner_specs_normalize_into_the_key(self):
@@ -342,7 +344,7 @@ class TestParity:
         reference = windows_payload(
             TimingAnalyzer(
                 CIRCUIT, LIBRARY, MC_MODELS["vshape"](), perf=SCALAR
-            ).analyze(),
+            ).analyze_per_gate(),
             list(CIRCUIT.outputs),
         )
         assert body["result"] == reference
@@ -381,7 +383,7 @@ class TestParity:
             CornerAnalyzer(
                 CIRCUIT, corners,
                 [scaled_library(LIBRARY, corner) for corner in corners],
-                model=MC_MODELS["vshape"](), engine="level",
+                model=MC_MODELS["vshape"](),
             ).analyze(),
             list(CIRCUIT.outputs),
         )
@@ -423,14 +425,14 @@ class TestParity:
         model = MC_MODELS["vshape"]()
         base = TimingAnalyzer(
             CIRCUIT, LIBRARY, model, perf=SCALAR
-        ).analyze().output_max_arrival()
+        ).analyze_per_gate().output_max_arrival()
         assert body["result"]["base_max_arrival_s"] == base
         for edit, row in zip(edits, body["result"]["trials"]):
             variant = load_packaged_bench("c17")
             variant.resize_gate(edit["line"], edit["value"])
             arrival = TimingAnalyzer(
                 variant, LIBRARY, MC_MODELS["vshape"](), perf=SCALAR
-            ).analyze().output_max_arrival()
+            ).analyze_per_gate().output_max_arrival()
             assert row["max_arrival_s"] == arrival
             assert row["delta_s"] == arrival - base
             assert row["slack_s"] == 2.0e-9 - arrival

@@ -110,7 +110,7 @@ def test_analyzer_counters_track_real_work():
     try:
         circuit = load_packaged_bench("c432s")
         analyzer = TimingAnalyzer(circuit, CellLibrary.load_default())
-        analyzer.analyze()
+        analyzer.analyze_per_gate()
         hits = registry.counter("sta.memo.hits").value
         misses = registry.counter("sta.memo.misses").value
         evaluated = registry.counter("sta.gates_evaluated").value
@@ -118,13 +118,37 @@ def test_analyzer_counters_track_real_work():
         assert evaluated == misses
         assert registry.counter("sta.corner_calls").value == 2 * evaluated
         # Same inputs again: every gate hits the memo, no new work.
-        analyzer.analyze()
+        analyzer.analyze_per_gate()
         assert registry.counter("sta.memo.hits").value == hits + len(
             circuit.gates
         )
         assert registry.counter("sta.memo.misses").value == misses
         assert registry.counter("sta.gates_evaluated").value == evaluated
         assert registry.counter("sta.corner_calls").value == 2 * evaluated
+    finally:
+        disable()
+
+
+def test_atpg_base_refinement_is_served_from_the_memo():
+    # CrosstalkAtpg's sign-off pass is the per-gate walk, so the base ITR
+    # refinement every search starts from finds each gate in the memo —
+    # and ATPG never pays for a compile.
+    from repro.atpg import CrosstalkAtpg
+    from repro.characterize.library import CellLibrary
+    from repro.circuit import load_packaged_bench
+
+    registry = enable()
+    try:
+        circuit = load_packaged_bench("c432s")
+        atpg = CrosstalkAtpg(circuit, CellLibrary.load_default())
+        hits = registry.counter("sta.memo.hits").value
+        misses = registry.counter("sta.memo.misses").value
+        atpg.engine.refine(atpg.engine.initial_values())
+        assert registry.counter("sta.memo.misses").value == misses
+        assert registry.counter("sta.memo.hits").value - hits == len(
+            circuit.gates
+        )
+        assert registry.counter("sta.compile.passes").value == 0
     finally:
         disable()
 

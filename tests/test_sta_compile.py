@@ -2,8 +2,9 @@
 
 ``repro.sta.compile`` promises the same contract as every other fast
 path in this tree: **bit-identical** windows, on every line, in every
-direction, against the gate-at-a-time analyzer (itself parity-locked to
-the scalar reference by ``test_perf_parity``).  These tests hold the
+direction, against the gate-at-a-time walk
+(``TimingAnalyzer.analyze_per_gate``, itself parity-locked to the
+scalar reference by ``test_perf_parity``).  These tests hold the
 compiled pass to it across circuits, delay models, boundary-scenario
 batches, per-PI overrides, and the Monte Carlo sample axis.
 """
@@ -27,9 +28,9 @@ MODELS = [VShapeModel, PinToPinModel, NonCtrlAwareModel]
 @pytest.mark.parametrize("model_cls", MODELS)
 @pytest.mark.parametrize("bench", ["c17", "c432s", "c880s"])
 def test_level_pass_parity(bench, model_cls, library):
-    """The compiled pass matches the gate engine bit for bit."""
+    """The compiled pass matches the per-gate walk bit for bit."""
     circuit = load_packaged_bench(bench)
-    gate = TimingAnalyzer(circuit, library, model_cls()).analyze()
+    gate = TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate()
     level = LevelCompiledAnalyzer(circuit, library, model_cls()).analyze()
     assert_results_equal(circuit, gate, level)
 
@@ -39,32 +40,51 @@ def test_level_pass_parity(bench, model_cls, library):
 def test_level_pass_parity_large(bench, model_cls, library):
     """Parity holds on the largest packaged circuits too."""
     circuit = load_packaged_bench(bench)
-    gate = TimingAnalyzer(circuit, library, model_cls()).analyze()
+    gate = TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate()
     level = LevelCompiledAnalyzer(circuit, library, model_cls()).analyze()
     assert_results_equal(circuit, gate, level)
 
 
-def test_engine_dispatch_through_perf_config(library, c880s):
-    """PerfConfig(engine='level') routes analyze() to the compiled pass."""
-    gate = TimingAnalyzer(c880s, library).analyze()
-    analyzer = TimingAnalyzer(
-        c880s, library, perf=PerfConfig(engine="level")
-    )
-    assert_results_equal(c880s, gate, analyzer.analyze())
-    # The compiled form is built once and reused across calls.
-    compiled = analyzer._level
-    assert compiled is not None
-    assert_results_equal(c880s, gate, analyzer.analyze())
-    assert analyzer._level is compiled
+def test_analyze_runs_the_compiled_pass(library, c880s):
+    """analyze() is one compiled pass; the per-gate walk compiles nothing."""
+    from repro.obs import MetricsRegistry, get_registry, set_registry
+
+    previous = get_registry()
+    set_registry(MetricsRegistry())
+    try:
+        passes = get_registry().counter("sta.compile.passes")
+        analyzer = TimingAnalyzer(c880s, library)
+        gate = analyzer.analyze_per_gate()
+        assert passes.value == 0
+        assert analyzer._level is None
+        assert_results_equal(c880s, gate, analyzer.analyze())
+        assert passes.value == 1
+        # The compiled form is built once and reused across calls.
+        compiled = analyzer._level
+        assert compiled is not None
+        assert_results_equal(c880s, gate, analyzer.analyze())
+        assert analyzer._level is compiled
+        assert passes.value == 2
+    finally:
+        set_registry(previous)
 
 
-def test_perf_config_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="engine"):
-        PerfConfig(engine="warp")
-    with pytest.raises(ValueError, match="engine"):
-        MonteCarloEngine(
-            load_packaged_bench("c17"), None, engine="warp"
-        )
+def test_engine_option_is_gone(library):
+    """No switch back to a per-gate full pass is left to reach."""
+    from repro.cli import main
+    from repro.stat import run_mc
+
+    circuit = load_packaged_bench("c17")
+    with pytest.raises(TypeError):
+        PerfConfig(engine="gate")
+    with pytest.raises(TypeError):
+        MonteCarloEngine(circuit, library, engine="gate")
+    with pytest.raises(TypeError):
+        run_mc(circuit, library, samples=2, engine="gate")
+    for command in ("sta", "mc", "optimize"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "c17", "--engine", "gate"])
+        assert exit_info.value.code == 2
 
 
 def test_boundary_batch_matches_separate_analyses(library):
@@ -82,7 +102,9 @@ def test_boundary_batch_matches_separate_analyses(library):
     for scenario, result in zip(scenarios, batched):
         arrival, trans = scenario
         config = StaConfig(pi_arrival=arrival, pi_trans=trans)
-        single = TimingAnalyzer(circuit, library, config=config).analyze()
+        single = TimingAnalyzer(
+            circuit, library, config=config
+        ).analyze_per_gate()
         assert_results_equal(circuit, single, result)
 
 
@@ -98,7 +120,9 @@ def test_pi_override_parity(library, c880s):
             fall=DirWindow.point(0.02 * NS, 0.15 * NS),
         ),
     }
-    gate = TimingAnalyzer(c880s, library).analyze(pi_overrides=overrides)
+    gate = TimingAnalyzer(c880s, library).analyze_per_gate(
+        pi_overrides=overrides
+    )
     level = LevelCompiledAnalyzer(c880s, library).analyze(
         pi_overrides=overrides
     )
@@ -122,14 +146,13 @@ def test_propagate_rejects_bad_batch_inputs(library):
 
 @pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
 def test_mc_level_engine_bitwise(model_cls, library):
-    """MC blocks through the compiled pass equal the per-gate engine."""
+    """MC blocks through the compiled pass equal the per-gate mirror."""
     circuit = load_packaged_bench("c432s")
-    gate = MonteCarloEngine(circuit, library, model_cls())
-    level = MonteCarloEngine(circuit, library, model_cls(), engine="level")
+    engine = MonteCarloEngine(circuit, library, model_cls())
     rng = np.random.default_rng(5)
-    factors = 1.0 + 0.08 * rng.standard_normal((gate.n_gates, 7))
-    wg = gate.propagate(factors)
-    wl = level.propagate(factors)
+    factors = 1.0 + 0.08 * rng.standard_normal((engine.n_gates, 7))
+    wg = engine.propagate_per_gate(factors)
+    wl = engine.propagate(factors)
     for line in circuit.lines:
         for direction in range(2):
             a, b = wg[line][direction], wl[line][direction]
@@ -143,15 +166,28 @@ def test_mc_level_engine_bitwise(model_cls, library):
 
 
 def test_run_mc_engine_invariance(library):
-    """run_mc results do not depend on the engine choice."""
-    from repro.stat import run_mc
+    """run_mc equals the per-gate mirror run block by block."""
+    from repro.stat import VariationModel, plan_blocks, run_mc
 
     circuit = load_packaged_bench("c432s")
-    kwargs = dict(samples=24, seed=9, block=8)
-    gate = run_mc(circuit, library, engine="gate", **kwargs)
-    level = run_mc(circuit, library, engine="level", **kwargs)
-    assert np.array_equal(gate.po_max, level.po_max)
-    assert np.array_equal(gate.po_min, level.po_min)
+    samples, seed, block = 24, 9, 8
+    level = run_mc(circuit, library, samples=samples, seed=seed, block=block)
+    engine = MonteCarloEngine(circuit, library)
+    variation = VariationModel()
+    pieces = [
+        engine.po_extremes(engine.propagate_per_gate(
+            variation.factors_for_block(
+                seed, start, engine.cell_index, len(engine.cell_names), size
+            )
+        ))
+        for start, size in plan_blocks(samples, block)
+    ]
+    assert np.array_equal(
+        np.concatenate([p[0] for p in pieces], axis=1), level.po_max
+    )
+    assert np.array_equal(
+        np.concatenate([p[1] for p in pieces], axis=1), level.po_min
+    )
 
 
 def test_level_counters_account_per_gate(library):

@@ -64,15 +64,20 @@ class TestPathTracing:
         assert "ns" in text
 
     def test_trace_through_memoized_passes(self, c17, library):
-        # A second analyze() is served entirely from the memo; the trace
-        # must reproduce every stage bound exactly against those copies.
+        # A second per-gate walk is served entirely from the memo; the
+        # trace must reproduce every stage bound exactly against those
+        # copies.
         from repro.sta.analysis import PerfConfig
 
         analyzer = TimingAnalyzer(
             c17, library, VShapeModel(), perf=PerfConfig(memo_enabled=True)
         )
-        first = TimingReporter(analyzer, analyzer.analyze()).critical_path()
-        second = TimingReporter(analyzer, analyzer.analyze()).critical_path()
+        first = TimingReporter(
+            analyzer, analyzer.analyze_per_gate()
+        ).critical_path()
+        second = TimingReporter(
+            analyzer, analyzer.analyze_per_gate()
+        ).critical_path()
         assert [s.line for s in first.stages] == [
             s.line for s in second.stages
         ]
@@ -81,13 +86,11 @@ class TestPathTracing:
     def test_trace_level_engine_result(self, c17, library):
         # The level-compiled pass is bit-identical, so the gate-level
         # tracer reproduces its bounds without slack.
-        from repro.sta.analysis import PerfConfig
-
         gate = TimingAnalyzer(c17, library, VShapeModel())
-        gate_path = TimingReporter(gate, gate.analyze()).critical_path()
-        level = TimingAnalyzer(
-            c17, library, VShapeModel(), perf=PerfConfig(engine="level")
-        )
+        gate_path = TimingReporter(
+            gate, gate.analyze_per_gate()
+        ).critical_path()
+        level = TimingAnalyzer(c17, library, VShapeModel())
         level_path = TimingReporter(
             level, level.analyze()
         ).critical_path()

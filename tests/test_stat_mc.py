@@ -110,7 +110,7 @@ def test_engine_nominal_parity(bench, model_name, library, request):
     )
     model = MODELS[model_name]()
     engine = MonteCarloEngine(circuit, library, model=model)
-    reference = TimingAnalyzer(circuit, library, model).analyze()
+    reference = TimingAnalyzer(circuit, library, model).analyze_per_gate()
     windows = engine.propagate(np.ones((engine.n_gates, 1)))
     for line in circuit.lines:
         expected = reference.timings[line]
