@@ -11,7 +11,8 @@ refinement per fault, fresh faulty simulator per candidate vector):
   reference).
 * **STA full pass, level engine** — the level-compiled
   structure-of-arrays pass (``repro.sta.compile``) vs. the scalar
-  reference on the two largest packaged circuits.
+  reference on the two largest packaged circuits, plus the compile
+  itself as a ratio to one compiled pass.
 * **Incremental STA trials** — per-edit cost of
   ``IncrementalAnalyzer`` what-if batches (``try_edits``, a K=32 size
   ladder per gate) and solo re-times vs. the full level pass, on the
@@ -236,15 +237,17 @@ def bench_sta_level(circuits, library, passes):
 
     The baseline leg times fresh seed-structure scalar analyzers (one
     full pass each); the level leg compiles once per circuit and times
-    the compiled forward pass, which is how the engine is used (compile
-    cost is reported separately as ``compile_s``).  Results are
-    bit-identical — the ``test_sta_compile`` parity suite and the
-    ``level`` fuzz oracle enforce that; this only measures time.
+    the compiled forward pass, which is how the engine is used.  The
+    compile itself is timed best-of-N as ``compile_s``, and
+    ``compile_vs_pass_ratio`` (compile over one pass, both measured in
+    this run) is the host-independent figure the CI gate reads.
+    Results are bit-identical — the ``test_sta_compile`` parity suite
+    and the ``level`` fuzz oracle enforce that; this only measures time.
     """
     from repro.sta.compile import LevelCompiledAnalyzer
 
     out = {"passes": passes, "circuits": {}}
-    total_base = total_level = 0.0
+    total_base = total_level = total_compile = 0.0
     for circuit in circuits:
         def scalar_pass(circuit=circuit):
             return TimingAnalyzer(
@@ -253,21 +256,27 @@ def bench_sta_level(circuits, library, passes):
 
         with _seed_scalar_layer():
             base_s, _ = _best_of(passes, scalar_pass)
-        started = time.perf_counter()
-        analyzer = LevelCompiledAnalyzer(circuit, library)
-        compile_s = time.perf_counter() - started
+        compile_s, analyzer = _best_of(
+            passes, lambda circuit=circuit: LevelCompiledAnalyzer(
+                circuit, library
+            )
+        )
         level_s, _ = _best_of(passes, analyzer.analyze)
         entry = {
             "baseline_s_per_pass": base_s,
             "level_s_per_pass": level_s,
             "compile_s": compile_s,
+            "compile_vs_pass_ratio": compile_s / level_s,
             "speedup": base_s / level_s,
         }
         out["circuits"][circuit.name] = entry
         total_base += base_s
         total_level += level_s
+        total_compile += compile_s
     out["baseline_s_per_pass"] = total_base
     out["level_s_per_pass"] = total_level
+    out["compile_s"] = total_compile
+    out["compile_vs_pass_ratio"] = total_compile / total_level
     out["speedup"] = total_base / total_level
     return out
 
@@ -489,13 +498,15 @@ def bench_sta_incremental(circuits, library, passes, trial_gates):
 def bench_corner(circuit, library, passes):
     """Corner-batched N-corner pass vs. N separate single-corner passes.
 
-    Both legs run the level-compiled engine with compilation excluded
-    (analyzers are built once, outside the timed region) — the
+    Both pass legs run the level-compiled engine with compilation
+    excluded (analyzers are built once, outside the timed region) — the
     comparison is the batched trailing-corner-axis sweep against N
     independent sweeps, which is how multi-corner signoff would run
-    without the corner axis.  Results are bit-identical — enforced by
-    ``tests/test_pvt.py`` and the ``corners`` fuzz oracle; this only
-    measures time.
+    without the corner axis.  The corner-batched compile is timed on
+    its own, best-of-N, and reported against one batched pass as
+    ``batched_compile_vs_pass_ratio``.  Results are bit-identical —
+    enforced by ``tests/test_pvt.py`` and the ``corners`` fuzz oracle;
+    this only measures time.
     """
     from repro.pvt import STANDARD_CORNERS, CornerAnalyzer, scaled_library
     from repro.sta.compile import LevelCompiledAnalyzer
@@ -507,7 +518,9 @@ def bench_corner(circuit, library, passes):
         STANDARD_CORNERS["slow_derated"],
     ]
     libraries = [scaled_library(library, corner) for corner in corners]
-    batched = CornerAnalyzer(circuit, corners, libraries)
+    batched_compile_s, batched = _best_of(
+        passes, lambda: CornerAnalyzer(circuit, corners, libraries)
+    )
     separates = [
         LevelCompiledAnalyzer(circuit, lib) for lib in libraries
     ]
@@ -534,6 +547,8 @@ def bench_corner(circuit, library, passes):
         "batched_s_per_corner": batched_s / n,
         "separate_s_per_corner": separate_s / n,
         "batched_vs_separate_ratio": batched_s / separate_s,
+        "batched_compile_s": batched_compile_s,
+        "batched_compile_vs_pass_ratio": batched_compile_s / batched_s,
         "speedup": separate_s / batched_s,
     }
 

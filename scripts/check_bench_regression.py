@@ -5,7 +5,9 @@ Compares a fresh ``scripts/bench_timing.py`` run against the committed
 baseline in ``benchmarks/results/BENCH_timing.json`` on *per-unit*
 metrics (seconds per STA pass / ITR decision / ATPG fault), which are
 comparable between ``--quick`` and full runs because both exercise the
-same circuits — quick mode only lowers repeat counts.
+same circuits — quick mode only lowers repeat counts — and on in-run
+ratios (``*_ratio``: compile time over one compiled pass), which also
+transfer across hosts because both sides are timed in the same run.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
@@ -42,15 +44,18 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "results" / "BENCH_timing.json"
 
-#: (section, key) pairs gated on; all are seconds-per-unit-of-work.
+#: (section, key) pairs gated on: seconds per unit of work, or (keys
+#: ending in ``_ratio``) dimensionless in-run ratios.
 GATED_METRICS = (
     ("sta_full_pass", "optimized_s_per_pass"),
     ("sta_full_pass_level", "level_s_per_pass"),
+    ("sta_full_pass_level", "compile_vs_pass_ratio"),
     ("sta_incremental", "incr_s_per_edit"),
     ("itr_refine", "optimized_s_per_decision"),
     ("atpg_with_itr", "s_per_fault_optimized"),
     ("mc", "mc_s_per_sample"),
     ("corner", "batched_s_per_corner"),
+    ("corner", "batched_compile_vs_pass_ratio"),
     ("server", "warm_s_per_query"),
 )
 
@@ -130,10 +135,11 @@ def check(
         verdict = "ok" if ratio <= threshold else "REGRESSION"
         if verdict != "ok":
             failures += 1
-        print(
-            f"  {name:<40} base {base * 1e3:9.3f} ms  "
-            f"now {cur * 1e3:9.3f} ms  ({ratio:5.2f}x)  {verdict}"
-        )
+        if key.endswith("_ratio"):
+            values = f"base {base:9.3f}     now {cur:9.3f}    "
+        else:
+            values = f"base {base * 1e3:9.3f} ms  now {cur * 1e3:9.3f} ms"
+        print(f"  {name:<40} {values}  ({ratio:5.2f}x)  {verdict}")
     if failures:
         print(
             f"FAIL: {failures} metric(s) regressed past "

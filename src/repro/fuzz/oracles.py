@@ -329,9 +329,11 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
 
     Covers every edit kind (including no-ops, and rewires and
     shape-changing swaps that stale the compiled form and move
-    re-timing to the per-gate gear), and — once the
-    sequence is replayed — a ``try_edits`` trial batch, column by
-    column, plus a master-untouched check afterwards.
+    re-timing to the per-gate gear).  Every edit that staled the
+    compiled form is followed by a full ``analyze()``, so later edits
+    replay their cones on the recompiled form.  Once the sequence is
+    replayed, a ``try_edits`` trial batch is checked column by column,
+    plus a master-untouched check afterwards.
     """
     from ..sta.incremental import (
         IncrementalAnalyzer,
@@ -362,14 +364,20 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
         for step, edit in enumerate(edits):
             _apply_edit(circuit, edit)
             replayed.append(edit)
-            result = incr.retime()
-            problems = _window_mismatches(circuit, reference(), result)
-            if problems:
-                return OracleResult(
-                    False,
-                    f"{tag} step={step} {edit[0]} {edit[1]}: "
-                    + "; ".join(problems),
-                )
+            checks = [("retime", incr.retime())]
+            if incr.analyzer._level is None:
+                # The edit staled the compiled form: recompile, so the
+                # next edits re-time through the new compile.
+                checks.append(("analyze", incr.analyze()))
+            expected = reference()
+            for how, result in checks:
+                problems = _window_mismatches(circuit, expected, result)
+                if problems:
+                    return OracleResult(
+                        False,
+                        f"{tag} step={step} {edit[0]} {edit[1]} ({how}): "
+                        + "; ".join(problems),
+                    )
         # Trial batch: two resize candidates for each of (up to) four
         # gates, each column vs. a fresh scalar analysis of that
         # single-edit variant.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..characterize.library import CellLibrary, CellTiming
 from ..circuit.netlist import Circuit, Gate
@@ -102,29 +102,57 @@ class PerfConfig:
     memo_quantum: float = 1e-15
 
 
+def line_load(
+    circuit: Circuit,
+    line: str,
+    cell_of: Callable[[Gate], CellTiming],
+    config: StaConfig,
+    outputs: Set[str],
+) -> float:
+    """Capacitive load of one line: fan-in caps plus the PO/dangling load.
+
+    Every input pin reading ``line`` counts once.  ``circuit.fanouts``
+    lists a gate once per pin that reads the line, so sinks are visited
+    once each, in first-listed order, and each visit sums that sink's
+    matching pins in pin order.  This is the one summation order:
+    :func:`compute_loads` and the incremental engine's per-line refresh
+    both call it, so their loads are bitwise equal.
+    """
+    fanouts = circuit.fanouts(line)
+    total = 0.0
+    seen = set()
+    for sink in fanouts:
+        if sink.output in seen:
+            continue
+        seen.add(sink.output)
+        caps = cell_of(sink).input_caps
+        for pin, inp in enumerate(sink.inputs):
+            if inp == line:
+                total += caps[pin]
+    if line in outputs:
+        total += config.po_load
+    elif not fanouts:
+        total += config.dangling_load
+    return total
+
+
 def compute_loads(
     circuit: Circuit, library: CellLibrary, config: StaConfig
 ) -> Dict[str, float]:
-    """Capacitive load per line: fan-in caps plus PO/dangling loads.
+    """Capacitive load per line (see :func:`line_load`).
 
     Shared by :class:`TimingAnalyzer` and the level-compiled engine so
     both see bit-identical load values.
     """
-    loads: Dict[str, float] = {}
+
+    def cell_of(gate: Gate) -> CellTiming:
+        return library.cell(gate.cell_name())
+
     outputs = set(circuit.outputs)
-    for line in circuit.lines:
-        total = 0.0
-        for sink in circuit.fanouts(line):
-            cell = library.cell(sink.cell_name())
-            for pin, inp in enumerate(sink.inputs):
-                if inp == line:
-                    total += cell.input_caps[pin]
-        if line in outputs:
-            total += config.po_load
-        elif not circuit.fanouts(line):
-            total += config.dangling_load
-        loads[line] = total
-    return loads
+    return {
+        line: line_load(circuit, line, cell_of, config, outputs)
+        for line in circuit.lines
+    }
 
 
 @dataclasses.dataclass

@@ -12,15 +12,35 @@ NumPy ops:
   ``(2 * n_lines,)`` state vector — rise rows first, fall rows offset by
   ``n_lines``;
 * gates are grouped per level by *shape* (fan-in count and arc-table
-  layout, not cell name): per-cell coefficients — quadratic arc packs,
-  V-shape / Λ-peak surface coefficients, pair scales, multi-input ratio
-  tables — are stacked into per-gate columns, so a NAND2 and a NOR2 at
-  the same level ride through the same kernel invocation;
+  layout, not cell name), so a NAND2 and a NOR2 at the same level ride
+  through the same kernel invocation with per-gate coefficient columns;
 * a forward pass gathers each group's input windows ``(P, G, B)``,
   evaluates the DR / D0R / SR corner-candidate surfaces for all ``G``
   gates at once — the same candidate sets as
   :mod:`repro.sta.kernels`, with inactive fan-in lanes carried as NaN
   and masked out of every reduction — and scatters the output windows.
+
+Compile layout.  The paper characterizes its K-coefficient formulas
+once per cell, and the compile follows that structure:
+
+1. per shape key, every distinct cell gets one column of a *cell
+   table*: its quadratic arc packs, V-shape / Λ-peak surface
+   coefficients, pair scales, multi-input ratio tables and load slopes,
+   laid out once per library as ``(..., n_cells, C)`` leaves (``C``
+   corner libraries on the trailing axis);
+2. all gates of the key, in (level, topological) order, gather their
+   columns from the table with one fancy index per leaf; the
+   gather/scatter rows (line index plus direction offset) and the load
+   adjustments ``slope * (load - ref_load)`` are computed as whole
+   vectors — elementwise IEEE ops, so they equal the scalar values;
+3. each (level, shape key) group is a contiguous gate-axis slice of
+   those key-wide arrays, copied so every group leaf is contiguous.
+
+Every group leaf follows one rule: float leaves are coefficients
+``(..., G, C)`` and integer leaves are rows ``(..., G)``.  Column
+subsets (:func:`subset_group`) and in-place patches
+(:meth:`CompiledCircuit.patch_gate`) walk the same leaves, and a patch
+builds its gate's column with the compile's own code.
 
 The trailing axis ``B`` generalizes the Monte Carlo engine's trailing
 sample axis (:mod:`repro.stat.engine`): it batches MC samples (via
@@ -35,15 +55,18 @@ the exact expression of :mod:`repro.characterize.formulas` with
 per-gate coefficient columns (same IEEE ops per element); the
 pair-overlap predicate uses the exact ``a_s <= a_l + OVERLAP_TOL`` form
 of :meth:`~repro.sta.windows.DirWindow.overlaps_arrivals`; and every
-load adjustment is precomputed with the same scalar arithmetic the
-gate-level path uses.  The ``test_sta_compile`` parity suite and the
-``level`` fuzz oracle enforce this.
+load adjustment repeats the scalar expression of
+:meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`.
+The ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
+enforce this.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import itertools
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,58 +134,9 @@ def _shape_key(cell: CellTiming, peak_enabled: bool) -> tuple:
     return ("arc", cell.n_inputs, arcs_t, arcs_f)
 
 
-def _assign_pack_column(dst: _StackedPack, src, col: int) -> None:
-    """Overwrite one gate's column of a stacked arc pack.
-
-    Patching is only legal on single-corner compiles (``can_patch``
-    refuses otherwise), so the trailing corner axis is always size 1.
-    """
-    dst.t_lo[:, col, 0] = src.t_lo
-    dst.t_hi[:, col, 0] = src.t_hi
-    dst.q_a2[:, :, col, 0] = src.q_a2
-    dst.q_a1[:, :, col, 0] = src.q_a1
-    dst.q_a0[:, :, col, 0] = src.q_a0
-    dst.d_a2[:, col, 0] = src.d_a2
-    dst.d_a1[:, col, 0] = src.d_a1
-    dst.d_a0[:, col, 0] = src.d_a0
-
-
-#: (stacked attr, source attr, coefficient names) of a _StackedShape.
-_SHAPE_FIELDS = (
-    ("d0", "d0", ("k_xy", "k_x", "k_y", "k_c")),
-    ("s_pos", "s_pos", ("k0", "k1", "k2", "k3", "k4", "k5")),
-    ("s_neg", "s_neg", ("k0", "k1", "k2", "k3", "k4", "k5")),
-    ("t_vertex", "t_vertex", ("k_xy", "k_x", "k_y", "k_c")),
-    ("t_vertex_skew", "t_vertex_skew", ("c0", "c1", "c2")),
-)
-
-
-def _assign_shape_column(
-    dst: _StackedShape, src: SimultaneousTiming, col: int
-) -> None:
-    """Overwrite one gate's column of stacked surface coefficients."""
-    for stacked_attr, src_attr, coeffs in _SHAPE_FIELDS:
-        stacked = getattr(dst, stacked_attr)
-        surface = getattr(src, src_attr)
-        for coeff in coeffs:
-            getattr(stacked, coeff)[col, 0] = getattr(surface, coeff)
-
-
 # ----------------------------------------------------------------------
 # Stacked surfaces: per-gate coefficient columns
 # ----------------------------------------------------------------------
-def _col(values: Sequence[float]) -> np.ndarray:
-    """(G,) coefficient column of one corner.
-
-    :func:`_stack_corners` later stacks the per-corner columns into a
-    ``(G, C)`` array, which broadcasts against ``(..., G, B)`` exactly
-    like the old ``(G, 1)`` layout when ``C == 1`` and selects corner
-    ``b``'s coefficients in column ``b`` when the batch axis *is* the
-    corner axis (``B == C``).
-    """
-    return np.array(values, dtype=float)
-
-
 @dataclasses.dataclass(frozen=True)
 class _StackedRoots:
     """Per-gate columns of :class:`CubeRootSurface` coefficients.
@@ -220,7 +194,7 @@ class _StackedShape:
 
     Duck-types the attribute surface the anchor primitives of
     :mod:`repro.sta.kernels` touch (``d0`` / ``s_pos`` / ``s_neg`` /
-    ``t_vertex`` / ``t_vertex_skew``).
+    ``t_vertex`` / ``t_vertex_skew``); every leaf is ``(G, C)``.
     """
 
     d0: _StackedRoots
@@ -229,49 +203,14 @@ class _StackedShape:
     t_vertex: _StackedRoots
     t_vertex_skew: _StackedLin2
 
-    @classmethod
-    def from_shapes(cls, shapes: Sequence[SimultaneousTiming]) -> "_StackedShape":
-        return cls(
-            d0=_StackedRoots(
-                _col([s.d0.k_xy for s in shapes]),
-                _col([s.d0.k_x for s in shapes]),
-                _col([s.d0.k_y for s in shapes]),
-                _col([s.d0.k_c for s in shapes]),
-            ),
-            s_pos=_StackedQuad2(
-                *(
-                    _col([getattr(s.s_pos, k) for s in shapes])
-                    for k in ("k0", "k1", "k2", "k3", "k4", "k5")
-                )
-            ),
-            s_neg=_StackedQuad2(
-                *(
-                    _col([getattr(s.s_neg, k) for s in shapes])
-                    for k in ("k0", "k1", "k2", "k3", "k4", "k5")
-                )
-            ),
-            t_vertex=_StackedRoots(
-                _col([s.t_vertex.k_xy for s in shapes]),
-                _col([s.t_vertex.k_x for s in shapes]),
-                _col([s.t_vertex.k_y for s in shapes]),
-                _col([s.t_vertex.k_c for s in shapes]),
-            ),
-            t_vertex_skew=_StackedLin2(
-                _col([s.t_vertex_skew.c0 for s in shapes]),
-                _col([s.t_vertex_skew.c1 for s in shapes]),
-                _col([s.t_vertex_skew.c2 for s in shapes]),
-            ),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class _StackedPack:
     """Per-gate columns of an :class:`~repro.sta.kernels.ArcPack`.
 
-    As built per corner, ``t_lo`` / ``t_hi`` are ``(A, G)`` and the
-    stacked quadratic families ``q_*`` are ``(2, A, G)`` (delay row 0,
-    transition row 1); after :func:`_stack_corners` every array carries
-    a trailing corner axis — ``(A, G, C)`` / ``(2, A, G, C)``.
+    ``t_lo`` / ``t_hi`` / ``d_*`` are ``(A, G, C)`` and the stacked
+    quadratic families ``q_*`` are ``(2, A, G, C)`` (delay row 0,
+    transition row 1).
     """
 
     t_lo: np.ndarray
@@ -282,45 +221,6 @@ class _StackedPack:
     d_a2: np.ndarray
     d_a1: np.ndarray
     d_a0: np.ndarray
-
-    @classmethod
-    def from_packs(cls, packs: Sequence) -> "_StackedPack":
-        return cls(
-            t_lo=np.stack([p.t_lo for p in packs], axis=-1),
-            t_hi=np.stack([p.t_hi for p in packs], axis=-1),
-            q_a2=np.stack([p.q_a2 for p in packs], axis=-1),
-            q_a1=np.stack([p.q_a1 for p in packs], axis=-1),
-            q_a0=np.stack([p.q_a0 for p in packs], axis=-1),
-            d_a2=np.stack([p.d_a2 for p in packs], axis=-1),
-            d_a1=np.stack([p.d_a1 for p in packs], axis=-1),
-            d_a0=np.stack([p.d_a0 for p in packs], axis=-1),
-        )
-
-
-def _stack_corners(objs: Sequence) -> object:
-    """Stack per-corner coefficient trees along a new trailing axis.
-
-    ``objs`` holds one instance per corner of the same dataclass tree
-    (:class:`_StackedPack`, :class:`_StackedShape`, …) whose ndarray
-    leaves all share a shape; the result replaces every leaf with
-    ``np.stack(leaves, axis=-1)``.  A single-corner stack is exactly the
-    old ``[..., None]`` broadcast expansion, which is why storing the
-    pre-expanded arrays keeps the compiled pass bit-identical.
-    """
-    first = objs[0]
-    if isinstance(first, np.ndarray):
-        return np.stack(objs, axis=-1)
-    kwargs = {}
-    for field in dataclasses.fields(first):
-        values = [getattr(obj, field.name) for obj in objs]
-        leaf = values[0]
-        if leaf is not None and (
-            isinstance(leaf, np.ndarray) or dataclasses.is_dataclass(leaf)
-        ):
-            kwargs[field.name] = _stack_corners(values)
-        else:
-            kwargs[field.name] = leaf
-    return type(first)(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +233,7 @@ class _CtrlGroup:
     Gather/scatter arrays hold *rows* of the global SoA arrays; the
     leading axis is the pin, the gate axis follows, and every numeric
     coefficient array additionally carries the trailing corner axis
-    ``C`` added by :func:`_stack_corners` (size 1 for a single-corner
-    compile).
+    ``C`` (size 1 for a single-corner compile).
     """
 
     n_pins: int
@@ -349,15 +248,15 @@ class _CtrlGroup:
     out_nonctrl: np.ndarray   # (G,)
     order_idx: np.ndarray     # (G,) rows into the MC factor matrix
     gate_idx: np.ndarray      # (G, 1) arange(G) column for table lookups
-    d_adj_c: np.ndarray       # (G,) load-adjust terms (ctrl delay)
+    d_adj_c: np.ndarray       # (G, C) load-adjust terms (ctrl delay)
     r_adj_c: np.ndarray
     d_adj_n: np.ndarray
     r_adj_n: np.ndarray
     p_adj: Optional[np.ndarray]
-    scale_c: Optional[np.ndarray]   # (C, G) V-shape pair scales
-    pscale_c: Optional[np.ndarray]  # (C, G) Λ-peak pair scales
-    rt: Optional[np.ndarray]        # (P+1, G) multi-input delay ratios
-    rt_t: Optional[np.ndarray]      # (P+1, G) multi-input trans ratios
+    scale_c: Optional[np.ndarray]   # (4 * pairs, G, C) V-shape pair scales
+    pscale_c: Optional[np.ndarray]  # (4 * pairs, G, C) Λ-peak pair scales
+    rt: Optional[np.ndarray]        # (P+1, G, C) multi-input delay ratios
+    rt_t: Optional[np.ndarray]      # (P+1, G, C) multi-input trans ratios
     pa: Optional[np.ndarray]        # (pairs,) first member pin
     pb: Optional[np.ndarray]        # (pairs,) second member pin
     #: bumped by every in-place patch; column-subset caches key on it.
@@ -368,11 +267,11 @@ class _CtrlGroup:
 class _ArcDir:
     """One output direction of an arc-table (inv/buf/xor) group."""
 
-    pack: _StackedPack    # (A, G) arc rows feeding this direction
+    pack: _StackedPack    # (A, G, C) arc rows feeding this direction
     in_rows: np.ndarray   # (A, G) input rows (pin + input direction)
     out_rows: np.ndarray  # (G,)
-    d_adj: np.ndarray     # (G,)
-    r_adj: np.ndarray     # (G,)
+    d_adj: np.ndarray     # (G, C)
+    r_adj: np.ndarray     # (G, C)
 
 
 @dataclasses.dataclass
@@ -381,204 +280,131 @@ class _ArcGroup:
 
     order_idx: np.ndarray  # (G,)
     dirs: Tuple[Optional[_ArcDir], Optional[_ArcDir]]  # (rise, fall)
-    no_arc_rows: np.ndarray  # output rows with no producing arc at all
+    no_arc_rows: np.ndarray  # (k, G) output rows of the k arc-less directions
     #: bumped by every in-place patch; column-subset caches key on it.
     version: int = 0
 
 
 # ----------------------------------------------------------------------
+# The leaf layout: cell tables, gate-axis cuts and column writes
+# ----------------------------------------------------------------------
+#: Integer group leaves that are not per gate.
+_GROUP_WIDE = frozenset({"gate_idx", "pa", "pb"})
+
+#: (SimultaneousTiming attribute, stacked class); every stacked field is
+#: named after the source surface's coefficient.
+_SURFACES = (
+    ("d0", _StackedRoots),
+    ("s_pos", _StackedQuad2),
+    ("s_neg", _StackedQuad2),
+    ("t_vertex", _StackedRoots),
+    ("t_vertex_skew", _StackedLin2),
+)
+
+
+def _take(obj, idx: np.ndarray):
+    """A group tree (or cell-table leaf) gathered to the gates ``idx``.
+
+    Float leaves are gathered on their gate axis -2, integer leaves on
+    -1, into fresh contiguous arrays; ``_GROUP_WIDE`` fields pass
+    through, and a ctrl group's ``gate_idx`` is re-derived for the new
+    gate count.
+    """
+    if isinstance(obj, np.ndarray):
+        return obj.take(idx, axis=-1 if obj.dtype.kind == "i" else -2)
+    if isinstance(obj, tuple):
+        return tuple(_take(item, idx) for item in obj)
+    fields = getattr(obj, "__dataclass_fields__", None)
+    if fields is None:
+        return obj  # None, pin counts, versions
+    cut = type(obj)(**{
+        name: getattr(obj, name) if name in _GROUP_WIDE
+        else _take(getattr(obj, name), idx)
+        for name in fields
+    })
+    if isinstance(cut, _CtrlGroup):
+        cut.gate_idx = np.arange(idx.size, dtype=np.intp)[:, None]
+    return cut
+
+
+def _put(dst, col: int, src) -> None:
+    """Write gate 0 of group tree ``src`` into column ``col`` of ``dst``."""
+    if isinstance(dst, np.ndarray):
+        if dst.dtype.kind == "i":
+            dst[..., col] = src[..., 0]
+        else:
+            dst[..., col, :] = src[..., 0, :]
+    elif isinstance(dst, tuple):
+        for d, s in zip(dst, src):
+            _put(d, col, s)
+    else:
+        for name in getattr(dst, "__dataclass_fields__", ()):
+            if name not in _GROUP_WIDE:
+                _put(getattr(dst, name), col, getattr(src, name))
+
+
+def _table(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
+    """One cell-table leaf: ``get(x)`` per ``cells[cell][corner]``.
+
+    The per-cell value (a scalar or an array of any shape) keeps its
+    axes in front; the cell and corner axes trail: ``(..., n_cells, C)``.
+    """
+    values = np.array([[get(x) for x in row] for row in cells], dtype=float)
+    return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-2, -1)))
+
+
+def _pack_table(packs: Sequence[Sequence[object]]) -> _StackedPack:
+    """Cell table of :class:`~repro.sta.kernels.ArcPack` leaves."""
+    return _StackedPack(**{
+        f.name: _table(packs, attrgetter(f.name))
+        for f in dataclasses.fields(_StackedPack)
+    })
+
+
+def _surface_table(
+    records: Sequence[Sequence[SimultaneousTiming]],
+) -> _StackedShape:
+    """Cell table of one :class:`SimultaneousTiming` record per cell."""
+    return _StackedShape(**{
+        attr: cls(**{
+            f.name: _table(records, attrgetter(f"{attr}.{f.name}"))
+            for f in dataclasses.fields(cls)
+        })
+        for attr, cls in _SURFACES
+    })
+
+
+def _pair_scales(record: SimultaneousTiming, pairs) -> np.ndarray:
+    """Per-combo D0 pair scales (each pair's scale repeated 4 times)."""
+    return np.repeat(
+        np.array(
+            [record.pair_scale.get(pair_key(a, b), 1.0) for a, b in pairs],
+            dtype=float,
+        ),
+        4,
+    )
+
+
+def _dir(rising: bool) -> str:
+    return "R" if rising else "F"
+
+
+# ----------------------------------------------------------------------
 # Column subsets: cone-limited kernel runs (incremental STA)
 # ----------------------------------------------------------------------
-def _slice_pack(pack: _StackedPack, cols: np.ndarray) -> _StackedPack:
-    return _StackedPack(
-        t_lo=pack.t_lo[:, cols],
-        t_hi=pack.t_hi[:, cols],
-        q_a2=pack.q_a2[:, :, cols],
-        q_a1=pack.q_a1[:, :, cols],
-        q_a0=pack.q_a0[:, :, cols],
-        d_a2=pack.d_a2[:, cols],
-        d_a1=pack.d_a1[:, cols],
-        d_a0=pack.d_a0[:, cols],
-    )
-
-
-def _slice_shape(shape: _StackedShape, cols: np.ndarray) -> _StackedShape:
-    return _StackedShape(
-        d0=_StackedRoots(
-            shape.d0.k_xy[cols],
-            shape.d0.k_x[cols],
-            shape.d0.k_y[cols],
-            shape.d0.k_c[cols],
-        ),
-        s_pos=_StackedQuad2(
-            *(getattr(shape.s_pos, k)[cols]
-              for k in ("k0", "k1", "k2", "k3", "k4", "k5"))
-        ),
-        s_neg=_StackedQuad2(
-            *(getattr(shape.s_neg, k)[cols]
-              for k in ("k0", "k1", "k2", "k3", "k4", "k5"))
-        ),
-        t_vertex=_StackedRoots(
-            shape.t_vertex.k_xy[cols],
-            shape.t_vertex.k_x[cols],
-            shape.t_vertex.k_y[cols],
-            shape.t_vertex.k_c[cols],
-        ),
-        t_vertex_skew=_StackedLin2(
-            shape.t_vertex_skew.c0[cols],
-            shape.t_vertex_skew.c1[cols],
-            shape.t_vertex_skew.c2[cols],
-        ),
-    )
-
-
 def subset_group(
     group: Union["_CtrlGroup", "_ArcGroup"], cols: Sequence[int]
 ) -> Union["_CtrlGroup", "_ArcGroup"]:
     """A column subset of one compiled group, runnable on its own.
 
-    The subset gathers the selected gates' coefficient columns (copies —
-    the source group stays patchable) while the row-gather arrays keep
-    pointing into the *global* SoA state, so running the subset through
-    the level kernels recomputes exactly those gates, bitwise as in a
-    full pass.  This is the unit of work of the incremental engine's
-    batched cone re-timing.
+    The subset gathers the selected gates' leaves (copies — the source
+    group stays patchable) while the row-gather arrays keep pointing
+    into the *global* SoA state, so running the subset through the
+    level kernels recomputes exactly those gates, bitwise as in a full
+    pass.  This is the unit of work of the incremental engine's batched
+    cone re-timing.
     """
-    idx = np.asarray(cols, dtype=np.intp)
-    if isinstance(group, _CtrlGroup):
-        return _CtrlGroup(
-            n_pins=group.n_pins,
-            pack=_slice_pack(group.pack, idx),
-            npack=_slice_pack(group.npack, idx),
-            ppack=(
-                None if group.ppack is None else _slice_pack(group.ppack, idx)
-            ),
-            shape=(
-                None if group.shape is None else _slice_shape(group.shape, idx)
-            ),
-            peak=(
-                None if group.peak is None else _slice_shape(group.peak, idx)
-            ),
-            ctrl_rows=group.ctrl_rows[:, idx],
-            nonctrl_rows=group.nonctrl_rows[:, idx],
-            out_ctrl=group.out_ctrl[idx],
-            out_nonctrl=group.out_nonctrl[idx],
-            order_idx=group.order_idx[idx],
-            gate_idx=np.arange(idx.size, dtype=np.intp)[:, None],
-            d_adj_c=group.d_adj_c[idx],
-            r_adj_c=group.r_adj_c[idx],
-            d_adj_n=group.d_adj_n[idx],
-            r_adj_n=group.r_adj_n[idx],
-            p_adj=None if group.p_adj is None else group.p_adj[idx],
-            scale_c=None if group.scale_c is None else group.scale_c[:, idx],
-            pscale_c=(
-                None if group.pscale_c is None else group.pscale_c[:, idx]
-            ),
-            rt=None if group.rt is None else group.rt[:, idx],
-            rt_t=None if group.rt_t is None else group.rt_t[:, idx],
-            pa=group.pa,
-            pb=group.pb,
-        )
-    dirs = tuple(
-        None
-        if d is None
-        else _ArcDir(
-            pack=_slice_pack(d.pack, idx),
-            in_rows=d.in_rows[:, idx],
-            out_rows=d.out_rows[idx],
-            d_adj=d.d_adj[idx],
-            r_adj=d.r_adj[idx],
-        )
-        for d in group.dirs
-    )
-    # no_arc_rows stay IMPOSSIBLE from the baseline pass; re-asserting
-    # them is redundant in an incremental update, so subsets drop them.
-    return _ArcGroup(
-        order_idx=group.order_idx[idx],
-        dirs=dirs,
-        no_arc_rows=np.empty(0, dtype=np.intp),
-    )
-
-
-def _stack_ctrl_groups(groups: Sequence[_CtrlGroup]) -> _CtrlGroup:
-    """Combine per-corner ctrl group builds into one corner-stacked group.
-
-    Structural arrays (gather/scatter rows, pair index vectors) must be
-    identical across corners — the libraries describe the *same* cells
-    at different operating points — and are taken from corner 0 after an
-    equality check; every numeric coefficient array gains the trailing
-    corner axis.
-    """
-    g0 = groups[0]
-    for gi in groups[1:]:
-        if not (
-            np.array_equal(g0.ctrl_rows, gi.ctrl_rows)
-            and np.array_equal(g0.nonctrl_rows, gi.nonctrl_rows)
-            and np.array_equal(g0.out_ctrl, gi.out_ctrl)
-            and np.array_equal(g0.out_nonctrl, gi.out_nonctrl)
-        ):
-            raise ValueError(
-                "corner libraries disagree on cell structure "
-                "(gather rows differ between corners)"
-            )
-
-    def stack(attr: str):
-        leaves = [getattr(g, attr) for g in groups]
-        return None if leaves[0] is None else _stack_corners(leaves)
-
-    return dataclasses.replace(
-        g0,
-        pack=stack("pack"),
-        npack=stack("npack"),
-        ppack=stack("ppack"),
-        shape=stack("shape"),
-        peak=stack("peak"),
-        d_adj_c=stack("d_adj_c"),
-        r_adj_c=stack("r_adj_c"),
-        d_adj_n=stack("d_adj_n"),
-        r_adj_n=stack("r_adj_n"),
-        p_adj=stack("p_adj"),
-        scale_c=stack("scale_c"),
-        pscale_c=stack("pscale_c"),
-        rt=stack("rt"),
-        rt_t=stack("rt_t"),
-    )
-
-
-def _stack_arc_groups(groups: Sequence[_ArcGroup]) -> _ArcGroup:
-    """Combine per-corner arc group builds into one corner-stacked group."""
-    g0 = groups[0]
-    dirs: List[Optional[_ArcDir]] = []
-    for i, d0 in enumerate(g0.dirs):
-        per_corner = [g.dirs[i] for g in groups]
-        if any((d is None) != (d0 is None) for d in per_corner):
-            raise ValueError(
-                "corner libraries disagree on cell structure "
-                "(arc directions differ between corners)"
-            )
-        if d0 is None:
-            dirs.append(None)
-            continue
-        for di in per_corner[1:]:
-            if not np.array_equal(d0.in_rows, di.in_rows):
-                raise ValueError(
-                    "corner libraries disagree on cell structure "
-                    "(arc gather rows differ between corners)"
-                )
-        dirs.append(
-            _ArcDir(
-                pack=_stack_corners([d.pack for d in per_corner]),
-                in_rows=d0.in_rows,
-                out_rows=d0.out_rows,
-                d_adj=np.stack([d.d_adj for d in per_corner], axis=-1),
-                r_adj=np.stack([d.r_adj for d in per_corner], axis=-1),
-            )
-        )
-    return _ArcGroup(
-        order_idx=g0.order_idx,
-        dirs=(dirs[0], dirs[1]),
-        no_arc_rows=g0.no_arc_rows,
-    )
+    return _take(group, np.asarray(cols, dtype=np.intp))
 
 
 # ----------------------------------------------------------------------
@@ -593,8 +419,7 @@ class CompiledCircuit:
             (one per PVT corner) for a corner-batched compile.  With
             ``C`` corners every coefficient array gains a trailing
             corner axis of size ``C`` and a pass produces one batch
-            column per corner; a single library compiles with ``C = 1``
-            and is bit-identical to the pre-corner layout.
+            column per corner; a single library compiles with ``C = 1``.
         model: Delay model — decides whether the pair-merge layout and
             the Λ-peak tail packs are compiled in.
         config: STA boundary conditions (fixes the load vector).
@@ -624,75 +449,69 @@ class CompiledCircuit:
         }
         order = circuit.topological_order()
         self.n_gates = len(order)
-        order_pos = {line: i for i, line in enumerate(order)}
+        self._order_pos = {line: i for i, line in enumerate(order)}
         level_of = circuit.levelize()
         self._merge = bool(getattr(model, "supports_pair_merge", False))
         self._peak = hasattr(model, "nonctrl_shape")
-        # One kernel context (and one load vector) per corner: contexts
-        # cache arc packs by cell *name*, and the same name resolves to
-        # different coefficients in each corner's library.
+        # One kernel context per corner: contexts cache arc packs by
+        # cell *name*, and the same name resolves to different
+        # coefficients in each corner's library.
         ctxs = [KernelContext() for _ in libraries]
         self._ctx = ctxs[0]
-        corner_cells: List[Dict[str, CellTiming]] = []
-        for lib in libraries:
-            cells: Dict[str, CellTiming] = {}
-            for gate in circuit.gates.values():
-                name = gate.cell_name()
-                if name not in cells:
-                    cells[name] = lib.cell(name)
-            corner_cells.append(cells)
+        gate_cells = [circuit.gates[out].cell_name() for out in order]
+        names = list(dict.fromkeys(gate_cells))
+        corner_cells = [
+            {name: lib.cell(name) for name in names} for lib in libraries
+        ]
         self._cells = corner_cells[0]
+        self._validate_corner_cells(corner_cells)
         corner_loads = [
             compute_loads(circuit, lib, config) for lib in libraries
         ]
-        self._validate_corner_cells(corner_cells)
         #: gate output line -> (group, column, shape key); the in-place
         #: patch path of :meth:`patch_gate` addresses columns through it.
         self._locs: Dict[str, Tuple[Union[_CtrlGroup, _ArcGroup], int, tuple]]
         self._locs = {}
 
-        # Group gates per level by *shape*, not cell: every per-cell
-        # quantity is stacked into per-gate columns, so unlike cells
-        # with the same fan-in layout share one kernel invocation.
-        grouped: Dict[int, Dict[tuple, List[Gate]]] = {}
-        for out in order:
-            gate = circuit.gates[out]
-            cell = corner_cells[0][gate.cell_name()]
-            key = _shape_key(cell, self._peak)
-            grouped.setdefault(level_of[out], {}).setdefault(key, []).append(
-                gate
+        # Gates of each shape key in (level, topological) order, so every
+        # (level, key) group is one contiguous run of the key's gates.
+        key_of = {name: _shape_key(self._cells[name], self._peak)
+                  for name in names}
+        by_key: Dict[tuple, List[Tuple[int, int]]] = {}
+        for pos, out in enumerate(order):
+            by_key.setdefault(key_of[gate_cells[pos]], []).append(
+                (level_of[out], pos)
             )
-        self.levels: List[List[Union[_CtrlGroup, _ArcGroup]]] = []
-        for lvl in sorted(grouped):
-            level_groups: List[Union[_CtrlGroup, _ArcGroup]] = []
-            for key in sorted(grouped[lvl]):
-                gates = grouped[lvl][key]
-                if key[0] == "ctrl":
-                    group: Union[_CtrlGroup, _ArcGroup] = _stack_ctrl_groups(
-                        [
-                            self._build_ctrl(
-                                key, gates, cells, order_pos, loads, ctx
-                            )
-                            for cells, loads, ctx in zip(
-                                corner_cells, corner_loads, ctxs
-                            )
-                        ]
-                    )
-                else:
-                    group = _stack_arc_groups(
-                        [
-                            self._build_arc(
-                                gates, cells, order_pos, loads, ctx
-                            )
-                            for cells, loads, ctx in zip(
-                                corner_cells, corner_loads, ctxs
-                            )
-                        ]
-                    )
-                for col, gate in enumerate(gates):
+        at_level: Dict[int, List[Union[_CtrlGroup, _ArcGroup]]] = {}
+        for key in sorted(by_key):
+            members = sorted(by_key[key])
+            gates = [circuit.gates[order[pos]] for _, pos in members]
+            kinds = list(dict.fromkeys(gate_cells[pos] for _, pos in members))
+            column = {name: i for i, name in enumerate(kinds)}
+            table = self._cell_table(
+                key,
+                [[cells[name] for cells in corner_cells] for name in kinds],
+                ctxs,
+            )
+            cidx = np.array(
+                [column[gate_cells[pos]] for _, pos in members],
+                dtype=np.intp,
+            )
+            loads = np.array(
+                [[ld[g.output] for ld in corner_loads] for g in gates]
+            )
+            key_wide = self._build(key, gates, cidx, table, loads)
+            start = 0
+            for lvl, run in itertools.groupby(members, key=itemgetter(0)):
+                stop = start + sum(1 for _ in run)
+                group = _take(key_wide, np.arange(start, stop))
+                for col, gate in enumerate(gates[start:stop]):
                     self._locs[gate.output] = (group, col, key)
-                level_groups.append(group)
-            self.levels.append(level_groups)
+                at_level.setdefault(lvl, []).append(group)
+                start = stop
+        self.levels: List[List[Union[_CtrlGroup, _ArcGroup]]] = [
+            at_level[lvl] for lvl in sorted(at_level)
+        ]
         self.n_levels = len(self.levels)
         self.n_groups = sum(len(groups) for groups in self.levels)
 
@@ -741,6 +560,196 @@ class CompiledCircuit:
         return idx if rising else idx + self.n_lines
 
     # ------------------------------------------------------------------
+    # Cell tables and key-wide builds
+    # ------------------------------------------------------------------
+    def _cell_table(
+        self,
+        key: tuple,
+        cells: Sequence[Sequence[CellTiming]],
+        ctxs: Sequence[KernelContext],
+    ) -> Dict[str, object]:
+        """Per-cell leaves of one shape key, ``cells[i][c]`` being the
+        key's ``i``-th cell in corner ``c``'s library.
+
+        Float leaves are ``(..., n_cells, C)``.  Integer leaves hold row
+        offsets and arc pins; they are structural, so corner 0 decides
+        them (:meth:`_validate_corner_cells` guarantees the rest agree).
+        """
+        base = [row[0] for row in cells]
+        n = self.n_lines
+
+        def packs(make: Callable) -> _StackedPack:
+            return _pack_table([
+                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
+                for row in cells
+            ])
+
+        def slopes(rising: Callable) -> Tuple[np.ndarray, np.ndarray]:
+            """(delay, transition) load slopes of direction ``rising(c)``."""
+            return tuple(
+                _table(cells, lambda c: getattr(c, kind)[_dir(rising(c))])
+                for kind in ("load_delay_slope", "load_trans_slope")
+            )
+
+        table: Dict[str, object] = {
+            "ref_load": _table(cells, attrgetter("ref_load")),
+        }
+        if key[0] == "ctrl":
+            _, n_pins, uses_peak = key
+            _, _, _, _, pairs = _pair_combos(n_pins)
+            table["pack"] = packs(KernelContext.ctrl_pack)
+            table["npack"] = packs(KernelContext.nonctrl_pack)
+            table["ctrl_off"] = np.array(
+                [0 if c.controlling_value == 1 else n for c in base],
+                dtype=np.intp,
+            )
+            table["out_off"] = np.array(
+                [0 if c.ctrl.out_rising else n for c in base], dtype=np.intp
+            )
+            table["d_slope_c"], table["r_slope_c"] = slopes(
+                attrgetter("ctrl.out_rising")
+            )
+            table["d_slope_n"], table["r_slope_n"] = slopes(
+                lambda c: not c.ctrl.out_rising
+            )
+            if uses_peak:
+                table["ppack"] = packs(KernelContext.peak_pack)
+                table["peak"] = _surface_table(
+                    [[c.nonctrl for c in row] for row in cells]
+                )
+                table["p_slope"] = slopes(attrgetter("nonctrl.out_rising"))[0]
+                table["pscale_c"] = _table(
+                    cells, lambda c: _pair_scales(c.nonctrl, pairs)
+                )
+            if self._merge:
+                table["shape"] = _surface_table(
+                    [[c.ctrl for c in row] for row in cells]
+                )
+                table["scale_c"] = _table(
+                    cells, lambda c: _pair_scales(c.ctrl, pairs)
+                )
+                table["rt"] = _table(
+                    cells, lambda c: ratio_table(c.ctrl.multi_scale, n_pins)
+                )
+                table["rt_t"] = _table(
+                    cells,
+                    lambda c: ratio_table(c.ctrl.trans_multi_scale, n_pins),
+                )
+            return table
+        for out_rising in (True, False):
+            d = _dir(out_rising)
+            # Arcs in arc-table enumeration order (the pack row order).
+            arcs = [
+                sorted(index, key=index.get)
+                for index, _ in (
+                    ctxs[0].fanin_pack(c, out_rising) for c in base
+                )
+            ]
+            if not arcs[0]:
+                continue
+            table[f"pack_{d}"] = packs(
+                lambda ctx, c: ctx.fanin_pack(c, out_rising)[1]
+            )
+            table[f"pin_{d}"] = np.array(
+                [[pin for pin, _ in a] for a in arcs], dtype=np.intp
+            ).T
+            table[f"off_{d}"] = np.array(
+                [[0 if rising else n for _, rising in a] for a in arcs],
+                dtype=np.intp,
+            ).T
+            table[f"d_slope_{d}"], table[f"r_slope_{d}"] = slopes(
+                lambda c: out_rising
+            )
+        return table
+
+    def _build(
+        self,
+        key: tuple,
+        gates: Sequence[Gate],
+        cidx: np.ndarray,
+        table: Dict[str, object],
+        loads: np.ndarray,
+    ) -> Union[_CtrlGroup, _ArcGroup]:
+        """One group over ``gates`` of shape ``key``.
+
+        ``cidx`` maps each gate to its cell-table column and ``loads``
+        is ``(G, C)``.  Every coefficient leaf is gathered from the
+        table with one fancy index; rows and load adjustments are
+        computed as whole vectors.
+        """
+        col = {name: _take(leaf, cidx) for name, leaf in table.items()}
+        n = self.n_lines
+        line_index = self.line_index
+        in_idx = np.array(
+            [[line_index[line] for line in g.inputs] for g in gates],
+            dtype=np.intp,
+        ).T  # (P, G)
+        out_idx = np.array(
+            [line_index[g.output] for g in gates], dtype=np.intp
+        )
+        order_idx = np.array(
+            [self._order_pos[g.output] for g in gates], dtype=np.intp
+        )
+        # The scalar load_adjusted_* expression, elementwise.
+        dload = loads - col["ref_load"]
+        if key[0] == "ctrl":
+            n_pins = key[1]
+            pa = pb = None
+            if self._merge:
+                _, _, _, _, pairs = _pair_combos(n_pins)
+                pa = np.array([a for a, _ in pairs], dtype=np.intp)
+                pb = np.array([b for _, b in pairs], dtype=np.intp)
+            return _CtrlGroup(
+                n_pins=n_pins,
+                pack=col["pack"],
+                npack=col["npack"],
+                ppack=col.get("ppack"),
+                shape=col.get("shape"),
+                peak=col.get("peak"),
+                ctrl_rows=in_idx + col["ctrl_off"],
+                nonctrl_rows=in_idx + (n - col["ctrl_off"]),
+                out_ctrl=out_idx + col["out_off"],
+                out_nonctrl=out_idx + (n - col["out_off"]),
+                order_idx=order_idx,
+                gate_idx=np.arange(len(gates), dtype=np.intp)[:, None],
+                d_adj_c=col["d_slope_c"] * dload,
+                r_adj_c=col["r_slope_c"] * dload,
+                d_adj_n=col["d_slope_n"] * dload,
+                r_adj_n=col["r_slope_n"] * dload,
+                p_adj=col["p_slope"] * dload if "p_slope" in col else None,
+                scale_c=col.get("scale_c"),
+                pscale_c=col.get("pscale_c"),
+                rt=col.get("rt"),
+                rt_t=col.get("rt_t"),
+                pa=pa,
+                pb=pb,
+            )
+        gate_axis = np.arange(len(gates))
+        dirs: List[Optional[_ArcDir]] = []
+        no_arc: List[np.ndarray] = []
+        for out_rising in (True, False):
+            d = _dir(out_rising)
+            out_rows = out_idx if out_rising else out_idx + n
+            if f"pack_{d}" not in col:
+                no_arc.append(out_rows)
+                dirs.append(None)
+                continue
+            dirs.append(_ArcDir(
+                pack=col[f"pack_{d}"],
+                in_rows=in_idx[col[f"pin_{d}"], gate_axis] + col[f"off_{d}"],
+                out_rows=out_rows,
+                d_adj=col[f"d_slope_{d}"] * dload,
+                r_adj=col[f"r_slope_{d}"] * dload,
+            ))
+        return _ArcGroup(
+            order_idx=order_idx,
+            dirs=(dirs[0], dirs[1]),
+            no_arc_rows=np.array(no_arc, dtype=np.intp).reshape(
+                len(no_arc), len(gates)
+            ),
+        )
+
+    # ------------------------------------------------------------------
     # In-place patching (incremental STA)
     # ------------------------------------------------------------------
     def _cell_for(self, gate: Gate) -> CellTiming:
@@ -769,13 +778,13 @@ class CompiledCircuit:
         return _shape_key(cell, self._peak) == loc[2]
 
     def patch_gate(self, line: str, load: float) -> None:
-        """Rewrite one gate's coefficient columns in place.
+        """Rewrite one gate's columns in place.
 
-        Re-derives every per-gate column — arc packs, surface
-        coefficients, pair scales, ratio tables, gather rows, and the
-        load-adjust terms for ``load`` — from the gate's current cell,
-        using the same scalar arithmetic as a fresh compile, so a patched
-        circuit is bitwise-indistinguishable from a recompiled one.
+        Builds the gate's column — cell-table leaves, gather rows and
+        the load-adjust terms for ``load`` — from its current cell with
+        the compile's own code and writes it over the old one, so a
+        patched circuit is bitwise-indistinguishable from a recompiled
+        one.
 
         Raises:
             ValueError: If the gate's current cell no longer fits its
@@ -796,322 +805,13 @@ class CompiledCircuit:
                 f"cell {cell.name!r} does not fit the compiled shape {key} "
                 f"of gate {line!r}; recompile required"
             )
-        if isinstance(group, _CtrlGroup):
-            self._patch_ctrl(group, col, gate, cell, load)
-        else:
-            self._patch_arc(group, col, gate, cell, load)
+        table = self._cell_table(key, [[cell]], [self._ctx])
+        fresh = self._build(
+            key, [gate], np.zeros(1, dtype=np.intp), table,
+            np.array([[load]], dtype=float),
+        )
+        _put(group, col, fresh)
         group.version += 1
-
-    def _patch_ctrl(
-        self,
-        grp: _CtrlGroup,
-        col: int,
-        gate: Gate,
-        cell: CellTiming,
-        load: float,
-    ) -> None:
-        ctrl_rising = cell.controlling_value == 1
-        for p in range(grp.n_pins):
-            grp.ctrl_rows[p, col] = self.row(gate.inputs[p], ctrl_rising)
-            grp.nonctrl_rows[p, col] = self.row(
-                gate.inputs[p], not ctrl_rising
-            )
-        grp.out_ctrl[col] = self.row(gate.output, cell.ctrl.out_rising)
-        grp.out_nonctrl[col] = self.row(
-            gate.output, not cell.ctrl.out_rising
-        )
-        ctx = self._ctx
-        _assign_pack_column(grp.pack, ctx.ctrl_pack(cell), col)
-        _assign_pack_column(grp.npack, ctx.nonctrl_pack(cell), col)
-        grp.d_adj_c[col] = cell.load_adjusted_delay(cell.ctrl.out_rising, load)
-        grp.r_adj_c[col] = cell.load_adjusted_trans(cell.ctrl.out_rising, load)
-        grp.d_adj_n[col] = cell.load_adjusted_delay(
-            not cell.ctrl.out_rising, load
-        )
-        grp.r_adj_n[col] = cell.load_adjusted_trans(
-            not cell.ctrl.out_rising, load
-        )
-        _, _, _, _, pairs = _pair_combos(grp.n_pins)
-        if grp.ppack is not None:
-            _assign_pack_column(grp.ppack, ctx.peak_pack(cell), col)
-            _assign_shape_column(grp.peak, cell.nonctrl, col)
-            grp.p_adj[col] = cell.load_adjusted_delay(
-                cell.nonctrl.out_rising, load
-            )
-            grp.pscale_c[:, col, 0] = np.repeat(
-                np.array(
-                    [
-                        cell.nonctrl.pair_scale.get(pair_key(a, b), 1.0)
-                        for a, b in pairs
-                    ],
-                    dtype=float,
-                ),
-                4,
-            )
-        if grp.shape is not None:
-            _assign_shape_column(grp.shape, cell.ctrl, col)
-            grp.scale_c[:, col, 0] = np.repeat(
-                np.array(
-                    [
-                        cell.ctrl.pair_scale.get(pair_key(a, b), 1.0)
-                        for a, b in pairs
-                    ],
-                    dtype=float,
-                ),
-                4,
-            )
-            grp.rt[:, col, 0] = ratio_table(cell.ctrl.multi_scale, grp.n_pins)
-            grp.rt_t[:, col, 0] = ratio_table(
-                cell.ctrl.trans_multi_scale, grp.n_pins
-            )
-
-    def _patch_arc(
-        self,
-        grp: _ArcGroup,
-        col: int,
-        gate: Gate,
-        cell: CellTiming,
-        load: float,
-    ) -> None:
-        ctx = self._ctx
-        for d, out_rising in zip(grp.dirs, (True, False)):
-            if d is None:
-                continue
-            index, pack = ctx.fanin_pack(cell, out_rising)
-            arcs = sorted(index.items(), key=lambda kv: kv[1])
-            for a, ((pin, in_rising), _) in enumerate(arcs):
-                d.in_rows[a, col] = self.row(gate.inputs[pin], in_rising)
-            _assign_pack_column(d.pack, pack, col)
-            d.d_adj[col] = cell.load_adjusted_delay(out_rising, load)
-            d.r_adj[col] = cell.load_adjusted_trans(out_rising, load)
-
-    def _build_ctrl(
-        self,
-        key: tuple,
-        gates: List[Gate],
-        cells: Dict[str, CellTiming],
-        order_pos: Dict[str, int],
-        loads: Dict[str, float],
-        ctx: KernelContext,
-    ) -> _CtrlGroup:
-        _, n_pins, uses_peak = key
-        gcells = [cells[g.cell_name()] for g in gates]
-        ctrl_rows = np.array(
-            [
-                [
-                    self.row(g.inputs[p], c.controlling_value == 1)
-                    for g, c in zip(gates, gcells)
-                ]
-                for p in range(n_pins)
-            ],
-            dtype=np.intp,
-        )
-        nonctrl_rows = np.array(
-            [
-                [
-                    self.row(g.inputs[p], c.controlling_value != 1)
-                    for g, c in zip(gates, gcells)
-                ]
-                for p in range(n_pins)
-            ],
-            dtype=np.intp,
-        )
-        # The per-gate load adjustments reuse the scalar arithmetic of
-        # the gate-at-a-time path, value for value.
-        gate_loads = [loads[g.output] for g in gates]
-        d_adj_c = np.array(
-            [
-                c.load_adjusted_delay(c.ctrl.out_rising, v)
-                for c, v in zip(gcells, gate_loads)
-            ]
-        )
-        r_adj_c = np.array(
-            [
-                c.load_adjusted_trans(c.ctrl.out_rising, v)
-                for c, v in zip(gcells, gate_loads)
-            ]
-        )
-        d_adj_n = np.array(
-            [
-                c.load_adjusted_delay(not c.ctrl.out_rising, v)
-                for c, v in zip(gcells, gate_loads)
-            ]
-        )
-        r_adj_n = np.array(
-            [
-                c.load_adjusted_trans(not c.ctrl.out_rising, v)
-                for c, v in zip(gcells, gate_loads)
-            ]
-        )
-        scale_c = pscale_c = rt = rt_t = pa = pb = None
-        shape = peak = None
-        p_adj = ppack = None
-        _, _, _, _, pairs = _pair_combos(n_pins)
-        if uses_peak:
-            ppack = _StackedPack.from_packs(
-                [ctx.peak_pack(c) for c in gcells]
-            )
-            peak = _StackedShape.from_shapes([c.nonctrl for c in gcells])
-            p_adj = np.array(
-                [
-                    c.load_adjusted_delay(c.nonctrl.out_rising, v)
-                    for c, v in zip(gcells, gate_loads)
-                ]
-            )
-            pscale_c = np.repeat(
-                np.array(
-                    [
-                        [
-                            c.nonctrl.pair_scale.get(pair_key(a, b), 1.0)
-                            for c in gcells
-                        ]
-                        for a, b in pairs
-                    ],
-                    dtype=float,
-                ),
-                4,
-                axis=0,
-            )
-        if self._merge:
-            shape = _StackedShape.from_shapes([c.ctrl for c in gcells])
-            scale_c = np.repeat(
-                np.array(
-                    [
-                        [
-                            c.ctrl.pair_scale.get(pair_key(a, b), 1.0)
-                            for c in gcells
-                        ]
-                        for a, b in pairs
-                    ],
-                    dtype=float,
-                ),
-                4,
-                axis=0,
-            )
-            rt = np.stack(
-                [ratio_table(c.ctrl.multi_scale, n_pins) for c in gcells],
-                axis=-1,
-            )
-            rt_t = np.stack(
-                [
-                    ratio_table(c.ctrl.trans_multi_scale, n_pins)
-                    for c in gcells
-                ],
-                axis=-1,
-            )
-            pa = np.array([a for a, _ in pairs], dtype=np.intp)
-            pb = np.array([b for _, b in pairs], dtype=np.intp)
-        return _CtrlGroup(
-            n_pins=n_pins,
-            pack=_StackedPack.from_packs([ctx.ctrl_pack(c) for c in gcells]),
-            npack=_StackedPack.from_packs(
-                [ctx.nonctrl_pack(c) for c in gcells]
-            ),
-            ppack=ppack,
-            shape=shape,
-            peak=peak,
-            ctrl_rows=ctrl_rows,
-            nonctrl_rows=nonctrl_rows,
-            out_ctrl=np.array(
-                [
-                    self.row(g.output, c.ctrl.out_rising)
-                    for g, c in zip(gates, gcells)
-                ],
-                dtype=np.intp,
-            ),
-            out_nonctrl=np.array(
-                [
-                    self.row(g.output, not c.ctrl.out_rising)
-                    for g, c in zip(gates, gcells)
-                ],
-                dtype=np.intp,
-            ),
-            order_idx=np.array(
-                [order_pos[g.output] for g in gates], dtype=np.intp
-            ),
-            gate_idx=np.arange(len(gates), dtype=np.intp)[:, None],
-            d_adj_c=d_adj_c,
-            r_adj_c=r_adj_c,
-            d_adj_n=d_adj_n,
-            r_adj_n=r_adj_n,
-            p_adj=p_adj,
-            scale_c=scale_c,
-            pscale_c=pscale_c,
-            rt=rt,
-            rt_t=rt_t,
-            pa=pa,
-            pb=pb,
-        )
-
-    def _build_arc(
-        self,
-        gates: List[Gate],
-        cells: Dict[str, CellTiming],
-        order_pos: Dict[str, int],
-        loads: Dict[str, float],
-        ctx: KernelContext,
-    ) -> _ArcGroup:
-        gcells = [cells[g.cell_name()] for g in gates]
-        gate_loads = [loads[g.output] for g in gates]
-        dirs: List[Optional[_ArcDir]] = []
-        no_arc: List[int] = []
-        for out_rising in (True, False):
-            # Per gate: the pack rows and (pin, in_rising) arcs feeding
-            # this output direction, in arc-table enumeration order.
-            per_gate = []
-            for g, c in zip(gates, gcells):
-                index, pack = ctx.fanin_pack(c, out_rising)
-                arcs = sorted(index.items(), key=lambda kv: kv[1])
-                per_gate.append((g, c, pack, arcs))
-            n_arcs = len(per_gate[0][3])
-            if n_arcs == 0:
-                no_arc.extend(
-                    self.row(g.output, out_rising) for g in gates
-                )
-                dirs.append(None)
-                continue
-            in_rows = np.array(
-                [
-                    [
-                        self.row(g.inputs[pin], in_rising)
-                        for (g, _, _, arcs) in per_gate
-                        for (pin, in_rising), _ in [arcs[a]]
-                    ]
-                    for a in range(n_arcs)
-                ],
-                dtype=np.intp,
-            )
-            dirs.append(
-                _ArcDir(
-                    pack=_StackedPack.from_packs(
-                        [p for _, _, p, _ in per_gate]
-                    ),
-                    in_rows=in_rows,
-                    out_rows=np.array(
-                        [self.row(g.output, out_rising) for g in gates],
-                        dtype=np.intp,
-                    ),
-                    d_adj=np.array(
-                        [
-                            c.load_adjusted_delay(out_rising, v)
-                            for c, v in zip(gcells, gate_loads)
-                        ]
-                    ),
-                    r_adj=np.array(
-                        [
-                            c.load_adjusted_trans(out_rising, v)
-                            for c, v in zip(gcells, gate_loads)
-                        ]
-                    ),
-                )
-            )
-        return _ArcGroup(
-            order_idx=np.array(
-                [order_pos[g.output] for g in gates], dtype=np.intp
-            ),
-            dirs=(dirs[0], dirs[1]),
-            no_arc_rows=np.array(no_arc, dtype=np.intp),
-        )
 
 
 # ----------------------------------------------------------------------

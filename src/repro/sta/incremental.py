@@ -18,8 +18,9 @@ How it works:
   at any gate whose recomputed windows are **bitwise-unchanged**
   (min/max corner reductions absorb most small perturbations, so cones
   collapse quickly);
-* loads are re-derived per affected line with the exact summation order
-  of :func:`~repro.sta.analysis.compute_loads`, keeping them — and
+* loads are re-derived per affected line through the same summation
+  (:func:`~repro.sta.analysis.line_load`) as
+  :func:`~repro.sta.analysis.compute_loads`, keeping them — and
   everything downstream — bit-identical to a fresh analyzer;
 * coefficient-only edits (resize/cell swap) are patched into the
   :class:`~repro.sta.compile.CompiledCircuit` SoA arrays in place
@@ -61,7 +62,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
-from .analysis import StaResult, TimingAnalyzer
+from .analysis import StaResult, TimingAnalyzer, line_load
 from .windows import IMPOSSIBLE, DirWindow, LineTiming
 
 
@@ -262,8 +263,12 @@ class IncrementalAnalyzer:
         self._cw = None
         #: (id(group), cols) -> (group.version, subset) — cones revisit
         #: the same group columns across edits (optimizer trial loops),
-        #: so slices are memoized until a patch bumps the version.
+        #: so slices are memoized until a patch bumps the version.  The
+        #: keys are ids of one compile's groups, which a recompile frees
+        #: for reuse, so the memo resets whenever the compile it was
+        #: filled from (``_subsets_of``) is replaced.
         self._subsets: Dict[Tuple[int, tuple], Tuple[int, object]] = {}
+        self._subsets_of = None
         obs = get_registry()
         self._obs = obs
         self._m_edits = obs.counter("sta.incr.edits")
@@ -411,7 +416,11 @@ class IncrementalAnalyzer:
         return StaResult(circuit, timings)
 
     def _subset(self, group, cols: Tuple[int, ...]):
-        """Memoized column subset of one compiled group."""
+        """Memoized column subset of one group of the current compile."""
+        compiled = self.analyzer._level.compiled
+        if compiled is not self._subsets_of:
+            self._subsets.clear()
+            self._subsets_of = compiled
         key = (id(group), cols)
         hit = self._subsets.get(key)
         if hit is not None and hit[0] == group.version:
@@ -874,25 +883,13 @@ class IncrementalAnalyzer:
         return seeds
 
     def _recompute_load(self, line: str) -> None:
-        """Re-derive one line's load, bit-identical to ``compute_loads``.
-
-        The same sink/pin iteration order is used, so the float
-        summation — and every window downstream of it — matches a fresh
-        analyzer exactly.
-        """
+        """Re-derive one line's load, bit-identical to ``compute_loads``
+        (both sum through :func:`~repro.sta.analysis.line_load`)."""
         analyzer = self.analyzer
-        total = 0.0
-        fanouts = self.circuit.fanouts(line)
-        for sink in fanouts:
-            cell = analyzer.cell_of(sink)
-            for pin, inp in enumerate(sink.inputs):
-                if inp == line:
-                    total += cell.input_caps[pin]
-        if line in self._outputs:
-            total += analyzer.config.po_load
-        elif not fanouts:
-            total += analyzer.config.dangling_load
-        analyzer._loads[line] = total
+        analyzer._loads[line] = line_load(
+            self.circuit, line, analyzer.cell_of, analyzer.config,
+            self._outputs,
+        )
 
     def _positions(self) -> Dict[str, int]:
         if self._pos is None:

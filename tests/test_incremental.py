@@ -8,6 +8,8 @@ mutated circuit, and every :meth:`~repro.sta.incremental
 the circuit with only that one edit applied.
 """
 
+import random
+
 import pytest
 
 from repro.circuit import Circuit, load_packaged_bench, parse_bench
@@ -130,6 +132,81 @@ class TestRetime:
         result = incr.analyzer.analyze()
         reference = _fresh_timings(circuit, library)
         _assert_all_lines_equal(circuit, result, reference)
+
+
+class TestRecompile:
+    def test_retime_after_recompile_matches_fresh(self, library):
+        # Regression: column subsets were memoized under (id(group),
+        # cols) across recompiles.  A rewire + analyze() frees the old
+        # compile's groups, CPython hands their addresses to the new
+        # compile's groups, and the next retime was served subsets cut
+        # from the old compile (old rows, old coefficients).  Seeded
+        # c432s sequences: resizes re-timed incrementally, every 10th
+        # step a rewire to a fresh PI followed by a recompiling
+        # analyze(); the five retimes after the recompile are checked.
+        base = load_packaged_bench("c432s")
+        gates = sorted(base.gates)
+        for seed in range(10):
+            rng = random.Random(seed)
+            circuit = Circuit.from_dict(base.to_dict())
+            incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+            incr.analyze()
+            for step in range(1, 16):
+                if step % 10 == 0:
+                    line = rng.choice(gates)
+                    gate = circuit.gates[line]
+                    pin = rng.randrange(gate.n_inputs)
+                    new = rng.choice(
+                        [pi for pi in circuit.inputs if pi not in gate.inputs]
+                    )
+                    circuit.rewire_input(line, pin, new)
+                    incr.analyze()
+                    continue
+                circuit.resize_gate(
+                    rng.choice(gates), rng.choice((0.5, 2.0, 4.0))
+                )
+                result = incr.retime()
+                if step > 10:
+                    reference = TimingAnalyzer(
+                        circuit, library
+                    ).analyze_per_gate()
+                    for lin in circuit.lines:
+                        assert _timings_equal(
+                            result.line(lin), reference.line(lin)
+                        ), f"seed={seed} step={step} {lin}"
+
+
+class TestDoubleRead:
+    BENCH = (
+        "INPUT(a)\nINPUT(b)\nOUTPUT(g)\nOUTPUT(h)\n"
+        "g = NAND(a, a)\nh = NAND(a, b)\n"
+    )
+
+    def test_engines_agree_on_a_gate_reading_one_line_twice(self, library):
+        from tests.test_perf_parity import assert_results_equal
+
+        circuit = parse_bench(self.BENCH, name="double_read")
+        per_gate = TimingAnalyzer(circuit, library).analyze_per_gate()
+        assert_results_equal(
+            circuit, per_gate, TimingAnalyzer(circuit, library).analyze()
+        )
+        incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+        incr.analyze()
+        # Resizing either reader re-loads a; g's refresh visits a twice.
+        for line, size in (("g", 2.0), ("h", 0.5), ("g", 4.0)):
+            circuit.resize_gate(line, size)
+            result = incr.retime()
+            assert incr.analyzer.load("a") == TimingAnalyzer(
+                circuit, library
+            ).load("a")
+            _assert_all_lines_equal(
+                circuit, result, _fresh_timings(circuit, library)
+            )
+        assert_results_equal(
+            circuit,
+            TimingAnalyzer(circuit, library).analyze_per_gate(),
+            incr.analyzer.analyze(),
+        )
 
 
 class TestTryEdits:

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from repro.circuit import GeneratorConfig, generate_circuit
+from repro.circuit import GeneratorConfig, generate_circuit, parse_bench
 from repro.models import PinToPinModel, VShapeModel
 from repro.sta import (
     LineRequired,
@@ -26,6 +26,7 @@ from repro.sta import (
     TimingAnalyzer,
     TimingSimulator,
 )
+from repro.sta.analysis import compute_loads
 
 NS = 1e-9
 
@@ -121,6 +122,20 @@ class TestForwardAnalysis:
         assert analyzer.load("G22") == pytest.approx(
             analyzer.config.po_load
         )
+
+    def test_pin_read_twice_loads_each_pin_once(self, library):
+        # g reads a on both pins and h on one: three NAND2 pins, each
+        # counted once (fanouts lists g twice; it used to count 4 + 1).
+        circuit = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(g)\nOUTPUT(h)\n"
+            "g = NAND(a, a)\nh = NAND(a, b)\n",
+            name="double_read",
+        )
+        cap = library.cell("NAND2").input_caps
+        loads = compute_loads(circuit, library, StaConfig())
+        assert loads["a"] == cap[0] + cap[1] + cap[0]
+        assert loads["a"] == pytest.approx(21e-15)
+        assert loads["b"] == cap[1]
 
 
 def random_stimuli(circuit, rng):

@@ -9,6 +9,9 @@ compiled pass to it across circuits, delay models, boundary-scenario
 batches, per-PI overrides, and the Monte Carlo sample axis.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,3 +219,143 @@ def test_level_counters_account_per_gate(library):
         assert registry.counter("sta.compile.columns").value == 6
     finally:
         set_registry(previous)
+
+
+# ----------------------------------------------------------------------
+# Compiled coefficients, leaf by leaf
+# ----------------------------------------------------------------------
+def _group_leaves(obj, path=""):
+    """Every (path, leaf) of one compiled group tree."""
+    if isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from _group_leaves(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            if field.name != "version":  # patch counter, not a coefficient
+                yield from _group_leaves(
+                    getattr(obj, field.name), f"{path}.{field.name}"
+                )
+    else:
+        yield path, obj
+
+
+def _compiled_leaves(compiled):
+    """{path: leaf} over every group of every level."""
+    return {
+        f"L{li}G{gi}{path}": leaf
+        for li, level in enumerate(compiled.levels)
+        for gi, group in enumerate(level)
+        for path, leaf in _group_leaves(group)
+    }
+
+
+def _assert_same_leaf(path, got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert got.shape == want.shape and got.dtype == want.dtype, path
+        assert np.ascontiguousarray(got).tobytes() == (
+            np.ascontiguousarray(want).tobytes()
+        ), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
+@pytest.mark.parametrize("edit", ["resize", "swap"])
+def test_patched_compile_equals_fresh_compile(edit, model_cls, library):
+    """An in-place patch leaves every leaf as a recompile would, rows too."""
+    from repro.sta import IncrementalAnalyzer
+    from repro.sta.compile import CompiledCircuit
+
+    circuit = load_packaged_bench("c432s")
+    incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library, model_cls()))
+    incr.analyze()
+    compiled = incr.analyzer._level.compiled
+    line = next(
+        g for g in sorted(circuit.gates)
+        if circuit.gates[g].cell_name() == "NAND2"
+    )
+    if edit == "resize":
+        circuit.resize_gate(line, 2.0)
+    else:
+        circuit.swap_cell(line, "nor")  # same shape key, new polarity
+    incr.retime()
+    assert incr.analyzer._level.compiled is compiled  # patched, not rebuilt
+    fresh = CompiledCircuit(circuit, library, model_cls(), StaConfig())
+    got, want = _compiled_leaves(compiled), _compiled_leaves(fresh)
+    assert got.keys() == want.keys()
+    for path in want:
+        _assert_same_leaf(path, got[path], want[path])
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_corner_compile_repeats_single_library_columns(model_cls, library):
+    """Four copies of one library compile to four equal corner columns."""
+    from repro.sta.compile import CompiledCircuit
+
+    circuit = load_packaged_bench("c880s")
+    single = _compiled_leaves(
+        CompiledCircuit(circuit, library, model_cls(), StaConfig())
+    )
+    copies = [copy.deepcopy(library) for _ in range(4)]
+    multi = _compiled_leaves(
+        CompiledCircuit(circuit, copies, model_cls(), StaConfig())
+    )
+    assert multi.keys() == single.keys()
+    for path, one in single.items():
+        four = multi[path]
+        if isinstance(one, np.ndarray) and one.dtype.kind == "f":
+            assert four.shape == one.shape[:-1] + (4,), path
+            for c in range(4):
+                _assert_same_leaf(f"{path}[{c}]", four[..., c], one[..., 0])
+        else:
+            _assert_same_leaf(path, four, one)
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
+    """Vectorized rows and load adjustments equal the per-gate scalars."""
+    from repro.sta.analysis import compute_loads
+    from repro.sta.compile import CompiledCircuit
+    from repro.sta.kernels import KernelContext
+
+    circuit = load_packaged_bench("c880s")
+    cc = CompiledCircuit(circuit, library, model_cls(), StaConfig())
+    loads = compute_loads(circuit, library, StaConfig())
+    ctx = KernelContext()
+    for line, (group, col, key) in cc._locs.items():
+        gate = circuit.gates[line]
+        cell = library.cell(gate.cell_name())
+        load = loads[line]
+        terms = []
+        if key[0] == "ctrl":
+            ctrl_in = cell.controlling_value == 1
+            out = cell.ctrl.out_rising
+            for pin, src in enumerate(gate.inputs):
+                assert group.ctrl_rows[pin, col] == cc.row(src, ctrl_in)
+                assert group.nonctrl_rows[pin, col] == cc.row(src, not ctrl_in)
+            assert group.out_ctrl[col] == cc.row(line, out)
+            assert group.out_nonctrl[col] == cc.row(line, not out)
+            terms += [
+                (group.d_adj_c, cell.load_adjusted_delay(out, load)),
+                (group.r_adj_c, cell.load_adjusted_trans(out, load)),
+                (group.d_adj_n, cell.load_adjusted_delay(not out, load)),
+                (group.r_adj_n, cell.load_adjusted_trans(not out, load)),
+            ]
+            if group.p_adj is not None:
+                terms.append((group.p_adj, cell.load_adjusted_delay(
+                    cell.nonctrl.out_rising, load
+                )))
+        else:
+            for d, out in zip(group.dirs, (True, False)):
+                index, _ = ctx.fanin_pack(cell, out)
+                for (pin, rising), arc in index.items():
+                    src = gate.inputs[pin]
+                    assert d.in_rows[arc, col] == cc.row(src, rising)
+                assert d.out_rows[col] == cc.row(line, out)
+                terms += [
+                    (d.d_adj, cell.load_adjusted_delay(out, load)),
+                    (d.r_adj, cell.load_adjusted_trans(out, load)),
+                ]
+        for leaf, want in terms:
+            assert leaf[col, 0] == want, line
