@@ -13,6 +13,9 @@ refinement per fault, fresh faulty simulator per candidate vector):
   structure-of-arrays pass (``repro.sta.compile``) vs. the scalar
   reference on the two largest packaged circuits, plus the compile
   itself as a ratio to one compiled pass.
+* **STA required times** — the compiled backward pass
+  (``TimingAnalyzer.compute_required``) vs. the per-gate reference walk
+  (``compute_required_per_gate``) on c7552s, as an in-run ratio.
 * **Incremental STA trials** — per-edit cost of
   ``IncrementalAnalyzer`` what-if batches (``try_edits``, a K=32 size
   ladder per gate) and solo re-times vs. the full level pass, on the
@@ -279,6 +282,35 @@ def bench_sta_level(circuits, library, passes):
     out["compile_vs_pass_ratio"] = total_compile / total_level
     out["speedup"] = total_base / total_level
     return out
+
+
+def bench_sta_required(circuit, library, passes):
+    """Backward pass: compiled required times vs. the per-gate walk.
+
+    Both legs time best-of-N on one warm analyzer (compiled, forward
+    pass done, one backward pass run) over the same forward result, so
+    ``compiled_vs_per_gate_ratio`` compares the two backward walks
+    alone, measured in the same run.  Results are bit-identical — the
+    ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
+    enforce that; this only measures time.
+    """
+    analyzer = TimingAnalyzer(circuit, library)
+    result = analyzer.analyze()
+    analyzer.compute_required(result)
+    compiled_s, _ = _best_of(
+        passes, lambda: analyzer.compute_required(result)
+    )
+    per_gate_s, _ = _best_of(
+        passes, lambda: analyzer.compute_required_per_gate(result)
+    )
+    return {
+        "circuit": circuit.name,
+        "passes": passes,
+        "compiled_s": compiled_s,
+        "per_gate_s": per_gate_s,
+        "compiled_vs_per_gate_ratio": compiled_s / per_gate_s,
+        "speedup": per_gate_s / compiled_s,
+    }
 
 
 def bench_itr(circuit, library, decisions, repeats):
@@ -660,6 +692,10 @@ def main():
     report["sta_full_pass_level"] = bench_sta_level(
         level_circuits, library, passes
     )
+    print("benchmarking STA required times ...", flush=True)
+    report["sta_required"] = bench_sta_required(
+        level_circuits[1], library, passes
+    )
     print("benchmarking incremental STA trials ...", flush=True)
     report["sta_incremental"] = bench_sta_incremental(
         level_circuits, library, passes, trial_gates=4 if args.quick else 12
@@ -695,8 +731,9 @@ def main():
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for name in (
-        "sta_full_pass", "sta_full_pass_level", "sta_incremental",
-        "itr_refine", "atpg_with_itr", "mc", "corner", "server",
+        "sta_full_pass", "sta_full_pass_level", "sta_required",
+        "sta_incremental", "itr_refine", "atpg_with_itr", "mc", "corner",
+        "server",
     ):
         entry = report[name]
         speedup = entry.get("speedup", entry.get("speedup_serial"))

@@ -10,8 +10,9 @@ plus a physical ground-truth check:
 * ``memo``      — propagation-memo per-gate walk vs. memo-free, bit for
   bit;
 * ``level``     — the level-compiled structure-of-arrays pass
-  (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, bit for
-  bit;
+  (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, and its
+  backward pass (``compute_required``, at the default and a
+  setup+hold clock) vs. the per-gate backward walk, bit for bit;
 * ``incremental`` — cone-limited re-timing and ``try_edits`` trial
   batches vs. a fresh scalar analysis after every edit of a random
   mutation sequence (batched cone replay, and the per-gate gear once a
@@ -174,22 +175,61 @@ def _window_mismatches(circuit, base, fast, limit: int = 4) -> List[str]:
     return problems
 
 
+def _required_mismatches(
+    circuit, base_analyzer, base, fast_analyzer, fast, limit: int = 4
+) -> List[str]:
+    """Compiled vs. per-gate required windows, bit for bit.
+
+    Checked at the default clock (zero setup slack, no hold bound) and
+    at a setup+hold clock derived from the pass itself (0.9x the latest
+    output arrival, the earliest as hold bound), so no generator draw
+    is spent on it.
+    """
+    try:
+        late = base.output_max_arrival()
+        early = base.output_min_arrival()
+    except ValueError:  # no active output transition: nothing to time
+        return []
+    problems: List[str] = []
+    clocks = (
+        ("default clock", {}),
+        ("setup+hold clock", {"setup_time": 0.9 * late, "hold_time": early}),
+    )
+    for label, clock in clocks:
+        want = base_analyzer.compute_required_per_gate(base, **clock)
+        got = fast_analyzer.compute_required(fast, **clock)
+        for line in circuit.lines:
+            for direction in ("rise", "fall"):
+                w = getattr(want[line], direction)
+                g = getattr(got[line], direction)
+                if w.q_s != g.q_s or w.q_l != g.q_l:
+                    problems.append(
+                        f"{label} {line}.{direction}: "
+                        f"Q=[{g.q_s!r},{g.q_l!r}] != [{w.q_s!r},{w.q_l!r}]"
+                    )
+                    if len(problems) >= limit:
+                        return problems
+    return problems
+
+
 def _compare_sta(
     case: FuzzCase, fast_perf: Optional[PerfConfig]
 ) -> OracleResult:
     """The scalar per-gate walk vs. a fast path over the case's models.
 
-    The fast path is the per-gate walk under ``fast_perf``, or the
-    level-compiled :meth:`TimingAnalyzer.analyze` when it is None.
+    The fast path is the per-gate walk under ``fast_perf``, or, when it
+    is None, the level-compiled :meth:`TimingAnalyzer.analyze` plus the
+    compiled backward pass :meth:`TimingAnalyzer.compute_required`.
     """
     circuit = case.build_circuit()
     config = case.build_sta_config()
     overrides = case.build_pi_overrides()
     library = shared_library()
     for name, model in case.build_models():
-        base = TimingAnalyzer(
+        base_analyzer = TimingAnalyzer(
             circuit, library, model, config, perf=SCALAR
-        ).analyze_per_gate(pi_overrides=overrides)
+        )
+        base = base_analyzer.analyze_per_gate(pi_overrides=overrides)
         fast_analyzer = TimingAnalyzer(
             circuit, library, model, config, perf=fast_perf
         )
@@ -199,6 +239,10 @@ def _compare_sta(
             else fast_analyzer.analyze_per_gate(pi_overrides=overrides)
         )
         problems = _window_mismatches(circuit, base, fast)
+        if not problems and fast_perf is None:
+            problems = _required_mismatches(
+                circuit, base_analyzer, base, fast_analyzer, fast
+            )
         if problems:
             return OracleResult(
                 False, f"model={name}: " + "; ".join(problems)
@@ -293,7 +337,8 @@ def _check_level(case: FuzzCase) -> OracleResult:
 register_oracle(Oracle(
     name="level",
     description="level-compiled structure-of-arrays pass vs. scalar "
-                "corner search (bit-identical STA windows)",
+                "corner search (bit-identical STA windows and "
+                "required times)",
     generate=_gen_level,
     check=_check_level,
     supports_pi_windows=True,
@@ -721,10 +766,10 @@ def _check_serve(case: FuzzCase) -> OracleResult:
     one in-process :class:`ServerApp`, exercising the per-circuit
     queue, drainer batching, what-if coalescing, and the dedup/memo
     path via the planted duplicate), then rebuilds every answer cold —
-    SCALAR-config analyzers, serial ``run_mc``, one fresh analysis per
-    what-if edit — formatted through the shared
-    :mod:`repro.server.session` serializers, so any diff is engine
-    output, not formatting.
+    SCALAR-config per-gate walks (forward, and backward for ``slack``),
+    serial ``run_mc``, one fresh analysis per what-if edit — formatted
+    through the shared :mod:`repro.server.session` serializers, so any
+    diff is engine output, not formatting.
     """
     import asyncio
 
@@ -782,8 +827,11 @@ def _check_serve(case: FuzzCase) -> OracleResult:
             analyzer, result = scalar(model)
             clock_ns = params["clock_ns"]
             clock_s = clock_ns * 1e-9 if clock_ns is not None else None
+            required = analyzer.compute_required_per_gate(
+                result, setup_time=clock_s
+            )
             return srv.slack_payload(
-                analyzer, result, clock_s, params["worst"]
+                analyzer, result, required, clock_s, params["worst"]
             )
         if request.method == "path":
             analyzer, result = scalar(model)

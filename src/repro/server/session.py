@@ -12,7 +12,9 @@ Bitwise parity with the one-shot CLI is a hard contract, kept by
 construction rather than by luck:
 
 * windows/slack/path answers read the master ``StaResult`` of a full
-  level-compiled pass, the same pass the CLI's ``sta`` runs;
+  level-compiled pass, the same pass the CLI's ``sta`` runs, and
+  ``slack`` the compiled backward pass of ``compute_required`` that
+  the CLI's ``report`` runs;
 * ``mc`` replays the exact serial loop of :func:`repro.stat.runner.run_mc`
   (same ``plan_blocks`` decomposition, same ``_run_block`` per block,
   same ``McResult.summary``), so the response equals ``repro-sta mc
@@ -38,6 +40,7 @@ from ..obs import get_registry
 from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from ..sta.incremental import IncrementalAnalyzer, TrialEdit
 from ..sta.report import TimingReporter
+from ..sta.windows import LineRequired
 from ..stat.aggregate import McResult
 from ..stat.runner import MC_MODELS, _run_block, plan_blocks
 from ..stat.engine import MonteCarloEngine
@@ -82,11 +85,16 @@ def windows_payload(result: StaResult, lines: List[str]) -> dict:
 def slack_payload(
     analyzer: TimingAnalyzer,
     result: StaResult,
+    required: Dict[str, LineRequired],
     clock_s: Optional[float],
     worst: int,
 ) -> dict:
-    """The ``slack`` method's result body: WNS/TNS + worst endpoints."""
-    required = analyzer.compute_required(result, setup_time=clock_s)
+    """The ``slack`` method's result body: WNS/TNS + worst endpoints.
+
+    ``required`` is the backward pass under ``setup_time=clock_s``:
+    the daemon's from ``compute_required``, the ``serve`` fuzz oracle's
+    from the per-gate reference walk.
+    """
     reporter = TimingReporter(analyzer, result)
     entries = reporter.slack_table(required, worst=len(result.timings) + 1)
     slacks = [entry[-1] for entry in entries]
@@ -323,9 +331,10 @@ class CircuitSession:
         result = self._session_result(model)
         clock_ns = params["clock_ns"]
         clock_s = clock_ns * NS if clock_ns is not None else None
+        analyzer = self._session_incr(model).analyzer
+        required = analyzer.compute_required(result, setup_time=clock_s)
         return slack_payload(
-            self._session_incr(model).analyzer, result, clock_s,
-            params["worst"],
+            analyzer, result, required, clock_s, params["worst"]
         )
 
     def _do_path(self, params: dict) -> dict:

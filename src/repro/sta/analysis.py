@@ -5,12 +5,13 @@ corner identification of :mod:`repro.sta.corners`; backward traversal
 computes required-time windows; the two together flag potential delay
 errors (arrival range outside the required range).
 
-Full forward passes run on the level-compiled engine of
-:mod:`repro.sta.compile`.  The gate-at-a-time walk
+Full forward passes and the backward pass run on the level-compiled
+engine of :mod:`repro.sta.compile`.  The gate-at-a-time walk
 (:meth:`TimingAnalyzer.propagate_gate`) serves the per-gate work of ITR,
 ATPG and incremental seeding, and as a whole pass
 (:meth:`TimingAnalyzer.analyze_per_gate`) it is the scalar reference the
-compiled pass is diffed against.
+compiled pass is diffed against; :meth:`TimingAnalyzer
+.compute_required_per_gate` is the same for the backward pass.
 
 The analyzer is model-parametric: with :class:`~repro.models.VShapeModel`
 it exploits simultaneous to-controlling switching (smaller, more accurate
@@ -537,6 +538,30 @@ class TimingAnalyzer:
         ratios = [float(v) for v in cell.ctrl.multi_scale.values()]
         return best * min(ratios) if ratios else best
 
+    def _po_required(
+        self,
+        result: StaResult,
+        po_required: Optional[Dict[str, LineRequired]],
+        setup_time: Optional[float],
+        hold_time: Optional[float],
+    ) -> Dict[str, LineRequired]:
+        """The backward traversal's starting requirements."""
+        if po_required is not None:
+            return po_required
+        q_l = (
+            setup_time
+            if setup_time is not None
+            else result.output_max_arrival()
+        )
+        q_s = hold_time if hold_time is not None else -math.inf
+        return {
+            po: LineRequired(
+                rise=RequiredWindow(q_s, q_l),
+                fall=RequiredWindow(q_s, q_l),
+            )
+            for po in self.circuit.outputs
+        }
+
     def compute_required(
         self,
         result: StaResult,
@@ -545,6 +570,10 @@ class TimingAnalyzer:
         hold_time: Optional[float] = None,
     ) -> Dict[str, LineRequired]:
         """Backward traversal of required-time windows.
+
+        Runs on the level-compiled engine (see :meth:`level_engine`) in
+        reverse level order; bit-identical to
+        :meth:`compute_required_per_gate`.
 
         Args:
             result: Forward STA result (supplies transition-time windows).
@@ -558,21 +587,30 @@ class TimingAnalyzer:
             Required windows for every line.
         """
         self._sync_epoch()
+        engine = self.level_engine()
         with self._obs.timer("sta.backward_s"):
-            if po_required is None:
-                q_l = (
-                    setup_time
-                    if setup_time is not None
-                    else result.output_max_arrival()
-                )
-                q_s = hold_time if hold_time is not None else -math.inf
-                po_required = {
-                    po: LineRequired(
-                        rise=RequiredWindow(q_s, q_l),
-                        fall=RequiredWindow(q_s, q_l),
-                    )
-                    for po in self.circuit.outputs
-                }
+            return engine.required(
+                result,
+                self._po_required(result, po_required, setup_time, hold_time),
+            )
+
+    def compute_required_per_gate(
+        self,
+        result: StaResult,
+        po_required: Optional[Dict[str, LineRequired]] = None,
+        setup_time: Optional[float] = None,
+        hold_time: Optional[float] = None,
+    ) -> Dict[str, LineRequired]:
+        """The scalar reference backward walk: one gate at a time.
+
+        Same arguments and answers as :meth:`compute_required`; the
+        parity tests and fuzz oracles diff the compiled pass against it.
+        """
+        self._sync_epoch()
+        with self._obs.timer("sta.backward_s"):
+            po_required = self._po_required(
+                result, po_required, setup_time, hold_time
+            )
             required: Dict[str, LineRequired] = {
                 line: LineRequired() for line in self.circuit.lines
             }

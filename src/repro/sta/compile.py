@@ -18,7 +18,11 @@ NumPy ops:
   evaluates the DR / D0R / SR corner-candidate surfaces for all ``G``
   gates at once — the same candidate sets as
   :mod:`repro.sta.kernels`, with inactive fan-in lanes carried as NaN
-  and masked out of every reduction — and scatters the output windows.
+  and masked out of every reduction — and scatters the output windows;
+* a backward pass (:meth:`LevelCompiledAnalyzer.required`) walks the
+  same levels in reverse over the same groups, turning each output's
+  required-time window into per-arc bounds on its inputs and folding
+  them in with ``np.maximum.at`` / ``np.minimum.at``.
 
 Compile layout.  The paper characterizes its K-coefficient formulas
 once per cell, and the compile follows that structure:
@@ -57,6 +61,10 @@ pair-overlap predicate uses the exact ``a_s <= a_l + OVERLAP_TOL`` form
 of :meth:`~repro.sta.windows.DirWindow.overlaps_arrivals`; and every
 load adjustment repeats the scalar expression of
 :meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`.
+The backward pass keeps the same contract against
+:meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`:
+its only reductions are min and max, which are exact and independent
+of the order in which fan-out branches are folded in.
 The ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
 enforce this.
 """
@@ -101,7 +109,9 @@ from .windows import (
     OVERLAP_TOL,
     POTENTIAL,
     DirWindow,
+    LineRequired,
     LineTiming,
+    RequiredWindow,
 )
 
 #: One boundary scenario: ((a_s, a_l), (t_s, t_l)) applied to every PI.
@@ -257,6 +267,7 @@ class _CtrlGroup:
     pscale_c: Optional[np.ndarray]  # (4 * pairs, G, C) Λ-peak pair scales
     rt: Optional[np.ndarray]        # (P+1, G, C) multi-input delay ratios
     rt_t: Optional[np.ndarray]      # (P+1, G, C) multi-input trans ratios
+    rt_min: Optional[np.ndarray]    # (G, C) smallest delay ratio (backward)
     pa: Optional[np.ndarray]        # (pairs,) first member pin
     pb: Optional[np.ndarray]        # (pairs,) second member pin
     #: bumped by every in-place patch; column-subset caches key on it.
@@ -385,8 +396,55 @@ def _pair_scales(record: SimultaneousTiming, pairs) -> np.ndarray:
     )
 
 
+def _min_ratio(record: SimultaneousTiming) -> float:
+    """Smallest multi-input delay ratio (1.0, an exact identity, if none)."""
+    ratios = [float(v) for v in record.multi_scale.values()]
+    return min(ratios) if ratios else 1.0
+
+
 def _dir(rising: bool) -> str:
     return "R" if rising else "F"
+
+
+_PARTNER_CACHE: Dict[int, Tuple[np.ndarray, ...]] = {}
+
+
+def _partner_combos(n: int) -> Tuple[np.ndarray, ...]:
+    """Index arrays of the backward pass's V-shape minimum candidates.
+
+    Candidates run pin-major — for each pin, every other pin as its
+    partner, then (pin ``t_s``, pin ``t_l``) x (partner arc ``t_lo``,
+    ``t_hi``) — so the ``4 * (n - 1)`` candidates of one pin are one
+    contiguous run.  Rows index a stacked ``(2n, 2, ...)`` array: the
+    pins' clamped windows first, the partners' arc endpoints after.
+
+    Returns:
+        ``(own_i, own_k, other_i, other_k, x_i, x_k, y_i, y_k,
+        scale_row)``: the candidate's own and partner endpoints, the
+        same two in pin-position order (the D0 surface's ``x`` is the
+        lower position), and the pair's row in ``scale_c``.
+    """
+    entry = _PARTNER_CACHE.get(n)
+    if entry is not None:
+        return entry
+    _, _, _, _, pairs = _pair_combos(n)
+    scale_row = {pair: 4 * k for k, pair in enumerate(pairs)}
+    rows = []
+    for pin in range(n):
+        for partner in range(n):
+            if partner == pin:
+                continue
+            for k_own in (0, 1):
+                for k_other in (0, 1):
+                    own, other = (pin, k_own), (n + partner, k_other)
+                    x, y = (own, other) if pin < partner else (other, own)
+                    rows.append((
+                        *own, *other, *x, *y,
+                        scale_row[min(pin, partner), max(pin, partner)],
+                    ))
+    entry = tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
+    _PARTNER_CACHE[n] = entry
+    return entry
 
 
 # ----------------------------------------------------------------------
@@ -635,6 +693,7 @@ class CompiledCircuit:
                     cells,
                     lambda c: ratio_table(c.ctrl.trans_multi_scale, n_pins),
                 )
+                table["rt_min"] = _table(cells, lambda c: _min_ratio(c.ctrl))
             return table
         for out_rising in (True, False):
             d = _dir(out_rising)
@@ -721,6 +780,7 @@ class CompiledCircuit:
                 pscale_c=col.get("pscale_c"),
                 rt=col.get("rt"),
                 rt_t=col.get("rt_t"),
+                rt_min=col.get("rt_min"),
                 pa=pa,
                 pb=pb,
             )
@@ -1058,6 +1118,78 @@ class LevelCompiledAnalyzer:
             a_s, a_l, t_s, t_l, states, cc.line_index, cc.n_lines
         )
 
+    def required(
+        self,
+        result: StaResult,
+        po_required: Dict[str, LineRequired],
+    ) -> Dict[str, LineRequired]:
+        """The compiled backward pass: required-time windows per line.
+
+        Walks the forward levels in reverse over the forward groups.
+        Every arc turns its output's ``(Q_S, Q_L)`` into the bound
+        ``(Q_S - d_min, Q_L - d_max)`` on its input, with the pin-to-pin
+        delay range over the input's transition window (and, under a
+        pair-merge model, the V-shape minimum for to-controlling arcs).
+        Bounds are folded into the input rows with ``np.maximum.at`` /
+        ``np.minimum.at``: max and min are exact and order-free, so a
+        line read by several arcs — across fan-out, or twice by one
+        gate — gets the same bits as the per-gate walk.
+
+        Args:
+            result: Forward windows (any engine); arcs out of inactive
+                input directions are skipped.
+            po_required: Starting requirement per line (normally the
+                primary outputs); every other line starts unconstrained.
+
+        Returns:
+            Required windows for every line, bit-identical to
+            :meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`.
+        """
+        cc = self.compiled
+        if cc.n_corners > 1:
+            raise ValueError("required times need a single-corner compile")
+        n = cc.n_lines
+        timings = result.timings
+        windows = [timings[line].rise for line in cc.lines]
+        windows += [timings[line].fall for line in cc.lines]
+        states = np.array([w.state for w in windows], dtype=np.int8)
+        t_s = np.array([w.t_s for w in windows], dtype=float)[:, None]
+        t_l = np.array([w.t_l for w in windows], dtype=float)[:, None]
+        q_s = np.full((2 * n, 1), -np.inf)
+        q_l = np.full((2 * n, 1), np.inf)
+        unconstrained = RequiredWindow()
+        for line, req in po_required.items():
+            i = cc.line_index[line]
+            for r, want in ((i, req.rise), (i + n, req.fall)):
+                start = unconstrained.tighten(want)
+                q_s[r] = start.q_s
+                q_l[r] = start.q_l
+        ins = (t_s, t_l, states)
+        q = (q_s, q_l)
+        back = self._back_arcs
+        for level in reversed(cc.levels):
+            for group in level:
+                if isinstance(group, _CtrlGroup):
+                    merge = group if group.shape is not None else None
+                    back(group.pack, group.d_adj_c, group.ctrl_rows,
+                         group.out_ctrl, ins, q, merge)
+                    back(group.npack, group.d_adj_n, group.nonctrl_rows,
+                         group.out_nonctrl, ins, q)
+                    continue
+                for d in group.dirs:
+                    if d is not None:
+                        back(d.pack, d.d_adj, d.in_rows, d.out_rows, ins, q)
+        # tolist() gives the bit-identical Python floats, as in _extract.
+        early = q_s[:, 0].tolist()
+        late = q_l[:, 0].tolist()
+        return {
+            line: LineRequired(
+                rise=RequiredWindow(early[i], late[i]),
+                fall=RequiredWindow(early[i + n], late[i + n]),
+            )
+            for i, line in enumerate(cc.lines)
+        }
+
     # ------------------------------------------------------------------
     def run_group(
         self,
@@ -1321,6 +1453,8 @@ class LevelCompiledAnalyzer:
             ratio = grp.rt[overlap_k, grp.gate_idx, cidx]
             t_ratio = grp.rt_t[overlap_k, grp.gate_idx, cidx]
             tc = np.stack([c_lo, c_hi], axis=1)  # (P, 2, G, B)
+            # One cube root per pin endpoint; the combos index into it.
+            rc = cbrt_grid(tc)
             qa2e = grp.pack.q_a2[:, :, None]  # (2, A, 1, G, C)
             qa1e = grp.pack.q_a1[:, :, None]
             qa0e = grp.pack.q_a0[:, :, None]
@@ -1338,7 +1472,7 @@ class LevelCompiledAnalyzer:
             t_hi_c = tc[jj, kj]
             dr_lo = dr[ii, ki]
             dr_hi = dr[jj, kj]
-            roots = (cbrt_grid(t_lo_c), cbrt_grid(t_hi_c))
+            roots = (rc[ii, ki], rc[jj, kj])
             d0, s_pos, s_neg = vshape_anchor_surfaces(
                 grp.shape, t_lo_c, t_hi_c, grp.scale_c,
                 dr_lo, dr_hi, d_adj, f=f, roots=roots, g=ge,
@@ -1490,9 +1624,11 @@ class LevelCompiledAnalyzer:
             ii, jj, ki, kj, pairs = _pair_combos(grp.n_pins)
             tail_lo = tails[ii, ki]
             tail_hi = tails[jj, kj]
+            rc = cbrt_grid(tc)
             p0, s_pos, s_neg = peak_anchor_surfaces(
                 grp.peak, tc[ii, ki], tc[jj, kj],
-                grp.pscale_c, tail_lo, tail_hi, p_adj, f=f, g=gl,
+                grp.pscale_c, tail_lo, tail_hi, p_adj, f=f,
+                roots=(rc[ii, ki], rc[jj, kj]), g=gl,
             )
             asi, asj = a_s_in[ii], a_s_in[jj]
             ali, alj = a_l_in[ii], a_l_in[jj]
@@ -1519,6 +1655,88 @@ class LevelCompiledAnalyzer:
             grp.out_nonctrl, n_act > 0, state, (a_s, a_l, t_s, t_l),
             arrays, states,
         )
+
+    # ------------------------------------------------------------------
+    # Per-group backward kernels
+    # ------------------------------------------------------------------
+    @classmethod
+    def _back_arcs(
+        cls,
+        pack: _StackedPack,
+        d_adj: np.ndarray,
+        in_rows: np.ndarray,
+        out_rows: np.ndarray,
+        ins: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        q: Tuple[np.ndarray, np.ndarray],
+        merge: Optional[_CtrlGroup] = None,
+    ) -> None:
+        """Fold the arcs ``pack`` (rows ``in_rows`` -> ``out_rows``) into
+        the required windows ``q`` of their inputs.
+
+        ``d_min`` / ``d_max`` are the forward pass's own expressions;
+        ``merge`` (a pair-merge ctrl group whose to-controlling arcs
+        these are) swaps in the V-shape minimum for ``d_min``.
+        """
+        t_s, t_l, states = ins
+        q_s, q_l = q
+        act = states[in_rows] != IMPOSSIBLE  # (A, G)
+        c_lo = np.minimum(np.maximum(t_s[in_rows], pack.t_lo), pack.t_hi)
+        c_hi = np.minimum(np.maximum(t_l[in_rows], pack.t_lo), pack.t_hi)
+        mins, maxs = quad_extremes_batch(
+            pack.d_a2, pack.d_a1, pack.d_a0, c_lo, np.maximum(c_hi, c_lo)
+        )
+        d_min = mins + d_adj
+        d_max = maxs + d_adj
+        if merge is not None:
+            d_min = cls._vshape_min(merge, d_min, c_lo, c_hi)
+        lo = q_s[out_rows] - d_min
+        hi = q_l[out_rows] - d_max
+        if not act.all():
+            actb = act[:, :, None]
+            lo = np.where(actb, lo, -np.inf)
+            hi = np.where(actb, hi, np.inf)
+        np.maximum.at(q_s, in_rows, lo)
+        np.minimum.at(q_l, in_rows, hi)
+
+    @staticmethod
+    def _vshape_min(
+        grp: _CtrlGroup,
+        d_min: np.ndarray,
+        c_lo: np.ndarray,
+        c_hi: np.ndarray,
+    ) -> np.ndarray:
+        """Smallest to-controlling delay through each pin, ``(P, G, 1)``.
+
+        The per-gate ``_ctrl_min_delay``: a perfectly aligned partner
+        brings the delay down to the V-shape vertex, so every (pin,
+        partner) pair contributes ``min(D0, DR_pin, DR_partner)`` with
+        the pin at its clamped ``t_s`` / ``t_l`` and the partner at its
+        arc's ``t_lo`` / ``t_hi``.  The pin's minimum over those and its
+        pin-to-pin ``d_min`` is scaled by the cell's smallest
+        multi-input ratio.
+        """
+        pack = grp.pack
+        own_i, own_k, oth_i, oth_k, x_i, x_k, y_i, y_k, srow = (
+            _partner_combos(grp.n_pins)
+        )
+        t = np.concatenate([
+            np.stack([c_lo, c_hi], axis=1),
+            np.stack([pack.t_lo, pack.t_hi], axis=1),
+        ])  # (2P, 2, G, 1)
+        roots = cbrt_grid(t)
+        a2, a1, a0 = (
+            np.concatenate([a, a])[:, None]
+            for a in (pack.d_a2, pack.d_a1, pack.d_a0)
+        )
+        dr = (a2 * t + a1) * t + a0 + grp.d_adj_c
+        d0 = (
+            grp.shape.d0.eval_roots(roots[x_i, x_k], roots[y_i, y_k])
+            * grp.scale_c[srow]
+            + grp.d_adj_c
+        )
+        cand = np.minimum(np.minimum(d0, dr[own_i, own_k]), dr[oth_i, oth_k])
+        per_pin = cand.reshape((grp.n_pins, -1) + cand.shape[1:]).min(axis=1)
+        return np.minimum(d_min, per_pin) * grp.rt_min
 
     # ------------------------------------------------------------------
     # Extraction

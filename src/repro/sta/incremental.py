@@ -261,6 +261,8 @@ class IncrementalAnalyzer:
         #: Persistent SoA window state of the last full level pass; the
         #: batched cone re-timer mutates it in place.
         self._cw = None
+        #: The compile ``_cw`` came from (see :meth:`_batched_ready`).
+        self._cw_of = None
         #: (id(group), cols) -> (group.version, subset) — cones revisit
         #: the same group columns across edits (optimizer trial loops),
         #: so slices are memoized until a patch bumps the version.  The
@@ -293,8 +295,21 @@ class IncrementalAnalyzer:
         result = self.analyzer.analyze()
         self._timings = result.timings
         self._cw = self.analyzer._level.last_windows
+        self._cw_of = self.analyzer._level.compiled
         self._m_full.inc()
         return result
+
+    def _batched_ready(self) -> bool:
+        """Whether the batched gear may replay cones over ``_cw``.
+
+        ``_cw`` is only current alongside the compile it came from
+        (patched in place or not).  A compile built since — say by
+        ``compute_required`` after a rewire dropped the old one — has
+        not seen the per-gate gear's updates, so until the next full
+        pass the per-gate gear stays in charge.
+        """
+        level = self.analyzer._level
+        return level is not None and level.compiled is self._cw_of
 
     # ------------------------------------------------------------------
     # Incremental pass
@@ -313,7 +328,7 @@ class IncrementalAnalyzer:
         if not seeds:
             return StaResult(self.circuit, self._timings)
         self._sync_compiled()
-        if self.analyzer._level is not None:
+        if self._batched_ready():
             return self._retime_batched(seeds)
         return self._retime_scalar(seeds)
 
@@ -483,7 +498,7 @@ class IncrementalAnalyzer:
         self._m_trials.inc(len(edits))
         self._m_trial_batches.inc()
         with self._obs.timer("sta.incr.trial_s"):
-            if self.analyzer._level is not None:
+            if self._batched_ready():
                 result = self._try_batched(edits)
                 if result is not None:
                     return result

@@ -209,6 +209,92 @@ class TestDoubleRead:
         )
 
 
+class TestRequiredTimes:
+    """``compute_required`` runs on the compile the incremental engine
+    keeps current, so it must follow every edit like a fresh analyzer."""
+
+    @staticmethod
+    def _assert_required_match_fresh(circuit, library, analyzer, result):
+        reference = TimingAnalyzer(
+            Circuit.from_dict(circuit.to_dict()), library
+        )
+        fresh = reference.analyze_per_gate()
+        clocks = ({}, {
+            "setup_time": 0.9 * fresh.output_max_arrival(),
+            "hold_time": fresh.output_min_arrival(),
+        })
+        for clock in clocks:
+            got = analyzer.compute_required(result, **clock)
+            want = reference.compute_required_per_gate(fresh, **clock)
+            for line in circuit.lines:
+                assert got[line] == want[line], (clock, line)
+
+    @staticmethod
+    def _rewire_target(circuit):
+        """(gate, new PI source, side driver): a gate whose pin 0 a gate
+        drives (so rewiring it to a PI moves its windows), and the
+        driver of another input of one of its fan-outs."""
+        for line in sorted(circuit.gates):
+            gate = circuit.gates[line]
+            if gate.n_inputs < 2 or circuit.driver(gate.inputs[0]) is None:
+                continue
+            for sink in circuit.fanouts(line):
+                for src in sink.inputs:
+                    driver = circuit.driver(src)
+                    if src != line and driver is not None:
+                        new = next(
+                            pi for pi in circuit.inputs
+                            if pi not in gate.inputs
+                        )
+                        return line, new, driver.output
+        raise AssertionError("no rewire target")
+
+    def test_resize_reads_the_patched_compile(self, library):
+        circuit = load_packaged_bench("c432s")
+        incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+        incr.analyze()
+        compiled = incr.analyzer._level.compiled
+        line, _, _ = self._rewire_target(circuit)
+        circuit.resize_gate(line, 4.0)
+        result = incr.retime()
+        assert incr.analyzer._level.compiled is compiled  # patched
+        self._assert_required_match_fresh(
+            circuit, library, incr.analyzer, result
+        )
+
+    def test_rewire_drops_the_compile(self, library):
+        circuit = load_packaged_bench("c432s")
+        incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+        incr.analyze()
+        line, new, side = self._rewire_target(circuit)
+        circuit.rewire_input(line, 0, new)
+        result = incr.retime()
+        assert incr.analyzer._level is None  # dropped, per-gate gear
+        self._assert_required_match_fresh(
+            circuit, library, incr.analyzer, result
+        )
+        # compute_required compiled the edited circuit.  The window
+        # state the batched gear replays cones over came from the old
+        # compile and missed the per-gate gear's updates (the rewired
+        # gate's cone), so later re-times and trials must not pair it
+        # with the new compile: re-timing the side driver's cone reads
+        # the rewired gate's output.
+        assert incr.analyzer._level is not None
+        circuit.resize_gate(side, 4.0)
+        result = incr.retime()
+        _assert_all_lines_equal(
+            circuit, result, _fresh_timings(circuit, library)
+        )
+        trial = incr.try_edits([TrialEdit("resize", line, 4.0)])
+        variant = Circuit.from_dict(circuit.to_dict())
+        variant.resize_gate(line, 4.0)
+        reference = _fresh_timings(variant, library)
+        for lin in circuit.lines:
+            assert _timings_equal(
+                trial.line_timing(lin, 0), reference.line(lin)
+            ), lin
+
+
 class TestTryEdits:
     @pytest.mark.parametrize("gear", GEARS)
     def test_columns_match_fresh_variants(self, library, gear):

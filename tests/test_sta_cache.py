@@ -132,7 +132,8 @@ def test_analyzer_counters_track_real_work():
 def test_atpg_base_refinement_is_served_from_the_memo():
     # CrosstalkAtpg's sign-off pass is the per-gate walk, so the base ITR
     # refinement every search starts from finds each gate in the memo —
-    # and ATPG never pays for a compile.
+    # and ATPG runs no compiled forward pass (its required times compile
+    # the circuit for the backward pass only).
     from repro.atpg import CrosstalkAtpg
     from repro.characterize.library import CellLibrary
     from repro.circuit import load_packaged_bench

@@ -11,15 +11,22 @@ batches, per-PI overrides, and the Monte Carlo sample axis.
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.circuit import load_packaged_bench
+from repro.circuit import load_packaged_bench, parse_bench
+from repro.circuit.bench import packaged_bench_path
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
 from repro.sta.analysis import PerfConfig, StaConfig, TimingAnalyzer
-from repro.sta.windows import DirWindow, LineTiming
+from repro.sta.windows import (
+    DirWindow,
+    LineRequired,
+    LineTiming,
+    RequiredWindow,
+)
 from repro.stat.engine import MonteCarloEngine
 from tests.test_perf_parity import assert_results_equal
 
@@ -145,6 +152,110 @@ def test_propagate_rejects_bad_batch_inputs(library):
         analyzer.propagate(factors=np.ones((n + 1, 2)))
     with pytest.raises(ValueError, match="boundary"):
         analyzer.propagate(boundaries=[])
+
+
+# ----------------------------------------------------------------------
+# The backward pass: required times
+# ----------------------------------------------------------------------
+#: Every benchmark shipped in the package.
+PACKAGED = sorted(
+    path.stem for path in packaged_bench_path("c17").parent.glob("*.bench")
+)
+
+
+def _clocks(circuit, result):
+    """Backward-pass boundary conditions: the default clock, a
+    setup+hold clock derived from the pass, and explicit per-output
+    requirements that differ by output and direction."""
+    late = result.output_max_arrival()
+    early = result.output_min_arrival()
+    explicit = {
+        po: LineRequired(
+            rise=RequiredWindow(
+                early * (i % 3) / 2, late * (0.7 + 0.05 * (i % 5))
+            ),
+            fall=RequiredWindow(-math.inf, late * (0.75 + 0.05 * (i % 4))),
+        )
+        for i, po in enumerate(circuit.outputs)
+    }
+    return {
+        "default clock": {},
+        "setup+hold clock": {"setup_time": 0.9 * late, "hold_time": early},
+        "explicit po_required": {"po_required": explicit},
+    }
+
+
+def assert_required_equal(circuit, got, want, label=""):
+    assert got.keys() == want.keys()
+    for line in circuit.lines:
+        for direction in ("rise", "fall"):
+            g = getattr(got[line], direction)
+            w = getattr(want[line], direction)
+            where = f"{label} {line}.{direction}"
+            assert g.q_s == w.q_s, where
+            assert g.q_l == w.q_l, where
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+@pytest.mark.parametrize("bench", PACKAGED)
+def test_required_parity(bench, model_cls, library):
+    """The compiled backward pass matches the per-gate walk bit for bit."""
+    circuit = load_packaged_bench(bench)
+    analyzer = TimingAnalyzer(circuit, library, model_cls())
+    result = analyzer.analyze()
+    for label, clock in _clocks(circuit, result).items():
+        assert_required_equal(
+            circuit,
+            analyzer.compute_required(result, **clock),
+            analyzer.compute_required_per_gate(result, **clock),
+            label,
+        )
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_required_parity_on_a_line_read_twice(model_cls, library):
+    """Both pins of NAND(a, a) bound ``a``: the scatter keeps both."""
+    circuit = parse_bench(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(g)\nOUTPUT(h)\n"
+        "g = NAND(a, a)\nh = NAND(a, b)\n",
+        name="double_read",
+    )
+    analyzer = TimingAnalyzer(circuit, library, model_cls())
+    result = analyzer.analyze()
+    for label, clock in _clocks(circuit, result).items():
+        assert_required_equal(
+            circuit,
+            analyzer.compute_required(result, **clock),
+            analyzer.compute_required_per_gate(result, **clock),
+            label,
+        )
+
+
+def test_required_reads_the_given_windows(library, c880s):
+    """Windows come from the caller's result (here a per-gate walk under
+    PI overrides), and the backward pass is no forward pass."""
+    from repro.obs import MetricsRegistry, get_registry, set_registry
+
+    overrides = {
+        c880s.inputs[0]: LineTiming(
+            rise=DirWindow(0.0, 0.3 * NS, 0.1 * NS, 0.2 * NS),
+            fall=DirWindow.impossible(),
+        ),
+    }
+    previous = get_registry()
+    set_registry(MetricsRegistry())
+    try:
+        registry = get_registry()
+        analyzer = TimingAnalyzer(c880s, library)
+        result = analyzer.analyze_per_gate(pi_overrides=overrides)
+        got = analyzer.compute_required(result)
+        assert registry.counter("sta.compile.passes").value == 0
+        assert registry.histogram("sta.backward_s").count == 1
+    finally:
+        set_registry(previous)
+    assert_required_equal(
+        c880s, got, analyzer.compute_required_per_gate(result)
+    )
 
 
 @pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
