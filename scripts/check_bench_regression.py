@@ -6,9 +6,10 @@ baseline in ``benchmarks/results/BENCH_timing.json`` on *per-unit*
 metrics (seconds per STA pass / ITR decision / ATPG fault), which are
 comparable between ``--quick`` and full runs because both exercise the
 same circuits — quick mode only lowers repeat counts — and on in-run
-ratios (``*_ratio``: compile time over one compiled pass, the compiled
-backward pass over its per-gate reference), which also transfer across
-hosts because both sides are timed in the same run.
+ratios (``*_ratio``: compile time over one compiled pass, one compiled
+pass over one seed-structure scalar pass, the compiled backward pass
+over its per-gate reference), which also transfer across hosts because
+both sides are timed in the same run.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
@@ -51,6 +52,7 @@ GATED_METRICS = (
     ("sta_full_pass", "optimized_s_per_pass"),
     ("sta_full_pass_level", "level_s_per_pass"),
     ("sta_full_pass_level", "compile_vs_pass_ratio"),
+    ("sta_full_pass_level", "level_vs_baseline_ratio"),
     ("sta_required", "compiled_vs_per_gate_ratio"),
     ("sta_incremental", "incr_s_per_edit"),
     ("itr_refine", "optimized_s_per_decision"),

@@ -128,6 +128,7 @@ class Circuit:
         self._validate()
         self._input_set = set(self.inputs)
         self._order: Optional[List[str]] = None
+        self._levels: Optional[Dict[str, int]] = None
         self._fanouts: Optional[Dict[str, List[Gate]]] = None
         #: Bumped once per applied mutation; analyzers use it to detect
         #: that cached per-circuit state (loads, memo entries, compiled
@@ -222,11 +223,13 @@ class Circuit:
 
     def levelize(self) -> Dict[str, int]:
         """Logic level per line (primary inputs are level 0)."""
-        levels = {line: 0 for line in self.inputs}
-        for out in self.topological_order():
-            gate = self.gates[out]
-            levels[out] = 1 + max(levels[inp] for inp in gate.inputs)
-        return levels
+        if self._levels is None:
+            levels = {line: 0 for line in self.inputs}
+            for out in self.topological_order():
+                gate = self.gates[out]
+                levels[out] = 1 + max(levels[inp] for inp in gate.inputs)
+            self._levels = levels
+        return dict(self._levels)
 
     def depth(self) -> int:
         """Maximum logic level over all lines."""
@@ -334,6 +337,7 @@ class Circuit:
             )
         gate.inputs[pin] = new_source
         self._order = None
+        self._levels = None
         self._fanouts = None
         return self._record_edit("rewire", line, old_source, new_source, pin)
 

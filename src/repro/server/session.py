@@ -15,10 +15,10 @@ construction rather than by luck:
   level-compiled pass, the same pass the CLI's ``sta`` runs, and
   ``slack`` the compiled backward pass of ``compute_required`` that
   the CLI's ``report`` runs;
-* ``mc`` replays the exact serial loop of :func:`repro.stat.runner.run_mc`
-  (same ``plan_blocks`` decomposition, same ``_run_block`` per block,
-  same ``McResult.summary``), so the response equals ``repro-sta mc
-  --json`` minus the run manifest;
+* ``mc`` runs the serial block loop of :func:`repro.stat.runner.run_mc`
+  itself (:func:`~repro.stat.runner.run_blocks`, same ``plan_blocks``
+  decomposition, same ``McResult.summary``), so the response equals
+  ``repro-sta mc --json`` minus the run manifest;
 * ``whatif`` trials come from ``try_edits``, whose columns are pinned
   bitwise to a fresh analysis of each single-edit variant.
 
@@ -42,7 +42,7 @@ from ..sta.incremental import IncrementalAnalyzer, TrialEdit
 from ..sta.report import TimingReporter
 from ..sta.windows import LineRequired
 from ..stat.aggregate import McResult
-from ..stat.runner import MC_MODELS, _run_block, plan_blocks
+from ..stat.runner import MC_MODELS, plan_blocks, run_blocks
 from ..stat.engine import MonteCarloEngine
 from ..stat.variation import VariationModel
 from .protocol import ServerError
@@ -355,13 +355,10 @@ class CircuitSession:
         samples, seed, block = (
             params["samples"], params["seed"], params["block"]
         )
-        pieces = {}
-        for start, size in plan_blocks(samples, block):
-            pieces[start] = _run_block(engine, variation, seed, start, size)
+        po_max, po_min, nominal = run_blocks(
+            engine, variation, seed, plan_blocks(samples, block)
+        )
         self._obs.counter("server.session.mc_samples").inc(samples)
-        starts = sorted(pieces)
-        po_max = np.concatenate([pieces[s][0] for s in starts], axis=1)
-        po_min = np.concatenate([pieces[s][1] for s in starts], axis=1)
         result = McResult(
             circuit_name=self.circuit.name,
             outputs=list(self.circuit.outputs),
@@ -370,8 +367,8 @@ class CircuitSession:
             block=block,
             model=params["model"],
             variation=variation,
-            nominal_max=engine.nominal.output_max_arrival(),
-            nominal_min=engine.nominal.output_min_arrival(),
+            nominal_max=nominal[0],
+            nominal_min=nominal[1],
             po_max=po_max,
             po_min=po_min,
         )

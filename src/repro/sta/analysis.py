@@ -115,9 +115,10 @@ def line_load(
     Every input pin reading ``line`` counts once.  ``circuit.fanouts``
     lists a gate once per pin that reads the line, so sinks are visited
     once each, in first-listed order, and each visit sums that sink's
-    matching pins in pin order.  This is the one summation order:
-    :func:`compute_loads` and the incremental engine's per-line refresh
-    both call it, so their loads are bitwise equal.
+    matching pins in pin order.  This is the one summation order: the
+    incremental engine's per-line refresh calls it, and
+    :func:`compute_loads` repeats it for every line in one sweep, so
+    their loads are bitwise equal.
     """
     fanouts = circuit.fanouts(line)
     total = 0.0
@@ -140,20 +141,30 @@ def line_load(
 def compute_loads(
     circuit: Circuit, library: CellLibrary, config: StaConfig
 ) -> Dict[str, float]:
-    """Capacitive load per line (see :func:`line_load`).
+    """Capacitive load per line, bit-identical to :func:`line_load`.
 
     Shared by :class:`TimingAnalyzer` and the level-compiled engine so
-    both see bit-identical load values.
+    both see bit-identical load values.  One sweep over the gates in
+    ``circuit.gates`` order — the order :meth:`Circuit.fanouts` lists
+    each line's readers in, once per reading pin — adds every pin's cap
+    to the line it reads, so each line sums the same caps in the same
+    order as :func:`line_load`, which the incremental engine's per-line
+    refresh calls.
     """
-
-    def cell_of(gate: Gate) -> CellTiming:
-        return library.cell(gate.cell_name())
-
+    totals = dict.fromkeys(circuit.lines, 0.0)
+    read = set()
+    for gate in circuit.gates.values():
+        caps = library.cell(gate.cell_name()).input_caps
+        for pin, line in enumerate(gate.inputs):
+            totals[line] += caps[pin]
+            read.add(line)
     outputs = set(circuit.outputs)
-    return {
-        line: line_load(circuit, line, cell_of, config, outputs)
-        for line in circuit.lines
-    }
+    for line in totals:
+        if line in outputs:
+            totals[line] += config.po_load
+        elif line not in read:
+            totals[line] += config.dangling_load
+    return totals
 
 
 @dataclasses.dataclass

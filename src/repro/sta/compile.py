@@ -11,40 +11,57 @@ NumPy ops:
   arrays (``A_S`` / ``A_L`` / ``T_S`` / ``T_L``) plus a structural
   ``(2 * n_lines,)`` state vector — rise rows first, fall rows offset by
   ``n_lines``;
-* gates are grouped per level by *shape* (fan-in count and arc-table
-  layout, not cell name), so a NAND2 and a NOR2 at the same level ride
-  through the same kernel invocation with per-gate coefficient columns;
-* a forward pass gathers each group's input windows ``(P, G, B)``,
-  evaluates the DR / D0R / SR corner-candidate surfaces for all ``G``
-  gates at once — the same candidate sets as
-  :mod:`repro.sta.kernels`, with inactive fan-in lanes carried as NaN
-  and masked out of every reduction — and scatters the output windows;
+* every level compiles to at most two kernel groups: one for its
+  controlling-value gates (AND / OR / NAND / NOR of any fan-in) and one
+  for its arc-table gates (INV / BUF / XOR), so a pass makes at most two
+  kernel calls per level;
+* a forward pass gathers each group's input windows, evaluates the DR /
+  D0R / SR corner-candidate surfaces for all its gates at once — the
+  same candidate sets as :mod:`repro.sta.kernels`, with inactive inputs
+  carried as NaN and masked out of every reduction — and scatters the
+  output windows;
 * a backward pass (:meth:`LevelCompiledAnalyzer.required`) walks the
   same levels in reverse over the same groups, turning each output's
   required-time window into per-arc bounds on its inputs and folding
   them in with ``np.maximum.at`` / ``np.minimum.at``.
 
-Compile layout.  The paper characterizes its K-coefficient formulas
-once per cell, and the compile follows that structure:
+The ragged layout.  Gates of different fan-in share one group without
+padding; each group is a set of flat *axes*, every one gate-major, so a
+gate owns one contiguous run of elements on each:
 
-1. per shape key, every distinct cell gets one column of a *cell
-   table*: its quadratic arc packs, V-shape / Λ-peak surface
-   coefficients, pair scales, multi-input ratio tables and load slopes,
-   laid out once per library as ``(..., n_cells, C)`` leaves (``C``
-   corner libraries on the trailing axis);
-2. all gates of the key, in (level, topological) order, gather their
-   columns from the table with one fancy index per leaf; the
-   gather/scatter rows (line index plus direction offset) and the load
-   adjustments ``slope * (load - ref_load)`` are computed as whole
-   vectors — elementwise IEEE ops, so they equal the scalar values;
-3. each (level, shape key) group is a contiguous gate-axis slice of
-   those key-wide arrays, copied so every group leaf is contiguous.
+* **lanes** — one per (gate, pin) of a ctrl gate, or one per arc of an
+  arc-table gate's output direction.  A lane carries its input row(s),
+  its arc-pack coefficients and its gate's load terms;
+* **pairs** — a ctrl gate's real pin pairs ``a < b < fan-in``;
+* **combos** — the four endpoint combinations of each pair, carrying
+  their pair scale, their gate and their pins' lanes, and the rows of
+  both endpoints in the level's clamped-endpoint grid (``(lanes, 2)``
+  flattened, so every real endpoint is cube-rooted once).  Surface
+  coefficients stay per gate and each call gathers them to its combos:
+  23 rows per combo would cost a 4-corner c7552s compile 17 MiB;
+* smaller axes for the overlap-depth pin pairs, the multi-input ratio
+  tables, and the Λ-peak gates, lanes and combos, which exist only for
+  gates with peak data.  The backward pass's (pin, partner) candidates
+  are derived from per-fan-in templates when it runs.
 
-Every group leaf follows one rule: float leaves are coefficients
-``(..., G, C)`` and integer leaves are rows ``(..., G)``.  Column
-subsets (:func:`subset_group`) and in-place patches
-(:meth:`CompiledCircuit.patch_gate`) walk the same leaves, and a patch
-builds its gate's column with the compile's own code.
+Per-gate results are ``np.minimum`` / ``np.maximum`` /
+``np.logical_or`` / ``np.add`` ``.reduceat`` over each gate's run.
+``reduceat`` returns the run's first element for an *empty* run, so no
+run may be empty: every ctrl gate has at least one pair, and an arc
+direction without arcs stays outside the lanes (``no_arc_rows``).
+
+Compile.  The paper characterizes its K-coefficient formulas once per
+cell, and the compile follows that structure: per-cell (and per-cell
+pin, pair, ratio-table entry) rows hold the coefficients of every
+distinct cell, all gates of one kind (ctrl or arc) gather their rows
+with one fancy index per leaf in (level, topological) order, and each
+level's group is a contiguous cut of those circuit-wide arrays.  Float
+leaves are coefficients ``(..., N, C)`` (``C`` corner libraries on the
+trailing axis), integer leaves are rows or indices ``(N,)``; each
+group's ``AXES`` table names the axis of every leaf and, for an index
+leaf, the axis it points into.  Column subsets (:func:`subset_group`)
+and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
+table, and a patch builds its gate with the compile's own code.
 
 The trailing axis ``B`` generalizes the Monte Carlo engine's trailing
 sample axis (:mod:`repro.stat.engine`): it batches MC samples (via
@@ -53,18 +70,20 @@ per-gate variation ``factors``) *and* boundary-condition scenarios (via
 
 Exactness contract: the pass is **bit-identical** to the scalar
 reference and to :class:`TimingAnalyzer`.  Cube roots go through
-:func:`~repro.sta.kernels.cbrt_grid`; masked reductions pad with
-``±inf`` (identity under min/max); stacked surface evaluation repeats
-the exact expression of :mod:`repro.characterize.formulas` with
-per-gate coefficient columns (same IEEE ops per element); the
-pair-overlap predicate uses the exact ``a_s <= a_l + OVERLAP_TOL`` form
-of :meth:`~repro.sta.windows.DirWindow.overlaps_arrivals`; and every
-load adjustment repeats the scalar expression of
+:func:`~repro.sta.kernels.cbrt_grid`; every reduction is a min, a max,
+a logical or or an integer count, which no grouping or ordering of the
+operands can change, and masked reductions pad with ``±inf`` (identity
+under min/max); every other operation is elementwise on the same
+operands as the scalar code — stacked surface evaluation repeats the
+exact expression of :mod:`repro.characterize.formulas` with each
+combo's own cell's coefficient rows, the pair-overlap predicate uses
+the exact
+``a_s <= a_l + OVERLAP_TOL`` form of
+:meth:`~repro.sta.windows.DirWindow.overlaps_arrivals`, and every load
+adjustment repeats the scalar expression of
 :meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`.
 The backward pass keeps the same contract against
-:meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`:
-its only reductions are min and max, which are exact and independent
-of the order in which fan-out branches are folded in.
+:meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`.
 The ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
 enforce this.
 """
@@ -72,8 +91,9 @@ enforce this.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -96,7 +116,6 @@ from .kernels import (
     _trans_v,
     _v_delay,
     cbrt_grid,
-    overlap_depth,
     peak_anchor_surfaces,
     quad_extremes_batch,
     ratio_table,
@@ -118,13 +137,14 @@ from .windows import (
 Boundary = Tuple[Tuple[float, float], Tuple[float, float]]
 
 
-def _shape_key(cell: CellTiming, peak_enabled: bool) -> tuple:
-    """Kernel-shape grouping key of one cell.
+def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
+    """The run lengths a cell's gate occupies on every group axis.
 
-    Gates are grouped by this key, not by cell name: any two cells with
-    the same key ride through the same stacked kernel invocation, which
-    is also exactly the condition under which one gate's coefficient
-    columns can be rewritten in place (:meth:`CompiledCircuit.patch_gate`).
+    Two cells with the same key give a gate the same number of lanes,
+    pairs, combos and peak elements, which is exactly the condition
+    under which one gate's columns can be rewritten in place
+    (:meth:`CompiledCircuit.patch_gate`).  ``key[0]`` names the group
+    kind (``"ctrl"`` or ``"arc"``).
     """
     if cell.controlling_value is not None and cell.n_inputs >= 2:
         uses_peak = peak_enabled and getattr(cell, "nonctrl", None) is not None
@@ -145,217 +165,375 @@ def _shape_key(cell: CellTiming, peak_enabled: bool) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Stacked surfaces: per-gate coefficient columns
+# Stacked surfaces: per-element coefficient rows
 # ----------------------------------------------------------------------
+# Each record keeps all its coefficients in one ``(k, N, C)`` array, so a
+# cut or gather touches one array per record; the named coefficients
+# are views of its first axis.
 @dataclasses.dataclass(frozen=True)
 class _StackedRoots:
-    """Per-gate columns of :class:`CubeRootSurface` coefficients.
+    """Per-element rows of :class:`CubeRootSurface` coefficients.
 
     ``eval_roots`` repeats the source expression verbatim, so each
     element sees the exact float ops of its own cell's surface.
     """
 
-    k_xy: np.ndarray
-    k_x: np.ndarray
-    k_y: np.ndarray
-    k_c: np.ndarray
+    rows: np.ndarray  # (4, N, C): k_xy, k_x, k_y, k_c
 
     def eval_roots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.k_xy * x * y + self.k_x * x + self.k_y * y + self.k_c
+        k_xy, k_x, k_y, k_c = self.rows
+        return k_xy * x * y + k_x * x + k_y * y + k_c
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedQuad2:
-    """Per-gate columns of :class:`QuadForm2` coefficients."""
+    """Per-element rows of :class:`QuadForm2` coefficients."""
 
-    k0: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-    k4: np.ndarray
-    k5: np.ndarray
+    rows: np.ndarray  # (6, N, C): k0 .. k5
 
     def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
+        k0, k1, k2, k3, k4, k5 = self.rows
         return (
-            self.k0 * txs * txs
-            + self.k1 * tys * tys
-            + self.k2 * txs * tys
-            + self.k3 * txs
-            + self.k4 * tys
-            + self.k5
+            k0 * txs * txs
+            + k1 * tys * tys
+            + k2 * txs * tys
+            + k3 * txs
+            + k4 * tys
+            + k5
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedLin2:
-    """Per-gate columns of :class:`LinForm2` coefficients."""
+    """Per-element rows of :class:`LinForm2` coefficients."""
 
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
+    rows: np.ndarray  # (3, N, C): c0, c1, c2
 
     def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
-        return self.c0 + self.c1 * txs + self.c2 * tys
+        c0, c1, c2 = self.rows
+        return c0 + c1 * txs + c2 * tys
+
+
+#: (SimultaneousTiming attribute, stacked class, coefficient names) in
+#: the row order of :class:`_StackedShape`.
+_SURFACES = (
+    ("d0", _StackedRoots, ("k_xy", "k_x", "k_y", "k_c")),
+    ("s_pos", _StackedQuad2, ("k0", "k1", "k2", "k3", "k4", "k5")),
+    ("s_neg", _StackedQuad2, ("k0", "k1", "k2", "k3", "k4", "k5")),
+    ("t_vertex", _StackedRoots, ("k_xy", "k_x", "k_y", "k_c")),
+    ("t_vertex_skew", _StackedLin2, ("c0", "c1", "c2")),
+)
+
+
+def _surface_rows(attr: str):
+    """A :class:`_StackedShape` property viewing one surface's rows."""
+    first = 0
+    for name, cls, coeffs in _SURFACES:
+        if name == attr:
+            stop = first + len(coeffs)
+            return property(lambda self: cls(self.rows[first:stop]))
+        first += len(coeffs)
+    raise KeyError(attr)
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedShape:
-    """Per-gate columns of a :class:`SimultaneousTiming` record.
+    """Per-element rows of a :class:`SimultaneousTiming` record.
 
     Duck-types the attribute surface the anchor primitives of
     :mod:`repro.sta.kernels` touch (``d0`` / ``s_pos`` / ``s_neg`` /
-    ``t_vertex`` / ``t_vertex_skew``); every leaf is ``(G, C)``.
+    ``t_vertex`` / ``t_vertex_skew``).
     """
 
-    d0: _StackedRoots
-    s_pos: _StackedQuad2
-    s_neg: _StackedQuad2
-    t_vertex: _StackedRoots
-    t_vertex_skew: _StackedLin2
+    rows: np.ndarray  # (23, N, C), the surfaces in _SURFACES order
+
+    d0 = _surface_rows("d0")
+    s_pos = _surface_rows("s_pos")
+    s_neg = _surface_rows("s_neg")
+    t_vertex = _surface_rows("t_vertex")
+    t_vertex_skew = _surface_rows("t_vertex_skew")
+
+
+#: ArcPack fields in the row order of :class:`_StackedPack`: each
+#: delay coefficient sits next to its transition twin, so the stacked
+#: (delay, transition) families ``q_*`` are slices.
+_PACK_ROWS = ("t_lo", "t_hi", "d_a2", "r_a2", "d_a1", "r_a1", "d_a0", "r_a0")
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedPack:
-    """Per-gate columns of an :class:`~repro.sta.kernels.ArcPack`.
+    """Per-lane rows of :class:`~repro.sta.kernels.ArcPack` leaves.
 
-    ``t_lo`` / ``t_hi`` / ``d_*`` are ``(A, G, C)`` and the stacked
-    quadratic families ``q_*`` are ``(2, A, G, C)`` (delay row 0,
+    ``t_lo`` / ``t_hi`` / ``d_*`` are ``(N, C)`` views and the stacked
+    quadratic families ``q_*`` ``(2, N, C)`` views (delay row 0,
     transition row 1).
     """
 
-    t_lo: np.ndarray
-    t_hi: np.ndarray
-    q_a2: np.ndarray
-    q_a1: np.ndarray
-    q_a0: np.ndarray
-    d_a2: np.ndarray
-    d_a1: np.ndarray
-    d_a0: np.ndarray
+    rows: np.ndarray  # (8, N, C) in _PACK_ROWS order
+
+    t_lo = property(lambda self: self.rows[0])
+    t_hi = property(lambda self: self.rows[1])
+    d_a2 = property(lambda self: self.rows[2])
+    d_a1 = property(lambda self: self.rows[4])
+    d_a0 = property(lambda self: self.rows[6])
+    q_a2 = property(lambda self: self.rows[2:4])
+    q_a1 = property(lambda self: self.rows[4:6])
+    q_a0 = property(lambda self: self.rows[6:8])
 
 
 # ----------------------------------------------------------------------
-# Compiled gate groups
+# Ragged axes
 # ----------------------------------------------------------------------
-@dataclasses.dataclass
-class _CtrlGroup:
-    """Same-shape controlling-value gates of one level.
+def _excl(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: the start of each gate's run."""
+    starts = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
 
-    Gather/scatter arrays hold *rows* of the global SoA arrays; the
-    leading axis is the pin, the gate axis follows, and every numeric
-    coefficient array additionally carries the trailing corner axis
-    ``C`` (size 1 for a single-corner compile).
+
+def _elements(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(gate, position within the gate's run) of every element."""
+    gate = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    return gate, np.arange(gate.size, dtype=np.intp) - _excl(counts)[gate]
+
+
+def _take(leaf, idx):
+    """A leaf gathered to the elements ``idx`` of its own axis.
+
+    Float arrays carry the element axis at -2, integer arrays at -1, and
+    a stacked record its ``rows``.  A slice gives views, an index array
+    fresh copies; ``None`` passes through.
     """
-
-    n_pins: int
-    pack: _StackedPack          # to-controlling arcs
-    npack: _StackedPack         # to-non-controlling arcs
-    ppack: Optional[_StackedPack]  # Λ-peak tails (None without peak data)
-    shape: Optional[_StackedShape]    # V-shape surfaces (None w/o merge)
-    peak: Optional[_StackedShape]     # Λ-peak surfaces
-    ctrl_rows: np.ndarray     # (P, G) input rows, controlling direction
-    nonctrl_rows: np.ndarray  # (P, G) input rows, non-controlling direction
-    out_ctrl: np.ndarray      # (G,) output rows of the ctrl response
-    out_nonctrl: np.ndarray   # (G,)
-    order_idx: np.ndarray     # (G,) rows into the MC factor matrix
-    gate_idx: np.ndarray      # (G, 1) arange(G) column for table lookups
-    d_adj_c: np.ndarray       # (G, C) load-adjust terms (ctrl delay)
-    r_adj_c: np.ndarray
-    d_adj_n: np.ndarray
-    r_adj_n: np.ndarray
-    p_adj: Optional[np.ndarray]
-    scale_c: Optional[np.ndarray]   # (4 * pairs, G, C) V-shape pair scales
-    pscale_c: Optional[np.ndarray]  # (4 * pairs, G, C) Λ-peak pair scales
-    rt: Optional[np.ndarray]        # (P+1, G, C) multi-input delay ratios
-    rt_t: Optional[np.ndarray]      # (P+1, G, C) multi-input trans ratios
-    rt_min: Optional[np.ndarray]    # (G, C) smallest delay ratio (backward)
-    pa: Optional[np.ndarray]        # (pairs,) first member pin
-    pb: Optional[np.ndarray]        # (pairs,) second member pin
-    #: bumped by every in-place patch; column-subset caches key on it.
-    version: int = 0
+    if leaf is None:
+        return None
+    if not isinstance(leaf, np.ndarray):
+        return type(leaf)(_take(leaf.rows, idx))
+    if isinstance(idx, slice):
+        return leaf[..., idx] if leaf.dtype.kind == "i" else leaf[..., idx, :]
+    return leaf.take(idx, axis=-1 if leaf.dtype.kind == "i" else -2)
 
 
-@dataclasses.dataclass
-class _ArcDir:
-    """One output direction of an arc-table (inv/buf/xor) group."""
-
-    pack: _StackedPack    # (A, G, C) arc rows feeding this direction
-    in_rows: np.ndarray   # (A, G) input rows (pin + input direction)
-    out_rows: np.ndarray  # (G,)
-    d_adj: np.ndarray     # (G, C)
-    r_adj: np.ndarray     # (G, C)
-
-
-@dataclasses.dataclass
-class _ArcGroup:
-    """Same-shape arc-table gates of one level."""
-
-    order_idx: np.ndarray  # (G,)
-    dirs: Tuple[Optional[_ArcDir], Optional[_ArcDir]]  # (rise, fall)
-    no_arc_rows: np.ndarray  # (k, G) output rows of the k arc-less directions
-    #: bumped by every in-place patch; column-subset caches key on it.
-    version: int = 0
-
-
-# ----------------------------------------------------------------------
-# The leaf layout: cell tables, gate-axis cuts and column writes
-# ----------------------------------------------------------------------
-#: Integer group leaves that are not per gate.
-_GROUP_WIDE = frozenset({"gate_idx", "pa", "pb"})
-
-#: (SimultaneousTiming attribute, stacked class); every stacked field is
-#: named after the source surface's coefficient.
-_SURFACES = (
-    ("d0", _StackedRoots),
-    ("s_pos", _StackedQuad2),
-    ("s_neg", _StackedQuad2),
-    ("t_vertex", _StackedRoots),
-    ("t_vertex_skew", _StackedLin2),
-)
-
-
-def _take(obj, idx: np.ndarray):
-    """A group tree (or cell-table leaf) gathered to the gates ``idx``.
-
-    Float leaves are gathered on their gate axis -2, integer leaves on
-    -1, into fresh contiguous arrays; ``_GROUP_WIDE`` fields pass
-    through, and a ctrl group's ``gate_idx`` is re-derived for the new
-    gate count.
-    """
-    if isinstance(obj, np.ndarray):
-        return obj.take(idx, axis=-1 if obj.dtype.kind == "i" else -2)
-    if isinstance(obj, tuple):
-        return tuple(_take(item, idx) for item in obj)
-    fields = getattr(obj, "__dataclass_fields__", None)
-    if fields is None:
-        return obj  # None, pin counts, versions
-    cut = type(obj)(**{
-        name: getattr(obj, name) if name in _GROUP_WIDE
-        else _take(getattr(obj, name), idx)
-        for name in fields
-    })
-    if isinstance(cut, _CtrlGroup):
-        cut.gate_idx = np.arange(idx.size, dtype=np.intp)[:, None]
-    return cut
-
-
-def _put(dst, col: int, src) -> None:
-    """Write gate 0 of group tree ``src`` into column ``col`` of ``dst``."""
-    if isinstance(dst, np.ndarray):
-        if dst.dtype.kind == "i":
-            dst[..., col] = src[..., 0]
-        else:
-            dst[..., col, :] = src[..., 0, :]
-    elif isinstance(dst, tuple):
-        for d, s in zip(dst, src):
-            _put(d, col, s)
+def _write(dst, sl: slice, src) -> None:
+    """Write leaf ``src`` over the elements ``sl`` of ``dst``."""
+    if not isinstance(dst, np.ndarray):
+        dst, src = dst.rows, src.rows
+    if dst.dtype.kind == "i":
+        dst[..., sl] = src
     else:
-        for name in getattr(dst, "__dataclass_fields__", ()):
-            if name not in _GROUP_WIDE:
-                _put(getattr(dst, name), col, getattr(src, name))
+        dst[..., sl, :] = src
 
 
+def _on(axis: str, target: Optional[str] = None):
+    """A group leaf on ``axis``; an index leaf names its ``target`` axis."""
+    return dataclasses.field(metadata={"axis": (axis, target)})
+
+
+def _ragged(cls):
+    """Collect the ``_on`` declarations of a group class into ``AXES``."""
+    cls.AXES = {
+        f.name: f.metadata["axis"]
+        for f in dataclasses.fields(cls)
+        if "axis" in f.metadata
+    }
+    return cls
+
+
+class _Ragged:
+    """Shared machinery of the two group kinds.
+
+    ``counts[axis]`` holds each gate's run length on that axis.  Every
+    leaf field is declared with :func:`_on`; ``AXES`` maps it to
+    ``(axis, target)``, where ``target`` is the axis an index leaf
+    points into (``None`` for coefficients and for rows of the global
+    SoA arrays, which no cut moves).  Axes with no leaves of their own
+    (the endpoint grids) only serve as targets.
+    """
+
+    AXES: Dict[str, Tuple[str, Optional[str]]] = {}
+
+    @property
+    def n_gates(self) -> int:
+        return len(self.counts["gate"])
+
+    def cut(self, cols: np.ndarray):
+        """The gates ``cols`` (ascending) as a group of their own —
+        copies, runnable against the global state."""
+        counts: Dict[str, np.ndarray] = {}
+        pick: Dict[str, np.ndarray] = {}
+        gate_of: Dict[str, np.ndarray] = {}
+        shift: Dict[str, np.ndarray] = {}
+        for axis, c in self.counts.items():
+            sub = c[cols]
+            gate, local = _elements(sub)
+            old = _excl(c)[cols]
+            counts[axis] = sub
+            pick[axis] = old[gate] + local
+            gate_of[axis] = gate
+            # Per new gate: how far its runs on this axis moved down.
+            shift[axis] = old - _excl(sub)
+        fields = {}
+        for name, (axis, target) in self.AXES.items():
+            leaf = _take(getattr(self, name), pick[axis])
+            if leaf is not None and target is not None:
+                leaf = leaf - shift[target][gate_of[axis]]
+            fields[name] = leaf
+        return type(self)(counts=counts, **fields)
+
+    def split(self, bounds: Sequence[int]) -> List["_Ragged"]:
+        """The consecutive gate ranges ``bounds[i]:bounds[i + 1]`` as
+        groups of their own, their leaves views into this group's."""
+        ends = {
+            axis: [0] + np.cumsum(c).tolist()
+            for axis, c in self.counts.items()
+        }
+        parts = []
+        for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            fields = {}
+            for name, (axis, target) in self.AXES.items():
+                first = ends[axis]
+                leaf = _take(getattr(self, name), slice(first[g0], first[g1]))
+                if leaf is not None and target is not None:
+                    leaf = leaf - ends[target][g0]
+                fields[name] = leaf
+            counts = {axis: c[g0:g1] for axis, c in self.counts.items()}
+            parts.append(type(self)(counts=counts, **fields))
+        return parts
+
+    def put(self, col: int, src) -> None:
+        """Write the one-gate group ``src`` over gate ``col``."""
+        starts = {
+            axis: int(_excl(c)[col]) for axis, c in self.counts.items()
+        }
+        for name, (axis, target) in self.AXES.items():
+            leaf = getattr(src, name)
+            if leaf is None:
+                continue
+            if target is not None:
+                leaf = leaf + starts[target]
+            first = starts[axis]
+            _write(
+                getattr(self, name),
+                slice(first, first + int(src.counts[axis][0])),
+                leaf,
+            )
+
+
+@_ragged
+@dataclasses.dataclass
+class _CtrlGroup(_Ragged):
+    """The controlling-value gates of one level, any fan-in.
+
+    Lanes are (gate, pin) pairs; every coefficient leaf carries the
+    trailing corner axis ``C`` (size 1 for a single-corner compile).
+    Pair-merge leaves are ``None`` without a pair-merge model, Λ-peak
+    leaves ``None`` without peak data anywhere in the compile.
+    """
+
+    counts: Dict[str, np.ndarray]
+    # Output rows of the ctrl / non-ctrl responses.
+    out_ctrl: np.ndarray = _on("gate")
+    out_nonctrl: np.ndarray = _on("gate")
+    # Input rows per lane (controlling / non-controlling direction).
+    ctrl_rows: np.ndarray = _on("lane")
+    nonctrl_rows: np.ndarray = _on("lane")
+    lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
+    pack: _StackedPack = _on("lane")      # to-controlling arcs
+    npack: _StackedPack = _on("lane")     # to-non-controlling arcs
+    d_adj_c: np.ndarray = _on("lane")     # load-adjust terms
+    r_adj_c: np.ndarray = _on("lane")
+    d_adj_n: np.ndarray = _on("lane")
+    r_adj_n: np.ndarray = _on("lane")
+    # ---- pair merge ----
+    rt_min: Optional[np.ndarray] = _on("lane")  # smallest ratio (backward)
+    # V-shape surfaces per gate; each call gathers them to its combos.
+    shape: Optional[_StackedShape] = _on("gate")
+    scale_c: Optional[np.ndarray] = _on("combo")   # D0 pair scales
+    combo_gate: Optional[np.ndarray] = _on("combo", "gate")
+    # Endpoint-grid rows of the combo's two pins, and their lanes.
+    lo_row: Optional[np.ndarray] = _on("combo", "lane2")
+    hi_row: Optional[np.ndarray] = _on("combo", "lane2")
+    ca: Optional[np.ndarray] = _on("combo", "lane")
+    cb: Optional[np.ndarray] = _on("combo", "lane")
+    pa: Optional[np.ndarray] = _on("pair", "lane")
+    pb: Optional[np.ndarray] = _on("pair", "lane")
+    pair_gate: Optional[np.ndarray] = _on("pair", "gate")
+    # Ordered lane pairs (i, j) of each gate, j-major: overlap depth.
+    ov_i: Optional[np.ndarray] = _on("ov", "lane")
+    ov_j: Optional[np.ndarray] = _on("ov", "lane")
+    rt: Optional[np.ndarray] = _on("rt")    # multi-input delay ratios
+    rt_t: Optional[np.ndarray] = _on("rt")  # multi-input trans ratios
+    # ---- Λ-peak (gates with peak data only) ----
+    pgate: Optional[np.ndarray] = _on("pgate", "gate")
+    peak: Optional[_StackedShape] = _on("pgate")  # Λ-peak surfaces
+    p_adj: Optional[np.ndarray] = _on("pgate")    # Λ-peak load terms
+    plane: Optional[np.ndarray] = _on("plane", "lane")
+    plane_gate: Optional[np.ndarray] = _on("plane", "pgate")
+    ppack: Optional[_StackedPack] = _on("plane")  # Λ-peak tail arcs
+    pscale_c: Optional[np.ndarray] = _on("pcombo")
+    pcombo_gate: Optional[np.ndarray] = _on("pcombo", "pgate")
+    plo_row: Optional[np.ndarray] = _on("pcombo", "plane2")
+    phi_row: Optional[np.ndarray] = _on("pcombo", "plane2")
+    pca: Optional[np.ndarray] = _on("pcombo", "lane")
+    pcb: Optional[np.ndarray] = _on("pcombo", "lane")
+    #: bumped by every in-place patch; column-subset caches key on it.
+    version: int = 0
+
+    def __post_init__(self) -> None:
+        # Run starts for the per-gate (and per-lane) reductions.
+        c = self.counts
+        self.lane_start = _excl(c["lane"])
+        self.pair_start = _excl(c["pair"])
+        self.combo_start = _excl(c["combo"])
+        self.rt_off = _excl(c["rt"])
+        self.ov_start = _excl(np.repeat(c["lane"], c["lane"]))  # (gate, j)
+        self.pcombo_start = _excl(c["pcombo"][c["pgate"] > 0])
+
+    def outputs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every output row and the gate (column) it belongs to."""
+        cols = np.arange(self.n_gates, dtype=np.intp)
+        return (
+            np.concatenate([self.out_ctrl, self.out_nonctrl]),
+            np.concatenate([cols, cols]),
+        )
+
+
+@_ragged
+@dataclasses.dataclass
+class _ArcGroup(_Ragged):
+    """The arc-table (inv / buf / xor) gates of one level.
+
+    A *segment* is one output direction of one gate that has arcs; its
+    lanes (one per arc) are contiguous, gate-major, and the kernel
+    reduces each segment to one output row.
+    """
+
+    counts: Dict[str, np.ndarray]
+    out_rows: np.ndarray = _on("seg")    # output row of each segment
+    seg_n: np.ndarray = _on("seg")       # lanes per segment
+    in_rows: np.ndarray = _on("lane")    # input row of each arc lane
+    lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
+    pack: _StackedPack = _on("lane")
+    d_adj: np.ndarray = _on("lane")
+    r_adj: np.ndarray = _on("lane")
+    # Output rows of the directions without arcs (always IMPOSSIBLE).
+    no_arc_rows: np.ndarray = _on("noarc")
+    #: bumped by every in-place patch; column-subset caches key on it.
+    version: int = 0
+
+    def __post_init__(self) -> None:
+        self.seg_start = _excl(self.seg_n)
+
+    def outputs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every output row with arcs and the gate it belongs to."""
+        gate, _ = _elements(self.counts["seg"])
+        return self.out_rows, gate
+
+
+# ----------------------------------------------------------------------
+# Cell tables and per-fan-in index templates
+# ----------------------------------------------------------------------
 def _table(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
-    """One cell-table leaf: ``get(x)`` per ``cells[cell][corner]``.
+    """One per-cell leaf: ``get(x)`` per ``cells[cell][corner]``.
 
     The per-cell value (a scalar or an array of any shape) keeps its
     axes in front; the cell and corner axes trail: ``(..., n_cells, C)``.
@@ -364,36 +542,44 @@ def _table(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(values, (0, 1), (-2, -1)))
 
 
-def _pack_table(packs: Sequence[Sequence[object]]) -> _StackedPack:
-    """Cell table of :class:`~repro.sta.kernels.ArcPack` leaves."""
-    return _StackedPack(**{
-        f.name: _table(packs, attrgetter(f.name))
-        for f in dataclasses.fields(_StackedPack)
-    })
+def _rows(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
+    """Ragged per-cell rows: ``get(x)`` is a vector per cell and corner;
+    the cells' vectors are concatenated into ``(sum of lengths, C)``."""
+    return np.concatenate([
+        np.stack([np.asarray(get(x), dtype=float) for x in row], axis=-1)
+        for row in cells
+    ])
+
+
+def _pack_rows(packs: Sequence[Sequence[object]]) -> _StackedPack:
+    """Per-(cell, arc) rows of ``packs[cell][corner]`` ArcPacks."""
+    return _StackedPack(np.concatenate([
+        np.stack(
+            [np.stack([getattr(p, f) for f in _PACK_ROWS]) for p in row],
+            axis=-1,
+        )
+        for row in packs
+    ], axis=-2))
 
 
 def _surface_table(
     records: Sequence[Sequence[SimultaneousTiming]],
 ) -> _StackedShape:
     """Cell table of one :class:`SimultaneousTiming` record per cell."""
-    return _StackedShape(**{
-        attr: cls(**{
-            f.name: _table(records, attrgetter(f"{attr}.{f.name}"))
-            for f in dataclasses.fields(cls)
-        })
-        for attr, cls in _SURFACES
-    })
-
-
-def _pair_scales(record: SimultaneousTiming, pairs) -> np.ndarray:
-    """Per-combo D0 pair scales (each pair's scale repeated 4 times)."""
-    return np.repeat(
-        np.array(
-            [record.pair_scale.get(pair_key(a, b), 1.0) for a, b in pairs],
-            dtype=float,
-        ),
-        4,
+    getters = [
+        attrgetter(f"{attr}.{coeff}")
+        for attr, _, coeffs in _SURFACES
+        for coeff in coeffs
+    ]
+    return _StackedShape(
+        _table(records, lambda rec: [get(rec) for get in getters])
     )
+
+
+def _pair_scales(record: SimultaneousTiming, n: int) -> List[float]:
+    """D0 pair scale of each pin pair, in pair order."""
+    _, _, _, _, pairs = _pair_combos(n)
+    return [record.pair_scale.get(pair_key(a, b), 1.0) for a, b in pairs]
 
 
 def _min_ratio(record: SimultaneousTiming) -> float:
@@ -406,63 +592,78 @@ def _dir(rising: bool) -> str:
     return "R" if rising else "F"
 
 
-_PARTNER_CACHE: Dict[int, Tuple[np.ndarray, ...]] = {}
+@functools.lru_cache(maxsize=None)
+def _fanin_template(n: int) -> Dict[str, List[int]]:
+    """Index templates of one fan-in-``n`` ctrl gate, local to the gate.
 
-
-def _partner_combos(n: int) -> Tuple[np.ndarray, ...]:
-    """Index arrays of the backward pass's V-shape minimum candidates.
-
-    Candidates run pin-major — for each pin, every other pin as its
-    partner, then (pin ``t_s``, pin ``t_l``) x (partner arc ``t_lo``,
-    ``t_hi``) — so the ``4 * (n - 1)`` candidates of one pin are one
-    contiguous run.  Rows index a stacked ``(2n, 2, ...)`` array: the
-    pins' clamped windows first, the partners' arc endpoints after.
-
-    Returns:
-        ``(own_i, own_k, other_i, other_k, x_i, x_k, y_i, y_k,
-        scale_row)``: the candidate's own and partner endpoints, the
-        same two in pin-position order (the D0 surface's ``x`` is the
-        lower position), and the pair's row in ``scale_c``.
+    * combos (``_pair_combos`` order: pairs in position order, then
+      ``(t_s, t_s), (t_s, t_l), (t_l, t_s), (t_l, t_l)``): endpoint-grid
+      rows ``2 * pin + k``, the two pins, and the pair;
+    * ``ov_i`` / ``ov_j``: every ordered pin pair, ``j``-major;
+    * backward candidates, pin-major: for each pin every other pin as
+      its partner, then (pin ``t_s``, ``t_l``) x (partner arc ``t_lo``,
+      ``t_hi``) — rows of the ``(pins, 4)`` grid ``[c_lo, c_hi, t_lo,
+      t_hi]``, the D0 surface's ``x`` being the lower pin position —
+      and the first combo of the pair.
     """
-    entry = _PARTNER_CACHE.get(n)
-    if entry is not None:
-        return entry
-    _, _, _, _, pairs = _pair_combos(n)
-    scale_row = {pair: 4 * k for k, pair in enumerate(pairs)}
-    rows = []
+    ii, jj, ki, kj, pairs = _pair_combos(n)
+    pair_of = {pair: q for q, pair in enumerate(pairs)}
+    template = {
+        "pa": [a for a, _ in pairs],
+        "pb": [b for _, b in pairs],
+        "lo_row": (2 * ii + ki).tolist(),
+        "hi_row": (2 * jj + kj).tolist(),
+        "ca": ii.tolist(),
+        "cb": jj.tolist(),
+        "cpair": [k // 4 for k in range(4 * len(pairs))],
+        "ov_i": [i for _ in range(n) for i in range(n)],
+        "ov_j": [j for j in range(n) for _ in range(n)],
+    }
+    back = ("m_x", "m_y", "m_own", "m_oth", "m_combo")
+    template.update((name, []) for name in back)
     for pin in range(n):
         for partner in range(n):
             if partner == pin:
                 continue
+            first = 4 * pair_of[min(pin, partner), max(pin, partner)]
             for k_own in (0, 1):
                 for k_other in (0, 1):
-                    own, other = (pin, k_own), (n + partner, k_other)
+                    own = 4 * pin + k_own
+                    other = 4 * partner + 2 + k_other
                     x, y = (own, other) if pin < partner else (other, own)
-                    rows.append((
-                        *own, *other, *x, *y,
-                        scale_row[min(pin, partner), max(pin, partner)],
-                    ))
-    entry = tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
-    _PARTNER_CACHE[n] = entry
-    return entry
+                    for name, value in zip(back, (x, y, own, other, first)):
+                        template[name].append(value)
+    return template
 
 
-# ----------------------------------------------------------------------
-# Column subsets: cone-limited kernel runs (incremental STA)
-# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _fanin_tables(max_n: int) -> Dict[str, np.ndarray]:
+    """``_fanin_template`` of every fan-in up to ``max_n``, padded into
+    ``(max_n + 1, width)`` tables indexed ``[fan-in, position]``."""
+    templates = [_fanin_template(n) for n in range(max_n + 1)]
+    tables = {}
+    for name in templates[-1]:
+        width = max(len(t[name]) for t in templates)
+        table = np.zeros((max_n + 1, max(width, 1)), dtype=np.intp)
+        for n, t in enumerate(templates):
+            table[n, : len(t[name])] = t[name]
+        tables[name] = table
+    return tables
+
+
 def subset_group(
-    group: Union["_CtrlGroup", "_ArcGroup"], cols: Sequence[int]
-) -> Union["_CtrlGroup", "_ArcGroup"]:
+    group: Union[_CtrlGroup, _ArcGroup], cols: Sequence[int]
+) -> Union[_CtrlGroup, _ArcGroup]:
     """A column subset of one compiled group, runnable on its own.
 
-    The subset gathers the selected gates' leaves (copies — the source
-    group stays patchable) while the row-gather arrays keep pointing
-    into the *global* SoA state, so running the subset through the
-    level kernels recomputes exactly those gates, bitwise as in a full
-    pass.  This is the unit of work of the incremental engine's batched
-    cone re-timing.
+    The subset gathers the selected gates' runs on every axis (copies —
+    the source group stays patchable) and re-bases its index leaves,
+    while the row-gather arrays keep pointing into the *global* SoA
+    state, so running the subset through the level kernels recomputes
+    exactly those gates, bitwise as in a full pass.  This is the unit of
+    work of the incremental engine's batched cone re-timing.
     """
-    return _take(group, np.asarray(cols, dtype=np.intp))
+    return group.cut(np.asarray(cols, dtype=np.intp))
 
 
 # ----------------------------------------------------------------------
@@ -523,50 +724,50 @@ class CompiledCircuit:
         ]
         self._cells = corner_cells[0]
         self._validate_corner_cells(corner_cells)
+        cells = {name: [cc[name] for cc in corner_cells] for name in names}
         corner_loads = [
             compute_loads(circuit, lib, config) for lib in libraries
         ]
-        #: gate output line -> (group, column, shape key); the in-place
+        slot = {name: _slot_key(self._cells[name], self._peak)
+                for name in names}
+        #: gate output line -> (group, column, slot key); the in-place
         #: patch path of :meth:`patch_gate` addresses columns through it.
         self._locs: Dict[str, Tuple[Union[_CtrlGroup, _ArcGroup], int, tuple]]
         self._locs = {}
 
-        # Gates of each shape key in (level, topological) order, so every
-        # (level, key) group is one contiguous run of the key's gates.
-        key_of = {name: _shape_key(self._cells[name], self._peak)
-                  for name in names}
-        by_key: Dict[tuple, List[Tuple[int, int]]] = {}
-        for pos, out in enumerate(order):
-            by_key.setdefault(key_of[gate_cells[pos]], []).append(
-                (level_of[out], pos)
-            )
+        # All gates of one kind in (level, topological) order, built in
+        # one go; each level's group is a contiguous cut of that.
+        ranked = np.argsort(
+            np.array([level_of[out] for out in order], dtype=np.intp),
+            kind="stable",
+        )
+        is_ctrl = np.array(
+            [slot[name][0] == "ctrl" for name in gate_cells], dtype=bool
+        )[ranked]
         at_level: Dict[int, List[Union[_CtrlGroup, _ArcGroup]]] = {}
-        for key in sorted(by_key):
-            members = sorted(by_key[key])
-            gates = [circuit.gates[order[pos]] for _, pos in members]
-            kinds = list(dict.fromkeys(gate_cells[pos] for _, pos in members))
-            column = {name: i for i, name in enumerate(kinds)}
-            table = self._cell_table(
-                key,
-                [[cells[name] for cells in corner_cells] for name in kinds],
-                ctxs,
-            )
-            cidx = np.array(
-                [column[gate_cells[pos]] for _, pos in members],
-                dtype=np.intp,
-            )
+        for members, build in ((ranked[is_ctrl], self._build_ctrl),
+                               (ranked[~is_ctrl], self._build_arc)):
+            if not members.size:
+                continue
+            members = members.tolist()
+            gates = [circuit.gates[order[pos]] for pos in members]
+            kinds = [gate_cells[pos] for pos in members]
             loads = np.array(
                 [[ld[g.output] for ld in corner_loads] for g in gates]
             )
-            key_wide = self._build(key, gates, cidx, table, loads)
-            start = 0
-            for lvl, run in itertools.groupby(members, key=itemgetter(0)):
-                stop = start + sum(1 for _ in run)
-                group = _take(key_wide, np.arange(start, stop))
-                for col, gate in enumerate(gates[start:stop]):
-                    self._locs[gate.output] = (group, col, key)
+            lvls, bounds = [], [0]
+            for lvl, run in itertools.groupby(
+                level_of[g.output] for g in gates
+            ):
+                lvls.append(lvl)
+                bounds.append(bounds[-1] + sum(1 for _ in run))
+            whole = build(gates, kinds, cells, ctxs, loads)
+            for lvl, start, group in zip(lvls, bounds, whole.split(bounds)):
+                for col in range(group.n_gates):
+                    self._locs[gates[start + col].output] = (
+                        group, col, slot[kinds[start + col]]
+                    )
                 at_level.setdefault(lvl, []).append(group)
-                start = stop
         self.levels: List[List[Union[_CtrlGroup, _ArcGroup]]] = [
             at_level[lvl] for lvl in sorted(at_level)
         ]
@@ -580,7 +781,7 @@ class CompiledCircuit:
 
         Corner libraries may differ in every coefficient, but the arc
         layout, controlling polarity and output polarity must match —
-        those decide gather rows and kernel shapes, which are shared
+        those decide gather rows and group layouts, which are shared
         across the corner axis.
         """
         if len(corner_cells) == 1:
@@ -590,8 +791,8 @@ class CompiledCircuit:
             for name, cell in base.items():
                 other = cells[name]
                 consistent = (
-                    _shape_key(cell, self._peak)
-                    == _shape_key(other, self._peak)
+                    _slot_key(cell, self._peak)
+                    == _slot_key(other, self._peak)
                     and cell.controlling_value == other.controlling_value
                     and (cell.ctrl is None) == (other.ctrl is None)
                     and (
@@ -618,195 +819,305 @@ class CompiledCircuit:
         return idx if rising else idx + self.n_lines
 
     # ------------------------------------------------------------------
-    # Cell tables and key-wide builds
+    # Group builds
     # ------------------------------------------------------------------
-    def _cell_table(
-        self,
-        key: tuple,
-        cells: Sequence[Sequence[CellTiming]],
-        ctxs: Sequence[KernelContext],
-    ) -> Dict[str, object]:
-        """Per-cell leaves of one shape key, ``cells[i][c]`` being the
-        key's ``i``-th cell in corner ``c``'s library.
-
-        Float leaves are ``(..., n_cells, C)``.  Integer leaves hold row
-        offsets and arc pins; they are structural, so corner 0 decides
-        them (:meth:`_validate_corner_cells` guarantees the rest agree).
-        """
-        base = [row[0] for row in cells]
-        n = self.n_lines
-
-        def packs(make: Callable) -> _StackedPack:
-            return _pack_table([
-                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
-                for row in cells
-            ])
-
-        def slopes(rising: Callable) -> Tuple[np.ndarray, np.ndarray]:
-            """(delay, transition) load slopes of direction ``rising(c)``."""
-            return tuple(
-                _table(cells, lambda c: getattr(c, kind)[_dir(rising(c))])
-                for kind in ("load_delay_slope", "load_trans_slope")
-            )
-
-        table: Dict[str, object] = {
-            "ref_load": _table(cells, attrgetter("ref_load")),
-        }
-        if key[0] == "ctrl":
-            _, n_pins, uses_peak = key
-            _, _, _, _, pairs = _pair_combos(n_pins)
-            table["pack"] = packs(KernelContext.ctrl_pack)
-            table["npack"] = packs(KernelContext.nonctrl_pack)
-            table["ctrl_off"] = np.array(
-                [0 if c.controlling_value == 1 else n for c in base],
-                dtype=np.intp,
-            )
-            table["out_off"] = np.array(
-                [0 if c.ctrl.out_rising else n for c in base], dtype=np.intp
-            )
-            table["d_slope_c"], table["r_slope_c"] = slopes(
-                attrgetter("ctrl.out_rising")
-            )
-            table["d_slope_n"], table["r_slope_n"] = slopes(
-                lambda c: not c.ctrl.out_rising
-            )
-            if uses_peak:
-                table["ppack"] = packs(KernelContext.peak_pack)
-                table["peak"] = _surface_table(
-                    [[c.nonctrl for c in row] for row in cells]
-                )
-                table["p_slope"] = slopes(attrgetter("nonctrl.out_rising"))[0]
-                table["pscale_c"] = _table(
-                    cells, lambda c: _pair_scales(c.nonctrl, pairs)
-                )
-            if self._merge:
-                table["shape"] = _surface_table(
-                    [[c.ctrl for c in row] for row in cells]
-                )
-                table["scale_c"] = _table(
-                    cells, lambda c: _pair_scales(c.ctrl, pairs)
-                )
-                table["rt"] = _table(
-                    cells, lambda c: ratio_table(c.ctrl.multi_scale, n_pins)
-                )
-                table["rt_t"] = _table(
-                    cells,
-                    lambda c: ratio_table(c.ctrl.trans_multi_scale, n_pins),
-                )
-                table["rt_min"] = _table(cells, lambda c: _min_ratio(c.ctrl))
-            return table
-        for out_rising in (True, False):
-            d = _dir(out_rising)
-            # Arcs in arc-table enumeration order (the pack row order).
-            arcs = [
-                sorted(index, key=index.get)
-                for index, _ in (
-                    ctxs[0].fanin_pack(c, out_rising) for c in base
-                )
-            ]
-            if not arcs[0]:
-                continue
-            table[f"pack_{d}"] = packs(
-                lambda ctx, c: ctx.fanin_pack(c, out_rising)[1]
-            )
-            table[f"pin_{d}"] = np.array(
-                [[pin for pin, _ in a] for a in arcs], dtype=np.intp
-            ).T
-            table[f"off_{d}"] = np.array(
-                [[0 if rising else n for _, rising in a] for a in arcs],
-                dtype=np.intp,
-            ).T
-            table[f"d_slope_{d}"], table[f"r_slope_{d}"] = slopes(
-                lambda c: out_rising
-            )
-        return table
-
-    def _build(
-        self,
-        key: tuple,
-        gates: Sequence[Gate],
-        cidx: np.ndarray,
-        table: Dict[str, object],
-        loads: np.ndarray,
-    ) -> Union[_CtrlGroup, _ArcGroup]:
-        """One group over ``gates`` of shape ``key``.
-
-        ``cidx`` maps each gate to its cell-table column and ``loads``
-        is ``(G, C)``.  Every coefficient leaf is gathered from the
-        table with one fancy index; rows and load adjustments are
-        computed as whole vectors.
-        """
-        col = {name: _take(leaf, cidx) for name, leaf in table.items()}
-        n = self.n_lines
+    def _gate_rows(self, gates: Sequence[Gate]):
+        """(output line index, MC factor row, flat input line indices)."""
         line_index = self.line_index
-        in_idx = np.array(
-            [[line_index[line] for line in g.inputs] for g in gates],
-            dtype=np.intp,
-        ).T  # (P, G)
         out_idx = np.array(
             [line_index[g.output] for g in gates], dtype=np.intp
         )
         order_idx = np.array(
             [self._order_pos[g.output] for g in gates], dtype=np.intp
         )
-        # The scalar load_adjusted_* expression, elementwise.
-        dload = loads - col["ref_load"]
-        if key[0] == "ctrl":
-            n_pins = key[1]
-            pa = pb = None
-            if self._merge:
-                _, _, _, _, pairs = _pair_combos(n_pins)
-                pa = np.array([a for a, _ in pairs], dtype=np.intp)
-                pb = np.array([b for _, b in pairs], dtype=np.intp)
-            return _CtrlGroup(
-                n_pins=n_pins,
-                pack=col["pack"],
-                npack=col["npack"],
-                ppack=col.get("ppack"),
-                shape=col.get("shape"),
-                peak=col.get("peak"),
-                ctrl_rows=in_idx + col["ctrl_off"],
-                nonctrl_rows=in_idx + (n - col["ctrl_off"]),
-                out_ctrl=out_idx + col["out_off"],
-                out_nonctrl=out_idx + (n - col["out_off"]),
-                order_idx=order_idx,
-                gate_idx=np.arange(len(gates), dtype=np.intp)[:, None],
-                d_adj_c=col["d_slope_c"] * dload,
-                r_adj_c=col["r_slope_c"] * dload,
-                d_adj_n=col["d_slope_n"] * dload,
-                r_adj_n=col["r_slope_n"] * dload,
-                p_adj=col["p_slope"] * dload if "p_slope" in col else None,
-                scale_c=col.get("scale_c"),
-                pscale_c=col.get("pscale_c"),
-                rt=col.get("rt"),
-                rt_t=col.get("rt_t"),
-                rt_min=col.get("rt_min"),
-                pa=pa,
-                pb=pb,
+        in_idx = np.array(
+            [line_index[line] for g in gates for line in g.inputs],
+            dtype=np.intp,
+        )
+        return out_idx, order_idx, in_idx
+
+    def _build_ctrl(
+        self,
+        gates: Sequence[Gate],
+        names: Sequence[str],
+        cells: Dict[str, Sequence[CellTiming]],
+        ctxs: Sequence[KernelContext],
+        loads: np.ndarray,
+    ) -> _CtrlGroup:
+        """One ctrl group over ``gates`` (cell ``names[i]``, per-corner
+        ``cells[name]``, ``loads`` ``(G, C)``).
+
+        Coefficients come from per-cell rows with one fancy index per
+        leaf; rows, index leaves and load adjustments are whole-vector
+        arithmetic — elementwise IEEE ops, equal to the scalar values.
+        """
+        n_lines = self.n_lines
+        kinds = list(dict.fromkeys(names))
+        kind_col = {name: i for i, name in enumerate(kinds)}
+        table = [cells[name] for name in kinds]  # [kind][corner]
+        base = [row[0] for row in table]
+        cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
+        kind_n = np.array([c.n_inputs for c in base], dtype=np.intp)
+        kind_pairs = kind_n * (kind_n - 1) // 2
+        kind_peak = np.array(
+            [self._peak and getattr(c, "nonctrl", None) is not None
+             for c in base],
+            dtype=bool,
+        )
+        n = kind_n[cidx]
+        pairs = kind_pairs[cidx]
+        peak = kind_peak[cidx].astype(np.intp)
+        counts = {
+            "gate": np.ones(len(gates), dtype=np.intp),
+            "lane": n,
+            "lane2": 2 * n,
+            "pair": pairs,
+            "combo": 4 * pairs,
+            "ov": n * n,
+            "rt": n + 1,
+            "pgate": peak,
+            "plane": peak * n,
+            "plane2": 2 * peak * n,
+            "pcombo": 4 * peak * pairs,
+        }
+        starts = {axis: _excl(c) for axis, c in counts.items()}
+        tpl = _fanin_tables(int(kind_n.max()))
+        out_idx, order_idx, in_idx = self._gate_rows(gates)
+
+        def slopes(rising: Callable, rows) -> Tuple[np.ndarray, np.ndarray]:
+            """(delay, transition) load slopes of direction ``rising(c)``."""
+            return tuple(
+                _table(rows, lambda c: getattr(c, kind)[_dir(rising(c))])
+                for kind in ("load_delay_slope", "load_trans_slope")
             )
-        gate_axis = np.arange(len(gates))
-        dirs: List[Optional[_ArcDir]] = []
-        no_arc: List[np.ndarray] = []
-        for out_rising in (True, False):
-            d = _dir(out_rising)
-            out_rows = out_idx if out_rising else out_idx + n
-            if f"pack_{d}" not in col:
-                no_arc.append(out_rows)
-                dirs.append(None)
-                continue
-            dirs.append(_ArcDir(
-                pack=col[f"pack_{d}"],
-                in_rows=in_idx[col[f"pin_{d}"], gate_axis] + col[f"off_{d}"],
-                out_rows=out_rows,
-                d_adj=col[f"d_slope_{d}"] * dload,
-                r_adj=col[f"r_slope_{d}"] * dload,
-            ))
+
+        # The scalar load_adjusted_* expression, elementwise per gate.
+        dload = loads - _table(table, attrgetter("ref_load"))[cidx]
+        d_slope_c, r_slope_c = slopes(attrgetter("ctrl.out_rising"), table)
+        d_slope_n, r_slope_n = slopes(
+            lambda c: not c.ctrl.out_rising, table
+        )
+        d_adj_c = d_slope_c[cidx] * dload
+        r_adj_c = r_slope_c[cidx] * dload
+        ctrl_off = np.array(
+            [0 if c.controlling_value == 1 else n_lines for c in base],
+            dtype=np.intp,
+        )[cidx]
+        out_off = np.array(
+            [0 if c.ctrl.out_rising else n_lines for c in base],
+            dtype=np.intp,
+        )[cidx]
+
+        def packs(make: Callable, rows) -> _StackedPack:
+            return _pack_rows([
+                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
+                for row in rows
+            ])
+
+        gl, pin = _elements(n)
+        pin_row = _excl(kind_n)[cidx[gl]] + pin
+        ctrl_off_l = ctrl_off[gl]
+        leaves: Dict[str, object] = dict(
+            out_ctrl=out_idx + out_off,
+            out_nonctrl=out_idx + (n_lines - out_off),
+            ctrl_rows=in_idx + ctrl_off_l,
+            nonctrl_rows=in_idx + (n_lines - ctrl_off_l),
+            lane_order=order_idx[gl],
+            pack=_take(packs(KernelContext.ctrl_pack, table), pin_row),
+            npack=_take(packs(KernelContext.nonctrl_pack, table), pin_row),
+            d_adj_c=d_adj_c[gl],
+            r_adj_c=r_adj_c[gl],
+            d_adj_n=(d_slope_n[cidx] * dload)[gl],
+            r_adj_n=(r_slope_n[cidx] * dload)[gl],
+        )
+        leaves.update(dict.fromkeys(
+            name for name in _CtrlGroup.AXES if name not in leaves
+        ))
+
+        def spread(axis: str, name: str, target: str) -> np.ndarray:
+            """Template ``name`` over ``axis``, re-based into ``target``."""
+            gate, local = _elements(counts[axis])
+            return tpl[name][n[gate], local] + starts[target][gate]
+
+        if self._merge:
+            gc, pc = _elements(counts["combo"])
+            pair_row = _excl(kind_pairs)[cidx[gc]] + tpl["cpair"][n[gc], pc]
+            gq, _ = _elements(counts["pair"])
+            gr, pr = _elements(counts["rt"])
+            rt_row = _excl(kind_n + 1)[cidx[gr]] + pr
+            leaves.update(
+                rt_min=_table(
+                    table, lambda c: _min_ratio(c.ctrl)
+                )[cidx][gl],
+                shape=_take(
+                    _surface_table([[c.ctrl for c in row] for row in table]),
+                    cidx,
+                ),
+                scale_c=_rows(
+                    table, lambda c: _pair_scales(c.ctrl, c.n_inputs)
+                )[pair_row],
+                combo_gate=gc,
+                lo_row=spread("combo", "lo_row", "lane2"),
+                hi_row=spread("combo", "hi_row", "lane2"),
+                ca=spread("combo", "ca", "lane"),
+                cb=spread("combo", "cb", "lane"),
+                pa=spread("pair", "pa", "lane"),
+                pb=spread("pair", "pb", "lane"),
+                pair_gate=gq,
+                ov_i=spread("ov", "ov_i", "lane"),
+                ov_j=spread("ov", "ov_j", "lane"),
+                rt=_rows(
+                    table,
+                    lambda c: ratio_table(c.ctrl.multi_scale, c.n_inputs),
+                )[rt_row],
+                rt_t=_rows(
+                    table,
+                    lambda c: ratio_table(
+                        c.ctrl.trans_multi_scale, c.n_inputs
+                    ),
+                )[rt_row],
+            )
+        if kind_peak.any():
+            pkinds = np.flatnonzero(kind_peak)
+            prank = np.full(len(kinds), -1, dtype=np.intp)
+            prank[pkinds] = np.arange(pkinds.size)
+            ptable = [table[k] for k in pkinds]
+            pgate, _ = _elements(peak)
+            p_slope = slopes(attrgetter("nonctrl.out_rising"), ptable)[0]
+            gate_rank = np.cumsum(peak) - 1
+            gpl, ppin = _elements(counts["plane"])
+            gpc, ppc = _elements(counts["pcombo"])
+            ppair_row = (
+                _excl(kind_pairs[pkinds])[prank[cidx[gpc]]]
+                + tpl["cpair"][n[gpc], ppc]
+            )
+            leaves.update(
+                pgate=pgate,
+                peak=_take(
+                    _surface_table(
+                        [[c.nonctrl for c in row] for row in ptable]
+                    ),
+                    prank[cidx[pgate]],
+                ),
+                p_adj=p_slope[prank[cidx[pgate]]] * dload[pgate],
+                plane=starts["lane"][gpl] + ppin,
+                plane_gate=gate_rank[gpl],
+                ppack=_take(
+                    packs(KernelContext.peak_pack, ptable),
+                    _excl(kind_n[pkinds])[prank[cidx[gpl]]] + ppin,
+                ),
+                pscale_c=_rows(
+                    ptable, lambda c: _pair_scales(c.nonctrl, c.n_inputs)
+                )[ppair_row],
+                pcombo_gate=gate_rank[gpc],
+                plo_row=spread("pcombo", "lo_row", "plane2"),
+                phi_row=spread("pcombo", "hi_row", "plane2"),
+                pca=spread("pcombo", "ca", "lane"),
+                pcb=spread("pcombo", "cb", "lane"),
+            )
+        return _CtrlGroup(counts=counts, **leaves)
+
+    def _build_arc(
+        self,
+        gates: Sequence[Gate],
+        names: Sequence[str],
+        cells: Dict[str, Sequence[CellTiming]],
+        ctxs: Sequence[KernelContext],
+        loads: np.ndarray,
+    ) -> _ArcGroup:
+        """One arc-table group over ``gates`` (see :meth:`_build_ctrl`).
+
+        Per cell and output direction, the arcs run in arc-table
+        enumeration order (the pack row order); integer layout comes
+        from corner 0 (:meth:`_validate_corner_cells` guarantees the
+        rest agree).
+        """
+        n_lines = self.n_lines
+        kinds = list(dict.fromkeys(names))
+        kind_col = {name: i for i, name in enumerate(kinds)}
+        table = [cells[name] for name in kinds]
+        cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
+        # Per-kind templates: segments (directions with arcs), lanes
+        # (pin, input-row offset, pack row, segment) and arc-less dirs.
+        seg_dir: List[List[int]] = []
+        seg_n: List[List[int]] = []
+        lane_cols: List[List[Tuple[int, int, int, int]]] = []
+        no_arc: List[List[int]] = []
+        pack_entries = []
+        slope_rows = []
+        n_arcs = 0
+        for row in table:
+            segs, ns, lanes, empty = [], [], [], []
+            for d, out_rising in enumerate((True, False)):
+                index, _ = ctxs[0].fanin_pack(row[0], out_rising)
+                arcs = sorted(index, key=index.get)
+                if not arcs:
+                    empty.append(d)
+                    continue
+                for k, (pin, rising) in enumerate(arcs):
+                    lanes.append((
+                        pin, 0 if rising else n_lines, n_arcs + k, len(segs)
+                    ))
+                n_arcs += len(arcs)
+                segs.append(d)
+                ns.append(len(arcs))
+                pack_entries.append([
+                    ctx.fanin_pack(cell, out_rising)[1]
+                    for ctx, cell in zip(ctxs, row)
+                ])
+                slope_rows.append([(cell, out_rising) for cell in row])
+            seg_dir.append(segs)
+            seg_n.append(ns)
+            lane_cols.append(lanes)
+            no_arc.append(empty)
+
+        def padded(rows: List[List[object]]) -> np.ndarray:
+            width = max(max((len(r) for r in rows), default=0), 1)
+            out = np.zeros((len(rows), width), dtype=np.intp)
+            for k, r in enumerate(rows):
+                out[k, : len(r)] = r
+            return out
+
+        kind_seg = np.array([len(s) for s in seg_dir], dtype=np.intp)
+        kind_lanes = np.array([len(r) for r in lane_cols], dtype=np.intp)
+        counts = {
+            "gate": np.ones(len(gates), dtype=np.intp),
+            "seg": kind_seg[cidx],
+            "lane": kind_lanes[cidx],
+            "noarc": 2 - kind_seg[cidx],
+        }
+        out_idx, order_idx, in_idx = self._gate_rows(gates)
+        in_start = _excl(np.array([g.n_inputs for g in gates], dtype=np.intp))
+        # The scalar load_adjusted_* expression, per (gate, direction).
+        dload = loads - _table(table, attrgetter("ref_load"))[cidx]
+        gs, ps = _elements(counts["seg"])
+        seg_d = padded(seg_dir)[cidx[gs], ps]
+        seg_row = _excl(kind_seg)[cidx[gs]] + ps
+        slope = {
+            kind: _table(
+                slope_rows, lambda x: getattr(x[0], kind)[_dir(x[1])]
+            )[seg_row] * dload[gs]
+            for kind in ("load_delay_slope", "load_trans_slope")
+        }
+        ga, pa = _elements(counts["lane"])
+        cols = [padded([[lane[i] for lane in r] for r in lane_cols])
+                for i in range(4)]
+        lane_pin, lane_off, lane_row, lane_seg = (
+            c[cidx[ga], pa] for c in cols
+        )
+        seg_of_lane = _excl(counts["seg"])[ga] + lane_seg
+        gn, pn = _elements(counts["noarc"])
+        packs = _pack_rows(pack_entries) if pack_entries else None
         return _ArcGroup(
-            order_idx=order_idx,
-            dirs=(dirs[0], dirs[1]),
-            no_arc_rows=np.array(no_arc, dtype=np.intp).reshape(
-                len(no_arc), len(gates)
-            ),
+            counts=counts,
+            out_rows=out_idx[gs] + seg_d * n_lines,
+            seg_n=padded(seg_n)[cidx[gs], ps],
+            in_rows=in_idx[in_start[ga] + lane_pin] + lane_off,
+            lane_order=order_idx[ga],
+            pack=_take(packs, lane_row),
+            d_adj=slope["load_delay_slope"][seg_of_lane],
+            r_adj=slope["load_trans_slope"][seg_of_lane],
+            no_arc_rows=out_idx[gn] + padded(no_arc)[cidx[gn], pn] * n_lines,
         )
 
     # ------------------------------------------------------------------
@@ -823,11 +1134,12 @@ class CompiledCircuit:
         """True when the gate's *current* cell fits its compiled slot.
 
         Resizes always fit (a sized variant keeps the base cell's arc
-        layout); cell swaps fit as long as the new kind shares the shape
-        key (e.g. NAND2 -> NOR2).  A swap that changes the kernel shape
-        (say NAND2 -> XOR2) or any structural edit needs a recompile.
-        Corner-batched compiles are never patchable — a resize would
-        have to be re-derived against every corner library at once.
+        layout); cell swaps fit as long as the new kind keeps the slot
+        key — fan-in, arc counts and Λ-peak membership (e.g. NAND2 ->
+        NOR2).  A swap that changes the slot (say NAND2 -> XOR2) or any
+        structural edit needs a recompile.  Corner-batched compiles are
+        never patchable — a resize would have to be re-derived against
+        every corner library at once.
         """
         if self.n_corners > 1:
             return False
@@ -835,20 +1147,20 @@ class CompiledCircuit:
         if loc is None:
             return False
         cell = self._cell_for(self.circuit.gates[line])
-        return _shape_key(cell, self._peak) == loc[2]
+        return _slot_key(cell, self._peak) == loc[2]
 
     def patch_gate(self, line: str, load: float) -> None:
-        """Rewrite one gate's columns in place.
+        """Rewrite one gate's runs in place.
 
-        Builds the gate's column — cell-table leaves, gather rows and
-        the load-adjust terms for ``load`` — from its current cell with
-        the compile's own code and writes it over the old one, so a
+        Builds the gate — coefficient rows, gather rows, index leaves
+        and the load-adjust terms for ``load`` — from its current cell
+        with the compile's own code and writes it over the old one, so a
         patched circuit is bitwise-indistinguishable from a recompiled
         one.
 
         Raises:
             ValueError: If the gate's current cell no longer fits its
-                compiled kernel shape (see :meth:`can_patch`).
+                compiled slot (see :meth:`can_patch`).
         """
         if self.n_corners > 1:
             raise ValueError(
@@ -860,17 +1172,17 @@ class CompiledCircuit:
         group, col, key = loc
         gate = self.circuit.gates[line]
         cell = self._cell_for(gate)
-        if _shape_key(cell, self._peak) != key:
+        if _slot_key(cell, self._peak) != key:
             raise ValueError(
-                f"cell {cell.name!r} does not fit the compiled shape {key} "
+                f"cell {cell.name!r} does not fit the compiled slot {key} "
                 f"of gate {line!r}; recompile required"
             )
-        table = self._cell_table(key, [[cell]], [self._ctx])
-        fresh = self._build(
-            key, [gate], np.zeros(1, dtype=np.intp), table,
+        build = self._build_ctrl if key[0] == "ctrl" else self._build_arc
+        fresh = build(
+            [gate], [cell.name], {cell.name: [cell]}, [self._ctx],
             np.array([[load]], dtype=float),
         )
-        _put(group, col, fresh)
+        group.put(col, fresh)
         group.version += 1
 
 
@@ -921,6 +1233,8 @@ class CompiledWindows:
             rise=self.window(line, True, column),
             fall=self.window(line, False, column),
         )
+
+
 
 
 # ----------------------------------------------------------------------
@@ -1045,8 +1359,8 @@ class LevelCompiledAnalyzer:
             pi_overrides: Per-PI windows replacing the default boundary
                 condition (broadcast across all columns).
             derates: Optional ``(early, late)`` timing-derate pair.
-                Each member is a scalar, or a length-``C`` vector on a
-                corner-batched compile (one value per corner column).
+                Each member is a scalar, or a length-``B`` vector (one
+                value per batch column, e.g. per corner column).
                 The early derate multiplies min-side responses
                 (earliest arrivals / fastest transitions), the late
                 derate max-side responses, after any variation factor.
@@ -1103,11 +1417,7 @@ class LevelCompiledAnalyzer:
         with self._obs.timer("sta.compile.pass_s"):
             for level in cc.levels:
                 for group in level:
-                    f = None if factors is None else factors[group.order_idx]
-                    if isinstance(group, _CtrlGroup):
-                        self._run_ctrl(group, f, arrays, states, g=g)
-                    else:
-                        self._run_arc(group, f, arrays, states, g=g)
+                    self.run_group(group, arrays, states, factors, g)
         self._m_passes.inc()
         self._m_cols.inc(n_cols)
         # Work accounting: one corner search per gate per direction,
@@ -1170,15 +1480,15 @@ class LevelCompiledAnalyzer:
         for level in reversed(cc.levels):
             for group in level:
                 if isinstance(group, _CtrlGroup):
+                    pins = group.counts["lane"]
                     merge = group if group.shape is not None else None
                     back(group.pack, group.d_adj_c, group.ctrl_rows,
-                         group.out_ctrl, ins, q, merge)
+                         np.repeat(group.out_ctrl, pins), ins, q, merge)
                     back(group.npack, group.d_adj_n, group.nonctrl_rows,
-                         group.out_nonctrl, ins, q)
-                    continue
-                for d in group.dirs:
-                    if d is not None:
-                        back(d.pack, d.d_adj, d.in_rows, d.out_rows, ins, q)
+                         np.repeat(group.out_nonctrl, pins), ins, q)
+                elif group.in_rows.size:
+                    back(group.pack, group.d_adj, group.in_rows,
+                         np.repeat(group.out_rows, group.seg_n), ins, q)
         # tolist() gives the bit-identical Python floats, as in _extract.
         early = q_s[:, 0].tolist()
         late = q_l[:, 0].tolist()
@@ -1196,20 +1506,22 @@ class LevelCompiledAnalyzer:
         group: Union[_CtrlGroup, _ArcGroup],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
-        f: Optional[np.ndarray] = None,
+        factors: Optional[np.ndarray] = None,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Run one (possibly column-subset) group against SoA state.
 
-        The incremental engine's batched cone re-timing entry point:
-        ``arrays``/``states`` are a persistent ``(2 * n_lines, B)`` window
-        state (as produced by :meth:`propagate`) and ``group`` is either
-        a compiled group or a :func:`subset_group` slice of one.
+        ``arrays``/``states`` are a persistent ``(2 * n_lines, B)``
+        window state (as produced by :meth:`propagate`), ``group`` is
+        either a compiled group or a :func:`subset_group` slice of one,
+        and ``factors`` the whole ``(n_gates, B)`` variation matrix (the
+        group gathers its own rows).  The incremental engine's batched
+        cone re-timing calls this directly.
         """
         if isinstance(group, _CtrlGroup):
-            self._run_ctrl(group, f, arrays, states, g=g)
+            self._run_ctrl(group, factors, arrays, states, g=g)
         else:
-            self._run_arc(group, f, arrays, states, g=g)
+            self._run_arc(group, factors, arrays, states, g=g)
 
     # ------------------------------------------------------------------
     # Boundary conditions
@@ -1233,25 +1545,31 @@ class LevelCompiledAnalyzer:
         else:
             arr_lo, arr_hi = self.config.pi_arrival
             trn_lo, trn_hi = self.config.pi_trans
-        for pi in self.circuit.inputs:
-            override = pi_overrides.get(pi) if pi_overrides else None
+        rows = np.array(
+            [cc.row(pi, rising) for pi in self.circuit.inputs
+             for rising in (True, False)],
+            dtype=np.intp,
+        )
+        states[rows] = POTENTIAL
+        a_s[rows] = arr_lo
+        a_l[rows] = arr_hi
+        t_s[rows] = trn_lo
+        t_l[rows] = trn_hi
+        for pi, override in (pi_overrides or {}).items():
+            if not self.circuit.is_primary_input(pi):
+                continue
             for rising in (True, False):
                 row = cc.row(pi, rising)
-                if override is not None:
-                    window = override.window(rising)
-                    if not window.is_active:
-                        continue  # stays IMPOSSIBLE / NaN
-                    states[row] = window.state
-                    a_s[row] = window.a_s
-                    a_l[row] = window.a_l
-                    t_s[row] = window.t_s
-                    t_l[row] = window.t_l
-                else:
-                    states[row] = POTENTIAL
-                    a_s[row] = arr_lo
-                    a_l[row] = arr_hi
-                    t_s[row] = trn_lo
-                    t_l[row] = trn_hi
+                window = override.window(rising)
+                if not window.is_active:
+                    states[row] = IMPOSSIBLE
+                    a_s[row] = a_l[row] = t_s[row] = t_l[row] = np.nan
+                    continue
+                states[row] = window.state
+                a_s[row] = window.a_s
+                a_l[row] = window.a_l
+                t_s[row] = window.t_s
+                t_l[row] = window.t_l
 
     # ------------------------------------------------------------------
     # Per-group forward kernels
@@ -1265,8 +1583,9 @@ class LevelCompiledAnalyzer:
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
     ) -> None:
-        """Write one output direction; gates with no active fan-in get
-        NaN fields so a missed mask surfaces in the parity tests."""
+        """Write one output row per gate (or segment); those with no
+        active fan-in get NaN fields so a missed mask surfaces in the
+        parity tests."""
         if ok.all():
             for target, value in zip(arrays, values):
                 target[rows] = value
@@ -1277,90 +1596,105 @@ class LevelCompiledAnalyzer:
             target[rows] = np.where(okb, value, np.nan)
         states[rows] = np.where(ok, state, IMPOSSIBLE).astype(np.int8)
 
+    @staticmethod
+    def _any(act: np.ndarray, all_act: bool, starts: np.ndarray) -> np.ndarray:
+        """Per gate: does any of its lanes carry an active window?"""
+        if all_act:
+            return np.ones(len(starts), dtype=bool)
+        return np.logical_or.reduceat(act, starts)
+
+    @staticmethod
+    def _pin_to_pin(
+        pack: _StackedPack,
+        d_adj: np.ndarray,
+        r_adj: np.ndarray,
+        t_s_in: np.ndarray,
+        t_l_in: np.ndarray,
+        f: Optional[np.ndarray],
+        g: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, ...]:
+        """Per-lane ``(d_min, d_max, r_min, r_max, c_lo, c_hi)``.
+
+        Each lane's arc delay and transition range over its clamped
+        input window, load-adjusted, times the variation factor ``f``
+        and then the ``(early, late)`` derate pair ``g``.
+        """
+        arc_lo = pack.t_lo
+        arc_hi = pack.t_hi
+        c_lo = np.minimum(np.maximum(t_s_in, arc_lo), arc_hi)
+        c_hi = np.minimum(np.maximum(t_l_in, arc_lo), arc_hi)
+        mins, maxs = quad_extremes_batch(
+            pack.q_a2, pack.q_a1, pack.q_a0, c_lo, np.maximum(c_hi, c_lo)
+        )
+        d_min = mins[0] + d_adj
+        d_max = maxs[0] + d_adj
+        r_min = mins[1] + r_adj
+        r_max = maxs[1] + r_adj
+        if f is not None:
+            d_min = d_min * f
+            d_max = d_max * f
+            r_min = r_min * f
+            r_max = r_max * f
+        if g is not None:
+            ge, gl = g
+            d_min = d_min * ge
+            d_max = d_max * gl
+            r_min = r_min * ge
+            r_max = r_max * gl
+        return d_min, d_max, r_min, r_max, c_lo, c_hi
+
     def _run_arc(
         self,
         grp: _ArcGroup,
-        f: Optional[np.ndarray],
+        factors: Optional[np.ndarray],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Level-batched mirror of ``kernels.arc_fanin_window``.
+        """Level-batched mirror of ``kernels.arc_fanin_window``, both
+        output directions of every gate in one call.
 
-        The pack arrays carry the trailing corner axis ``C`` (size 1 on
-        a single-corner compile), so they broadcast directly against the
-        ``(A, G, B)`` gathered windows — identical float ops to the old
-        ``[..., None]`` expansion when ``C == 1``, per-corner columns
-        when ``B == C``.  ``g`` is the optional ``(early, late)`` derate
-        pair, multiplied after ``f`` onto min-side / max-side responses.
+        Lanes broadcast their ``(A, C)`` coefficients against the
+        ``(A, B)`` gathered windows (per-corner columns when
+        ``B == C``); each segment's lanes reduce to its output row.
         """
-        ge, gl = (None, None) if g is None else g
         arr_a_s, arr_a_l, arr_t_s, arr_t_l = arrays
         if grp.no_arc_rows.size:
             states[grp.no_arc_rows] = IMPOSSIBLE
-        for d in grp.dirs:
-            if d is None:
-                continue
-            st_in = states[d.in_rows]  # (A, G)
-            act = st_in != IMPOSSIBLE
-            n_act = act.sum(axis=0)
-            all_act = bool(act.all())
-            t_s_in = arr_t_s[d.in_rows]  # (A, G, B)
-            t_l_in = arr_t_l[d.in_rows]
-            a_s_in = arr_a_s[d.in_rows]
-            a_l_in = arr_a_l[d.in_rows]
-            arc_lo = d.pack.t_lo
-            arc_hi = d.pack.t_hi
-            c_lo = np.minimum(np.maximum(t_s_in, arc_lo), arc_hi)
-            c_hi = np.minimum(np.maximum(t_l_in, arc_lo), arc_hi)
-            b_hi = np.maximum(c_hi, c_lo)
-            mins, maxs = quad_extremes_batch(
-                d.pack.q_a2,
-                d.pack.q_a1,
-                d.pack.q_a0,
-                c_lo, b_hi,
-            )
-            d_adj = d.d_adj
-            r_adj = d.r_adj
-            d_min = mins[0] + d_adj
-            d_max = maxs[0] + d_adj
-            r_min = mins[1] + r_adj
-            r_max = maxs[1] + r_adj
-            if f is not None:
-                d_min = d_min * f
-                d_max = d_max * f
-                r_min = r_min * f
-                r_max = r_max * f
-            if ge is not None:
-                d_min = d_min * ge
-                d_max = d_max * gl
-                r_min = r_min * ge
-                r_max = r_max * gl
-            lows = a_s_in + d_min
-            highs = a_l_in + d_max
-            if all_act:
-                out = (
-                    lows.min(axis=0),
-                    highs.max(axis=0),
-                    r_min.min(axis=0),
-                    r_max.max(axis=0),
-                )
-            else:
-                actb = act[:, :, None]
-                out = (
-                    np.where(actb, lows, np.inf).min(axis=0),
-                    np.where(actb, highs, -np.inf).max(axis=0),
-                    np.where(actb, r_min, np.inf).min(axis=0),
-                    np.where(actb, r_max, -np.inf).max(axis=0),
-                )
-            any_def = (st_in == DEFINITE).any(axis=0)
-            state = np.where(any_def & (n_act == 1), DEFINITE, POTENTIAL)
-            self._scatter(d.out_rows, n_act > 0, state, out, arrays, states)
+        rows = grp.in_rows
+        if not rows.size:
+            return
+        seg = grp.seg_start
+        st_in = states[rows]
+        act = st_in != IMPOSSIBLE
+        n_act = np.add.reduceat(act, seg, dtype=np.intp)
+        f = None if factors is None else factors[grp.lane_order]
+        d_min, d_max, r_min, r_max, _, _ = self._pin_to_pin(
+            grp.pack, grp.d_adj, grp.r_adj, arr_t_s[rows], arr_t_l[rows],
+            f, g,
+        )
+        lows = arr_a_s[rows] + d_min
+        highs = arr_a_l[rows] + d_max
+        if not act.all():
+            actb = act[:, None]
+            lows = np.where(actb, lows, np.inf)
+            highs = np.where(actb, highs, -np.inf)
+            r_min = np.where(actb, r_min, np.inf)
+            r_max = np.where(actb, r_max, -np.inf)
+        out = (
+            np.minimum.reduceat(lows, seg),
+            np.maximum.reduceat(highs, seg),
+            np.minimum.reduceat(r_min, seg),
+            np.maximum.reduceat(r_max, seg),
+        )
+        any_def = np.logical_or.reduceat(st_in == DEFINITE, seg)
+        state = np.where(any_def & (n_act == 1), DEFINITE, POTENTIAL)
+        self._scatter(grp.out_rows, n_act > 0, state, out, arrays, states)
 
     def _run_ctrl(
         self,
         grp: _CtrlGroup,
-        f: Optional[np.ndarray],
+        factors: Optional[np.ndarray],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
@@ -1368,292 +1702,316 @@ class LevelCompiledAnalyzer:
         """Level-batched mirror of ``kernels.ctrl_response_window`` and
         ``kernels.nonctrl_response_window`` (one group, both outputs).
 
-        Coefficient arrays carry the trailing corner axis (size 1 on a
+        Lane coefficients carry the trailing corner axis (size 1 on a
         single-corner compile) and broadcast directly against the
-        gathered ``(P, G, B)`` windows.  ``g`` is the optional
-        ``(early, late)`` derate pair: the early factor multiplies every
-        min-side quantity (earliest arrivals, fastest transitions and
-        the pair-merge candidates that can only lower them), the late
+        gathered ``(L, B)`` windows.  ``g`` is the optional ``(early,
+        late)`` derate pair: the early factor multiplies every min-side
+        quantity (earliest arrivals, fastest transitions and the
+        pair-merge candidates that can only lower them), the late
         factor every max-side quantity (latest arrivals, slowest
         transitions and the Λ-peak candidates that can only raise them),
-        each applied *after* the variation factor ``f``.
+        each applied *after* the variation factor.
         """
-        ge, gl = (None, None) if g is None else g
+        ge = None if g is None else g[0]
         arr_a_s, arr_a_l, arr_t_s, arr_t_l = arrays
+        f = None if factors is None else factors[grp.lane_order]
+        ls = grp.lane_start
 
         # ---- to-controlling response ----
-        st_in = states[grp.ctrl_rows]  # (P, G)
+        rows = grp.ctrl_rows
+        st_in = states[rows]  # (L,)
         act = st_in != IMPOSSIBLE
         def_ = st_in == DEFINITE
-        n_act = act.sum(axis=0)
         all_act = bool(act.all())
-        t_s_in = arr_t_s[grp.ctrl_rows]  # (P, G, B)
-        t_l_in = arr_t_l[grp.ctrl_rows]
-        a_s_in = arr_a_s[grp.ctrl_rows]
-        a_l_in = arr_a_l[grp.ctrl_rows]
-        arc_lo = grp.pack.t_lo
-        arc_hi = grp.pack.t_hi
-        c_lo = np.minimum(np.maximum(t_s_in, arc_lo), arc_hi)
-        c_hi = np.minimum(np.maximum(t_l_in, arc_lo), arc_hi)
-        b_hi = np.maximum(c_hi, c_lo)
-        d_adj = grp.d_adj_c  # (G, C)
-        r_adj = grp.r_adj_c
-        mins, maxs = quad_extremes_batch(
-            grp.pack.q_a2,
-            grp.pack.q_a1,
-            grp.pack.q_a0,
-            c_lo, b_hi,
+        a_s_in = arr_a_s[rows]  # (L, B)
+        a_l_in = arr_a_l[rows]
+        d_min, d_max, r_min, r_max, c_lo, c_hi = self._pin_to_pin(
+            grp.pack, grp.d_adj_c, grp.r_adj_c, arr_t_s[rows],
+            arr_t_l[rows], f, g,
         )
-        d_min = mins[0] + d_adj
-        d_max = maxs[0] + d_adj
-        r_min = mins[1] + r_adj
-        r_max = maxs[1] + r_adj
-        if f is not None:
-            d_min = d_min * f
-            d_max = d_max * f
-            r_min = r_min * f
-            r_max = r_max * f
-        if ge is not None:
-            d_min = d_min * ge
-            d_max = d_max * gl
-            r_min = r_min * ge
-            r_max = r_max * gl
-        has_def = def_.any(axis=0)
+        has_def = np.logical_or.reduceat(def_, ls)
         upper = a_l_in + d_max
-        if all_act:
-            a_s = (a_s_in + d_min).min(axis=0)
-            t_s = r_min.min(axis=0)
-            t_l = r_max.max(axis=0)
-            no_def_al = upper.max(axis=0)
-        else:
-            actb = act[:, :, None]
-            a_s = np.where(actb, a_s_in + d_min, np.inf).min(axis=0)
-            t_s = np.where(actb, r_min, np.inf).min(axis=0)
-            t_l = np.where(actb, r_max, -np.inf).max(axis=0)
-            no_def_al = np.where(actb, upper, -np.inf).max(axis=0)
+        lows = a_s_in + d_min
+        if not all_act:
+            actb = act[:, None]
+            lows = np.where(actb, lows, np.inf)
+            r_min = np.where(actb, r_min, np.inf)
+            r_max = np.where(actb, r_max, -np.inf)
+        a_s = np.minimum.reduceat(lows, ls)
+        t_s = np.minimum.reduceat(r_min, ls)
+        t_l = np.maximum.reduceat(r_max, ls)
+        no_def_al = np.maximum.reduceat(
+            upper if all_act else np.where(actb, upper, -np.inf), ls
+        )
         if has_def.any():
-            defb = def_[:, :, None]
             a_l = np.where(
                 has_def[:, None],
-                np.where(defb, upper, np.inf).min(axis=0),
+                np.minimum.reduceat(
+                    np.where(def_[:, None], upper, np.inf), ls
+                ),
                 no_def_al,
             )
         else:
             a_l = no_def_al
         if grp.shape is not None:
-            # Pair merge: candidates involving an inactive lane carry
-            # NaN, fail every comparison and fall to the ±inf branch of
-            # np.where — so gates with < 2 active inputs self-mask.
-            overlap_k = overlap_depth(a_s_in, a_l_in)  # (G, B)
-            # Ratio lookup: rt is (P+1, G, C); the per-column corner
-            # index broadcasts to (1, 1) on a single-corner compile —
-            # every batch column reads corner 0, exactly the old (G, B)
-            # lookup — and to the per-corner column when B == C.
-            cidx = np.arange(grp.rt.shape[-1], dtype=np.intp)[None, :]
-            ratio = grp.rt[overlap_k, grp.gate_idx, cidx]
-            t_ratio = grp.rt_t[overlap_k, grp.gate_idx, cidx]
-            tc = np.stack([c_lo, c_hi], axis=1)  # (P, 2, G, B)
-            # One cube root per pin endpoint; the combos index into it.
-            rc = cbrt_grid(tc)
-            qa2e = grp.pack.q_a2[:, :, None]  # (2, A, 1, G, C)
-            qa1e = grp.pack.q_a1[:, :, None]
-            qa0e = grp.pack.q_a0[:, :, None]
-            drtr = (qa2e * tc + qa1e) * tc + qa0e  # (2, P, 2, G, B)
-            dr = drtr[0] + d_adj
-            tr = drtr[1] + r_adj
-            if f is not None:
-                dr = dr * f
-                tr = tr * f
-            if ge is not None:
-                dr = dr * ge
-                tr = tr * ge
-            ii, jj, ki, kj, pairs = _pair_combos(grp.n_pins)
-            t_lo_c = tc[ii, ki]  # (C, G, B)
-            t_hi_c = tc[jj, kj]
-            dr_lo = dr[ii, ki]
-            dr_hi = dr[jj, kj]
-            roots = (rc[ii, ki], rc[jj, kj])
-            d0, s_pos, s_neg = vshape_anchor_surfaces(
-                grp.shape, t_lo_c, t_hi_c, grp.scale_c,
-                dr_lo, dr_hi, d_adj, f=f, roots=roots, g=ge,
+            a_s, t_s = self._pair_merge(
+                grp, f, ge, act, all_act, a_s_in, a_l_in,
+                c_lo, c_hi, a_s, t_s,
             )
-            asi, asj = a_s_in[ii], a_s_in[jj]
-            ali, alj = a_l_in[ii], a_l_in[jj]
-            blo = asj - ali
-            bhi = alj - asi
-            delta = np.stack(
-                [blo, bhi, asj - asi, np.zeros_like(blo), s_pos, -s_neg],
-                axis=1,
-            )  # (C, 6, G, B)
-            valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-            dval = _v_delay(
-                delta, d0[:, None], s_pos[:, None], s_neg[:, None],
-                dr_lo[:, None], dr_hi[:, None],
-            )
-            floor = (
-                np.maximum(asi[:, None], asj[:, None] - delta)
-                + np.minimum(0.0, delta)
-            )
-            cand = np.where(valid, floor + dval, np.inf)
-            a_s = np.minimum(a_s, cand.min(axis=(0, 1)))
-            # Same tolerance and form as DirWindow.overlaps_arrivals.
-            pair_ov = (a_s_in[grp.pa] <= a_l_in[grp.pb] + OVERLAP_TOL) & (
-                a_s_in[grp.pb] <= a_l_in[grp.pa] + OVERLAP_TOL
-            )  # (pairs, G, B)
-            first = np.arange(len(pairs), dtype=np.intp) * 4
-            pair_floor = np.maximum(a_s_in[grp.pa], a_s_in[grp.pb])
-            extra = np.where(
-                pair_ov & (ratio < 1.0),
-                pair_floor + d0[first] * ratio,
-                np.inf,
-            )
-            a_s = np.minimum(a_s, extra.min(axis=0))
-
-            # ---- transition-time merge (SK_t,min rule) ----
-            vskew, vval, sp_t, sn_t = trans_anchor_surfaces(
-                grp.shape, t_lo_c, t_hi_c, tr[ii, ki], tr[jj, kj], r_adj,
-                f=f, roots=roots, g=ge,
-            )
-            delta_t = np.minimum(np.maximum(vskew, blo), bhi)
-            tval = _trans_v(
-                delta_t, vskew, vval, sp_t, sn_t, tr[ii, ki], tr[jj, kj]
-            )
-            combo_ov = np.repeat(pair_ov, 4, axis=0)
-            tval = np.where(
-                combo_ov & (t_ratio < 1.0),
-                np.minimum(tval, vval * t_ratio),
-                tval,
-            )
-            if not all_act:
-                # Unlike the arrival candidates there is no validity
-                # filter here, so combos touching an inactive lane need
-                # an explicit mask before the reduction.
-                combo_act = np.repeat(act[grp.pa] & act[grp.pb], 4, axis=0)
-                tval = np.where(combo_act[:, :, None], tval, np.inf)
-            t_s = np.minimum(t_s, tval.min(axis=0))
         a_s = np.minimum(a_s, a_l)
         t_s = np.minimum(t_s, t_l)
         state = np.where(has_def, DEFINITE, POTENTIAL)
         self._scatter(
-            grp.out_ctrl, n_act > 0, state, (a_s, a_l, t_s, t_l),
-            arrays, states,
+            grp.out_ctrl, self._any(act, all_act, ls), state,
+            (a_s, a_l, t_s, t_l), arrays, states,
         )
 
         # ---- to-non-controlling response ----
-        st_in = states[grp.nonctrl_rows]
+        rows = grp.nonctrl_rows
+        st_in = states[rows]
         act = st_in != IMPOSSIBLE
         def_ = st_in == DEFINITE
-        n_act = act.sum(axis=0)
         all_act = bool(act.all())
-        t_s_in = arr_t_s[grp.nonctrl_rows]
-        t_l_in = arr_t_l[grp.nonctrl_rows]
-        a_s_in = arr_a_s[grp.nonctrl_rows]
-        a_l_in = arr_a_l[grp.nonctrl_rows]
-        arc_lo = grp.npack.t_lo
-        arc_hi = grp.npack.t_hi
-        c_lo = np.minimum(np.maximum(t_s_in, arc_lo), arc_hi)
-        b_hi = np.maximum(
-            np.minimum(np.maximum(t_l_in, arc_lo), arc_hi), c_lo
+        t_s_in = arr_t_s[rows]
+        t_l_in = arr_t_l[rows]
+        a_s_in = arr_a_s[rows]
+        a_l_in = arr_a_l[rows]
+        d_min, d_max, r_min, r_max, _, _ = self._pin_to_pin(
+            grp.npack, grp.d_adj_n, grp.r_adj_n, t_s_in, t_l_in, f, g,
         )
-        d_adj = grp.d_adj_n
-        r_adj = grp.r_adj_n
-        mins, maxs = quad_extremes_batch(
-            grp.npack.q_a2,
-            grp.npack.q_a1,
-            grp.npack.q_a0,
-            c_lo, b_hi,
-        )
-        d_min = mins[0] + d_adj
-        d_max = maxs[0] + d_adj
-        r_min = mins[1] + r_adj
-        r_max = maxs[1] + r_adj
-        if f is not None:
-            d_min = d_min * f
-            d_max = d_max * f
-            r_min = r_min * f
-            r_max = r_max * f
-        if ge is not None:
-            d_min = d_min * ge
-            d_max = d_max * gl
-            r_min = r_min * ge
-            r_max = r_max * gl
-        has_def = def_.any(axis=0)
+        has_def = np.logical_or.reduceat(def_, ls)
         lows = a_s_in + d_min
         highs = a_l_in + d_max
         if all_act:
-            no_def_as = lows.min(axis=0)
-            a_l = highs.max(axis=0)
-            t_s = r_min.min(axis=0)
-            t_l = r_max.max(axis=0)
+            no_def_as = np.minimum.reduceat(lows, ls)
         else:
-            actb = act[:, :, None]
-            no_def_as = np.where(actb, lows, np.inf).min(axis=0)
-            a_l = np.where(actb, highs, -np.inf).max(axis=0)
-            t_s = np.where(actb, r_min, np.inf).min(axis=0)
-            t_l = np.where(actb, r_max, -np.inf).max(axis=0)
+            actb = act[:, None]
+            no_def_as = np.minimum.reduceat(np.where(actb, lows, np.inf), ls)
+            highs = np.where(actb, highs, -np.inf)
+            r_min = np.where(actb, r_min, np.inf)
+            r_max = np.where(actb, r_max, -np.inf)
+        a_l = np.maximum.reduceat(highs, ls)
+        t_s = np.minimum.reduceat(r_min, ls)
+        t_l = np.maximum.reduceat(r_max, ls)
         if has_def.any():
-            defb = def_[:, :, None]
             a_s = np.where(
                 has_def[:, None],
-                np.where(defb, lows, -np.inf).max(axis=0),
+                np.maximum.reduceat(
+                    np.where(def_[:, None], lows, -np.inf), ls
+                ),
                 no_def_as,
             )
         else:
             a_s = no_def_as
-        if grp.ppack is not None:
-            p_adj = grp.p_adj  # (G, C)
-            p_lo = grp.ppack.t_lo
-            p_hi = grp.ppack.t_hi
-            tc = np.stack(
-                [
-                    np.minimum(np.maximum(t_s_in, p_lo), p_hi),
-                    np.minimum(np.maximum(t_l_in, p_lo), p_hi),
-                ],
-                axis=1,
-            )  # (P, 2, G, B)
-            tails = (
-                (grp.ppack.d_a2[:, None] * tc
-                 + grp.ppack.d_a1[:, None]) * tc
-                + grp.ppack.d_a0[:, None]
-                + p_adj
+        if grp.pgate is not None and grp.pgate.size:
+            self._peak_merge(
+                grp, f, None if g is None else g[1],
+                t_s_in, t_l_in, a_s_in, a_l_in, a_l,
             )
-            if f is not None:
-                tails = tails * f
-            if gl is not None:
-                tails = tails * gl
-            ii, jj, ki, kj, pairs = _pair_combos(grp.n_pins)
-            tail_lo = tails[ii, ki]
-            tail_hi = tails[jj, kj]
-            rc = cbrt_grid(tc)
-            p0, s_pos, s_neg = peak_anchor_surfaces(
-                grp.peak, tc[ii, ki], tc[jj, kj],
-                grp.pscale_c, tail_lo, tail_hi, p_adj, f=f,
-                roots=(rc[ii, ki], rc[jj, kj]), g=gl,
-            )
-            asi, asj = a_s_in[ii], a_s_in[jj]
-            ali, alj = a_l_in[ii], a_l_in[jj]
-            blo = asj - ali
-            bhi = alj - asi
-            delta = np.stack(
-                [blo, bhi, alj - ali, np.zeros_like(blo), s_pos, -s_neg],
-                axis=1,
-            )
-            valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-            dval = _peak_delay(
-                delta, p0[:, None], s_pos[:, None], s_neg[:, None],
-                tail_lo[:, None], tail_hi[:, None],
-            )
-            ceiling = (
-                np.minimum(ali[:, None], alj[:, None] - delta)
-                + np.maximum(0.0, delta)
-            )
-            cand = np.where(valid, ceiling + dval, -np.inf)
-            a_l = np.maximum(a_l, cand.max(axis=(0, 1)))
         a_s = np.minimum(a_s, a_l)
         state = np.where(has_def, DEFINITE, POTENTIAL)
         self._scatter(
-            grp.out_nonctrl, n_act > 0, state, (a_s, a_l, t_s, t_l),
-            arrays, states,
+            grp.out_nonctrl, self._any(act, all_act, ls), state,
+            (a_s, a_l, t_s, t_l), arrays, states,
+        )
+
+    @staticmethod
+    def _pair_merge(
+        grp: _CtrlGroup,
+        f: Optional[np.ndarray],
+        ge: Optional[np.ndarray],
+        act: np.ndarray,
+        all_act: bool,
+        a_s_in: np.ndarray,
+        a_l_in: np.ndarray,
+        c_lo: np.ndarray,
+        c_hi: np.ndarray,
+        a_s: np.ndarray,
+        t_s: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The V-shape pair merge: lowered earliest arrivals and fastest
+        transitions of the to-controlling response, ``(G, B)`` each.
+
+        Candidates involving an inactive lane carry NaN, fail every
+        comparison and fall to the ``±inf`` branch of ``np.where`` — so
+        gates with < 2 active inputs self-mask.  ``f`` holds the lanes'
+        variation factors; a combo reads its gate's through its lane.
+        """
+        # Overlap depth: for each (gate, j) count the gate's lanes i
+        # covering j's start, then take the gate's deepest j.
+        s_i = a_s_in[grp.ov_i]
+        s_j = a_s_in[grp.ov_j]
+        covers = (s_i <= s_j) & (a_l_in[grp.ov_i] >= s_j)
+        depth = np.maximum.reduceat(
+            np.add.reduceat(covers, grp.ov_start, dtype=np.intp),
+            grp.lane_start,
+        )  # (G, B)
+        # Ratio lookup: the per-column corner index broadcasts to (1, 1)
+        # on a single-corner compile — every batch column reads corner
+        # 0 — and to the per-corner column when B == C.
+        k = grp.rt_off[:, None] + depth
+        cidx = np.arange(grp.rt.shape[-1], dtype=np.intp)[None, :]
+        ratio = grp.rt[k, cidx][grp.pair_gate]      # (Q, B)
+        t_ratio = grp.rt_t[k, cidx][grp.pair_gate]
+        tc = np.stack([c_lo, c_hi], axis=1)  # (L, 2, B)
+        # One cube root per real pin endpoint; the combos index into it.
+        rc = cbrt_grid(tc).reshape(-1, tc.shape[-1])
+        pack = grp.pack
+        drtr = (
+            (pack.q_a2[:, :, None] * tc + pack.q_a1[:, :, None]) * tc
+            + pack.q_a0[:, :, None]
+        )  # (2, L, 2, B)
+        dr = drtr[0] + grp.d_adj_c[:, None]
+        tr = drtr[1] + grp.r_adj_c[:, None]
+        if f is not None:
+            dr = dr * f[:, None]
+            tr = tr * f[:, None]
+        if ge is not None:
+            dr = dr * ge
+            tr = tr * ge
+        width = tc.shape[-1]
+        tc = tc.reshape(-1, width)
+        dr = dr.reshape(-1, width)
+        tr = tr.reshape(-1, width)
+        lo, hi = grp.lo_row, grp.hi_row
+        t_lo_c, t_hi_c = tc[lo], tc[hi]  # (K, B)
+        dr_lo, dr_hi = dr[lo], dr[hi]
+        roots = (rc[lo], rc[hi])
+        fc = None if f is None else f[grp.ca]
+        # Each combo's own cell surfaces and its gate's load terms.
+        shape = _take(grp.shape, grp.combo_gate)
+        d0, s_pos, s_neg = vshape_anchor_surfaces(
+            shape, t_lo_c, t_hi_c, grp.scale_c,
+            dr_lo, dr_hi, grp.d_adj_c[grp.ca], f=fc, roots=roots, g=ge,
+        )
+        asi, asj = a_s_in[grp.ca], a_s_in[grp.cb]
+        ali, alj = a_l_in[grp.ca], a_l_in[grp.cb]
+        blo = asj - ali
+        bhi = alj - asi
+        delta = np.stack(
+            [blo, bhi, asj - asi, np.zeros_like(blo), s_pos, -s_neg],
+            axis=1,
+        )  # (K, 6, B)
+        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
+        dval = _v_delay(
+            delta, d0[:, None], s_pos[:, None], s_neg[:, None],
+            dr_lo[:, None], dr_hi[:, None],
+        )
+        floor = (
+            np.maximum(asi[:, None], asj[:, None] - delta)
+            + np.minimum(0.0, delta)
+        )
+        cand = np.where(valid, floor + dval, np.inf).min(axis=1)
+        a_s = np.minimum(a_s, np.minimum.reduceat(cand, grp.combo_start))
+        # Same tolerance and form as DirWindow.overlaps_arrivals.
+        pa, pb = grp.pa, grp.pb
+        pair_ov = (a_s_in[pa] <= a_l_in[pb] + OVERLAP_TOL) & (
+            a_s_in[pb] <= a_l_in[pa] + OVERLAP_TOL
+        )  # (Q, B)
+        pair_floor = np.maximum(a_s_in[pa], a_s_in[pb])
+        extra = np.where(
+            pair_ov & (ratio < 1.0),
+            pair_floor + d0[::4] * ratio,
+            np.inf,
+        )
+        a_s = np.minimum(a_s, np.minimum.reduceat(extra, grp.pair_start))
+
+        # ---- transition-time merge (SK_t,min rule) ----
+        tr_lo, tr_hi = tr[lo], tr[hi]
+        vskew, vval, sp_t, sn_t = trans_anchor_surfaces(
+            shape, t_lo_c, t_hi_c, tr_lo, tr_hi, grp.r_adj_c[grp.ca],
+            f=fc, roots=roots, g=ge, slopes=(s_pos, s_neg),
+        )
+        delta_t = np.minimum(np.maximum(vskew, blo), bhi)
+        tval = _trans_v(delta_t, vskew, vval, sp_t, sn_t, tr_lo, tr_hi)
+        t_ratio = np.repeat(t_ratio, 4, axis=0)
+        combo_ov = np.repeat(pair_ov, 4, axis=0)
+        tval = np.where(
+            combo_ov & (t_ratio < 1.0),
+            np.minimum(tval, vval * t_ratio),
+            tval,
+        )
+        if not all_act:
+            # Unlike the arrival candidates there is no validity
+            # filter here, so combos touching an inactive lane need
+            # an explicit mask before the reduction.
+            combo_act = act[grp.ca] & act[grp.cb]
+            tval = np.where(combo_act[:, None], tval, np.inf)
+        t_s = np.minimum(t_s, np.minimum.reduceat(tval, grp.combo_start))
+        return a_s, t_s
+
+    @staticmethod
+    def _peak_merge(
+        grp: _CtrlGroup,
+        f: Optional[np.ndarray],
+        gl: Optional[np.ndarray],
+        t_s_in: np.ndarray,
+        t_l_in: np.ndarray,
+        a_s_in: np.ndarray,
+        a_l_in: np.ndarray,
+        a_l: np.ndarray,
+    ) -> None:
+        """The Λ-peak slow-down of the non-controlling response: raise
+        the latest arrival ``a_l`` of each gate with peak data in place.
+
+        Peak lanes and combos exist only for those gates; the peak
+        clamps window endpoints against its own tail arcs.
+        """
+        lanes = grp.plane
+        ppack = grp.ppack
+        p_lo = ppack.t_lo
+        p_hi = ppack.t_hi
+        tc = np.stack(
+            [
+                np.minimum(np.maximum(t_s_in[lanes], p_lo), p_hi),
+                np.minimum(np.maximum(t_l_in[lanes], p_lo), p_hi),
+            ],
+            axis=1,
+        )  # (Lp, 2, B)
+        tails = (
+            (ppack.d_a2[:, None] * tc + ppack.d_a1[:, None]) * tc
+            + ppack.d_a0[:, None]
+            + grp.p_adj[grp.plane_gate][:, None]
+        )
+        if f is not None:
+            tails = tails * f[lanes][:, None]
+        if gl is not None:
+            tails = tails * gl
+        width = tc.shape[-1]
+        rc = cbrt_grid(tc).reshape(-1, width)
+        tc = tc.reshape(-1, width)
+        tails = tails.reshape(-1, width)
+        lo, hi = grp.plo_row, grp.phi_row
+        tail_lo = tails[lo]
+        tail_hi = tails[hi]
+        gate = grp.pcombo_gate
+        p0, s_pos, s_neg = peak_anchor_surfaces(
+            _take(grp.peak, gate), tc[lo], tc[hi], grp.pscale_c,
+            tail_lo, tail_hi, grp.p_adj[gate],
+            f=None if f is None else f[grp.pca],
+            roots=(rc[lo], rc[hi]), g=gl,
+        )
+        asi, asj = a_s_in[grp.pca], a_s_in[grp.pcb]
+        ali, alj = a_l_in[grp.pca], a_l_in[grp.pcb]
+        blo = asj - ali
+        bhi = alj - asi
+        delta = np.stack(
+            [blo, bhi, alj - ali, np.zeros_like(blo), s_pos, -s_neg],
+            axis=1,
+        )
+        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
+        dval = _peak_delay(
+            delta, p0[:, None], s_pos[:, None], s_neg[:, None],
+            tail_lo[:, None], tail_hi[:, None],
+        )
+        ceiling = (
+            np.minimum(ali[:, None], alj[:, None] - delta)
+            + np.maximum(0.0, delta)
+        )
+        cand = np.where(valid, ceiling + dval, -np.inf).max(axis=1)
+        gates = grp.pgate
+        a_l[gates] = np.maximum(
+            a_l[gates], np.maximum.reduceat(cand, grp.pcombo_start)
         )
 
     # ------------------------------------------------------------------
@@ -1670,7 +2028,7 @@ class LevelCompiledAnalyzer:
         q: Tuple[np.ndarray, np.ndarray],
         merge: Optional[_CtrlGroup] = None,
     ) -> None:
-        """Fold the arcs ``pack`` (rows ``in_rows`` -> ``out_rows``) into
+        """Fold the lanes' arcs (rows ``in_rows`` -> ``out_rows``) into
         the required windows ``q`` of their inputs.
 
         ``d_min`` / ``d_max`` are the forward pass's own expressions;
@@ -1679,7 +2037,7 @@ class LevelCompiledAnalyzer:
         """
         t_s, t_l, states = ins
         q_s, q_l = q
-        act = states[in_rows] != IMPOSSIBLE  # (A, G)
+        act = states[in_rows] != IMPOSSIBLE  # (L,)
         c_lo = np.minimum(np.maximum(t_s[in_rows], pack.t_lo), pack.t_hi)
         c_hi = np.minimum(np.maximum(t_l[in_rows], pack.t_lo), pack.t_hi)
         mins, maxs = quad_extremes_batch(
@@ -1692,7 +2050,7 @@ class LevelCompiledAnalyzer:
         lo = q_s[out_rows] - d_min
         hi = q_l[out_rows] - d_max
         if not act.all():
-            actb = act[:, :, None]
+            actb = act[:, None]
             lo = np.where(actb, lo, -np.inf)
             hi = np.where(actb, hi, np.inf)
         np.maximum.at(q_s, in_rows, lo)
@@ -1705,7 +2063,7 @@ class LevelCompiledAnalyzer:
         c_lo: np.ndarray,
         c_hi: np.ndarray,
     ) -> np.ndarray:
-        """Smallest to-controlling delay through each pin, ``(P, G, 1)``.
+        """Smallest to-controlling delay through each pin, ``(L, 1)``.
 
         The per-gate ``_ctrl_min_delay``: a perfectly aligned partner
         brings the delay down to the V-shape vertex, so every (pin,
@@ -1716,26 +2074,37 @@ class LevelCompiledAnalyzer:
         multi-input ratio.
         """
         pack = grp.pack
-        own_i, own_k, oth_i, oth_k, x_i, x_k, y_i, y_k, srow = (
-            _partner_combos(grp.n_pins)
+        t = np.stack([c_lo, c_hi, pack.t_lo, pack.t_hi], axis=1)  # (L, 4, 1)
+        roots = cbrt_grid(t).reshape(-1, 1)
+        dr = (
+            (pack.d_a2[:, None] * t + pack.d_a1[:, None]) * t
+            + pack.d_a0[:, None] + grp.d_adj_c[:, None]
+        ).reshape(-1, 1)
+        # The candidates, pin-major (see _fanin_template), re-based from
+        # each gate's template into the group's grid and combo rows.
+        n = grp.counts["lane"]
+        tpl = _fanin_tables(int(n.max()))
+        gate, local = _elements(4 * n * (n - 1))
+        fanin = n[gate]
+        grid = 4 * grp.lane_start[gate]
+        x, y, own, other, combo = (
+            tpl[name][fanin, local] + base
+            for name, base in (
+                ("m_x", grid), ("m_y", grid), ("m_own", grid),
+                ("m_oth", grid), ("m_combo", grp.combo_start[gate]),
+            )
         )
-        t = np.concatenate([
-            np.stack([c_lo, c_hi], axis=1),
-            np.stack([pack.t_lo, pack.t_hi], axis=1),
-        ])  # (2P, 2, G, 1)
-        roots = cbrt_grid(t)
-        a2, a1, a0 = (
-            np.concatenate([a, a])[:, None]
-            for a in (pack.d_a2, pack.d_a1, pack.d_a0)
-        )
-        dr = (a2 * t + a1) * t + a0 + grp.d_adj_c
         d0 = (
-            grp.shape.d0.eval_roots(roots[x_i, x_k], roots[y_i, y_k])
-            * grp.scale_c[srow]
-            + grp.d_adj_c
+            _take(grp.shape.d0, grp.combo_gate[combo]).eval_roots(
+                roots[x], roots[y]
+            )
+            * grp.scale_c[combo]
+            + grp.d_adj_c[grp.ca[combo]]
         )
-        cand = np.minimum(np.minimum(d0, dr[own_i, own_k]), dr[oth_i, oth_k])
-        per_pin = cand.reshape((grp.n_pins, -1) + cand.shape[1:]).min(axis=1)
+        cand = np.minimum(np.minimum(d0, dr[own]), dr[other])
+        per_pin = np.minimum.reduceat(
+            cand, _excl(4 * (np.repeat(n, n) - 1))
+        )
         return np.minimum(d_min, per_pin) * grp.rt_min
 
     # ------------------------------------------------------------------

@@ -31,7 +31,8 @@ How it works:
 Re-timing itself comes in two gears.  Normally the analyzer keeps the
 raw SoA window state of the last full (level-compiled) pass and
 replays the cone *batched*: per level, the dirty
-gates of each compiled group are sliced into a column subset
+gates of each compiled group (at most one ctrl and one arc-table group
+per level) are sliced into a column subset
 (:func:`~repro.sta.compile.subset_group`) and run through the same
 level kernels against the persistent state, then the output rows are
 diffed bitwise to decide which fan-outs join the frontier.  That keeps
@@ -84,25 +85,16 @@ def _timings_equal(a: LineTiming, b: LineTiming) -> bool:
     return _windows_equal(a.rise, b.rise) and _windows_equal(a.fall, b.fall)
 
 
-def _out_rows(sub) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-    """Output rows of a subset group + per-direction segment spans.
+def _dirty_gates(row_gate: np.ndarray, same: np.ndarray, n: int) -> np.ndarray:
+    """Per subset column: did any of its output rows change?
 
-    Each segment covers all G gates of the subset in column order, so a
-    gate is unchanged iff its row is unchanged in *every* segment.
+    ``row_gate[r]`` is the column owning output row ``r`` (a gate owns
+    one row per output direction) and ``same[r]`` says whether that row
+    kept its bits, so a gate is clean iff every one of its rows is.
     """
-    if hasattr(sub, "out_ctrl"):
-        g = len(sub.out_ctrl)
-        return (
-            np.concatenate([sub.out_ctrl, sub.out_nonctrl]),
-            [(0, g), (g, 2 * g)],
-        )
-    parts = [d.out_rows for d in sub.dirs if d is not None]
-    segments = []
-    offset = 0
-    for part in parts:
-        segments.append((offset, offset + len(part)))
-        offset += len(part)
-    return np.concatenate(parts), segments
+    dirty = np.zeros(n, dtype=bool)
+    dirty[row_gate[~same]] = True
+    return dirty
 
 
 def _rows_equal(
@@ -263,7 +255,8 @@ class IncrementalAnalyzer:
         self._cw = None
         #: The compile ``_cw`` came from (see :meth:`_batched_ready`).
         self._cw_of = None
-        #: (id(group), cols) -> (group.version, subset) — cones revisit
+        #: (id(group), cols) -> (group.version, (subset, output rows,
+        #: owning column per row)) — cones revisit
         #: the same group columns across edits (optimizer trial loops),
         #: so slices are memoized until a patch bumps the version.  The
         #: keys are ids of one compile's groups, which a recompile frees
@@ -403,8 +396,7 @@ class IncrementalAnalyzer:
                     cols_lines.sort()
                     group = groups[gid]
                     cols = tuple(c for c, _ in cols_lines)
-                    sub = self._subset(group, cols)
-                    rows, segments = _out_rows(sub)
+                    sub, rows, row_gate = self._subset(group, cols)
                     old = (
                         states[rows].copy(),
                         arrays[0][rows, 0].copy(),
@@ -413,14 +405,14 @@ class IncrementalAnalyzer:
                         arrays[3][rows, 0].copy(),
                     )
                     level.run_group(sub, arrays, states)
-                    eq = _rows_equal(old, arrays, states, rows)
-                    unchanged = np.ones(len(cols), dtype=bool)
-                    for lo, hi in segments:
-                        unchanged &= eq[lo:hi]
+                    dirty = _dirty_gates(
+                        row_gate, _rows_equal(old, arrays, states, rows),
+                        len(cols),
+                    )
                     cone += len(cols)
-                    self._m_early.inc(int(unchanged.sum()))
-                    for (col, line), same in zip(cols_lines, unchanged):
-                        if same:
+                    self._m_early.inc(len(cols) - int(dirty.sum()))
+                    for (col, line), changed in zip(cols_lines, dirty):
+                        if not changed:
                             continue
                         timings[line] = cw.line_timing(line)
                         for sink in circuit.fanouts(line):
@@ -431,7 +423,8 @@ class IncrementalAnalyzer:
         return StaResult(circuit, timings)
 
     def _subset(self, group, cols: Tuple[int, ...]):
-        """Memoized column subset of one group of the current compile."""
+        """Memoized column subset of one group of the current compile,
+        with its output rows and the subset column owning each row."""
         compiled = self.analyzer._level.compiled
         if compiled is not self._subsets_of:
             self._subsets.clear()
@@ -445,8 +438,9 @@ class IncrementalAnalyzer:
         if len(self._subsets) >= 4096:
             self._subsets.clear()
         sub = subset_group(group, cols)
-        self._subsets[key] = (group.version, sub)
-        return sub
+        entry = (sub, *sub.outputs())
+        self._subsets[key] = (group.version, entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Trial batches (what-if evaluation)
@@ -610,8 +604,7 @@ class IncrementalAnalyzer:
                 cols_lines.sort()
                 group = groups[gid]
                 cols = tuple(c for c, _ in cols_lines)
-                sub = self._subset(group, cols)
-                rows, segments = _out_rows(sub)
+                sub, rows, row_gate = self._subset(group, cols)
                 level.run_group(sub, arrays, states)
                 for _, line in cols_lines:
                     entries = pins.get(line)
@@ -626,14 +619,10 @@ class IncrementalAnalyzer:
                     & (arrays[2][rows] == m_arrays[2][rows])
                     & (arrays[3][rows] == m_arrays[3][rows])
                 ) | st_imp
-                unchanged = np.ones((len(cols), K), dtype=bool)
-                for lo, hi in segments:
-                    unchanged &= eq[lo:hi]
+                dirty = _dirty_gates(row_gate, eq.all(axis=1), len(cols))
                 cone += len(cols)
-                for (_, line), clean in zip(
-                    cols_lines, unchanged.all(axis=1)
-                ):
-                    if clean:
+                for (_, line), changed in zip(cols_lines, dirty):
+                    if not changed:
                         continue
                     for sink in circuit.fanouts(line):
                         out = sink.output

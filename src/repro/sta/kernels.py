@@ -177,6 +177,26 @@ def ratio_table(scales: dict, max_k: int) -> np.ndarray:
     )
 
 
+def sr_slopes(
+    shape,
+    t_lo: np.ndarray,
+    t_hi: np.ndarray,
+    f: Optional[np.ndarray] = None,
+    g: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Saturation skews (s_pos, s_neg): the SR surfaces at the floor,
+    times the variation factor ``f`` and then the derate ``g``."""
+    s_pos = np.maximum(shape.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
+    s_neg = np.maximum(shape.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
+    if f is not None:
+        s_pos = s_pos * f
+        s_neg = s_neg * f
+    if g is not None:
+        s_pos = s_pos * g
+        s_neg = s_neg * g
+    return s_pos, s_neg
+
+
 def vshape_anchor_surfaces(
     ctrl,
     t_lo: np.ndarray,
@@ -206,14 +226,7 @@ def vshape_anchor_surfaces(
     if g is not None:
         d0 = d0 * g
     d0 = np.minimum(np.minimum(d0, dr_lo), dr_hi)
-    s_pos = np.maximum(ctrl.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-    s_neg = np.maximum(ctrl.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-    if f is not None:
-        s_pos = s_pos * f
-        s_neg = s_neg * f
-    if g is not None:
-        s_pos = s_pos * g
-        s_neg = s_neg * g
+    s_pos, s_neg = sr_slopes(ctrl, t_lo, t_hi, f, g)
     return d0, s_pos, s_neg
 
 
@@ -227,8 +240,13 @@ def trans_anchor_surfaces(
     f: Optional[np.ndarray] = None,
     roots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     g: Optional[np.ndarray] = None,
+    slopes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transition-V anchors (vertex_skew, vertex_value, s_pos, s_neg)."""
+    """Transition-V anchors (vertex_skew, vertex_value, s_pos, s_neg).
+
+    ``slopes`` hands in the :func:`sr_slopes` a caller already evaluated
+    on the same operands (the V-shape anchors share them).
+    """
     x, y = roots if roots is not None else (cbrt_grid(t_lo), cbrt_grid(t_hi))
     vertex_value = ctrl.t_vertex.eval_roots(x, y) + load_adj
     vertex_skew = ctrl.t_vertex_skew.eval_many(t_lo, t_hi)
@@ -238,14 +256,9 @@ def trans_anchor_surfaces(
     if g is not None:
         vertex_value = vertex_value * g
         vertex_skew = vertex_skew * g
-    s_pos = np.maximum(ctrl.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-    s_neg = np.maximum(ctrl.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-    if f is not None:
-        s_pos = s_pos * f
-        s_neg = s_neg * f
-    if g is not None:
-        s_pos = s_pos * g
-        s_neg = s_neg * g
+    s_pos, s_neg = (
+        slopes if slopes is not None else sr_slopes(ctrl, t_lo, t_hi, f, g)
+    )
     vertex_skew = np.minimum(np.maximum(vertex_skew, -s_neg), s_pos)
     vertex_value = np.minimum(np.minimum(vertex_value, tail_lo), tail_hi)
     return vertex_skew, vertex_value, s_pos, s_neg
@@ -271,14 +284,7 @@ def peak_anchor_surfaces(
     if g is not None:
         p0 = p0 * g
     p0 = np.maximum(np.maximum(p0, tail_lo), tail_hi)
-    s_pos = np.maximum(data.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-    s_neg = np.maximum(data.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-    if f is not None:
-        s_pos = s_pos * f
-        s_neg = s_neg * f
-    if g is not None:
-        s_pos = s_pos * g
-        s_neg = s_neg * g
+    s_pos, s_neg = sr_slopes(data, t_lo, t_hi, f, g)
     return p0, s_pos, s_neg
 
 

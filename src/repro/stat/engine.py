@@ -4,8 +4,10 @@ A naive Monte Carlo re-times the circuit N times.  This engine instead
 gives every numeric window field a trailing *sample axis* and pushes
 all N coefficient draws of a block through **one** forward pass: the
 level-compiled engine of :mod:`repro.sta.compile`, whose trailing batch
-axis is the sample axis.  The deterministic nominal pass comes from the
-same compile, so an engine pays for one compile and no per-gate walk.
+axis is the sample axis.  The deterministic nominal answer rides the
+first block as one extra factor-1.0 column (:meth:`MonteCarloEngine
+.block_extremes`), so a run pays for one compile, one pass per block and
+no separate nominal pass.
 
 This module also keeps the per-gate *mirror* of that pass
 (:meth:`MonteCarloEngine.propagate_per_gate`): a mechanical translation
@@ -145,10 +147,15 @@ class MonteCarloEngine:
         self.analyzer = TimingAnalyzer(
             circuit, library, self.model, self.config
         )
-        #: Deterministic pass (no variation, no derate) from the compile
-        #: the sample blocks run on.
-        self.nominal: StaResult = self.analyzer.analyze()
+        self._nominal: Optional[StaResult] = None
         self._level = self.analyzer.level_engine()
+        outputs = [self._level.compiled.line_index[o] for o in circuit.outputs]
+        #: SoA rows of the primary outputs: every rise row, then every
+        #: fall row.
+        self._po_rows = np.array(
+            outputs + [i + self._level.compiled.n_lines for i in outputs],
+            dtype=np.intp,
+        )
         self._ctx = kernels.KernelContext()
         #: Gate output lines in propagation order; row ``i`` of a factor
         #: matrix perturbs ``gate_order[i]``.
@@ -165,6 +172,20 @@ class MonteCarloEngine:
     @property
     def n_gates(self) -> int:
         return len(self.gate_order)
+
+    @property
+    def nominal(self) -> StaResult:
+        """Deterministic pass (no variation, no derate) from the compile
+        the sample blocks run on, computed on first use.
+
+        Only the references need it as a full :class:`StaResult` (the
+        per-gate mirror reads its PI states, the ``mc`` oracle diffs
+        it); Monte Carlo runs read the nominal extremes from the extra
+        column of the first block instead.
+        """
+        if self._nominal is None:
+            self._nominal = self.analyzer.analyze()
+        return self._nominal
 
     # ------------------------------------------------------------------
     # Forward propagation
@@ -183,6 +204,52 @@ class MonteCarloEngine:
         return self._from_compiled(
             self._level.propagate(factors, derates=self.derate)
         )
+
+    def block_extremes(
+        self, factors: np.ndarray, nominal: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, float]]]:
+        """One compiled pass, reduced to per-output extremes.
+
+        Reads the primary-output rows straight from the SoA block, with
+        the reduction of :meth:`po_extremes`.
+
+        Args:
+            factors: Per-gate variation factors ``(n_gates, n_samples)``.
+            nominal: Append one factor-1.0 column (derate 1.0 in that
+                column when the engine is derated — multiplying by 1.0
+                is exact) and report its extremes: the deterministic
+                answer, bit for bit, without a pass of its own.
+
+        Returns:
+            ``(po_max, po_min, nominal_extremes)``: the samples'
+            ``(n_outputs, n_samples)`` latest / earliest arrivals and,
+            with ``nominal``, the deterministic ``(max, min)`` over the
+            outputs (else ``None``).
+        """
+        derates = self.derate
+        if nominal:
+            factors = np.concatenate(
+                [factors, np.ones((factors.shape[0], 1))], axis=1
+            )
+            if derates is not None:
+                derates = tuple(
+                    np.append(np.full(factors.shape[1] - 1, d), 1.0)
+                    for d in derates
+                )
+        compiled = self._level.propagate(factors, derates=derates)
+        rows = self._po_rows
+        active = (compiled.states[rows] != IMPOSSIBLE)[:, None]
+        if not active.any():
+            raise ValueError("no active output transitions")
+        late = np.where(active, compiled.a_l[rows], -np.inf)
+        early = np.where(active, compiled.a_s[rows], np.inf)
+        half = len(self.circuit.outputs)
+        po_max = np.maximum(late[:half], late[half:])
+        po_min = np.minimum(early[:half], early[half:])
+        if not nominal:
+            return po_max, po_min, None
+        extremes = (float(po_max[:, -1].max()), float(po_min[:, -1].min()))
+        return po_max[:, :-1], po_min[:, :-1], extremes
 
     def propagate_per_gate(self, factors: np.ndarray) -> BlockWindows:
         """The per-gate mirror of :meth:`propagate` (reference only).

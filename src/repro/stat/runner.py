@@ -56,17 +56,60 @@ def plan_blocks(samples: int, block: int) -> List[Tuple[int, int]]:
     ]
 
 
+#: (po_max, po_min) per block start.
+Pieces = Dict[int, Tuple[np.ndarray, np.ndarray]]
+
+
 def _run_block(
     engine: MonteCarloEngine,
     variation: VariationModel,
     seed: int,
     start: int,
     size: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, float]]]:
+    """One block's per-output extremes; block 0 also carries the
+    nominal column and returns its ``(max, min)`` (see
+    :meth:`MonteCarloEngine.block_extremes`)."""
     factors = variation.factors_for_block(
         seed, start, engine.cell_index, len(engine.cell_names), size
     )
-    return engine.po_extremes(engine.propagate(factors))
+    return engine.block_extremes(factors, nominal=start == 0)
+
+
+def _assemble(pieces: Pieces) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-output arrays in sample order, whatever order blocks ran in."""
+    starts = sorted(pieces)
+    return (
+        np.concatenate([pieces[s][0] for s in starts], axis=1),
+        np.concatenate([pieces[s][1] for s in starts], axis=1),
+    )
+
+
+def run_blocks(
+    engine: MonteCarloEngine,
+    variation: VariationModel,
+    seed: int,
+    blocks: List[Tuple[int, int]],
+    block_hist=None,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[float, float]]:
+    """The serial block loop of :func:`run_mc` (and the timing daemon).
+
+    Returns ``(po_max, po_min, (nominal_max, nominal_min))``; each
+    block's wall time goes to ``block_hist`` when given.
+    """
+    pieces: Pieces = {}
+    nominal = None
+    for start, size in blocks:
+        t0 = time.perf_counter()
+        po_max, po_min, extremes = _run_block(
+            engine, variation, seed, start, size
+        )
+        pieces[start] = (po_max, po_min)
+        if extremes is not None:
+            nominal = extremes
+        if block_hist is not None:
+            block_hist.observe(time.perf_counter() - t0)
+    return (*_assemble(pieces), nominal)
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +132,10 @@ def _pool_init(
 
     With the parent instrumented the worker runs a real registry whose
     per-block deltas ride back with each result; construction-time
-    metrics (the engine's own nominal STA pass, which the parent already
-    performed once, as serial does) are captured and discarded so
-    ``--jobs N`` counter totals equal ``--jobs 1``.  Otherwise the null
-    registry keeps the worker zero-overhead.
+    metrics (the engine's compile, which the parent already performed
+    once, as serial does) are captured and discarded so ``--jobs N``
+    counter totals equal ``--jobs 1``.  Otherwise the null registry
+    keeps the worker zero-overhead.
     """
     registry = init_worker_obs(obs_enabled)
     global _WORKER
@@ -124,12 +167,14 @@ def _pool_block(start: int, size: int):
     registry = get_registry()
     t0 = time.perf_counter()
     with registry.span("mc.block"):
-        po_max, po_min = _run_block(
+        po_max, po_min, nominal = _run_block(
             _WORKER["engine"], _WORKER["variation"], _WORKER["seed"],
             start, size,
         )
     elapsed = time.perf_counter() - t0
-    return start, po_max, po_min, elapsed, capture_and_reset(registry)
+    return (
+        start, po_max, po_min, nominal, elapsed, capture_and_reset(registry)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -184,15 +229,11 @@ def run_mc(
     mc_engine = MonteCarloEngine(
         circuit, library, MC_MODELS[model](), config, derate=derate,
     )
-    pieces: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     with obs.timer("stat.mc.wall_s"):
         if jobs <= 1 or len(blocks) == 1:
-            for start, size in blocks:
-                t0 = time.perf_counter()
-                pieces[start] = _run_block(
-                    mc_engine, variation, seed, start, size
-                )
-                block_hist.observe(time.perf_counter() - t0)
+            po_max, po_min, nominal = run_blocks(
+                mc_engine, variation, seed, blocks, block_hist
+            )
         else:
             initargs = (
                 circuit.to_dict(),
@@ -212,6 +253,8 @@ def run_mc(
                 derate,
             )
             workers = min(jobs, len(blocks))
+            pieces: Pieces = {}
+            nominal = None
             payloads: Dict[int, Optional[dict]] = {}
             with ProcessPoolExecutor(
                 max_workers=workers,
@@ -223,8 +266,12 @@ def run_mc(
                     for start, size in blocks
                 ]
                 for future in as_completed(futures):
-                    start, po_max, po_min, elapsed, payload = future.result()
+                    start, po_max, po_min, extremes, elapsed, payload = (
+                        future.result()
+                    )
                     pieces[start] = (po_max, po_min)
+                    if extremes is not None:
+                        nominal = extremes
                     payloads[start] = payload
                     block_hist.observe(elapsed)
             # Fold worker registries back in, ordered by block start so
@@ -232,10 +279,7 @@ def run_mc(
             merge_payloads(
                 obs, [payloads[s] for s in sorted(payloads)]
             )
-    # Reassemble in sample order regardless of completion order.
-    starts = sorted(pieces)
-    po_max = np.concatenate([pieces[s][0] for s in starts], axis=1)
-    po_min = np.concatenate([pieces[s][1] for s in starts], axis=1)
+            po_max, po_min = _assemble(pieces)
     return McResult(
         circuit_name=circuit.name,
         outputs=list(circuit.outputs),
@@ -244,8 +288,8 @@ def run_mc(
         block=block,
         model=model,
         variation=variation,
-        nominal_max=mc_engine.nominal.output_max_arrival(),
-        nominal_min=mc_engine.nominal.output_min_arrival(),
+        nominal_max=nominal[0],
+        nominal_min=nominal[1],
         po_max=po_max,
         po_min=po_min,
     )

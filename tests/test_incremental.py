@@ -8,12 +8,14 @@ mutated circuit, and every :meth:`~repro.sta.incremental
 the circuit with only that one edit applied.
 """
 
+import copy
+import dataclasses
 import random
 
 import pytest
 
 from repro.circuit import Circuit, load_packaged_bench, parse_bench
-from repro.models import VShapeModel
+from repro.models import NonCtrlAwareModel, VShapeModel
 from repro.sta import (
     IncrementalAnalyzer,
     PerfConfig,
@@ -375,6 +377,98 @@ class TestTryEdits:
             incr.try_edits([])
         with pytest.raises(ValueError):
             incr.try_edits([TrialEdit("rewire", "G10", "G1")])
+
+
+class TestMergedGroups:
+    """Cone replays and trial sweeps through levels whose one ctrl group
+    mixes fan-ins 2..5 with and without Λ-peak data, patched in place."""
+
+    BENCH = (
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\n"
+        "OUTPUT(y1)\nOUTPUT(y2)\nOUTPUT(y3)\nOUTPUT(y4)\n"
+        "inv = NOT(a)\nxor = XOR(b, c)\n"
+        "n2 = NAND(a, b)\nn3 = NAND(b, c, d)\nn4 = NAND(a, c, d, e)\n"
+        "n5 = NAND(a, b, c, d, e)\nr2 = NOR(c, d)\nr4 = NOR(a, b, d, e)\n"
+        "dbl = NAND(e, e)\n"
+        "y1 = NAND(n2, n3, inv)\ny2 = NOR(n2, xor, r2)\n"
+        "y3 = AND(n4, n5, r4, dbl)\ny4 = NOT(n3)\n"
+    )
+
+    @staticmethod
+    def _library(library, strip_nand3_peak):
+        """The shipped library, or a copy whose NAND3 has no peak data
+        (so a NAND2 with peak data shares its group with one without)."""
+        if not strip_nand3_peak:
+            return library
+        lib = copy.deepcopy(library)
+        lib.cells["NAND3"] = dataclasses.replace(
+            lib.cells["NAND3"], nonctrl=None
+        )
+        lib._sized_cache.clear()  # sized variants derive from the base
+        return lib
+
+    @staticmethod
+    def _fresh(circuit, library, model_cls, edit=None):
+        variant = Circuit.from_dict(circuit.to_dict())
+        if edit is not None:
+            _apply(variant, (edit.op, edit.line, edit.value, None))
+        return TimingAnalyzer(
+            variant, library, model_cls(), StaConfig(), perf=SCALAR
+        ).analyze_per_gate()
+
+    @pytest.mark.parametrize(
+        "model_cls, strip",
+        [(VShapeModel, False), (NonCtrlAwareModel, False),
+         (NonCtrlAwareModel, True)],
+    )
+    def test_patched_retimes_and_trials_match_fresh(
+        self, library, model_cls, strip
+    ):
+        from repro.sta.compile import _slot_key
+
+        lib = self._library(library, strip)
+        circuit = parse_bench(self.BENCH, name="merged")
+        incr = IncrementalAnalyzer(
+            TimingAnalyzer(circuit, lib, model_cls(), StaConfig())
+        )
+        incr.analyze()
+        compiled = incr.analyzer._level.compiled
+        peaked = {
+            line for line, (_, _, key) in compiled._locs.items()
+            if key[0] == "ctrl" and key[2]
+        }
+        if model_cls is NonCtrlAwareModel:
+            assert "n2" in peaked and ("n3" in peaked) != strip
+        for edit in (
+            ("resize", "n2", 2.0), ("resize", "n3", 4.0),
+            ("swap", "n2", "nor"), ("resize", "n5", 0.5),
+            ("resize", "xor", 2.0), ("swap", "n2", "nand"),
+        ):
+            _apply(circuit, (*edit, None))
+            result = incr.retime()
+            assert incr.analyzer._level.compiled is compiled  # patched
+            reference = self._fresh(circuit, lib, model_cls)
+            for line in circuit.lines:
+                assert _timings_equal(
+                    result.line(line), reference.line(line)
+                ), (edit, line)
+        # NAND2 -> NOR2 keeps the slot (fan-in and peak membership).
+        assert _slot_key(lib.cell("NAND2"), True) == _slot_key(
+            lib.cell("NOR2"), True
+        )
+        edits = [
+            TrialEdit("resize", "n2", 4.0),
+            TrialEdit("resize", "n3", 0.5),
+            TrialEdit("swap", "n2", "nor"),
+            TrialEdit("resize", "r4", 2.0),
+        ]
+        trial = incr.try_edits(edits)
+        for k, e in enumerate(edits):
+            reference = self._fresh(circuit, lib, model_cls, e)
+            for line in circuit.lines:
+                assert _timings_equal(
+                    trial.line_timing(line, k), reference.line(line)
+                ), (e, line)
 
 
 class TestMemoEpoch:

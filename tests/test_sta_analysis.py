@@ -137,6 +137,37 @@ class TestForwardAnalysis:
         assert loads["a"] == pytest.approx(21e-15)
         assert loads["b"] == cap[1]
 
+    def test_bulk_loads_equal_the_per_line_sum(self, library):
+        """compute_loads' one gate sweep adds the same caps in the same
+        order as line_load (the incremental engine's per-line refresh),
+        also after rewires reorder fan-out lists and resizes."""
+        from repro.circuit import load_packaged_bench
+        from repro.sta.analysis import line_load
+
+        circuit = load_packaged_bench("c880s")
+        gates = sorted(circuit.gates)
+        circuit.resize_gate(gates[3], 2.0)
+        circuit.swap_cell(next(
+            g for g in gates if circuit.gates[g].kind == "nand"
+            and circuit.gates[g].n_inputs == 2
+        ), "nor")
+        for line in gates[10:40:5]:
+            gate = circuit.gates[line]
+            new = next(
+                pi for pi in circuit.inputs if pi not in gate.inputs
+            )
+            circuit.rewire_input(line, 0, new)
+        config = StaConfig(po_load=3e-15, dangling_load=1e-15)
+        loads = compute_loads(circuit, library, config)
+        outputs = set(circuit.outputs)
+        for line in circuit.lines:
+            want = line_load(
+                circuit, line,
+                lambda gate: library.cell(gate.cell_name()),
+                config, outputs,
+            )
+            assert loads[line].hex() == want.hex(), line
+
 
 def random_stimuli(circuit, rng):
     stimuli = {}

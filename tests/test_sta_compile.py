@@ -22,6 +22,7 @@ from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
 from repro.sta.analysis import PerfConfig, StaConfig, TimingAnalyzer
 from repro.sta.windows import (
+    IMPOSSIBLE,
     DirWindow,
     LineRequired,
     LineTiming,
@@ -336,10 +337,10 @@ def test_level_counters_account_per_gate(library):
 # Compiled coefficients, leaf by leaf
 # ----------------------------------------------------------------------
 def _group_leaves(obj, path=""):
-    """Every (path, leaf) of one compiled group tree."""
-    if isinstance(obj, tuple):
-        for i, item in enumerate(obj):
-            yield from _group_leaves(item, f"{path}[{i}]")
+    """Every (path, leaf) of one compiled group tree, run counts too."""
+    if isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from _group_leaves(item, f"{path}[{key}]")
     elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
             if field.name != "version":  # patch counter, not a coefficient
@@ -423,9 +424,19 @@ def test_corner_compile_repeats_single_library_columns(model_cls, library):
             _assert_same_leaf(path, four, one)
 
 
+def _runs(group, col):
+    """{axis: slice} of gate ``col``'s run on every axis of ``group``."""
+    runs = {}
+    for axis, counts in group.counts.items():
+        first = int(counts[:col].sum())
+        runs[axis] = slice(first, first + int(counts[col]))
+    return runs
+
+
 @pytest.mark.parametrize("model_cls", MODELS)
 def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
-    """Vectorized rows and load adjustments equal the per-gate scalars."""
+    """Vectorized rows and load adjustments equal the per-gate scalars on
+    every lane (gate pin or arc), combo and Λ-peak element."""
     from repro.sta.analysis import compute_loads
     from repro.sta.compile import CompiledCircuit
     from repro.sta.kernels import KernelContext
@@ -438,35 +449,325 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
         gate = circuit.gates[line]
         cell = library.cell(gate.cell_name())
         load = loads[line]
+        runs = _runs(group, col)
+        lanes = runs["lane"]
         terms = []
         if key[0] == "ctrl":
             ctrl_in = cell.controlling_value == 1
             out = cell.ctrl.out_rising
+            assert lanes.stop - lanes.start == gate.n_inputs, line
             for pin, src in enumerate(gate.inputs):
-                assert group.ctrl_rows[pin, col] == cc.row(src, ctrl_in)
-                assert group.nonctrl_rows[pin, col] == cc.row(src, not ctrl_in)
+                lane = lanes.start + pin
+                assert group.ctrl_rows[lane] == cc.row(src, ctrl_in)
+                assert group.nonctrl_rows[lane] == cc.row(src, not ctrl_in)
             assert group.out_ctrl[col] == cc.row(line, out)
             assert group.out_nonctrl[col] == cc.row(line, not out)
+            d_c = cell.load_adjusted_delay(out, load)
+            r_c = cell.load_adjusted_trans(out, load)
+            d_n = cell.load_adjusted_delay(not out, load)
+            r_n = cell.load_adjusted_trans(not out, load)
             terms += [
-                (group.d_adj_c, cell.load_adjusted_delay(out, load)),
-                (group.r_adj_c, cell.load_adjusted_trans(out, load)),
-                (group.d_adj_n, cell.load_adjusted_delay(not out, load)),
-                (group.r_adj_n, cell.load_adjusted_trans(not out, load)),
+                (group.d_adj_c[lanes], d_c),
+                (group.r_adj_c[lanes], r_c),
+                (group.d_adj_n[lanes], d_n),
+                (group.r_adj_n[lanes], r_n),
             ]
-            if group.p_adj is not None:
-                terms.append((group.p_adj, cell.load_adjusted_delay(
-                    cell.nonctrl.out_rising, load
-                )))
+            if group.shape is not None:
+                # Combos read their gate's surfaces and lane load terms.
+                combos = runs["combo"]
+                assert (group.combo_gate[combos] == col).all(), line
+                for lane in (group.ca[combos], group.cb[combos]):
+                    assert lanes.start <= lane.min(), line
+                    assert lane.max() < lanes.stop, line
+            if key[2]:
+                rank = runs["pgate"].start
+                assert group.pgate[rank] == col, line
+                assert (group.plane_gate[runs["plane"]] == rank).all()
+                assert (group.pcombo_gate[runs["pcombo"]] == rank).all()
+                p_adj = cell.load_adjusted_delay(cell.nonctrl.out_rising, load)
+                terms.append((group.p_adj[runs["pgate"]], p_adj))
         else:
-            for d, out in zip(group.dirs, (True, False)):
+            lane = lanes.start
+            segs = list(range(runs["seg"].start, runs["seg"].stop))
+            for out in (True, False):
                 index, _ = ctx.fanin_pack(cell, out)
+                if not index:
+                    empty = group.no_arc_rows[runs["noarc"]]
+                    assert cc.row(line, out) in empty
+                    continue
+                seg = segs.pop(0)
+                assert group.out_rows[seg] == cc.row(line, out)
+                assert group.seg_n[seg] == len(index)
                 for (pin, rising), arc in index.items():
                     src = gate.inputs[pin]
-                    assert d.in_rows[arc, col] == cc.row(src, rising)
-                assert d.out_rows[col] == cc.row(line, out)
+                    assert group.in_rows[lane + arc] == cc.row(src, rising)
+                arcs = slice(lane, lane + len(index))
                 terms += [
-                    (d.d_adj, cell.load_adjusted_delay(out, load)),
-                    (d.r_adj, cell.load_adjusted_trans(out, load)),
+                    (group.d_adj[arcs], cell.load_adjusted_delay(out, load)),
+                    (group.r_adj[arcs], cell.load_adjusted_trans(out, load)),
                 ]
+                lane += len(index)
+            assert lane == lanes.stop and not segs, line
         for leaf, want in terms:
-            assert leaf[col, 0] == want, line
+            assert leaf.size and (leaf[:, 0] == want).all(), line
+
+
+# ----------------------------------------------------------------------
+# The merged layout: one ctrl and one arc-table group per level
+# ----------------------------------------------------------------------
+#: One level holding every cell kind of the library at every fan-in, a
+#: gate reading one line twice, and an OR of one line that is
+#: IMPOSSIBLE in one direction under ``ONE_LEVEL_OVERRIDES``.
+ONE_LEVEL_GATES = {
+    "inv": "NOT(a)",
+    "buf": "BUFF(b)",
+    "xor": "XOR(a, c)",
+    "n2": "NAND(a, b)",
+    "n3": "NAND(b, c, d)",
+    "n4": "NAND(a, c, d, e)",
+    "n5": "NAND(a, b, c, d, e)",
+    "r2": "NOR(c, d)",
+    "r3": "NOR(a, d, f)",
+    "r4": "NOR(b, c, e, f)",
+    "r5": "NOR(a, b, d, e, f)",
+    "a2": "AND(e, f)",
+    "a3": "AND(a, b, f)",
+    "a4": "AND(b, c, d, f)",
+    "o2": "OR(a, f)",
+    "o3": "OR(c, e, f)",
+    "o4": "OR(a, b, c, d)",
+    "dbl": "NAND(a, a)",
+    "occ": "OR(c, c)",
+}
+
+#: c never falls, d never rises, f switches at a pinned (DEFINITE) time.
+ONE_LEVEL_OVERRIDES = {
+    "c": LineTiming(
+        rise=DirWindow(0.0, 0.3 * NS, 0.1 * NS, 0.2 * NS),
+        fall=DirWindow.impossible(),
+    ),
+    "d": LineTiming(
+        rise=DirWindow.impossible(),
+        fall=DirWindow(0.05 * NS, 0.25 * NS, 0.08 * NS, 0.3 * NS),
+    ),
+    "f": LineTiming(
+        rise=DirWindow.point(0.1 * NS, 0.15 * NS),
+        fall=DirWindow.point(0.12 * NS, 0.12 * NS),
+    ),
+}
+
+
+def one_level_circuit():
+    text = "".join(f"INPUT({pi})\n" for pi in "abcdef")
+    text += "".join(f"OUTPUT({g})\n" for g in ONE_LEVEL_GATES)
+    text += "".join(f"{g} = {e}\n" for g, e in ONE_LEVEL_GATES.items())
+    return parse_bench(text, name="one_level")
+
+
+def test_one_level_fixture_compiles_to_two_groups(library):
+    from repro.sta.compile import _ArcGroup, _CtrlGroup
+
+    circuit = one_level_circuit()
+    assert set(circuit.levelize()[g] for g in ONE_LEVEL_GATES) == {1}
+    compiled = LevelCompiledAnalyzer(
+        circuit, library, NonCtrlAwareModel()
+    ).compiled
+    assert compiled.n_levels == 1 and compiled.n_groups == 2
+    ctrl, arc = compiled.levels[0]
+    assert isinstance(ctrl, _CtrlGroup) and isinstance(arc, _ArcGroup)
+    assert ctrl.n_gates == 16 and arc.n_gates == 3
+    # Fan-ins 2..5 share the lanes and pairs: no padding.
+    fanins = [
+        circuit.gates[g].n_inputs for g in ONE_LEVEL_GATES
+        if g not in ("inv", "buf", "xor")
+    ]
+    assert len(ctrl.ctrl_rows) == sum(fanins)
+    assert len(ctrl.pa) == sum(n * (n - 1) // 2 for n in fanins)
+    # Peak lanes only for the gates whose cells carry peak data.
+    peak = {
+        line for line, (_, _, key) in compiled._locs.items()
+        if key[0] == "ctrl" and key[2]
+    }
+    assert peak and len(ctrl.pgate) == len(peak) < ctrl.n_gates
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_one_level_parity(model_cls, library):
+    """Every batch kind over the merged level equals the per-gate walk."""
+    from repro.pvt import STANDARD_CORNERS, CornerAnalyzer, scaled_library
+
+    circuit = one_level_circuit()
+    analyzer = LevelCompiledAnalyzer(circuit, library, model_cls())
+    # One column, under PI overrides.
+    assert_results_equal(
+        circuit,
+        TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate(
+            pi_overrides=ONE_LEVEL_OVERRIDES
+        ),
+        analyzer.analyze(pi_overrides=ONE_LEVEL_OVERRIDES),
+    )
+    # Boundary scenarios, overrides broadcast over every column.
+    scenarios = [
+        ((0.0, 0.0), (0.10 * NS, 0.10 * NS)),
+        ((0.0, 0.45 * NS), (0.08 * NS, 0.30 * NS)),
+        ((0.05 * NS, 0.20 * NS), (0.12 * NS, 0.18 * NS)),
+    ]
+    windows = analyzer.propagate(
+        boundaries=scenarios, pi_overrides=ONE_LEVEL_OVERRIDES
+    )
+    for b, (arrival, trans) in enumerate(scenarios):
+        config = StaConfig(pi_arrival=arrival, pi_trans=trans)
+        assert_results_equal(
+            circuit,
+            TimingAnalyzer(
+                circuit, library, model_cls(), config=config
+            ).analyze_per_gate(pi_overrides=ONE_LEVEL_OVERRIDES),
+            analyzer._extract(windows, b),
+        )
+    # Four corners with derates.
+    corners = list(STANDARD_CORNERS.values())
+    corner_analyzer = CornerAnalyzer(
+        circuit, corners, [scaled_library(library, c) for c in corners],
+        model=model_cls(),
+    )
+    for want, got in zip(
+        corner_analyzer.analyze_per_gate().results,
+        corner_analyzer.analyze().results,
+    ):
+        assert_results_equal(circuit, want, got)
+    # Monte Carlo factor columns.
+    engine = MonteCarloEngine(circuit, library, model_cls())
+    factors = 1.0 + 0.08 * np.random.default_rng(3).standard_normal(
+        (engine.n_gates, 5)
+    )
+    want, got = engine.propagate_per_gate(factors), engine.propagate(factors)
+    for line in circuit.lines:
+        for a, b in zip(want[line], got[line]):
+            assert a.state == b.state, line
+            if a.is_active:
+                for field in ("a_s", "a_l", "t_s", "t_l"):
+                    assert np.array_equal(
+                        getattr(a, field), getattr(b, field)
+                    ), (line, field)
+    # Required times, from the per-gate windows under the overrides.
+    timing = TimingAnalyzer(circuit, library, model_cls())
+    result = timing.analyze_per_gate(pi_overrides=ONE_LEVEL_OVERRIDES)
+    for label, clock in _clocks(circuit, result).items():
+        assert_required_equal(
+            circuit,
+            timing.compute_required(result, **clock),
+            timing.compute_required_per_gate(result, **clock),
+            label,
+        )
+
+
+@pytest.mark.parametrize("bench", PACKAGED)
+def test_every_level_is_at_most_one_ctrl_and_one_arc_group(bench, library):
+    from repro.sta.compile import CompiledCircuit, _ArcGroup, _CtrlGroup
+
+    compiled = CompiledCircuit(
+        load_packaged_bench(bench), library, NonCtrlAwareModel(), StaConfig()
+    )
+    assert compiled.n_groups <= 2 * compiled.n_levels
+    for level in compiled.levels:
+        kinds = [type(group) for group in level]
+        assert kinds in ([_CtrlGroup], [_ArcGroup], [_CtrlGroup, _ArcGroup])
+
+
+def _subset_matches_full_pass(analyzer, group, cols, circuit, reference):
+    """Run ``subset_group(group, cols)`` over a full pass whose rows of
+    those gates were wiped; every line must come back as the reference."""
+    from repro.sta.compile import subset_group
+
+    windows = analyzer.propagate()
+    sub = subset_group(group, cols)
+    rows, owner = sub.outputs()
+    assert sorted(set(owner.tolist())) == list(range(len(cols)))
+    arrays = (windows.a_s, windows.a_l, windows.t_s, windows.t_l)
+    for array in arrays:
+        array[rows] = np.nan
+    windows.states[rows] = IMPOSSIBLE
+    analyzer.run_group(sub, arrays, windows.states)
+    assert_results_equal(circuit, reference, analyzer._extract(windows, 0))
+
+
+@pytest.mark.parametrize("model_cls", MODELS)
+def test_column_subsets_of_merged_groups(model_cls, library):
+    """Subsets mixing fan-ins, peak and non-peak gates, and arc gates
+    recompute exactly their gates."""
+    circuit = one_level_circuit()
+    analyzer = LevelCompiledAnalyzer(circuit, library, model_cls())
+    reference = TimingAnalyzer(
+        circuit, library, model_cls()
+    ).analyze_per_gate()
+    ctrl, arc = analyzer.compiled.levels[0]
+    for cols in ([0], [1, 4, 7], [2, 3, 14, 15], list(range(ctrl.n_gates))):
+        _subset_matches_full_pass(analyzer, ctrl, cols, circuit, reference)
+    for cols in ([1], [0, 2], [0, 1, 2]):
+        _subset_matches_full_pass(analyzer, arc, cols, circuit, reference)
+    # A deeper circuit: subsets of every level's groups.
+    big = load_packaged_bench("c432s")
+    analyzer = LevelCompiledAnalyzer(big, library, model_cls())
+    reference = TimingAnalyzer(big, library, model_cls()).analyze_per_gate()
+    for level in analyzer.compiled.levels:
+        for group in level:
+            cols = list(range(0, group.n_gates, 2))
+            _subset_matches_full_pass(analyzer, group, cols, big, reference)
+
+
+@pytest.mark.parametrize(
+    "model_cls, edit",
+    [
+        (VShapeModel, ("resize", "n3", 2.0)),
+        (VShapeModel, ("swap", "n2", "nor")),
+        (NonCtrlAwareModel, ("swap", "n2", "nor")),
+        (NonCtrlAwareModel, ("resize", "n2", 4.0)),
+        (NonCtrlAwareModel, ("resize", "n4", 0.5)),
+        (PinToPinModel, ("resize", "xor", 2.0)),
+    ],
+)
+def test_patches_of_merged_groups_equal_a_fresh_compile(
+    model_cls, edit, library
+):
+    """Patching one gate of a merged group — a NAND2 with peak data
+    beside a NAND4 without — leaves every leaf as a recompile would,
+    and subsets cut after the patch equal subsets of the fresh compile."""
+    from repro.sta.analysis import compute_loads
+    from repro.sta.compile import CompiledCircuit, subset_group
+
+    circuit = one_level_circuit()
+    analyzer = TimingAnalyzer(circuit, library, model_cls())
+    analyzer.analyze()
+    compiled = analyzer.level_engine().compiled
+    op, line, value = edit
+    before = compiled._locs[line][2]
+    if op == "resize":
+        circuit.resize_gate(line, value)
+    else:
+        circuit.swap_cell(line, value)
+    assert compiled.can_patch(line)
+    fresh = CompiledCircuit(circuit, library, model_cls(), StaConfig())
+    loads = compute_loads(circuit, library, StaConfig())
+    patched = {line} | {
+        circuit.driver(src).output for src in circuit.gates[line].inputs
+        if circuit.driver(src) is not None
+    }
+    for out in patched:
+        compiled.patch_gate(out, loads[out])
+    assert compiled._locs[line][2] == before
+    got, want = _compiled_leaves(compiled), _compiled_leaves(fresh)
+    assert got.keys() == want.keys()
+    for path in want:
+        _assert_same_leaf(path, got[path], want[path])
+    for mine, theirs in zip(compiled.levels[0], fresh.levels[0]):
+        cols = [0, 1, mine.n_gates - 1]
+        a, b = subset_group(mine, cols), subset_group(theirs, cols)
+        for (path, x), (_, y) in zip(_group_leaves(a), _group_leaves(b)):
+            _assert_same_leaf(path, x, y)
+    engine = analyzer.level_engine()
+    assert engine.compiled is compiled
+    assert_results_equal(
+        circuit,
+        TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate(),
+        engine.analyze(),
+    )
