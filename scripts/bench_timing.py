@@ -428,7 +428,9 @@ def bench_mc(circuit, library, samples, baseline_passes, repeats):
     The baseline leg times a handful of fresh per-gate full passes (what
     sampling would cost without a batched sample axis) and extrapolates
     to per-sample cost; the MC leg runs the real ``run_mc`` serially so
-    the comparison is vectorization, not the process pool.
+    the comparison is vectorization, not the process pool.  The gated
+    ``mc_vs_baseline_ratio`` divides the two per-sample costs of the
+    same run.
     """
     out = {
         "circuit": circuit.name,
@@ -450,6 +452,10 @@ def bench_mc(circuit, library, samples, baseline_passes, repeats):
     out["mc_s"] = mc_s
     out["mc_s_per_sample"] = mc_s / samples
     out["speedup"] = out["baseline_s_per_sample"] / out["mc_s_per_sample"]
+    # Both legs from this run, so the ratio transfers across hosts.
+    out["mc_vs_baseline_ratio"] = (
+        out["mc_s_per_sample"] / out["baseline_s_per_sample"]
+    )
     return out
 
 

@@ -8,8 +8,9 @@ comparable between ``--quick`` and full runs because both exercise the
 same circuits — quick mode only lowers repeat counts — and on in-run
 ratios (``*_ratio``: compile time over one compiled pass, one compiled
 pass over one seed-structure scalar pass, the compiled backward pass
-over its per-gate reference), which also transfer across hosts because
-both sides are timed in the same run.
+over its per-gate reference, one Monte Carlo sample over one per-gate
+pass), which also transfer across hosts because both sides are timed in
+the same run.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
@@ -58,6 +59,7 @@ GATED_METRICS = (
     ("itr_refine", "optimized_s_per_decision"),
     ("atpg_with_itr", "s_per_fault_optimized"),
     ("mc", "mc_s_per_sample"),
+    ("mc", "mc_vs_baseline_ratio"),
     ("corner", "batched_s_per_corner"),
     ("corner", "batched_compile_vs_pass_ratio"),
     ("server", "warm_s_per_query"),

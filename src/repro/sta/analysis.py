@@ -408,7 +408,8 @@ class TimingAnalyzer:
             from .compile import LevelCompiledAnalyzer
 
             self._level = LevelCompiledAnalyzer(
-                self.circuit, self.library, self.model, self.config
+                self.circuit, self.library, self.model, self.config,
+                loads=self._loads,
             )
         return self._level
 

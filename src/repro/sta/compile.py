@@ -86,6 +86,24 @@ The backward pass keeps the same contract against
 :meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`.
 The ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
 enforce this.
+
+The pair merges evaluate their six skew breakpoints (the window edges,
+the arrival offset, zero skew, +S and −S) at the coarsest axis each
+depends on: edges, offset, their floors (Λ-peak: ceilings) and
+validity, and the floor and validity at zero skew once per pin pair,
+broadcast over the pair's four endpoint combos; ±S, their floors and
+validity per combo.  The V-shape (Λ-shape) runs only at the edges and
+the offset.  The other three take the value its branches return there:
+DR_p at +S (first branch), DR_q at −S (second branch) and
+``D0 + (DR_p − D0) * 0.0`` at zero skew (the ``delta >= 0`` branch,
+``0.0 / S+`` being ``0.0``), the Λ-shape's ``tail_q``, ``tail_p`` and
+``P0 + (tail_q − P0) * 0.0`` alike — each the same float expression on
+the same operands.  That holds when both saturation skews are > 0:
+they are fitted values floored at ``_S_FLOOR`` (1e-12) times the
+variation factor and the derate, which :meth:`LevelCompiledAnalyzer
+.propagate` requires to be finite and > 0 (:func:`check_derates`); the
+product underflows to zero only for factor times derate below about
+2.5e-312.
 """
 
 from __future__ import annotations
@@ -666,6 +684,44 @@ def subset_group(
     return group.cut(np.asarray(cols, dtype=np.intp))
 
 
+def _check_positive(name: str, values: np.ndarray) -> None:
+    """Raise unless every value is finite and > 0, naming the first bad
+    one.  The pair merge relies on it: it keeps the saturation skews
+    S± positive (see the module docstring)."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        at = "".join(
+            f"[{i}]" for i in np.unravel_index(bad[0], values.shape)
+        )
+        raise ValueError(
+            f"{name}{at} must be finite and > 0, "
+            f"got {float(values.flat[bad[0]])!r}"
+        )
+
+
+def check_derates(derates: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """An ``(early, late)`` derate pair as float arrays, checked by the
+    rule of :class:`repro.pvt.Corner`: every derate finite and > 0, and
+    early <= late (column by column), or merged windows invert.
+
+    Raises:
+        ValueError: Naming the first derate that breaks the rule.
+    """
+    early = np.asarray(derates[0], dtype=float)
+    late = np.asarray(derates[1], dtype=float)
+    _check_positive("derate early", early)
+    _check_positive("derate late", late)
+    lo, hi = np.broadcast_arrays(early, late)
+    inverted = np.flatnonzero(lo > hi)
+    if inverted.size:
+        i = inverted[0]
+        raise ValueError(
+            f"derate early ({float(lo.flat[i])!r}) must not exceed derate "
+            f"late ({float(hi.flat[i])!r}) or merged windows invert"
+        )
+    return early, late
+
+
 # ----------------------------------------------------------------------
 # Compiled circuit
 # ----------------------------------------------------------------------
@@ -682,6 +738,9 @@ class CompiledCircuit:
         model: Delay model — decides whether the pair-merge layout and
             the Λ-peak tail packs are compiled in.
         config: STA boundary conditions (fixes the load vector).
+        loads: The line loads of a single-library compile, exactly as
+            :func:`~repro.sta.analysis.compute_loads` returns them (an
+            analyzer hands over its own); computed here when omitted.
     """
 
     def __init__(
@@ -690,6 +749,7 @@ class CompiledCircuit:
         library: Union[CellLibrary, Sequence[CellLibrary]],
         model: DelayModel,
         config: StaConfig,
+        loads: Optional[Dict[str, float]] = None,
     ) -> None:
         self.circuit = circuit
         if isinstance(library, CellLibrary):
@@ -725,9 +785,16 @@ class CompiledCircuit:
         self._cells = corner_cells[0]
         self._validate_corner_cells(corner_cells)
         cells = {name: [cc[name] for cc in corner_cells] for name in names}
-        corner_loads = [
+        if loads is not None and len(libraries) > 1:
+            raise ValueError("precomputed loads need a single-library compile")
+        corner_loads = [loads] if loads is not None else [
             compute_loads(circuit, lib, config) for lib in libraries
         ]
+        #: Output load of every gate (topological order) per corner,
+        #: ``(n_gates, C)``: what the load-adjust terms are built from.
+        self.loads = np.array(
+            [[ld[out] for ld in corner_loads] for out in order]
+        )
         slot = {name: _slot_key(self._cells[name], self._peak)
                 for name in names}
         #: gate output line -> (group, column, slot key); the in-place
@@ -749,19 +816,16 @@ class CompiledCircuit:
                                (ranked[~is_ctrl], self._build_arc)):
             if not members.size:
                 continue
-            members = members.tolist()
-            gates = [circuit.gates[order[pos]] for pos in members]
-            kinds = [gate_cells[pos] for pos in members]
-            loads = np.array(
-                [[ld[g.output] for ld in corner_loads] for g in gates]
-            )
+            rows = members.tolist()
+            gates = [circuit.gates[order[pos]] for pos in rows]
+            kinds = [gate_cells[pos] for pos in rows]
             lvls, bounds = [], [0]
             for lvl, run in itertools.groupby(
                 level_of[g.output] for g in gates
             ):
                 lvls.append(lvl)
                 bounds.append(bounds[-1] + sum(1 for _ in run))
-            whole = build(gates, kinds, cells, ctxs, loads)
+            whole = build(gates, kinds, cells, ctxs, self.loads[members])
             for lvl, start, group in zip(lvls, bounds, whole.split(bounds)):
                 for col in range(group.n_gates):
                     self._locs[gates[start + col].output] = (
@@ -1184,6 +1248,7 @@ class CompiledCircuit:
         )
         group.put(col, fresh)
         group.version += 1
+        self.loads[self._order_pos[line]] = load
 
 
 # ----------------------------------------------------------------------
@@ -1250,6 +1315,7 @@ class LevelCompiledAnalyzer:
             corner-batched engine whose batch axis is the corner axis.
         model: Delay model (defaults to the proposed V-shape model).
         config: Boundary conditions (fixes the compiled load vector).
+        loads: Precomputed line loads (see :class:`CompiledCircuit`).
     """
 
     def __init__(
@@ -1258,6 +1324,7 @@ class LevelCompiledAnalyzer:
         library: Union[CellLibrary, Sequence[CellLibrary]],
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
+        loads: Optional[Dict[str, float]] = None,
     ) -> None:
         self.circuit = circuit
         self.model = model if model is not None else VShapeModel()
@@ -1266,7 +1333,7 @@ class LevelCompiledAnalyzer:
         self._obs = obs
         with obs.timer("sta.compile.build_s"):
             self.compiled = CompiledCircuit(
-                circuit, library, self.model, self.config
+                circuit, library, self.model, self.config, loads=loads
             )
         self.library = self.compiled.library
         obs.gauge("sta.compile.levels").set(self.compiled.n_levels)
@@ -1370,6 +1437,11 @@ class LevelCompiledAnalyzer:
             corner-batched compile column ``c`` is corner ``c``'s pass,
             bit-identical to a single-corner compile of that corner's
             library run with its scalar derates.
+
+        Raises:
+            ValueError: On a malformed batch, a factor that is not
+                finite and > 0, or derates that break
+                :func:`check_derates`.
         """
         cc = self.compiled
         if factors is not None and boundaries is not None:
@@ -1388,6 +1460,7 @@ class LevelCompiledAnalyzer:
                 raise ValueError(
                     f"factor rows {factors.shape} != gates ({cc.n_gates},B)"
                 )
+            _check_positive("variation factor", factors)
             n_cols = factors.shape[1]
         elif boundaries is not None:
             n_cols = len(boundaries)
@@ -1397,15 +1470,14 @@ class LevelCompiledAnalyzer:
             n_cols = cc.n_corners
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if derates is not None:
-            ge = np.asarray(derates[0], dtype=float)
-            gl = np.asarray(derates[1], dtype=float)
-            for d in (ge, gl):
-                if d.ndim > 1 or (d.ndim == 1 and d.shape[0] != n_cols):
+            for d in derates:
+                shape = np.shape(d)
+                if len(shape) > 1 or (len(shape) == 1 and shape[0] != n_cols):
                     raise ValueError(
-                        f"derate shape {d.shape} does not broadcast over "
+                        f"derate shape {shape} does not broadcast over "
                         f"{n_cols} batch column(s)"
                     )
-            g = (ge, gl)
+            g = check_derates(derates)
         n_rows = 2 * cc.n_lines
         a_s = np.full((n_rows, n_cols), np.nan)
         a_l = np.full((n_rows, n_cols), np.nan)
@@ -1836,6 +1908,17 @@ class LevelCompiledAnalyzer:
         comparison and fall to the ``±inf`` branch of ``np.where`` — so
         gates with < 2 active inputs self-mask.  ``f`` holds the lanes'
         variation factors; a combo reads its gate's through its lane.
+
+        Each quantity is computed at the coarsest axis it depends on.
+        Combos run four per pair (combo ``4q + k`` is pair ``q``'s
+        ``k``-th endpoint combination), so a ``(K, B)`` combo array views
+        as ``(Q, 4, B)`` and a pair quantity — the window edges, the
+        arrival offset, the floors and validity at those and at zero
+        skew — broadcasts from ``(Q, 1, B)``.  The earliest arrival is
+        the minimum of ``floor(δ) + V(δ)`` over the six breakpoints that
+        can win; the V-shape runs only at the three whose value it
+        decides, and the others take the value its branches return
+        there (see the module docstring).
         """
         # Overlap depth: for each (gate, j) count the gate's lanes i
         # covering j's start, then take the gate's deepest j.
@@ -1884,50 +1967,72 @@ class LevelCompiledAnalyzer:
             shape, t_lo_c, t_hi_c, grp.scale_c,
             dr_lo, dr_hi, grp.d_adj_c[grp.ca], f=fc, roots=roots, g=ge,
         )
-        asi, asj = a_s_in[grp.ca], a_s_in[grp.cb]
-        ali, alj = a_l_in[grp.ca], a_l_in[grp.cb]
+        n_pairs = grp.pa.size
+
+        def quads(x: np.ndarray) -> np.ndarray:
+            return x.reshape(n_pairs, 4, width)
+
+        # ---- pair level (Q, 1, B) ----
+        pa, pb = grp.pa, grp.pb
+        asi, asj = a_s_in[pa][:, None], a_s_in[pb][:, None]
+        ali, alj = a_l_in[pa][:, None], a_l_in[pb][:, None]
         blo = asj - ali
         bhi = alj - asi
-        delta = np.stack(
-            [blo, bhi, asj - asi, np.zeros_like(blo), s_pos, -s_neg],
-            axis=1,
-        )  # (K, 6, B)
-        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-        dval = _v_delay(
-            delta, d0[:, None], s_pos[:, None], s_neg[:, None],
-            dr_lo[:, None], dr_hi[:, None],
+
+        def edge(delta) -> Tuple[np.ndarray, np.ndarray]:
+            """Validity and arrival floor of breakpoint ``delta``."""
+            return (
+                (blo <= delta) & (delta <= bhi),
+                np.maximum(asi, asj - delta) + np.minimum(0.0, delta),
+            )
+
+        # ---- combo level (Q, 4, B) ----
+        d0q, s_p, s_n = quads(d0), quads(s_pos), quads(s_neg)
+        dr_p, dr_q = quads(dr_lo), quads(dr_hi)
+        best = None
+        for delta, value in (
+            (blo, None),
+            (bhi, None),
+            (asj - asi, None),
+            (0.0, d0q + (dr_p - d0q) * 0.0),
+            (s_p, dr_p),
+            (-s_n, dr_q),
+        ):
+            if value is None:
+                value = _v_delay(delta, d0q, s_p, s_n, dr_p, dr_q)
+            valid, floor = edge(delta)
+            if best is None:
+                best = np.where(valid, floor + value, np.inf)
+            else:
+                np.minimum(best, floor + value, out=best, where=valid)
+        a_s = np.minimum(
+            a_s, np.minimum.reduceat(best.reshape(-1, width), grp.combo_start)
         )
-        floor = (
-            np.maximum(asi[:, None], asj[:, None] - delta)
-            + np.minimum(0.0, delta)
-        )
-        cand = np.where(valid, floor + dval, np.inf).min(axis=1)
-        a_s = np.minimum(a_s, np.minimum.reduceat(cand, grp.combo_start))
         # Same tolerance and form as DirWindow.overlaps_arrivals.
-        pa, pb = grp.pa, grp.pb
-        pair_ov = (a_s_in[pa] <= a_l_in[pb] + OVERLAP_TOL) & (
-            a_s_in[pb] <= a_l_in[pa] + OVERLAP_TOL
-        )  # (Q, B)
-        pair_floor = np.maximum(a_s_in[pa], a_s_in[pb])
+        pair_ov = (asi <= alj + OVERLAP_TOL) & (asj <= ali + OVERLAP_TOL)
+        pair_floor = np.maximum(asi, asj)
         extra = np.where(
-            pair_ov & (ratio < 1.0),
-            pair_floor + d0[::4] * ratio,
+            pair_ov[:, 0] & (ratio < 1.0),
+            pair_floor[:, 0] + d0q[:, 0] * ratio,
             np.inf,
-        )
+        )  # (Q, B)
         a_s = np.minimum(a_s, np.minimum.reduceat(extra, grp.pair_start))
 
         # ---- transition-time merge (SK_t,min rule) ----
         tr_lo, tr_hi = tr[lo], tr[hi]
-        vskew, vval, sp_t, sn_t = trans_anchor_surfaces(
-            shape, t_lo_c, t_hi_c, tr_lo, tr_hi, grp.r_adj_c[grp.ca],
-            f=fc, roots=roots, g=ge, slopes=(s_pos, s_neg),
+        vskew, vval, sp_t, sn_t = (
+            quads(x) for x in trans_anchor_surfaces(
+                shape, t_lo_c, t_hi_c, tr_lo, tr_hi, grp.r_adj_c[grp.ca],
+                f=fc, roots=roots, g=ge, slopes=(s_pos, s_neg),
+            )
         )
         delta_t = np.minimum(np.maximum(vskew, blo), bhi)
-        tval = _trans_v(delta_t, vskew, vval, sp_t, sn_t, tr_lo, tr_hi)
-        t_ratio = np.repeat(t_ratio, 4, axis=0)
-        combo_ov = np.repeat(pair_ov, 4, axis=0)
+        tval = _trans_v(
+            delta_t, vskew, vval, sp_t, sn_t, quads(tr_lo), quads(tr_hi)
+        )
+        t_ratio = t_ratio[:, None]
         tval = np.where(
-            combo_ov & (t_ratio < 1.0),
+            pair_ov & (t_ratio < 1.0),
             np.minimum(tval, vval * t_ratio),
             tval,
         )
@@ -1935,9 +2040,11 @@ class LevelCompiledAnalyzer:
             # Unlike the arrival candidates there is no validity
             # filter here, so combos touching an inactive lane need
             # an explicit mask before the reduction.
-            combo_act = act[grp.ca] & act[grp.cb]
-            tval = np.where(combo_act[:, None], tval, np.inf)
-        t_s = np.minimum(t_s, np.minimum.reduceat(tval, grp.combo_start))
+            pair_act = act[pa] & act[pb]
+            tval = np.where(pair_act[:, None, None], tval, np.inf)
+        t_s = np.minimum(
+            t_s, np.minimum.reduceat(tval.reshape(-1, width), grp.combo_start)
+        )
         return a_s, t_s
 
     @staticmethod
@@ -1955,7 +2062,12 @@ class LevelCompiledAnalyzer:
         the latest arrival ``a_l`` of each gate with peak data in place.
 
         Peak lanes and combos exist only for those gates; the peak
-        clamps window endpoints against its own tail arcs.
+        clamps window endpoints against its own tail arcs.  The mirror
+        of :meth:`_pair_merge` with ceilings and a maximum: peak combos
+        also run four per pair, pair quantities broadcast from
+        ``(Q, 1, B)``, and the Λ-shape runs only at the window edges and
+        the arrival offset (P0, ``tail_q`` and ``tail_p`` are its values
+        at zero skew, +S and −S).
         """
         lanes = grp.plane
         ppack = grp.ppack
@@ -1991,27 +2103,48 @@ class LevelCompiledAnalyzer:
             f=None if f is None else f[grp.pca],
             roots=(rc[lo], rc[hi]), g=gl,
         )
-        asi, asj = a_s_in[grp.pca], a_s_in[grp.pcb]
-        ali, alj = a_l_in[grp.pca], a_l_in[grp.pcb]
+        n_pairs = grp.pca.size // 4
+
+        def quads(x: np.ndarray) -> np.ndarray:
+            return x.reshape(n_pairs, 4, width)
+
+        # ---- pair level (Q, 1, B) ----
+        pa, pb = grp.pca[::4], grp.pcb[::4]
+        asi, asj = a_s_in[pa][:, None], a_s_in[pb][:, None]
+        ali, alj = a_l_in[pa][:, None], a_l_in[pb][:, None]
         blo = asj - ali
         bhi = alj - asi
-        delta = np.stack(
-            [blo, bhi, alj - ali, np.zeros_like(blo), s_pos, -s_neg],
-            axis=1,
-        )
-        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-        dval = _peak_delay(
-            delta, p0[:, None], s_pos[:, None], s_neg[:, None],
-            tail_lo[:, None], tail_hi[:, None],
-        )
-        ceiling = (
-            np.minimum(ali[:, None], alj[:, None] - delta)
-            + np.maximum(0.0, delta)
-        )
-        cand = np.where(valid, ceiling + dval, -np.inf).max(axis=1)
+
+        def edge(delta) -> Tuple[np.ndarray, np.ndarray]:
+            """Validity and arrival ceiling of breakpoint ``delta``."""
+            return (
+                (blo <= delta) & (delta <= bhi),
+                np.minimum(ali, alj - delta) + np.maximum(0.0, delta),
+            )
+
+        # ---- combo level (Q, 4, B) ----
+        p0q, s_p, s_n = quads(p0), quads(s_pos), quads(s_neg)
+        tail_p, tail_q = quads(tail_lo), quads(tail_hi)
+        best = None
+        for delta, value in (
+            (blo, None),
+            (bhi, None),
+            (alj - ali, None),
+            (0.0, p0q + (tail_q - p0q) * 0.0),
+            (s_p, tail_q),
+            (-s_n, tail_p),
+        ):
+            if value is None:
+                value = _peak_delay(delta, p0q, s_p, s_n, tail_p, tail_q)
+            valid, ceiling = edge(delta)
+            if best is None:
+                best = np.where(valid, ceiling + value, -np.inf)
+            else:
+                np.maximum(best, ceiling + value, out=best, where=valid)
         gates = grp.pgate
         a_l[gates] = np.maximum(
-            a_l[gates], np.maximum.reduceat(cand, grp.pcombo_start)
+            a_l[gates],
+            np.maximum.reduceat(best.reshape(-1, width), grp.pcombo_start),
         )
 
     # ------------------------------------------------------------------
@@ -2111,33 +2244,39 @@ class LevelCompiledAnalyzer:
     # Extraction
     # ------------------------------------------------------------------
     def _extract(self, compiled: CompiledWindows, column: int) -> StaResult:
-        # Bulk variant of CompiledWindows.line_timing: tolist() converts
-        # each float64 to the bit-identical Python float in one pass, and
-        # the windows of a finished pass satisfy the DirWindow invariants
-        # by construction (the parity suite proves them equal to the
-        # validated gate-engine output), so __init__ re-validation is
-        # skipped for the 2 * n_lines instances.
-        cc = self.compiled
-        n = cc.n_lines
-        a_s = compiled.a_s[:, column].tolist()
-        a_l = compiled.a_l[:, column].tolist()
-        t_s = compiled.t_s[:, column].tolist()
-        t_l = compiled.t_l[:, column].tolist()
-        states = compiled.states.tolist()
-        new = DirWindow.__new__
-        timings: Dict[str, LineTiming] = {}
-        for i, line in enumerate(cc.lines):
-            pair = []
-            for r in (i, i + n):
-                if states[r] == IMPOSSIBLE:
-                    pair.append(DirWindow.impossible())
-                    continue
-                w = new(DirWindow)
-                w.a_s = a_s[r]
-                w.a_l = a_l[r]
-                w.t_s = t_s[r]
-                w.t_l = t_l[r]
-                w.state = states[r]
-                pair.append(w)
-            timings[line] = LineTiming(rise=pair[0], fall=pair[1])
-        return StaResult(self.circuit, timings)
+        """One column as a :class:`StaResult`; each call is one
+        ``sta.compile.extract_s`` observation.
+
+        Bulk variant of :meth:`CompiledWindows.line_timing`: ``tolist()``
+        converts each float64 to the bit-identical Python float in one
+        pass, and the windows of a finished pass satisfy the
+        :class:`DirWindow` invariants by construction (the parity suite
+        proves them equal to the validated per-gate output), so
+        ``__init__`` re-validation is skipped for the ``2 * n_lines``
+        instances.
+        """
+        with self._obs.timer("sta.compile.extract_s"):
+            cc = self.compiled
+            n = cc.n_lines
+            a_s = compiled.a_s[:, column].tolist()
+            a_l = compiled.a_l[:, column].tolist()
+            t_s = compiled.t_s[:, column].tolist()
+            t_l = compiled.t_l[:, column].tolist()
+            states = compiled.states.tolist()
+            new = DirWindow.__new__
+            timings: Dict[str, LineTiming] = {}
+            for i, line in enumerate(cc.lines):
+                pair = []
+                for r in (i, i + n):
+                    if states[r] == IMPOSSIBLE:
+                        pair.append(DirWindow.impossible())
+                        continue
+                    w = new(DirWindow)
+                    w.a_s = a_s[r]
+                    w.a_l = a_l[r]
+                    w.t_s = t_s[r]
+                    w.t_l = t_l[r]
+                    w.state = states[r]
+                    pair.append(w)
+                timings[line] = LineTiming(rise=pair[0], fall=pair[1])
+            return StaResult(self.circuit, timings)

@@ -47,6 +47,7 @@ from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..sta import kernels
 from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
+from ..sta.compile import check_derates
 from ..sta.kernels import (
     _pair_combos,
     _peak_delay,
@@ -126,6 +127,10 @@ class MonteCarloEngine:
             per-gate variation factor.  ``None`` applies no derate
             multiplies at all (not even by 1.0), matching the compiled
             engine's ``derates=None``.
+
+    Raises:
+        ValueError: If ``derate`` breaks
+            :func:`repro.sta.compile.check_derates`.
     """
 
     def __init__(
@@ -144,6 +149,8 @@ class MonteCarloEngine:
             None if derate is None
             else (float(derate[0]), float(derate[1]))
         )
+        if self.derate is not None:
+            check_derates(self.derate)
         self.analyzer = TimingAnalyzer(
             circuit, library, self.model, self.config
         )

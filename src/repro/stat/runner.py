@@ -28,6 +28,7 @@ from ..models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from ..obs import get_registry
 from ..obs.merge import capture_and_reset, init_worker_obs, merge_payloads
 from ..sta.analysis import StaConfig
+from ..sta.compile import check_derates
 from .aggregate import McResult
 from .engine import MonteCarloEngine
 from .variation import VariationModel
@@ -212,9 +213,15 @@ def run_mc(
 
     Returns:
         Aggregated per-output delay distributions.
+
+    Raises:
+        ValueError: On an unknown model, or a ``derate`` that breaks
+            :func:`repro.sta.compile.check_derates`.
     """
     if model not in MC_MODELS:
         raise ValueError(f"unknown delay model {model!r}")
+    if derate is not None:
+        check_derates(derate)
     shipped_library = library
     if library is None:
         library = CellLibrary.load_default()

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.characterize.formulas import (
+    ONE_THIRD,
     CubeRootSurface,
     LinForm2,
     QuadForm2,
     QuadPoly1,
+    cbrt_many,
     refine_minimum,
     saturation_crossing,
 )
@@ -193,3 +195,36 @@ class TestSaturationCrossing:
         xs = [0.0, 1.0]
         ys = [1.0, 1.0]
         assert saturation_crossing(xs, ys, 0.0, 1.0) == 0.0
+
+
+class TestCbrtMany:
+    """``cbrt_many`` is the one cube root of the scalar models, the
+    kernels, the compiled pass and the characterizer."""
+
+    @staticmethod
+    def _power(values):
+        return np.array([v ** ONE_THIRD for v in values], dtype=float)
+
+    def test_bit_equal_to_the_float_power(self, library):
+        grid = {
+            t
+            for cell in library.cells.values()
+            for arc in cell.arcs.values()
+            for t in (arc.t_lo, arc.t_hi)
+        }
+        grid.update(library.meta.get("t_grid", []))
+        grid.update(np.linspace(0.05 * NS, 2.5 * NS, 997).tolist())
+        special = [
+            5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0,
+            np.inf, np.nan, 1.0, 8.0, 1e300,
+        ]
+        values = sorted(grid) + special
+        got = cbrt_many(np.array(values))
+        assert got.dtype == np.float64 and got.shape == (len(values),)
+        assert np.array_equal(
+            got.view(np.int64), self._power(values).view(np.int64)
+        )
+
+    def test_negative_values_raise(self):
+        with pytest.raises(ValueError):
+            cbrt_many(np.array([1e-10, -1e-12]))

@@ -12,6 +12,7 @@ batches, per-PI overrides, and the Monte Carlo sample axis.
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -771,3 +772,397 @@ def test_patches_of_merged_groups_equal_a_fresh_compile(
         TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate(),
         engine.analyze(),
     )
+
+
+# ----------------------------------------------------------------------
+# The pair merges' breakpoints
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("bench", ["one_level", "c432s", "c7552s"])
+def test_combos_run_four_per_pair(bench, library):
+    """The merges view combos as (pairs, 4): combo ``4q + k`` is pair
+    ``q``'s ``k``-th endpoint combination, peak combos included."""
+    from repro.sta.compile import CompiledCircuit, _CtrlGroup
+
+    circuit = (
+        one_level_circuit() if bench == "one_level"
+        else load_packaged_bench(bench)
+    )
+    compiled = CompiledCircuit(
+        circuit, library, NonCtrlAwareModel(), StaConfig()
+    )
+    n_peak = 0
+    for level in compiled.levels:
+        for group in level:
+            if not isinstance(group, _CtrlGroup):
+                continue
+            assert np.array_equal(group.ca, np.repeat(group.pa, 4))
+            assert np.array_equal(group.cb, np.repeat(group.pb, 4))
+            assert np.array_equal(group.combo_start, 4 * group.pair_start)
+            if not group.pgate.size:
+                continue
+            n_peak += group.pgate.size
+            # A peak gate's combos are its pairs', four each.
+            pairs = np.concatenate([
+                np.arange(start, start + count)
+                for start, count in zip(
+                    group.pair_start[group.pgate],
+                    group.counts["pair"][group.pgate],
+                )
+            ])
+            assert np.array_equal(group.pca, np.repeat(group.pa[pairs], 4))
+            assert np.array_equal(group.pcb, np.repeat(group.pb[pairs], 4))
+            assert (group.pcombo_start % 4 == 0).all()
+    assert n_peak
+
+
+#: NAND2 ``y`` is the gate under test; NAND3 ``z`` shares its level so
+#: the group holds several pairs with different windows.
+BREAKPOINT_BENCH = (
+    "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+    "y = NAND(a, b)\nz = NAND(a, b, c)\n"
+)
+
+#: Batch columns: a unit column (where a fixture's exact tie holds)
+#: beside perturbed ones.
+BREAKPOINT_FACTORS = (1.0, 0.93, 1.07, 0.98)
+BREAKPOINT_DERATES = ((1.0, 1.0), (0.9, 1.1), (0.95, 1.05), (0.85, 1.2))
+
+
+def _steep_library(library):
+    """The library with NAND2's saturation skews cut eightfold: its V and Λ
+    slopes exceed 1, so zero skew can beat the arrival offset (the
+    default library's slopes stay below 0.9)."""
+    def eighth(form):
+        return dataclasses.replace(form, **{
+            f.name: getattr(form, f.name) * 0.125
+            for f in dataclasses.fields(form)
+        })
+
+    def steep(record):
+        return dataclasses.replace(
+            record, s_pos=eighth(record.s_pos), s_neg=eighth(record.s_neg)
+        )
+
+    cell = library.cells["NAND2"]
+    cells = dict(library.cells)
+    cells["NAND2"] = dataclasses.replace(
+        cell, ctrl=steep(cell.ctrl), nonctrl=steep(cell.nonctrl)
+    )
+    return dataclasses.replace(library, cells=cells)
+
+
+def _breakpoint_candidates(shape_of, wi, wj, peak):
+    """{breakpoint: best candidate over the endpoint combos} of one pair:
+    the scalar ``corners._pair_min_arrival`` (``_pair_max_arrival_peak``
+    with ``peak``), labelled by breakpoint."""
+    lo = wj.a_s - wi.a_l
+    hi = wj.a_l - wi.a_s
+    offset = wj.a_l - wi.a_l if peak else wj.a_s - wi.a_s
+    pick = max if peak else min
+    best = {}
+    for t_i in (wi.t_s, wi.t_l):
+        for t_j in (wj.t_s, wj.t_l):
+            shape = shape_of(t_i, t_j)
+            for label, delta in (
+                ("lo", lo), ("hi", hi), ("offset", offset), ("zero", 0.0),
+                ("+S", shape.s_pos), ("-S", -shape.s_neg),
+            ):
+                if not lo <= delta <= hi:
+                    continue
+                if peak:
+                    edge = min(wi.a_l, wj.a_l - delta) + max(0.0, delta)
+                else:
+                    edge = max(wi.a_s, wj.a_s - delta) + min(0.0, delta)
+                value = edge + shape.delay(delta)
+                best[label] = pick(best.get(label, value), value)
+    return best
+
+
+def _breakpoint_overrides(library, model, breakpoint, peak):
+    """PI windows whose winning ``y`` candidate sits at ``breakpoint``.
+
+    The arrival offset and zero skew win strictly (zero skew on the
+    steep library); ±S fixtures pin the offset to exactly ±S with point
+    transition windows, so the offset and ±S tie.  At +S (-S) the pin
+    whose DR is the V's value there is the slow one, so a swap of DR_p
+    and DR_q lowers the candidate.  The Λ-peak fixtures mirror this on
+    the latest arrivals (``peak``), where a swap raises it.
+    """
+    cell = library.cell("NAND2")
+    load = TimingAnalyzer(parse_bench(BREAKPOINT_BENCH), library).load("y")
+    fast, slow = 0.1 * NS, 1.5 * NS
+    if breakpoint in ("+S", "-S"):
+        slow_first = (breakpoint == "+S") != peak
+        t_a, t_b = (slow, fast) if slow_first else (fast, slow)
+        t_a, t_b = (t_a, t_a), (t_b, t_b)
+    else:
+        t_a, t_b = (0.3 * NS, 0.6 * NS), (0.2 * NS, 0.5 * NS)
+    if peak:
+        shape = model.nonctrl_shape(cell, 0, 1, t_a[0], t_b[0], load)
+    else:
+        shape = model.vshape(cell, 0, 1, t_a[0], t_b[0], load)
+    width = 0.3 * NS
+    offset = {
+        "+S": shape.s_pos,
+        "-S": -shape.s_neg,
+        "offset": 0.25 * min(shape.s_pos, shape.s_neg),
+        "zero": 0.25 * min(shape.s_pos, shape.s_neg),
+    }[breakpoint]
+    # (a_s, a_l) of pins a and b with the offset exactly as wanted: the
+    # anchored edges are 0.0 and the offset itself.
+    if peak:
+        arr_a = (0.0 - width, 0.0) if offset >= 0.0 else (-offset - width,
+                                                          -offset)
+        arr_b = (offset - width, offset) if offset >= 0.0 else (-width, 0.0)
+    else:
+        arr_a = (0.0, width) if offset >= 0.0 else (-offset, width - offset)
+        arr_b = (offset, offset + width) if offset >= 0.0 else (0.0, width)
+    arr_c = (0.1 * NS, 0.2 * NS)
+    windows = {
+        "a": DirWindow(*arr_a, *t_a),
+        "b": DirWindow(*arr_b, *t_b),
+        "c": DirWindow(*arr_c, 0.2 * NS, 0.4 * NS),
+    }
+    overrides = {
+        pi: LineTiming(rise=w, fall=w) for pi, w in windows.items()
+    }
+    shape_of = (
+        (lambda ti, tj: model.nonctrl_shape(cell, 0, 1, ti, tj, load))
+        if peak else (lambda ti, tj: model.vshape(cell, 0, 1, ti, tj, load))
+    )
+    cands = _breakpoint_candidates(
+        shape_of, windows["a"], windows["b"], peak
+    )
+    return overrides, cands
+
+
+def _mirror(circuit, library, model, factors, overrides, derate=None):
+    """The per-gate Monte Carlo mirror
+    (``MonteCarloEngine.propagate_per_gate``) started from per-PI
+    windows instead of the boundary condition."""
+    from repro.stat.engine import SampleWindows
+
+    engine = MonteCarloEngine(circuit, library, model, derate=derate)
+    n = factors.shape[1]
+
+    def columns(w):
+        if not w.is_active:
+            return SampleWindows.impossible()
+        return SampleWindows(
+            *(np.full(n, v) for v in (w.a_s, w.a_l, w.t_s, w.t_l)),
+            state=w.state,
+        )
+
+    windows = {
+        pi: (columns(o.rise), columns(o.fall)) for pi, o in overrides.items()
+    }
+    for row, line in enumerate(engine.gate_order):
+        windows[line] = engine._propagate_gate(
+            circuit.gates[line], windows, factors[row]
+        )
+    return windows
+
+
+def _assert_columns_bitwise(circuit, got, want, cols, label):
+    """Compiled SoA columns ``cols`` == mirror sample windows ``want``
+    (states, and every field as int64 bit patterns)."""
+    for line in circuit.lines:
+        for d, rising in enumerate((True, False)):
+            r = got.row(line, rising)
+            ref = want[line][d]
+            assert got.states[r] == ref.state, (label, line, rising)
+            if not ref.is_active:
+                continue
+            for field in ("a_s", "a_l", "t_s", "t_l"):
+                assert np.array_equal(
+                    getattr(got, field)[r, cols].view(np.int64),
+                    np.asarray(getattr(ref, field)).view(np.int64),
+                ), (label, line, rising, field)
+
+
+@pytest.mark.parametrize("peak", [False, True], ids=["vshape", "peak"])
+@pytest.mark.parametrize("breakpoint", ["zero", "offset", "+S", "-S"])
+def test_pair_merge_breakpoints(breakpoint, peak, library):
+    """Fixtures whose winning candidate sits exactly at zero skew, the
+    arrival offset, +S and -S, in one column, four derated corners and
+    Monte Carlo factor columns, bitwise against the per-gate
+    references."""
+    model = NonCtrlAwareModel() if peak else VShapeModel()
+    if breakpoint == "zero":
+        library = _steep_library(library)
+    circuit = parse_bench(BREAKPOINT_BENCH, name="breakpoints")
+    overrides, cands = _breakpoint_overrides(
+        library, model, breakpoint, peak
+    )
+    # The fixture decides the pair's bound at the breakpoint under test:
+    # strictly at zero skew and the offset, tied with the offset at ±S.
+    pick = max if peak else min
+    winner = pick(cands.values())
+    assert cands[breakpoint] == winner
+    if breakpoint in ("zero", "offset"):
+        assert [v for v in cands.values() if v == winner] == [winner]
+
+    # One column, against the scalar walk; the bound is the winner's.
+    want = TimingAnalyzer(circuit, library, model).analyze_per_gate(
+        pi_overrides=overrides
+    )
+    analyzer = LevelCompiledAnalyzer(circuit, library, model)
+    got = analyzer.analyze(pi_overrides=overrides)
+    for line in circuit.lines:
+        for rising in (True, False):
+            w, g = want.line(line).window(rising), got.line(line).window(rising)
+            assert w.state == g.state, (line, rising)
+            if w.is_active:
+                assert np.array_equal(
+                    np.array([g.a_s, g.a_l, g.t_s, g.t_l]).view(np.int64),
+                    np.array([w.a_s, w.a_l, w.t_s, w.t_l]).view(np.int64),
+                ), (line, rising)
+    cell = library.cell("NAND2")
+    out = got.line("y").window(
+        cell.ctrl.out_rising if not peak else cell.nonctrl.out_rising
+    )
+    assert (out.a_l if peak else out.a_s) == winner
+
+    # Monte Carlo factor columns, against the per-gate mirror.
+    n_gates = len(circuit.gates)
+    factors = np.tile(np.array(BREAKPOINT_FACTORS), (n_gates, 1))
+    windows = analyzer.propagate(factors=factors, pi_overrides=overrides)
+    _assert_columns_bitwise(
+        circuit, windows,
+        _mirror(circuit, library, model, factors, overrides),
+        slice(None), "mc",
+    )
+
+    # Four derated corners, each against its per-gate mirror pass.
+    early, late = (np.array(d) for d in zip(*BREAKPOINT_DERATES))
+    corners = LevelCompiledAnalyzer(circuit, [library] * 4, model)
+    windows = corners.propagate(derates=(early, late), pi_overrides=overrides)
+    for c, derate in enumerate(BREAKPOINT_DERATES):
+        _assert_columns_bitwise(
+            circuit, windows,
+            _mirror(
+                circuit, library, model, np.ones((n_gates, 1)), overrides,
+                derate=derate,
+            ),
+            [c], f"corner {c}",
+        )
+
+
+# ----------------------------------------------------------------------
+# Inputs, loads and timers at the compiled engine's boundary
+# ----------------------------------------------------------------------
+BAD_DERATES = [
+    ((math.nan, 1.0), "derate early must be finite and > 0, got nan"),
+    ((1.2, 0.8), "derate early (1.2) must not exceed derate late (0.8)"),
+    ((-1.0, 1.0), "derate early must be finite and > 0, got -1.0"),
+    ((0.0, 1.0), "derate early must be finite and > 0, got 0.0"),
+    ((1.0, math.inf), "derate late must be finite and > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "derate, message", BAD_DERATES, ids=lambda x: str(x)
+)
+def test_bad_derates_are_rejected(derate, message, library):
+    """Corner's rule holds wherever derates enter: finite, > 0 and
+    early <= late (NaN used to reach the windows, and an inverted pair
+    inverted them)."""
+    from repro.stat import run_mc
+
+    circuit = load_packaged_bench("c17")
+    match = re.escape(message)
+    with pytest.raises(ValueError, match=match):
+        LevelCompiledAnalyzer(circuit, library).propagate(derates=derate)
+    with pytest.raises(ValueError, match=match):
+        MonteCarloEngine(circuit, library, derate=derate)
+    with pytest.raises(ValueError, match=match):
+        run_mc(circuit, library, samples=4, derate=derate)
+
+
+def test_bad_derate_columns_are_named(library):
+    copies = [library] * 4
+    analyzer = LevelCompiledAnalyzer(load_packaged_bench("c17"), copies)
+    early = np.array([0.9, 1.0, -0.5, 1.0])
+    late = np.array([1.1, 1.0, 1.0, 0.95])
+    with pytest.raises(ValueError, match=re.escape("derate early[2]")):
+        analyzer.propagate(derates=(early, late))
+    early[2] = 1.0
+    with pytest.raises(
+        ValueError, match=re.escape("derate early (1.0) must not exceed "
+                                    "derate late (0.95)")
+    ):
+        analyzer.propagate(derates=(early, late))
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_factors_are_rejected(bad, library):
+    analyzer = LevelCompiledAnalyzer(load_packaged_bench("c17"), library)
+    n = analyzer.compiled.n_gates
+    factors = np.ones((n, 3))
+    factors[2, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(
+        f"variation factor[2][1] must be finite and > 0, got {bad!r}"
+    )):
+        analyzer.propagate(factors=factors)
+    with pytest.raises(ValueError, match=re.escape(
+        "variation factor[0][0] must be finite and > 0, got -1.0"
+    )):
+        analyzer.propagate(factors=-np.ones((n, 2)))
+
+
+@pytest.mark.parametrize("edit", ["resize", "rewire"])
+def test_compile_loads_are_the_analyzers(edit, library, monkeypatch):
+    """The compile reuses its analyzer's loads, and its load vector
+    equals a fresh ``compute_loads`` after a patched resize and after a
+    recompiling rewire."""
+    from repro.sta import IncrementalAnalyzer
+    from repro.sta import compile as compile_mod
+    from repro.sta.analysis import compute_loads
+
+    calls = []
+    real = compile_mod.compute_loads
+    monkeypatch.setattr(
+        compile_mod, "compute_loads",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    circuit = load_packaged_bench("c432s")
+    incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+    incr.analyze()
+    compiled = incr.analyzer._level.compiled
+    line = next(
+        g for g in sorted(circuit.gates) if circuit.gates[g].n_inputs >= 2
+    )
+    if edit == "resize":
+        circuit.resize_gate(line, 2.0)
+    else:
+        new = next(pi for pi in circuit.inputs
+                   if pi not in circuit.gates[line].inputs)
+        circuit.rewire_input(line, 0, new)
+    incr.retime()
+    incr.analyze()
+    now = incr.analyzer._level.compiled
+    assert (now is compiled) == (edit == "resize")
+    assert calls == []
+    fresh = compute_loads(circuit, library, StaConfig())
+    want = np.array([fresh[g] for g in circuit.topological_order()])
+    assert np.array_equal(now.loads[:, 0].view(np.int64), want.view(np.int64))
+
+
+def test_extraction_is_timed_per_column(library):
+    """``sta.compile.extract_s``: one observation per extracted column."""
+    from repro.obs import MetricsRegistry, get_registry, set_registry
+
+    circuit = load_packaged_bench("c432s")
+    previous = get_registry()
+    set_registry(MetricsRegistry())
+    try:
+        extract = get_registry().histogram("sta.compile.extract_s")
+        LevelCompiledAnalyzer(circuit, library).analyze()
+        assert extract.count == 1
+        corners = LevelCompiledAnalyzer(circuit, [library] * 4)
+        corners.analyze_corners(derates=(0.95, 1.05))
+        assert extract.count == 5
+        corners.propagate()  # a bare pass extracts nothing
+        assert extract.count == 5
+    finally:
+        set_registry(previous)
