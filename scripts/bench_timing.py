@@ -475,9 +475,11 @@ def bench_sta_incremental(circuits, library, passes, trial_gates):
     of one real resize edit (apply + revert, two cone replays), and the
     gate-sizing optimizer's inner-loop shape — a K=32 size ladder on one
     gate evaluated as a single ``try_edits`` batch, averaged over a
-    seeded random gate sample.  Bit-identity of all three against a
-    fresh scalar analysis is enforced by ``tests/test_incremental.py``
-    and the ``incremental`` fuzz oracle; this only measures time.
+    seeded random gate sample.  ``trial_vs_full_ratio`` divides the
+    per-edit trial cost by the full pass from the same run, the gated
+    figure.  Bit-identity of all three against a fresh scalar analysis
+    is enforced by ``tests/test_incremental.py`` and the
+    ``incremental`` fuzz oracle; this only measures time.
     """
     K = len(_TRIAL_SIZES)
     out = {
@@ -524,6 +526,7 @@ def bench_sta_incremental(circuits, library, passes, trial_gates):
             "full_s_per_pass": full_s,
             "retime_s_per_edit": retime_s,
             "incr_s_per_edit": trial_s,
+            "trial_vs_full_ratio": trial_s / full_s,
             "speedup_retime": full_s / retime_s,
             "speedup": full_s / trial_s,
         }
@@ -534,6 +537,8 @@ def bench_sta_incremental(circuits, library, passes, trial_gates):
     out["full_s_per_pass"] = total_full
     out["retime_s_per_edit"] = total_retime
     out["incr_s_per_edit"] = total_trial
+    # Both legs from this run, so the ratio transfers across hosts.
+    out["trial_vs_full_ratio"] = total_trial / total_full
     out["speedup_retime"] = total_full / total_retime
     out["speedup"] = total_full / total_trial
     return out

@@ -9,8 +9,8 @@ same circuits — quick mode only lowers repeat counts — and on in-run
 ratios (``*_ratio``: compile time over one compiled pass, one compiled
 pass over one seed-structure scalar pass, the compiled backward pass
 over its per-gate reference, one Monte Carlo sample over one per-gate
-pass), which also transfer across hosts because both sides are timed in
-the same run.
+pass, one what-if trial edit over one full compiled pass), which also
+transfer across hosts because both sides are timed in the same run.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
@@ -56,6 +56,7 @@ GATED_METRICS = (
     ("sta_full_pass_level", "level_vs_baseline_ratio"),
     ("sta_required", "compiled_vs_per_gate_ratio"),
     ("sta_incremental", "incr_s_per_edit"),
+    ("sta_incremental", "trial_vs_full_ratio"),
     ("itr_refine", "optimized_s_per_decision"),
     ("atpg_with_itr", "s_per_fault_optimized"),
     ("mc", "mc_s_per_sample"),

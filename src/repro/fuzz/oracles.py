@@ -13,10 +13,11 @@ plus a physical ground-truth check:
   (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, and its
   backward pass (``compute_required``, at the default and a
   setup+hold clock) vs. the per-gate backward walk, bit for bit;
-* ``incremental`` — cone-limited re-timing and ``try_edits`` trial
-  batches vs. a fresh scalar analysis after every edit of a random
-  mutation sequence (batched cone replay, and the per-gate gear once a
-  rewire stales the compiled form), bit for bit;
+* ``incremental`` — cone-limited re-timing, ``try_edits`` trial
+  batches and ``commit`` of a trial column vs. a fresh scalar analysis
+  after every edit of a random mutation sequence (batched cone replay,
+  and the per-gate gear once a rewire stales the compiled form), bit
+  for bit;
 * ``itr``       — incremental refinement under a random decision
   sequence, fast timing core vs. scalar reference;
 * ``atpg-jobs`` — fault-parallel ATPG (``jobs=2``) vs. the serial path:
@@ -376,9 +377,13 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
     shape-changing swaps that stale the compiled form and move
     re-timing to the per-gate gear).  Every edit that staled the
     compiled form is followed by a full ``analyze()``, so later edits
-    replay their cones on the recompiled form.  Once the sequence is
-    replayed, a ``try_edits`` trial batch is checked column by column,
-    plus a master-untouched check afterwards.
+    replay their cones on the recompiled form.  Halfway through the
+    sequence and after its last edit, a ``try_edits`` trial batch
+    (resizes and one cell swap) is checked column by column, plus a
+    master-untouched check.  Then one column, drawn from the case's
+    seed and index, is committed through ``commit``: the committed
+    edit joins the sequence, the master is diffed against a fresh
+    analysis, and the remaining edits continue from there.
     """
     from ..sta.incremental import (
         IncrementalAnalyzer,
@@ -397,74 +402,100 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
         )
         incr.analyze()
         replayed: List[list] = []
+        rng = random.Random(f"{case.seed}:{case.index}:{name}")
 
-        def reference():
+        def reference(extra: Optional[list] = None) -> StaResult:
             ref_circuit = case.build_circuit()
-            for edit in replayed:
+            for edit in replayed + ([extra] if extra else []):
                 _apply_edit(ref_circuit, edit)
             return TimingAnalyzer(
                 ref_circuit, library, model, config, perf=SCALAR
             ).analyze_per_gate()
 
-        for step, edit in enumerate(edits):
-            _apply_edit(circuit, edit)
-            replayed.append(edit)
-            checks = [("retime", incr.retime())]
+        def check_master(label: str, result: StaResult) -> Optional[str]:
+            checks = [("retime", result)]
             if incr.analyzer._level is None:
                 # The edit staled the compiled form: recompile, so the
                 # next edits re-time through the new compile.
                 checks.append(("analyze", incr.analyze()))
             expected = reference()
-            for how, result in checks:
-                problems = _window_mismatches(circuit, expected, result)
+            for how, res in checks:
+                problems = _window_mismatches(circuit, expected, res)
                 if problems:
-                    return OracleResult(
-                        False,
-                        f"{tag} step={step} {edit[0]} {edit[1]} ({how}): "
-                        + "; ".join(problems),
-                    )
-        # Trial batch: two resize candidates for each of (up to) four
-        # gates, each column vs. a fresh scalar analysis of that
-        # single-edit variant.
-        targets = sorted(circuit.gates)[:4]
-        trial_edits = [
-            TrialEdit("resize", line, size)
-            for line in targets
-            for size in (0.5, 2.0)
-        ]
-        trial = incr.try_edits(trial_edits)
-        for k, t_edit in enumerate(trial_edits):
-            variant = case.build_circuit()
-            for edit in replayed:
-                _apply_edit(variant, edit)
-            variant.resize_gate(t_edit.line, t_edit.value)
-            ref = TimingAnalyzer(
-                variant, library, model, config, perf=SCALAR
-            ).analyze_per_gate()
-            for line in variant.lines:
-                if not _timings_equal(
-                    trial.line_timing(line, k), ref.line(line)
-                ):
-                    return OracleResult(
-                        False,
-                        f"{tag} trial k={k} "
-                        f"resize {t_edit.line}->x{t_edit.value} "
-                        f"differs on {line}",
-                    )
-        # Trials must leave the master state untouched.
-        problems = _window_mismatches(circuit, reference(), incr.result())
-        if problems:
-            return OracleResult(
-                False,
-                f"{tag} master drifted after trials: " + "; ".join(problems),
+                    return f"{tag} {label} ({how}): " + "; ".join(problems)
+            return None
+
+        def trial_and_commit(label: str) -> Optional[str]:
+            # Two resize candidates for each of (up to) four gates and
+            # one swap, each column vs. a fresh scalar analysis of that
+            # single-edit variant.
+            targets = sorted(circuit.gates)[:4]
+            trial_edits = [
+                TrialEdit("resize", line, size)
+                for line in targets
+                for size in (0.5, 2.0)
+            ]
+            gate = circuit.gates[rng.choice(targets)]
+            kinds = [
+                kind for kind in gen._SWAP_KINDS.get(gate.n_inputs, ())
+                if kind != gate.kind
+            ]
+            if kinds:
+                trial_edits.append(
+                    TrialEdit("swap", gate.output, rng.choice(kinds))
+                )
+            trial = incr.try_edits(trial_edits)
+            for k, t_edit in enumerate(trial_edits):
+                ref = reference([t_edit.op, t_edit.line, t_edit.value, None])
+                for line in circuit.lines:
+                    if not _timings_equal(
+                        trial.line_timing(line, k), ref.line(line)
+                    ):
+                        return (
+                            f"{tag} {label} trial k={k} {t_edit.op} "
+                            f"{t_edit.line}->{t_edit.value} differs on "
+                            f"{line}"
+                        )
+            # Trials must leave the master state untouched.
+            problems = _window_mismatches(circuit, reference(), incr.result())
+            if problems:
+                return (
+                    f"{tag} {label} master drifted after trials: "
+                    + "; ".join(problems)
+                )
+            k = rng.randrange(len(trial_edits))
+            t_edit = trial_edits[k]
+            result = incr.commit(trial, k)
+            replayed.append([t_edit.op, t_edit.line, t_edit.value, None])
+            return check_master(
+                f"{label} commit k={k} {t_edit.op} {t_edit.line}->"
+                f"{t_edit.value}",
+                result,
             )
+
+        for step, edit in enumerate(edits):
+            if step == len(edits) // 2:
+                failure = trial_and_commit(f"step={step}")
+                if failure:
+                    return OracleResult(False, failure)
+            _apply_edit(circuit, edit)
+            replayed.append(edit)
+            failure = check_master(
+                f"step={step} {edit[0]} {edit[1]}", incr.retime()
+            )
+            if failure:
+                return OracleResult(False, failure)
+        failure = trial_and_commit("end")
+        if failure:
+            return OracleResult(False, failure)
     return OracleResult(True)
 
 
 register_oracle(Oracle(
     name="incremental",
-    description="cone-limited incremental re-timing and trial batches "
-                "vs. fresh scalar analysis after every circuit edit",
+    description="cone-limited incremental re-timing, trial batches and "
+                "their commits vs. fresh scalar analysis after every "
+                "circuit edit",
     generate=_gen_incremental,
     check=_check_incremental,
 ))

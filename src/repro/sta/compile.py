@@ -182,6 +182,33 @@ def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
     return ("arc", cell.n_inputs, arcs_t, arcs_f)
 
 
+def _same_layout(
+    cell: CellTiming, other: CellTiming, peak_enabled: bool
+) -> bool:
+    """Whether ``other`` lays a gate out exactly as ``cell`` does.
+
+    Slot key, controlling value, output polarity and arc presence decide
+    a gate's gather rows and index leaves; coefficients may differ.  Two
+    such cells can be one gate's coefficient columns in one group: the
+    corner libraries of a corner-batched compile, or the variants of a
+    what-if trial.
+    """
+    return (
+        _slot_key(cell, peak_enabled) == _slot_key(other, peak_enabled)
+        and cell.controlling_value == other.controlling_value
+        and (cell.ctrl is None) == (other.ctrl is None)
+        and (
+            cell.ctrl is None or cell.ctrl.out_rising == other.ctrl.out_rising
+        )
+        and all(
+            cell.has_arc(p, d, o) == other.has_arc(p, d, o)
+            for p in range(cell.n_inputs)
+            for d in (True, False)
+            for o in (True, False)
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # Stacked surfaces: per-element coefficient rows
 # ----------------------------------------------------------------------
@@ -416,6 +443,24 @@ class _Ragged:
             counts = {axis: c[g0:g1] for axis, c in self.counts.items()}
             parts.append(type(self)(counts=counts, **fields))
         return parts
+
+    def widen(self, width: int):
+        """A copy of this single-corner group with ``width`` coefficient
+        columns, each a copy of the one it has; :meth:`put` may then
+        write per-column gate builds into it.  Index leaves are copied
+        too, so nothing written to the copy reaches this group."""
+        fields = {}
+        for name in self.AXES:
+            leaf = getattr(self, name)
+            if leaf is not None:
+                if not isinstance(leaf, np.ndarray):
+                    leaf = type(leaf)(np.repeat(leaf.rows, width, axis=-1))
+                elif leaf.dtype.kind == "i":
+                    leaf = leaf.copy()
+                else:
+                    leaf = np.repeat(leaf, width, axis=-1)
+            fields[name] = leaf
+        return type(self)(counts=self.counts, **fields)
 
     def put(self, col: int, src) -> None:
         """Write the one-gate group ``src`` over gate ``col``."""
@@ -853,24 +898,7 @@ class CompiledCircuit:
         base = corner_cells[0]
         for ci, cells in enumerate(corner_cells[1:], start=1):
             for name, cell in base.items():
-                other = cells[name]
-                consistent = (
-                    _slot_key(cell, self._peak)
-                    == _slot_key(other, self._peak)
-                    and cell.controlling_value == other.controlling_value
-                    and (cell.ctrl is None) == (other.ctrl is None)
-                    and (
-                        cell.ctrl is None
-                        or cell.ctrl.out_rising == other.ctrl.out_rising
-                    )
-                    and all(
-                        cell.has_arc(p, d, o) == other.has_arc(p, d, o)
-                        for p in range(cell.n_inputs)
-                        for d in (True, False)
-                        for o in (True, False)
-                    )
-                )
-                if not consistent:
+                if not _same_layout(cell, cells[name], self._peak):
                     raise ValueError(
                         f"corner library {ci} disagrees with corner 0 on "
                         f"the structure of cell {name!r}"
@@ -1241,14 +1269,53 @@ class CompiledCircuit:
                 f"cell {cell.name!r} does not fit the compiled slot {key} "
                 f"of gate {line!r}; recompile required"
             )
-        build = self._build_ctrl if key[0] == "ctrl" else self._build_arc
-        fresh = build(
-            [gate], [cell.name], {cell.name: [cell]}, [self._ctx],
-            np.array([[load]], dtype=float),
+        (fresh,) = self.build_gates(
+            [gate], [[cell]], np.array([[load]], dtype=float)
         )
         group.put(col, fresh)
         group.version += 1
         self.loads[self._order_pos[line]] = load
+
+    def same_layout(self, cell: CellTiming, other: CellTiming) -> bool:
+        """Whether ``other`` can stand in for ``cell`` as a coefficient
+        column of one gate (see :func:`_same_layout`)."""
+        return _same_layout(cell, other, self._peak)
+
+    def build_gates(
+        self,
+        gates: Sequence[Gate],
+        cells: Sequence[Sequence[CellTiming]],
+        loads: np.ndarray,
+    ) -> List[Union[_CtrlGroup, _ArcGroup]]:
+        """Each gate as a one-gate group, one coefficient column per cell.
+
+        The columns of gate ``i`` come from ``cells[i][c]`` and output
+        load ``loads[i, c]``.  They must share one layout (see
+        :meth:`same_layout`), as a corner compile's libraries do, and
+        the gate's kind follows the cells' slot key.  All gates of one
+        kind share one build call.  As in a corner compile, column
+        ``c`` of a gate is bitwise a single-corner build of that cell
+        and load, which in turn is bitwise a recompile.
+        """
+        out: List[Union[_CtrlGroup, _ArcGroup, None]] = [None] * len(gates)
+        ctxs = [self._ctx] * loads.shape[1]
+        for kind, build in (("ctrl", self._build_ctrl),
+                            ("arc", self._build_arc)):
+            pick = [
+                i for i, row in enumerate(cells)
+                if _slot_key(row[0], self._peak)[0] == kind
+            ]
+            if not pick:
+                continue
+            names = [tuple(cell.name for cell in cells[i]) for i in pick]
+            whole = build(
+                [gates[i] for i in pick], names,
+                dict(zip(names, (cells[i] for i in pick))), ctxs,
+                loads[pick],
+            )
+            for i, part in zip(pick, whole.split(range(len(pick) + 1))):
+                out[i] = part
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,17 @@ Right after a structural edit staled the compiled form, until the next
 full pass recompiles it, the cone is recomputed gate-at-a-time through
 ``propagate_gate`` instead.
 
+What-if trials (:meth:`IncrementalAnalyzer.try_edits`) ride the same
+level sweep with one column per hypothetical edit, the way a corner
+compile carries one column per corner library.  The *seed* gates of a
+batch (each edited gate and the drivers of its re-loaded fan-in lines)
+join the sweep at their own level with per-column coefficients, built
+by the compile's own code: the variant cell or load in the columns
+whose edit touches them, the master's elsewhere.  Every gate is thus
+computed inside the kernels, from inputs that are already final.
+:meth:`IncrementalAnalyzer.commit` applies the chosen edit for real and
+adopts its column as the master state instead of re-timing its cone.
+
 Early termination is *bitwise*, not tolerance-based: a timestamp/dirty-
 bit scheme would either re-run the whole cone every time or risk serving
 windows that differ from a fresh pass in the last ulp.  The differential
@@ -56,8 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections import ChainMap
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -105,18 +115,16 @@ def _rows_equal(
 ) -> np.ndarray:
     """Bitwise row equality versus a pre-kernel snapshot.
 
-    IMPOSSIBLE rows carry NaN fields, so state equality alone decides
-    them; active rows must match on all four window floats exactly.
+    ``old`` holds the rows' states and their four ``(rows, B)`` window
+    arrays.  IMPOSSIBLE rows carry NaN fields, so state equality alone
+    decides them; active rows must match on all four window floats of
+    every column exactly.
     """
-    old_st, old_as, old_al, old_ts, old_tl = old
     st = states[rows]
-    value_eq = (
-        (old_as == arrays[0][rows, 0])
-        & (old_al == arrays[1][rows, 0])
-        & (old_ts == arrays[2][rows, 0])
-        & (old_tl == arrays[3][rows, 0])
-    )
-    return (old_st == st) & ((st == IMPOSSIBLE) | value_eq)
+    value_eq = np.ones(len(rows), dtype=bool)
+    for before, array in zip(old[1:], arrays):
+        value_eq &= (before == array[rows]).all(axis=1)
+    return (old[0] == st) & ((st == IMPOSSIBLE) | value_eq)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +146,8 @@ class TrialResult:
 
     Column ``k`` holds windows bitwise-identical to a fresh full
     analysis of the circuit with only ``edits[k]`` applied; the
-    analyzer's own (master) state is untouched.
+    analyzer's own (master) state is untouched until
+    :meth:`IncrementalAnalyzer.commit` adopts a column.
     """
 
     def __init__(
@@ -150,6 +159,8 @@ class TrialResult:
         line_index: Dict[str, int],
         n_lines: int,
         cone_gates: int,
+        base=None,
+        log_len: int = -1,
     ) -> None:
         self.circuit = circuit
         self.edits = edits
@@ -157,8 +168,16 @@ class TrialResult:
         self.states = states  # (2n, K) int8 — per-column, unlike master
         self.line_index = line_index
         self.n_lines = n_lines
-        #: Gate evaluations the sweep spent across all K columns.
+        #: Gates the sweep evaluated, seed gates included, each once
+        #: for all K columns (the fallback counts every changed line of
+        #: every variant).
         self.cone_gates = cone_gates
+        #: The master window state the columns were swept over and the
+        #: edit-log length right after the sweep: a column is adopted
+        #: by :meth:`IncrementalAnalyzer.commit` only while both are
+        #: current.  ``None`` for a trial that ran without it.
+        self.base = base
+        self.log_len = log_len
 
     @property
     def n_trials(self) -> int:
@@ -275,6 +294,7 @@ class IncrementalAnalyzer:
         self._m_full = obs.counter("sta.incr.full_passes")
         self._m_trials = obs.counter("sta.incr.trials")
         self._m_trial_batches = obs.counter("sta.incr.trial_batches")
+        self._m_adopted = obs.counter("sta.incr.commits_adopted")
         self._h_cone = obs.histogram("sta.incr.cone_gates")
         self._h_trial_cone = obs.histogram("sta.incr.trial_cone_gates")
 
@@ -370,57 +390,80 @@ class IncrementalAnalyzer:
         (patched) compiled circuit — :meth:`retime` falls back to the
         scalar path otherwise.
         """
-        circuit = self.circuit
         level = self.analyzer._level
-        locs = level.compiled._locs
         cw = self._cw
         arrays = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
-        states = cw.states
-        timings = self._timings
+
+        def run(sub, lines: List[str]) -> bool:
+            level.run_group(sub, arrays, cw.states)
+            return True
+
+        with self._obs.timer("sta.incr.retime_s"):
+            cone, changed = self._sweep(seeds, arrays, cw.states, run)
+            for line in changed:
+                self._timings[line] = cw.line_timing(line)
+        self._m_early.inc(cone - len(changed))
+        self._m_gates.inc(cone)
+        self._h_cone.observe(cone)
+        return StaResult(self.circuit, self._timings)
+
+    def _sweep(
+        self,
+        seeds: Iterable[str],
+        arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        states: np.ndarray,
+        run: Callable[[object, List[str]], bool],
+    ) -> Optional[Tuple[int, List[str]]]:
+        """Level-ordered cone sweep over ``(2 * n_lines, B)`` SoA state.
+
+        Per level, the pending gates of each compiled group form one
+        column subset, which ``run(subset, lines)`` evaluates against
+        ``arrays``/``states``.  Their output rows are then diffed
+        bitwise against a snapshot taken before the call, and the
+        fan-outs of every gate that changed in any column join the
+        frontier.  ``run`` returns False to abandon the sweep.
+
+        Returns:
+            ``(gates swept, lines whose windows changed)``, or None when
+            ``run`` abandoned the sweep.
+        """
+        circuit = self.circuit
+        locs = self.analyzer._level.compiled._locs
         level_of = self._levels()
         pending: Dict[int, Set[str]] = {}
         for line in seeds:
             pending.setdefault(level_of[line], set()).add(line)
         cone = 0
-        with self._obs.timer("sta.incr.retime_s"):
-            while pending:
-                depth = min(pending)
-                # Group the level's dirty gates by compiled group.
-                by_group: Dict[int, List[Tuple[int, str]]] = {}
-                groups: Dict[int, object] = {}
-                for line in pending.pop(depth):
-                    group, col, _ = locs[line]
-                    by_group.setdefault(id(group), []).append((col, line))
-                    groups[id(group)] = group
-                for gid, cols_lines in sorted(by_group.items()):
-                    cols_lines.sort()
-                    group = groups[gid]
-                    cols = tuple(c for c, _ in cols_lines)
-                    sub, rows, row_gate = self._subset(group, cols)
-                    old = (
-                        states[rows].copy(),
-                        arrays[0][rows, 0].copy(),
-                        arrays[1][rows, 0].copy(),
-                        arrays[2][rows, 0].copy(),
-                        arrays[3][rows, 0].copy(),
-                    )
-                    level.run_group(sub, arrays, states)
-                    dirty = _dirty_gates(
-                        row_gate, _rows_equal(old, arrays, states, rows),
-                        len(cols),
-                    )
-                    cone += len(cols)
-                    self._m_early.inc(len(cols) - int(dirty.sum()))
-                    for (col, line), changed in zip(cols_lines, dirty):
-                        if not changed:
-                            continue
-                        timings[line] = cw.line_timing(line)
-                        for sink in circuit.fanouts(line):
-                            out = sink.output
-                            pending.setdefault(level_of[out], set()).add(out)
-        self._m_gates.inc(cone)
-        self._h_cone.observe(cone)
-        return StaResult(circuit, timings)
+        changed: List[str] = []
+        while pending:
+            # Group the level's pending gates by compiled group.
+            by_group: Dict[int, Tuple[object, List[Tuple[int, str]]]] = {}
+            for line in pending.pop(min(pending)):
+                group, col, _ = locs[line]
+                by_group.setdefault(id(group), (group, []))[1].append(
+                    (col, line)
+                )
+            for gid in sorted(by_group):
+                group, cols_lines = by_group[gid]
+                cols_lines.sort()
+                cols = tuple(c for c, _ in cols_lines)
+                sub, rows, row_gate = self._subset(group, cols)
+                old = (states[rows], *(a[rows] for a in arrays))
+                if not run(sub, [line for _, line in cols_lines]):
+                    return None
+                dirty = _dirty_gates(
+                    row_gate, _rows_equal(old, arrays, states, rows),
+                    len(cols),
+                )
+                cone += len(cols)
+                for (_, line), moved in zip(cols_lines, dirty):
+                    if not moved:
+                        continue
+                    changed.append(line)
+                    for sink in circuit.fanouts(line):
+                        out = sink.output
+                        pending.setdefault(level_of[out], set()).add(out)
+        return cone, changed
 
     def _subset(self, group, cols: Tuple[int, ...]):
         """Memoized column subset of one group of the current compile,
@@ -453,8 +496,8 @@ class IncrementalAnalyzer:
         Args:
             edits: :class:`TrialEdit`\\ s (or ``(op, line, value)``
                 tuples), each describing a *coefficient-only* edit
-                (``resize``/``swap``) applied **alone** to the current
-                circuit.
+                (``resize``/``swap``) of one gate, applied **alone** to
+                the current circuit.
 
         Returns:
             A :class:`TrialResult` whose column ``k`` is
@@ -464,25 +507,44 @@ class IncrementalAnalyzer:
             apply/revert pairs appear in the edit log but are consumed
             here).
 
-        With a current compiled form the K variants run as ONE batched
-        cone sweep with K columns: each variant's edited gate and
-        re-loaded fan-in drivers are seeded scalarly into its own column
-        (their coefficients differ per variant), then the union cone
-        replays through the subset kernels with the seeded rows
-        re-pinned after every call.  That amortizes the kernels' fixed
-        cost K ways — the optimizer's per-candidate cost drops an order
-        of magnitude below a solo re-time.
+        Raises:
+            ValueError: For an empty batch, a structural edit, or an
+                edit whose line is not a gate output (a primary input or
+                an unknown line), before anything is mutated.
+
+        With a current compiled form the K variants run as ONE level
+        sweep with K columns.  Its seed gates — every edited gate and
+        the drivers of its re-loaded fan-in lines — are swept at their
+        own level like any other gate, with one coefficient column per
+        edit: the variant cell or load where that edit touches the
+        gate, the master's elsewhere.  So the union cone costs one
+        kernel call per group and level for all K variants, and no
+        gate is computed outside the kernels.  An edit whose cell lays
+        the gate out differently (a polarity flip such as NAND2 ->
+        NOR2, or another slot such as NAND2 -> XOR2) keeps the master's
+        coefficients in the shared group; its own one-gate build then
+        re-runs that column alone.
         """
         edits = [
             e if isinstance(e, TrialEdit) else TrialEdit(*e) for e in edits
         ]
         if not edits:
             raise ValueError("try_edits needs at least one edit")
+        circuit = self.circuit
         for e in edits:
             if e.op not in ("resize", "swap"):
                 raise ValueError(
                     "trial edits must be coefficient-only (resize/swap), "
                     f"got {e.op!r}"
+                )
+            if e.line not in circuit.gates:
+                what = (
+                    "a primary input" if circuit.is_primary_input(e.line)
+                    else "not a line of the circuit"
+                )
+                raise ValueError(
+                    f"trial edit {e}: {e.line!r} is {what}; only gate "
+                    "outputs can be resized or swapped"
                 )
         # Settle any pending real edits so the master baseline is current.
         if self._timings is None:
@@ -501,278 +563,133 @@ class IncrementalAnalyzer:
     def _try_batched(
         self, edits: List[TrialEdit]
     ) -> Optional[TrialResult]:
-        """One K-column cone sweep over the compiled level kernels.
+        """One K-column level sweep over the compiled level kernels.
 
-        Returns None when a seeded window's state diverges from the
-        master's — ``states`` is shared across columns, so the batch
-        would be invalid.  Under the default (symmetric) boundary
-        activation that cannot happen; the fallback covers the rest.
+        Returns None when a layout-changing swap moves a window state:
+        ``states`` is shared across columns, so the batch would be
+        invalid.  Under the default (symmetric) boundary activation that
+        does not happen; :meth:`_try_fallback` covers the rest.
         """
-        analyzer = self.analyzer
-        circuit = self.circuit
-        level = analyzer._level
-        locs = level.compiled._locs
+        level = self.analyzer._level
         master = self._cw
         K = len(edits)
-        m_arrays = (master.a_s, master.a_l, master.t_s, master.t_l)
-        arrays = tuple(np.repeat(a, K, axis=1) for a in m_arrays)
+        builds, swaps = self._trial_builds(edits)
+        arrays = tuple(
+            np.repeat(a, K, axis=1)
+            for a in (master.a_s, master.a_l, master.t_s, master.t_l)
+        )
         states = master.states.copy()
-        pos = self._positions()
-        level_of = self._levels()
-        #: line -> [[column, gate snapshot, trial load, timing, input
-        #: signature]] for every seeded row.  The kernels re-run these
-        #: gates with master coefficients, so after every kernel call
-        #: their columns are re-pinned — and a pin whose column inputs
-        #: moved since it was computed is *recomputed* scalarly with the
-        #: snapshot's coefficients (a re-loaded fan-in driver can be
-        #: reachable from another one through non-seed gates, so the
-        #: seed-phase value can go stale mid-sweep).
-        pins: Dict[str, List[list]] = {}
-        pending: Dict[int, Set[str]] = {}
-        diverged = False
+
+        def run(sub, lines: List[str]) -> bool:
+            seeded = [
+                (col, builds[line])
+                for col, line in enumerate(lines) if line in builds
+            ]
+            if seeded:
+                sub = sub.widen(K)  # never write into the memoized subset
+                for col, fresh in seeded:
+                    sub.put(col, fresh)
+            level.run_group(sub, arrays, states)
+            for line in lines:
+                for k, fresh in swaps.get(line, ()):
+                    scratch = states.copy()
+                    level.run_group(
+                        fresh, tuple(a[:, k:k + 1] for a in arrays), scratch
+                    )
+                    if not np.array_equal(scratch, states):
+                        return False
+            return True
+
+        swept = self._sweep(set(builds) | set(swaps), arrays, states, run)
+        if swept is None:
+            return None
+        cone = swept[0]
+        self._h_trial_cone.observe(cone)
+        return TrialResult(
+            self.circuit,
+            edits,
+            arrays,
+            np.repeat(states[:, None], K, axis=1),
+            master.line_index,
+            master.n_lines,
+            cone,
+            base=master,
+            log_len=len(self.circuit.edit_log),
+        )
+
+    def _trial_builds(self, edits: List[TrialEdit]):
+        """The per-column gate builds of a trial batch.
+
+        Each edit is resolved on the netlist — applied, read, reverted,
+        so the netlist's own validation and :func:`line_load` apply —
+        into its gate's variant cell and the re-derived loads of the
+        gate's fan-in lines.  Every seed gate then gets one coefficient
+        column per edit from :meth:`~repro.sta.compile.CompiledCircuit
+        .build_gates`, one build call per group kind for the batch.
+
+        Returns:
+            ``(builds, swaps)``: seed line -> its K-column one-gate
+            group, and edited line -> ``[(k, one-column build)]`` for
+            the edits whose cell changes the gate's layout (their
+            column keeps the master's coefficients in ``builds``).
+        """
+        circuit = self.circuit
+        analyzer = self.analyzer
+        compiled = analyzer._level.compiled
+        #: seed line -> {column: cell} / {column: load} where they
+        #: differ from the master's.
+        cells: Dict[str, Dict[int, object]] = {}
+        loads: Dict[str, Dict[int, float]] = {}
+        swaps: List[Tuple[str, int, object]] = []
         try:
             for k, e in enumerate(edits):
-                if e.op == "resize":
-                    saved = circuit.gates[e.line].size
-                    circuit.resize_gate(e.line, e.value)
-                else:
-                    saved = circuit.gates[e.line].kind
-                    circuit.swap_cell(e.line, e.value)
-                analyzer._epoch = circuit.edit_epoch
-                fanin = list(circuit.gates[e.line].inputs)
-                saved_loads = {l: analyzer._loads[l] for l in fanin}
+                gate = circuit.gates[e.line]
+                master = compiled._cell_for(gate)
+                saved = gate.size if e.op == "resize" else gate.kind
+                self._apply(e.op, e.line, e.value)
                 try:
-                    for l in fanin:
-                        self._recompute_load(l)
-                    # The gates whose outputs can differ *directly* in
-                    # this variant: the edited gate plus the drivers of
-                    # its (re-loaded) fan-in.  Seed in topo order — a
-                    # driver may feed another seed.
-                    seeds = {e.line}
-                    for l in fanin:
-                        drv = circuit.driver(l)
-                        if drv is not None:
-                            seeds.add(drv.output)
-                    overlay: Dict[str, LineTiming] = {}
-                    view = ChainMap(overlay, self._timings)
-                    for s in sorted(seeds, key=pos.__getitem__):
-                        gate = circuit.gates[s]
-                        t = analyzer.propagate_gate(gate, view)
-                        overlay[s] = t
-                        if not self._seed_trial(arrays, states, s, t, k):
-                            diverged = True
-                        snap = dataclasses.replace(
-                            gate, inputs=list(gate.inputs)
-                        )
-                        pins.setdefault(s, []).append([
-                            k, snap, analyzer._loads[s], t,
-                            self._view_sig(snap, view),
-                        ])
-                        if not _timings_equal(t, self._timings[s]):
-                            for sink in circuit.fanouts(s):
-                                pending.setdefault(
-                                    level_of[sink.output], set()
-                                ).add(sink.output)
+                    variant = compiled._cell_for(gate)
+                    for line in dict.fromkeys(gate.inputs):
+                        if line in circuit.gates:
+                            loads.setdefault(line, {})[k] = line_load(
+                                circuit, line, analyzer.cell_of,
+                                analyzer.config, self._outputs,
+                            )
                 finally:
-                    # Revert the hypothetical edit; loads restore
-                    # bitwise from the saved originals.
-                    if e.op == "resize":
-                        circuit.resize_gate(e.line, saved)
-                    else:
-                        circuit.swap_cell(e.line, saved)
-                    for l, v in saved_loads.items():
-                        analyzer._loads[l] = v
-                    analyzer._epoch = circuit.edit_epoch
-                if diverged:
-                    break
+                    self._apply(e.op, e.line, saved)
+                if compiled.same_layout(master, variant):
+                    cells.setdefault(e.line, {})[k] = variant
+                else:
+                    swaps.append((e.line, k, variant))
         finally:
             # The apply/revert pairs are netlist no-ops: consume them so
             # the next retime doesn't replay them.
             self._log_pos = len(circuit.edit_log)
-        if diverged:
-            return None
-        cone = 0
-        while pending:
-            depth = min(pending)
-            by_group: Dict[int, List[Tuple[int, str]]] = {}
-            groups: Dict[int, object] = {}
-            for line in pending.pop(depth):
-                group, col, _ = locs[line]
-                by_group.setdefault(id(group), []).append((col, line))
-                groups[id(group)] = group
-            for gid, cols_lines in sorted(by_group.items()):
-                cols_lines.sort()
-                group = groups[gid]
-                cols = tuple(c for c, _ in cols_lines)
-                sub, rows, row_gate = self._subset(group, cols)
-                level.run_group(sub, arrays, states)
-                for _, line in cols_lines:
-                    entries = pins.get(line)
-                    if entries and not self._repin_trial(
-                        arrays, states, line, entries
-                    ):
-                        return None  # state diverged mid-sweep
-                st_imp = (states[rows] == IMPOSSIBLE)[:, None]
-                eq = (
-                    (arrays[0][rows] == m_arrays[0][rows])
-                    & (arrays[1][rows] == m_arrays[1][rows])
-                    & (arrays[2][rows] == m_arrays[2][rows])
-                    & (arrays[3][rows] == m_arrays[3][rows])
-                ) | st_imp
-                dirty = _dirty_gates(row_gate, eq.all(axis=1), len(cols))
-                cone += len(cols)
-                for (_, line), changed in zip(cols_lines, dirty):
-                    if not changed:
-                        continue
-                    for sink in circuit.fanouts(line):
-                        out = sink.output
-                        pending.setdefault(level_of[out], set()).add(out)
-        self._h_trial_cone.observe(cone)
-        trial_states = np.repeat(states[:, None], K, axis=1)
-        return TrialResult(
-            circuit,
-            edits,
-            arrays,
-            trial_states,
-            master.line_index,
-            master.n_lines,
-            cone,
+            analyzer._epoch = circuit.edit_epoch
+        K = len(edits)
+        seeds = list(dict.fromkeys([*cells, *loads]))
+        gates = [circuit.gates[line] for line in seeds]
+        columns, col_loads = [], []
+        for line, gate in zip(seeds, gates):
+            own = compiled._cell_for(gate)
+            cell_k = cells.get(line, {})
+            load_k = loads.get(line, {})
+            columns.append([cell_k.get(k, own) for k in range(K)])
+            col_loads.append([
+                load_k.get(k, analyzer._loads[line]) for k in range(K)
+            ])
+        built = compiled.build_gates(
+            gates, columns, np.array(col_loads, dtype=float).reshape(-1, K)
         )
-
-    def _seed_trial(
-        self,
-        arrays: Tuple[np.ndarray, ...],
-        states: np.ndarray,
-        line: str,
-        timing: LineTiming,
-        k: int,
-    ) -> bool:
-        """Write one seeded timing into trial column ``k``.
-
-        Returns False when the window's state differs from the master's
-        (the 1-D ``states`` is shared across columns; coefficient-only
-        edits never move states under symmetric boundary activation, but
-        the contract is enforced, not assumed).
-        """
-        cw = self._cw
-        for rising, w in ((True, timing.rise), (False, timing.fall)):
-            r = cw.row(line, rising)
-            if w.state != int(states[r]):
-                return False
-            if w.state != IMPOSSIBLE:
-                arrays[0][r, k] = w.a_s
-                arrays[1][r, k] = w.a_l
-                arrays[2][r, k] = w.t_s
-                arrays[3][r, k] = w.t_l
-        return True
-
-    def _repin_trial(
-        self,
-        arrays: Tuple[np.ndarray, ...],
-        states: np.ndarray,
-        line: str,
-        entries: List[list],
-    ) -> bool:
-        """Restore seeded rows after a kernel rewrote them.
-
-        A pin whose column inputs are bitwise-unchanged since its timing
-        was computed just writes that timing back.  If the inputs moved
-        (another seed's change propagated here through non-seed gates),
-        the gate is recomputed scalarly with the snapshot's coefficients
-        against the column's *current* windows, and the entry updated.
-        Returns False when a recomputed state diverges from the shared
-        master states — the batch is then invalid (caller falls back).
-        """
-        analyzer = self.analyzer
-        cw = self._cw
-        for entry in entries:
-            k, gate, load, timing, sig = entry
-            cur = self._array_sig(gate, arrays, states, k)
-            if cur != sig:
-                view = {
-                    lin: self._trial_timing(arrays, states, lin, k)
-                    for lin in gate.inputs
-                }
-                saved = analyzer._loads[line]
-                analyzer._loads[line] = load
-                try:
-                    timing = analyzer.propagate_gate(gate, view)
-                finally:
-                    analyzer._loads[line] = saved
-                entry[3] = timing
-                entry[4] = cur
-            for rising, w in ((True, timing.rise), (False, timing.fall)):
-                r = cw.row(line, rising)
-                if w.state != int(states[r]):
-                    return False
-                if w.state != IMPOSSIBLE:
-                    arrays[0][r, k] = w.a_s
-                    arrays[1][r, k] = w.a_l
-                    arrays[2][r, k] = w.t_s
-                    arrays[3][r, k] = w.t_l
-        return True
-
-    def _trial_timing(
-        self,
-        arrays: Tuple[np.ndarray, ...],
-        states: np.ndarray,
-        line: str,
-        k: int,
-    ) -> LineTiming:
-        """Materialize one line's column-``k`` windows from the arrays."""
-        cw = self._cw
-        ws = []
-        for rising in (True, False):
-            r = cw.row(line, rising)
-            st = int(states[r])
-            if st == IMPOSSIBLE:
-                ws.append(DirWindow.impossible())
-            else:
-                ws.append(DirWindow(
-                    a_s=float(arrays[0][r, k]),
-                    a_l=float(arrays[1][r, k]),
-                    t_s=float(arrays[2][r, k]),
-                    t_l=float(arrays[3][r, k]),
-                    state=st,
-                ))
-        return LineTiming(rise=ws[0], fall=ws[1])
-
-    @staticmethod
-    def _view_sig(gate, view) -> tuple:
-        """Input-window signature of ``gate`` under a timing mapping."""
-        sig = []
-        for lin in gate.inputs:
-            t = view[lin]
-            for w in (t.rise, t.fall):
-                sig.append(
-                    None if w.state == IMPOSSIBLE
-                    else (w.a_s, w.a_l, w.t_s, w.t_l)
-                )
-        return tuple(sig)
-
-    def _array_sig(
-        self,
-        gate,
-        arrays: Tuple[np.ndarray, ...],
-        states: np.ndarray,
-        k: int,
-    ) -> tuple:
-        """Input-window signature of ``gate`` from trial column ``k``."""
-        cw = self._cw
-        sig = []
-        for lin in gate.inputs:
-            for rising in (True, False):
-                r = cw.row(lin, rising)
-                if int(states[r]) == IMPOSSIBLE:
-                    sig.append(None)
-                else:
-                    sig.append((
-                        float(arrays[0][r, k]),
-                        float(arrays[1][r, k]),
-                        float(arrays[2][r, k]),
-                        float(arrays[3][r, k]),
-                    ))
-        return tuple(sig)
+        solo: Dict[str, List[Tuple[int, object]]] = {}
+        for (line, k, _), fresh in zip(swaps, compiled.build_gates(
+            [circuit.gates[line] for line, _, _ in swaps],
+            [[cell] for _, _, cell in swaps],
+            np.array([analyzer._loads[line] for line, _, _ in swaps],
+                     dtype=float).reshape(-1, 1),
+        )):
+            solo.setdefault(line, []).append((k, fresh))
+        return dict(zip(seeds, built)), solo
 
     def _try_fallback(self, edits: List[TrialEdit]) -> TrialResult:
         """Trial evaluation without the compiled SoA state.
@@ -804,12 +721,9 @@ class IncrementalAnalyzer:
         cone = 0
         for k, e in enumerate(edits):
             prev = dict(base)
-            if e.op == "resize":
-                saved = circuit.gates[e.line].size
-                circuit.resize_gate(e.line, e.value)
-            else:
-                saved = circuit.gates[e.line].kind
-                circuit.swap_cell(e.line, e.value)
+            gate = circuit.gates[e.line]
+            saved = gate.size if e.op == "resize" else gate.kind
+            self._apply(e.op, e.line, e.value)
             try:
                 res = self.retime()
                 for line, t in res.timings.items():
@@ -831,13 +745,69 @@ class IncrementalAnalyzer:
                             arrays[3][r, k] = np.nan
             finally:
                 # Revert; the reverse retime restores the master bitwise.
-                if e.op == "resize":
-                    circuit.resize_gate(e.line, saved)
-                else:
-                    circuit.swap_cell(e.line, saved)
+                self._apply(e.op, e.line, saved)
                 self.retime()
         self._h_trial_cone.observe(cone)
         return TrialResult(circuit, edits, arrays, states, index, n, cone)
+
+    def _apply(self, op: str, line: str, value) -> None:
+        """Apply one coefficient-only edit to the netlist."""
+        if op == "resize":
+            self.circuit.resize_gate(line, value)
+        else:
+            self.circuit.swap_cell(line, value)
+
+    # ------------------------------------------------------------------
+    # Commits
+    # ------------------------------------------------------------------
+    def commit(self, trial: TrialResult, k: int) -> StaResult:
+        """Apply ``trial.edits[k]`` for real and make it the master state.
+
+        Loads and the compiled form follow the edit as in
+        :meth:`retime`.  If the trial was swept over the live master —
+        the same window state, and no circuit edit since — column ``k``
+        already holds the edited circuit's windows bit for bit, so the
+        rows where it differs from the master are copied in and no cone
+        is re-timed.  ``sta.incr.commits_adopted`` counts those commits;
+        they add nothing to ``sta.incr.retime_s`` or
+        ``sta.incr.gates_retimed``.  Any other commit re-times the edit
+        like :meth:`retime`.  Each call is one ``sta.incr.commit_s``
+        observation.
+
+        Returns:
+            The live master result, as :meth:`retime` returns it.
+        """
+        edit = trial.edits[k]
+        log_len = len(self.circuit.edit_log)
+        with self._obs.timer("sta.incr.commit_s"):
+            adopt = (
+                trial.base is not None
+                and trial.base is self._cw
+                and trial.log_len == log_len == self._log_pos
+            )
+            self._apply(edit.op, edit.line, edit.value)
+            if not adopt:
+                return self.retime()
+            self._ingest_edits()
+            self._sync_compiled()
+            cw = self._cw
+            arrays = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
+            columns = (
+                trial.a_s[:, k], trial.a_l[:, k],
+                trial.t_s[:, k], trial.t_l[:, k],
+            )
+            active = cw.states != IMPOSSIBLE
+            same = np.ones_like(active)
+            for array, column in zip(arrays, columns):
+                same &= array[:, 0] == column
+            rows = np.flatnonzero(active & ~same)
+            for array, column in zip(arrays, columns):
+                array[rows, 0] = column[rows]
+            lines = list(cw.line_index)
+            for i in np.unique(rows % cw.n_lines).tolist():
+                self._timings[lines[i]] = cw.line_timing(lines[i])
+            self._m_adopted.inc()
+        return StaResult(self.circuit, self._timings)
 
     # ------------------------------------------------------------------
     # Edit ingestion

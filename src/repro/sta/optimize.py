@@ -11,9 +11,12 @@ Every candidate is costed through
 :meth:`~repro.sta.incremental.IncrementalAnalyzer.try_edits`: one
 batched cone sweep evaluates the whole size ladder of a gate as columns,
 bitwise-identical to analyzing each variant from scratch, at a small
-fraction of a full pass.  Committed edits re-time through the same
-incremental engine, so an entire optimization run never pays a full
-analysis beyond the initial baseline.
+fraction of a full pass.  A commit adopts the winning trial column as
+the engine's master state
+(:meth:`~repro.sta.incremental.IncrementalAnalyzer.commit`), so it
+re-times nothing, and an entire optimization run never pays a full
+analysis beyond the initial baseline.  Only the MC cost's reverts and
+the annealer's final restore of its best state re-time their cones.
 
 Costs are deterministic WNS/TNS against a required time, or — for
 variation-aware sizing — the q-quantile of the Monte Carlo max-delay
@@ -318,8 +321,7 @@ class GateSizer:
             if det_ref - costs[best] <= cfg.min_gain:
                 continue
             old_size = self.circuit.gates[line].size
-            new_size = edits[best].value
-            self.incr.resize_gate(line, new_size)
+            self.incr.commit(trial, best)
             if use_mc:
                 # Deterministic ranking proposed it; the MC quantile has
                 # the final say on the commit.
@@ -378,8 +380,7 @@ class GateSizer:
                 temp > 0.0 and rng.random() < np.exp(-delta / temp)
             )
             if accept:
-                line = edits[best].line
-                self.incr.resize_gate(line, edits[best].value)
+                self.incr.commit(trial, best)
                 if use_mc:
                     cur_cost = self._mc_cost()
                 else:

@@ -10,6 +10,7 @@ the circuit with only that one edit applied.
 
 import copy
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -378,6 +379,27 @@ class TestTryEdits:
         with pytest.raises(ValueError):
             incr.try_edits([TrialEdit("rewire", "G10", "G1")])
 
+    @pytest.mark.parametrize(
+        "line, what",
+        [("G1", "a primary input"), ("nope", "not a line of the circuit")],
+    )
+    def test_rejects_edits_of_non_gate_lines(self, library, line, what):
+        # A structured error naming the edit, raised before any netlist
+        # mutation — not a bare KeyError from circuit.gates.
+        circuit = load_packaged_bench("c17")
+        incr = _incremental(circuit, library, "level")
+        log_len = len(circuit.edit_log)
+        edits = [
+            TrialEdit("resize", "G10", 2.0), TrialEdit("resize", line, 2.0)
+        ]
+        with pytest.raises(ValueError) as info:
+            incr.try_edits(edits)
+        message = str(info.value)
+        assert repr(line) in message and what in message
+        assert "resize" in message
+        assert len(circuit.edit_log) == log_len
+        assert circuit.gates["G10"].size == 1.0
+
 
 class TestMergedGroups:
     """Cone replays and trial sweeps through levels whose one ctrl group
@@ -504,4 +526,199 @@ class TestMemoEpoch:
         _assert_all_lines_equal(circuit, second, reference)
         assert not _timings_equal(
             first.line(target), second.line(target)
+        )
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the batched trial path left the compiled sweep")
+
+
+def _assert_columns_match_fresh(circuit, library, trial, edits):
+    for k, e in enumerate(edits):
+        variant = Circuit.from_dict(circuit.to_dict())
+        _apply(variant, (e.op, e.line, e.value, None))
+        reference = _fresh_timings(variant, library)
+        for line in variant.lines:
+            assert _timings_equal(
+                trial.line_timing(line, k), reference.line(line)
+            ), (k, e, line)
+
+
+class TestTrialSweep:
+    """Trial batches run wholly inside the compiled level sweep: seed
+    gates carry their own coefficient columns, so no gate is computed
+    by the per-gate walk and no batch falls back."""
+
+    @staticmethod
+    def _batches(circuit, seed):
+        """A size ladder on the gate with the most fan-in drivers, and a
+        random resize batch (repeats and shared fan-ins included)."""
+        rng = random.Random(seed)
+        gates = sorted(circuit.gates)
+        wide = max(gates, key=lambda g: sum(
+            circuit.driver(line) is not None
+            for line in circuit.gates[g].inputs
+        ))
+        ladder = [
+            TrialEdit("resize", wide, size)
+            for size in (0.5, 0.7, 1.4, 2.0, 2.8, 4.0, 5.7)
+        ]
+        randoms = [
+            TrialEdit(
+                "resize", rng.choice(gates), rng.choice((0.5, 2.0, 4.0))
+            )
+            for _ in range(12)
+        ]
+        return [ladder, randoms]
+
+    @pytest.mark.parametrize("name", ["c432s", "c880s"])
+    def test_no_per_gate_call(self, library, monkeypatch, name):
+        circuit = load_packaged_bench(name)
+        incr = _incremental(circuit, library, "level")
+        batches = self._batches(circuit, seed=len(name))
+        with monkeypatch.context() as patch:
+            patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
+            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
+            trials = [incr.try_edits(edits) for edits in batches]
+        for edits, trial in zip(batches, trials):
+            _assert_columns_match_fresh(circuit, library, trial, edits)
+
+    def test_layout_changing_swaps_stay_batched(self, library, monkeypatch):
+        # NAND2 -> NOR2 / AND2 / OR2 flip the output polarity or the
+        # controlling value, NAND2 -> XOR2 and XOR2 -> NAND2 change the
+        # group kind, INV -> BUF the arcs: each such column re-runs its
+        # gate alone after the shared group call.
+        circuit = load_packaged_bench("c432s")
+        incr = _incremental(circuit, library, "level")
+        compiled = incr.analyzer._level.compiled
+        nand, xor, inv = "G110", "G107", "G109"
+        driver = circuit.gates[nand].inputs[0]
+        edits = [
+            TrialEdit("swap", nand, "nor"),
+            TrialEdit("resize", nand, 2.0),
+            TrialEdit("swap", nand, "xor"),
+            TrialEdit("swap", nand, "and"),
+            TrialEdit("resize", driver, 4.0),
+            TrialEdit("swap", nand, "or"),
+            TrialEdit("swap", xor, "nand"),
+            TrialEdit("swap", inv, "buf"),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
+            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
+            trial = incr.try_edits(edits)
+        _assert_columns_match_fresh(circuit, library, trial, edits)
+        assert incr._batched_ready()
+        assert incr.analyzer._level.compiled is compiled
+
+    def test_state_divergence_falls_back(self, library, monkeypatch):
+        # The columns share one state vector.  With a's rise impossible,
+        # INV -> BUF moves n's states, so its column cannot ride the
+        # batch and every variant is re-timed on its own instead.
+        from repro.sta.windows import DirWindow, LineTiming
+
+        circuit = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = NAND(n, b)\n",
+            name="diverge",
+        )
+        overrides = {"a": LineTiming(
+            rise=DirWindow.impossible(),
+            fall=DirWindow(0.0, 1e-10, 1e-10, 2e-10),
+        )}
+        analyzer = TimingAnalyzer(circuit, library)
+        monkeypatch.setattr(analyzer, "analyze", functools.partial(
+            analyzer.analyze, pi_overrides=overrides
+        ))
+        incr = IncrementalAnalyzer(analyzer)
+        incr.analyze()
+        fallbacks = []
+        fallback = IncrementalAnalyzer._try_fallback
+        monkeypatch.setattr(
+            IncrementalAnalyzer, "_try_fallback",
+            lambda self, edits: fallbacks.append(edits)
+            or fallback(self, edits),
+        )
+        edits = [TrialEdit("resize", "y", 2.0), TrialEdit("swap", "n", "buf")]
+        trial = incr.try_edits(edits)
+        assert len(fallbacks) == 1
+        for k, e in enumerate(edits):
+            variant = Circuit.from_dict(circuit.to_dict())
+            _apply(variant, (e.op, e.line, e.value, None))
+            reference = TimingAnalyzer(
+                variant, library, perf=SCALAR
+            ).analyze_per_gate(pi_overrides=overrides)
+            for line in variant.lines:
+                assert _timings_equal(
+                    trial.line_timing(line, k), reference.line(line)
+                ), (k, line)
+
+
+class TestCommit:
+    """``commit`` adopts a live trial column as the master state and
+    re-times anything else; both equal a fresh analysis."""
+
+    def test_live_commits_adopt_and_match_fresh(self, library):
+        from repro.obs import use_registry
+
+        circuit = load_packaged_bench("c432s")
+        with use_registry() as registry:
+            incr = _incremental(circuit, library, "level")
+            for edits, k in (
+                ([TrialEdit("resize", "G110", s) for s in (0.5, 2.0)], 1),
+                ([TrialEdit("resize", "G36", 4.0),
+                  TrialEdit("swap", "G110", "nor")], 1),
+                ([TrialEdit("resize", "G110", 4.0)], 0),
+                # Last: a slot change, whose commit drops the compile.
+                ([TrialEdit("swap", "G107", "nand"),
+                  TrialEdit("resize", "G96", 0.5)], 0),
+            ):
+                trial = incr.try_edits(edits)
+                result = incr.commit(trial, k)
+                _assert_all_lines_equal(
+                    circuit, result, _fresh_timings(circuit, library)
+                )
+            counters = registry.snapshot()["counters"]
+            assert counters["sta.incr.commits_adopted"] == 4
+            assert counters.get("sta.incr.gates_retimed", 0) == 0
+        # The adopted master is a valid base for later edits and trials,
+        # through the per-gate gear and after a recompile.
+        assert incr.analyzer._level is None
+        circuit.resize_gate("G36", 0.5)
+        _assert_all_lines_equal(
+            circuit, incr.retime(), _fresh_timings(circuit, library)
+        )
+        incr.analyze()
+        edits = [TrialEdit("resize", "G107", 2.0)]
+        _assert_columns_match_fresh(
+            circuit, library, incr.try_edits(edits), edits
+        )
+
+    def test_stale_trial_retimes(self, library):
+        from repro.obs import use_registry
+
+        circuit = load_packaged_bench("c432s")
+        with use_registry() as registry:
+            incr = _incremental(circuit, library, "level")
+            edits = [TrialEdit("resize", "G110", s) for s in (0.5, 4.0)]
+            trial = incr.try_edits(edits)
+            # A real edit after the trial: its columns no longer hold
+            # the circuit the commit produces.
+            circuit.resize_gate("G36", 2.0)
+            result = incr.commit(trial, 1)
+            counters = registry.snapshot()["counters"]
+            assert counters.get("sta.incr.commits_adopted", 0) == 0
+            assert counters["sta.incr.gates_retimed"] > 0
+        assert circuit.gates["G110"].size == 4.0
+        _assert_all_lines_equal(
+            circuit, result, _fresh_timings(circuit, library)
+        )
+
+    def test_fallback_trial_retimes(self, library):
+        circuit = load_packaged_bench("c17")
+        incr = _incremental(circuit, library, "gate")
+        trial = incr.try_edits([TrialEdit("resize", "G10", 2.0)])
+        assert trial.base is None
+        result = incr.commit(trial, 0)
+        _assert_all_lines_equal(
+            circuit, result, _fresh_timings(circuit, library)
         )

@@ -52,6 +52,27 @@ class TestOptimizeSizing:
         worst = _fresh_worst_arrival(circuit, library)
         assert result.required - result.final_wns == worst
 
+    def test_greedy_commits_adopt_their_trial_columns(self, library):
+        # Every greedy commit adopts its winning trial column: one
+        # commit_s observation and one adoption per commit, and no cone
+        # is re-timed.
+        from repro.obs import use_registry
+
+        circuit = load_packaged_bench("c432s")
+        config = SizingConfig(max_passes=3, gates_per_pass=4)
+        with use_registry() as registry:
+            result = optimize_sizing(circuit, library, config=config)
+            snapshot = registry.snapshot()
+        counters = snapshot["counters"]
+        assert result.commits >= 1
+        assert counters["sta.incr.commits_adopted"] == result.commits
+        assert snapshot["histograms"]["sta.incr.commit_s"]["count"] == (
+            result.commits
+        )
+        assert counters.get("sta.incr.gates_retimed", 0) == 0
+        worst = _fresh_worst_arrival(circuit, library)
+        assert result.required - result.final_wns == worst
+
     def test_deterministic_under_seed(self, library):
         results = []
         for _ in range(2):
@@ -78,8 +99,8 @@ class TestOptimizeSizing:
         assert result.final_cost <= result.initial_cost
 
     def test_scalar_perf_config_gives_same_result(self, library):
-        # The per-gate knobs only change how trial seeds are computed,
-        # never what the sizer decides.
+        # The per-gate knobs only change how the per-gate gear computes
+        # gates, never what the sizer decides.
         config = SizingConfig(max_passes=1, gates_per_pass=2)
         results = [
             optimize_sizing(
