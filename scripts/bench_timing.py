@@ -7,8 +7,8 @@ pre-optimization tree (full re-implication per refine, full window
 refinement per fault, fresh faulty simulator per candidate vector):
 
 * **STA full pass, per-gate walk** — ``TimingAnalyzer.analyze_per_gate()``
-  over a benchmark circuit (batched NumPy corner kernels vs. the scalar
-  reference).
+  over a benchmark circuit: the scalar corner searches ITR and ATPG pay
+  for, timed alone (no baseline leg).
 * **STA full pass, level engine** — the level-compiled
   structure-of-arrays pass (``repro.sta.compile``) vs. the scalar
   reference on the two largest packaged circuits, plus the compile
@@ -27,8 +27,8 @@ refinement per fault, fresh faulty simulator per candidate vector):
   vs. fault-parallel.
 * **Monte Carlo STA** — ``repro.stat.run_mc`` sample throughput vs. the
   naive alternative of one deterministic analyzer pass per sample (the
-  vectorized engine pushes a whole sample block through the batched
-  kernels in one pass per gate).
+  vectorized engine pushes a whole sample block through one
+  level-compiled pass).
 
 All timings are best-of-N to damp scheduler noise.  Writes a
 machine-readable ``benchmarks/results/BENCH_timing.json`` with
@@ -76,7 +76,7 @@ from repro.stat import run_mc  # noqa: E402
 
 NS = 1e-9
 
-BASELINE = PerfConfig(batched_kernels=False, memo_enabled=False)
+BASELINE = PerfConfig(memo_enabled=False)
 OPTIMIZED = PerfConfig()
 
 
@@ -101,15 +101,21 @@ def _seed_max_over(self, lo, hi):
     return best, self(best)
 
 
-def _seed_pin_bounds(cell, pin, in_rising, out_rising, t_s, t_l, load):
-    """The seed's per-pin bounds: two arc lookups and two clamps."""
+def _seed_pin_bounds(
+    cell, pin, in_rising, out_rising, t_s, t_l, load, f, early, late
+):
+    """The seed's per-pin bounds: two arc lookups and two clamps (then
+    the variation factor and derates of the current walk)."""
     d_min, d_max = corners.pin_delay_bounds(
         cell, pin, in_rising, out_rising, t_s, t_l, load
     )
     t_min, t_max = corners.pin_trans_bounds(
         cell, pin, in_rising, out_rising, t_s, t_l, load
     )
-    return d_min, d_max, t_min, t_max
+    return (
+        d_min * f * early, d_max * f * late,
+        t_min * f * early, t_max * f * late,
+    )
 
 
 @contextlib.contextmanager
@@ -161,8 +167,8 @@ def _seed_imply(engine):
 class SeedBehaviorAtpg(CrosstalkAtpg):
     """The seed revision's search loop, for the baseline measurement.
 
-    A plain ``PerfConfig(batched_kernels=False, memo_enabled=False)``
-    only turns off the kernel/memo layers; the search layer of this tree
+    A plain ``PerfConfig(memo_enabled=False)`` only turns off the memo
+    layer; the search layer of this tree
     also carries algorithmic improvements the seed did not have.  This
     subclass disables those too, reproducing the seed's code paths:
 
@@ -214,25 +220,21 @@ def _best_of(repeats, fn):
 
 
 def bench_sta(circuit, library, passes):
-    """Per-gate full pass: batched kernels vs. scalar reference."""
-    out = {"circuit": circuit.name, "passes": passes}
-    for label, perf in (("baseline", BASELINE), ("optimized", OPTIMIZED)):
-        # A fresh analyzer per pass so the memo never carries over:
-        # this benchmarks the kernels, not the cache.
-        def one_pass(perf=perf):
-            return TimingAnalyzer(
-                circuit, library, perf=perf
-            ).analyze_per_gate()
+    """Per-gate full pass: the scalar walk ITR and ATPG pay for."""
 
-        scope = (
-            _seed_scalar_layer() if label == "baseline"
-            else contextlib.nullcontext()
-        )
-        with scope:
-            best, _ = _best_of(passes, one_pass)
-        out[f"{label}_s_per_pass"] = best
-    out["speedup"] = out["baseline_s_per_pass"] / out["optimized_s_per_pass"]
-    return out
+    # A fresh analyzer per pass so the memo never carries over: this
+    # times the corner searches, not the cache.
+    def one_pass():
+        return TimingAnalyzer(
+            circuit, library, perf=OPTIMIZED
+        ).analyze_per_gate()
+
+    best, _ = _best_of(passes, one_pass)
+    return {
+        "circuit": circuit.name,
+        "passes": passes,
+        "optimized_s_per_pass": best,
+    }
 
 
 def bench_sta_level(circuits, library, passes):
@@ -693,8 +695,6 @@ def main():
         "generated_unix": time.time(),
         "quick": args.quick,
         "perf_defaults": {
-            "batched_kernels": OPTIMIZED.batched_kernels,
-            "batch_min_fanin": OPTIMIZED.batch_min_fanin,
             "memo_enabled": OPTIMIZED.memo_enabled,
             "memo_max_entries": OPTIMIZED.memo_max_entries,
             "memo_quantum": OPTIMIZED.memo_quantum,
@@ -747,8 +747,12 @@ def main():
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(
+        "  sta_full_pass: "
+        f"{report['sta_full_pass']['optimized_s_per_pass']:.4f} s/pass"
+    )
     for name in (
-        "sta_full_pass", "sta_full_pass_level", "sta_required",
+        "sta_full_pass_level", "sta_required",
         "sta_incremental", "itr_refine", "atpg_with_itr", "mc", "corner",
         "server",
     ):

@@ -186,7 +186,7 @@ class CrosstalkAtpg:
         sta_config: Boundary conditions shared with STA/ITR.
         config: Search parameters.
         perf: Timing-core performance knobs forwarded to ITR's analyzer
-            (defaults to batched kernels + propagation memo).
+            (defaults to the propagation memo on).
     """
 
     def __init__(

@@ -614,7 +614,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"  {name:<10} {oracle.description}{cap}")
         return 0
     if args.replay:
-        case, result = replay_artifact(Path(args.replay))
+        try:
+            case, result = replay_artifact(Path(args.replay))
+        except (KeyError, ValueError) as exc:
+            # An unreadable file or a non-artifact (ArtifactError is a
+            # ValueError), or a case this build cannot run: an
+            # unregistered oracle or an unknown case field.
+            print(f"error: {exc.args[0] if exc.args else exc}",
+                  file=sys.stderr)
+            return 2
         status = "ok" if result.ok else "STILL FAILING"
         print(f"replay {case.describe()}: {status}")
         if result.detail:

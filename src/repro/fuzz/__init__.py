@@ -7,8 +7,9 @@ scenarios:
 * :mod:`repro.fuzz.generate` — seeded generators for circuits, boundary
   windows, ITR decision sequences, fault lists, and gate scenarios;
 * :mod:`repro.fuzz.oracles`  — the differential oracle registry
-  (batched kernels, propagation memo, ITR, fault-parallel ATPG, pooled
-  characterization, model-vs-SPICE);
+  (propagation memo, level-compiled passes, incremental re-timing, ITR,
+  fault-parallel ATPG, pooled characterization, Monte Carlo, the timing
+  daemon, PVT corners, model-vs-SPICE);
 * :mod:`repro.fuzz.shrink`   — greedy minimization of failing cases;
 * :mod:`repro.fuzz.artifacts` — replayable JSON failure records under
   ``fuzz-failures/``;

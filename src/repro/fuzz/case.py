@@ -40,7 +40,6 @@ class FuzzCase:
         sta: STA boundary conditions (``pi_arrival``, ``pi_trans``,
             ``po_load``, ``dangling_load``), seconds/farads.
         models: Delay-model names to check (keys of MODEL_FACTORIES).
-        batch_min_fanin: Kernel dispatch threshold under test.
         decisions: ITR decision sequence as ``[line, literal]`` pairs.
         faults: Explicit crosstalk fault list as dicts.
         atpg: ATPG knobs (``backtrack_limit``, ``period_fraction``,
@@ -73,7 +72,6 @@ class FuzzCase:
     circuit: Optional[dict] = None
     sta: Optional[dict] = None
     models: Optional[List[str]] = None
-    batch_min_fanin: Optional[int] = None
     decisions: Optional[List[List[str]]] = None
     faults: Optional[List[dict]] = None
     atpg: Optional[dict] = None

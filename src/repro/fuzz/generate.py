@@ -9,7 +9,7 @@ rebuild cases from coordinates instead of shipping them over the wire).
 The distributions deliberately over-sample the regimes the paper's
 V-shape model makes delicate: windows collapsed to points, skews that
 straddle the saturation skew ``SR``, wide-fan-in NAND/NOR stacks where
-the multi-input ratio rule and the batched kernels engage, and fault
+the multi-input ratio rule and the pair merges engage, and fault
 alignment windows close to the excitation boundary.
 """
 
@@ -55,7 +55,7 @@ def random_circuit_dict(
     n_outputs = rng.randint(1, 4)
     profile = rng.random()
     if profile < 0.6:
-        # Wide-gate heavy: stress pair combos and kernels.
+        # Wide-gate heavy: stress pair combos and the multi-input rule.
         kind_weights = {"nand": 0.38, "nor": 0.22, "and": 0.12,
                         "or": 0.08, "inv": 0.12, "buf": 0.02, "xor": 0.06}
         fanin_weights = {2: 0.25, 3: 0.35, 4: 0.25, 5: 0.15}

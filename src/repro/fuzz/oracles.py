@@ -2,11 +2,11 @@
 
 An oracle is a named check over one :class:`~repro.fuzz.case.FuzzCase`.
 The registered set covers every optimization the perf PRs introduced,
-plus a physical ground-truth check:
+plus a physical ground-truth check.  The references are the scalar
+walks of :class:`~repro.sta.analysis.TimingAnalyzer`:
+``analyze_per_gate`` (plain, with per-gate variation factors, or with
+corner derates) and ``compute_required_per_gate``.
 
-* ``kernels``   — batched NumPy corner kernels vs. the scalar corner
-  search, both through the per-gate walk, across delay models, bit for
-  bit;
 * ``memo``      — propagation-memo per-gate walk vs. memo-free, bit for
   bit;
 * ``level``     — the level-compiled structure-of-arrays pass
@@ -25,16 +25,18 @@ plus a physical ground-truth check:
 * ``char-jobs`` — pooled characterization (``jobs=2``) vs. serial,
   comparing every fitted coefficient of the produced library;
 * ``mc``        — Monte Carlo STA: pooled sample blocks (``jobs=2``)
-  vs. serial, bit for bit, and a zero-sigma single sample (and the
-  engine's nominal pass) vs. the scalar per-gate walk, bit for bit;
+  vs. serial, bit for bit; every column of the first sample block vs.
+  the scalar walk with that column's drawn factors, and a zero-sigma
+  single sample (and the engine's nominal pass) vs. the plain scalar
+  walk, every window bit for bit;
 * ``serve``     — the timing daemon: a concurrent query mix (windows,
   slack, paths, Monte Carlo, what-if batches, planted duplicates)
   against an in-process server vs. fresh scalar references formatted
   through the shared serializers, bit for bit;
-* ``corners``   — multi-corner STA: a batched N-corner pass (both the
-  corner-column level engine and the per-gate mirrors) vs. N separate
-  single-corner analyzers with scalar derates, bit for bit, plus the
-  merged envelope's conservative containment of every corner;
+* ``corners``   — multi-corner STA: the columns of a batched N-corner
+  pass and N separate single-corner compiles vs. the scalar walk with
+  each corner's derates on its library, bit for bit, plus the merged
+  envelope's conservative containment of every corner;
 * ``spice``     — the V-shape model vs. a fresh transistor-level
   simulation on a small gate, within a stated tolerance.
 
@@ -56,16 +58,22 @@ from ..characterize import (
 )
 from ..itr import Conflict, ItrEngine, TwoFrame
 from ..models import InputEvent, VShapeModel
-from ..sta.analysis import PerfConfig, StaConfig, StaResult, TimingAnalyzer
-from ..stat import MC_MODELS, MonteCarloEngine, VariationModel, run_mc
+from ..sta.analysis import PerfConfig, StaResult, TimingAnalyzer
+from ..stat import (
+    MC_MODELS,
+    MonteCarloEngine,
+    VariationModel,
+    plan_blocks,
+    run_mc,
+)
 from ..tech import GENERIC_05UM
 from . import generate as gen
 from .case import FuzzCase
 
 NS = 1e-9
 
-#: The scalar / uncached / serial reference configuration.
-SCALAR = PerfConfig(batched_kernels=False, memo_enabled=False)
+#: The uncached reference configuration of the scalar walk.
+SCALAR = PerfConfig(memo_enabled=False)
 
 #: Model-vs-SPICE tolerance of the ``spice`` oracle: the paper reports
 #: a few percent typical error; the oracle flags gross breakage, not
@@ -231,8 +239,11 @@ def _compare_sta(
             circuit, library, model, config, perf=SCALAR
         )
         base = base_analyzer.analyze_per_gate(pi_overrides=overrides)
+        # The compiled passes never read the memo, so their analyzer
+        # carries none.
         fast_analyzer = TimingAnalyzer(
-            circuit, library, model, config, perf=fast_perf
+            circuit, library, model, config,
+            perf=SCALAR if fast_perf is None else fast_perf,
         )
         fast = (
             fast_analyzer.analyze(pi_overrides=overrides)
@@ -252,39 +263,6 @@ def _compare_sta(
 
 
 # ----------------------------------------------------------------------
-# kernels: batched corner kernels vs. scalar corner search
-# ----------------------------------------------------------------------
-def _gen_kernels(rng: random.Random) -> FuzzCase:
-    return FuzzCase(
-        oracle="kernels",
-        circuit=gen.random_circuit_dict(rng),
-        sta=gen.random_sta_dict(rng),
-        models=gen.random_models(rng),
-        batch_min_fanin=rng.choice([2, 2, 3]),
-    )
-
-
-def _check_kernels(case: FuzzCase) -> OracleResult:
-    fanin = case.batch_min_fanin or 2
-    return _compare_sta(
-        case,
-        PerfConfig(
-            batched_kernels=True, memo_enabled=False, batch_min_fanin=fanin
-        ),
-    )
-
-
-register_oracle(Oracle(
-    name="kernels",
-    description="batched NumPy corner kernels vs. scalar corner search "
-                "(bit-identical STA windows)",
-    generate=_gen_kernels,
-    check=_check_kernels,
-    supports_pi_windows=True,
-))
-
-
-# ----------------------------------------------------------------------
 # memo: propagation memo vs. memo-free analyzer
 # ----------------------------------------------------------------------
 def _gen_memo(rng: random.Random) -> FuzzCase:
@@ -301,11 +279,7 @@ def _check_memo(case: FuzzCase) -> OracleResult:
     # exactness must come from tag verification, not key resolution.
     return _compare_sta(
         case,
-        PerfConfig(
-            batched_kernels=True,
-            memo_enabled=True,
-            memo_quantum=1e-12,
-        ),
+        PerfConfig(memo_enabled=True, memo_quantum=1e-12),
     )
 
 
@@ -740,38 +714,57 @@ def _check_mc(case: FuzzCase) -> OracleResult:
             f"jobs={spec.get('jobs', 2)} diverges from serial on "
             f"{bad} per-output sample values",
         )
-    # A single zero-sigma sample, and the engine's nominal pass, must
-    # reproduce the scalar per-gate walk bit-for-bit, on every line and
-    # direction (both come from the engine's compile).
+    # Every column of the first block, with the factors run_mc drew
+    # for it, must reproduce the scalar walk under those factors; a
+    # single zero-sigma sample, and the engine's nominal pass, the
+    # plain walk — bit for bit, on every line and direction.
     engine = MonteCarloEngine(
         circuit, library, MC_MODELS[model_name](), config
     )
-    windows = engine.propagate(np.ones((engine.n_gates, 1)))
-    timings = {
-        line: engine.line_timing_at(windows, line, 0)
-        for line in circuit.lines
-    }
-    reference = TimingAnalyzer(
+    analyzer = TimingAnalyzer(
         circuit, library, MC_MODELS[model_name](), config, perf=SCALAR
-    ).analyze_per_gate()
-    for label, result in (
-        ("sigma=0", StaResult(circuit, timings)),
-        ("nominal", engine.nominal),
-    ):
-        problems = _window_mismatches(circuit, reference, result)
+    )
+    _, size = plan_blocks(kwargs["samples"], kwargs["block"])[0]
+    factors = kwargs["variation"].factors_for_block(
+        kwargs["seed"], 0, engine.cell_index, len(engine.cell_names), size
+    )
+    reference = analyzer.analyze_per_gate()
+    checks = [
+        (f"sample {k}", result, analyzer.analyze_per_gate(factors=column))
+        for k, (result, column) in enumerate(
+            zip(_columns(circuit, engine, factors), factors.T)
+        )
+    ]
+    (sigma0,) = _columns(circuit, engine, np.ones((engine.n_gates, 1)))
+    checks.append(("sigma=0", sigma0, reference))
+    checks.append(("nominal", engine.nominal, reference))
+    for label, result, want in checks:
+        problems = _window_mismatches(circuit, want, result)
         if problems:
             return OracleResult(
                 False,
-                f"{label} vs deterministic STA (model={model_name}): "
+                f"{label} vs the scalar walk (model={model_name}): "
                 + "; ".join(problems),
             )
     return OracleResult(True)
 
 
+def _columns(circuit, engine, factors) -> List[StaResult]:
+    """Every column of one compiled Monte Carlo block."""
+    windows = engine.propagate(factors)
+    return [
+        StaResult(circuit, {
+            line: engine.line_timing_at(windows, line, k)
+            for line in circuit.lines
+        })
+        for k in range(factors.shape[1])
+    ]
+
+
 register_oracle(Oracle(
     name="mc",
     description="Monte Carlo STA: pooled blocks (jobs=2) vs. serial bit "
-                "for bit; zero-sigma sample vs. deterministic analyzer",
+                "for bit; sample columns vs. factored scalar walks",
     generate=_gen_mc,
     check=_check_mc,
     max_cases=3,
@@ -940,13 +933,14 @@ def _gen_corners(rng: random.Random) -> FuzzCase:
 
 
 def _check_corners(case: FuzzCase) -> OracleResult:
-    """Batched N-corner pass == N single-corner passes, bit for bit.
+    """Batched N-corner pass == N scalar walks, bit for bit.
 
-    The references are per-corner single-library compiles with scalar
-    derates — one per corner, nothing batched — diffed against the
-    corner columns of one corner-batched level pass and against the
-    per-gate Monte Carlo mirror run per corner.  The merged envelope
-    must also contain every per-corner window (conservative by
+    The references are scalar walks, one per corner, each on the
+    corner's library with its derates
+    (:meth:`CornerAnalyzer.analyze_per_gate`).  They are diffed against
+    the corner columns of one corner-batched level pass and against
+    per-corner single-library compiles with scalar derates.  The merged
+    envelope must also contain every per-corner window (conservative by
     construction).
     """
     from ..pvt import CornerAnalyzer, scaled_library
@@ -961,14 +955,15 @@ def _check_corners(case: FuzzCase) -> OracleResult:
         ]
         analyzer = CornerAnalyzer(circuit, corners, libraries, model, config)
         batched = analyzer.analyze()
-        mirrored = analyzer.analyze_per_gate()
+        walked = analyzer.analyze_per_gate()
         for i, (corner, library) in enumerate(zip(corners, libraries)):
-            reference = LevelCompiledAnalyzer(
+            reference = walked.results[i]
+            single = LevelCompiledAnalyzer(
                 circuit, library, model, config
             ).analyze_corners(derates=corner.derates)[0]
             for engine, result in (
-                ("level", batched.results[i]),
-                ("gate", mirrored.results[i]),
+                ("batched", batched.results[i]),
+                ("single", single),
             ):
                 problems = _window_mismatches(circuit, reference, result)
                 if problems:
@@ -994,8 +989,8 @@ def _check_corners(case: FuzzCase) -> OracleResult:
 
 register_oracle(Oracle(
     name="corners",
-    description="corner-batched multi-corner STA (level columns and gate "
-                "mirrors) vs. separate single-corner runs, bit for bit",
+    description="corner-batched and single-corner compiled STA vs. "
+                "derated scalar walks per corner, bit for bit",
     generate=_gen_corners,
     check=_check_corners,
     supports_pi_windows=False,

@@ -62,8 +62,8 @@ class ItrEngine:
         config: STA boundary conditions, shared with plain STA so that
             ``refine(initial_assignment)`` reproduces the STA result
             exactly (the paper: "STA is a special case of ITR").
-        perf: Performance knobs forwarded to the analyzer (batched
-            kernels + propagation memo, both on by default).
+        perf: Performance knobs forwarded to the analyzer (the
+            propagation memo, on by default).
     """
 
     def __init__(

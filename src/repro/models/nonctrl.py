@@ -33,9 +33,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence, Tuple
 
-import numpy as np
-
-from ..characterize.formulas import cbrt_many
 from ..characterize.library import CellTiming
 from .base import InputEvent
 from .vshape import VShapeModel
@@ -100,8 +97,16 @@ class NonCtrlAwareModel(VShapeModel):
         t_p: float,
         t_q: float,
         load: float,
+        f: float = 1.0,
+        g: float = 1.0,
     ) -> PeakShape:
-        """Evaluate the Λ-shape anchors for the pair (p, q)."""
+        """Evaluate the Λ-shape anchors for the pair (p, q).
+
+        ``f`` (a per-gate variation factor) and then ``g`` (the late
+        timing derate: the peak raises latest arrivals) multiply the
+        tails, P0 and S±, before the clamp.  At their 1.0 defaults the
+        multiplies are exact.
+        """
         data = getattr(cell, "nonctrl", None)
         if data is None:
             raise ValueError(f"cell {cell.name} has no nonctrl data")
@@ -112,51 +117,22 @@ class NonCtrlAwareModel(VShapeModel):
         t_p = arc_p.clamp(t_p)
         t_q = arc_q.clamp(t_q)
         load_adj = cell.load_adjusted_delay(out_rising, load)
-        tail_p = arc_p.delay(t_p) + load_adj
-        tail_q = arc_q.delay(t_q) + load_adj
+        tail_p = (arc_p.delay(t_p) + load_adj) * f * g
+        tail_q = (arc_q.delay(t_q) + load_adj) * f * g
         lo = min(pin_p, pin_q)
         t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
         scale = data.pair_scale.get(f"{min(pin_p, pin_q)}-{max(pin_p, pin_q)}", 1.0)
-        p0 = data.d0(t_lo, t_hi) * scale + load_adj
+        p0 = (data.d0(t_lo, t_hi) * scale + load_adj) * f * g
         p0 = max(p0, tail_p, tail_q)  # the peak is a slow-down
         if pin_p == lo:
-            s_pos = max(data.s_pos(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(data.s_neg(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(data.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(data.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
         else:
-            s_pos = max(data.s_neg(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(data.s_pos(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(data.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(data.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
         return PeakShape(
             p0=p0, s_pos=s_pos, s_neg=s_neg, tail_p=tail_p, tail_q=tail_q
         )
-
-    def peak_anchors_batch(
-        self,
-        cell: CellTiming,
-        t_lo: np.ndarray,
-        t_hi: np.ndarray,
-        scale: np.ndarray,
-        tail_lo: np.ndarray,
-        tail_hi: np.ndarray,
-        load: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized core of :meth:`nonctrl_shape` for ordered pairs.
-
-        The caller supplies clamped transition times of the lower/higher
-        position pin, the pair-scale factor, and the pin-to-pin tail
-        delays.  Bit-identical per element to :meth:`nonctrl_shape` with
-        ``pin_p < pin_q``.
-
-        Returns:
-            ``(p0, s_pos, s_neg)`` arrays of Λ-shape anchors.
-        """
-        data = cell.nonctrl
-        load_adj = cell.load_adjusted_delay(data.out_rising, load)
-        x, y = cbrt_many(t_lo), cbrt_many(t_hi)
-        p0 = data.d0.eval_roots(x, y) * scale + load_adj
-        p0 = np.maximum(np.maximum(p0, tail_lo), tail_hi)
-        s_pos = np.maximum(data.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-        s_neg = np.maximum(data.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-        return p0, s_pos, s_neg
 
     def noncontrolling_response(
         self,

@@ -24,9 +24,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence, Tuple
 
-import numpy as np
-
-from ..characterize.formulas import cbrt_many
 from ..characterize.library import CellTiming, pair_key
 from .base import DelayModel, InputEvent, ctrl_arc_delay, ctrl_arc_trans
 
@@ -129,6 +126,8 @@ class VShapeModel(DelayModel):
         t_p: float,
         t_q: float,
         load: float,
+        f: float = 1.0,
+        g: float = 1.0,
     ) -> VShape:
         """Evaluate the delay V-shape anchors for the pair (p, q).
 
@@ -136,6 +135,11 @@ class VShapeModel(DelayModel):
         ``A_q - A_p``.  Transition times are clamped to the characterized
         range, and D0 is clamped to never exceed the pin-to-pin tails
         (simultaneous to-controlling switching can only speed a gate up).
+
+        ``f`` (a per-gate variation factor) and then ``g`` (the early
+        timing derate: this V lowers earliest arrivals) multiply the
+        tails, D0 and S±, before the clamp.  At their 1.0 defaults the
+        multiplies are exact.
         """
         ctrl = cell.ctrl
         if ctrl is None:
@@ -144,24 +148,24 @@ class VShapeModel(DelayModel):
         arc_q = cell.ctrl_arc(pin_q)
         t_p = arc_p.clamp(t_p)
         t_q = arc_q.clamp(t_q)
-        dr_p = ctrl_arc_delay(cell, pin_p, t_p, load)
-        dr_q = ctrl_arc_delay(cell, pin_q, t_q, load)
+        dr_p = ctrl_arc_delay(cell, pin_p, t_p, load) * f * g
+        dr_q = ctrl_arc_delay(cell, pin_q, t_q, load) * f * g
         # The D0 surface is characterized on the (0, 1) pair with the first
         # argument belonging to the lower position; other pairs scale it.
         lo, hi = sorted((pin_p, pin_q))
         t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
         scale = ctrl.pair_scale.get(pair_key(pin_p, pin_q), 1.0)
         load_adj = cell.load_adjusted_delay(ctrl.out_rising, load)
-        d0 = ctrl.d0(t_lo, t_hi) * scale + load_adj
+        d0 = (ctrl.d0(t_lo, t_hi) * scale + load_adj) * f * g
         d0 = min(d0, dr_p, dr_q)
         if pin_p == lo:
-            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
         else:
             # Mirrored pair: the characterized "positive side" belongs to
             # the lower-position pin leading.
-            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
         return VShape(d0=d0, s_pos=s_pos, s_neg=s_neg, dr_p=dr_p, dr_q=dr_q)
 
     def trans_vshape(
@@ -172,8 +176,14 @@ class VShapeModel(DelayModel):
         t_p: float,
         t_q: float,
         load: float,
+        f: float = 1.0,
+        g: float = 1.0,
     ) -> TransVShape:
-        """Evaluate the transition-time V for the pair (p, q)."""
+        """Evaluate the transition-time V for the pair (p, q).
+
+        ``f`` and ``g`` scale the tails, the vertex and S± as in
+        :meth:`vshape`.
+        """
         ctrl = cell.ctrl
         if ctrl is None:
             raise ValueError(f"cell {cell.name} has no simultaneous data")
@@ -181,21 +191,21 @@ class VShapeModel(DelayModel):
         arc_q = cell.ctrl_arc(pin_q)
         t_p = arc_p.clamp(t_p)
         t_q = arc_q.clamp(t_q)
-        tail_p = ctrl_arc_trans(cell, pin_p, t_p, load)
-        tail_q = ctrl_arc_trans(cell, pin_q, t_q, load)
+        tail_p = ctrl_arc_trans(cell, pin_p, t_p, load) * f * g
+        tail_q = ctrl_arc_trans(cell, pin_q, t_q, load) * f * g
         lo = min(pin_p, pin_q)
         t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
         load_adj = cell.load_adjusted_trans(ctrl.out_rising, load)
-        vertex_value = ctrl.t_vertex(t_lo, t_hi) + load_adj
-        vertex_skew = ctrl.t_vertex_skew(t_lo, t_hi)
+        vertex_value = (ctrl.t_vertex(t_lo, t_hi) + load_adj) * f * g
+        vertex_skew = ctrl.t_vertex_skew(t_lo, t_hi) * f * g
         if pin_p != lo:
             vertex_skew = -vertex_skew
         if pin_p == lo:
-            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
         else:
-            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR)
-            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR)
+            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
+            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
         vertex_skew = min(max(vertex_skew, -s_neg), s_pos)
         vertex_value = min(vertex_value, tail_p, tail_q)
         return TransVShape(
@@ -206,65 +216,6 @@ class VShapeModel(DelayModel):
             t_p=tail_p,
             t_q=tail_q,
         )
-
-    # ------------------------------------------------------------------
-    # Batched anchor evaluation (the STA corner kernels' entry points)
-    # ------------------------------------------------------------------
-    def vshape_anchors_batch(
-        self,
-        cell: CellTiming,
-        t_lo: np.ndarray,
-        t_hi: np.ndarray,
-        scale: np.ndarray,
-        dr_lo: np.ndarray,
-        dr_hi: np.ndarray,
-        load: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized core of :meth:`vshape` for position-ordered pairs.
-
-        The caller supplies, per candidate, the *clamped* transition
-        times of the lower/higher-position pin (``t_lo`` / ``t_hi``),
-        the D0 pair-scale factor, and the pin-to-pin tail delays.  Every
-        element is bit-identical to the corresponding scalar
-        :meth:`vshape` call with ``pin_p < pin_q`` (the only ordering
-        the forward corner search produces).
-
-        Returns:
-            ``(d0, s_pos, s_neg)`` arrays of V-shape anchors.
-        """
-        ctrl = cell.ctrl
-        load_adj = cell.load_adjusted_delay(ctrl.out_rising, load)
-        x, y = cbrt_many(t_lo), cbrt_many(t_hi)
-        d0 = ctrl.d0.eval_roots(x, y) * scale + load_adj
-        d0 = np.minimum(np.minimum(d0, dr_lo), dr_hi)
-        s_pos = np.maximum(ctrl.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-        s_neg = np.maximum(ctrl.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-        return d0, s_pos, s_neg
-
-    def trans_vshape_anchors_batch(
-        self,
-        cell: CellTiming,
-        t_lo: np.ndarray,
-        t_hi: np.ndarray,
-        tail_lo: np.ndarray,
-        tail_hi: np.ndarray,
-        load: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized core of :meth:`trans_vshape` for ordered pairs.
-
-        Returns:
-            ``(vertex_skew, vertex_value, s_pos, s_neg)`` arrays.
-        """
-        ctrl = cell.ctrl
-        load_adj = cell.load_adjusted_trans(ctrl.out_rising, load)
-        x, y = cbrt_many(t_lo), cbrt_many(t_hi)
-        vertex_value = ctrl.t_vertex.eval_roots(x, y) + load_adj
-        vertex_skew = ctrl.t_vertex_skew.eval_many(t_lo, t_hi)
-        s_pos = np.maximum(ctrl.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-        s_neg = np.maximum(ctrl.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
-        vertex_skew = np.minimum(np.maximum(vertex_skew, -s_neg), s_pos)
-        vertex_value = np.minimum(np.minimum(vertex_value, tail_lo), tail_hi)
-        return vertex_skew, vertex_value, s_pos, s_neg
 
     # ------------------------------------------------------------------
     # Multi-input merge (extended model, Section 3.6)

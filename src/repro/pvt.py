@@ -27,8 +27,9 @@ Exactness contract: corner column ``c`` of a batched pass performs
 bit-for-bit the float operations of a single-corner pass with corner
 ``c``'s library and scalar derates.  ``tests/test_pvt.py`` and the
 ``corners`` fuzz oracle enforce this, and diff the batched pass
-against the per-gate Monte Carlo mirror run once per corner
-(:meth:`CornerAnalyzer.analyze_per_gate`, a reference only).
+against the scalar reference walk run once per corner library with
+that corner's derates (:meth:`CornerAnalyzer.analyze_per_gate`, a
+reference only).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .characterize.library import (
 from .circuit.netlist import Circuit
 from .models.base import DelayModel
 from .obs import get_registry
-from .sta.analysis import StaConfig, StaResult
+from .sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from .sta.compile import LevelCompiledAnalyzer
 from .sta.windows import merge_line_timings
 from .tech import GENERIC_05UM, Technology
@@ -716,13 +717,17 @@ class CornerAnalyzer:
         return self._corner_set(results)
 
     def analyze_per_gate(self) -> CornerSetResult:
-        """Every corner through the per-gate mirrors (reference only).
+        """Every corner through the scalar reference walk (reference only).
 
-        Bit-identical to :meth:`analyze`; the parity tests and the
-        ``corners`` fuzz oracle diff the batched pass against it.
+        One :meth:`TimingAnalyzer.analyze_per_gate` per corner library,
+        with that corner's derates.  Bit-identical to :meth:`analyze`;
+        the parity tests and the ``corners`` fuzz oracle diff the
+        batched pass against it.
         """
         return self._corner_set([
-            self._gate_corner_pass(corner, library)
+            TimingAnalyzer(
+                self.circuit, library, self.model, self.config
+            ).analyze_per_gate(derates=corner.derates)
             for corner, library in zip(self.corners, self.libraries)
         ])
 
@@ -739,33 +744,6 @@ class CornerAnalyzer:
         )
         return CornerSetResult(
             corners=list(self.corners), results=results, merged=merged
-        )
-
-    def _gate_corner_pass(
-        self, corner: Corner, library: CellLibrary
-    ) -> StaResult:
-        """One corner through the per-gate Monte Carlo mirror.
-
-        A deterministic corner pass is the sigma-zero one-sample case
-        of the mirror with the corner's derates — the exact per-site
-        multiply order the compiled corner columns use.
-        """
-        from .stat.engine import MonteCarloEngine
-
-        mc = MonteCarloEngine(
-            self.circuit,
-            library,
-            self.model,
-            self.config,
-            derate=corner.derates,
-        )
-        windows = mc.propagate_per_gate(np.ones((mc.n_gates, 1)))
-        return StaResult(
-            self.circuit,
-            {
-                line: mc.line_timing_at(windows, line, 0)
-                for line in windows
-            },
         )
 
 

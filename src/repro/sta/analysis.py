@@ -7,11 +7,14 @@ errors (arrival range outside the required range).
 
 Full forward passes and the backward pass run on the level-compiled
 engine of :mod:`repro.sta.compile`.  The gate-at-a-time walk
-(:meth:`TimingAnalyzer.propagate_gate`) serves the per-gate work of ITR,
-ATPG and incremental seeding, and as a whole pass
-(:meth:`TimingAnalyzer.analyze_per_gate`) it is the scalar reference the
-compiled pass is diffed against; :meth:`TimingAnalyzer
-.compute_required_per_gate` is the same for the backward pass.
+(:meth:`TimingAnalyzer.propagate_gate`) runs the scalar corner searches
+of :mod:`repro.sta.corners` and serves the per-gate work of ITR, ATPG
+and incremental seeding.  As a whole pass
+(:meth:`TimingAnalyzer.analyze_per_gate`) it is the one scalar
+reference the compiled pass is diffed against: plain, with per-gate
+variation factors (a Monte Carlo column) or with timing derates (a PVT
+corner column).  :meth:`TimingAnalyzer.compute_required_per_gate` is
+the same for the backward pass.
 
 The analyzer is model-parametric: with :class:`~repro.models.VShapeModel`
 it exploits simultaneous to-controlling switching (smaller, more accurate
@@ -23,14 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..characterize.library import CellLibrary, CellTiming
 from ..circuit.netlist import Circuit, Gate
 from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..obs import get_registry
-from . import kernels
 from .cache import PropagationCache
 from .corners import (
     CtrlInput,
@@ -74,20 +78,11 @@ class PerfConfig:
     corner searches behind ITR, ATPG, incremental seeding and
     :meth:`TimingAnalyzer.analyze_per_gate`.  Full passes
     (:meth:`TimingAnalyzer.analyze`) always run on the level-compiled
-    engine and ignore them.  Both fast paths are bit-identical to the
-    scalar/uncached reference (the parity test suite enforces this), so
-    the defaults are on; the flags exist for debugging and for the
-    parity tests themselves.
+    engine and ignore them.  The memo is bit-identical to the uncached
+    walk (the parity test suite enforces this), so it is on by default;
+    the flag exists for debugging and for the parity tests themselves.
 
     Args:
-        batched_kernels: Evaluate corner candidates through the NumPy
-            kernels of :mod:`repro.sta.kernels` instead of per-candidate
-            scalar model calls.
-        batch_min_fanin: Minimum gate fan-in for the batched kernels to
-            engage; narrower gates use the scalar path.  The candidate
-            set grows O(fan-in²), so vectorization only amortizes its
-            array overhead from about three inputs up (measured: ~2x at
-            fan-in 4, ~3x at fan-in 5, but a loss at fan-in 2).
         memo_enabled: Memoize ``propagate_gate`` results per analyzer
             (see :class:`repro.sta.cache.PropagationCache`).
         memo_max_entries: LRU eviction bound of the memo cache.
@@ -96,8 +91,6 @@ class PerfConfig:
             affects hash bucketing.
     """
 
-    batched_kernels: bool = True
-    batch_min_fanin: int = 3
     memo_enabled: bool = True
     memo_max_entries: int = 100_000
     memo_quantum: float = 1e-15
@@ -220,10 +213,9 @@ class TimingAnalyzer:
         library: Characterized cell library.
         model: Delay model (defaults to the proposed V-shape model).
         config: Boundary conditions.
-        perf: Knobs of the per-gate walk (defaults to batched +
-            memoized; both paths are bit-identical to the
-            scalar/uncached reference).  Full passes run on the
-            level-compiled engine regardless.
+        perf: Knobs of the per-gate walk (defaults to memoized,
+            bit-identical to the uncached walk).  Full passes run on
+            the level-compiled engine regardless.
     """
 
     def __init__(
@@ -243,9 +235,6 @@ class TimingAnalyzer:
         self._obs = obs
         self._m_gates = obs.counter("sta.gates_evaluated")
         self._m_corners = obs.counter("sta.corner_calls")
-        self._kernels = (
-            kernels.KernelContext() if self.perf.batched_kernels else None
-        )
         self._memo = (
             PropagationCache(
                 self.perf.memo_max_entries, self.perf.memo_quantum
@@ -341,13 +330,14 @@ class TimingAnalyzer:
         cell: CellTiming,
         load: float,
         timings: Dict[str, LineTiming],
+        f: float = 1.0,
+        early: float = 1.0,
+        late: float = 1.0,
     ) -> LineTiming:
-        """The corner searches of one gate (batched or scalar path)."""
+        """The corner searches of one gate, under variation factor ``f``
+        and the ``(early, late)`` derates (1.0 multiplies exactly)."""
         self._m_gates.inc()
         self._m_corners.inc(2)  # one corner search per output direction
-        ctx = self._kernels
-        if ctx is not None and len(gate.inputs) < self.perf.batch_min_fanin:
-            ctx = None  # narrow gate: scalar beats the array overhead
         if cell.controlling_value is not None and cell.n_inputs >= 2:
             ctrl_in_rising = cell.controlling_value == 1
             ctrl_ins = [
@@ -358,20 +348,12 @@ class TimingAnalyzer:
                 CtrlInput(pin, timings[line].window(not ctrl_in_rising))
                 for pin, line in enumerate(gate.inputs)
             ]
-            if ctx is not None:
-                ctrl_window = kernels.ctrl_response_window(
-                    cell, self.model, ctrl_ins, load, ctx
-                )
-                nonctrl_window = kernels.nonctrl_response_window(
-                    cell, nonctrl_ins, load, ctx, model=self.model
-                )
-            else:
-                ctrl_window = ctrl_response_window(
-                    cell, self.model, ctrl_ins, load
-                )
-                nonctrl_window = nonctrl_response_window(
-                    cell, nonctrl_ins, load, model=self.model
-                )
+            ctrl_window = ctrl_response_window(
+                cell, self.model, ctrl_ins, load, f, early, late
+            )
+            nonctrl_window = nonctrl_response_window(
+                cell, nonctrl_ins, load, self.model, f, early, late
+            )
             result = LineTiming()
             result.set_window(cell.ctrl.out_rising, ctrl_window)
             result.set_window(not cell.ctrl.out_rising, nonctrl_window)
@@ -386,12 +368,9 @@ class TimingAnalyzer:
                         arcs.append(
                             (pin, in_rising, timings[line].window(in_rising))
                         )
-            if ctx is not None:
-                window = kernels.arc_fanin_window(
-                    cell, arcs, out_rising, load, ctx
-                )
-            else:
-                window = arc_fanin_window(cell, arcs, out_rising, load)
+            window = arc_fanin_window(
+                cell, arcs, out_rising, load, f, early, late
+            )
             result.set_window(out_rising, window)
         return result
 
@@ -433,23 +412,59 @@ class TimingAnalyzer:
         return self.level_engine().analyze(pi_overrides=pi_overrides)
 
     def analyze_per_gate(
-        self, pi_overrides: Optional[Dict[str, LineTiming]] = None
+        self,
+        pi_overrides: Optional[Dict[str, LineTiming]] = None,
+        factors: Optional[Sequence[float]] = None,
+        derates: Optional[Tuple[float, float]] = None,
     ) -> StaResult:
         """The scalar reference walk: one gate at a time, in topo order.
 
-        Every gate goes through :meth:`propagate_gate`, so this pass
-        honours :class:`PerfConfig` and fills the propagation memo that
-        ITR and ATPG reuse.  The parity tests and fuzz oracles diff the
-        compiled :meth:`analyze` against it.
+        A plain walk sends every gate through :meth:`propagate_gate`, so
+        it honours :class:`PerfConfig` and fills the propagation memo
+        that ITR and ATPG reuse.  A factored or derated walk is one
+        column of a compiled Monte Carlo block or corner pass, bit for
+        bit: the factor and then the derate multiply at the sites
+        :meth:`LevelCompiledAnalyzer.propagate` scales.  It bypasses
+        the memo, whose key carries no factor.  The parity tests and
+        fuzz oracles diff the compiled passes against this walk.
 
         Args:
             pi_overrides: Optional per-PI timing windows replacing the
                 default boundary condition.
+            factors: Optional per-gate variation factors, one per gate
+                in ``circuit.topological_order()`` (the compiled pass's
+                factor-row order).
+            derates: Optional ``(early, late)`` timing-derate pair: the
+                early derate multiplies min-side responses, the late
+                one max-side responses, after the factor.
 
         Returns:
             Windows for every line in the circuit.
+
+        Raises:
+            ValueError: On a factor count that does not match the gate
+                count, a factor or derate that is not finite and > 0,
+                or early > late.
         """
         self._sync_epoch()
+        order = self.circuit.topological_order()
+        plain = factors is None and derates is None
+        scale, early, late = [1.0] * len(order), 1.0, 1.0
+        if factors is not None:
+            # Imported lazily: compile.py depends on this module.
+            from .compile import _check_positive
+
+            values = np.asarray(factors, dtype=float)
+            if values.shape != (len(order),):
+                raise ValueError(
+                    f"factors shape {values.shape} != gates ({len(order)},)"
+                )
+            _check_positive("variation factor", values)
+            scale = values.tolist()
+        if derates is not None:
+            from .compile import check_derates
+
+            early, late = (float(d) for d in check_derates(derates))
         timings: Dict[str, LineTiming] = {}
         with self._obs.timer("sta.forward_s"):
             default = self.pi_timing()
@@ -461,10 +476,15 @@ class TimingAnalyzer:
                         rise=dataclasses.replace(default.rise),
                         fall=dataclasses.replace(default.fall),
                     )
-            for out in self.circuit.topological_order():
-                timings[out] = self.propagate_gate(
-                    self.circuit.gates[out], timings
-                )
+            for out, f in zip(order, scale):
+                gate = self.circuit.gates[out]
+                if plain:
+                    timings[out] = self.propagate_gate(gate, timings)
+                else:
+                    timings[out] = self._propagate_windows(
+                        gate, self.cell_of(gate), self.load(out), timings,
+                        f, early, late,
+                    )
         if self._obs.enabled:
             widths = self._obs.histogram("sta.window_width_s")
             for timing in timings.values():

@@ -1,8 +1,8 @@
 """Level-compiled structure-of-arrays STA: the whole-circuit fast pass.
 
 :class:`repro.sta.analysis.TimingAnalyzer` walks the circuit one gate at
-a time; even with the batched corner kernels the full pass pays Python
-dispatch, window (un)boxing and memo bookkeeping per gate.  This module
+a time, so its full pass pays Python dispatch, window (un)boxing and
+memo bookkeeping per gate and per corner candidate.  This module
 compiles circuit + library **once** into a level-ordered
 structure-of-arrays form and then evaluates each *level* in a handful of
 NumPy ops:
@@ -17,7 +17,7 @@ NumPy ops:
   kernel calls per level;
 * a forward pass gathers each group's input windows, evaluates the DR /
   D0R / SR corner-candidate surfaces for all its gates at once — the
-  same candidate sets as :mod:`repro.sta.kernels`, with inactive inputs
+  same candidate sets as :mod:`repro.sta.corners`, with inactive inputs
   carried as NaN and masked out of every reduction — and scatters the
   output windows;
 * a backward pass (:meth:`LevelCompiledAnalyzer.required`) walks the
@@ -1790,7 +1790,7 @@ class LevelCompiledAnalyzer:
         states: np.ndarray,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Level-batched mirror of ``kernels.arc_fanin_window``, both
+        """Level-batched mirror of ``corners.arc_fanin_window``, both
         output directions of every gate in one call.
 
         Lanes broadcast their ``(A, C)`` coefficients against the
@@ -1838,8 +1838,8 @@ class LevelCompiledAnalyzer:
         states: np.ndarray,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Level-batched mirror of ``kernels.ctrl_response_window`` and
-        ``kernels.nonctrl_response_window`` (one group, both outputs).
+        """Level-batched mirror of ``corners.ctrl_response_window`` and
+        ``corners.nonctrl_response_window`` (one group, both outputs).
 
         Lane coefficients carry the trailing corner axis (size 1 on a
         single-corner compile) and broadcast directly against the

@@ -90,11 +90,16 @@ def _pin_bounds(
     t_s: float,
     t_l: float,
     load: float,
+    f: float,
+    early: float,
+    late: float,
 ) -> Tuple[float, float, float, float]:
     """(d_min, d_max, t_min, t_max) of one pin over one window.
 
     One arc lookup and one clamp serve all four bounds; the values are
-    exactly those of :func:`pin_delay_bounds` + :func:`pin_trans_bounds`.
+    exactly those of :func:`pin_delay_bounds` + :func:`pin_trans_bounds`,
+    times the variation factor ``f`` and then the ``early`` derate (min
+    bounds) or the ``late`` one (max bounds).
     """
     arc = cell.arc(pin, in_rising, out_rising)
     lo, hi = _clamped_interval(arc, t_s, t_l)
@@ -104,7 +109,12 @@ def _pin_bounds(
     _, t_max = arc.trans.max_over(lo, hi)
     d_adj = cell.load_adjusted_delay(out_rising, load)
     r_adj = cell.load_adjusted_trans(out_rising, load)
-    return d_min + d_adj, d_max + d_adj, t_min + r_adj, t_max + r_adj
+    return (
+        (d_min + d_adj) * f * early,
+        (d_max + d_adj) * f * late,
+        (t_min + r_adj) * f * early,
+        (t_max + r_adj) * f * late,
+    )
 
 
 def _pair_min_arrival(
@@ -113,6 +123,8 @@ def _pair_min_arrival(
     first: CtrlInput,
     second: CtrlInput,
     load: float,
+    f: float = 1.0,
+    g: float = 1.0,
 ) -> float:
     """Smallest achievable output arrival from a switching input pair.
 
@@ -126,7 +138,9 @@ def _pair_min_arrival(
     best = None
     for t_i in (wi.t_s, wi.t_l):
         for t_j in (wj.t_s, wj.t_l):
-            shape = model.vshape(cell, first.pin, second.pin, t_i, t_j, load)
+            shape = model.vshape(
+                cell, first.pin, second.pin, t_i, t_j, load, f, g
+            )
             breakpoints = {lo, hi, wj.a_s - wi.a_s}
             for bp in (0.0, shape.s_pos, -shape.s_neg):
                 if lo <= bp <= hi:
@@ -170,6 +184,9 @@ def ctrl_response_window(
     model,
     inputs: Sequence[CtrlInput],
     load: float,
+    f: float = 1.0,
+    early: float = 1.0,
+    late: float = 1.0,
 ) -> DirWindow:
     """Output window of the to-controlling response (paper Section 4.2).
 
@@ -180,6 +197,10 @@ def ctrl_response_window(
             pin-to-pin rules apply (the baseline STA).
         inputs: Active to-controlling input windows (state != -1).
         load: Output load, farads.
+        f: The gate's variation factor.
+        early: Early derate: multiplies min-side quantities (and the
+            pair merge, which can only lower them) after ``f``.
+        late: Late derate: multiplies max-side quantities after ``f``.
     """
     ctrl = cell.ctrl
     if ctrl is None:
@@ -203,7 +224,8 @@ def ctrl_response_window(
     for item in active:
         w = item.window
         d_min, d_max, t_min, t_max = _pin_bounds(
-            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load
+            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load,
+            f, early, late,
         )
         single_bounds_max[item.pin] = w.a_l + d_max
         candidates.append(w.a_s + d_min)
@@ -222,7 +244,9 @@ def ctrl_response_window(
         ratio = _multi_ratio(ctrl.multi_scale, overlap) if overlap > 2 else 1.0
         for idx, first in enumerate(active):
             for second in active[idx + 1:]:
-                pair_best = _pair_min_arrival(cell, model, first, second, load)
+                pair_best = _pair_min_arrival(
+                    cell, model, first, second, load, f, early
+                )
                 candidates.append(pair_best)
                 if ratio < 1.0:
                     # k>2 inputs can align: scale the zero-skew delay.
@@ -230,6 +254,7 @@ def ctrl_response_window(
                     shape = model.vshape(
                         cell, first.pin, second.pin,
                         first.window.t_s, second.window.t_s, load,
+                        f, early,
                     )
                     if first.window.overlaps_arrivals(second.window):
                         candidates.append(floor + shape.d0 * ratio)
@@ -257,7 +282,8 @@ def ctrl_response_window(
                 for t_i in (wi.t_s, wi.t_l):
                     for t_j in (wj.t_s, wj.t_l):
                         shape = model.trans_vshape(
-                            cell, first.pin, second.pin, t_i, t_j, load
+                            cell, first.pin, second.pin, t_i, t_j, load,
+                            f, early,
                         )
                         # SK_t,min if achievable, else the closest feasible
                         # skew (paper Section 4.2, T_Z_R,S rule); the V is
@@ -279,6 +305,8 @@ def _pair_max_arrival_peak(
     first: CtrlInput,
     second: CtrlInput,
     load: float,
+    f: float = 1.0,
+    g: float = 1.0,
 ) -> float:
     """Largest achievable output arrival under the Λ-shape extension.
 
@@ -292,7 +320,7 @@ def _pair_max_arrival_peak(
     for t_i in (wi.t_s, wi.t_l):
         for t_j in (wj.t_s, wj.t_l):
             shape = model.nonctrl_shape(
-                cell, first.pin, second.pin, t_i, t_j, load
+                cell, first.pin, second.pin, t_i, t_j, load, f, g
             )
             breakpoints = {lo, hi, wj.a_l - wi.a_l}
             for bp in (0.0, shape.s_pos, -shape.s_neg):
@@ -315,6 +343,9 @@ def nonctrl_response_window(
     inputs: Sequence[CtrlInput],
     load: float,
     model=None,
+    f: float = 1.0,
+    early: float = 1.0,
+    late: float = 1.0,
 ) -> DirWindow:
     """Output window of the to-non-controlling response.
 
@@ -325,6 +356,9 @@ def nonctrl_response_window(
     uses; when the model carries the Λ-shape extension data
     (:class:`repro.models.NonCtrlAwareModel` with characterized cells),
     the latest bound additionally covers the simultaneous slow-down peak.
+    ``f``, ``early`` and ``late`` scale as in
+    :func:`ctrl_response_window`, except that the Λ peak can only raise
+    the latest bound, so it takes the late derate.
     """
     active = [i for i in inputs if i.window.is_active]
     if not active:
@@ -342,7 +376,8 @@ def nonctrl_response_window(
     for item in active:
         w = item.window
         d_min, d_max, t_min, t_max = _pin_bounds(
-            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load
+            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load,
+            f, early, late,
         )
         lows[item.pin] = w.a_s + d_min
         highs[item.pin] = w.a_l + d_max
@@ -364,7 +399,9 @@ def nonctrl_response_window(
             for second in active[idx + 1:]:
                 a_l = max(
                     a_l,
-                    _pair_max_arrival_peak(cell, model, first, second, load),
+                    _pair_max_arrival_peak(
+                        cell, model, first, second, load, f, late
+                    ),
                 )
     a_s = min(a_s, a_l)
     state = DEFINITE if definite else POTENTIAL
@@ -378,12 +415,17 @@ def arc_fanin_window(
     arcs: Sequence[Tuple[int, bool, DirWindow]],
     out_rising: bool,
     load: float,
+    f: float = 1.0,
+    early: float = 1.0,
+    late: float = 1.0,
 ) -> DirWindow:
     """Output window for cells without a controlling value (inv/buf/xor).
 
     Args:
         arcs: (pin, input direction, input window) triples whose arc can
             produce the requested output direction.
+        f, early, late: Variation factor and derates, as in
+            :func:`ctrl_response_window`.
     """
     active = [(p, d, w) for (p, d, w) in arcs if w.is_active]
     if not active:
@@ -393,7 +435,8 @@ def arc_fanin_window(
     any_definite = False
     for pin, in_rising, w in active:
         d_min, d_max, tr_min, tr_max = _pin_bounds(
-            cell, pin, in_rising, out_rising, w.t_s, w.t_l, load
+            cell, pin, in_rising, out_rising, w.t_s, w.t_l, load,
+            f, early, late,
         )
         lo, hi = w.a_s + d_min, w.a_l + d_max
         a_s = lo if a_s is None else min(a_s, lo)

@@ -1,23 +1,29 @@
-"""Batched NumPy corner kernels — the fast path of :mod:`repro.sta.corners`.
+"""NumPy primitives of the level-compiled engine's corner searches.
 
-The scalar corner identification walks every candidate (window endpoints,
-interior T* peaks, saturation skews, breakpoint kinks) through a chain of
-per-candidate Python model calls.  This module evaluates the same
-candidate sets in bulk: each corner search assembles its candidates into
-NumPy arrays and evaluates the DR / D0R / SR surfaces and the
-transition-time polynomials vectorized, once per output direction.
+:mod:`repro.sta.corners` walks every corner candidate (window
+endpoints, interior T* peaks, saturation skews, breakpoint kinks)
+through per-candidate Python model calls; it is the scalar reference.
+The level-compiled engine (:mod:`repro.sta.compile`) evaluates the same
+candidate sets for a whole level at once from the pieces kept here:
 
-Every function here is a drop-in replacement for its scalar counterpart
-in :mod:`repro.sta.corners` and produces **bit-identical** windows.  The
-only floating-point hazard is ``T**(1/3)`` (SIMD ``pow`` can differ from
-libm in the last ulp), which is why the cube roots go through
-:func:`repro.characterize.formulas.cbrt_many`; every other operation used
-(+, -, *, /, min, max) is IEEE-exact and therefore identical whether
-NumPy or the Python interpreter executes it.
+* :class:`ArcPack` / :class:`KernelContext` — per-cell arc coefficients
+  and clamp bounds laid out as arrays;
+* :func:`quad_extremes_batch` — interval extremes of the pin-to-pin
+  quadratics (the paper's T* rule);
+* :func:`_v_delay`, :func:`_peak_delay` and :func:`_trans_v` — the
+  V-shape, Λ-peak and transition-V evaluated over candidate skews;
+* :func:`sr_slopes` and the anchor surfaces
+  (:func:`vshape_anchor_surfaces`, :func:`trans_anchor_surfaces`,
+  :func:`peak_anchor_surfaces`) — D0 / P0, the transition vertex and
+  S± under a variation factor and a derate;
+* :func:`cbrt_grid`, :func:`ratio_table` and :func:`_pair_combos`.
 
-A :class:`KernelContext` caches per-cell coefficient packs (the quadratic
-arc coefficients and clamp bounds laid out as arrays) so the per-gate
-work reduces to small fancy-indexing plus a handful of vector ops.
+Every primitive is bit-identical per element to its scalar counterpart.
+The only floating-point hazard is ``T**(1/3)`` (SIMD ``pow`` can differ
+from libm in the last ulp), which is why the cube roots go through
+:func:`repro.characterize.formulas.cbrt_many`; every other operation
+used (+, -, *, /, min, max) is IEEE-exact and therefore identical
+whether NumPy or the Python interpreter executes it.
 """
 
 from __future__ import annotations
@@ -28,10 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..characterize.formulas import cbrt_many
-from ..characterize.library import CellTiming, TimingArc, pair_key
+from ..characterize.library import CellTiming, TimingArc
 from ..models.vshape import _S_FLOOR
-from .corners import CtrlInput, _multi_ratio, _overlap_count
-from .windows import DEFINITE, DirWindow, POTENTIAL
+from .corners import _multi_ratio
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +84,7 @@ class ArcPack:
 
 
 class KernelContext:
-    """Per-analyzer cache of :class:`ArcPack` layouts, keyed by cell name."""
+    """Per-library cache of :class:`ArcPack` layouts, keyed by cell name."""
 
     def __init__(self) -> None:
         self._ctrl: Dict[str, ArcPack] = {}
@@ -151,21 +156,6 @@ def cbrt_grid(values: np.ndarray) -> np.ndarray:
     return cbrt_many(arr.ravel()).reshape(arr.shape)
 
 
-def overlap_depth(a_s_in: np.ndarray, a_l_in: np.ndarray) -> np.ndarray:
-    """Per-column max arrival-window overlap depth.
-
-    Vectorized :func:`repro.sta.corners._overlap_count` over a leading
-    window axis: the sweep-line maximum equals, for each trailing-axis
-    element, the largest number of windows covering any window's start
-    instant.  Fan-ins are tiny (<= 5), so the O(k^2) pairwise
-    formulation beats sorting per element.
-    """
-    covers = (a_s_in[:, None, ...] <= a_s_in[None, :, ...]) & (
-        a_l_in[:, None, ...] >= a_s_in[None, :, ...]
-    )
-    return covers.sum(axis=0).max(axis=0)
-
-
 def ratio_table(scales: dict, max_k: int) -> np.ndarray:
     """Lookup table k -> multi-input ratio (1.0 for k <= 2)."""
     return np.array(
@@ -211,13 +201,13 @@ def vshape_anchor_surfaces(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V-shape anchors (d0, s_pos, s_neg) of the candidate surfaces.
 
-    The any-shape core of :meth:`VShapeModel.vshape_anchors_batch`: the
-    caller supplies the precomputed load adjustment, an optional
-    per-element variation factor ``f`` (Monte Carlo), an optional timing
-    derate ``g`` (multiplied after ``f``, at the same sites) and
-    optionally the precomputed cube roots of the transition times.  With
-    ``f`` and ``g`` omitted the float operations match the model method
-    bit for bit.
+    The array form of :meth:`VShapeModel.vshape` for position-ordered
+    pairs: the caller supplies the tails, the precomputed load
+    adjustment, an optional per-element variation factor ``f`` (Monte
+    Carlo), an optional timing derate ``g`` (multiplied after ``f``, at
+    the same sites) and optionally the precomputed cube roots of the
+    transition times.  Per element the float operations match the model
+    method with the same ``f`` and ``g``, bit for bit.
     """
     x, y = roots if roots is not None else (cbrt_grid(t_lo), cbrt_grid(t_hi))
     d0 = ctrl.d0.eval_roots(x, y) * scale + load_adj
@@ -426,323 +416,3 @@ def _pair_combos(
     )
     _COMBOS_CACHE[n] = entry
     return entry
-
-
-# ----------------------------------------------------------------------
-# Window propagation
-# ----------------------------------------------------------------------
-def ctrl_response_window(
-    cell: CellTiming,
-    model,
-    inputs: Sequence[CtrlInput],
-    load: float,
-    ctx: KernelContext,
-) -> DirWindow:
-    """Batched :func:`repro.sta.corners.ctrl_response_window`."""
-    ctrl = cell.ctrl
-    if ctrl is None:
-        raise ValueError(f"cell {cell.name} has no controlling value")
-    active = [i for i in inputs if i.window.is_active]
-    if not active:
-        return DirWindow.impossible()
-    out_rising = ctrl.out_rising
-    pack = ctx.ctrl_pack(cell)
-    pins = np.array([i.pin for i in active], dtype=np.intp)
-    fields = np.array(
-        [
-            (i.window.t_s, i.window.t_l, i.window.a_s, i.window.a_l)
-            for i in active
-        ],
-        dtype=float,
-    ).T
-    a_s_in = fields[2]
-    a_l_in = fields[3]
-    definite = np.array([i.window.is_definite for i in active], dtype=bool)
-
-    arc_lo = pack.t_lo[pins]
-    arc_hi = pack.t_hi[pins]
-    # arc.clamp of each window endpoint; the bounds interval additionally
-    # repairs inverted intervals exactly like _clamped_interval.
-    clamped = np.minimum(np.maximum(fields[:2], arc_lo), arc_hi)
-    c_lo = clamped[0]
-    c_hi = clamped[1]
-    b_hi = np.maximum(c_hi, c_lo)
-
-    d_adj = cell.load_adjusted_delay(out_rising, load)
-    r_adj = cell.load_adjusted_trans(out_rising, load)
-    qa2 = pack.q_a2[:, pins]
-    qa1 = pack.q_a1[:, pins]
-    qa0 = pack.q_a0[:, pins]
-    mins, maxs = quad_extremes_batch(qa2, qa1, qa0, c_lo, b_hi)
-    d_min = mins[0] + d_adj
-    d_max = maxs[0] + d_adj
-    r_min = mins[1] + r_adj
-    r_max = maxs[1] + r_adj
-
-    # ---- latest arrival (T* peak rule; definite switchers bound it) ----
-    upper = a_l_in + d_max
-    has_definite = bool(definite.any())
-    if has_definite:
-        a_l = float(upper[definite].min())
-    else:
-        a_l = float(upper.max())
-
-    # ---- earliest arrival ----
-    a_s = float((a_s_in + d_min).min())
-    merge = getattr(model, "supports_pair_merge", False) and len(active) >= 2
-    t_s = float(r_min.min())
-    t_l = float(r_max.max())
-    if merge:
-        overlap_k = _overlap_count(active)
-        ratio = (
-            _multi_ratio(ctrl.multi_scale, overlap_k)
-            if overlap_k > 2 else 1.0
-        )
-        t_ratio = (
-            _multi_ratio(ctrl.trans_multi_scale, overlap_k)
-            if overlap_k > 2 else 1.0
-        )
-        # Per-pin clamped endpoints and their DR / transition tails
-        # (delay row 0 / transition row 1 of the stacked coefficients).
-        tc = clamped.T
-        drtr = (qa2[:, :, None] * tc + qa1[:, :, None]) * tc + qa0[:, :, None]
-        dr = drtr[0] + d_adj
-        tr = drtr[1] + r_adj
-        ii, jj, ki, kj, pairs = _pair_combos(len(active))
-        scale_c = np.repeat(
-            np.array(
-                [
-                    ctrl.pair_scale.get(
-                        pair_key(active[a].pin, active[b].pin), 1.0
-                    )
-                    for a, b in pairs
-                ],
-                dtype=float,
-            ),
-            4,
-        )
-        t_lo_c = tc[ii, ki]
-        t_hi_c = tc[jj, kj]
-        d0, s_pos, s_neg = model.vshape_anchors_batch(
-            cell, t_lo_c, t_hi_c, scale_c, dr[ii, ki], dr[jj, kj], load
-        )
-        asi, asj = a_s_in[ii], a_s_in[jj]
-        ali, alj = a_l_in[ii], a_l_in[jj]
-        blo = asj - ali
-        bhi = alj - asi
-        # Breakpoints of earliest_arrival(delta) + d_V(delta): feasible
-        # interval endpoints, the arrival kink, zero skew, +-S.
-        delta = np.stack(
-            [blo, bhi, asj - asi, np.zeros_like(blo), s_pos, -s_neg], axis=1
-        )
-        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-        dval = _v_delay(
-            delta,
-            d0[:, None],
-            s_pos[:, None],
-            s_neg[:, None],
-            dr[ii, ki][:, None],
-            dr[jj, kj][:, None],
-        )
-        floor = (
-            np.maximum(asi[:, None], asj[:, None] - delta)
-            + np.minimum(0.0, delta)
-        )
-        cand = np.where(valid, floor + dval, np.inf)
-        a_s = min(a_s, float(cand.min()))
-        overlap = None
-        if ratio < 1.0 or t_ratio < 1.0:
-            overlap = np.array(
-                [
-                    active[a].window.overlaps_arrivals(active[b].window)
-                    for a, b in pairs
-                ],
-                dtype=bool,
-            )
-        if ratio < 1.0 and overlap.any():
-            first = np.arange(len(pairs), dtype=np.intp) * 4
-            pair_floor = np.maximum(
-                a_s_in[[a for a, _ in pairs]],
-                a_s_in[[b for _, b in pairs]],
-            )
-            extra = pair_floor + d0[first] * ratio
-            a_s = min(a_s, float(extra[overlap].min()))
-
-        # ---- transition-time merge (SK_t,min rule) ----
-        vskew, vval, sp_t, sn_t = model.trans_vshape_anchors_batch(
-            cell, t_lo_c, t_hi_c, tr[ii, ki], tr[jj, kj], load
-        )
-        delta_t = np.minimum(np.maximum(vskew, blo), bhi)
-        tval = _trans_v(
-            delta_t, vskew, vval, sp_t, sn_t, tr[ii, ki], tr[jj, kj]
-        )
-        if t_ratio < 1.0:
-            combo_overlap = np.repeat(overlap, 4)
-            tval = np.where(
-                combo_overlap, np.minimum(tval, vval * t_ratio), tval
-            )
-        t_s = min(t_s, float(tval.min()))
-    a_s = min(a_s, a_l)
-    t_s = min(t_s, t_l)
-
-    state = DEFINITE if has_definite else POTENTIAL
-    return DirWindow(a_s=a_s, a_l=a_l, t_s=t_s, t_l=t_l, state=state)
-
-
-def nonctrl_response_window(
-    cell: CellTiming,
-    inputs: Sequence[CtrlInput],
-    load: float,
-    ctx: KernelContext,
-    model=None,
-) -> DirWindow:
-    """Batched :func:`repro.sta.corners.nonctrl_response_window`."""
-    active = [i for i in inputs if i.window.is_active]
-    if not active:
-        return DirWindow.impossible()
-    ctrl = cell.ctrl
-    if ctrl is None:
-        raise ValueError(f"cell {cell.name} has no controlling value")
-    out_rising = not ctrl.out_rising
-    pack = ctx.nonctrl_pack(cell)
-    pins = np.array([i.pin for i in active], dtype=np.intp)
-    fields = np.array(
-        [
-            (i.window.t_s, i.window.t_l, i.window.a_s, i.window.a_l)
-            for i in active
-        ],
-        dtype=float,
-    ).T
-    a_s_in = fields[2]
-    a_l_in = fields[3]
-    definite = np.array([i.window.is_definite for i in active], dtype=bool)
-
-    clamped = np.minimum(
-        np.maximum(fields[:2], pack.t_lo[pins]), pack.t_hi[pins]
-    )
-    c_lo = clamped[0]
-    b_hi = np.maximum(clamped[1], c_lo)
-    d_adj = cell.load_adjusted_delay(out_rising, load)
-    r_adj = cell.load_adjusted_trans(out_rising, load)
-    mins, maxs = quad_extremes_batch(
-        pack.q_a2[:, pins], pack.q_a1[:, pins], pack.q_a0[:, pins],
-        c_lo, b_hi,
-    )
-    d_min = mins[0] + d_adj
-    d_max = maxs[0] + d_adj
-    r_min = mins[1] + r_adj
-    r_max = maxs[1] + r_adj
-
-    lows = a_s_in + d_min
-    highs = a_l_in + d_max
-    if definite.any():
-        a_s = float(lows[definite].max())
-    else:
-        a_s = float(lows.min())
-    a_l = float(highs.max())
-
-    uses_peak = (
-        model is not None
-        and hasattr(model, "nonctrl_shape")
-        and getattr(cell, "nonctrl", None) is not None
-    )
-    if uses_peak and len(active) >= 2:
-        data = cell.nonctrl
-        ppack = ctx.peak_pack(cell)
-        p_adj = cell.load_adjusted_delay(data.out_rising, load)
-        # The Λ-shape clamps window endpoints against its own arcs.
-        tc = np.minimum(
-            np.maximum(fields[:2], ppack.t_lo[pins]), ppack.t_hi[pins]
-        ).T
-        tails = (
-            (ppack.d_a2[pins, None] * tc + ppack.d_a1[pins, None]) * tc
-            + ppack.d_a0[pins, None]
-            + p_adj
-        )
-        ii, jj, ki, kj, pairs = _pair_combos(len(active))
-        scale_c = np.repeat(
-            np.array(
-                [
-                    data.pair_scale.get(
-                        pair_key(active[a].pin, active[b].pin), 1.0
-                    )
-                    for a, b in pairs
-                ],
-                dtype=float,
-            ),
-            4,
-        )
-        p0, s_pos, s_neg = model.peak_anchors_batch(
-            cell, tc[ii, ki], tc[jj, kj], scale_c,
-            tails[ii, ki], tails[jj, kj], load,
-        )
-        asi, asj = a_s_in[ii], a_s_in[jj]
-        ali, alj = a_l_in[ii], a_l_in[jj]
-        blo = asj - ali
-        bhi = alj - asi
-        delta = np.stack(
-            [blo, bhi, alj - ali, np.zeros_like(blo), s_pos, -s_neg], axis=1
-        )
-        valid = (blo[:, None] <= delta) & (delta <= bhi[:, None])
-        dval = _peak_delay(
-            delta,
-            p0[:, None],
-            s_pos[:, None],
-            s_neg[:, None],
-            tails[ii, ki][:, None],
-            tails[jj, kj][:, None],
-        )
-        ceiling = (
-            np.minimum(ali[:, None], alj[:, None] - delta)
-            + np.maximum(0.0, delta)
-        )
-        cand = np.where(valid, ceiling + dval, -np.inf)
-        a_l = max(a_l, float(cand.max()))
-    a_s = min(a_s, a_l)
-    state = DEFINITE if definite.any() else POTENTIAL
-    return DirWindow(
-        a_s=a_s,
-        a_l=a_l,
-        t_s=float(r_min.min()),
-        t_l=float(r_max.max()),
-        state=state,
-    )
-
-
-def arc_fanin_window(
-    cell: CellTiming,
-    arcs: Sequence[Tuple[int, bool, DirWindow]],
-    out_rising: bool,
-    load: float,
-    ctx: KernelContext,
-) -> DirWindow:
-    """Batched :func:`repro.sta.corners.arc_fanin_window`."""
-    active = [(p, d, w) for (p, d, w) in arcs if w.is_active]
-    if not active:
-        return DirWindow.impossible()
-    index, pack = ctx.fanin_pack(cell, out_rising)
-    sel = np.array([index[(p, d)] for (p, d, _) in active], dtype=np.intp)
-    fields = np.array(
-        [(w.t_s, w.t_l, w.a_s, w.a_l) for *_, w in active], dtype=float
-    ).T
-
-    clamped = np.minimum(
-        np.maximum(fields[:2], pack.t_lo[sel]), pack.t_hi[sel]
-    )
-    c_lo = clamped[0]
-    b_hi = np.maximum(clamped[1], c_lo)
-    d_adj = cell.load_adjusted_delay(out_rising, load)
-    r_adj = cell.load_adjusted_trans(out_rising, load)
-    mins, maxs = quad_extremes_batch(
-        pack.q_a2[:, sel], pack.q_a1[:, sel], pack.q_a0[:, sel],
-        c_lo, b_hi,
-    )
-    any_definite = any(w.is_definite for *_, w in active)
-    state = DEFINITE if any_definite and len(active) == 1 else POTENTIAL
-    return DirWindow(
-        a_s=float((fields[2] + (mins[0] + d_adj)).min()),
-        a_l=float((fields[3] + (maxs[0] + d_adj)).max()),
-        t_s=float((mins[1] + r_adj).min()),
-        t_l=float((maxs[1] + r_adj).max()),
-        state=state,
-    )

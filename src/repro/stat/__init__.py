@@ -5,7 +5,7 @@ coefficients"; this package answers "what is the delay *distribution*
 when those coefficients drift with process".  It perturbs the
 characterized V-shape quantities with a seeded Gaussian variation model
 (:mod:`repro.stat.variation`), propagates all samples of a block through
-the batched corner kernels in one vectorized pass per gate
+one level-compiled pass whose batch axis is the sample axis
 (:mod:`repro.stat.engine`), fans blocks out over a process pool with
 bit-identical reassembly (:mod:`repro.stat.runner`), and aggregates
 delay / slack / criticality statistics (:mod:`repro.stat.aggregate`).

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-import repro.sta.kernels as kernels_mod
+import repro.sta.compile as compile_mod
 from repro.cli import main
 from repro.fuzz import (
     FuzzCase,
@@ -31,19 +31,22 @@ from repro.fuzz.case import (
 )
 from repro.sta.windows import DirWindow
 
-#: Coordinates of a case the planted kernel bug is known to fail on;
+#: Coordinates of a ``level`` case the planted bug is known to fail on
+#: (a 30-gate circuit that shrinks to one gate in 5 oracle checks);
 #: deterministic because cases derive entirely from (seed, oracle, index).
-PLANTED_SEED, PLANTED_INDEX = 1234, 5
+PLANTED_SEED, PLANTED_INDEX = 1234, 2
 
-FAST_ORACLES = ("kernels", "memo", "itr")
+FAST_ORACLES = ("memo", "level", "itr")
 
 
-def plant_kernel_bug(monkeypatch):
-    """Swap the curvature conditions in ``quad_extremes_batch``.
+def plant_curvature_bug(monkeypatch):
+    """Swap the curvature conditions in the compiled engine's
+    ``quad_extremes_batch``.
 
     The mutant counts the interior stationary point toward the max for
     convex quadratics and toward the min for concave ones — exactly
-    backwards — so wide-gate corner searches return wrong extremes.
+    backwards — so the level-compiled pass returns wrong pin-to-pin
+    extremes while the scalar walk it is diffed against stays right.
     """
 
     def buggy(a2, a1, a0, lo, hi):
@@ -59,7 +62,7 @@ def plant_kernel_bug(monkeypatch):
         mins = np.where(interior & (a2 < 0.0), np.minimum(mins, v_st), mins)
         return mins, maxs
 
-    monkeypatch.setattr(kernels_mod, "quad_extremes_batch", buggy)
+    monkeypatch.setattr(compile_mod, "quad_extremes_batch", buggy)
 
 
 class TestGenerators:
@@ -70,9 +73,9 @@ class TestGenerators:
             assert a.to_dict() == b.to_dict(), oracle
 
     def test_different_coordinates_differ(self):
-        a = generate_case("kernels", seed=99, index=3)
-        b = generate_case("kernels", seed=99, index=4)
-        c = generate_case("kernels", seed=100, index=3)
+        a = generate_case("level", seed=99, index=3)
+        b = generate_case("level", seed=99, index=4)
+        c = generate_case("level", seed=100, index=3)
         assert a.to_dict() != b.to_dict()
         assert a.to_dict() != c.to_dict()
 
@@ -84,7 +87,7 @@ class TestGenerators:
 
     def test_generated_circuits_build(self):
         for index in range(6):
-            case = generate_case("kernels", seed=11, index=index)
+            case = generate_case("level", seed=11, index=index)
             circuit = case.build_circuit()
             assert circuit.outputs
             assert circuit.topological_order()
@@ -92,9 +95,9 @@ class TestGenerators:
 
 class TestOracleRegistry:
     def test_expected_oracles_registered(self):
-        assert set(ORACLES) >= {
-            "kernels", "memo", "itr", "atpg-jobs", "char-jobs", "spice",
-            "serve", "corners",
+        assert set(ORACLES) == {
+            "memo", "level", "incremental", "itr", "atpg-jobs",
+            "char-jobs", "mc", "serve", "corners", "spice",
         }
 
     def test_select_all_and_unknown(self):
@@ -131,11 +134,11 @@ class TestCampaign:
 
     def test_parallel_matches_serial_schedule(self, tmp_path):
         serial = run_fuzz(FuzzConfig(
-            oracles=("kernels", "memo"), cases=6, seed=4,
+            oracles=("level", "memo"), cases=6, seed=4,
             artifact_dir=tmp_path,
         ))
         parallel = run_fuzz(FuzzConfig(
-            oracles=("kernels", "memo"), cases=6, seed=4, jobs=2,
+            oracles=("level", "memo"), cases=6, seed=4, jobs=2,
             artifact_dir=tmp_path,
         ))
         key = lambda r: sorted((o.oracle, o.index, o.ok) for o in r.outcomes)  # noqa: E731
@@ -155,7 +158,7 @@ class TestCampaign:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     run_fuzz(FuzzConfig(
-                        oracles=("kernels",), cases=2, seed=5, jobs=jobs,
+                        oracles=("level",), cases=2, seed=5, jobs=jobs,
                         artifact_dir=tmp_path,
                     ))
                 snapshot = registry.snapshot()["counters"]
@@ -178,10 +181,10 @@ class TestCampaign:
 
 class TestPlantedBug:
     def test_caught_shrunk_and_replayable(self, monkeypatch, tmp_path):
-        plant_kernel_bug(monkeypatch)
-        case = generate_case("kernels", PLANTED_SEED, PLANTED_INDEX)
+        plant_curvature_bug(monkeypatch)
+        case = generate_case("level", PLANTED_SEED, PLANTED_INDEX)
         result = run_oracle(case)
-        assert not result.ok, "planted kernel bug was not detected"
+        assert not result.ok, "planted curvature bug was not detected"
 
         shrunk = shrink_case(case, max_checks=400)
         assert shrunk.reduced
@@ -198,9 +201,9 @@ class TestPlantedBug:
         assert not replayed.ok
 
     def test_runner_writes_artifact_for_failure(self, monkeypatch, tmp_path):
-        plant_kernel_bug(monkeypatch)
+        plant_curvature_bug(monkeypatch)
         config = FuzzConfig(
-            oracles=("kernels",), cases=PLANTED_INDEX + 1,
+            oracles=("level",), cases=PLANTED_INDEX + 1,
             seed=PLANTED_SEED, artifact_dir=tmp_path,
         )
         report = run_fuzz(config)
@@ -216,11 +219,12 @@ class TestPlantedBug:
 
     def test_artifact_passes_once_bug_is_fixed(self, monkeypatch, tmp_path):
         with monkeypatch.context() as patched:
-            plant_kernel_bug(patched)
-            case = generate_case("kernels", PLANTED_SEED, PLANTED_INDEX)
+            plant_curvature_bug(patched)
+            case = generate_case("level", PLANTED_SEED, PLANTED_INDEX)
             detail = run_oracle(case).detail
             path = write_artifact(case, detail, directory=tmp_path)
-        # Monkeypatch undone: the real kernel is back, the replay passes.
+        # Monkeypatch undone: the real primitive is back, the replay
+        # passes.
         _, result = replay_artifact(path)
         assert result.ok
 
@@ -273,7 +277,7 @@ class TestCli:
 
     def test_fuzz_green_run(self, tmp_path, capsys):
         rc = main([
-            "fuzz", "--oracles", "kernels,memo", "--cases", "6",
+            "fuzz", "--oracles", "level,memo", "--cases", "6",
             "--seed", "7", "--artifact-dir", str(tmp_path),
         ])
         assert rc == 0
@@ -290,9 +294,9 @@ class TestCli:
         self, monkeypatch, tmp_path, capsys
     ):
         with monkeypatch.context() as patched:
-            plant_kernel_bug(patched)
+            plant_curvature_bug(patched)
             rc = main([
-                "fuzz", "--oracles", "kernels", "--no-shrink",
+                "fuzz", "--oracles", "level", "--no-shrink",
                 "--cases", str(PLANTED_INDEX + 1),
                 "--seed", str(PLANTED_SEED),
                 "--artifact-dir", str(tmp_path),
@@ -304,3 +308,26 @@ class TestCli:
         # Bug gone: the same artifact replays clean.
         assert main(["fuzz", "--replay", str(artifacts[0])]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_replay_missing_file_is_an_error(self, tmp_path, capsys):
+        rc = main(["fuzz", "--replay", str(tmp_path / "absent.json")])
+        assert rc == 2
+        assert "error: cannot read artifact" in capsys.readouterr().err
+
+    def test_replay_non_artifact_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"format": "something-else"}))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        assert "is not a repro fuzz-failure artifact" in (
+            capsys.readouterr().err
+        )
+
+    def test_replay_unregistered_oracle_is_an_error(self, tmp_path, capsys):
+        """An artifact of an oracle this build no longer has (the
+        retired ``kernels`` one) is an error, not a failing replay."""
+        case = generate_case("level", PLANTED_SEED, PLANTED_INDEX)
+        path = write_artifact(
+            case.clone(oracle="kernels"), "saved", directory=tmp_path
+        )
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        assert "error: unknown oracle 'kernels'" in capsys.readouterr().err

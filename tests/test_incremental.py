@@ -28,7 +28,7 @@ from repro.sta.cache import PropagationCache
 from repro.sta.incremental import _timings_equal
 
 #: Reference configuration: no kernels, no memo — the plain definition.
-SCALAR = PerfConfig(batched_kernels=False, memo_enabled=False)
+SCALAR = PerfConfig(memo_enabled=False)
 
 #: Re-timing gears: ``level`` replays cones through the compiled form,
 #: ``gate`` walks them gate by gate (the state a structural edit leaves

@@ -107,9 +107,7 @@ class TestOptimizeSizing:
                 load_packaged_bench("c17"), library, config=config,
                 perf=perf,
             )
-            for perf in (
-                None, PerfConfig(batched_kernels=False, memo_enabled=False)
-            )
+            for perf in (None, PerfConfig(memo_enabled=False))
         ]
         default, scalar = results
         assert scalar.final_wns >= scalar.initial_wns

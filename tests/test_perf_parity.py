@@ -1,10 +1,11 @@
-"""Bit-parity of the fast timing core against the scalar reference.
+"""Bit-parity of the per-gate timing core's fast layers.
 
-The perf layers — batched NumPy corner kernels, the gate-propagation
-memo, and fault-parallel ATPG — all promise *bit-identical* results.
-These tests hold them to it: full-circuit STA across delay models,
-randomized ITR decision sequences, and ATPG runs with every knob
-flipped must match the scalar/uncached/serial paths float for float.
+The per-gate walk's perf layers — the gate-propagation memo and
+fault-parallel ATPG — promise *bit-identical* results.  These tests
+hold them to it: full-circuit STA across delay models, randomized ITR
+decision sequences, and ATPG runs with every knob flipped must match
+the uncached/serial paths float for float.  (The level-compiled pass
+is held to the scalar walk by ``test_sta_compile``.)
 """
 
 import random
@@ -17,7 +18,7 @@ from repro.itr import ItrEngine, TwoFrame
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta.analysis import PerfConfig, TimingAnalyzer
 
-SCALAR = PerfConfig(batched_kernels=False, memo_enabled=False)
+SCALAR = PerfConfig(memo_enabled=False)
 FAST = PerfConfig()
 NS = 1e-9
 
@@ -45,7 +46,7 @@ def assert_results_equal(circuit, base, fast):
 )
 @pytest.mark.parametrize("bench", ["c17", "c432s", "c880s"])
 def test_sta_full_circuit_parity(bench, model_cls, library):
-    """Batched + memoized STA is bit-identical to the scalar reference."""
+    """Memoized STA is bit-identical to the uncached scalar walk."""
     circuit = load_packaged_bench(bench)
     base = TimingAnalyzer(
         circuit, library, model_cls(), perf=SCALAR

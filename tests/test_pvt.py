@@ -45,18 +45,19 @@ def corner_set(library):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", BENCHES)
 def test_batched_corners_bitwise_identical(bench, library, corner_set):
-    """One batched N-corner pass == N separate runs == the mirrors."""
+    """One batched N-corner pass == N separate runs == N derated
+    scalar walks."""
     circuit = load_packaged_bench(bench)
     corners, libraries = corner_set
     analyzer = CornerAnalyzer(circuit, corners, libraries)
     batched = analyzer.analyze()
-    mirrored = analyzer.analyze_per_gate()
+    walked = analyzer.analyze_per_gate()
     for i, (corner, corner_library) in enumerate(zip(corners, libraries)):
         reference = LevelCompiledAnalyzer(
             circuit, corner_library
         ).analyze_corners(derates=corner.derates)[0]
         assert_results_equal(circuit, reference, batched.results[i])
-        assert_results_equal(circuit, reference, mirrored.results[i])
+        assert_results_equal(circuit, reference, walked.results[i])
 
 
 @pytest.mark.parametrize("bench", ["c17", "c432s", "c880s"])
@@ -260,7 +261,8 @@ class TestEntryPoints:
     def test_sigma_zero_mc_at_corner_equals_deterministic(
         self, corner_set
     ):
-        """sigma-0 one-sample MC with derates == the corner column."""
+        """sigma-0 one-sample MC with derates == the corner column ==
+        the derated scalar walk."""
         from repro.stat import MonteCarloEngine
         from repro.sta.analysis import StaResult
 
@@ -271,10 +273,13 @@ class TestEntryPoints:
             circuit, [corner], [libraries[-1]]
         ).analyze().results[0]
         mc = MonteCarloEngine(circuit, libraries[-1], derate=corner.derates)
-        for propagate in (mc.propagate_per_gate, mc.propagate):
-            windows = propagate(np.ones((mc.n_gates, 1)))
-            sampled = StaResult(circuit, {
-                line: mc.line_timing_at(windows, line, 0)
-                for line in circuit.lines
-            })
-            assert_results_equal(circuit, deterministic, sampled)
+        windows = mc.propagate(np.ones((mc.n_gates, 1)))
+        sampled = StaResult(circuit, {
+            line: mc.line_timing_at(windows, line, 0)
+            for line in circuit.lines
+        })
+        walked = TimingAnalyzer(circuit, libraries[-1]).analyze_per_gate(
+            derates=corner.derates
+        )
+        for result in (sampled, walked):
+            assert_results_equal(circuit, deterministic, result)

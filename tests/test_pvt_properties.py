@@ -129,8 +129,9 @@ class TestSigmaZeroDeterminism:
     def test_sigma_zero_mc_equals_corner_windows(
         self, c17, library, corner
     ):
-        """Unit-factor MC at a corner == the deterministic corner pass."""
-        from repro.sta.analysis import StaResult
+        """Unit-factor MC at a corner == the deterministic corner pass
+        == the derated scalar walk."""
+        from repro.sta.analysis import StaResult, TimingAnalyzer
         from repro.stat import MonteCarloEngine
 
         lib = scaled_library(library, corner)
@@ -138,13 +139,16 @@ class TestSigmaZeroDeterminism:
             c17, [corner], [lib]
         ).analyze().results[0]
         mc = MonteCarloEngine(c17, lib, derate=corner.derates)
-        for propagate in (mc.propagate_per_gate, mc.propagate):
-            windows = propagate(np.ones((mc.n_gates, 1)))
-            sampled = StaResult(c17, {
-                line: mc.line_timing_at(windows, line, 0)
-                for line in c17.lines
-            })
-            assert_results_equal(c17, deterministic, sampled)
+        windows = mc.propagate(np.ones((mc.n_gates, 1)))
+        sampled = StaResult(c17, {
+            line: mc.line_timing_at(windows, line, 0)
+            for line in c17.lines
+        })
+        walked = TimingAnalyzer(c17, lib).analyze_per_gate(
+            derates=corner.derates
+        )
+        for result in (sampled, walked):
+            assert_results_equal(c17, deterministic, result)
 
 
 class TestMergedConservatism:

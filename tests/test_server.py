@@ -39,7 +39,7 @@ LIBRARY = CellLibrary.load_default()
 GATE = sorted(CIRCUIT.gates)[0]
 
 #: The scalar reference configuration the parity tests compare against.
-SCALAR = PerfConfig(batched_kernels=False, memo_enabled=False)
+SCALAR = PerfConfig(memo_enabled=False)
 
 
 def query(method, params=None, circuit="c17", **extra):

@@ -12,11 +12,17 @@ The central properties (mirroring the paper's claims):
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
 
-from repro.circuit import GeneratorConfig, generate_circuit, parse_bench
+from repro.circuit import (
+    GeneratorConfig,
+    generate_circuit,
+    load_packaged_bench,
+    parse_bench,
+)
 from repro.models import PinToPinModel, VShapeModel
 from repro.sta import (
     LineRequired,
@@ -26,7 +32,9 @@ from repro.sta import (
     TimingAnalyzer,
     TimingSimulator,
 )
-from repro.sta.analysis import compute_loads
+from repro.sta.analysis import PerfConfig, compute_loads
+
+from .test_perf_parity import assert_results_equal
 
 NS = 1e-9
 
@@ -340,3 +348,58 @@ class TestTimingSimulator:
         t_lone = sim.run(lone).arrival("G10")
         t_both = sim.run(both).arrival("G10")
         assert t_both < t_lone
+
+
+class TestScaledWalk:
+    """The per-gate factor/derate inputs of ``analyze_per_gate``."""
+
+    @pytest.mark.parametrize(
+        "scaling", ["factors", "derates", "both"]
+    )
+    def test_scaled_walk_neither_reads_nor_writes_the_memo(
+        self, library, scaling
+    ):
+        circuit = load_packaged_bench("c432s")
+        n = len(circuit.gates)
+        kwargs = {}
+        if scaling in ("factors", "both"):
+            kwargs["factors"] = [1.0 + 0.05 * math.sin(i) for i in range(n)]
+        if scaling in ("derates", "both"):
+            kwargs["derates"] = (0.93, 1.07)
+        analyzer = TimingAnalyzer(circuit, library)
+        first = analyzer.analyze_per_gate()
+        entries = len(analyzer._memo)
+        scaled = analyzer.analyze_per_gate(**kwargs)
+        assert len(analyzer._memo) == entries
+        second = analyzer.analyze_per_gate()
+        fresh = TimingAnalyzer(
+            circuit, library, perf=PerfConfig(memo_enabled=False)
+        ).analyze_per_gate(**kwargs)
+        assert_results_equal(circuit, fresh, scaled)
+        assert_results_equal(circuit, first, second)
+        # The scaling is real: the scaled walk moved the outputs.
+        assert scaled.output_max_arrival() != first.output_max_arrival()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"factors": [1.0] * 5}, "factors shape (5,) != gates (6,)"),
+            (
+                {"factors": [1.0] * 5 + [math.nan]},
+                "variation factor[5] must be finite and > 0, got nan",
+            ),
+            (
+                {"factors": [0.0] + [1.0] * 5},
+                "variation factor[0] must be finite and > 0, got 0.0",
+            ),
+            (
+                {"derates": (1.1, 0.9)},
+                "derate early (1.1) must not exceed derate late (0.9)",
+            ),
+        ],
+        ids=["count", "nan", "zero", "early>late"],
+    )
+    def test_bad_inputs_name_the_value(self, c17, library, kwargs, message):
+        analyzer = TimingAnalyzer(c17, library)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analyzer.analyze_per_gate(**kwargs)

@@ -6,7 +6,9 @@ direction, against the gate-at-a-time walk
 (``TimingAnalyzer.analyze_per_gate``, itself parity-locked to the
 scalar reference by ``test_perf_parity``).  These tests hold the
 compiled pass to it across circuits, delay models, boundary-scenario
-batches, per-PI overrides, and the Monte Carlo sample axis.
+batches, per-PI overrides, and the Monte Carlo sample axis: every
+factor (and derate) column equals the scalar walk run with that
+column's factors (``analyze_per_gate(factors=, derates=)``).
 """
 
 import copy
@@ -21,7 +23,7 @@ from repro.circuit import load_packaged_bench, parse_bench
 from repro.circuit.bench import packaged_bench_path
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
-from repro.sta.analysis import PerfConfig, StaConfig, TimingAnalyzer
+from repro.sta.analysis import PerfConfig, StaConfig, StaResult, TimingAnalyzer
 from repro.sta.windows import (
     IMPOSSIBLE,
     DirWindow,
@@ -260,29 +262,60 @@ def test_required_reads_the_given_windows(library, c880s):
     )
 
 
+def scalar_columns(
+    circuit, library, model, factors, overrides=None, derates=None
+):
+    """The scalar walk once per factor column: the reference of every
+    compiled Monte Carlo column."""
+    analyzer = TimingAnalyzer(circuit, library, model)
+    return [
+        analyzer.analyze_per_gate(
+            pi_overrides=overrides, factors=column, derates=derates
+        )
+        for column in np.asarray(factors).T
+    ]
+
+
+def mc_column(circuit, engine, windows, k):
+    """Column ``k`` of a Monte Carlo block as a :class:`StaResult`."""
+    return StaResult(circuit, {
+        line: engine.line_timing_at(windows, line, k)
+        for line in circuit.lines
+    })
+
+
+def assert_bitwise(circuit, want, got, label):
+    """``got`` == ``want``: states, and every field as int64 bits."""
+    for line in circuit.lines:
+        for rising in (True, False):
+            w = want.line(line).window(rising)
+            g = got.line(line).window(rising)
+            assert g.state == w.state, (label, line, rising)
+            if w.is_active:
+                assert np.array_equal(
+                    np.array([g.a_s, g.a_l, g.t_s, g.t_l]).view(np.int64),
+                    np.array([w.a_s, w.a_l, w.t_s, w.t_l]).view(np.int64),
+                ), (label, line, rising)
+
+
 @pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
 def test_mc_level_engine_bitwise(model_cls, library):
-    """MC blocks through the compiled pass equal the per-gate mirror."""
+    """Every column of an MC block equals the factored scalar walk."""
     circuit = load_packaged_bench("c432s")
     engine = MonteCarloEngine(circuit, library, model_cls())
     rng = np.random.default_rng(5)
     factors = 1.0 + 0.08 * rng.standard_normal((engine.n_gates, 7))
-    wg = engine.propagate_per_gate(factors)
-    wl = engine.propagate(factors)
-    for line in circuit.lines:
-        for direction in range(2):
-            a, b = wg[line][direction], wl[line][direction]
-            assert a.state == b.state, f"{line}[{direction}]"
-            if not a.is_active:
-                continue
-            for field in ("a_s", "a_l", "t_s", "t_l"):
-                assert np.array_equal(
-                    getattr(a, field), getattr(b, field)
-                ), f"{line}[{direction}].{field}"
+    windows = engine.propagate(factors)
+    for k, want in enumerate(
+        scalar_columns(circuit, library, model_cls(), factors)
+    ):
+        assert_bitwise(
+            circuit, want, mc_column(circuit, engine, windows, k), k
+        )
 
 
 def test_run_mc_engine_invariance(library):
-    """run_mc equals the per-gate mirror run block by block."""
+    """run_mc equals the scalar walk run sample by sample."""
     from repro.stat import VariationModel, plan_blocks, run_mc
 
     circuit = load_packaged_bench("c432s")
@@ -290,20 +323,25 @@ def test_run_mc_engine_invariance(library):
     level = run_mc(circuit, library, samples=samples, seed=seed, block=block)
     engine = MonteCarloEngine(circuit, library)
     variation = VariationModel()
-    pieces = [
-        engine.po_extremes(engine.propagate_per_gate(
+    walks = [
+        walk
+        for start, size in plan_blocks(samples, block)
+        for walk in scalar_columns(
+            circuit, library, VShapeModel(),
             variation.factors_for_block(
                 seed, start, engine.cell_index, len(engine.cell_names), size
-            )
-        ))
-        for start, size in plan_blocks(samples, block)
+            ),
+        )
     ]
-    assert np.array_equal(
-        np.concatenate([p[0] for p in pieces], axis=1), level.po_max
-    )
-    assert np.array_equal(
-        np.concatenate([p[1] for p in pieces], axis=1), level.po_min
-    )
+    assert len(walks) == samples
+    for k, walk in enumerate(walks):
+        timings = [walk.line(po) for po in circuit.outputs]
+        assert level.po_max[:, k].tolist() == [
+            t.latest_arrival() for t in timings
+        ], k
+        assert level.po_min[:, k].tolist() == [
+            t.earliest_arrival() for t in timings
+        ], k
 
 
 def test_level_counters_account_per_gate(library):
@@ -636,20 +674,18 @@ def test_one_level_parity(model_cls, library):
         corner_analyzer.analyze().results,
     ):
         assert_results_equal(circuit, want, got)
-    # Monte Carlo factor columns.
+    # Monte Carlo factor columns, each against its factored walk.
     engine = MonteCarloEngine(circuit, library, model_cls())
     factors = 1.0 + 0.08 * np.random.default_rng(3).standard_normal(
         (engine.n_gates, 5)
     )
-    want, got = engine.propagate_per_gate(factors), engine.propagate(factors)
-    for line in circuit.lines:
-        for a, b in zip(want[line], got[line]):
-            assert a.state == b.state, line
-            if a.is_active:
-                for field in ("a_s", "a_l", "t_s", "t_l"):
-                    assert np.array_equal(
-                        getattr(a, field), getattr(b, field)
-                    ), (line, field)
+    windows = engine.propagate(factors)
+    for k, want in enumerate(
+        scalar_columns(circuit, library, model_cls(), factors)
+    ):
+        assert_bitwise(
+            circuit, want, mc_column(circuit, engine, windows, k), k
+        )
     # Required times, from the per-gate windows under the overrides.
     timing = TimingAnalyzer(circuit, library, model_cls())
     result = timing.analyze_per_gate(pi_overrides=ONE_LEVEL_OVERRIDES)
@@ -936,50 +972,6 @@ def _breakpoint_overrides(library, model, breakpoint, peak):
     return overrides, cands
 
 
-def _mirror(circuit, library, model, factors, overrides, derate=None):
-    """The per-gate Monte Carlo mirror
-    (``MonteCarloEngine.propagate_per_gate``) started from per-PI
-    windows instead of the boundary condition."""
-    from repro.stat.engine import SampleWindows
-
-    engine = MonteCarloEngine(circuit, library, model, derate=derate)
-    n = factors.shape[1]
-
-    def columns(w):
-        if not w.is_active:
-            return SampleWindows.impossible()
-        return SampleWindows(
-            *(np.full(n, v) for v in (w.a_s, w.a_l, w.t_s, w.t_l)),
-            state=w.state,
-        )
-
-    windows = {
-        pi: (columns(o.rise), columns(o.fall)) for pi, o in overrides.items()
-    }
-    for row, line in enumerate(engine.gate_order):
-        windows[line] = engine._propagate_gate(
-            circuit.gates[line], windows, factors[row]
-        )
-    return windows
-
-
-def _assert_columns_bitwise(circuit, got, want, cols, label):
-    """Compiled SoA columns ``cols`` == mirror sample windows ``want``
-    (states, and every field as int64 bit patterns)."""
-    for line in circuit.lines:
-        for d, rising in enumerate((True, False)):
-            r = got.row(line, rising)
-            ref = want[line][d]
-            assert got.states[r] == ref.state, (label, line, rising)
-            if not ref.is_active:
-                continue
-            for field in ("a_s", "a_l", "t_s", "t_l"):
-                assert np.array_equal(
-                    getattr(got, field)[r, cols].view(np.int64),
-                    np.asarray(getattr(ref, field)).view(np.int64),
-                ), (label, line, rising, field)
-
-
 @pytest.mark.parametrize("peak", [False, True], ids=["vshape", "peak"])
 @pytest.mark.parametrize("breakpoint", ["zero", "offset", "+S", "-S"])
 def test_pair_merge_breakpoints(breakpoint, peak, library):
@@ -1008,43 +1000,34 @@ def test_pair_merge_breakpoints(breakpoint, peak, library):
     )
     analyzer = LevelCompiledAnalyzer(circuit, library, model)
     got = analyzer.analyze(pi_overrides=overrides)
-    for line in circuit.lines:
-        for rising in (True, False):
-            w, g = want.line(line).window(rising), got.line(line).window(rising)
-            assert w.state == g.state, (line, rising)
-            if w.is_active:
-                assert np.array_equal(
-                    np.array([g.a_s, g.a_l, g.t_s, g.t_l]).view(np.int64),
-                    np.array([w.a_s, w.a_l, w.t_s, w.t_l]).view(np.int64),
-                ), (line, rising)
+    assert_bitwise(circuit, want, got, "one column")
     cell = library.cell("NAND2")
     out = got.line("y").window(
         cell.ctrl.out_rising if not peak else cell.nonctrl.out_rising
     )
     assert (out.a_l if peak else out.a_s) == winner
 
-    # Monte Carlo factor columns, against the per-gate mirror.
+    # Monte Carlo factor columns, each against its factored walk.
     n_gates = len(circuit.gates)
     factors = np.tile(np.array(BREAKPOINT_FACTORS), (n_gates, 1))
     windows = analyzer.propagate(factors=factors, pi_overrides=overrides)
-    _assert_columns_bitwise(
-        circuit, windows,
-        _mirror(circuit, library, model, factors, overrides),
-        slice(None), "mc",
-    )
+    for k, want in enumerate(
+        scalar_columns(circuit, library, model, factors, overrides)
+    ):
+        assert_bitwise(
+            circuit, want, analyzer._extract(windows, k), f"mc {k}"
+        )
 
-    # Four derated corners, each against its per-gate mirror pass.
+    # Four derated corners, each against its derated walk.
     early, late = (np.array(d) for d in zip(*BREAKPOINT_DERATES))
     corners = LevelCompiledAnalyzer(circuit, [library] * 4, model)
     windows = corners.propagate(derates=(early, late), pi_overrides=overrides)
     for c, derate in enumerate(BREAKPOINT_DERATES):
-        _assert_columns_bitwise(
-            circuit, windows,
-            _mirror(
-                circuit, library, model, np.ones((n_gates, 1)), overrides,
-                derate=derate,
-            ),
-            [c], f"corner {c}",
+        want = TimingAnalyzer(circuit, library, model).analyze_per_gate(
+            pi_overrides=overrides, derates=derate
+        )
+        assert_bitwise(
+            circuit, want, corners._extract(windows, c), f"corner {c}"
         )
 
 
