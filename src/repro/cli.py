@@ -86,10 +86,22 @@ logger = logging.getLogger(__name__)
 
 
 def _load_circuit(spec: str):
+    """A ``.bench`` path or packaged circuit name as a checked circuit.
+
+    Every subcommand that takes a circuit loads it here, inside the
+    ``try`` that turns a bad input into ``error: ...`` and exit status 2.
+
+    Raises:
+        OSError: A missing or unreadable file, or no packaged circuit
+            of that name.
+        ValueError: Malformed ``.bench`` text, or a netlist that reads
+            an undriven line or has a combinational cycle.  The cycle
+            check runs here, not midway through an analysis.
+    """
     path = Path(spec)
-    if path.exists():
-        return load_bench(path)
-    return load_packaged_bench(spec)
+    circuit = load_bench(path) if path.exists() else load_packaged_bench(spec)
+    circuit.topological_order()
+    return circuit
 
 
 def _corner_set(args: argparse.Namespace, library):
@@ -150,9 +162,9 @@ def _sta_corners(circuit, corner_set, max_outputs: int) -> int:
 
 
 def _cmd_sta(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
     library = CellLibrary.load_default()
     try:
+        circuit = _load_circuit(args.circuit)
         corner_set = _corner_set(args, library)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -189,9 +201,9 @@ def _cmd_sta(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from .sta.optimize import SizingConfig, optimize_sizing
 
-    circuit = _load_circuit(args.circuit)
     library = CellLibrary.load_default()
     try:
+        circuit = _load_circuit(args.circuit)
         sizes = tuple(
             float(tok) for tok in args.sizes.split(",") if tok.strip()
         )
@@ -311,8 +323,8 @@ def _mc_corners(circuit, corner_set, variation, qs, args) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
     try:
+        circuit = _load_circuit(args.circuit)
         qs = _parse_quantiles(args.quantiles)
         variation = VariationModel(
             sigma_corr=(
@@ -386,7 +398,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    try:
+        circuit = _load_circuit(args.circuit)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     library = CellLibrary.load_default()
     v1, v2 = args.v1, args.v2
     if len(v1) != len(circuit.inputs) or len(v2) != len(circuit.inputs):
@@ -418,7 +434,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_atpg(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    try:
+        circuit = _load_circuit(args.circuit)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     library = CellLibrary.load_default()
     faults = generate_fault_list(
         circuit, args.faults, seed=args.seed,
@@ -483,7 +503,11 @@ def _spice_check_vectors(atpg, summary, limit: int) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    try:
+        circuit = _load_circuit(args.circuit)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     library = CellLibrary.load_default()
     analyzer = TimingAnalyzer(circuit, library, VShapeModel())
     result = analyzer.analyze()

@@ -940,8 +940,9 @@ def _check_corners(case: FuzzCase) -> OracleResult:
     (:meth:`CornerAnalyzer.analyze_per_gate`).  They are diffed against
     the corner columns of one corner-batched level pass and against
     per-corner single-library compiles with scalar derates.  The merged
-    envelope must also contain every per-corner window (conservative by
-    construction).
+    envelope (a column reduction of the batched pass) must equal the
+    walks' per-line merge bit for bit, and contain every per-corner
+    window (conservative by construction).
     """
     from ..pvt import CornerAnalyzer, scaled_library
     from ..sta.compile import LevelCompiledAnalyzer
@@ -956,6 +957,11 @@ def _check_corners(case: FuzzCase) -> OracleResult:
         analyzer = CornerAnalyzer(circuit, corners, libraries, model, config)
         batched = analyzer.analyze()
         walked = analyzer.analyze_per_gate()
+        problems = _window_mismatches(circuit, walked.merged, batched.merged)
+        if problems:
+            return OracleResult(
+                False, f"model={name} merged: " + "; ".join(problems)
+            )
         for i, (corner, library) in enumerate(zip(corners, libraries)):
             reference = walked.results[i]
             single = LevelCompiledAnalyzer(

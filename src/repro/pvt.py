@@ -19,9 +19,9 @@ margins (timing derates) on top.  This module adds that workload class:
   engine (:mod:`repro.sta.compile`) stacks each corner's coefficient
   columns on the same trailing batch axis used for MC samples and
   boundary scenarios, so an N-corner full pass is **one** batched
-  sweep; per-corner results are extracted per column and merged into a
+  sweep; per-corner results are views of their columns, and the
   conservative envelope (setup takes the latest arrival across corners,
-  hold the earliest).
+  hold the earliest) is one min/max reduction over the corner columns.
 
 Exactness contract: corner column ``c`` of a batched pass performs
 bit-for-bit the float operations of a single-corner pass with corner
@@ -67,7 +67,7 @@ from .circuit.netlist import Circuit
 from .models.base import DelayModel
 from .obs import get_registry
 from .sta.analysis import StaConfig, StaResult, TimingAnalyzer
-from .sta.compile import LevelCompiledAnalyzer
+from .sta.compile import ColumnTimings, LevelCompiledAnalyzer
 from .sta.windows import merge_line_timings
 from .tech import GENERIC_05UM, Technology
 
@@ -625,7 +625,11 @@ class CornerSetResult:
     (derates applied); ``merged`` is the conservative envelope — per
     line and direction, min over corners of the early bounds and max of
     the late bounds — so setup checks read ``merged``'s latest arrivals
-    and hold checks its earliest.
+    and hold checks its earliest.  From :meth:`CornerAnalyzer.analyze`
+    every one of them is a :class:`~repro.sta.compile.ColumnTimings`
+    view: the per-corner results of their columns of the batched pass,
+    ``merged`` of that pass's :meth:`~repro.sta.compile.CompiledWindows
+    .envelope`.  Windows are built only for the lines a caller reads.
     """
 
     corners: List[Corner]
@@ -706,7 +710,12 @@ class CornerAnalyzer:
         return len(self.corners)
 
     def analyze(self) -> CornerSetResult:
-        """One multi-corner pass: per-corner results plus the envelope."""
+        """One multi-corner pass: per-corner results plus the envelope.
+
+        The envelope is a column reduction of the batched pass
+        (:meth:`CompiledWindows.envelope`), viewed like the per-corner
+        columns; no per-line merge runs.
+        """
         derates = (
             np.array([c.derate_early for c in self.corners]),
             np.array([c.derate_late for c in self.corners]),
@@ -714,36 +723,36 @@ class CornerAnalyzer:
         with self._obs.timer("pvt.pass_s"):
             results = self._level.analyze_corners(derates=derates)
         self._obs.counter("pvt.corners_analyzed").inc(self.n_corners)
-        return self._corner_set(results)
+        merged = ColumnTimings(self._level.last_windows.envelope(), 0)
+        return CornerSetResult(
+            corners=list(self.corners),
+            results=results,
+            merged=StaResult(self.circuit, merged),
+        )
 
     def analyze_per_gate(self) -> CornerSetResult:
         """Every corner through the scalar reference walk (reference only).
 
         One :meth:`TimingAnalyzer.analyze_per_gate` per corner library,
-        with that corner's derates.  Bit-identical to :meth:`analyze`;
-        the parity tests and the ``corners`` fuzz oracle diff the
-        batched pass against it.
+        with that corner's derates, merged line by line with
+        :func:`~repro.sta.windows.merge_line_timings`.  Bit-identical to
+        :meth:`analyze`, envelope included; the parity tests and the
+        ``corners`` fuzz oracle diff the batched pass against it.
         """
-        return self._corner_set([
+        results = [
             TimingAnalyzer(
                 self.circuit, library, self.model, self.config
             ).analyze_per_gate(derates=corner.derates)
             for corner, library in zip(self.corners, self.libraries)
-        ])
-
-    def _corner_set(self, results: List[StaResult]) -> CornerSetResult:
-        """Per-corner results plus their merged setup/hold envelope."""
-        merged = StaResult(
-            self.circuit,
-            {
-                line: merge_line_timings(
-                    [r.timings[line] for r in results]
-                )
-                for line in results[0].timings
-            },
-        )
+        ]
+        merged = {
+            line: merge_line_timings([r.timings[line] for r in results])
+            for line in results[0].timings
+        }
         return CornerSetResult(
-            corners=list(self.corners), results=results, merged=merged
+            corners=list(self.corners),
+            results=results,
+            merged=StaResult(self.circuit, merged),
         )
 
 

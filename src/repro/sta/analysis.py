@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -162,10 +164,22 @@ def compute_loads(
 
 @dataclasses.dataclass
 class StaResult:
-    """Per-line timing windows produced by :meth:`TimingAnalyzer.analyze`."""
+    """Per-line timing windows produced by :meth:`TimingAnalyzer.analyze`.
+
+    ``timings`` maps every line to its :class:`LineTiming`.  From a
+    compiled pass (:meth:`TimingAnalyzer.analyze`, corner and boundary
+    passes) it is a read-only :class:`~repro.sta.compile.ColumnTimings`
+    view of the pass's column: each line's windows are built on first
+    access and kept, so repeated reads return the same object and an
+    in-place edit of it is seen by later readers.  The per-gate walks
+    and ITR return a plain dict, and
+    :class:`~repro.sta.incremental.IncrementalAnalyzer` a dict it
+    updates in place.  Code that assigns lines copies first
+    (``dict(result.timings)``).
+    """
 
     circuit: Circuit
-    timings: Dict[str, LineTiming]
+    timings: Mapping[str, LineTiming]
 
     def line(self, name: str) -> LineTiming:
         return self.timings[name]
@@ -406,7 +420,8 @@ class TimingAnalyzer:
                 default boundary condition.
 
         Returns:
-            Windows for every line in the circuit.
+            Windows for every line in the circuit, as a column view of
+            the compiled pass (see :class:`StaResult`).
         """
         self._sync_epoch()
         return self.level_engine().analyze(pi_overrides=pi_overrides)

@@ -111,8 +111,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from collections.abc import Mapping
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -832,9 +835,19 @@ class CompiledCircuit:
         cells = {name: [cc[name] for cc in corner_cells] for name in names}
         if loads is not None and len(libraries) > 1:
             raise ValueError("precomputed loads need a single-library compile")
-        corner_loads = [loads] if loads is not None else [
-            compute_loads(circuit, lib, config) for lib in libraries
-        ]
+        if loads is not None:
+            corner_loads = [loads]
+        else:
+            # A library enters the loads only through the input caps of
+            # the cells the circuit uses, so libraries that agree on
+            # those (derived corners all do) share one computation.
+            by_caps: Dict[tuple, Dict[str, float]] = {}
+            corner_loads = []
+            for lib, by_name in zip(libraries, corner_cells):
+                caps = tuple(tuple(by_name[n].input_caps) for n in names)
+                if caps not in by_caps:
+                    by_caps[caps] = compute_loads(circuit, lib, config)
+                corner_loads.append(by_caps[caps])
         #: Output load of every gate (topological order) per corner,
         #: ``(n_gates, C)``: what the load-adjust terms are built from.
         self.loads = np.array(
@@ -1327,7 +1340,10 @@ class CompiledWindows:
 
     Rows index line x direction (rise rows first), columns index the
     batch axis (MC samples, boundary scenarios, or PVT corners).
-    ``states`` is structural and shared by every column.
+    ``states`` is structural and shared by every column.  Results read
+    a column through a :class:`ColumnTimings` view, which builds
+    :class:`LineTiming` objects only for the lines a caller reads, and
+    :meth:`envelope` reduces the columns to one without building any.
     """
 
     a_s: np.ndarray
@@ -1366,7 +1382,83 @@ class CompiledWindows:
             fall=self.window(line, False, column),
         )
 
+    def envelope(self) -> "CompiledWindows":
+        """The conservative envelope of every column, as one column.
 
+        Per row, the min over the columns of ``a_s`` / ``t_s`` and the
+        max of ``a_l`` / ``t_l``: the window
+        :func:`~repro.sta.windows.merge_dir_windows` builds from the
+        columns' windows, bit for bit (min and max are exact).  States
+        are per row, shared by every column, so a row is active in all
+        columns or in none, and its merged state is its own state.
+        """
+        return CompiledWindows(
+            self.a_s.min(axis=1, keepdims=True),
+            self.a_l.max(axis=1, keepdims=True),
+            self.t_s.min(axis=1, keepdims=True),
+            self.t_l.max(axis=1, keepdims=True),
+            self.states, self.line_index, self.n_lines,
+        )
+
+
+class ColumnTimings(Mapping):
+    """Read-only ``{line: LineTiming}`` view over one column of a
+    :class:`CompiledWindows`: the ``timings`` of a compiled
+    :class:`StaResult`.
+
+    The constructor copies the column with ``tolist()``, which gives
+    the bit-identical Python floats and detaches the view from later
+    in-place writes to the arrays (the incremental engine re-times the
+    last pass's state in place).  A line's :class:`LineTiming` is built
+    on first access and kept, so every reader gets the same object and
+    sees an in-place edit of it, as with a dict.  Lines iterate in
+    circuit order.  Windows skip ``DirWindow.__init__`` validation: a
+    finished pass satisfies the invariants by construction (the parity
+    suite proves its windows equal to the validated per-gate walk's).
+    """
+
+    __slots__ = ("_index", "_n", "_a_s", "_a_l", "_t_s", "_t_l",
+                 "_states", "_built")
+
+    def __init__(self, windows: CompiledWindows, column: int) -> None:
+        self._index = windows.line_index
+        self._n = windows.n_lines
+        self._a_s = windows.a_s[:, column].tolist()
+        self._a_l = windows.a_l[:, column].tolist()
+        self._t_s = windows.t_s[:, column].tolist()
+        self._t_l = windows.t_l[:, column].tolist()
+        self._states = windows.states.tolist()
+        self._built: Dict[str, LineTiming] = {}
+
+    def __getitem__(self, line: str) -> LineTiming:
+        timing = self._built.get(line)
+        if timing is None:
+            i = self._index[line]
+            timing = self._built[line] = LineTiming(
+                rise=self._window(i), fall=self._window(i + self._n)
+            )
+        return timing
+
+    def _window(self, r: int) -> DirWindow:
+        state = self._states[r]
+        if state == IMPOSSIBLE:
+            return DirWindow.impossible()
+        w = DirWindow.__new__(DirWindow)
+        w.a_s = self._a_s[r]
+        w.a_l = self._a_l[r]
+        w.t_s = self._t_s[r]
+        w.t_l = self._t_l[r]
+        w.state = state
+        return w
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, line: object) -> bool:
+        return line in self._index
 
 
 # ----------------------------------------------------------------------
@@ -1420,18 +1512,28 @@ class LevelCompiledAnalyzer:
     def analyze(
         self, pi_overrides: Optional[Dict[str, LineTiming]] = None
     ) -> StaResult:
-        """Single-scenario run; drop-in for ``TimingAnalyzer.analyze``."""
+        """Single-scenario run; drop-in for ``TimingAnalyzer.analyze``.
+
+        Returns:
+            A :class:`StaResult` whose ``timings`` is a
+            :class:`ColumnTimings` view of the pass.
+        """
         compiled = self.propagate(pi_overrides=pi_overrides)
         # Retained for the incremental engine, which re-times cones by
         # mutating this state in place (see repro.sta.incremental).
         self.last_windows = compiled
         result = self._extract(compiled, 0)
         if self._obs.enabled:
+            # Per line, rise then fall: the per-gate walk's order, so
+            # both record the same observations in the same sequence.
+            n = compiled.n_lines
+            width = compiled.a_l[:, 0] - compiled.a_s[:, 0]
+            active = compiled.states != IMPOSSIBLE
+            pairs = np.stack([width[:n], width[n:]], axis=1)
+            keep = np.stack([active[:n], active[n:]], axis=1)
             widths = self._obs.histogram("sta.window_width_s")
-            for timing in result.timings.values():
-                for window in (timing.rise, timing.fall):
-                    if window.is_active:
-                        widths.observe(window.a_l - window.a_s)
+            for value in pairs[keep].tolist():
+                widths.observe(value)
         return result
 
     def analyze_boundaries(
@@ -1446,7 +1548,8 @@ class LevelCompiledAnalyzer:
 
         Returns:
             One :class:`StaResult` per scenario, each bit-identical to
-            a separate ``analyze`` run under that boundary condition.
+            a separate ``analyze`` run under that boundary condition
+            and, like it, a :class:`ColumnTimings` view of its column.
         """
         compiled = self.propagate(boundaries=boundaries)
         return [
@@ -1465,7 +1568,11 @@ class LevelCompiledAnalyzer:
         Returns:
             One :class:`StaResult` per corner library, in compile order,
             each bit-identical to a separate single-corner analyzer run
-            with that corner's library and scalar derates.
+            with that corner's library and scalar derates.  Each is a
+            :class:`ColumnTimings` view of its corner column, and
+            :attr:`last_windows` keeps the whole pass, which is what
+            :meth:`CompiledWindows.envelope` reduces for a multi-corner
+            sign-off (see :class:`repro.pvt.CornerAnalyzer`).
         """
         compiled = self.propagate(derates=derates)
         self.last_windows = compiled
@@ -1628,7 +1735,8 @@ class LevelCompiledAnalyzer:
                 elif group.in_rows.size:
                     back(group.pack, group.d_adj, group.in_rows,
                          np.repeat(group.out_rows, group.seg_n), ins, q)
-        # tolist() gives the bit-identical Python floats, as in _extract.
+        # tolist() gives the bit-identical Python floats, as in
+        # ColumnTimings.
         early = q_s[:, 0].tolist()
         late = q_l[:, 0].tolist()
         return {
@@ -2311,39 +2419,8 @@ class LevelCompiledAnalyzer:
     # Extraction
     # ------------------------------------------------------------------
     def _extract(self, compiled: CompiledWindows, column: int) -> StaResult:
-        """One column as a :class:`StaResult`; each call is one
-        ``sta.compile.extract_s`` observation.
-
-        Bulk variant of :meth:`CompiledWindows.line_timing`: ``tolist()``
-        converts each float64 to the bit-identical Python float in one
-        pass, and the windows of a finished pass satisfy the
-        :class:`DirWindow` invariants by construction (the parity suite
-        proves them equal to the validated per-gate output), so
-        ``__init__`` re-validation is skipped for the ``2 * n_lines``
-        instances.
-        """
+        """One column as a :class:`StaResult` over a
+        :class:`ColumnTimings` view; building the view is one
+        ``sta.compile.extract_s`` observation."""
         with self._obs.timer("sta.compile.extract_s"):
-            cc = self.compiled
-            n = cc.n_lines
-            a_s = compiled.a_s[:, column].tolist()
-            a_l = compiled.a_l[:, column].tolist()
-            t_s = compiled.t_s[:, column].tolist()
-            t_l = compiled.t_l[:, column].tolist()
-            states = compiled.states.tolist()
-            new = DirWindow.__new__
-            timings: Dict[str, LineTiming] = {}
-            for i, line in enumerate(cc.lines):
-                pair = []
-                for r in (i, i + n):
-                    if states[r] == IMPOSSIBLE:
-                        pair.append(DirWindow.impossible())
-                        continue
-                    w = new(DirWindow)
-                    w.a_s = a_s[r]
-                    w.a_l = a_l[r]
-                    w.t_s = t_s[r]
-                    w.t_l = t_l[r]
-                    w.state = states[r]
-                    pair.append(w)
-                timings[line] = LineTiming(rise=pair[0], fall=pair[1])
-            return StaResult(self.circuit, timings)
+            return StaResult(self.circuit, ColumnTimings(compiled, column))

@@ -302,15 +302,20 @@ class IncrementalAnalyzer:
     # Full pass
     # ------------------------------------------------------------------
     def analyze(self) -> StaResult:
-        """Run a full pass and (re)baseline the incremental state."""
+        """Run a full pass and (re)baseline the incremental state.
+
+        The pass's column view is materialized into the dict that
+        re-timing updates in place, so the returned result is live,
+        like :meth:`retime`'s.
+        """
         self._ingest_edits()
         self._sync_compiled()
         result = self.analyzer.analyze()
-        self._timings = result.timings
+        self._timings = dict(result.timings)
         self._cw = self.analyzer._level.last_windows
         self._cw_of = self.analyzer._level.compiled
         self._m_full.inc()
-        return result
+        return StaResult(self.circuit, self._timings)
 
     def _batched_ready(self) -> bool:
         """Whether the batched gear may replay cones over ``_cw``.

@@ -30,8 +30,9 @@ in the ``sta.incr.*`` counters that :class:`IncrementalAnalyzer` owns.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +95,19 @@ class SizingConfig:
             raise ValueError(f"unknown cost mode {self.cost!r}")
         if not self.sizes:
             raise ValueError("need at least one candidate size")
+        for size in self.sizes:
+            if not (math.isfinite(size) and size > 0.0):
+                raise ValueError(
+                    f"candidate size must be finite and > 0, got {size!r}"
+                )
+        if self.mc_samples <= 0:
+            raise ValueError(
+                f"mc_samples must be > 0, got {self.mc_samples!r}"
+            )
+        if not 0.0 < self.mc_quantile < 1.0:
+            raise ValueError(
+                f"mc_quantile must lie in (0, 1), got {self.mc_quantile!r}"
+            )
 
 
 @dataclasses.dataclass

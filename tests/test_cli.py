@@ -120,6 +120,52 @@ class TestCommands:
         assert "efficiency" in out
 
 
+#: Every subcommand that loads one circuit, with its other required
+#: arguments after the circuit.
+CIRCUIT_COMMANDS = {
+    "sta": [], "optimize": [], "mc": [], "sim": ["0", "1"],
+    "atpg": [], "report": [],
+}
+
+#: (file text or None for a missing file, expected message fragment).
+BAD_CIRCUITS = {
+    "missing": (None, "missing.bench"),
+    "unparsable": ("INPUT(a)\nOUTPUT(y)\ny := NAND a\n", "cannot parse"),
+    "cycle": (
+        "INPUT(a)\nOUTPUT(y)\nx = NAND(a, y)\ny = NAND(a, x)\n",
+        "combinational cycle",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CIRCUITS))
+@pytest.mark.parametrize("command", sorted(CIRCUIT_COMMANDS))
+def test_bad_circuit_is_a_structured_error(command, bad, capsys, tmp_path):
+    """A missing file, an unparsable line or a cyclic netlist prints
+    ``error: ...`` and exits 2 on every circuit subcommand."""
+    text, fragment = BAD_CIRCUITS[bad]
+    path = tmp_path / "missing.bench"
+    if text is not None:
+        path.write_text(text)
+    code = main([command, str(path), *CIRCUIT_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--sizes", "0"], "got 0.0"),
+    (["--sizes", "1.0,nan"], "got nan"),
+    (["--sizes", "inf"], "got inf"),
+    (["--cost", "mc_q95", "--mc-samples", "0"], "mc_samples must be > 0"),
+])
+def test_optimize_rejects_bad_sizing_config(argv, fragment, capsys):
+    assert main(["optimize", "c17", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err, err
+
+
 class TestMcCommand:
     def test_mc_parser_defaults(self):
         args = build_parser().parse_args(["mc", "c17"])

@@ -28,6 +28,23 @@ class TestSizingConfig:
         assert config.sizes == DEFAULT_SIZES
         assert config.cost == "wns"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sizes", (1.0, 0.0), "candidate size must be finite and > 0, "
+                              "got 0.0"),
+        ("sizes", (-2.0,), "got -2.0"),
+        ("sizes", (float("nan"),), "got nan"),
+        ("sizes", (1.0, float("inf")), "got inf"),
+        ("mc_samples", 0, "mc_samples must be > 0, got 0"),
+        ("mc_samples", -3, "got -3"),
+        ("mc_quantile", 0.0, "mc_quantile must lie in (0, 1), got 0.0"),
+        ("mc_quantile", 1.0, "got 1.0"),
+        ("mc_quantile", float("nan"), "got nan"),
+    ])
+    def test_rejects_bad_values(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            SizingConfig(**{field: value})
+        assert message in str(info.value)
+
 
 class TestOptimizeSizing:
     def test_improves_wns_on_c432s(self, library):

@@ -26,7 +26,7 @@ from repro.obs import use_registry
 from repro.sta.analysis import TimingAnalyzer
 from repro.sta.compile import LevelCompiledAnalyzer
 
-from .test_perf_parity import assert_results_equal, assert_windows_equal
+from .test_perf_parity import assert_results_equal
 
 BENCHES = ["c17", "c432s", "c880s", "c5315s", "c7552s"]
 
@@ -58,6 +58,8 @@ def test_batched_corners_bitwise_identical(bench, library, corner_set):
         ).analyze_corners(derates=corner.derates)[0]
         assert_results_equal(circuit, reference, batched.results[i])
         assert_results_equal(circuit, reference, walked.results[i])
+    # The envelope's column reduction == the per-line merge.
+    assert_results_equal(circuit, walked.merged, batched.merged)
 
 
 @pytest.mark.parametrize("bench", ["c17", "c432s", "c880s"])

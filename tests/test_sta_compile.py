@@ -1149,3 +1149,150 @@ def test_extraction_is_timed_per_column(library):
         assert extract.count == 5
     finally:
         set_registry(previous)
+
+
+# ----------------------------------------------------------------------
+# Column views and the load sweep per cap table
+# ----------------------------------------------------------------------
+def test_column_view_is_a_memoized_mapping(library):
+    """A compiled result's ``timings`` is a read-only mapping that builds
+    each line once: the same object on every read, so an in-place edit
+    is seen by later readers (the report tracer relies on that)."""
+    from repro.sta.compile import ColumnTimings
+
+    circuit = load_packaged_bench("c432s")
+    result = TimingAnalyzer(circuit, library).analyze()
+    view = result.timings
+    assert isinstance(view, ColumnTimings)
+    line = circuit.outputs[0]
+    first = view[line]
+    assert result.line(line) is first and view.get(line) is first
+    first.rise.a_l += NS
+    assert result.line(line).rise.a_l == first.rise.a_l
+    with pytest.raises(TypeError):
+        view[line] = first
+    with pytest.raises(KeyError):
+        view["no such line"]
+    assert "no such line" not in view and line in view
+
+
+def test_column_view_len_iteration_and_equality(library):
+    """``len``, iteration order and ``==`` agree with the per-gate dict,
+    from either side of the comparison."""
+    circuit = load_packaged_bench("c880s")
+    analyzer = TimingAnalyzer(circuit, library)
+    walked = analyzer.analyze_per_gate().timings
+    view = analyzer.analyze().timings
+    assert len(view) == len(walked) == len(circuit.lines)
+    assert list(view) == circuit.lines == list(walked)
+    assert view == walked and walked == view
+    assert dict(view.items()) == walked
+    other = TimingAnalyzer(
+        circuit, library, config=StaConfig(po_load=21e-15)
+    ).analyze().timings
+    assert other != walked
+
+
+def test_column_view_deepcopy_is_independent(library):
+    circuit = load_packaged_bench("c432s")
+    result = TimingAnalyzer(circuit, library).analyze()
+    line = circuit.outputs[0]
+    before = result.line(line).rise.a_l
+    clone = copy.deepcopy(result)
+    assert clone.timings == result.timings
+    clone.timings[line].rise.a_l += NS
+    assert clone.line(line).rise.a_l == before + NS
+    assert result.line(line).rise.a_l == before
+
+
+def test_analyze_result_survives_incremental_edits(library):
+    """A result of ``TimingAnalyzer.analyze()`` is a snapshot: an
+    incremental engine over the same analyzer re-times and commits
+    into its own state, never into an earlier result."""
+    from repro.sta import IncrementalAnalyzer, TrialEdit
+
+    circuit = load_packaged_bench("c880s")
+    want = TimingAnalyzer(
+        load_packaged_bench("c880s"), library
+    ).analyze_per_gate()
+    analyzer = TimingAnalyzer(circuit, library)
+    result = analyzer.analyze()  # no line read yet: all built below
+    incr = IncrementalAnalyzer(analyzer)
+    live = incr.analyze()
+    gates = [g for g in circuit.topological_order()
+             if circuit.gates[g].n_inputs >= 2]
+    circuit.resize_gate(gates[0], 2.0)
+    incr.retime()
+    trial = incr.try_edits([TrialEdit("resize", gates[1], s)
+                            for s in (0.5, 4.0)])
+    incr.commit(trial, 1)
+    assert live.timings is incr.result().timings  # the live dict
+    assert not all(
+        live.line(g) == want.line(g) for g in circuit.lines
+    )
+    assert_results_equal(circuit, want, result)
+
+
+def test_window_width_observations_match_per_object_loop(library):
+    """``sta.window_width_s``: the compiled pass records the per-gate
+    walk's observations, in its order (per line, rise then fall)."""
+    from repro.obs import MetricsRegistry, get_registry, set_registry
+
+    circuit = load_packaged_bench("c432s")
+    previous = get_registry()
+    try:
+        seen = []
+        for run in ("analyze_per_gate", "analyze"):
+            set_registry(MetricsRegistry())
+            result = getattr(TimingAnalyzer(circuit, library), run)()
+            seen.append(get_registry().histogram("sta.window_width_s").values)
+        loop = [
+            w.a_l - w.a_s
+            for t in result.timings.values()
+            for w in (t.rise, t.fall) if w.is_active
+        ]
+    finally:
+        set_registry(previous)
+    assert seen[0] == seen[1] == loop
+    assert len(loop) > len(circuit.lines)
+
+
+def test_corner_loads_one_sweep_per_cap_table(library, monkeypatch):
+    """A corner compile sweeps the loads once per distinct input-cap
+    table: derived corners share one sweep, and a library copy with
+    other NAND2 caps gets its own column, equal to ``compute_loads``
+    of that library."""
+    from repro.pvt import STANDARD_CORNERS, scaled_library
+    from repro.sta import compile as compile_mod
+    from repro.sta.analysis import compute_loads
+    from repro.sta.compile import CompiledCircuit
+
+    calls = []
+    real = compile_mod.compute_loads
+    monkeypatch.setattr(
+        compile_mod, "compute_loads",
+        lambda *args: calls.append(args[1]) or real(*args),
+    )
+    circuit = load_packaged_bench("c17")  # NAND2 gates only
+    order = circuit.topological_order()
+    derived = [scaled_library(library, c) for c in STANDARD_CORNERS.values()]
+    CompiledCircuit(circuit, derived, VShapeModel(), StaConfig())
+    assert calls == derived[:1]
+
+    heavy = copy.deepcopy(library)
+    nand2 = heavy.cells["NAND2"]
+    heavy.cells["NAND2"] = dataclasses.replace(
+        nand2, input_caps=[1.5 * c for c in nand2.input_caps]
+    )
+    calls.clear()
+    cc = CompiledCircuit(
+        circuit, [library, heavy, library], VShapeModel(), StaConfig()
+    )
+    assert calls == [library, heavy]
+    for c, lib in enumerate((library, heavy, library)):
+        loads = compute_loads(circuit, lib, StaConfig())
+        want = np.array([loads[g] for g in order])
+        assert np.array_equal(
+            cc.loads[:, c].view(np.int64), want.view(np.int64)
+        ), c
+    assert not np.array_equal(cc.loads[:, 0], cc.loads[:, 1])
