@@ -101,20 +101,18 @@ def _seed_max_over(self, lo, hi):
     return best, self(best)
 
 
-def _seed_pin_bounds(
-    cell, pin, in_rising, out_rising, t_s, t_l, load, f, early, late
-):
-    """The seed's per-pin bounds: two arc lookups and two clamps (then
-    the variation factor and derates of the current walk)."""
-    d_min, d_max = corners.pin_delay_bounds(
-        cell, pin, in_rising, out_rising, t_s, t_l, load
-    )
-    t_min, t_max = corners.pin_trans_bounds(
-        cell, pin, in_rising, out_rising, t_s, t_l, load
-    )
+def _seed_pin_bounds(arc, t_s, t_l, d_adj, r_adj, f, early, late):
+    """The seed's per-pin bounds: one clamp per bound family (then the
+    variation factor and derates of the current walk)."""
+    lo, hi = corners._clamped_interval(arc, t_s, t_l)
+    _, d_min = arc.delay.min_over(lo, hi)
+    _, d_max = arc.delay.max_over(lo, hi)
+    lo, hi = corners._clamped_interval(arc, t_s, t_l)
+    _, t_min = arc.trans.min_over(lo, hi)
+    _, t_max = arc.trans.max_over(lo, hi)
     return (
-        d_min * f * early, d_max * f * late,
-        t_min * f * early, t_max * f * late,
+        (d_min + d_adj) * f * early, (d_max + d_adj) * f * late,
+        (t_min + r_adj) * f * early, (t_max + r_adj) * f * late,
     )
 
 
@@ -127,7 +125,11 @@ def _seed_scalar_layer():
     interval extremes, the three-valued gate-evaluation memo).  They
     change no results — only cost — so the baseline legs run with the
     seed's structure to keep the recorded speedups meaningful against
-    the original code.
+    the original code.  Not restored: arcs and load adjustments
+    resolved once per corner search, and the pair merge's evaluation
+    of each pin endpoint and each endpoint combo once
+    (``repro.models.vshape.CtrlAnchors``); the baseline legs pay the
+    current, smaller cost of those.
     """
     saved = (QuadPoly1.min_over, QuadPoly1.max_over, corners._pin_bounds)
     saved_eval = (

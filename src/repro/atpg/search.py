@@ -158,8 +158,7 @@ def _atpg_worker_init(
         circuit, library, model, sta_config, config, perf
     )
     if config is not None and config.use_itr:
-        engine = _WORKER_ATPG.engine
-        _WORKER_ATPG._base_itr = engine.refine(engine.initial_values())
+        _WORKER_ATPG._baseline()
     capture_and_reset(registry)
 
 
@@ -177,6 +176,14 @@ def _atpg_worker_run(index, fault):
 
 class CrosstalkAtpg:
     """Two-pattern crosstalk-delay-fault test generator.
+
+    Construction runs one compiled STA pass and the compiled required
+    times (the period and the excitation checks read them); no per-gate
+    walk runs until a search needs one.  The refined windows of the
+    all-unspecified assignment, every search's starting point, are
+    computed once per generator by the first ITR check (or up front by
+    a ``jobs > 1`` run); that refinement walks the circuit gate by gate
+    and fills the propagation memo the searches' cones are served from.
 
     Args:
         circuit: Circuit under test.
@@ -205,9 +212,9 @@ class CrosstalkAtpg:
         self.engine = ItrEngine(circuit, library, model, sta_config, perf)
         self.model = self.engine.analyzer.model
         self.sta_config = self.engine.analyzer.config
-        # The per-gate walk, not the compiled pass: it fills the memo
-        # that the base ITR refinement of every search is served from.
-        self._sta = self.engine.analyzer.analyze_per_gate()
+        # Bit-identical to the per-gate walk; the memo fills where it
+        # is read, in the base refinement (see _baseline).
+        self._sta = self.engine.analyzer.analyze()
         self.period = (
             self.config.period
             if self.config.period is not None
@@ -228,6 +235,7 @@ class CrosstalkAtpg:
         self._m_decisions = obs.counter("atpg.decisions")
         self._m_backtracks = obs.counter("atpg.backtracks")
         self._m_prunes = obs.counter("atpg.itr_prunes")
+        self._obs = obs
         self._m_status = {
             DETECTED: obs.counter("atpg.detected"),
             UNTESTABLE: obs.counter("atpg.untestable"),
@@ -424,14 +432,10 @@ class CrosstalkAtpg:
         # observable); do the same one-time work here (workers precompute
         # and discard their own) so instrumented counter totals match a
         # --jobs 1 run.
-        if (
-            self.config.use_itr
-            and self._base_itr is None
-            and any(
-                self._po_depths().get(f.victim, -1) >= 0 for f in faults
-            )
+        if self.config.use_itr and any(
+            self._po_depths().get(f.victim, -1) >= 0 for f in faults
         ):
-            self._base_itr = self.engine.refine(self.engine.initial_values())
+            self._baseline()
         # Share the parent-resolved period so every worker checks the
         # same setup threshold without re-deriving it from its own STA.
         cfg = dataclasses.replace(self.config, period=self.period)
@@ -572,6 +576,19 @@ class CrosstalkAtpg:
     def _frame_literal(frame: int, bit: int) -> TwoFrame:
         return TwoFrame(bit, None) if frame == 1 else TwoFrame(None, bit)
 
+    def _baseline(self):
+        """The refined windows of the all-unspecified assignment.
+
+        Computed once per generator; the refinement is one
+        ``atpg.baseline_s`` observation.
+        """
+        if self._base_itr is None:
+            with self._obs.timer("atpg.baseline_s"):
+                self._base_itr = self.engine.refine(
+                    self.engine.initial_values()
+                )
+        return self._base_itr
+
     def _prune(
         self, fault: CrosstalkFault, values, previous=None
     ) -> Tuple[Optional[str], object]:
@@ -585,11 +602,7 @@ class CrosstalkAtpg:
         baseline never changes, so it is computed once per generator.
         """
         if previous is None:
-            if self._base_itr is None:
-                self._base_itr = self.engine.refine(
-                    self.engine.initial_values()
-                )
-            previous = self._base_itr
+            previous = self._baseline()
         result = self.engine.refine_incremental(previous, values)
         verdict = check_excitation(fault, result, self._required)
         reason = None

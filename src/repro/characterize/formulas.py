@@ -175,16 +175,17 @@ class CubeRootSurface:
     k_c: float
 
     def __call__(self, tx: float, ty: float) -> float:
-        x = tx ** ONE_THIRD
-        y = ty ** ONE_THIRD
-        return self.k_xy * x * y + self.k_x * x + self.k_y * y + self.k_c
+        return self.eval_roots(tx ** ONE_THIRD, ty ** ONE_THIRD)
 
     def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
         """Vectorized evaluation, bit-identical per element to scalar."""
         return self.eval_roots(cbrt_many(txs), cbrt_many(tys))
 
-    def eval_roots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorized surface over pre-computed cube roots (see cbrt_many)."""
+    def eval_roots(self, x, y):
+        """The surface at pre-computed cube roots ``x = Tx**(1/3)``,
+        ``y = Ty**(1/3)``: Python floats (the scalar corner search,
+        which takes each pin endpoint's root once) or arrays (see
+        :func:`cbrt_many`).  ``__call__`` is this expression too."""
         return self.k_xy * x * y + self.k_x * x + self.k_y * y + self.k_c
 
     def to_paper_form(self) -> Tuple[float, float, float, float, float]:

@@ -90,6 +90,9 @@ def _load_circuit(spec: str):
 
     Every subcommand that takes a circuit loads it here, inside the
     ``try`` that turns a bad input into ``error: ...`` and exit status 2.
+    A spec that names no existing file is a packaged circuit name,
+    unless it has a ``.bench`` suffix or a directory part: then it was
+    meant as a file.
 
     Raises:
         OSError: A missing or unreadable file, or no packaged circuit
@@ -99,7 +102,12 @@ def _load_circuit(spec: str):
             check runs here, not midway through an analysis.
     """
     path = Path(spec)
-    circuit = load_bench(path) if path.exists() else load_packaged_bench(spec)
+    if path.exists():
+        circuit = load_bench(path)
+    elif path.suffix == ".bench" or path.name != spec:
+        raise FileNotFoundError(f"no such circuit file: {spec}")
+    else:
+        circuit = load_packaged_bench(spec)
     circuit.topological_order()
     return circuit
 

@@ -21,10 +21,10 @@ load via linear slopes.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from ..characterize.library import CellTiming, pair_key
+from ..characterize.formulas import ONE_THIRD
+from ..characterize.library import CellTiming, TimingArc, pair_key
 from .base import DelayModel, InputEvent, ctrl_arc_delay, ctrl_arc_trans
 
 #: Numerical floor for saturation skews (avoids division by zero when the
@@ -32,8 +32,7 @@ from .base import DelayModel, InputEvent, ctrl_arc_delay, ctrl_arc_trans
 _S_FLOOR = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
-class VShape:
+class VShape(NamedTuple):
     """The evaluated V-shape of one input pair at fixed transition times.
 
     Attributes:
@@ -68,8 +67,7 @@ class VShape:
         return max(self.dr_p, self.dr_q)
 
 
-@dataclasses.dataclass(frozen=True)
-class TransVShape:
+class TransVShape(NamedTuple):
     """The output transition-time V of one input pair.
 
     Unlike the delay V, the vertex may sit at non-zero skew
@@ -109,6 +107,133 @@ class TransVShape:
         return self.vertex_skew
 
 
+class PinEnd(NamedTuple):
+    """One transition time on a pin's to-controlling arc, evaluated once.
+
+    Attributes:
+        t: The time clamped into the arc's characterized range.
+        root: ``t ** (1/3)``, the D0 and vertex surfaces' argument.
+        dr: The arc's delay there (a delay V's tail), or None.
+        tail: The arc's output transition time there (a transition
+            V's tail), or None.
+    """
+
+    t: float
+    root: float
+    dr: Optional[float]
+    tail: Optional[float]
+
+
+class CtrlAnchors:
+    """V-shape anchors of one cell's to-controlling pairs at one load,
+    variation factor ``f`` and derate ``g``.
+
+    The work is split the way the compiled pair merge splits it: each
+    pin endpoint is clamped, rooted and sent through its arc once
+    (:meth:`end`), and each (pin pair, endpoint combo) evaluates the
+    surfaces once (:meth:`pair`), both Vs sharing the combo's clamps
+    and S±.  ``delay=False`` skips the delay V's work (DR, D0) and
+    ``trans=False`` the transition V's (tails, vertex), so no caller
+    pays for a shape it does not read.
+
+    ``f`` and then ``g`` multiply the tails, D0, the vertex and S±
+    before the clamps; at their 1.0 defaults the multiplies are exact.
+
+    Raises:
+        ValueError: If the cell has no simultaneous data.
+    """
+
+    __slots__ = ("ctrl", "f", "g", "d_adj", "r_adj")
+
+    def __init__(
+        self,
+        cell: CellTiming,
+        load: float,
+        f: float = 1.0,
+        g: float = 1.0,
+        delay: bool = True,
+        trans: bool = True,
+    ) -> None:
+        ctrl = cell.ctrl
+        if ctrl is None:
+            raise ValueError(f"cell {cell.name} has no simultaneous data")
+        self.ctrl = ctrl
+        self.f = f
+        self.g = g
+        out_rising = ctrl.out_rising
+        self.d_adj = (
+            cell.load_adjusted_delay(out_rising, load) if delay else None
+        )
+        self.r_adj = (
+            cell.load_adjusted_trans(out_rising, load) if trans else None
+        )
+
+    def end(self, arc: TimingArc, t: float) -> PinEnd:
+        """Transition time ``t`` on ``arc`` (the pin's to-controlling arc)."""
+        t = arc.clamp(t)
+        dr = tail = None
+        if self.d_adj is not None:
+            dr = (arc.delay(t) + self.d_adj) * self.f * self.g
+        if self.r_adj is not None:
+            tail = (arc.trans(t) + self.r_adj) * self.f * self.g
+        return PinEnd(t, t ** ONE_THIRD, dr, tail)
+
+    def pair(
+        self,
+        pin_p: int,
+        pin_q: int,
+        ends_p: Sequence[PinEnd],
+        ends_q: Sequence[PinEnd],
+    ) -> Tuple[Optional[List[VShape]], Optional[List[TransVShape]]]:
+        """The delay and transition Vs of every (p end, q end) combo.
+
+        Pins are ordered: each V's skew argument is ``A_q - A_p``.
+        Combos run p-major, so with ``(t_s, t_l)`` ends combo 0 is
+        ``(t_s, t_s)``.  D0 is clamped to never exceed the pin-to-pin
+        tails (simultaneous to-controlling switching can only speed a
+        gate up), and the transition vertex to the tails and to
+        ``[-s_neg, s_pos]``.  A list the anchors skip (see the class) is
+        None.
+        """
+        ctrl = self.ctrl
+        f, g = self.f, self.g
+        d_adj, r_adj = self.d_adj, self.r_adj
+        # The surfaces are characterized on the (0, 1) pair with the
+        # first argument belonging to the lower position; a mirrored
+        # pair swaps the arguments and the sides of S and SK_t,min.
+        mirrored = pin_p > pin_q
+        shapes = [] if d_adj is not None else None
+        tshapes = [] if r_adj is not None else None
+        if shapes is not None:
+            scale = ctrl.pair_scale.get(pair_key(pin_p, pin_q), 1.0)
+        for e_p in ends_p:
+            for e_q in ends_q:
+                lo, hi = (e_q, e_p) if mirrored else (e_p, e_q)
+                s_lo = max(ctrl.s_pos(lo.t, hi.t), _S_FLOOR) * f * g
+                s_hi = max(ctrl.s_neg(lo.t, hi.t), _S_FLOOR) * f * g
+                s_pos, s_neg = (s_hi, s_lo) if mirrored else (s_lo, s_hi)
+                if shapes is not None:
+                    d0 = (
+                        ctrl.d0.eval_roots(lo.root, hi.root) * scale + d_adj
+                    ) * f * g
+                    shapes.append(VShape(
+                        min(d0, e_p.dr, e_q.dr), s_pos, s_neg, e_p.dr, e_q.dr
+                    ))
+                if tshapes is not None:
+                    skew = ctrl.t_vertex_skew(lo.t, hi.t) * f * g
+                    if mirrored:
+                        skew = -skew
+                    value = (
+                        ctrl.t_vertex.eval_roots(lo.root, hi.root) + r_adj
+                    ) * f * g
+                    tshapes.append(TransVShape(
+                        min(max(skew, -s_neg), s_pos),
+                        min(value, e_p.tail, e_q.tail),
+                        s_pos, s_neg, e_p.tail, e_q.tail,
+                    ))
+        return shapes, tshapes
+
+
 class VShapeModel(DelayModel):
     """The paper's proposed delay model."""
 
@@ -116,7 +241,7 @@ class VShapeModel(DelayModel):
     supports_pair_merge = True
 
     # ------------------------------------------------------------------
-    # V-shape construction (also used by the STA corner identification)
+    # V-shape construction (one combo of :class:`CtrlAnchors`)
     # ------------------------------------------------------------------
     def vshape(
         self,
@@ -141,32 +266,13 @@ class VShapeModel(DelayModel):
         tails, D0 and S±, before the clamp.  At their 1.0 defaults the
         multiplies are exact.
         """
-        ctrl = cell.ctrl
-        if ctrl is None:
-            raise ValueError(f"cell {cell.name} has no simultaneous data")
-        arc_p = cell.ctrl_arc(pin_p)
-        arc_q = cell.ctrl_arc(pin_q)
-        t_p = arc_p.clamp(t_p)
-        t_q = arc_q.clamp(t_q)
-        dr_p = ctrl_arc_delay(cell, pin_p, t_p, load) * f * g
-        dr_q = ctrl_arc_delay(cell, pin_q, t_q, load) * f * g
-        # The D0 surface is characterized on the (0, 1) pair with the first
-        # argument belonging to the lower position; other pairs scale it.
-        lo, hi = sorted((pin_p, pin_q))
-        t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
-        scale = ctrl.pair_scale.get(pair_key(pin_p, pin_q), 1.0)
-        load_adj = cell.load_adjusted_delay(ctrl.out_rising, load)
-        d0 = (ctrl.d0(t_lo, t_hi) * scale + load_adj) * f * g
-        d0 = min(d0, dr_p, dr_q)
-        if pin_p == lo:
-            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-        else:
-            # Mirrored pair: the characterized "positive side" belongs to
-            # the lower-position pin leading.
-            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-        return VShape(d0=d0, s_pos=s_pos, s_neg=s_neg, dr_p=dr_p, dr_q=dr_q)
+        anchors = CtrlAnchors(cell, load, f, g, trans=False)
+        shapes, _ = anchors.pair(
+            pin_p, pin_q,
+            [anchors.end(cell.ctrl_arc(pin_p), t_p)],
+            [anchors.end(cell.ctrl_arc(pin_q), t_q)],
+        )
+        return shapes[0]
 
     def trans_vshape(
         self,
@@ -184,38 +290,13 @@ class VShapeModel(DelayModel):
         ``f`` and ``g`` scale the tails, the vertex and S± as in
         :meth:`vshape`.
         """
-        ctrl = cell.ctrl
-        if ctrl is None:
-            raise ValueError(f"cell {cell.name} has no simultaneous data")
-        arc_p = cell.ctrl_arc(pin_p)
-        arc_q = cell.ctrl_arc(pin_q)
-        t_p = arc_p.clamp(t_p)
-        t_q = arc_q.clamp(t_q)
-        tail_p = ctrl_arc_trans(cell, pin_p, t_p, load) * f * g
-        tail_q = ctrl_arc_trans(cell, pin_q, t_q, load) * f * g
-        lo = min(pin_p, pin_q)
-        t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
-        load_adj = cell.load_adjusted_trans(ctrl.out_rising, load)
-        vertex_value = (ctrl.t_vertex(t_lo, t_hi) + load_adj) * f * g
-        vertex_skew = ctrl.t_vertex_skew(t_lo, t_hi) * f * g
-        if pin_p != lo:
-            vertex_skew = -vertex_skew
-        if pin_p == lo:
-            s_pos = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-        else:
-            s_pos = max(ctrl.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(ctrl.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-        vertex_skew = min(max(vertex_skew, -s_neg), s_pos)
-        vertex_value = min(vertex_value, tail_p, tail_q)
-        return TransVShape(
-            vertex_skew=vertex_skew,
-            vertex_value=vertex_value,
-            s_pos=s_pos,
-            s_neg=s_neg,
-            t_p=tail_p,
-            t_q=tail_q,
+        anchors = CtrlAnchors(cell, load, f, g, delay=False)
+        _, tshapes = anchors.pair(
+            pin_p, pin_q,
+            [anchors.end(cell.ctrl_arc(pin_p), t_p)],
+            [anchors.end(cell.ctrl_arc(pin_q), t_q)],
         )
+        return tshapes[0]
 
     # ------------------------------------------------------------------
     # Multi-input merge (extended model, Section 3.6)

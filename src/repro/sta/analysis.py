@@ -35,7 +35,7 @@ import numpy as np
 from ..characterize.library import CellLibrary, CellTiming
 from ..circuit.netlist import Circuit, Gate
 from ..models.base import DelayModel
-from ..models.vshape import VShapeModel
+from ..models.vshape import CtrlAnchors, VShapeModel
 from ..obs import get_registry
 from .cache import PropagationCache
 from .corners import (
@@ -572,16 +572,19 @@ class TimingAnalyzer:
         if not getattr(self.model, "supports_pair_merge", False) or cell.ctrl is None:
             return d_min
         best = d_min
+        anchors = CtrlAnchors(cell, load, trans=False)
+        own = cell.ctrl_arc(pin)
+        ends = [anchors.end(own, t_s), anchors.end(own, t_l)]
         for partner in range(cell.n_inputs):
             if partner == pin:
                 continue
             arc = cell.ctrl_arc(partner)
-            for t_self in (t_s, t_l):
-                for t_other in (arc.t_lo, arc.t_hi):
-                    shape = self.model.vshape(
-                        cell, pin, partner, t_self, t_other, load
-                    )
-                    best = min(best, shape.d0)
+            shapes, _ = anchors.pair(
+                pin, partner, ends,
+                [anchors.end(arc, arc.t_lo), anchors.end(arc, arc.t_hi)],
+            )
+            for shape in shapes:
+                best = min(best, shape.d0)
         ratios = [float(v) for v in cell.ctrl.multi_scale.values()]
         return best * min(ratios) if ratios else best
 

@@ -1451,6 +1451,35 @@ class ColumnTimings(Mapping):
         w.state = state
         return w
 
+    def transition_rows(
+        self, lines: Sequence[str], position: Mapping[str, int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(states, t_s, t_l)`` of ``lines``' rise rows, then their
+        fall rows, read from the column without building windows.
+
+        ``position`` maps each line to its place in ``lines``.  Lines a
+        caller has already read come from their kept
+        :class:`LineTiming`, so an in-place edit is seen as through
+        ``self[line]``.  An impossible row's times are NaN, as in
+        :meth:`DirWindow.impossible`.
+        """
+        index, n, k = self._index, self._n, len(lines)
+        rows = [index[line] for line in lines]
+        rows += [r + n for r in rows]
+        states = np.array(self._states, dtype=np.int8)[rows]
+        t_s = np.array(self._t_s)[rows]
+        t_l = np.array(self._t_l)[rows]
+        for line, timing in self._built.items():
+            i = position[line]
+            for r, w in ((i, timing.rise), (i + k, timing.fall)):
+                states[r] = w.state
+                t_s[r] = w.t_s
+                t_l[r] = w.t_l
+        impossible = states == IMPOSSIBLE
+        t_s[impossible] = np.nan
+        t_l[impossible] = np.nan
+        return states, t_s, t_l
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._index)
 
@@ -1693,7 +1722,9 @@ class LevelCompiledAnalyzer:
 
         Args:
             result: Forward windows (any engine); arcs out of inactive
-                input directions are skipped.
+                input directions are skipped.  A compiled result's
+                windows are read from its column, building no line
+                (see :meth:`ColumnTimings.transition_rows`).
             po_required: Starting requirement per line (normally the
                 primary outputs); every other line starts unconstrained.
 
@@ -1706,11 +1737,16 @@ class LevelCompiledAnalyzer:
             raise ValueError("required times need a single-corner compile")
         n = cc.n_lines
         timings = result.timings
-        windows = [timings[line].rise for line in cc.lines]
-        windows += [timings[line].fall for line in cc.lines]
-        states = np.array([w.state for w in windows], dtype=np.int8)
-        t_s = np.array([w.t_s for w in windows], dtype=float)[:, None]
-        t_l = np.array([w.t_l for w in windows], dtype=float)[:, None]
+        if isinstance(timings, ColumnTimings):
+            states, t_s, t_l = timings.transition_rows(
+                cc.lines, cc.line_index
+            )
+        else:
+            windows = [timings[line].rise for line in cc.lines]
+            windows += [timings[line].fall for line in cc.lines]
+            states = np.array([w.state for w in windows], dtype=np.int8)
+            t_s = np.array([w.t_s for w in windows], dtype=float)
+            t_l = np.array([w.t_l for w in windows], dtype=float)
         q_s = np.full((2 * n, 1), -np.inf)
         q_l = np.full((2 * n, 1), np.inf)
         unconstrained = RequiredWindow()
@@ -1720,7 +1756,7 @@ class LevelCompiledAnalyzer:
                 start = unconstrained.tighten(want)
                 q_s[r] = start.q_s
                 q_l[r] = start.q_l
-        ins = (t_s, t_l, states)
+        ins = (t_s[:, None], t_l[:, None], states)
         q = (q_s, q_l)
         back = self._back_arcs
         for level in reversed(cc.levels):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence, Tuple
 
-from ..characterize.library import CellTiming
-from ..models.vshape import VShapeModel
+from ..characterize.library import CellTiming, TimingArc
+from ..models.vshape import CtrlAnchors, TransVShape, VShape
 from .windows import DEFINITE, DirWindow, POTENTIAL
 
 
@@ -83,32 +83,28 @@ def pin_trans_bounds(
 
 
 def _pin_bounds(
-    cell: CellTiming,
-    pin: int,
-    in_rising: bool,
-    out_rising: bool,
+    arc: TimingArc,
     t_s: float,
     t_l: float,
-    load: float,
+    d_adj: float,
+    r_adj: float,
     f: float,
     early: float,
     late: float,
 ) -> Tuple[float, float, float, float]:
-    """(d_min, d_max, t_min, t_max) of one pin over one window.
+    """(d_min, d_max, t_min, t_max) of one pin's ``arc`` over one window.
 
-    One arc lookup and one clamp serve all four bounds; the values are
-    exactly those of :func:`pin_delay_bounds` + :func:`pin_trans_bounds`,
-    times the variation factor ``f`` and then the ``early`` derate (min
-    bounds) or the ``late`` one (max bounds).
+    One clamp serves all four bounds; the values are exactly those of
+    :func:`pin_delay_bounds` + :func:`pin_trans_bounds` (``d_adj`` and
+    ``r_adj`` are the cell's load adjustments of the arc's output
+    direction), times the variation factor ``f`` and then the ``early``
+    derate (min bounds) or the ``late`` one (max bounds).
     """
-    arc = cell.arc(pin, in_rising, out_rising)
     lo, hi = _clamped_interval(arc, t_s, t_l)
     _, d_min = arc.delay.min_over(lo, hi)
     _, d_max = arc.delay.max_over(lo, hi)
     _, t_min = arc.trans.min_over(lo, hi)
     _, t_max = arc.trans.max_over(lo, hi)
-    d_adj = cell.load_adjusted_delay(out_rising, load)
-    r_adj = cell.load_adjusted_trans(out_rising, load)
     return (
         (d_min + d_adj) * f * early,
         (d_max + d_adj) * f * late,
@@ -118,43 +114,60 @@ def _pin_bounds(
 
 
 def _pair_min_arrival(
-    cell: CellTiming,
-    model: VShapeModel,
-    first: CtrlInput,
-    second: CtrlInput,
-    load: float,
-    f: float = 1.0,
-    g: float = 1.0,
+    wi: DirWindow, wj: DirWindow, shapes: Sequence[VShape]
 ) -> float:
     """Smallest achievable output arrival from a switching input pair.
 
     Minimizes ``earliest_arrival(delta) + d_V(delta)`` over the feasible
-    skew interval.  Both terms are piecewise linear in the skew, so the
-    minimum is attained at a breakpoint.
+    skew interval, for each of the pair's endpoint combos (``shapes``,
+    from :meth:`CtrlAnchors.pair`).  Both terms are piecewise linear in
+    the skew, so the minimum is attained at a breakpoint.
     """
-    wi, wj = first.window, second.window
     lo = wj.a_s - wi.a_l
     hi = wj.a_l - wi.a_s
+    offset = wj.a_s - wi.a_s
     best = None
-    for t_i in (wi.t_s, wi.t_l):
-        for t_j in (wj.t_s, wj.t_l):
-            shape = model.vshape(
-                cell, first.pin, second.pin, t_i, t_j, load, f, g
-            )
-            breakpoints = {lo, hi, wj.a_s - wi.a_s}
-            for bp in (0.0, shape.s_pos, -shape.s_neg):
-                if lo <= bp <= hi:
-                    breakpoints.add(bp)
-            for delta in breakpoints:
-                if not lo <= delta <= hi:
-                    continue
-                # Earliest possible min(A_i, A_j) subject to the skew.
-                a_i = max(wi.a_s, wj.a_s - delta)
-                floor = a_i + min(0.0, delta)
-                candidate = floor + shape.delay(delta)
-                if best is None or candidate < best:
-                    best = candidate
+    for shape in shapes:
+        breakpoints = {lo, hi, offset}
+        for bp in (0.0, shape.s_pos, -shape.s_neg):
+            if lo <= bp <= hi:
+                breakpoints.add(bp)
+        for delta in breakpoints:
+            if not lo <= delta <= hi:
+                continue
+            # Earliest possible min(A_i, A_j) subject to the skew.
+            a_i = max(wi.a_s, wj.a_s - delta)
+            floor = a_i + min(0.0, delta)
+            candidate = floor + shape.delay(delta)
+            if best is None or candidate < best:
+                best = candidate
     return best
+
+
+def _pair_min_trans(
+    wi: DirWindow,
+    wj: DirWindow,
+    tshapes: Sequence[TransVShape],
+    t_ratio: float,
+    t_s: float,
+) -> float:
+    """``t_s`` lowered by a switching input pair's fastest transition.
+
+    Each endpoint combo's transition V (``tshapes``) takes SK_t,min if
+    achievable, else the closest feasible skew (paper Section 4.2,
+    T_Z_R,S rule); the V is unimodal so this is its interval minimum.
+    A k-input ratio ``t_ratio < 1`` scales the vertex of a pair whose
+    arrival windows overlap.
+    """
+    lo = wj.a_s - wi.a_l
+    hi = wj.a_l - wi.a_s
+    for shape in tshapes:
+        delta = min(max(shape.vertex_skew, lo), hi)
+        value = shape.trans(delta)
+        if t_ratio < 1.0 and wi.overlaps_arrivals(wj):
+            value = min(value, shape.min_trans() * t_ratio)
+        t_s = min(t_s, value)
+    return t_s
 
 
 def _overlap_count(inputs: Sequence[CtrlInput]) -> int:
@@ -190,6 +203,13 @@ def ctrl_response_window(
 ) -> DirWindow:
     """Output window of the to-controlling response (paper Section 4.2).
 
+    Each active pin's to-controlling arc is resolved once per call.
+    Under a pair-merging model each pin's two window endpoints are
+    evaluated once, and each (pin pair, endpoint combo) once: the
+    arrival breakpoints, the k>2 ratio candidate and the SK_t,min
+    transition merge all read that one evaluation (the layout of the
+    compiled engine's pair merge).
+
     Args:
         cell: Characterized cell with a controlling value.
         model: The delay model; pair merging is used when the model
@@ -211,6 +231,9 @@ def ctrl_response_window(
     out_rising = ctrl.out_rising
     in_rising = cell.controlling_value == 1
     uses_vshape = getattr(model, "supports_pair_merge", False)
+    d_adj = cell.load_adjusted_delay(out_rising, load)
+    r_adj = cell.load_adjusted_trans(out_rising, load)
+    arcs = [cell.arc(item.pin, in_rising, out_rising) for item in active]
 
     # ---- latest arrival (paper's A_Z_R,L with the T* peak rule) ----
     # One fused bounds call per input serves the latest-arrival rule
@@ -221,11 +244,10 @@ def ctrl_response_window(
     candidates = []
     t_highs = []
     t_lows = []
-    for item in active:
+    for item, arc in zip(active, arcs):
         w = item.window
         d_min, d_max, t_min, t_max = _pin_bounds(
-            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load,
-            f, early, late,
+            arc, w.t_s, w.t_l, d_adj, r_adj, f, early, late
         )
         single_bounds_max[item.pin] = w.a_l + d_max
         candidates.append(w.a_s + d_min)
@@ -238,61 +260,43 @@ def ctrl_response_window(
     else:
         a_l = max(single_bounds_max[i.pin] for i in active)
 
-    # ---- earliest arrival ----
-    if uses_vshape and len(active) >= 2:
-        overlap = _overlap_count(active)
-        ratio = _multi_ratio(ctrl.multi_scale, overlap) if overlap > 2 else 1.0
-        for idx, first in enumerate(active):
-            for second in active[idx + 1:]:
-                pair_best = _pair_min_arrival(
-                    cell, model, first, second, load, f, early
-                )
-                candidates.append(pair_best)
-                if ratio < 1.0:
-                    # k>2 inputs can align: scale the zero-skew delay.
-                    floor = max(first.window.a_s, second.window.a_s)
-                    shape = model.vshape(
-                        cell, first.pin, second.pin,
-                        first.window.t_s, second.window.t_s, load,
-                        f, early,
-                    )
-                    if first.window.overlaps_arrivals(second.window):
-                        candidates.append(floor + shape.d0 * ratio)
-    a_s = min(candidates)
-    a_s = min(a_s, a_l)
-
     # ---- transition-time window (bounds gathered in the loop above) ----
     # Even with a definite switcher bounding the arrival, a slower
     # potential switcher may arrive first and set the output slope, so the
     # transition-time upper bound ranges over every active input.
     t_l = max(t_highs)
     t_s = min(t_lows)
+
+    # ---- pair merge: earliest arrival and fastest transition ----
     if uses_vshape and len(active) >= 2:
-        # ``overlap`` was computed by the arrival merge above; the active
-        # set has not changed since.
-        t_ratio = (
-            _multi_ratio(ctrl.trans_multi_scale, overlap)
-            if overlap > 2 else 1.0
-        )
+        overlap = _overlap_count(active)
+        ratio = t_ratio = 1.0
+        if overlap > 2:
+            ratio = _multi_ratio(ctrl.multi_scale, overlap)
+            t_ratio = _multi_ratio(ctrl.trans_multi_scale, overlap)
+        anchors = CtrlAnchors(cell, load, f, early)
+        ends = [
+            (anchors.end(arc, item.window.t_s),
+             anchors.end(arc, item.window.t_l))
+            for item, arc in zip(active, arcs)
+        ]
         for idx, first in enumerate(active):
-            for second in active[idx + 1:]:
-                wi, wj = first.window, second.window
-                lo = wj.a_s - wi.a_l
-                hi = wj.a_l - wi.a_s
-                for t_i in (wi.t_s, wi.t_l):
-                    for t_j in (wj.t_s, wj.t_l):
-                        shape = model.trans_vshape(
-                            cell, first.pin, second.pin, t_i, t_j, load,
-                            f, early,
-                        )
-                        # SK_t,min if achievable, else the closest feasible
-                        # skew (paper Section 4.2, T_Z_R,S rule); the V is
-                        # unimodal so this is its interval minimum.
-                        delta = min(max(shape.vertex_skew, lo), hi)
-                        value = shape.trans(delta)
-                        if t_ratio < 1.0 and wi.overlaps_arrivals(wj):
-                            value = min(value, shape.min_trans() * t_ratio)
-                        t_s = min(t_s, value)
+            wi = first.window
+            for jdx in range(idx + 1, len(active)):
+                second = active[jdx]
+                wj = second.window
+                shapes, tshapes = anchors.pair(
+                    first.pin, second.pin, ends[idx], ends[jdx]
+                )
+                candidates.append(_pair_min_arrival(wi, wj, shapes))
+                if ratio < 1.0 and wi.overlaps_arrivals(wj):
+                    # k>2 inputs can align: scale the zero-skew delay of
+                    # the (t_s, t_s) combo.
+                    floor = max(wi.a_s, wj.a_s)
+                    candidates.append(floor + shapes[0].d0 * ratio)
+                t_s = _pair_min_trans(wi, wj, tshapes, t_ratio, t_s)
+    a_s = min(candidates)
+    a_s = min(a_s, a_l)
     t_s = min(t_s, t_l)
 
     state = DEFINITE if definite else POTENTIAL
@@ -369,6 +373,8 @@ def nonctrl_response_window(
     out_rising = not ctrl.out_rising
     in_rising = cell.controlling_value == 0
 
+    d_adj = cell.load_adjusted_delay(out_rising, load)
+    r_adj = cell.load_adjusted_trans(out_rising, load)
     lows = {}
     highs = {}
     t_lows = []
@@ -376,8 +382,8 @@ def nonctrl_response_window(
     for item in active:
         w = item.window
         d_min, d_max, t_min, t_max = _pin_bounds(
-            cell, item.pin, in_rising, out_rising, w.t_s, w.t_l, load,
-            f, early, late,
+            cell.arc(item.pin, in_rising, out_rising), w.t_s, w.t_l,
+            d_adj, r_adj, f, early, late,
         )
         lows[item.pin] = w.a_s + d_min
         highs[item.pin] = w.a_l + d_max
@@ -430,13 +436,15 @@ def arc_fanin_window(
     active = [(p, d, w) for (p, d, w) in arcs if w.is_active]
     if not active:
         return DirWindow.impossible()
+    d_adj = cell.load_adjusted_delay(out_rising, load)
+    r_adj = cell.load_adjusted_trans(out_rising, load)
     a_s = a_l = None
     t_s = t_l = None
     any_definite = False
     for pin, in_rising, w in active:
         d_min, d_max, tr_min, tr_max = _pin_bounds(
-            cell, pin, in_rising, out_rising, w.t_s, w.t_l, load,
-            f, early, late,
+            cell.arc(pin, in_rising, out_rising), w.t_s, w.t_l,
+            d_adj, r_adj, f, early, late,
         )
         lo, hi = w.a_s + d_min, w.a_l + d_max
         a_s = lo if a_s is None else min(a_s, lo)

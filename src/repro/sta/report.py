@@ -14,6 +14,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..circuit.netlist import Circuit
+from ..models.vshape import CtrlAnchors
 from .analysis import StaResult, TimingAnalyzer
 from .corners import (
     CtrlInput,
@@ -133,10 +134,24 @@ class TimingReporter:
                     _multi_ratio(ctrl.multi_scale, overlap)
                     if overlap > 2 else 1.0
                 )
+                # The forward search's per-endpoint and per-combo
+                # evaluation, delay V only.
+                anchors = CtrlAnchors(cell, load, trans=False)
+                ends = {}
+                for item in active:
+                    arc = cell.ctrl_arc(item.pin)
+                    ends[item.pin] = (
+                        anchors.end(arc, item.window.t_s),
+                        anchors.end(arc, item.window.t_l),
+                    )
                 for idx, first in enumerate(active):
                     for second in active[idx + 1:]:
+                        shapes, _ = anchors.pair(
+                            first.pin, second.pin,
+                            ends[first.pin], ends[second.pin],
+                        )
                         bound = _pair_min_arrival(
-                            cell, model, first, second, load
+                            first.window, second.window, shapes
                         )
                         # The earliest-arriving member can have switched
                         # by the pair floor, keeping arrivals monotone.
@@ -154,17 +169,13 @@ class TimingReporter:
                             floor = max(
                                 first.window.a_s, second.window.a_s
                             )
-                            shape = model.vshape(
-                                cell, first.pin, second.pin,
-                                first.window.t_s, second.window.t_s, load,
-                            )
                             late = (
                                 first
                                 if first.window.a_s >= second.window.a_s
                                 else second
                             )
                             out.append((
-                                floor + shape.d0 * ratio,
+                                floor + shapes[0].d0 * ratio,
                                 late.pin,
                                 gate.inputs[late.pin],
                                 in_rising,

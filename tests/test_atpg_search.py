@@ -1,5 +1,6 @@
 """Tests for the timing-based ATPG (paper Section 7)."""
 
+import pytest
 
 from repro.atpg import (
     ABORTED,
@@ -13,7 +14,7 @@ from repro.atpg import (
     transition_literal,
 )
 from repro.atpg.faults import FaultySimulator
-from repro.itr import ItrEngine
+from repro.itr import Conflict, ItrEngine
 from repro.models import VShapeModel
 
 NS = 1e-9
@@ -171,3 +172,88 @@ class TestEfficiencyExperiment:
     def test_empty_fault_list(self, c17, library):
         atpg = CrosstalkAtpg(c17, library, config=AtpgConfig())
         assert atpg.run_all([]).efficiency == 0.0
+
+
+def _window_bits(w):
+    return (w.state,) + tuple(float(v).hex() for v in (w.a_s, w.a_l, w.t_s, w.t_l))
+
+
+class TestCompiledBaseline:
+    """A generator's STA windows, period and required times come from
+    the compiled pass; the per-gate walk first runs in the base ITR
+    refinement, which fills the propagation memo."""
+
+    @pytest.mark.parametrize("name", ["c432s", "c880s"])
+    def test_construction_makes_no_per_gate_call(
+        self, name, library, monkeypatch
+    ):
+        from repro.circuit import load_packaged_bench
+        from repro.sta import TimingAnalyzer
+
+        circuit = load_packaged_bench(name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-gate walk while building a generator")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TimingAnalyzer, "propagate_gate", forbidden)
+            atpg = CrosstalkAtpg(circuit, library)
+        reference = TimingAnalyzer(circuit, library)
+        walked = reference.analyze_per_gate()
+        for line in circuit.lines:
+            for rising in (True, False):
+                assert _window_bits(
+                    atpg._sta.line(line).window(rising)
+                ) == _window_bits(walked.line(line).window(rising)), line
+        assert atpg.period.hex() == walked.output_max_arrival().hex()
+        want = reference.compute_required_per_gate(
+            walked, setup_time=atpg.period
+        )
+        for line in circuit.lines:
+            for direction in ("rise", "fall"):
+                got_w = getattr(atpg._required[line], direction)
+                want_w = getattr(want[line], direction)
+                assert got_w.q_s == want_w.q_s and got_w.q_l == want_w.q_l
+
+    def test_first_prune_fills_the_memo_and_reruns_are_served(
+        self, library
+    ):
+        from repro.circuit import load_packaged_bench
+        from repro.obs import use_registry
+
+        circuit = load_packaged_bench("c432s")
+        with use_registry() as reg:
+            atpg = CrosstalkAtpg(
+                circuit, library, config=AtpgConfig(backtrack_limit=8)
+            )
+            memo = atpg.engine.analyzer._memo
+            assert len(memo) == 0
+            engine = atpg.engine
+            for fault in generate_fault_list(circuit, 12, seed=3):
+                if atpg._po_depths().get(fault.victim, -1) < 0:
+                    continue
+                try:
+                    values = engine.assign(
+                        engine.initial_values(), fault.aggressor,
+                        transition_literal(fault.aggressor_rising),
+                    )
+                    values = engine.assign(
+                        values, fault.victim,
+                        transition_literal(fault.victim_rising),
+                    )
+                except Conflict:
+                    continue
+                break
+            assert len(memo) == 0
+            atpg._prune(fault, values)
+            assert len(memo) > 0 and atpg._base_itr is not None
+            first = atpg.generate(fault)
+            gates = reg.counter("sta.gates_evaluated").value
+            hits = reg.counter("sta.memo.hits").value
+            second = atpg.generate(fault)
+            assert reg.counter("sta.gates_evaluated").value == gates
+            assert reg.counter("sta.memo.hits").value > hits
+            assert reg.histogram("atpg.baseline_s").count == 1
+        assert (second.status, second.backtracks, second.reason) == (
+            first.status, first.backtracks, first.reason
+        )

@@ -154,6 +154,27 @@ def test_bad_circuit_is_a_structured_error(command, bad, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(CIRCUIT_COMMANDS))
+@pytest.mark.parametrize("spec", [
+    "{tmp}/nope/missing.bench", "{tmp}/missing", "missing.bench",
+])
+def test_missing_circuit_file_names_the_path(command, spec, capsys,
+                                              tmp_path):
+    """A spec with a ``.bench`` suffix or a directory part that names no
+    file is reported as a missing file, not as a packaged name."""
+    spec = spec.format(tmp=tmp_path)
+    code = main([command, spec, *CIRCUIT_COMMANDS[command]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: no such circuit file: {spec}\n", err
+
+
+def test_unknown_bare_name_is_a_packaged_lookup(capsys):
+    assert main(["sta", "c99999"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no packaged benchmark named 'c99999'"), err
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["--sizes", "0"], "got 0.0"),
     (["--sizes", "1.0,nan"], "got nan"),

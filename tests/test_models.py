@@ -313,3 +313,113 @@ class TestOutputEventSemantics:
             nand2, [fall(0, 1 * NS)], {1: 1}, REF_LOAD
         )
         assert out_default.arrival == out_ref.arrival
+
+
+# ----------------------------------------------------------------------
+# The shared per-endpoint / per-combo anchors (packaged library)
+# ----------------------------------------------------------------------
+def _reference_vshapes(cell, p, q, t_p, t_q, load, f, g):
+    """The anchors of one combo written out from the model's formulas:
+    ``(d0, s_pos, s_neg, dr_p, dr_q)`` and ``(vertex_skew,
+    vertex_value, s_pos, s_neg, tail_p, tail_q)``."""
+    from repro.characterize.library import pair_key
+
+    ctrl = cell.ctrl
+    arc_p, arc_q = cell.ctrl_arc(p), cell.ctrl_arc(q)
+    t_p, t_q = arc_p.clamp(t_p), arc_q.clamp(t_q)
+    d_adj = cell.load_adjusted_delay(ctrl.out_rising, load)
+    r_adj = cell.load_adjusted_trans(ctrl.out_rising, load)
+    dr_p = (arc_p.delay(t_p) + d_adj) * f * g
+    dr_q = (arc_q.delay(t_q) + d_adj) * f * g
+    tail_p = (arc_p.trans(t_p) + r_adj) * f * g
+    tail_q = (arc_q.trans(t_q) + r_adj) * f * g
+    t_lo, t_hi = (t_p, t_q) if p < q else (t_q, t_p)
+    s_a = max(ctrl.s_pos(t_lo, t_hi), 1e-12) * f * g
+    s_b = max(ctrl.s_neg(t_lo, t_hi), 1e-12) * f * g
+    s_pos, s_neg = (s_a, s_b) if p < q else (s_b, s_a)
+    scale = ctrl.pair_scale.get(pair_key(p, q), 1.0)
+    d0 = min((ctrl.d0(t_lo, t_hi) * scale + d_adj) * f * g, dr_p, dr_q)
+    skew = ctrl.t_vertex_skew(t_lo, t_hi) * f * g
+    if p > q:
+        skew = -skew
+    value = (ctrl.t_vertex(t_lo, t_hi) + r_adj) * f * g
+    return (
+        (d0, s_pos, s_neg, dr_p, dr_q),
+        (
+            min(max(skew, -s_neg), s_pos), min(value, tail_p, tail_q),
+            s_pos, s_neg, tail_p, tail_q,
+        ),
+    )
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _times(arc):
+    """Below, inside and above the arc's characterized range."""
+    return (0.5 * arc.t_lo, 0.5 * (arc.t_lo + arc.t_hi), 1.5 * arc.t_hi)
+
+
+class TestSharedAnchors:
+    """``vshape`` / ``trans_vshape`` are one combo of
+    :class:`CtrlAnchors`, the evaluation the STA corner search reads."""
+
+    @pytest.mark.parametrize("f, g", [(1.0, 1.0), (1.13, 0.91)])
+    def test_wrappers_equal_the_shared_evaluation(self, library, f, g):
+        from itertools import product
+
+        from repro.models.vshape import CtrlAnchors
+
+        model = VShapeModel()
+        checked = 0
+        for name, cell in sorted(library.cells.items()):
+            if cell.ctrl is None or cell.n_inputs < 2:
+                continue
+            load = 1.7 * cell.ref_load
+            anchors = CtrlAnchors(cell, load, f, g)
+            for p, q in product(range(cell.n_inputs), repeat=2):
+                if p == q:
+                    continue
+                arc_p, arc_q = cell.ctrl_arc(p), cell.ctrl_arc(q)
+                shapes, tshapes = anchors.pair(
+                    p, q,
+                    [anchors.end(arc_p, t) for t in _times(arc_p)],
+                    [anchors.end(arc_q, t) for t in _times(arc_q)],
+                )
+                combos = product(_times(arc_p), _times(arc_q))
+                for k, (t_p, t_q) in enumerate(combos):
+                    want_v, want_t = _reference_vshapes(
+                        cell, p, q, t_p, t_q, load, f, g
+                    )
+                    where = f"{name} ({p}, {q}) combo {k}"
+                    got_v = model.vshape(cell, p, q, t_p, t_q, load, f, g)
+                    got_t = model.trans_vshape(
+                        cell, p, q, t_p, t_q, load, f, g
+                    )
+                    assert _bits(got_v) == _bits(shapes[k]), where
+                    assert _bits(got_v) == _bits(want_v), where
+                    assert _bits(got_t) == _bits(tshapes[k]), where
+                    assert _bits(got_t) == _bits(want_t), where
+                    checked += 1
+        assert checked == 2 * 9 * sum(
+            n * (n - 1) // 2
+            for n in (c.n_inputs for c in library.cells.values()
+                      if c.ctrl is not None and c.n_inputs >= 2)
+        )
+
+    def test_one_shape_costs_no_work_of_the_other(self, library):
+        from repro.models.vshape import CtrlAnchors
+
+        cell = library.cells["NAND3"]
+        arc = cell.ctrl_arc(0)
+        delay_only = CtrlAnchors(cell, cell.ref_load, trans=False)
+        end = delay_only.end(arc, 0.3 * NS)
+        assert end.tail is None and end.dr is not None
+        shapes, tshapes = delay_only.pair(0, 1, [end], [end])
+        assert tshapes is None and len(shapes) == 1
+        trans_only = CtrlAnchors(cell, cell.ref_load, delay=False)
+        end = trans_only.end(arc, 0.3 * NS)
+        assert end.dr is None and end.tail is not None
+        shapes, tshapes = trans_only.pair(0, 1, [end], [end])
+        assert shapes is None and len(tshapes) == 1

@@ -476,6 +476,10 @@ class TestPoolCounterParity:
             r.status for r in pooled.results
         ]
         assert_counter_parity(serial_reg, pooled_reg)
+        # One base refinement per generator, timed where it runs: in
+        # the first search, or in the parent before the pool starts.
+        for reg in (serial_reg, pooled_reg):
+            assert reg.histogram("atpg.baseline_s").count == 1
         # The merged trace keeps one timeline per reporting worker.
         worker_lanes = {s.lane for s in pooled_reg.spans if s.lane > 0}
         assert worker_lanes

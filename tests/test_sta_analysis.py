@@ -15,7 +15,6 @@ import random
 import re
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.circuit import (
     GeneratorConfig,

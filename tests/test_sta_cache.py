@@ -129,11 +129,11 @@ def test_analyzer_counters_track_real_work():
         disable()
 
 
-def test_atpg_base_refinement_is_served_from_the_memo():
-    # CrosstalkAtpg's sign-off pass is the per-gate walk, so the base ITR
-    # refinement every search starts from finds each gate in the memo —
-    # and ATPG runs no compiled forward pass (its required times compile
-    # the circuit for the backward pass only).
+def test_atpg_base_refinement_fills_the_memo():
+    # CrosstalkAtpg's sign-off pass is one compiled forward pass, so the
+    # memo is still empty when the base ITR refinement every search
+    # starts from runs: that walk looks each gate up once and fills the
+    # memo, and a second refinement finds each gate in it.
     from repro.atpg import CrosstalkAtpg
     from repro.characterize.library import CellLibrary
     from repro.circuit import load_packaged_bench
@@ -142,14 +142,18 @@ def test_atpg_base_refinement_is_served_from_the_memo():
     try:
         circuit = load_packaged_bench("c432s")
         atpg = CrosstalkAtpg(circuit, CellLibrary.load_default())
+        assert registry.counter("sta.compile.passes").value == 1
+        assert registry.counter("sta.memo.hits").value == 0
+        assert registry.counter("sta.memo.misses").value == 0
+        atpg.engine.refine(atpg.engine.initial_values())
         hits = registry.counter("sta.memo.hits").value
         misses = registry.counter("sta.memo.misses").value
+        assert misses > 0 and hits + misses == len(circuit.gates)
         atpg.engine.refine(atpg.engine.initial_values())
         assert registry.counter("sta.memo.misses").value == misses
         assert registry.counter("sta.memo.hits").value - hits == len(
             circuit.gates
         )
-        assert registry.counter("sta.compile.passes").value == 0
     finally:
         disable()
 

@@ -1176,6 +1176,42 @@ def test_column_view_is_a_memoized_mapping(library):
     assert "no such line" not in view and line in view
 
 
+@pytest.mark.parametrize("bench", ["c432s", "c7552s"])
+def test_required_reads_the_column_not_line_objects(bench, library):
+    """``compute_required`` on a compiled result reads the view's
+    columns: a fresh view stays unbuilt, and the required times equal
+    the per-gate walk's bit for bit."""
+    circuit = load_packaged_bench(bench)
+    analyzer = TimingAnalyzer(circuit, library)
+    result = analyzer.analyze()
+    clock = {"setup_time": 40 * NS, "hold_time": 0.1 * NS}
+    got = analyzer.compute_required(result, **clock)
+    assert not result.timings._built
+    assert_required_equal(
+        circuit, got, analyzer.compute_required_per_gate(result, **clock)
+    )
+
+
+def test_required_honours_in_place_edits_of_read_lines(library):
+    """A line a caller has read, then edited in place, is required from
+    the edited windows, as the per-gate walk reads them."""
+    circuit = load_packaged_bench("c432s")
+    analyzer = TimingAnalyzer(circuit, library)
+    clock = {"setup_time": 40 * NS}
+    fresh = analyzer.compute_required(analyzer.analyze(), **clock)
+    result = analyzer.analyze()
+    line = circuit.inputs[0]
+    timing = result.timings[line]
+    timing.rise = DirWindow.impossible()
+    timing.fall.t_l += 0.5 * NS
+    got = analyzer.compute_required(result, **clock)
+    assert_required_equal(
+        circuit, got, analyzer.compute_required_per_gate(result, **clock)
+    )
+    assert fresh[line].rise.q_l < math.inf
+    assert got[line].rise.q_l == math.inf and got[line].rise.q_s == -math.inf
+
+
 def test_column_view_len_iteration_and_equality(library):
     """``len``, iteration order and ``==`` agree with the per-gate dict,
     from either side of the comparison."""
