@@ -15,8 +15,8 @@ corner derates) and ``compute_required_per_gate``.
   setup+hold clock) vs. the per-gate backward walk, bit for bit;
 * ``incremental`` — cone-limited re-timing, ``try_edits`` trial
   batches and ``commit`` of a trial column vs. a fresh scalar analysis
-  after every edit of a random mutation sequence (batched cone replay,
-  and the per-gate gear once a rewire stales the compiled form), bit
+  after every edit of a random mutation sequence (cone replay on the
+  compiled sweep, over a patched compile or through a recompile), bit
   for bit;
 * ``itr``       — incremental refinement under a random decision
   sequence, fast timing core vs. scalar reference;
@@ -348,22 +348,20 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
     """Incremental state == fresh scalar analysis, after every edit.
 
     Covers every edit kind (including no-ops, and rewires and
-    shape-changing swaps that stale the compiled form and move
-    re-timing to the per-gate gear).  Every edit that staled the
-    compiled form is followed by a full ``analyze()``, so later edits
-    replay their cones on the recompiled form.  Halfway through the
-    sequence and after its last edit, a ``try_edits`` trial batch
-    (resizes and one cell swap) is checked column by column, plus a
-    master-untouched check.  Then one column, drawn from the case's
-    seed and index, is committed through ``commit``: the committed
-    edit joins the sequence, the master is diffed against a fresh
-    analysis, and the remaining edits continue from there.
+    shape-changing swaps that recompile).  Every edit that replaced
+    the compile is also checked by a full pass on the wrapped
+    analyzer, which leaves the incremental window state alone, so later
+    edits keep replaying over the state carried through the recompile.
+    Halfway through the sequence and after its last edit, a
+    ``try_edits`` trial batch (resizes and one cell swap) is checked
+    column by column, plus a master-untouched check.  Then one column,
+    drawn from the case's seed and index, is committed through
+    ``commit``: the committed edit joins the sequence, the master is
+    diffed against a fresh analysis, and the remaining edits continue
+    from there.
     """
-    from ..sta.incremental import (
-        IncrementalAnalyzer,
-        TrialEdit,
-        _timings_equal,
-    )
+    from ..sta.incremental import IncrementalAnalyzer, TrialEdit
+    from ..sta.windows import timings_equal
 
     library = shared_library()
     config = case.build_sta_config()
@@ -386,12 +384,16 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
                 ref_circuit, library, model, config, perf=SCALAR
             ).analyze_per_gate()
 
+        seen = incr._compiled()
+
         def check_master(label: str, result: StaResult) -> Optional[str]:
+            nonlocal seen
             checks = [("retime", result)]
-            if incr.analyzer._level is None:
-                # The edit staled the compiled form: recompile, so the
-                # next edits re-time through the new compile.
-                checks.append(("analyze", incr.analyze()))
+            if incr._compiled() is not seen:
+                # The edit dropped the compile: check a full pass on
+                # its successor too.
+                checks.append(("analyze", incr.analyzer.analyze()))
+                seen = incr._compiled()
             expected = reference()
             for how, res in checks:
                 problems = _window_mismatches(circuit, expected, res)
@@ -422,7 +424,7 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
             for k, t_edit in enumerate(trial_edits):
                 ref = reference([t_edit.op, t_edit.line, t_edit.value, None])
                 for line in circuit.lines:
-                    if not _timings_equal(
+                    if not timings_equal(
                         trial.line_timing(line, k), ref.line(line)
                     ):
                         return (
@@ -754,8 +756,7 @@ def _columns(circuit, engine, factors) -> List[StaResult]:
     windows = engine.propagate(factors)
     return [
         StaResult(circuit, {
-            line: engine.line_timing_at(windows, line, k)
-            for line in circuit.lines
+            line: windows.line_timing(line, k) for line in circuit.lines
         })
         for k in range(factors.shape[1])
     ]

@@ -30,6 +30,7 @@ from ..sta.windows import (
     DirWindow,
     IMPOSSIBLE,
     LineTiming,
+    timings_equal,
 )
 from .implication import (
     Assignment,
@@ -113,7 +114,8 @@ class ItrEngine:
             return DirWindow.impossible()
         if not window.is_active:
             return window
-        return dataclasses.replace(window, state=state)
+        # A new window, never an alias of the memo-held one.
+        return DirWindow(window.a_s, window.a_l, window.t_s, window.t_l, state)
 
     def refine(self, values: Assignment) -> ItrResult:
         """Compute refined windows for a (partial) assignment.
@@ -153,23 +155,6 @@ class ItrEngine:
     # ------------------------------------------------------------------
     # Incremental refinement
     # ------------------------------------------------------------------
-    @staticmethod
-    def _windows_equal(a: DirWindow, b: DirWindow) -> bool:
-        if a.state != b.state:
-            return False
-        if a.state == -1:  # impossible windows carry NaNs; state suffices
-            return True
-        return (
-            a.a_s == b.a_s and a.a_l == b.a_l
-            and a.t_s == b.t_s and a.t_l == b.t_l
-        )
-
-    @classmethod
-    def _timings_equal(cls, a, b) -> bool:
-        return cls._windows_equal(a.rise, b.rise) and cls._windows_equal(
-            a.fall, b.fall
-        )
-
     def refine_incremental(
         self, previous: ItrResult, values: Assignment
     ) -> ItrResult:
@@ -212,7 +197,7 @@ class ItrEngine:
                 rise=self._apply_logic_state(default.rise, values[pi], True),
                 fall=self._apply_logic_state(default.fall, values[pi], False),
             )
-            if not self._timings_equal(fresh, timings[pi]):
+            if not timings_equal(fresh, timings[pi]):
                 timings[pi] = fresh
                 dirty.add(pi)
         for out in self.circuit.topological_order():
@@ -228,7 +213,7 @@ class ItrEngine:
                 rise=self._apply_logic_state(computed.rise, value, True),
                 fall=self._apply_logic_state(computed.fall, value, False),
             )
-            if not self._timings_equal(fresh, timings[out]):
+            if not timings_equal(fresh, timings[out]):
                 timings[out] = fresh
                 dirty.add(out)
         self._m_recomputed.inc(recomputed)

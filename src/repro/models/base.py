@@ -19,7 +19,7 @@ import abc
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..characterize.library import CellTiming, TimingArc
+from ..characterize.library import CellTiming
 from ..circuit.logic import controlled_output, evaluate_gate, noncontrolled_output
 
 
@@ -246,8 +246,3 @@ def ctrl_arc_trans(
     arc = cell.ctrl_arc(pin)
     t_in = arc.clamp(t_in)
     return arc.trans(t_in) + cell.load_adjusted_trans(arc.out_rising, load)
-
-
-def clamped_arc(arc: TimingArc, t_in: float) -> float:
-    """Clamp helper re-exported for the STA corner code."""
-    return arc.clamp(t_in)

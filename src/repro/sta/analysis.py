@@ -8,8 +8,8 @@ errors (arrival range outside the required range).
 Full forward passes and the backward pass run on the level-compiled
 engine of :mod:`repro.sta.compile`.  The gate-at-a-time walk
 (:meth:`TimingAnalyzer.propagate_gate`) runs the scalar corner searches
-of :mod:`repro.sta.corners` and serves the per-gate work of ITR, ATPG
-and incremental seeding.  As a whole pass
+of :mod:`repro.sta.corners` and serves the per-gate work of ITR and
+ATPG.  As a whole pass
 (:meth:`TimingAnalyzer.analyze_per_gate`) it is the one scalar
 reference the compiled pass is diffed against: plain, with per-gate
 variation factors (a Monte Carlo column) or with timing derates (a PVT
@@ -77,10 +77,10 @@ class PerfConfig:
     """Performance knobs of the per-gate walk.
 
     They tune :meth:`TimingAnalyzer.propagate_gate` — the gate-at-a-time
-    corner searches behind ITR, ATPG, incremental seeding and
+    corner searches behind ITR, ATPG and
     :meth:`TimingAnalyzer.analyze_per_gate`.  Full passes
-    (:meth:`TimingAnalyzer.analyze`) always run on the level-compiled
-    engine and ignore them.  The memo is bit-identical to the uncached
+    (:meth:`TimingAnalyzer.analyze`) and incremental re-timing always
+    run on the level-compiled engine and ignore them.  The memo is bit-identical to the uncached
     walk (the parity test suite enforces this), so it is on by default;
     the flag exists for debugging and for the parity tests themselves.
 

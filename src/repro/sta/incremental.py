@@ -10,37 +10,33 @@ cost only the part of the circuit that can actually see the edit.
 How it works:
 
 * the wrapped :class:`~repro.sta.analysis.TimingAnalyzer` runs one full
-  pass and the per-line windows are kept as the *current state*;
+  level-compiled pass and its raw SoA window state is kept as the
+  *current state*;
 * each mutation recorded in :attr:`repro.circuit.Circuit.edit_log`
-  seeds a worklist with the edited gate plus the drivers of every line
-  whose capacitive load changed (resizing a gate re-loads its fan-in);
-* the worklist pops gates in level order and recomputes them, stopping
-  at any gate whose recomputed windows are **bitwise-unchanged**
-  (min/max corner reductions absorb most small perturbations, so cones
-  collapse quickly);
+  seeds the re-timing with the edited gate plus the drivers of every
+  line whose capacitive load changed (resizing a gate re-loads its
+  fan-in);
 * loads are re-derived per affected line through the same summation
   (:func:`~repro.sta.analysis.line_load`) as
   :func:`~repro.sta.analysis.compute_loads`, keeping them — and
   everything downstream — bit-identical to a fresh analyzer;
 * coefficient-only edits (resize/cell swap) are patched into the
   :class:`~repro.sta.compile.CompiledCircuit` SoA arrays in place
-  (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`), so neither
-  re-timing nor a later full pass ever pays a recompile; only
-  structural edits (rewires) or shape-changing swaps trigger one.
+  (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`); only
+  structural edits (rewires) and swaps that change a gate's compiled
+  slot recompile.  The window state survives a recompile: its rows
+  follow ``circuit.lines``, which no edit reorders.
 
-Re-timing itself comes in two gears.  Normally the analyzer keeps the
-raw SoA window state of the last full (level-compiled) pass and
-replays the cone *batched*: per level, the dirty
-gates of each compiled group (at most one ctrl and one arc-table group
-per level) are sliced into a column subset
+The cone then replays on the compiled level sweep: per level, the
+dirty gates of each compiled group (at most one ctrl and one arc-table
+group per level) are sliced into a column subset
 (:func:`~repro.sta.compile.subset_group`) and run through the same
 level kernels against the persistent state, then the output rows are
-diffed bitwise to decide which fan-outs join the frontier.  That keeps
-the per-gate cost of a re-time at full-pass kernel rates instead of
-scalar rates — the difference between ~4x and ~20x+ on c7552s cones.
-Right after a structural edit staled the compiled form, until the next
-full pass recompiles it, the cone is recomputed gate-at-a-time through
-``propagate_gate`` instead.
+diffed bitwise and only the fan-outs of gates that changed join the
+frontier.  A re-time thus pays full-pass kernel rates per gate, and it
+stops at any gate whose windows kept their bits (min/max corner
+reductions absorb most small perturbations, so cones collapse
+quickly).
 
 What-if trials (:meth:`IncrementalAnalyzer.try_edits`) ride the same
 level sweep with one column per hypothetical edit, the way a corner
@@ -57,8 +53,8 @@ Early termination is *bitwise*, not tolerance-based: a timestamp/dirty-
 bit scheme would either re-run the whole cone every time or risk serving
 windows that differ from a fresh pass in the last ulp.  The differential
 fuzz oracle ``incremental`` and the property tests enforce the contract
-"after any edit sequence, stored windows == fresh full analysis" in
-both gears.
+"after any edit sequence, stored windows == fresh full analysis",
+across patches and recompiles.
 
 Metrics are published under ``sta.incr.*``.
 """
@@ -66,7 +62,6 @@ Metrics are published under ``sta.incr.*``.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -75,24 +70,6 @@ from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
 from .windows import IMPOSSIBLE, DirWindow, LineTiming
-
-
-def _windows_equal(a: DirWindow, b: DirWindow) -> bool:
-    """Bitwise window equality (IMPOSSIBLE windows carry NaN fields)."""
-    if a.state != b.state:
-        return False
-    if a.state == IMPOSSIBLE:
-        return True
-    return (
-        a.a_s == b.a_s
-        and a.a_l == b.a_l
-        and a.t_s == b.t_s
-        and a.t_l == b.t_l
-    )
-
-
-def _timings_equal(a: LineTiming, b: LineTiming) -> bool:
-    return _windows_equal(a.rise, b.rise) and _windows_equal(a.fall, b.fall)
 
 
 def _dirty_gates(row_gate: np.ndarray, same: np.ndarray, n: int) -> np.ndarray:
@@ -169,8 +146,8 @@ class TrialResult:
         self.line_index = line_index
         self.n_lines = n_lines
         #: Gates the sweep evaluated, seed gates included, each once
-        #: for all K columns (the fallback counts every changed line of
-        #: every variant).
+        #: for all K columns (the fallback counts the gates of every
+        #: variant's own cone replay).
         self.cone_gates = cone_gates
         #: The master window state the columns were swept over and the
         #: edit-log length right after the sweep: a column is adopted
@@ -238,10 +215,10 @@ class IncrementalAnalyzer:
     """Cone-limited re-timing on top of a :class:`TimingAnalyzer`.
 
     Args:
-        analyzer: The wrapped analyzer.  Full passes run on its
-            level-compiled engine; per-gate recomputation goes through
-            its gate-level corner searches, which the parity contract
-            guarantees are bitwise-identical to the compiled pass.
+        analyzer: The wrapped analyzer.  Full passes and cone replays
+            both run on its level-compiled engine, whose windows the
+            parity contract guarantees are bitwise those of its
+            per-gate walk.
 
     Usage::
 
@@ -264,16 +241,14 @@ class IncrementalAnalyzer:
         self._log_pos = len(self.circuit.edit_log)
         self._timings: Optional[Dict[str, LineTiming]] = None
         self._outputs = set(self.circuit.outputs)
-        self._pos: Optional[Dict[str, int]] = None
         self._lvl: Optional[Dict[str, int]] = None
         #: Compiled-form bookkeeping.
         self._patch_pending: Set[str] = set()
         self._compiled_stale = False
-        #: Persistent SoA window state of the last full level pass; the
-        #: batched cone re-timer mutates it in place.
+        #: Persistent SoA window state of the last full level pass; cone
+        #: replays and adopted commits update it in place.  Its rows
+        #: follow ``circuit.lines``, so it outlives recompiles.
         self._cw = None
-        #: The compile ``_cw`` came from (see :meth:`_batched_ready`).
-        self._cw_of = None
         #: (id(group), cols) -> (group.version, (subset, output rows,
         #: owning column per row)) — cones revisit
         #: the same group columns across edits (optimizer trial loops),
@@ -313,21 +288,8 @@ class IncrementalAnalyzer:
         result = self.analyzer.analyze()
         self._timings = dict(result.timings)
         self._cw = self.analyzer._level.last_windows
-        self._cw_of = self.analyzer._level.compiled
         self._m_full.inc()
         return StaResult(self.circuit, self._timings)
-
-    def _batched_ready(self) -> bool:
-        """Whether the batched gear may replay cones over ``_cw``.
-
-        ``_cw`` is only current alongside the compile it came from
-        (patched in place or not).  A compile built since — say by
-        ``compute_required`` after a rewire dropped the old one — has
-        not seen the per-gate gear's updates, so until the next full
-        pass the per-gate gear stays in charge.
-        """
-        level = self.analyzer._level
-        return level is not None and level.compiled is self._cw_of
 
     # ------------------------------------------------------------------
     # Incremental pass
@@ -343,59 +305,24 @@ class IncrementalAnalyzer:
         if self._timings is None:
             return self.analyze()
         self._m_retimes.inc()
-        if not seeds:
-            return StaResult(self.circuit, self._timings)
-        self._sync_compiled()
-        if self._batched_ready():
-            return self._retime_batched(seeds)
-        return self._retime_scalar(seeds)
+        if seeds:
+            self._replay(seeds)
+        return StaResult(self.circuit, self._timings)
 
-    def _retime_scalar(self, seeds: Set[str]) -> StaResult:
-        """Gate-at-a-time cone replay through ``propagate_gate``.
-
-        The gear for a staled compiled form (after a structural edit,
-        until the next full pass recompiles).
-        """
-        analyzer = self.analyzer
-        circuit = self.circuit
-        timings = self._timings
-        pos = self._positions()
-        cone = 0
-        with self._obs.timer("sta.incr.retime_s"):
-            heap = [(pos[line], line) for line in seeds]
-            heapq.heapify(heap)
-            done: Set[str] = set()
-            while heap:
-                _, line = heapq.heappop(heap)
-                if line in done:
-                    continue
-                done.add(line)
-                gate = circuit.gates[line]
-                new = analyzer.propagate_gate(gate, timings)
-                cone += 1
-                if _timings_equal(new, timings[line]):
-                    # Unchanged output: nothing downstream can differ.
-                    self._m_early.inc()
-                    continue
-                timings[line] = new
-                for sink in circuit.fanouts(line):
-                    out = sink.output
-                    if out not in done:
-                        heapq.heappush(heap, (pos[out], out))
-        self._m_gates.inc(cone)
-        self._h_cone.observe(cone)
-        return StaResult(circuit, timings)
-
-    def _retime_batched(self, seeds: Set[str]) -> StaResult:
+    def _replay(self, seeds: Set[str]) -> int:
         """Level-batched cone replay over the persistent SoA state.
 
-        Per level, the dirty gates of each compiled group run as one
+        Brings the compile up to date with the ingested edits first
+        (patching it, or recompiling after a structural edit).  Per
+        level, the dirty gates of each compiled group run as one
         column-subset kernel call; output rows are diffed bitwise to
-        decide which fan-outs join the frontier.  Requires a current
-        (patched) compiled circuit — :meth:`retime` falls back to the
-        scalar path otherwise.
+        decide which fan-outs join the frontier.
+
+        Returns:
+            The number of gates swept.
         """
-        level = self.analyzer._level
+        self._sync_compiled()
+        level = self.analyzer.level_engine()
         cw = self._cw
         arrays = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
 
@@ -410,7 +337,7 @@ class IncrementalAnalyzer:
         self._m_early.inc(cone - len(changed))
         self._m_gates.inc(cone)
         self._h_cone.observe(cone)
-        return StaResult(self.circuit, self._timings)
+        return cone
 
     def _sweep(
         self,
@@ -517,8 +444,8 @@ class IncrementalAnalyzer:
                 edit whose line is not a gate output (a primary input or
                 an unknown line), before anything is mutated.
 
-        With a current compiled form the K variants run as ONE level
-        sweep with K columns.  Its seed gates — every edited gate and
+        The K variants run as ONE level sweep with K columns.  Its
+        seed gates — every edited gate and
         the drivers of its re-loaded fan-in lines — are swept at their
         own level like any other gate, with one coefficient column per
         edit: the variant cell or load where that edit touches the
@@ -528,7 +455,9 @@ class IncrementalAnalyzer:
         the gate out differently (a polarity flip such as NAND2 ->
         NOR2, or another slot such as NAND2 -> XOR2) keeps the master's
         coefficients in the shared group; its own one-gate build then
-        re-runs that column alone.
+        re-runs that column alone.  Only if that moves a window state,
+        which the columns share, does the batch fall back to applying
+        each edit for real (:meth:`_try_fallback`).
         """
         edits = [
             e if isinstance(e, TrialEdit) else TrialEdit(*e) for e in edits
@@ -552,18 +481,14 @@ class IncrementalAnalyzer:
                     "outputs can be resized or swapped"
                 )
         # Settle any pending real edits so the master baseline is current.
-        if self._timings is None:
-            self.analyze()
-        else:
-            self.retime()
+        self.retime()
         self._m_trials.inc(len(edits))
         self._m_trial_batches.inc()
         with self._obs.timer("sta.incr.trial_s"):
-            if self._batched_ready():
-                result = self._try_batched(edits)
-                if result is not None:
-                    return result
-            return self._try_fallback(edits)
+            result = self._try_batched(edits)
+            if result is None:
+                result = self._try_fallback(edits)
+            return result
 
     def _try_batched(
         self, edits: List[TrialEdit]
@@ -575,7 +500,7 @@ class IncrementalAnalyzer:
         invalid.  Under the default (symmetric) boundary activation that
         does not happen; :meth:`_try_fallback` covers the rest.
         """
-        level = self.analyzer._level
+        level = self.analyzer.level_engine()
         master = self._cw
         K = len(edits)
         builds, swaps = self._trial_builds(edits)
@@ -697,63 +622,38 @@ class IncrementalAnalyzer:
         return dict(zip(seeds, built)), solo
 
     def _try_fallback(self, edits: List[TrialEdit]) -> TrialResult:
-        """Trial evaluation without the compiled SoA state.
+        """Trial evaluation by real edits, for a batch whose columns'
+        window states diverge.
 
-        Each variant is applied for real, re-timed, snapshotted into its
-        column, then reverted (and re-timed back) — two solo re-times
-        per trial instead of one shared batched sweep, but identical
-        results.
+        Each variant is applied for real, its cone replayed, the master
+        state copied into its column, then the edit is reverted and
+        replayed back: two solo cone replays per trial instead of one
+        shared sweep, with identical results.
         """
-        circuit = self.circuit
-        lines = circuit.lines
-        n = len(lines)
-        index = {line: i for i, line in enumerate(lines)}
+        cw = self._cw
+        master = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
         K = len(edits)
-        arrays = tuple(np.full((2 * n, K), np.nan) for _ in range(4))
-        states = np.full((2 * n, K), IMPOSSIBLE, dtype=np.int8)
-        base = self._timings
-        # Pre-fill every column with the master state; the per-variant
-        # loop then overwrites only what its retime actually changed.
-        for line, i in index.items():
-            t = base[line]
-            for r, w in ((i, t.rise), (i + n, t.fall)):
-                states[r, :] = w.state
-                if w.state != IMPOSSIBLE:
-                    arrays[0][r, :] = w.a_s
-                    arrays[1][r, :] = w.a_l
-                    arrays[2][r, :] = w.t_s
-                    arrays[3][r, :] = w.t_l
+        arrays = tuple(np.empty((len(cw.states), K)) for _ in master)
+        states = np.empty((len(cw.states), K), dtype=np.int8)
         cone = 0
         for k, e in enumerate(edits):
-            prev = dict(base)
-            gate = circuit.gates[e.line]
+            gate = self.circuit.gates[e.line]
             saved = gate.size if e.op == "resize" else gate.kind
             self._apply(e.op, e.line, e.value)
             try:
-                res = self.retime()
-                for line, t in res.timings.items():
-                    if t is prev.get(line):
-                        continue  # retime replaces changed entries only
-                    cone += 1
-                    i = index[line]
-                    for r, w in ((i, t.rise), (i + n, t.fall)):
-                        states[r, k] = w.state
-                        if w.state != IMPOSSIBLE:
-                            arrays[0][r, k] = w.a_s
-                            arrays[1][r, k] = w.a_l
-                            arrays[2][r, k] = w.t_s
-                            arrays[3][r, k] = w.t_l
-                        else:
-                            arrays[0][r, k] = np.nan
-                            arrays[1][r, k] = np.nan
-                            arrays[2][r, k] = np.nan
-                            arrays[3][r, k] = np.nan
+                cone += self._replay(self._ingest_edits())
+                for column, array in zip(arrays, master):
+                    column[:, k] = array[:, 0]
+                states[:, k] = cw.states
             finally:
-                # Revert; the reverse retime restores the master bitwise.
+                # Revert; the reverse replay restores the master bitwise.
                 self._apply(e.op, e.line, saved)
                 self.retime()
         self._h_trial_cone.observe(cone)
-        return TrialResult(circuit, edits, arrays, states, index, n, cone)
+        return TrialResult(
+            self.circuit, edits, arrays, states, cw.line_index, cw.n_lines,
+            cone,
+        )
 
     def _apply(self, op: str, line: str, value) -> None:
         """Apply one coefficient-only edit to the netlist."""
@@ -820,7 +720,7 @@ class IncrementalAnalyzer:
     def _ingest_edits(self) -> Set[str]:
         """Fold pending circuit edits into loads / compiled state.
 
-        Returns the seed set for the re-timing worklist: every gate
+        Returns the seed set of the cone replay: every gate
         whose own windows may have changed *directly* — the edited gate
         (new cell or new fan-in) and the drivers of every line whose
         capacitive load moved.
@@ -841,7 +741,6 @@ class IncrementalAnalyzer:
                     continue  # recorded no-op; nothing moved
                 reload_lines.add(edit.old)
                 reload_lines.add(edit.new)
-                self._pos = None
                 self._lvl = None
                 self._compiled_stale = True
             else:
@@ -870,14 +769,6 @@ class IncrementalAnalyzer:
             self._outputs,
         )
 
-    def _positions(self) -> Dict[str, int]:
-        if self._pos is None:
-            self._pos = {
-                line: i
-                for i, line in enumerate(self.circuit.topological_order())
-            }
-        return self._pos
-
     def _levels(self) -> Dict[str, int]:
         if self._lvl is None:
             self._lvl = self.circuit.levelize()
@@ -900,10 +791,15 @@ class IncrementalAnalyzer:
         self._patch_pending.add(line)
 
     def _sync_compiled(self) -> None:
-        """Bring the compiled SoA form up to date before a full pass.
+        """Bring the compiled SoA form up to date with ingested edits.
 
-        Coefficient-only edits are patched column-wise in place; only
-        structural edits (or shape-changing swaps) pay a recompile.
+        Coefficient-only edits are patched column-wise in place.  A
+        structural edit, or a swap whose cell no longer fits its slot,
+        drops the compile instead, and the next sweep or full pass
+        recompiles the edited circuit (:meth:`TimingAnalyzer
+        .level_engine`).  The window state survives the recompile: its
+        rows follow ``circuit.lines``, which no edit reorders, and the
+        replay that follows re-times every gate the edits can reach.
         """
         compiled = self._compiled()
         if compiled is None:
@@ -916,7 +812,7 @@ class IncrementalAnalyzer:
                     self._compiled_stale = True
                     break
         if self._compiled_stale:
-            self.analyzer._level = None  # rebuilt lazily by analyze()
+            self.analyzer._level = None  # rebuilt on next use
             self._compiled_stale = False
             self._m_rebuilds.inc()
         else:

@@ -20,9 +20,8 @@ POTENTIAL = 0
 IMPOSSIBLE = -1
 
 #: Default tolerance of the window containment/overlap predicates.  The
-#: vectorized overlap tests in :mod:`repro.sta.compile` and
-#: :mod:`repro.stat.engine` must use the same value to stay bit-identical
-#: with :meth:`DirWindow.overlaps_arrivals`.
+#: vectorized overlap test in :mod:`repro.sta.compile` must use the same
+#: value to stay bit-identical with :meth:`DirWindow.overlaps_arrivals`.
 OVERLAP_TOL = 1e-13
 
 
@@ -145,6 +144,26 @@ class LineTiming:
     def latest_arrival(self) -> Optional[float]:
         actives = [w.a_l for w in (self.rise, self.fall) if w.is_active]
         return max(actives) if actives else None
+
+
+def windows_equal(a: DirWindow, b: DirWindow) -> bool:
+    """Bitwise window equality (IMPOSSIBLE windows carry NaN fields, so
+    their state alone decides)."""
+    if a.state != b.state:
+        return False
+    if a.state == IMPOSSIBLE:
+        return True
+    return (
+        a.a_s == b.a_s
+        and a.a_l == b.a_l
+        and a.t_s == b.t_s
+        and a.t_l == b.t_l
+    )
+
+
+def timings_equal(a: LineTiming, b: LineTiming) -> bool:
+    """Bitwise :func:`windows_equal` of both directions."""
+    return windows_equal(a.rise, b.rise) and windows_equal(a.fall, b.fall)
 
 
 def merge_dir_windows(windows: Sequence[DirWindow]) -> DirWindow:

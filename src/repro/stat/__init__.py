@@ -12,7 +12,7 @@ delay / slack / criticality statistics (:mod:`repro.stat.aggregate`).
 """
 
 from .aggregate import DEFAULT_QUANTILES, McResult
-from .engine import MonteCarloEngine, SampleWindows
+from .engine import MonteCarloEngine
 from .runner import DEFAULT_BLOCK, MC_MODELS, plan_blocks, run_mc
 from .variation import VariationModel
 
@@ -22,7 +22,6 @@ __all__ = [
     "MC_MODELS",
     "McResult",
     "MonteCarloEngine",
-    "SampleWindows",
     "VariationModel",
     "plan_blocks",
     "run_mc",

@@ -33,8 +33,7 @@ enforce this.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,53 +42,8 @@ from ..circuit.netlist import Circuit
 from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
-from ..sta.compile import check_derates
-from ..sta.windows import (
-    IMPOSSIBLE,
-    POTENTIAL,
-    DirWindow,
-    LineTiming,
-)
-
-
-@dataclasses.dataclass
-class SampleWindows:
-    """Per-sample window fields of one line direction.
-
-    The numeric fields are arrays of shape ``(n_samples,)``; ``state``
-    is a single int because window states are structural (shared by all
-    samples).  An IMPOSSIBLE direction carries no arrays.
-    """
-
-    a_s: Optional[np.ndarray]
-    a_l: Optional[np.ndarray]
-    t_s: Optional[np.ndarray]
-    t_l: Optional[np.ndarray]
-    state: int = POTENTIAL
-
-    @property
-    def is_active(self) -> bool:
-        return self.state != IMPOSSIBLE
-
-    @classmethod
-    def impossible(cls) -> "SampleWindows":
-        return cls(None, None, None, None, IMPOSSIBLE)
-
-    def at(self, sample: int) -> DirWindow:
-        """The one-sample :class:`DirWindow` (exact float round-trip)."""
-        if not self.is_active:
-            return DirWindow.impossible()
-        return DirWindow(
-            a_s=float(self.a_s[sample]),
-            a_l=float(self.a_l[sample]),
-            t_s=float(self.t_s[sample]),
-            t_l=float(self.t_l[sample]),
-            state=self.state,
-        )
-
-
-#: windows[line] -> (rise, fall)
-BlockWindows = Dict[str, Tuple[SampleWindows, SampleWindows]]
+from ..sta.compile import CompiledWindows, check_derates
+from ..sta.windows import IMPOSSIBLE
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +131,7 @@ class MonteCarloEngine:
     # ------------------------------------------------------------------
     # Forward propagation
     # ------------------------------------------------------------------
-    def propagate(self, factors: np.ndarray) -> BlockWindows:
+    def propagate(self, factors: np.ndarray) -> CompiledWindows:
         """One compiled pass: all samples of a block, every line.
 
         Args:
@@ -186,19 +140,21 @@ class MonteCarloEngine:
                 (the compiled pass's factor rows use the same order).
 
         Returns:
-            ``{line: (rise, fall)}`` sample windows for every line.
+            The pass's SoA windows, one column per sample: read a
+            sample through ``line_timing(line, k)`` or a
+            :class:`~repro.sta.compile.ColumnTimings` view.
         """
-        return self._from_compiled(
-            self._level.propagate(factors, derates=self.derate)
-        )
+        return self._level.propagate(factors, derates=self.derate)
 
     def block_extremes(
         self, factors: np.ndarray, nominal: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, float]]]:
         """One compiled pass, reduced to per-output extremes.
 
-        Reads the primary-output rows straight from the SoA block, with
-        the reduction of :meth:`po_extremes`.
+        Reads the primary-output rows straight from the SoA block: per
+        output, the latest ``a_l`` and the earliest ``a_s`` over its
+        active directions (an inactive direction contributes
+        ``-inf`` / ``+inf``).
 
         Args:
             factors: Per-gate variation factors ``(n_gates, n_samples)``.
@@ -237,68 +193,3 @@ class MonteCarloEngine:
             return po_max, po_min, None
         extremes = (float(po_max[:, -1].max()), float(po_min[:, -1].min()))
         return po_max[:, :-1], po_min[:, :-1], extremes
-
-    def _from_compiled(self, compiled) -> BlockWindows:
-        """View a compiled pass's SoA rows as :class:`SampleWindows`.
-
-        The per-line arrays are views into the compiled arrays — no
-        copies, and the float values are the compiled pass's, exactly.
-        """
-        windows: BlockWindows = {}
-        for line in self.circuit.lines:
-            pair = []
-            for rising in (True, False):
-                r = compiled.row(line, rising)
-                state = int(compiled.states[r])
-                if state == IMPOSSIBLE:
-                    pair.append(SampleWindows.impossible())
-                else:
-                    pair.append(
-                        SampleWindows(
-                            compiled.a_s[r], compiled.a_l[r],
-                            compiled.t_s[r], compiled.t_l[r],
-                            state,
-                        )
-                    )
-            windows[line] = (pair[0], pair[1])
-        return windows
-
-    # ------------------------------------------------------------------
-    # Extraction
-    # ------------------------------------------------------------------
-    def po_extremes(
-        self, windows: BlockWindows
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-output (latest, earliest) arrivals across the block.
-
-        Returns:
-            ``(po_max, po_min)`` of shape ``(n_outputs, n_samples)``.
-            An output with no active transition (cannot normally happen)
-            contributes -inf/+inf rather than poisoning the reduction.
-        """
-        outputs = self.circuit.outputs
-        n = next(
-            w.a_l.shape[0]
-            for pair in windows.values() for w in pair if w.is_active
-        )
-        po_max = np.full((len(outputs), n), -np.inf)
-        po_min = np.full((len(outputs), n), np.inf)
-        any_active = False
-        for k, po in enumerate(outputs):
-            for w in windows[po]:
-                if not w.is_active:
-                    continue
-                any_active = True
-                po_max[k] = np.maximum(po_max[k], w.a_l)
-                po_min[k] = np.minimum(po_min[k], w.a_s)
-        if not any_active:
-            raise ValueError("no active output transitions")
-        return po_max, po_min
-
-    def line_timing_at(
-        self, windows: BlockWindows, line: str, sample: int
-    ) -> LineTiming:
-        """One line's :class:`LineTiming` at a single sample index."""
-        rise, fall = windows[line]
-        return LineTiming(rise=rise.at(sample), fall=fall.at(sample))
-

@@ -17,6 +17,7 @@ import pytest
 
 from repro.circuit import Circuit, load_packaged_bench, parse_bench
 from repro.models import NonCtrlAwareModel, VShapeModel
+from repro.obs import use_registry
 from repro.sta import (
     IncrementalAnalyzer,
     PerfConfig,
@@ -25,26 +26,28 @@ from repro.sta import (
     TrialEdit,
 )
 from repro.sta.cache import PropagationCache
-from repro.sta.incremental import _timings_equal
+from repro.sta.windows import DirWindow, LineTiming, timings_equal
 
 #: Reference configuration: no kernels, no memo — the plain definition.
 SCALAR = PerfConfig(memo_enabled=False)
 
-#: Re-timing gears: ``level`` replays cones through the compiled form,
-#: ``gate`` walks them gate by gate (the state a structural edit leaves
-#: until the next full pass).
-GEARS = ("gate", "level")
+#: How the baseline is reached: ``level`` is one full pass;
+#: ``recompiled`` then rewires a gate and reverts it, two structural
+#: edits that each recompile while the window state carries over.
+STARTS = ("recompiled", "level")
 
 
-def _incremental(circuit, library, gear):
-    """A baselined :class:`IncrementalAnalyzer` in the given gear."""
-    incr = IncrementalAnalyzer(
-        TimingAnalyzer(circuit, library, VShapeModel(), StaConfig())
-    )
-    incr.analyze()
-    if gear == "gate":
-        # A rewire and its revert stale the compiled form without
-        # changing the circuit.
+def _incremental(circuit, library, start):
+    """A baselined :class:`IncrementalAnalyzer` (see :data:`STARTS`)."""
+    if start == "level":
+        incr = IncrementalAnalyzer(
+            TimingAnalyzer(circuit, library, VShapeModel(), StaConfig())
+        )
+        incr.analyze()
+        return incr
+    with use_registry() as registry:
+        incr = _incremental(circuit, library, "level")
+        compiled = incr.analyzer._level.compiled
         line = next(g for g in sorted(circuit.gates)
                     if circuit.gates[g].n_inputs >= 2)
         old = circuit.gates[line].inputs[0]
@@ -52,7 +55,8 @@ def _incremental(circuit, library, gear):
                    if pi not in circuit.gates[line].inputs)
         incr.rewire_input(line, 0, new)
         incr.rewire_input(line, 0, old)
-        assert incr.analyzer._level is None
+    assert registry.snapshot()["counters"]["sta.incr.full_rebuilds"] == 2
+    assert incr.analyzer._level.compiled is not compiled
     return incr
 
 
@@ -67,7 +71,7 @@ def _fresh_timings(circuit, library, perf=SCALAR):
 
 def _assert_all_lines_equal(circuit, result, reference):
     for line in circuit.lines:
-        assert _timings_equal(result.line(line), reference.line(line)), line
+        assert timings_equal(result.line(line), reference.line(line)), line
 
 
 def _edit_script(circuit):
@@ -105,10 +109,10 @@ def _apply(circuit, edit):
 
 
 class TestRetime:
-    @pytest.mark.parametrize("gear", GEARS)
-    def test_matches_fresh_after_each_edit(self, library, gear):
+    @pytest.mark.parametrize("start", STARTS)
+    def test_matches_fresh_after_each_edit(self, library, start):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, gear)
+        incr = _incremental(circuit, library, start)
         for edit in _edit_script(circuit):
             _apply(circuit, edit)
             result = incr.retime()
@@ -174,9 +178,50 @@ class TestRecompile:
                         circuit, library
                     ).analyze_per_gate()
                     for lin in circuit.lines:
-                        assert _timings_equal(
+                        assert timings_equal(
                             result.line(lin), reference.line(lin)
                         ), f"seed={seed} step={step} {lin}"
+
+    @pytest.mark.parametrize("edit", ["rewire", "swap"])
+    def test_no_per_gate_call(self, library, monkeypatch, edit):
+        # A rewire and a NAND2 -> XOR2 swap each recompile.  The edit's
+        # cone, a trial batch, the commit of a slot-changing swap (a
+        # second recompile) and a later re-time all replay on the
+        # compiled sweep over the window state carried through.
+        circuit = load_packaged_bench("c432s")
+        edits = [
+            TrialEdit("resize", "G110", 2.0), TrialEdit("swap", "G107", "nand")
+        ]
+        steps = []  # (the circuit at that point, its windows)
+
+        def keep(result):
+            steps.append((
+                Circuit.from_dict(circuit.to_dict()), dict(result.timings)
+            ))
+
+        with use_registry() as registry, monkeypatch.context() as patch:
+            incr = _incremental(circuit, library, "level")
+            compiled = incr.analyzer._level.compiled
+            patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
+            if edit == "rewire":
+                line, new, _ = TestRequiredTimes._rewire_target(circuit)
+                circuit.rewire_input(line, 0, new)
+            else:
+                circuit.swap_cell("G110", "xor")
+            keep(incr.retime())
+            counters = registry.snapshot()["counters"]
+            recompiled = incr.analyzer._level.compiled
+            trial = incr.try_edits(edits)
+            keep(incr.commit(trial, 1))
+            circuit.resize_gate("G36", 4.0)
+            keep(incr.retime())
+        assert counters["sta.incr.full_rebuilds"] == 1
+        assert recompiled is not compiled
+        _assert_columns_match_fresh(steps[0][0], library, trial, edits)
+        for variant, timings in steps:
+            reference = _fresh_timings(variant, library)
+            for lin in variant.lines:
+                assert timings_equal(timings[lin], reference.line(lin)), lin
 
 
 class TestDoubleRead:
@@ -267,22 +312,23 @@ class TestRequiredTimes:
 
     def test_rewire_drops_the_compile(self, library):
         circuit = load_packaged_bench("c432s")
-        incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
-        incr.analyze()
-        line, new, side = self._rewire_target(circuit)
-        circuit.rewire_input(line, 0, new)
-        result = incr.retime()
-        assert incr.analyzer._level is None  # dropped, per-gate gear
+        with use_registry() as registry:
+            incr = IncrementalAnalyzer(TimingAnalyzer(circuit, library))
+            incr.analyze()
+            compiled = incr.analyzer._level.compiled
+            line, new, side = self._rewire_target(circuit)
+            circuit.rewire_input(line, 0, new)
+            result = incr.retime()
+        # The rewire dropped the compile and the cone replayed on a
+        # recompile of the edited circuit.
+        assert registry.snapshot()["counters"]["sta.incr.full_rebuilds"] == 1
+        assert incr.analyzer._level.compiled is not compiled
         self._assert_required_match_fresh(
             circuit, library, incr.analyzer, result
         )
-        # compute_required compiled the edited circuit.  The window
-        # state the batched gear replays cones over came from the old
-        # compile and missed the per-gate gear's updates (the rewired
-        # gate's cone), so later re-times and trials must not pair it
-        # with the new compile: re-timing the side driver's cone reads
-        # the rewired gate's output.
-        assert incr.analyzer._level is not None
+        # The window state carried through the recompile is the base
+        # of later re-times and trials: re-timing the side driver's
+        # cone reads the rewired gate's output.
         circuit.resize_gate(side, 4.0)
         result = incr.retime()
         _assert_all_lines_equal(
@@ -293,16 +339,16 @@ class TestRequiredTimes:
         variant.resize_gate(line, 4.0)
         reference = _fresh_timings(variant, library)
         for lin in circuit.lines:
-            assert _timings_equal(
+            assert timings_equal(
                 trial.line_timing(lin, 0), reference.line(lin)
             ), lin
 
 
 class TestTryEdits:
-    @pytest.mark.parametrize("gear", GEARS)
-    def test_columns_match_fresh_variants(self, library, gear):
+    @pytest.mark.parametrize("start", STARTS)
+    def test_columns_match_fresh_variants(self, library, start):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, gear)
+        incr = _incremental(circuit, library, start)
         gates = sorted(circuit.gates)
         two_in = next(g for g in gates if circuit.gates[g].n_inputs == 2)
         edits = [
@@ -320,15 +366,15 @@ class TestTryEdits:
                 variant, library, VShapeModel(), StaConfig(), perf=SCALAR
             ).analyze_per_gate()
             for line in variant.lines:
-                assert _timings_equal(
+                assert timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), f"k={k} {line}"
             assert trial.max_arrivals()[k] == reference.output_max_arrival()
 
-    @pytest.mark.parametrize("gear", GEARS)
-    def test_master_state_is_untouched(self, library, gear):
+    @pytest.mark.parametrize("start", STARTS)
+    def test_master_state_is_untouched(self, library, start):
         circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, gear)
+        incr = _incremental(circuit, library, start)
         before = {line: incr.result().line(line) for line in circuit.lines}
         sizes_before = {g: circuit.gates[g].size for g in circuit.gates}
         incr.try_edits([
@@ -337,7 +383,7 @@ class TestTryEdits:
         assert {g: circuit.gates[g].size for g in circuit.gates} == sizes_before
         after = incr.result()
         for line in circuit.lines:
-            assert _timings_equal(after.line(line), before[line]), line
+            assert timings_equal(after.line(line), before[line]), line
 
     def test_cross_feeding_fanin_drivers(self, library):
         # Regression: resizing g10 re-loads both g2 and g9, and g2 feeds
@@ -367,7 +413,7 @@ class TestTryEdits:
                 variant, library, VShapeModel(), StaConfig(), perf=SCALAR
             ).analyze_per_gate()
             for line in variant.lines:
-                assert _timings_equal(
+                assert timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), f"k={k} {line}"
 
@@ -471,7 +517,7 @@ class TestMergedGroups:
             assert incr.analyzer._level.compiled is compiled  # patched
             reference = self._fresh(circuit, lib, model_cls)
             for line in circuit.lines:
-                assert _timings_equal(
+                assert timings_equal(
                     result.line(line), reference.line(line)
                 ), (edit, line)
         # NAND2 -> NOR2 keeps the slot (fan-in and peak membership).
@@ -488,7 +534,7 @@ class TestMergedGroups:
         for k, e in enumerate(edits):
             reference = self._fresh(circuit, lib, model_cls, e)
             for line in circuit.lines:
-                assert _timings_equal(
+                assert timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), (e, line)
 
@@ -498,8 +544,6 @@ class TestMemoEpoch:
         # Regression: a circuit mutated behind the analyzer must never
         # be served a memo entry recorded before the edit — the edit
         # epoch is part of both the hash key and the exact tag.
-        from repro.sta.windows import DirWindow, LineTiming
-
         cache = PropagationCache(max_entries=8, quantum=1e-15)
         timing = LineTiming(
             rise=DirWindow(1e-10, 2e-10, 5e-11, 8e-11),
@@ -524,13 +568,45 @@ class TestMemoEpoch:
         second = analyzer.analyze_per_gate()
         reference = _fresh_timings(circuit, library)
         _assert_all_lines_equal(circuit, second, reference)
-        assert not _timings_equal(
+        assert not timings_equal(
             first.line(target), second.line(target)
         )
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("the batched trial path left the compiled sweep")
+    raise AssertionError("a re-time or trial left the compiled sweep")
+
+
+#: A trial batch that cannot ride one sweep on :func:`_diverging`'s
+#: circuit.
+DIVERGING_EDITS = [
+    TrialEdit("resize", "y", 2.0), TrialEdit("swap", "n", "buf")
+]
+
+
+def _diverging(library, monkeypatch):
+    """``(circuit, PI overrides, baselined analyzer)`` on which
+    :data:`DIVERGING_EDITS` falls back to real edits.
+
+    The columns of a trial share one state vector.  With a's rise
+    impossible, INV -> BUF moves n's states, so its column cannot ride
+    the batch and every variant is re-timed on its own instead.
+    """
+    circuit = parse_bench(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = NAND(n, b)\n",
+        name="diverge",
+    )
+    overrides = {"a": LineTiming(
+        rise=DirWindow.impossible(),
+        fall=DirWindow(0.0, 1e-10, 1e-10, 2e-10),
+    )}
+    analyzer = TimingAnalyzer(circuit, library)
+    monkeypatch.setattr(analyzer, "analyze", functools.partial(
+        analyzer.analyze, pi_overrides=overrides
+    ))
+    incr = IncrementalAnalyzer(analyzer)
+    incr.analyze()
+    return circuit, overrides, incr
 
 
 def _assert_columns_match_fresh(circuit, library, trial, edits):
@@ -539,7 +615,7 @@ def _assert_columns_match_fresh(circuit, library, trial, edits):
         _apply(variant, (e.op, e.line, e.value, None))
         reference = _fresh_timings(variant, library)
         for line in variant.lines:
-            assert _timings_equal(
+            assert timings_equal(
                 trial.line_timing(line, k), reference.line(line)
             ), (k, e, line)
 
@@ -589,8 +665,6 @@ class TestTrialSweep:
         # group kind, INV -> BUF the arcs: each such column re-runs its
         # gate alone after the shared group call.
         circuit = load_packaged_bench("c432s")
-        incr = _incremental(circuit, library, "level")
-        compiled = incr.analyzer._level.compiled
         nand, xor, inv = "G110", "G107", "G109"
         driver = circuit.gates[nand].inputs[0]
         edits = [
@@ -603,34 +677,21 @@ class TestTrialSweep:
             TrialEdit("swap", xor, "nand"),
             TrialEdit("swap", inv, "buf"),
         ]
-        with monkeypatch.context() as patch:
+        with use_registry() as registry, monkeypatch.context() as patch:
+            incr = _incremental(circuit, library, "level")
+            compiled = incr.analyzer._level.compiled
             patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
             patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
             trial = incr.try_edits(edits)
         _assert_columns_match_fresh(circuit, library, trial, edits)
-        assert incr._batched_ready()
+        # Trials never edit the master: no recompile, not even for the
+        # slot-changing swaps.
+        counters = registry.snapshot()["counters"]
+        assert counters.get("sta.incr.full_rebuilds", 0) == 0
         assert incr.analyzer._level.compiled is compiled
 
     def test_state_divergence_falls_back(self, library, monkeypatch):
-        # The columns share one state vector.  With a's rise impossible,
-        # INV -> BUF moves n's states, so its column cannot ride the
-        # batch and every variant is re-timed on its own instead.
-        from repro.sta.windows import DirWindow, LineTiming
-
-        circuit = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = NAND(n, b)\n",
-            name="diverge",
-        )
-        overrides = {"a": LineTiming(
-            rise=DirWindow.impossible(),
-            fall=DirWindow(0.0, 1e-10, 1e-10, 2e-10),
-        )}
-        analyzer = TimingAnalyzer(circuit, library)
-        monkeypatch.setattr(analyzer, "analyze", functools.partial(
-            analyzer.analyze, pi_overrides=overrides
-        ))
-        incr = IncrementalAnalyzer(analyzer)
-        incr.analyze()
+        circuit, overrides, incr = _diverging(library, monkeypatch)
         fallbacks = []
         fallback = IncrementalAnalyzer._try_fallback
         monkeypatch.setattr(
@@ -638,17 +699,16 @@ class TestTrialSweep:
             lambda self, edits: fallbacks.append(edits)
             or fallback(self, edits),
         )
-        edits = [TrialEdit("resize", "y", 2.0), TrialEdit("swap", "n", "buf")]
-        trial = incr.try_edits(edits)
+        trial = incr.try_edits(DIVERGING_EDITS)
         assert len(fallbacks) == 1
-        for k, e in enumerate(edits):
+        for k, e in enumerate(DIVERGING_EDITS):
             variant = Circuit.from_dict(circuit.to_dict())
             _apply(variant, (e.op, e.line, e.value, None))
             reference = TimingAnalyzer(
                 variant, library, perf=SCALAR
             ).analyze_per_gate(pi_overrides=overrides)
             for line in variant.lines:
-                assert _timings_equal(
+                assert timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), (k, line)
 
@@ -658,8 +718,6 @@ class TestCommit:
     re-times anything else; both equal a fresh analysis."""
 
     def test_live_commits_adopt_and_match_fresh(self, library):
-        from repro.obs import use_registry
-
         circuit = load_packaged_bench("c432s")
         with use_registry() as registry:
             incr = _incremental(circuit, library, "level")
@@ -680,8 +738,9 @@ class TestCommit:
             counters = registry.snapshot()["counters"]
             assert counters["sta.incr.commits_adopted"] == 4
             assert counters.get("sta.incr.gates_retimed", 0) == 0
-        # The adopted master is a valid base for later edits and trials,
-        # through the per-gate gear and after a recompile.
+        # The adopted master is a valid base for later edits and trials:
+        # the slot change dropped the compile, and the next re-time
+        # replays its cone on a recompile.
         assert incr.analyzer._level is None
         circuit.resize_gate("G36", 0.5)
         _assert_all_lines_equal(
@@ -694,8 +753,6 @@ class TestCommit:
         )
 
     def test_stale_trial_retimes(self, library):
-        from repro.obs import use_registry
-
         circuit = load_packaged_bench("c432s")
         with use_registry() as registry:
             incr = _incremental(circuit, library, "level")
@@ -713,12 +770,12 @@ class TestCommit:
             circuit, result, _fresh_timings(circuit, library)
         )
 
-    def test_fallback_trial_retimes(self, library):
-        circuit = load_packaged_bench("c17")
-        incr = _incremental(circuit, library, "gate")
-        trial = incr.try_edits([TrialEdit("resize", "G10", 2.0)])
+    def test_fallback_trial_retimes(self, library, monkeypatch):
+        circuit, overrides, incr = _diverging(library, monkeypatch)
+        trial = incr.try_edits(DIVERGING_EDITS)
         assert trial.base is None
-        result = incr.commit(trial, 0)
-        _assert_all_lines_equal(
-            circuit, result, _fresh_timings(circuit, library)
-        )
+        result = incr.commit(trial, 1)
+        reference = TimingAnalyzer(
+            Circuit.from_dict(circuit.to_dict()), library, perf=SCALAR
+        ).analyze_per_gate(pi_overrides=overrides)
+        _assert_all_lines_equal(circuit, result, reference)

@@ -116,8 +116,9 @@ class TestOptimizeSizing:
         assert result.final_cost <= result.initial_cost
 
     def test_scalar_perf_config_gives_same_result(self, library):
-        # The per-gate knobs only change how the per-gate gear computes
-        # gates, never what the sizer decides.
+        # The per-gate knobs only shape the per-gate walk, which the
+        # sizer's compiled re-timing never runs, so they cannot change
+        # what it decides.
         config = SizingConfig(max_passes=1, gates_per_pass=2)
         results = [
             optimize_sizing(

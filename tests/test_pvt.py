@@ -277,8 +277,7 @@ class TestEntryPoints:
         mc = MonteCarloEngine(circuit, libraries[-1], derate=corner.derates)
         windows = mc.propagate(np.ones((mc.n_gates, 1)))
         sampled = StaResult(circuit, {
-            line: mc.line_timing_at(windows, line, 0)
-            for line in circuit.lines
+            line: windows.line_timing(line, 0) for line in circuit.lines
         })
         walked = TimingAnalyzer(circuit, libraries[-1]).analyze_per_gate(
             derates=corner.derates

@@ -141,8 +141,7 @@ class TestSigmaZeroDeterminism:
         mc = MonteCarloEngine(c17, lib, derate=corner.derates)
         windows = mc.propagate(np.ones((mc.n_gates, 1)))
         sampled = StaResult(c17, {
-            line: mc.line_timing_at(windows, line, 0)
-            for line in c17.lines
+            line: windows.line_timing(line, 0) for line in c17.lines
         })
         walked = TimingAnalyzer(c17, lib).analyze_per_gate(
             derates=corner.derates

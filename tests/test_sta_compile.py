@@ -276,11 +276,10 @@ def scalar_columns(
     ]
 
 
-def mc_column(circuit, engine, windows, k):
+def mc_column(circuit, windows, k):
     """Column ``k`` of a Monte Carlo block as a :class:`StaResult`."""
     return StaResult(circuit, {
-        line: engine.line_timing_at(windows, line, k)
-        for line in circuit.lines
+        line: windows.line_timing(line, k) for line in circuit.lines
     })
 
 
@@ -310,7 +309,7 @@ def test_mc_level_engine_bitwise(model_cls, library):
         scalar_columns(circuit, library, model_cls(), factors)
     ):
         assert_bitwise(
-            circuit, want, mc_column(circuit, engine, windows, k), k
+            circuit, want, mc_column(circuit, windows, k), k
         )
 
 
@@ -684,7 +683,7 @@ def test_one_level_parity(model_cls, library):
         scalar_columns(circuit, library, model_cls(), factors)
     ):
         assert_bitwise(
-            circuit, want, mc_column(circuit, engine, windows, k), k
+            circuit, want, mc_column(circuit, windows, k), k
         )
     # Required times, from the per-gate windows under the overrides.
     timing = TimingAnalyzer(circuit, library, model_cls())
