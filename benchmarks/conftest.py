@@ -22,7 +22,7 @@ def results_dir():
 def library_table():
     """A coarse NAND2 lookup table built from the simulator, plus the
     characterized NAND2 timing (for the lookup-model ablation)."""
-    from repro.experiments.common import default_library
+    from repro.characterize import CellLibrary
     from repro.models import build_lookup_table
     from repro.spice import GateCell
     from repro.tech import GENERIC_05UM
@@ -34,7 +34,7 @@ def library_table():
         t_grid=[0.2 * ns, 0.5 * ns, 1.0 * ns],
         skew_grid=[-0.5 * ns, -0.2 * ns, 0.0, 0.2 * ns, 0.5 * ns],
     )
-    return table, default_library().cell("NAND2")
+    return table, CellLibrary.load_default().cell("NAND2")
 
 
 def save_report(results_dir: Path, result) -> None:

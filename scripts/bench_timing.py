@@ -62,6 +62,7 @@ from repro.circuit import logic  # noqa: E402
 from repro.itr import implication  # noqa: E402
 from repro.itr.refine import ItrEngine  # noqa: E402
 from repro.itr.values import TwoFrame  # noqa: E402
+from repro.models import VShapeModel  # noqa: E402
 from repro.models import base as models_base  # noqa: E402
 from repro.sta import corners  # noqa: E402
 from repro.obs.manifest import (  # noqa: E402
@@ -70,7 +71,11 @@ from repro.obs.manifest import (  # noqa: E402
     library_content_hash,
     set_run_context,
 )
-from repro.sta.analysis import PerfConfig, TimingAnalyzer  # noqa: E402
+from repro.sta.analysis import (  # noqa: E402
+    PerfConfig,
+    StaConfig,
+    TimingAnalyzer,
+)
 from repro.sta.incremental import IncrementalAnalyzer, TrialEdit  # noqa: E402
 from repro.stat import run_mc  # noqa: E402
 
@@ -249,11 +254,14 @@ def bench_sta_level(circuits, library, passes):
     ratios transfer across hosts and are what the CI gate reads:
     ``compile_vs_pass_ratio`` (compile over one pass) and
     ``level_vs_baseline_ratio`` (one level pass over one baseline pass).
-    ``groups`` and ``levels`` record the kernel calls per pass.
+    ``groups`` and ``levels`` record the kernel calls per pass.  The
+    compile leg constructs :class:`CompiledCircuit` directly, the build
+    without the compile registry, which would hand every analyzer after
+    the first the same shared compile.
     Results are bit-identical — the ``test_sta_compile`` parity suite
     and the ``level`` fuzz oracle enforce that; this only measures time.
     """
-    from repro.sta.compile import LevelCompiledAnalyzer
+    from repro.sta.compile import CompiledCircuit, LevelCompiledAnalyzer
 
     out = {"passes": passes, "circuits": {}}
     total_base = total_level = total_compile = 0.0
@@ -265,11 +273,12 @@ def bench_sta_level(circuits, library, passes):
 
         with _seed_scalar_layer():
             base_s, _ = _best_of(passes, scalar_pass)
-        compile_s, analyzer = _best_of(
-            passes, lambda circuit=circuit: LevelCompiledAnalyzer(
-                circuit, library
+        compile_s, _ = _best_of(
+            passes, lambda circuit=circuit: CompiledCircuit(
+                circuit, library, VShapeModel(), StaConfig()
             )
         )
+        analyzer = LevelCompiledAnalyzer(circuit, library)
         level_s, _ = _best_of(passes, analyzer.analyze)
         entry = {
             "groups": analyzer.compiled.n_groups,
@@ -562,7 +571,7 @@ def bench_corner(circuit, library, passes):
     this only measures time.
     """
     from repro.pvt import STANDARD_CORNERS, CornerAnalyzer, scaled_library
-    from repro.sta.compile import LevelCompiledAnalyzer
+    from repro.sta.compile import CompiledCircuit, LevelCompiledAnalyzer
 
     corners = [
         STANDARD_CORNERS["fast"],
@@ -571,9 +580,14 @@ def bench_corner(circuit, library, passes):
         STANDARD_CORNERS["slow_derated"],
     ]
     libraries = [scaled_library(library, corner) for corner in corners]
-    batched_compile_s, batched = _best_of(
-        passes, lambda: CornerAnalyzer(circuit, corners, libraries)
+    # The build itself, without the compile registry (see
+    # bench_sta_level).
+    batched_compile_s, _ = _best_of(
+        passes, lambda: CompiledCircuit(
+            circuit, libraries, VShapeModel(), StaConfig()
+        )
     )
+    batched = CornerAnalyzer(circuit, corners, libraries)
     separates = [
         LevelCompiledAnalyzer(circuit, lib) for lib in libraries
     ]

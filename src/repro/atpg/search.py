@@ -13,6 +13,7 @@ Section 7 (ATPG efficiency with and without ITR) is a one-flag ablation.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -52,12 +53,23 @@ class AtpgConfig:
         period: Clock period for the setup check; defaults to the
             fault-free STA max arrival (zero-slack critical path).
         detect_guard: Margin a faulty arrival must exceed the period by.
+
+    Raises:
+        ValueError: If ``period`` is given and not finite and > 0.
     """
 
     backtrack_limit: int = 128
     use_itr: bool = True
     period: Optional[float] = None
     detect_guard: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if self.period is not None and not (
+            math.isfinite(self.period) and self.period > 0.0
+        ):
+            raise ValueError(
+                f"period must be finite and > 0, got {self.period!r}"
+            )
 
 
 @dataclasses.dataclass

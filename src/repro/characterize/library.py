@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -26,6 +27,10 @@ SIZE_SEPARATOR = "@X"
 #: Name of the library shipped with the package (built by
 #: ``scripts/build_library.py`` against the generic 0.5 um technology).
 DEFAULT_LIBRARY = "lib_generic05.json"
+
+#: The packaged library, once loaded (see CellLibrary.load_default).
+_DEFAULT: Optional["CellLibrary"] = None
+_DEFAULT_LOCK = threading.Lock()
 
 #: JSON ``format`` marker of a characterized-library document.
 FORMAT_NAME = "repro-cell-library"
@@ -283,13 +288,27 @@ class CellLibrary:
 
     @classmethod
     def load_default(cls) -> "CellLibrary":
-        """Load the characterized library shipped inside the package."""
-        here = Path(__file__).resolve().parent.parent / "data" / DEFAULT_LIBRARY
-        if not here.exists():
-            raise FileNotFoundError(
-                f"packaged library {here} missing; run scripts/build_library.py"
-            )
-        return cls.load(here)
+        """The characterized library shipped inside the package.
+
+        Loaded once per process: every caller gets the same object, so
+        analyzers built from it in different places share their
+        compiles (see :class:`repro.sta.compile.CompileRegistry`).
+        Treat it as read-only; copy it (``copy.deepcopy``) to edit.
+        """
+        global _DEFAULT
+        with _DEFAULT_LOCK:
+            if _DEFAULT is None:
+                here = (
+                    Path(__file__).resolve().parent.parent / "data"
+                    / DEFAULT_LIBRARY
+                )
+                if not here.exists():
+                    raise FileNotFoundError(
+                        f"packaged library {here} missing; run "
+                        "scripts/build_library.py"
+                    )
+                _DEFAULT = cls.load(here)
+            return _DEFAULT
 
 
 # ----------------------------------------------------------------------

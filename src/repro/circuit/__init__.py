@@ -24,7 +24,7 @@ from .logic import (
     evaluate_gate,
     noncontrolled_output,
 )
-from .netlist import Circuit, CircuitEdit, CircuitError, Gate
+from .netlist import Circuit, CircuitEdit, CircuitError, Gate, UnknownCellError
 
 __all__ = [
     "BenchParseError",
@@ -38,6 +38,7 @@ __all__ = [
     "GeneratorConfig",
     "INVERTING",
     "ISCAS_PROFILES",
+    "UnknownCellError",
     "controlled_output",
     "evaluate_gate",
     "generate_circuit",

@@ -19,6 +19,17 @@ class CircuitError(ValueError):
     """Raised for structurally invalid circuits."""
 
 
+class UnknownCellError(CircuitError, KeyError):
+    """A gate names a cell its library lacks.
+
+    A :class:`CircuitError` (so a ``ValueError``) and, like the lookup
+    :meth:`~repro.characterize.CellLibrary.cell` it replaces, a
+    ``KeyError``; its message reads as plain text.
+    """
+
+    __str__ = ValueError.__str__
+
+
 def _validate_size(size: float) -> float:
     try:
         value = float(size)

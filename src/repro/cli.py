@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -44,7 +45,12 @@ from .characterize import (
     SweepCache,
     characterize_library,
 )
-from .circuit import ISCAS_PROFILES, load_bench, load_packaged_bench
+from .circuit import (
+    ISCAS_PROFILES,
+    UnknownCellError,
+    load_bench,
+    load_packaged_bench,
+)
 from .fuzz import (
     DEFAULT_ARTIFACT_DIR,
     FuzzConfig,
@@ -78,6 +84,7 @@ from .sta import (
     TimingReporter,
     TimingSimulator,
 )
+from .sta.compile import resolve_cells
 from .stat import DEFAULT_BLOCK, MC_MODELS, VariationModel, run_mc
 
 NS = 1e-9
@@ -85,7 +92,7 @@ NS = 1e-9
 logger = logging.getLogger(__name__)
 
 
-def _load_circuit(spec: str):
+def _load_circuit(spec: str, corner_set=None):
     """A ``.bench`` path or packaged circuit name as a checked circuit.
 
     Every subcommand that takes a circuit loads it here, inside the
@@ -97,9 +104,13 @@ def _load_circuit(spec: str):
     Raises:
         OSError: A missing or unreadable file, or no packaged circuit
             of that name.
-        ValueError: Malformed ``.bench`` text, or a netlist that reads
-            an undriven line or has a combinational cycle.  The cycle
-            check runs here, not midway through an analysis.
+        ValueError: Malformed ``.bench`` text, a netlist that reads an
+            undriven line or has a combinational cycle, or a gate whose
+            cell a library the subcommand runs on lacks
+            (:class:`UnknownCellError`, say a 9-input NAND): those of
+            ``corner_set`` (see :func:`_corner_set`) when given, the
+            packaged library otherwise.  These checks run here, not
+            midway through an analysis.
     """
     path = Path(spec)
     if path.exists():
@@ -109,7 +120,20 @@ def _load_circuit(spec: str):
     else:
         circuit = load_packaged_bench(spec)
     circuit.topological_order()
+    libraries = (
+        corner_set[1] if corner_set is not None
+        else [CellLibrary.load_default()]
+    )
+    for library in libraries:
+        resolve_cells(circuit, library)
     return circuit
+
+
+def _check_positive(flag: str, value) -> None:
+    """Reject a clock, period or period fraction that is not finite and
+    > 0 before any analysis runs on it (the configs check it again)."""
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
 
 
 def _corner_set(args: argparse.Namespace, library):
@@ -172,8 +196,8 @@ def _sta_corners(circuit, corner_set, max_outputs: int) -> int:
 def _cmd_sta(args: argparse.Namespace) -> int:
     library = CellLibrary.load_default()
     try:
-        circuit = _load_circuit(args.circuit)
         corner_set = _corner_set(args, library)
+        circuit = _load_circuit(args.circuit, corner_set)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -200,8 +224,13 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     print("\nsummary (ns):")
     print(f"  min-delay proposed : {proposed.output_min_arrival() / NS:.4f}")
     print(f"  min-delay pin2pin  : {pin2pin.output_min_arrival() / NS:.4f}")
-    ratio = pin2pin.output_min_arrival() / proposed.output_min_arrival()
-    print(f"  ratio              : {ratio:.3f}")
+    # A primary output wired straight to a primary input has a min
+    # delay of 0 under both models; the ratio is undefined there.
+    floor = proposed.output_min_arrival()
+    ratio = (
+        f"{pin2pin.output_min_arrival() / floor:.3f}" if floor else "n/a"
+    )
+    print(f"  ratio              : {ratio}")
     print(f"  max-delay (both)   : {proposed.output_max_arrival() / NS:.4f}")
     return 0
 
@@ -211,7 +240,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     library = CellLibrary.load_default()
     try:
-        circuit = _load_circuit(args.circuit)
+        corner_set = _corner_set(args, library)
+        circuit = _load_circuit(args.circuit, corner_set)
         sizes = tuple(
             float(tok) for tok in args.sizes.split(",") if tok.strip()
         )
@@ -225,7 +255,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             seed=args.seed,
             mc_samples=args.mc_samples,
         )
-        corner_set = _corner_set(args, library)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -332,8 +361,13 @@ def _mc_corners(circuit, corner_set, variation, qs, args) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     try:
-        circuit = _load_circuit(args.circuit)
+        corner_set = (
+            _corner_set(args, CellLibrary.load_default())
+            if args.corners or args.corner_library else None
+        )
+        circuit = _load_circuit(args.circuit, corner_set)
         qs = _parse_quantiles(args.quantiles)
+        _check_positive("--period", args.period)
         variation = VariationModel(
             sigma_corr=(
                 args.sigma_corr if args.sigma_corr is not None
@@ -343,8 +377,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 args.sigma_ind if args.sigma_ind is not None else args.sigma
             ),
         )
-        if args.corners or args.corner_library:
-            corner_set = _corner_set(args, CellLibrary.load_default())
+        if corner_set is not None:
             return _mc_corners(circuit, corner_set, variation, qs, args)
         result = run_mc(
             circuit,
@@ -355,11 +388,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             block=args.block,
         )
+        period = args.period * NS if args.period is not None else None
+        summary = result.summary(qs, period)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    period = args.period * NS if args.period is not None else None
-    summary = result.summary(qs, period)
     delay = result.delay
     print(f"{circuit!r}")
     print(
@@ -444,27 +477,34 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_atpg(args: argparse.Namespace) -> int:
     try:
         circuit = _load_circuit(args.circuit)
+        _check_positive("--period-fraction", args.period_fraction)
+        faults = generate_fault_list(
+            circuit, args.faults, seed=args.seed,
+            delta=args.delta * NS, window=args.window * NS,
+        )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     library = CellLibrary.load_default()
-    faults = generate_fault_list(
-        circuit, args.faults, seed=args.seed,
-        delta=args.delta * NS, window=args.window * NS,
-    )
     probe = CrosstalkAtpg(circuit, library, config=AtpgConfig())
     period = probe._sta.output_max_arrival() * args.period_fraction
-    for use_itr in ((True, False) if args.compare else (args.itr,)):
-        atpg = CrosstalkAtpg(
-            circuit, library,
-            config=AtpgConfig(
+    try:
+        configs = [
+            AtpgConfig(
                 use_itr=use_itr,
                 backtrack_limit=args.backtrack_limit,
                 period=period,
-            ),
-        )
+            )
+            for use_itr in ((True, False) if args.compare else (args.itr,))
+        ]
+    except ValueError as exc:
+        print(f"error: --period-fraction {args.period_fraction}: {exc}",
+              file=sys.stderr)
+        return 2
+    for config in configs:
+        atpg = CrosstalkAtpg(circuit, library, config=config)
         summary = atpg.run_all(faults, jobs=args.jobs)
-        label = "with ITR" if use_itr else "no ITR  "
+        label = "with ITR" if config.use_itr else "no ITR  "
         print(
             f"{label}: detected={summary.count('detected'):3d} "
             f"untestable={summary.count('untestable'):3d} "
@@ -476,7 +516,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
             "    effort: decisions=%d backtracks=%d itr_prunes=%d",
             stats.decisions, stats.backtracks, stats.itr_prunes,
         )
-        if args.spice_check and use_itr:
+        if args.spice_check and config.use_itr:
             _spice_check_vectors(atpg, summary, args.spice_check)
     return 0
 
@@ -865,10 +905,6 @@ def _global_flags() -> argparse.ArgumentParser:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import ServerConfig, run_server
 
-    # /metrics needs a live registry whether or not --stats was given;
-    # keep an outer --stats registry if main() installed one.
-    if not get_registry().enabled:
-        set_registry(MetricsRegistry())
     try:
         circuits = {}
         for spec in args.circuits:
@@ -885,6 +921,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # /metrics needs a live registry whether or not --stats was given;
+    # keep an outer --stats registry if main() installed one.
+    if not get_registry().enabled:
+        set_registry(MetricsRegistry())
     return run_server(circuits, config)
 
 
@@ -1258,6 +1298,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run one subcommand.  :func:`_load_circuit` checks the circuit's
+    cells against the libraries the subcommand runs on; a missing cell
+    that surfaces later anyway is an input error too."""
+    try:
+        return args.func(args)
+    except UnknownCellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1274,13 +1325,13 @@ def main(argv=None) -> int:
     stats = getattr(args, "stats", False)
     trace_path = getattr(args, "trace_json", None)
     if not stats and trace_path is None:
-        return args.func(args)
+        return _run(args)
     registry = MetricsRegistry()
     previous = get_registry()
     set_registry(registry)
     try:
         with registry.span(f"cli.{args.command}"):
-            status = args.func(args)
+            status = _run(args)
     finally:
         set_registry(previous)
         if trace_path is not None:

@@ -9,7 +9,7 @@ and the paper's reference values).  The pytest-benchmark harness under
 
 from . import ablations, claims, fig01, fig02, fig05, fig10, fig11, fig12
 from . import extension_pvt, mc_sta, nonctrl_ext, sec7, table2
-from .common import ExperimentResult, default_library
+from .common import ExperimentResult
 
 #: All experiments in paper order (name -> module with a run() function).
 ALL_EXPERIMENTS = {
@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentResult",
     "ablations",
     "claims",
-    "default_library",
     "extension_pvt",
     "fig01",
     "fig02",

@@ -15,10 +15,11 @@ transistor-level simulations:
 
 from __future__ import annotations
 
+from ..characterize import CellLibrary
 from ..models import InputEvent, VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 ARRIVAL = 2 * NS
 
@@ -113,7 +114,7 @@ def _pair_scale_ablation(library) -> list:
 
 
 def run() -> ExperimentResult:
-    library = default_library()
+    library = CellLibrary.load_default()
     rows = [
         _bitonic_ablation(library),
         _position_ablation(library),

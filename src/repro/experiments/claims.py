@@ -13,10 +13,11 @@ from typing import List
 
 import numpy as np
 
+from ..characterize import CellLibrary
 from ..models import VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 ARRIVAL = 2 * NS
 
@@ -26,7 +27,7 @@ def run(
     n_skews: int = 7,
 ) -> ExperimentResult:
     cell = GateCell("nand", 2, TECH)
-    nand2 = default_library().cell("NAND2")
+    nand2 = CellLibrary.load_default().cell("NAND2")
     model = VShapeModel()
     skews = np.linspace(-0.45 * NS, 0.45 * NS, n_skews)
     zero_index = int(np.argmin(np.abs(skews)))

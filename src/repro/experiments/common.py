@@ -10,9 +10,7 @@ both build on these.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
-
-from ..characterize import CellLibrary
+from typing import Dict, List, Sequence
 
 NS = 1e-9
 
@@ -68,17 +66,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
-
-
-_DEFAULT_LIBRARY: Optional[CellLibrary] = None
-
-
-def default_library() -> CellLibrary:
-    """The packaged characterized library, loaded once per process."""
-    global _DEFAULT_LIBRARY
-    if _DEFAULT_LIBRARY is None:
-        _DEFAULT_LIBRARY = CellLibrary.load_default()
-    return _DEFAULT_LIBRARY
 
 
 def max_abs_error(

@@ -20,10 +20,11 @@ end-multiplier).
 
 from __future__ import annotations
 
+from ..characterize import CellLibrary
 from ..circuit import load_packaged_bench
 from ..pvt import STANDARD_CORNERS, CornerAnalyzer, scaled_library
 from ..sta.compile import LevelCompiledAnalyzer
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 CORNER_NAMES = ("fast", "typ", "slow", "slow_derated")
 
@@ -43,7 +44,7 @@ def _windows_match(circuit, a, b) -> bool:
 
 def run(bench: str = "c432s") -> ExperimentResult:
     circuit = load_packaged_bench(bench)
-    library = default_library()
+    library = CellLibrary.load_default()
     corners = [STANDARD_CORNERS[name] for name in CORNER_NAMES]
     libraries = [scaled_library(library, corner) for corner in corners]
     batched = CornerAnalyzer(circuit, corners, libraries).analyze()

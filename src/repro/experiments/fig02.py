@@ -11,10 +11,11 @@ from typing import List
 
 import numpy as np
 
+from ..characterize import CellLibrary
 from ..models import VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library, max_abs_error
+from .common import ExperimentResult, NS, max_abs_error
 
 ARRIVAL = 2 * NS
 
@@ -25,7 +26,7 @@ def run(
     n_skews: int = 13,
 ) -> ExperimentResult:
     cell = GateCell("nand", 2, TECH)
-    library = default_library()
+    library = CellLibrary.load_default()
     nand2 = library.cell("NAND2")
     shape = VShapeModel().vshape(nand2, 0, 1, t_x, t_y, nand2.ref_load)
 

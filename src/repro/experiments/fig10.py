@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from typing import List
 
+from ..characterize import CellLibrary
 from ..models import NabaviModel, VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library, max_abs_error
+from .common import ExperimentResult, NS, max_abs_error
 
 ARRIVAL = 2 * NS
 
 
 def run(position: int = 4) -> ExperimentResult:
     cell = GateCell("nand", 5, TECH)
-    nand5 = default_library().cell("NAND5")
+    nand5 = CellLibrary.load_default().cell("NAND5")
     proposed = VShapeModel()
     nabavi = NabaviModel()
     t_grid = [0.15 * NS, 0.3 * NS, 0.5 * NS, 0.8 * NS, 1.2 * NS]

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..characterize import CellLibrary
 from ..models import InputEvent, JunModel, NabaviModel, VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library, max_abs_error
+from .common import ExperimentResult, NS, max_abs_error
 
 ARRIVAL = 2 * NS
 
 
 def run(t_x: float = 0.5 * NS) -> ExperimentResult:
     cell = GateCell("nand", 2, TECH)
-    nand2 = default_library().cell("NAND2")
+    nand2 = CellLibrary.load_default().cell("NAND2")
     models = {
         "proposed": VShapeModel(),
         "jun": JunModel(),

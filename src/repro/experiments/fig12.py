@@ -12,10 +12,11 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..characterize import CellLibrary
 from ..models import InputEvent, JunModel, NabaviModel, VShapeModel
 from ..spice import GateCell, RampStimulus, simulate_gate
 from ..tech import GENERIC_05UM as TECH
-from .common import ExperimentResult, NS, default_library, max_abs_error
+from .common import ExperimentResult, NS, max_abs_error
 
 ARRIVAL = 2 * NS
 
@@ -26,7 +27,7 @@ def run(
     n_skews: int = 11,
 ) -> ExperimentResult:
     cell = GateCell("nand", 2, TECH)
-    nand2 = default_library().cell("NAND2")
+    nand2 = CellLibrary.load_default().cell("NAND2")
     models = {
         "proposed": VShapeModel(),
         "jun": JunModel(),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..characterize import CellLibrary
 from ..circuit import load_packaged_bench
 from ..sta import TimingAnalyzer
 from ..stat import (
@@ -30,7 +31,7 @@ from ..stat import (
     plan_blocks,
     run_mc,
 )
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
@@ -43,7 +44,7 @@ def run(
     sigma_ind: float = 0.03,
 ) -> ExperimentResult:
     circuit = load_packaged_bench(bench)
-    library = default_library()
+    library = CellLibrary.load_default()
     variation = VariationModel(sigma_corr=sigma_corr, sigma_ind=sigma_ind)
     result = run_mc(
         circuit, library, variation=variation, samples=samples, seed=seed

@@ -12,8 +12,9 @@ import os
 from typing import Optional
 
 from ..atpg import AtpgConfig, CrosstalkAtpg, generate_fault_list
+from ..characterize import CellLibrary
 from ..circuit import load_packaged_bench
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 
 def run(
@@ -30,7 +31,7 @@ def run(
     if jobs is None:
         jobs = int(os.environ.get("REPRO_ATPG_JOBS", "1"))
     circuit = load_packaged_bench(circuit_name)
-    library = default_library()
+    library = CellLibrary.load_default()
     faults = generate_fault_list(
         circuit, n_faults, seed=seed, delta=delta, window=window
     )

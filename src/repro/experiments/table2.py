@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..characterize import CellLibrary
 from ..circuit import load_packaged_bench
 from ..models import PinToPinModel, VShapeModel
 from ..sta import TimingAnalyzer
-from .common import ExperimentResult, NS, default_library
+from .common import ExperimentResult, NS
 
 #: Circuits of the paper's Table 2 (c17 real, the rest synthetic).
 TABLE2_CIRCUITS = (
@@ -25,7 +26,7 @@ TABLE2_CIRCUITS = (
 
 def run(circuits: Optional[Sequence[str]] = None) -> ExperimentResult:
     names = list(circuits) if circuits is not None else list(TABLE2_CIRCUITS)
-    library = default_library()
+    library = CellLibrary.load_default()
     rows = []
     ratios = {}
     max_delays_agree = True

@@ -83,16 +83,6 @@ SCALAR = PerfConfig(memo_enabled=False)
 SPICE_ABS_TOL = 0.08 * NS
 SPICE_REL_TOL = 0.20
 
-_LIBRARY: Optional[CellLibrary] = None
-
-
-def shared_library() -> CellLibrary:
-    """The packaged characterized library, loaded once per process."""
-    global _LIBRARY
-    if _LIBRARY is None:
-        _LIBRARY = CellLibrary.load_default()
-    return _LIBRARY
-
 
 @dataclasses.dataclass
 class OracleResult:
@@ -233,7 +223,7 @@ def _compare_sta(
     circuit = case.build_circuit()
     config = case.build_sta_config()
     overrides = case.build_pi_overrides()
-    library = shared_library()
+    library = CellLibrary.load_default()
     for name, model in case.build_models():
         base_analyzer = TimingAnalyzer(
             circuit, library, model, config, perf=SCALAR
@@ -358,17 +348,31 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
     drawn from the case's seed and index, is committed through
     ``commit``: the committed edit joins the sequence, the master is
     diffed against a fresh analysis, and the remaining edits continue
-    from there.
+    from there.  Before the edits a plain level-compiled engine is
+    built over the same circuit and library, on the shared compile;
+    after them its pass must repeat its first bit for bit, so a patch
+    that reached a shared compile fails the case.
     """
+    from ..sta.compile import LevelCompiledAnalyzer
     from ..sta.incremental import IncrementalAnalyzer, TrialEdit
     from ..sta.windows import timings_equal
 
-    library = shared_library()
+    def bits(windows) -> List[bytes]:
+        return [
+            a.tobytes() for a in (
+                windows.a_s, windows.a_l, windows.t_s, windows.t_l,
+                windows.states,
+            )
+        ]
+
+    library = CellLibrary.load_default()
     config = case.build_sta_config()
     edits = case.edits or []
     for name, model in case.build_models():
         tag = f"model={name}"
         circuit = case.build_circuit()
+        plain = LevelCompiledAnalyzer(circuit, library, model, config)
+        first = bits(plain.propagate())
         incr = IncrementalAnalyzer(
             TimingAnalyzer(circuit, library, model, config)
         )
@@ -464,6 +468,12 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
         failure = trial_and_commit("end")
         if failure:
             return OracleResult(False, failure)
+        if bits(plain.propagate()) != first:
+            return OracleResult(
+                False,
+                f"{tag} the edits reached the shared compile: a plain "
+                "engine built before them no longer repeats its pass",
+            )
     return OracleResult(True)
 
 
@@ -493,7 +503,7 @@ def _gen_itr(rng: random.Random) -> FuzzCase:
 def _check_itr(case: FuzzCase) -> OracleResult:
     circuit = case.build_circuit()
     config = case.build_sta_config()
-    library = shared_library()
+    library = CellLibrary.load_default()
     base_eng = ItrEngine(circuit, library, config=config, perf=SCALAR)
     fast_eng = ItrEngine(circuit, library, config=config, perf=PerfConfig())
     base = base_eng.refine(base_eng.initial_values())
@@ -583,7 +593,7 @@ def _check_atpg_jobs(case: FuzzCase) -> OracleResult:
     faults = case.build_faults()
     if not faults:
         return OracleResult(True, "no applicable faults")
-    library = shared_library()
+    library = CellLibrary.load_default()
     jobs = (case.atpg or {}).get("jobs", 2)
     serial = _build_atpg(case, library).run_all(faults, jobs=1)
     par = _build_atpg(case, library).run_all(faults, jobs=jobs)
@@ -687,7 +697,7 @@ def _check_mc(case: FuzzCase) -> OracleResult:
 
     circuit = case.build_circuit()
     config = case.build_sta_config()
-    library = shared_library()
+    library = CellLibrary.load_default()
     spec = case.mc or {}
     model_name = (case.models or ["vshape"])[0]
     kwargs = dict(
@@ -805,7 +815,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
     from ..server.protocol import validate_request
 
     circuit = case.build_circuit()
-    library = shared_library()
+    library = CellLibrary.load_default()
     payloads = [
         {"circuit": circuit.name, "method": q["method"],
          "params": q["params"]}
@@ -953,7 +963,7 @@ def _check_corners(case: FuzzCase) -> OracleResult:
     corners = case.build_corners()
     for name, model in case.build_models():
         libraries = [
-            scaled_library(shared_library(), corner) for corner in corners
+            scaled_library(CellLibrary.load_default(), corner) for corner in corners
         ]
         analyzer = CornerAnalyzer(circuit, corners, libraries, model, config)
         batched = analyzer.analyze()
@@ -1020,7 +1030,7 @@ def _spice_pair(case: FuzzCase) -> Tuple[float, float]:
     t_p, t_q, skew = spec["t_p"], spec["t_q"], spec["skew"]
     arrival = 2 * NS
     cell = GateCell(kind, n_inputs, GENERIC_05UM)
-    timing = shared_library().cell(cell.name)
+    timing = CellLibrary.load_default().cell(cell.name)
     in_rising = cell.controlling_value == 1
     stimuli = [
         RampStimulus.transition(in_rising, arrival, t_p, GENERIC_05UM.vdd),

@@ -176,7 +176,8 @@ class Shrinker:
         cached per shrink run and invalidated whenever the accepted case
         changes (windows depend on the whole upstream circuit).
         """
-        from .oracles import SCALAR, get_oracle, shared_library
+        from ..characterize import CellLibrary
+        from .oracles import SCALAR, get_oracle
 
         try:
             oracle = get_oracle(case.oracle)
@@ -195,7 +196,7 @@ class Shrinker:
         model = case.build_models()[0][1]
         result = TimingAnalyzer(
             circuit,
-            shared_library(),
+            CellLibrary.load_default(),
             model,
             case.build_sta_config(),
             perf=SCALAR,

@@ -43,6 +43,7 @@ from ..characterize import CellLibrary
 from ..circuit import Circuit
 from ..obs import get_registry
 from ..obs.prom import snapshot_to_prom
+from ..sta.compile import resolve_cells
 from .protocol import ServerError, Request, ok_body, validate_request
 from .session import SessionRegistry
 from .shards import ShardPool
@@ -216,6 +217,11 @@ class ServerApp:
         self.config = config or ServerConfig()
         self.circuits = dict(circuits)
         self._library = library
+        # Refuse, here and not at the first query, a circuit that names
+        # a cell the library lacks (UnknownCellError).
+        check = library if library is not None else CellLibrary.load_default()
+        for circuit in self.circuits.values():
+            resolve_cells(circuit, check)
         self._obs = get_registry()
         self._backend = None
         self._queues: Dict[str, asyncio.Queue] = {}

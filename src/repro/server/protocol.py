@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from typing import Dict, List, Optional
 
 #: Stable wire-level error codes and the HTTP status each maps to.
@@ -118,6 +119,14 @@ def _as_float(name: str, value) -> float:
     return float(value)
 
 
+def _as_time(name: str, value) -> float:
+    """A clock or period: a number, finite and > 0."""
+    value = _as_float(name, value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise _bad(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _as_int(name: str, value, lo: int, hi: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _bad(f"{name} must be an integer, got {type(value).__name__}")
@@ -164,7 +173,7 @@ def _norm_slack(params: dict, max_batch: int) -> dict:
     clock = params.get("clock_ns")
     return {
         "model": _model_of(params),
-        "clock_ns": None if clock is None else _as_float("clock_ns", clock),
+        "clock_ns": None if clock is None else _as_time("clock_ns", clock),
         "worst": _as_int("worst", params.get("worst", 10), 1, 10_000),
     }
 
@@ -203,7 +212,7 @@ def _norm_mc(params: dict, max_batch: int) -> dict:
         "sigma_ind": sigma_ind,
         "block": _as_int("block", params.get("block", 128), 1, MAX_MC_SAMPLES),
         "quantiles": qs,
-        "period_ns": None if period is None else _as_float(
+        "period_ns": None if period is None else _as_time(
             "period_ns", period
         ),
     }
@@ -238,7 +247,7 @@ def _norm_whatif(params: dict, max_batch: int) -> dict:
     return {
         "model": _model_of(params),
         "edits": normed,
-        "clock_ns": None if clock is None else _as_float("clock_ns", clock),
+        "clock_ns": None if clock is None else _as_time("clock_ns", clock),
     }
 
 

@@ -230,6 +230,10 @@ class TimingAnalyzer:
         perf: Knobs of the per-gate walk (defaults to memoized,
             bit-identical to the uncached walk).  Full passes run on
             the level-compiled engine regardless.
+
+    Raises:
+        UnknownCellError: If the library lacks a gate's cell.
+        CircuitError: If the circuit has a combinational cycle.
     """
 
     def __init__(
@@ -256,20 +260,36 @@ class TimingAnalyzer:
             if self.perf.memo_enabled
             else None
         )
-        self._loads = self._compute_loads()
         self._level = None  # lazily-built LevelCompiledAnalyzer
-        self._epoch = circuit.edit_epoch
-        self._cells: Dict[str, CellTiming] = {}
-        for gate in circuit.gates.values():
-            name = gate.cell_name()
-            if name not in self._cells:
-                self._cells[name] = library.cell(name)
+        #: Whether compiles are this analyzer's own (see own_compile).
+        self._owns_compile = False
+        self._take_part()
 
     # ------------------------------------------------------------------
     # Structure helpers
     # ------------------------------------------------------------------
-    def _compute_loads(self) -> Dict[str, float]:
-        return compute_loads(self.circuit, self.library, self.config)
+    def _take_part(self) -> None:
+        """Take the cell map and the loads from the shared library part
+        of this circuit's compile (:data:`repro.sta.compile.COMPILES`),
+        which resolves every gate's cell once.  Both are private copies:
+        sized variants join the cell map as gates are resized, and the
+        incremental engine edits the loads in place.
+
+        Raises:
+            UnknownCellError: If the library lacks a gate's cell.
+            CircuitError: If the circuit has a combinational cycle.
+        """
+        # Imported lazily: compile.py depends on this module.
+        from .compile import COMPILES
+
+        #: Keeps the shared part (and its layout) alive for the
+        #: analyzer's compile, which the registry holds only weakly.
+        self._part = COMPILES.compiled(
+            self.circuit, [self.library], self.config
+        )
+        self._loads: Dict[str, float] = dict(self._part.line_loads[0])
+        self._cells: Dict[str, CellTiming] = dict(self._part.cells)
+        self._epoch = self.circuit.edit_epoch
 
     def _sync_epoch(self) -> None:
         """Refresh per-circuit caches after out-of-band circuit edits.
@@ -283,9 +303,20 @@ class TimingAnalyzer:
         cheap — this full refresh is the safe default for direct use.
         """
         if self.circuit.edit_epoch != self._epoch:
-            self._loads = self._compute_loads()
+            self._take_part()
             self._level = None
-            self._epoch = self.circuit.edit_epoch
+
+    def own_compile(self) -> None:
+        """Compile privately from now on, over this analyzer's loads.
+
+        The incremental engine patches its analyzer's compile in place,
+        so that compile must be no other analyzer's: a shared one, if
+        built already, is dropped, and :meth:`level_engine` builds the
+        next one from :attr:`_loads`.
+        """
+        if not self._owns_compile:
+            self._owns_compile = True
+            self._level = None
 
     def load(self, line: str) -> float:
         """Capacitive load on ``line``, farads."""
@@ -391,10 +422,12 @@ class TimingAnalyzer:
     def level_engine(self) -> "LevelCompiledAnalyzer":
         """The lazily-built level-compiled engine (compiling on first use).
 
-        Callers that need the compiled form directly — the incremental
-        engine patches its SoA arrays and runs column-subset kernels —
-        go through this instead of ``analyze`` so they can hold on to
-        the raw window state.
+        Its compile is the shared one of this circuit, epoch and library
+        (see :class:`~repro.sta.compile.CompileRegistry`), unless
+        :meth:`own_compile` made it private.  Callers that need the
+        compiled form directly — the incremental engine patches its SoA
+        arrays and runs column-subset kernels — go through this instead
+        of ``analyze`` so they can hold on to the raw window state.
         """
         if self._level is None:
             # Imported lazily: compile.py depends on this module.
@@ -402,7 +435,7 @@ class TimingAnalyzer:
 
             self._level = LevelCompiledAnalyzer(
                 self.circuit, self.library, self.model, self.config,
-                loads=self._loads,
+                loads=self._loads if self._owns_compile else None,
             )
         return self._level
 
@@ -618,7 +651,7 @@ class TimingAnalyzer:
         po_required: Optional[Dict[str, LineRequired]] = None,
         setup_time: Optional[float] = None,
         hold_time: Optional[float] = None,
-    ) -> Dict[str, LineRequired]:
+    ) -> Mapping[str, LineRequired]:
         """Backward traversal of required-time windows.
 
         Runs on the level-compiled engine (see :meth:`level_engine`) in
@@ -634,7 +667,9 @@ class TimingAnalyzer:
             hold_time: Default Q_S at the outputs (defaults to -inf).
 
         Returns:
-            Required windows for every line.
+            Required windows for every line, as a read-only view
+            (:class:`~repro.sta.compile.ColumnRequired`) that builds
+            the lines a caller reads; copy with ``dict(...)`` to write.
         """
         self._sync_epoch()
         engine = self.level_engine()
@@ -707,7 +742,7 @@ class TimingAnalyzer:
     def check(
         self,
         result: StaResult,
-        required: Dict[str, LineRequired],
+        required: Mapping[str, LineRequired],
     ) -> List[Violation]:
         """Flag every line whose arrival window escapes its required window."""
         violations: List[Violation] = []

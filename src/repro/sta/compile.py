@@ -63,6 +63,17 @@ leaf, the axis it points into.  Column subsets (:func:`subset_group`)
 and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
 table, and a patch builds its gate with the compile's own code.
 
+Sharing.  A compile splits into the parts that depend on less: the
+circuit's :class:`CircuitLayout` (one per edit epoch), the library part
+(:class:`CompiledCircuit`: resolved cells, loads and the groups'
+pin-to-pin leaves, one per library set) and the model leaves (pair merge
+and Λ-peak, built when a model first needs them).
+:data:`COMPILES` hands every analyzer of one circuit, epoch, library set
+and pair of boundary loads the same compile, so a sign-off job builds
+one layout and one load sweep, not one per analyzer.  A pass picks its
+merges from its own model, so one compile serves every model; the
+incremental engine builds a compile of its own, which it patches.
+
 The trailing axis ``B`` generalizes the Monte Carlo engine's trailing
 sample axis (:mod:`repro.stat.engine`): it batches MC samples (via
 per-gate variation ``factors``) *and* boundary-condition scenarios (via
@@ -111,6 +122,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import threading
+import weakref
 from collections.abc import Mapping
 from operator import attrgetter
 from typing import (
@@ -125,7 +138,7 @@ from ..characterize.library import (
     SimultaneousTiming,
     pair_key,
 )
-from ..circuit.netlist import Circuit, Gate
+from ..circuit.netlist import Circuit, Gate, UnknownCellError
 from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..obs import get_registry
@@ -491,8 +504,9 @@ class _CtrlGroup(_Ragged):
 
     Lanes are (gate, pin) pairs; every coefficient leaf carries the
     trailing corner axis ``C`` (size 1 for a single-corner compile).
-    Pair-merge leaves are ``None`` without a pair-merge model, Λ-peak
-    leaves ``None`` without peak data anywhere in the compile.
+    Pair-merge and Λ-peak leaves are ``None`` until a model that reads
+    them extends the compile (:meth:`CompiledCircuit.extend`), Λ-peak
+    leaves also without peak data anywhere in the group's kind.
     """
 
     counts: Dict[str, np.ndarray]
@@ -771,10 +785,180 @@ def check_derates(derates: Tuple) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Compiled circuit
+# Compiled circuit: layout, library part, model leaves
 # ----------------------------------------------------------------------
+def _model_leaves(model: DelayModel) -> Tuple[bool, bool]:
+    """(pair merge, Λ-peak): the model leaf sets ``model``'s pass reads."""
+    return (
+        bool(getattr(model, "supports_pair_merge", False)),
+        hasattr(model, "nonctrl_shape"),
+    )
+
+
+def resolve_cells(
+    circuit: Circuit,
+    library: CellLibrary,
+    names: Optional[Sequence[str]] = None,
+) -> Dict[str, CellTiming]:
+    """The cell of every gate, resolved in ``library`` once per name.
+
+    Args:
+        circuit: The circuit whose gates name the cells.
+        library: The library to resolve them in (sized variants are
+            derived on demand, as :meth:`CellLibrary.cell` does).
+        names: The distinct cell names, when already known.
+
+    Raises:
+        UnknownCellError: Naming a gate whose cell the library lacks.
+    """
+    if names is None:
+        names = dict.fromkeys(g.cell_name() for g in circuit.gates.values())
+    cells: Dict[str, CellTiming] = {}
+    for name in names:
+        try:
+            cells[name] = library.cell(name)
+        except KeyError:
+            gate = next(
+                out for out, g in circuit.gates.items()
+                if g.cell_name() == name
+            )
+            raise UnknownCellError(
+                f"gate {gate!r} needs cell {name!r}, which is not in the "
+                f"library (cells: {', '.join(sorted(library.cells))})"
+            ) from None
+    return cells
+
+
+class CircuitLayout:
+    """The netlist side of a compile: one circuit at one edit epoch.
+
+    Holds the line rows, topological positions, levels and gate cell
+    names, and, per split of the cell names into ctrl and arc-table
+    kinds, each kind's gates in (level, topological) order with their
+    level bounds and line rows: everything a group's gather rows and
+    index leaves are cut from.  Loads are kept per input-cap table and
+    boundary config: a library enters them only through its cells'
+    input caps, so every library set that agrees on those (derived
+    corners all do) shares one :func:`compute_loads` sweep.  Nothing is
+    written after construction except those two memos, so any number
+    of compiles, shared or owned, can read one layout.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        order = circuit.topological_order()
+        self.circuit = circuit
+        self.lines: List[str] = circuit.lines
+        self.n_lines = len(self.lines)
+        self.line_index: Dict[str, int] = {
+            line: i for i, line in enumerate(self.lines)
+        }
+        self.order = order
+        self.n_gates = len(order)
+        self.order_pos = {line: i for i, line in enumerate(order)}
+        self.level_of = circuit.levelize()
+        #: Cell name of every gate, in topological order.
+        self.gate_cells = [circuit.gates[out].cell_name() for out in order]
+        self.names = list(dict.fromkeys(self.gate_cells))
+        self._plans: Dict[tuple, list] = {}
+        self._loads: Dict[tuple, Dict[str, float]] = {}
+        get_registry().counter("sta.compile.layout_builds").inc()
+
+    def row(self, line: str, rising: bool) -> int:
+        """Row of one line direction in the global SoA arrays."""
+        idx = self.line_index[line]
+        return idx if rising else idx + self.n_lines
+
+    def gate_rows(self, gates: Sequence[Gate]):
+        """(output line index, MC factor row, flat input line indices)."""
+        line_index = self.line_index
+        out_idx = np.array(
+            [line_index[g.output] for g in gates], dtype=np.intp
+        )
+        order_idx = np.array(
+            [self.order_pos[g.output] for g in gates], dtype=np.intp
+        )
+        in_idx = np.array(
+            [line_index[line] for g in gates for line in g.inputs],
+            dtype=np.intp,
+        )
+        return out_idx, order_idx, in_idx
+
+    def plan(self, is_ctrl: Dict[str, bool]) -> list:
+        """Per kind, ctrl then arc: ``(members, gates, names, levels,
+        bounds, rows)``, the kind's topological positions in (level,
+        topological) order, its gates and their cell names, each level
+        it occupies with the bounds of that level's run, and
+        :meth:`gate_rows`."""
+        key = tuple(is_ctrl[name] for name in self.names)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        ranked = np.argsort(
+            np.array([self.level_of[out] for out in self.order],
+                     dtype=np.intp),
+            kind="stable",
+        )
+        ctrl = np.array(
+            [is_ctrl[name] for name in self.gate_cells], dtype=bool
+        )[ranked]
+        plan = []
+        for members in (ranked[ctrl], ranked[~ctrl]):
+            rows = members.tolist()
+            gates = [self.circuit.gates[self.order[pos]] for pos in rows]
+            lvls, bounds = [], [0]
+            for lvl, run in itertools.groupby(
+                self.level_of[g.output] for g in gates
+            ):
+                lvls.append(lvl)
+                bounds.append(bounds[-1] + sum(1 for _ in run))
+            plan.append((
+                members, gates, [self.gate_cells[pos] for pos in rows],
+                lvls, bounds, self.gate_rows(gates),
+            ))
+        self._plans[key] = plan
+        return plan
+
+    def loads(
+        self,
+        library: CellLibrary,
+        cells: Dict[str, CellTiming],
+        config: StaConfig,
+    ) -> Dict[str, float]:
+        """The line loads under ``library`` (whose resolved ``cells``
+        fix the input caps) and ``config``'s output and dangling loads;
+        one sweep per cap table and pair of those."""
+        key = (
+            tuple(tuple(cells[n].input_caps) for n in self.names),
+            config.po_load, config.dangling_load,
+        )
+        loads = self._loads.get(key)
+        if loads is None:
+            loads = self._loads[key] = compute_loads(
+                self.circuit, library, config
+            )
+            get_registry().counter("sta.compile.load_sweeps").inc()
+        return loads
+
+
 class CompiledCircuit:
     """Circuit + library compiled into level-ordered SoA form.
+
+    A compile has three parts, each built once for what it depends on:
+
+    * the **layout** (:class:`CircuitLayout`): the circuit at one edit
+      epoch, shared by every library set compiled over it;
+    * the **library part** (this object): the resolved cells of every
+      corner library, the loads, and the level groups with their
+      pin-to-pin leaves, built the first time :meth:`extend` runs;
+    * the **model leaves**: the pair-merge and the Λ-peak leaves,
+      built by :meth:`extend` the first time a model that reads them
+      asks.  A pass picks its merges from its own model
+      (:class:`LevelCompiledAnalyzer`), never from the leaves a compile
+      happens to carry, so one compile serves every model.
+
+    :data:`COMPILES` shares layouts and library parts between the
+    analyzers of one circuit and library set; constructing this class
+    directly builds a compile of one's own.
 
     Args:
         circuit: Gate-level circuit under analysis.
@@ -783,135 +967,102 @@ class CompiledCircuit:
             ``C`` corners every coefficient array gains a trailing
             corner axis of size ``C`` and a pass produces one batch
             column per corner; a single library compiles with ``C = 1``.
-        model: Delay model — decides whether the pair-merge layout and
-            the Λ-peak tail packs are compiled in.
+        model: Delay model whose leaves to build now; ``None`` leaves
+            the groups to the first :meth:`extend`.
         config: STA boundary conditions (fixes the load vector).
         loads: The line loads of a single-library compile, exactly as
             :func:`~repro.sta.analysis.compute_loads` returns them (an
-            analyzer hands over its own); computed here when omitted.
+            analyzer hands over its own); read from the layout when
+            omitted.
+        layout: The circuit's layout at its current edit epoch; built
+            here when omitted.
+
+    Raises:
+        UnknownCellError: If a library lacks a gate's cell (see
+            :func:`resolve_cells`).
+        CircuitError: If the circuit has a cycle.
+        ValueError: If the corner libraries disagree on cell structure.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         library: Union[CellLibrary, Sequence[CellLibrary]],
-        model: DelayModel,
+        model: Optional[DelayModel],
         config: StaConfig,
         loads: Optional[Dict[str, float]] = None,
+        layout: Optional[CircuitLayout] = None,
     ) -> None:
-        self.circuit = circuit
         if isinstance(library, CellLibrary):
             libraries: List[CellLibrary] = [library]
         else:
             libraries = list(library)
         if not libraries:
             raise ValueError("need at least one cell library")
+        if loads is not None and len(libraries) > 1:
+            raise ValueError("precomputed loads need a single-library compile")
+        if layout is None:
+            layout = CircuitLayout(circuit)
+        self.layout = layout
+        self.circuit = circuit
         self.library = libraries[0]
         self.libraries = libraries
         self.n_corners = len(libraries)
-        self.lines: List[str] = circuit.lines
-        self.n_lines = len(self.lines)
-        self.line_index: Dict[str, int] = {
-            line: i for i, line in enumerate(self.lines)
-        }
-        order = circuit.topological_order()
-        self.n_gates = len(order)
-        self._order_pos = {line: i for i, line in enumerate(order)}
-        level_of = circuit.levelize()
-        self._merge = bool(getattr(model, "supports_pair_merge", False))
-        self._peak = hasattr(model, "nonctrl_shape")
+        self.lines: List[str] = layout.lines
+        self.n_lines = layout.n_lines
+        self.line_index: Dict[str, int] = layout.line_index
+        self.n_gates = layout.n_gates
+        self._order_pos = layout.order_pos
+        #: Which model leaves the groups carry (see :meth:`extend`).
+        self._merge = self._peak = False
         # One kernel context per corner: contexts cache arc packs by
         # cell *name*, and the same name resolves to different
         # coefficients in each corner's library.
-        ctxs = [KernelContext() for _ in libraries]
-        self._ctx = ctxs[0]
-        gate_cells = [circuit.gates[out].cell_name() for out in order]
-        names = list(dict.fromkeys(gate_cells))
-        corner_cells = [
-            {name: lib.cell(name) for name in names} for lib in libraries
+        self._ctxs = [KernelContext() for _ in libraries]
+        self._ctx = self._ctxs[0]
+        self._corner_cells = [
+            resolve_cells(circuit, lib, layout.names) for lib in libraries
         ]
-        self._cells = corner_cells[0]
-        self._validate_corner_cells(corner_cells)
-        cells = {name: [cc[name] for cc in corner_cells] for name in names}
-        if loads is not None and len(libraries) > 1:
-            raise ValueError("precomputed loads need a single-library compile")
-        if loads is not None:
-            corner_loads = [loads]
-        else:
-            # A library enters the loads only through the input caps of
-            # the cells the circuit uses, so libraries that agree on
-            # those (derived corners all do) share one computation.
-            by_caps: Dict[tuple, Dict[str, float]] = {}
-            corner_loads = []
-            for lib, by_name in zip(libraries, corner_cells):
-                caps = tuple(tuple(by_name[n].input_caps) for n in names)
-                if caps not in by_caps:
-                    by_caps[caps] = compute_loads(circuit, lib, config)
-                corner_loads.append(by_caps[caps])
+        #: Corner 0's resolved cells, by name (read-only).
+        self.cells: Dict[str, CellTiming] = self._corner_cells[0]
+        self._cells = dict(self.cells)
+        self._validate_corner_cells(peak=False)
+        #: The line loads of every corner library, as dicts.
+        self.line_loads: List[Dict[str, float]] = (
+            [loads] if loads is not None else [
+                layout.loads(lib, cells, config)
+                for lib, cells in zip(libraries, self._corner_cells)
+            ]
+        )
         #: Output load of every gate (topological order) per corner,
         #: ``(n_gates, C)``: what the load-adjust terms are built from.
         self.loads = np.array(
-            [[ld[out] for ld in corner_loads] for out in order]
+            [[ld[out] for ld in self.line_loads] for out in layout.order]
         )
-        slot = {name: _slot_key(self._cells[name], self._peak)
-                for name in names}
+        self.levels: List[List[Union[_CtrlGroup, _ArcGroup]]] = []
+        self.n_levels = self.n_groups = 0
         #: gate output line -> (group, column, slot key); the in-place
         #: patch path of :meth:`patch_gate` addresses columns through it.
         self._locs: Dict[str, Tuple[Union[_CtrlGroup, _ArcGroup], int, tuple]]
         self._locs = {}
+        self._built = False
+        get_registry().counter("sta.compile.library_builds").inc()
+        if model is not None:
+            self.extend(model)
 
-        # All gates of one kind in (level, topological) order, built in
-        # one go; each level's group is a contiguous cut of that.
-        ranked = np.argsort(
-            np.array([level_of[out] for out in order], dtype=np.intp),
-            kind="stable",
-        )
-        is_ctrl = np.array(
-            [slot[name][0] == "ctrl" for name in gate_cells], dtype=bool
-        )[ranked]
-        at_level: Dict[int, List[Union[_CtrlGroup, _ArcGroup]]] = {}
-        for members, build in ((ranked[is_ctrl], self._build_ctrl),
-                               (ranked[~is_ctrl], self._build_arc)):
-            if not members.size:
-                continue
-            rows = members.tolist()
-            gates = [circuit.gates[order[pos]] for pos in rows]
-            kinds = [gate_cells[pos] for pos in rows]
-            lvls, bounds = [], [0]
-            for lvl, run in itertools.groupby(
-                level_of[g.output] for g in gates
-            ):
-                lvls.append(lvl)
-                bounds.append(bounds[-1] + sum(1 for _ in run))
-            whole = build(gates, kinds, cells, ctxs, self.loads[members])
-            for lvl, start, group in zip(lvls, bounds, whole.split(bounds)):
-                for col in range(group.n_gates):
-                    self._locs[gates[start + col].output] = (
-                        group, col, slot[kinds[start + col]]
-                    )
-                at_level.setdefault(lvl, []).append(group)
-        self.levels: List[List[Union[_CtrlGroup, _ArcGroup]]] = [
-            at_level[lvl] for lvl in sorted(at_level)
-        ]
-        self.n_levels = len(self.levels)
-        self.n_groups = sum(len(groups) for groups in self.levels)
-
-    def _validate_corner_cells(
-        self, corner_cells: List[Dict[str, CellTiming]]
-    ) -> None:
+    def _validate_corner_cells(self, peak: bool) -> None:
         """Reject corner libraries that disagree on cell *structure*.
 
         Corner libraries may differ in every coefficient, but the arc
         layout, controlling polarity and output polarity must match —
         those decide gather rows and group layouts, which are shared
-        across the corner axis.
+        across the corner axis.  With ``peak``, so must the presence of
+        Λ-peak data, checked when the Λ-peak leaves are built.
         """
-        if len(corner_cells) == 1:
-            return
-        base = corner_cells[0]
-        for ci, cells in enumerate(corner_cells[1:], start=1):
+        base = self._corner_cells[0]
+        for ci, cells in enumerate(self._corner_cells[1:], start=1):
             for name, cell in base.items():
-                if not _same_layout(cell, cells[name], self._peak):
+                if not _same_layout(cell, cells[name], peak):
                     raise ValueError(
                         f"corner library {ci} disagrees with corner 0 on "
                         f"the structure of cell {name!r}"
@@ -920,27 +1071,90 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     def row(self, line: str, rising: bool) -> int:
         """Row of one line direction in the global SoA arrays."""
-        idx = self.line_index[line]
-        return idx if rising else idx + self.n_lines
+        return self.layout.row(line, rising)
+
+    def extend(self, model: DelayModel) -> None:
+        """Build the groups with every leaf set ``model``'s passes read.
+
+        The first call builds the level groups: their pin-to-pin leaves
+        and the model leaves ``model`` reads (pair merge, Λ-peak).  A
+        later call for a model that reads a leaf set the groups lack
+        builds them again, with the union of the sets, on the same path.
+        New groups replace the old ones whole and nothing is written
+        into a built group, so a pass already running on the old groups
+        finishes on them, and every leaf is bitwise the leaf a one-shot
+        build holds.  Only a shared compile meets a second model; a
+        private one is built for its owner's model and then patched
+        (:meth:`patch_gate`), never extended.  A call that builds is one
+        ``sta.compile.build_s`` observation and counts every model leaf
+        set it builds.
+        """
+        merge, peak = _model_leaves(model)
+        have = self._parts()
+        parts = have | {
+            part for part, on in (("merge", merge), ("peak", peak)) if on
+        }
+        if self._built and parts == have:
+            return
+        if peak:
+            self._validate_corner_cells(peak=True)
+        obs = get_registry()
+        with obs.timer("sta.compile.build_s"):
+            self._build_groups(parts)
+        for part in parts:
+            obs.counter(f"sta.compile.{part}_builds").inc()
+
+    def _build_groups(self, parts: set) -> None:
+        """The level groups, carrying the model leaf sets ``parts``."""
+        peak = "peak" in parts
+        slot = {name: _slot_key(cell, peak)
+                for name, cell in self._corner_cells[0].items()}
+        cells = {
+            name: [cells[name] for cells in self._corner_cells]
+            for name in self.layout.names
+        }
+        plans = self.layout.plan(
+            {name: key[0] == "ctrl" for name, key in slot.items()}
+        )
+        # All gates of one kind in (level, topological) order, built in
+        # one go; each level's group is a contiguous cut of that.
+        locs = {}
+        at_level: Dict[int, List[Union[_CtrlGroup, _ArcGroup]]] = {}
+        for kind, plan in zip(("ctrl", "arc"), plans):
+            members, gates, kinds, lvls, bounds, rows = plan
+            if not members.size:
+                continue
+            build = self._build_ctrl if kind == "ctrl" else self._build_arc
+            groups = build(
+                gates, kinds, cells, self._ctxs, self.loads[members],
+                parts, rows,
+            ).split(bounds)
+            for lvl, start, group in zip(lvls, bounds, groups):
+                for col in range(group.n_gates):
+                    locs[gates[start + col].output] = (
+                        group, col, slot[kinds[start + col]]
+                    )
+                at_level.setdefault(lvl, []).append(group)
+        self._locs = locs
+        self.levels = [at_level[lvl] for lvl in sorted(at_level)]
+        self.n_levels = len(self.levels)
+        self.n_groups = sum(len(groups) for groups in self.levels)
+        self._merge = "merge" in parts
+        self._peak = peak
+        self._built = True
+
+    def _parts(self) -> set:
+        """The model leaf sets the groups carry."""
+        parts = set()
+        if self._merge:
+            parts.add("merge")
+        if self._peak:
+            parts.add("peak")
+        return parts
 
     # ------------------------------------------------------------------
     # Group builds
     # ------------------------------------------------------------------
-    def _gate_rows(self, gates: Sequence[Gate]):
-        """(output line index, MC factor row, flat input line indices)."""
-        line_index = self.line_index
-        out_idx = np.array(
-            [line_index[g.output] for g in gates], dtype=np.intp
-        )
-        order_idx = np.array(
-            [self._order_pos[g.output] for g in gates], dtype=np.intp
-        )
-        in_idx = np.array(
-            [line_index[line] for g in gates for line in g.inputs],
-            dtype=np.intp,
-        )
-        return out_idx, order_idx, in_idx
-
     def _build_ctrl(
         self,
         gates: Sequence[Gate],
@@ -948,13 +1162,20 @@ class CompiledCircuit:
         cells: Dict[str, Sequence[CellTiming]],
         ctxs: Sequence[KernelContext],
         loads: np.ndarray,
+        parts: set,
+        line_rows: Optional[tuple] = None,
     ) -> _CtrlGroup:
         """One ctrl group over ``gates`` (cell ``names[i]``, per-corner
-        ``cells[name]``, ``loads`` ``(G, C)``).
+        ``cells[name]``, ``loads`` ``(G, C)``, ``line_rows`` as
+        :meth:`CircuitLayout.gate_rows` gives them): its rows and
+        pin-to-pin leaves, and the model leaf sets ``parts`` names,
+        ``"merge"`` and ``"peak"``; the other set's leaves stay ``None``.
 
         Coefficients come from per-cell rows with one fancy index per
         leaf; rows, index leaves and load adjustments are whole-vector
         arithmetic — elementwise IEEE ops, equal to the scalar values.
+        Λ-peak axes count their elements only with ``"peak"`` in
+        ``parts``.
         """
         n_lines = self.n_lines
         kinds = list(dict.fromkeys(names))
@@ -964,8 +1185,9 @@ class CompiledCircuit:
         cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
         kind_n = np.array([c.n_inputs for c in base], dtype=np.intp)
         kind_pairs = kind_n * (kind_n - 1) // 2
+        peak_on = "peak" in parts
         kind_peak = np.array(
-            [self._peak and getattr(c, "nonctrl", None) is not None
+            [peak_on and getattr(c, "nonctrl", None) is not None
              for c in base],
             dtype=bool,
         )
@@ -987,7 +1209,6 @@ class CompiledCircuit:
         }
         starts = {axis: _excl(c) for axis, c in counts.items()}
         tpl = _fanin_tables(int(kind_n.max()))
-        out_idx, order_idx, in_idx = self._gate_rows(gates)
 
         def slopes(rising: Callable, rows) -> Tuple[np.ndarray, np.ndarray]:
             """(delay, transition) load slopes of direction ``rising(c)``."""
@@ -996,14 +1217,27 @@ class CompiledCircuit:
                 for kind in ("load_delay_slope", "load_trans_slope")
             )
 
+        def packs(make: Callable, rows) -> _StackedPack:
+            return _pack_rows([
+                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
+                for row in rows
+            ])
+
+        def spread(axis: str, name: str, target: str) -> np.ndarray:
+            """Template ``name`` over ``axis``, re-based into ``target``."""
+            gate, local = _elements(counts[axis])
+            return tpl[name][n[gate], local] + starts[target][gate]
+
         # The scalar load_adjusted_* expression, elementwise per gate.
         dload = loads - _table(table, attrgetter("ref_load"))[cidx]
-        d_slope_c, r_slope_c = slopes(attrgetter("ctrl.out_rising"), table)
-        d_slope_n, r_slope_n = slopes(
-            lambda c: not c.ctrl.out_rising, table
+        gl, pin = _elements(n)
+        leaves: Dict[str, object] = dict.fromkeys(_CtrlGroup.AXES)
+        out_idx, order_idx, in_idx = (
+            line_rows if line_rows is not None
+            else self.layout.gate_rows(gates)
         )
-        d_adj_c = d_slope_c[cidx] * dload
-        r_adj_c = r_slope_c[cidx] * dload
+        d_slope_c, r_slope_c = slopes(attrgetter("ctrl.out_rising"), table)
+        d_slope_n, r_slope_n = slopes(lambda c: not c.ctrl.out_rising, table)
         ctrl_off = np.array(
             [0 if c.controlling_value == 1 else n_lines for c in base],
             dtype=np.intp,
@@ -1012,17 +1246,9 @@ class CompiledCircuit:
             [0 if c.ctrl.out_rising else n_lines for c in base],
             dtype=np.intp,
         )[cidx]
-
-        def packs(make: Callable, rows) -> _StackedPack:
-            return _pack_rows([
-                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
-                for row in rows
-            ])
-
-        gl, pin = _elements(n)
         pin_row = _excl(kind_n)[cidx[gl]] + pin
         ctrl_off_l = ctrl_off[gl]
-        leaves: Dict[str, object] = dict(
+        leaves.update(
             out_ctrl=out_idx + out_off,
             out_nonctrl=out_idx + (n_lines - out_off),
             ctrl_rows=in_idx + ctrl_off_l,
@@ -1030,21 +1256,12 @@ class CompiledCircuit:
             lane_order=order_idx[gl],
             pack=_take(packs(KernelContext.ctrl_pack, table), pin_row),
             npack=_take(packs(KernelContext.nonctrl_pack, table), pin_row),
-            d_adj_c=d_adj_c[gl],
-            r_adj_c=r_adj_c[gl],
+            d_adj_c=(d_slope_c[cidx] * dload)[gl],
+            r_adj_c=(r_slope_c[cidx] * dload)[gl],
             d_adj_n=(d_slope_n[cidx] * dload)[gl],
             r_adj_n=(r_slope_n[cidx] * dload)[gl],
         )
-        leaves.update(dict.fromkeys(
-            name for name in _CtrlGroup.AXES if name not in leaves
-        ))
-
-        def spread(axis: str, name: str, target: str) -> np.ndarray:
-            """Template ``name`` over ``axis``, re-based into ``target``."""
-            gate, local = _elements(counts[axis])
-            return tpl[name][n[gate], local] + starts[target][gate]
-
-        if self._merge:
+        if "merge" in parts:
             gc, pc = _elements(counts["combo"])
             pair_row = _excl(kind_pairs)[cidx[gc]] + tpl["cpair"][n[gc], pc]
             gq, _ = _elements(counts["pair"])
@@ -1082,7 +1299,7 @@ class CompiledCircuit:
                     ),
                 )[rt_row],
             )
-        if kind_peak.any():
+        if "peak" in parts and kind_peak.any():
             pkinds = np.flatnonzero(kind_peak)
             prank = np.full(len(kinds), -1, dtype=np.intp)
             prank[pkinds] = np.arange(pkinds.size)
@@ -1129,8 +1346,11 @@ class CompiledCircuit:
         cells: Dict[str, Sequence[CellTiming]],
         ctxs: Sequence[KernelContext],
         loads: np.ndarray,
+        parts: set,
+        line_rows: Optional[tuple] = None,
     ) -> _ArcGroup:
-        """One arc-table group over ``gates`` (see :meth:`_build_ctrl`).
+        """One arc-table group over ``gates`` (see :meth:`_build_ctrl`;
+        arc-table gates carry no model leaves, so ``parts`` is moot).
 
         Per cell and output direction, the arcs run in arc-table
         enumeration order (the pack row order); integer layout comes
@@ -1191,7 +1411,10 @@ class CompiledCircuit:
             "lane": kind_lanes[cidx],
             "noarc": 2 - kind_seg[cidx],
         }
-        out_idx, order_idx, in_idx = self._gate_rows(gates)
+        out_idx, order_idx, in_idx = (
+            line_rows if line_rows is not None
+            else self.layout.gate_rows(gates)
+        )
         in_start = _excl(np.array([g.n_inputs for g in gates], dtype=np.intp))
         # The scalar load_adjusted_* expression, per (gate, direction).
         dload = loads - _table(table, attrgetter("ref_load"))[cidx]
@@ -1324,11 +1547,81 @@ class CompiledCircuit:
             whole = build(
                 [gates[i] for i in pick], names,
                 dict(zip(names, (cells[i] for i in pick))), ctxs,
-                loads[pick],
+                loads[pick], self._parts(),
             )
             for i, part in zip(pick, whole.split(range(len(pick) + 1))):
                 out[i] = part
         return out
+
+
+class CompileRegistry:
+    """Get-or-build for the shared parts of compiles, held weakly.
+
+    Layouts are keyed by the circuit object and its ``edit_epoch``,
+    library parts (:class:`CompiledCircuit`) also by the library objects
+    and the two loads of the boundary config (its PI windows do not
+    enter a compile).  Every :class:`LevelCompiledAnalyzer` that
+    does not bring loads of its own — and through it every
+    :class:`~repro.sta.analysis.TimingAnalyzer`,
+    :class:`~repro.pvt.CornerAnalyzer` and
+    :class:`~repro.stat.engine.MonteCarloEngine` — takes its compile
+    from here, so the analyzers of one circuit and library set share
+    one layout, one load sweep and one compile.
+
+    Entries live only while something else holds them: an analyzer or
+    engine, or a library part its layout.  An entry holds its circuit
+    and libraries, so while it lives their ids name them.  Get-or-build
+    and :meth:`CompiledCircuit.extend` run under :attr:`lock`, because
+    a server's executor thread and a caller's thread can both build.
+    The registry decides only whether a build runs; the build itself is
+    the constructor's and :meth:`CompiledCircuit.extend`'s.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.RLock()
+        self._layouts: "weakref.WeakValueDictionary[tuple, CircuitLayout]"
+        self._layouts = weakref.WeakValueDictionary()
+        self._compiles: "weakref.WeakValueDictionary[tuple, CompiledCircuit]"
+        self._compiles = weakref.WeakValueDictionary()
+
+    def layout(self, circuit: Circuit) -> CircuitLayout:
+        """The circuit's layout at its current edit epoch."""
+        key = (id(circuit), circuit.edit_epoch)
+        with self.lock:
+            layout = self._layouts.get(key)
+            if layout is None:
+                layout = self._layouts[key] = CircuitLayout(circuit)
+            return layout
+
+    def compiled(
+        self,
+        circuit: Circuit,
+        libraries: Sequence[CellLibrary],
+        config: StaConfig,
+        model: Optional[DelayModel] = None,
+    ) -> CompiledCircuit:
+        """The library part of ``libraries`` over the circuit's layout,
+        extended for ``model`` (:meth:`CompiledCircuit.extend`); without
+        a model, its groups are left to the first model that asks."""
+        key = (
+            id(circuit), circuit.edit_epoch,
+            tuple(id(lib) for lib in libraries),
+            config.po_load, config.dangling_load,
+        )
+        with self.lock:
+            compiled = self._compiles.get(key)
+            if compiled is None:
+                compiled = self._compiles[key] = CompiledCircuit(
+                    circuit, libraries, model, config,
+                    layout=self.layout(circuit),
+                )
+            elif model is not None:
+                compiled.extend(model)
+            return compiled
+
+
+#: The process-wide compile registry.
+COMPILES = CompileRegistry()
 
 
 # ----------------------------------------------------------------------
@@ -1490,6 +1783,54 @@ class ColumnTimings(Mapping):
         return line in self._index
 
 
+class ColumnRequired(Mapping):
+    """Read-only ``{line: LineRequired}`` view over the required-time
+    columns of one compiled backward pass
+    (:meth:`LevelCompiledAnalyzer.required`).
+
+    Like :class:`ColumnTimings`: the columns are copied with
+    ``tolist()`` (the bit-identical Python floats), a line's
+    :class:`LineRequired` is built on first access and kept, so every
+    reader gets the same object, and lines iterate in circuit order.
+    It compares equal to the per-gate walk's dict.
+    """
+
+    __slots__ = ("_index", "_n", "_q_s", "_q_l", "_built")
+
+    def __init__(
+        self,
+        q_s: np.ndarray,
+        q_l: np.ndarray,
+        line_index: Dict[str, int],
+        n_lines: int,
+    ) -> None:
+        self._index = line_index
+        self._n = n_lines
+        self._q_s = q_s.tolist()
+        self._q_l = q_l.tolist()
+        self._built: Dict[str, LineRequired] = {}
+
+    def __getitem__(self, line: str) -> LineRequired:
+        required = self._built.get(line)
+        if required is None:
+            i = self._index[line]
+            j = i + self._n
+            required = self._built[line] = LineRequired(
+                rise=RequiredWindow(self._q_s[i], self._q_l[i]),
+                fall=RequiredWindow(self._q_s[j], self._q_l[j]),
+            )
+        return required
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, line: object) -> bool:
+        return line in self._index
+
+
 # ----------------------------------------------------------------------
 # The analyzer
 # ----------------------------------------------------------------------
@@ -1504,6 +1845,11 @@ class LevelCompiledAnalyzer:
         model: Delay model (defaults to the proposed V-shape model).
         config: Boundary conditions (fixes the compiled load vector).
         loads: Precomputed line loads (see :class:`CompiledCircuit`).
+            With them the analyzer compiles a circuit of its own, which
+            the incremental engine patches in place; without them it
+            takes its compile from :data:`COMPILES`, shared with every
+            analyzer of the same circuit, epoch, libraries and boundary
+            loads.
     """
 
     def __init__(
@@ -1517,12 +1863,27 @@ class LevelCompiledAnalyzer:
         self.circuit = circuit
         self.model = model if model is not None else VShapeModel()
         self.config = config or StaConfig()
+        #: The merges this analyzer's passes run, whatever leaves the
+        #: (possibly shared) compile carries.
+        self._merge, self._peak = _model_leaves(self.model)
         obs = get_registry()
         self._obs = obs
-        with obs.timer("sta.compile.build_s"):
-            self.compiled = CompiledCircuit(
-                circuit, library, self.model, self.config, loads=loads
+        libraries = (
+            [library] if isinstance(library, CellLibrary) else list(library)
+        )
+        if loads is None:
+            compiled = COMPILES.compiled(
+                circuit, libraries, self.config, self.model
             )
+        else:
+            # Loads of the caller's own (the incremental engine edits
+            # them in place): a compile of its own too, over the shared
+            # layout, which nothing writes.
+            compiled = CompiledCircuit(
+                circuit, libraries, self.model, self.config,
+                loads=loads, layout=COMPILES.layout(circuit),
+            )
+        self.compiled = compiled
         self.library = self.compiled.library
         obs.gauge("sta.compile.levels").set(self.compiled.n_levels)
         obs.gauge("sta.compile.groups").set(self.compiled.n_groups)
@@ -1707,7 +2068,7 @@ class LevelCompiledAnalyzer:
         self,
         result: StaResult,
         po_required: Dict[str, LineRequired],
-    ) -> Dict[str, LineRequired]:
+    ) -> ColumnRequired:
         """The compiled backward pass: required-time windows per line.
 
         Walks the forward levels in reverse over the forward groups.
@@ -1729,7 +2090,9 @@ class LevelCompiledAnalyzer:
                 primary outputs); every other line starts unconstrained.
 
         Returns:
-            Required windows for every line, bit-identical to
+            Required windows for every line, as a :class:`ColumnRequired`
+            view that builds the lines a caller reads; equal, bit for
+            bit, to the dict of
             :meth:`~repro.sta.analysis.TimingAnalyzer.compute_required_per_gate`.
         """
         cc = self.compiled
@@ -1763,7 +2126,7 @@ class LevelCompiledAnalyzer:
             for group in level:
                 if isinstance(group, _CtrlGroup):
                     pins = group.counts["lane"]
-                    merge = group if group.shape is not None else None
+                    merge = group if self._merge else None
                     back(group.pack, group.d_adj_c, group.ctrl_rows,
                          np.repeat(group.out_ctrl, pins), ins, q, merge)
                     back(group.npack, group.d_adj_n, group.nonctrl_rows,
@@ -1771,17 +2134,7 @@ class LevelCompiledAnalyzer:
                 elif group.in_rows.size:
                     back(group.pack, group.d_adj, group.in_rows,
                          np.repeat(group.out_rows, group.seg_n), ins, q)
-        # tolist() gives the bit-identical Python floats, as in
-        # ColumnTimings.
-        early = q_s[:, 0].tolist()
-        late = q_l[:, 0].tolist()
-        return {
-            line: LineRequired(
-                rise=RequiredWindow(early[i], late[i]),
-                fall=RequiredWindow(early[i + n], late[i + n]),
-            )
-            for i, line in enumerate(cc.lines)
-        }
+        return ColumnRequired(q_s[:, 0], q_l[:, 0], cc.line_index, n)
 
     # ------------------------------------------------------------------
     def run_group(
@@ -2036,7 +2389,7 @@ class LevelCompiledAnalyzer:
             )
         else:
             a_l = no_def_al
-        if grp.shape is not None:
+        if self._merge:
             a_s, t_s = self._pair_merge(
                 grp, f, ge, act, all_act, a_s_in, a_l_in,
                 c_lo, c_hi, a_s, t_s,
@@ -2086,7 +2439,7 @@ class LevelCompiledAnalyzer:
             )
         else:
             a_s = no_def_as
-        if grp.pgate is not None and grp.pgate.size:
+        if self._peak and grp.pgate is not None and grp.pgate.size:
             self._peak_merge(
                 grp, f, None if g is None else g[1],
                 t_s_in, t_l_in, a_s_in, a_l_in, a_l,

@@ -238,6 +238,8 @@ class IncrementalAnalyzer:
         # Wrapping an analyzer that is already stale: refresh it first so
         # the incremental load bookkeeping starts from a consistent base.
         analyzer._sync_epoch()
+        # Patches write into the compile, so it must be this engine's.
+        analyzer.own_compile()
         self._log_pos = len(self.circuit.edit_log)
         self._timings: Optional[Dict[str, LineTiming]] = None
         self._outputs = set(self.circuit.outputs)

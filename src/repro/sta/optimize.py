@@ -100,6 +100,12 @@ class SizingConfig:
                 raise ValueError(
                     f"candidate size must be finite and > 0, got {size!r}"
                 )
+        if self.clock is not None and not (
+            math.isfinite(self.clock) and self.clock > 0.0
+        ):
+            raise ValueError(
+                f"clock must be finite and > 0, got {self.clock!r}"
+            )
         if self.mc_samples <= 0:
             raise ValueError(
                 f"mc_samples must be > 0, got {self.mc_samples!r}"

@@ -11,6 +11,7 @@ quantity a variation-aware optimizer would attack first.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,9 +80,16 @@ class McResult:
         Defaults to the deterministic max arrival, so nominal slack is
         zero and the distribution directly reads as "margin lost to
         variation".
+
+        Raises:
+            ValueError: If ``period`` is given and not finite and > 0.
         """
         if period is None:
             period = self.nominal_max
+        elif not (math.isfinite(period) and period > 0.0):
+            raise ValueError(
+                f"period must be finite and > 0, got {period!r}"
+            )
         return period - self.delay
 
     def slack_quantiles(

@@ -102,13 +102,11 @@ class MonteCarloEngine:
         #: Gate output lines in propagation order; row ``i`` of a factor
         #: matrix perturbs ``gate_order[i]``.
         self.gate_order: List[str] = circuit.topological_order()
-        self.cell_names: List[str] = sorted(
-            {circuit.gates[g].cell_name() for g in self.gate_order}
-        )
+        gate_cells = self._level.compiled.layout.gate_cells
+        self.cell_names: List[str] = sorted(set(gate_cells))
         pos = {name: i for i, name in enumerate(self.cell_names)}
         self.cell_index = np.array(
-            [pos[circuit.gates[g].cell_name()] for g in self.gate_order],
-            dtype=np.intp,
+            [pos[name] for name in gate_cells], dtype=np.intp
         )
 
     @property

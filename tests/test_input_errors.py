@@ -1,0 +1,191 @@
+"""External inputs the timing stack cannot take fail with structured
+errors: a gate whose cell the library lacks, a primary output wired to a
+primary input, and clock or period values that are not finite and > 0.
+"""
+
+import copy
+import math
+
+import pytest
+
+import repro.cli
+from repro.atpg import AtpgConfig
+from repro.characterize import CellLibrary
+from repro.circuit import CircuitError, UnknownCellError, parse_bench
+from repro.cli import main
+from repro.obs import get_registry
+from repro.pvt import STANDARD_CORNERS, CornerLibrary
+from repro.server import ServerError, ServerThread, validate_request
+from repro.sta import TimingAnalyzer
+from repro.sta.optimize import SizingConfig
+from repro.stat import run_mc
+
+#: Netlists the packaged library has no cell for, and that cell.
+MISSING_CELLS = {
+    "nand9": ("INPUT(a)\nOUTPUT(y)\ny = NAND(a, a, a, a, a, a, a, a, a)\n",
+              "NAND9"),
+    "xor3": ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\ny = XOR(a, b, c)\n",
+             "XOR3"),
+}
+
+#: Circuit subcommands and their extra arguments.
+CIRCUIT_COMMANDS = {
+    "sta": [], "optimize": [], "mc": ["--samples", "4"], "sim": ["0", "1"],
+    "atpg": [], "report": [], "serve": ["--port", "0"],
+}
+
+BAD_TIMES = [math.nan, math.inf, -1e-9, 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_CELLS))
+def test_missing_cell_names_the_gate(name, library):
+    text, cell = MISSING_CELLS[name]
+    circuit = parse_bench(text)
+    with pytest.raises(UnknownCellError) as err:
+        TimingAnalyzer(circuit, library)
+    message = str(err.value)
+    assert "'y'" in message and repr(cell) in message, message
+    assert isinstance(err.value, CircuitError)
+    with pytest.raises(UnknownCellError, match=cell):
+        run_mc(circuit, library, samples=2)
+
+
+@pytest.mark.parametrize("command", sorted(CIRCUIT_COMMANDS))
+@pytest.mark.parametrize("name", sorted(MISSING_CELLS))
+def test_missing_cell_is_a_structured_cli_error(name, command, capsys,
+                                                tmp_path):
+    """Every circuit subcommand, ``serve`` included (before it starts),
+    prints ``error: ...`` and exits 2."""
+    text, cell = MISSING_CELLS[name]
+    path = tmp_path / f"{name}.bench"
+    path.write_text(text)
+    previous = get_registry()
+    code = main([command, str(path), *CIRCUIT_COMMANDS[command]])
+    # Refused before serve installs its live metrics registry.
+    assert get_registry() is previous
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: gate 'y' needs cell ") and cell in err, err
+    assert "Traceback" not in err
+
+
+def _with_nand6(library):
+    """``library`` plus a NAND6, a cell the packaged library lacks:
+    NAND5's data, with pin 4's arcs, cap and pair scales copied to the
+    sixth pin."""
+    doc = library.to_dict()
+    cell = copy.deepcopy(doc["cells"]["NAND5"])
+    cell.update(name="NAND6", n_inputs=6)
+    cell["input_caps"].append(cell["input_caps"][4])
+    for d in ("RF", "FR"):
+        cell["arcs"][f"5:{d}"] = dict(cell["arcs"][f"4:{d}"], pin=5)
+    ctrl = cell["ctrl"]
+    for i in range(5):
+        ctrl["pair_scale"][f"{i}-5"] = ctrl["pair_scale"][f"{min(i, 3)}-4"]
+    for key in ("multi_scale", "trans_multi_scale"):
+        ctrl[key]["6"] = ctrl[key]["5"]
+    doc["cells"]["NAND6"] = cell
+    return CellLibrary.from_dict(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sta"], ["mc", "--samples", "4"], ["optimize", "--passes", "1"],
+])
+def test_cells_are_checked_in_the_libraries_a_command_runs_on(
+    argv, library, capsys, tmp_path
+):
+    """With ``--corner-library`` a subcommand runs on the file's
+    libraries alone, so a cell only they hold is no error there, and
+    still one without them."""
+    bench = tmp_path / "nand6.bench"
+    bench.write_text(
+        "".join(f"INPUT({pi})\n" for pi in "abcdef")
+        + "OUTPUT(y)\ny = NAND(a, b, c, d, e, f)\n"
+    )
+    corners = tmp_path / "corners.json"
+    CornerLibrary.derived(
+        _with_nand6(library),
+        [STANDARD_CORNERS["typ"], STANDARD_CORNERS["slow"]],
+    ).save(corners)
+    command, *rest = argv
+    assert main([command, str(bench), *rest]) == 2
+    assert "needs cell 'NAND6'" in capsys.readouterr().err
+    code = main([command, str(bench), "--corner-library", str(corners),
+                 *rest])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "slow" in captured.out
+
+
+def test_server_refuses_a_circuit_with_a_missing_cell(library):
+    circuit = parse_bench(MISSING_CELLS["nand9"][0])
+    with pytest.raises(UnknownCellError, match="NAND9"):
+        ServerThread({"bad": circuit}, library=library)
+
+
+def test_output_wired_to_an_input_prints_no_ratio(capsys, tmp_path):
+    """A primary output that is a primary input has min delay 0 under
+    both models, so the pin-to-pin/proposed ratio is undefined."""
+    path = tmp_path / "wire.bench"
+    path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(y)\n"
+                    "y = NAND(a, b)\n")
+    assert main(["sta", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ratio              : n/a" in out
+
+
+@pytest.mark.parametrize("value", BAD_TIMES)
+def test_clock_and_period_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="clock must be finite and > 0"):
+        SizingConfig(clock=value)
+    with pytest.raises(ValueError, match="period must be finite and > 0"):
+        AtpgConfig(period=value)
+    SizingConfig(clock=1e-9)
+    AtpgConfig(period=1e-9)
+
+
+def test_mc_summary_period_must_be_finite_and_positive(library):
+    from repro.circuit import load_packaged_bench
+
+    result = run_mc(load_packaged_bench("c17"), library, samples=4)
+    for value in BAD_TIMES:
+        with pytest.raises(ValueError, match=f"got {value!r}"):
+            result.summary(period=value)
+    assert result.summary(period=1e-9)["period_s"] == 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "c17", "--clock", "nan"],
+    ["optimize", "c17", "--clock", "-1"],
+    ["atpg", "c17", "--period-fraction", "-1", "--faults", "2"],
+    ["mc", "c17", "--period", "nan", "--samples", "4"],
+    ["mc", "c17", "--period", "0", "--samples", "4",
+     "--corners", "typ,slow"],
+])
+def test_bad_clock_or_period_exits_2(argv, capsys, monkeypatch):
+    """Refused in the argument checks, before any analysis runs."""
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran before the argument checks")
+
+    monkeypatch.setattr(repro.cli, "run_mc", analysis)
+    monkeypatch.setattr(repro.cli, "CrosstalkAtpg", analysis)
+    monkeypatch.setattr(repro.cli, "TimingAnalyzer", analysis)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and > 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method,field", [
+    ("slack", "clock_ns"), ("whatif", "clock_ns"), ("mc", "period_ns"),
+])
+@pytest.mark.parametrize("value", BAD_TIMES)
+def test_served_clock_and_period_are_bad_requests(method, field, value):
+    params = {field: value}
+    if method == "whatif":
+        params["edits"] = [{"op": "resize", "line": "G10", "value": 2.0}]
+    with pytest.raises(ServerError) as err:
+        validate_request({"circuit": "c17", "method": method,
+                          "params": params})
+    assert err.value.code == "bad_request"
+    assert field in str(err.value)
