@@ -343,8 +343,10 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
     analyzer, which leaves the incremental window state alone, so later
     edits keep replaying over the state carried through the recompile.
     Halfway through the sequence and after its last edit, a
-    ``try_edits`` trial batch (resizes and one cell swap) is checked
-    column by column, plus a master-untouched check.  Then one column,
+    ``try_edits`` trial batch (resizes of four gates drawn from the
+    case's seed, one of them the driver of another's input, and one
+    cell swap) is checked column by column, plus a master-untouched
+    check.  Then one column,
     drawn from the case's seed and index, is committed through
     ``commit``: the committed edit joins the sequence, the master is
     diffed against a fresh analysis, and the remaining edits continue
@@ -408,8 +410,19 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
         def trial_and_commit(label: str) -> Optional[str]:
             # Two resize candidates for each of (up to) four gates and
             # one swap, each column vs. a fresh scalar analysis of that
-            # single-edit variant.
-            targets = sorted(circuit.gates)[:4]
+            # single-edit variant.  The gates are drawn from the case's
+            # rng: a gate with the driver of one of its inputs (so the
+            # driver is resized in one column and re-loaded in another),
+            # then others.
+            gates = sorted(circuit.gates)
+            pairs = [
+                (line, src) for line in gates
+                for src in dict.fromkeys(circuit.gates[line].inputs)
+                if src in circuit.gates
+            ]
+            targets = list(rng.choice(pairs)) if pairs else []
+            rest = [line for line in gates if line not in targets]
+            targets += rng.sample(rest, min(4 - len(targets), len(rest)))
             trial_edits = [
                 TrialEdit("resize", line, size)
                 for line in targets

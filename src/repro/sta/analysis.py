@@ -173,8 +173,9 @@ class StaResult:
     access and kept, so repeated reads return the same object and an
     in-place edit of it is seen by later readers.  The per-gate walks
     and ITR return a plain dict, and
-    :class:`~repro.sta.incremental.IncrementalAnalyzer` a dict it
-    updates in place.  Code that assigns lines copies first
+    :class:`~repro.sta.incremental.IncrementalAnalyzer` a live
+    :class:`~repro.sta.compile.LiveTimings` view of the state it
+    re-times in place.  Code that assigns lines copies first
     (``dict(result.timings)``).
     """
 

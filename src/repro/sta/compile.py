@@ -61,7 +61,17 @@ trailing axis), integer leaves are rows or indices ``(N,)``; each
 group's ``AXES`` table names the axis of every leaf and, for an index
 leaf, the axis it points into.  Column subsets (:func:`subset_group`)
 and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
-table, and a patch builds its gate with the compile's own code.
+table.
+
+Load terms.  The model is linear in output load: a gate's load-adjust
+leaves, ``slope * (load - ref_load)`` per lane, are computed in one
+place, :func:`load_terms`, for the group builds, the patches and the
+what-if trial columns alike.  A sized variant of a cell
+(:func:`~repro.characterize.library.sized_cell`) differs from it only
+in its reference load, load slopes and input caps, so a resize, or a
+re-load by a resized fan-out, moves nothing but those leaves: a patch
+or a trial column of one rewrites only them, and only a cell swap
+builds its gate again, with the compile's own code.
 
 Sharing.  A compile splits into the parts that depend on less: the
 circuit's :class:`CircuitLayout` (one per edit epoch), the library part
@@ -119,6 +129,7 @@ product underflows to zero only for factor times derate below about
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -127,7 +138,8 @@ import weakref
 from collections.abc import Mapping
 from operator import attrgetter
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -171,6 +183,12 @@ from .windows import (
 Boundary = Tuple[Tuple[float, float], Tuple[float, float]]
 
 
+def _is_ctrl(cell: CellTiming) -> bool:
+    """Whether a cell's gates join the ctrl groups (else the arc-table
+    groups)."""
+    return cell.controlling_value is not None and cell.n_inputs >= 2
+
+
 def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
     """The run lengths a cell's gate occupies on every group axis.
 
@@ -180,7 +198,7 @@ def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
     (:meth:`CompiledCircuit.patch_gate`).  ``key[0]`` names the group
     kind (``"ctrl"`` or ``"arc"``).
     """
-    if cell.controlling_value is not None and cell.n_inputs >= 2:
+    if _is_ctrl(cell):
         uses_peak = peak_enabled and getattr(cell, "nonctrl", None) is not None
         return ("ctrl", cell.n_inputs, uses_peak)
     arcs_t = sum(
@@ -222,6 +240,24 @@ def _same_layout(
             for d in (True, False)
             for o in (True, False)
         )
+    )
+
+
+def load_variant(cell: CellTiming, other: CellTiming) -> bool:
+    """Whether ``other`` is ``cell`` up to its load terms.
+
+    The sized variants of one characterized cell
+    (:func:`~repro.characterize.library.sized_cell`) share its arcs and
+    surfaces and scale only the reference load, the load slopes and the
+    input caps, so a gate moved between them keeps every leaf but its
+    load-adjust terms (:func:`load_terms`).
+    """
+    return cell is other or (
+        cell.arcs is other.arcs
+        and cell.ctrl is other.ctrl
+        and cell.nonctrl is other.nonctrl
+        and cell.n_inputs == other.n_inputs
+        and cell.controlling_value == other.controlling_value
     )
 
 
@@ -460,39 +496,52 @@ class _Ragged:
             parts.append(type(self)(counts=counts, **fields))
         return parts
 
-    def widen(self, width: int):
-        """A copy of this single-corner group with ``width`` coefficient
-        columns, each a copy of the one it has; :meth:`put` may then
-        write per-column gate builds into it.  Index leaves are copied
-        too, so nothing written to the copy reaches this group."""
-        fields = {}
+    def leaves(self, index: bool = True) -> Dict[str, object]:
+        """The leaves this group carries, by name; without ``index``,
+        only its coefficients (float and stacked leaves)."""
+        out = {}
         for name in self.AXES:
             leaf = getattr(self, name)
-            if leaf is not None:
-                if not isinstance(leaf, np.ndarray):
-                    leaf = type(leaf)(np.repeat(leaf.rows, width, axis=-1))
-                elif leaf.dtype.kind == "i":
-                    leaf = leaf.copy()
-                else:
-                    leaf = np.repeat(leaf, width, axis=-1)
-            fields[name] = leaf
-        return type(self)(counts=self.counts, **fields)
+            if leaf is None or (
+                not index and isinstance(leaf, np.ndarray)
+                and leaf.dtype.kind == "i"
+            ):
+                continue
+            out[name] = leaf
+        return out
 
-    def put(self, col: int, src) -> None:
-        """Write the one-gate group ``src`` over gate ``col``."""
-        starts = {
-            axis: int(_excl(c)[col]) for axis, c in self.counts.items()
-        }
-        for name, (axis, target) in self.AXES.items():
-            leaf = getattr(src, name)
+    def widen(self, width: int, names: Iterable[str]):
+        """A copy of this single-column group whose coefficient leaves
+        ``names`` have ``width`` columns, each a copy of the one they
+        have; :meth:`put` may then write per-column leaves into them.
+        Every other leaf is this group's own: its one column broadcasts
+        against the ``width`` window columns in the kernels, and nothing
+        writes it, so nothing written to the copy reaches this group."""
+        wide = copy.copy(self)
+        for name in names:
+            leaf = getattr(self, name)
             if leaf is None:
                 continue
+            if isinstance(leaf, np.ndarray):
+                leaf = np.repeat(leaf, width, axis=-1)
+            else:
+                leaf = type(leaf)(np.repeat(leaf.rows, width, axis=-1))
+            setattr(wide, name, leaf)
+        return wide
+
+    def put(self, col: int, leaves: Mapping[str, object]) -> None:
+        """Write one gate's ``leaves``, by name, over gate ``col``'s runs
+        (a one-gate group's :meth:`leaves`, or its load terms); index
+        leaves are re-based from the gate's own axes into this group's."""
+        counts = self.counts
+        for name, leaf in leaves.items():
+            axis, target = self.AXES[name]
             if target is not None:
-                leaf = leaf + starts[target]
-            first = starts[axis]
+                leaf = leaf + int(counts[target][:col].sum())
+            first = int(counts[axis][:col].sum())
             _write(
                 getattr(self, name),
-                slice(first, first + int(src.counts[axis][0])),
+                slice(first, first + int(counts[axis][col])),
                 leaf,
             )
 
@@ -729,6 +778,105 @@ def _fanin_tables(max_n: int) -> Dict[str, np.ndarray]:
             table[n, : len(t[name])] = t[name]
         tables[name] = table
     return tables
+
+
+def load_terms(
+    kind: str,
+    cells: Sequence[Sequence[CellTiming]],
+    cidx: np.ndarray,
+    loads: np.ndarray,
+    peak: bool = False,
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """The load-adjust leaves of gates of one group kind.
+
+    Gate ``i`` is cell ``cells[cidx[i]][c]`` driving ``loads[i, c]`` in
+    column ``c``.  Every term is the scalar
+    :meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`
+    (``_trans``) expression ``slope * (load - ref_load)`` of the output
+    direction its leaf serves, elementwise, so it equals the scalar
+    value bit for bit.  A ctrl lane carries its gate's terms of the
+    to-controlling (``d_adj_c``, ``r_adj_c``) and the
+    to-non-controlling response (``d_adj_n``, ``r_adj_n``); with
+    ``peak``, each gate whose cell has Λ-peak data gets one ``p_adj``,
+    the delay term of the peak's direction.  An arc lane carries the
+    terms of its output direction (``d_adj``, ``r_adj``).
+
+    Returns:
+        ``(leaves, counts)``: the leaves, gate-major in group order
+        (``p_adj`` on the peak-gate axis, the rest on the lanes), and
+        each gate's run length on those two axes.
+    """
+    base = [row[0] for row in cells]
+    dload = loads - _table(cells, attrgetter("ref_load"))[cidx]
+
+    def term(get: Callable, rows, pick, gates) -> np.ndarray:
+        """``slope * dload``: the slopes ``get(x)`` of the per-cell
+        ``rows``, gathered by ``pick``, at the loads of ``gates``."""
+        return _table(rows, get)[pick] * dload[gates]
+
+    def slope(name: str, rising: Callable) -> Callable:
+        """Cell ``c``'s ``name`` slope of direction ``rising(c)``."""
+        return lambda c: getattr(c, name)[_dir(rising(c))]
+
+    if kind == "ctrl":
+        n = np.array([c.n_inputs for c in base], dtype=np.intp)[cidx]
+        lane_gate, _ = _elements(n)
+        ctrl_out = attrgetter("ctrl.out_rising")
+        leaves = {
+            name: term(get, cells, cidx, slice(None))[lane_gate]
+            for name, get in (
+                ("d_adj_c", slope("load_delay_slope", ctrl_out)),
+                ("r_adj_c", slope("load_trans_slope", ctrl_out)),
+                ("d_adj_n", slope("load_delay_slope",
+                                  lambda c: not ctrl_out(c))),
+                ("r_adj_n", slope("load_trans_slope",
+                                  lambda c: not ctrl_out(c))),
+            )
+        }
+        kind_peak = np.array(
+            [peak and getattr(c, "nonctrl", None) is not None for c in base],
+            dtype=bool,
+        )
+        if kind_peak.any():
+            pkinds = np.flatnonzero(kind_peak)
+            prank = np.full(len(base), -1, dtype=np.intp)
+            prank[pkinds] = np.arange(pkinds.size)
+            pgate = np.flatnonzero(kind_peak[cidx])
+            leaves["p_adj"] = term(
+                slope("load_delay_slope", attrgetter("nonctrl.out_rising")),
+                [cells[k] for k in pkinds], prank[cidx[pgate]], pgate,
+            )
+        return leaves, {
+            "lane": n, "pgate": kind_peak[cidx].astype(np.intp),
+        }
+    # Each cell's segments: its output directions with arcs, rising
+    # first, and their arc counts.  A gate's lanes run segment by segment.
+    segs = [
+        (k, out_rising, arcs)
+        for k, c in enumerate(base)
+        for out_rising, arcs in zip((True, False), _slot_key(c, False)[2:])
+        if arcs
+    ]
+    kind_seg = np.bincount([k for k, _, _ in segs], minlength=len(base))
+    gs, ps = _elements(kind_seg[cidx])
+    seg_row = _excl(kind_seg)[cidx[gs]] + ps
+    rows = [
+        [(cell, out_rising) for cell in cells[k]] for k, out_rising, _ in segs
+    ]
+    seg_lanes = np.array([arcs for _, _, arcs in segs], dtype=np.intp)
+    seg_of_lane = np.repeat(np.arange(seg_row.size), seg_lanes[seg_row])
+    leaves = {
+        name: term(
+            lambda x, attr=attr: getattr(x[0], attr)[_dir(x[1])],
+            rows, seg_row, gs,
+        )[seg_of_lane]
+        for name, attr in (("d_adj", "load_delay_slope"),
+                           ("r_adj", "load_trans_slope"))
+    }
+    kind_lanes = np.bincount(
+        [k for k, _, _ in segs], weights=seg_lanes, minlength=len(base)
+    ).astype(np.intp)
+    return leaves, {"lane": kind_lanes[cidx]}
 
 
 def subset_group(
@@ -1045,6 +1193,9 @@ class CompiledCircuit:
         #: patch path of :meth:`patch_gate` addresses columns through it.
         self._locs: Dict[str, Tuple[Union[_CtrlGroup, _ArcGroup], int, tuple]]
         self._locs = {}
+        #: gate output line -> the cell :meth:`patch_gate` last wrote it
+        #: for; every other gate is built for its layout cell.
+        self._patched: Dict[str, CellTiming] = {}
         self._built = False
         get_registry().counter("sta.compile.library_builds").inc()
         if model is not None:
@@ -1136,6 +1287,7 @@ class CompiledCircuit:
                     )
                 at_level.setdefault(lvl, []).append(group)
         self._locs = locs
+        self._patched = {}
         self.levels = [at_level[lvl] for lvl in sorted(at_level)]
         self.n_levels = len(self.levels)
         self.n_groups = sum(len(groups) for groups in self.levels)
@@ -1172,8 +1324,9 @@ class CompiledCircuit:
         ``"merge"`` and ``"peak"``; the other set's leaves stay ``None``.
 
         Coefficients come from per-cell rows with one fancy index per
-        leaf; rows, index leaves and load adjustments are whole-vector
-        arithmetic — elementwise IEEE ops, equal to the scalar values.
+        leaf and the load-adjust terms from :func:`load_terms`; rows and
+        index leaves are whole-vector arithmetic — elementwise IEEE ops,
+        equal to the scalar values.
         Λ-peak axes count their elements only with ``"peak"`` in
         ``parts``.
         """
@@ -1210,13 +1363,6 @@ class CompiledCircuit:
         starts = {axis: _excl(c) for axis, c in counts.items()}
         tpl = _fanin_tables(int(kind_n.max()))
 
-        def slopes(rising: Callable, rows) -> Tuple[np.ndarray, np.ndarray]:
-            """(delay, transition) load slopes of direction ``rising(c)``."""
-            return tuple(
-                _table(rows, lambda c: getattr(c, kind)[_dir(rising(c))])
-                for kind in ("load_delay_slope", "load_trans_slope")
-            )
-
         def packs(make: Callable, rows) -> _StackedPack:
             return _pack_rows([
                 [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
@@ -1228,16 +1374,13 @@ class CompiledCircuit:
             gate, local = _elements(counts[axis])
             return tpl[name][n[gate], local] + starts[target][gate]
 
-        # The scalar load_adjusted_* expression, elementwise per gate.
-        dload = loads - _table(table, attrgetter("ref_load"))[cidx]
         gl, pin = _elements(n)
         leaves: Dict[str, object] = dict.fromkeys(_CtrlGroup.AXES)
+        leaves.update(load_terms("ctrl", table, cidx, loads, peak_on)[0])
         out_idx, order_idx, in_idx = (
             line_rows if line_rows is not None
             else self.layout.gate_rows(gates)
         )
-        d_slope_c, r_slope_c = slopes(attrgetter("ctrl.out_rising"), table)
-        d_slope_n, r_slope_n = slopes(lambda c: not c.ctrl.out_rising, table)
         ctrl_off = np.array(
             [0 if c.controlling_value == 1 else n_lines for c in base],
             dtype=np.intp,
@@ -1256,10 +1399,6 @@ class CompiledCircuit:
             lane_order=order_idx[gl],
             pack=_take(packs(KernelContext.ctrl_pack, table), pin_row),
             npack=_take(packs(KernelContext.nonctrl_pack, table), pin_row),
-            d_adj_c=(d_slope_c[cidx] * dload)[gl],
-            r_adj_c=(r_slope_c[cidx] * dload)[gl],
-            d_adj_n=(d_slope_n[cidx] * dload)[gl],
-            r_adj_n=(r_slope_n[cidx] * dload)[gl],
         )
         if "merge" in parts:
             gc, pc = _elements(counts["combo"])
@@ -1305,7 +1444,6 @@ class CompiledCircuit:
             prank[pkinds] = np.arange(pkinds.size)
             ptable = [table[k] for k in pkinds]
             pgate, _ = _elements(peak)
-            p_slope = slopes(attrgetter("nonctrl.out_rising"), ptable)[0]
             gate_rank = np.cumsum(peak) - 1
             gpl, ppin = _elements(counts["plane"])
             gpc, ppc = _elements(counts["pcombo"])
@@ -1321,7 +1459,6 @@ class CompiledCircuit:
                     ),
                     prank[cidx[pgate]],
                 ),
-                p_adj=p_slope[prank[cidx[pgate]]] * dload[pgate],
                 plane=starts["lane"][gpl] + ppin,
                 plane_gate=gate_rank[gpl],
                 ppack=_take(
@@ -1363,13 +1500,12 @@ class CompiledCircuit:
         table = [cells[name] for name in kinds]
         cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
         # Per-kind templates: segments (directions with arcs), lanes
-        # (pin, input-row offset, pack row, segment) and arc-less dirs.
+        # (pin, input-row offset, pack row) and arc-less dirs.
         seg_dir: List[List[int]] = []
         seg_n: List[List[int]] = []
-        lane_cols: List[List[Tuple[int, int, int, int]]] = []
+        lane_cols: List[List[Tuple[int, int, int]]] = []
         no_arc: List[List[int]] = []
         pack_entries = []
-        slope_rows = []
         n_arcs = 0
         for row in table:
             segs, ns, lanes, empty = [], [], [], []
@@ -1380,9 +1516,7 @@ class CompiledCircuit:
                     empty.append(d)
                     continue
                 for k, (pin, rising) in enumerate(arcs):
-                    lanes.append((
-                        pin, 0 if rising else n_lines, n_arcs + k, len(segs)
-                    ))
+                    lanes.append((pin, 0 if rising else n_lines, n_arcs + k))
                 n_arcs += len(arcs)
                 segs.append(d)
                 ns.append(len(arcs))
@@ -1390,7 +1524,6 @@ class CompiledCircuit:
                     ctx.fanin_pack(cell, out_rising)[1]
                     for ctx, cell in zip(ctxs, row)
                 ])
-                slope_rows.append([(cell, out_rising) for cell in row])
             seg_dir.append(segs)
             seg_n.append(ns)
             lane_cols.append(lanes)
@@ -1416,24 +1549,12 @@ class CompiledCircuit:
             else self.layout.gate_rows(gates)
         )
         in_start = _excl(np.array([g.n_inputs for g in gates], dtype=np.intp))
-        # The scalar load_adjusted_* expression, per (gate, direction).
-        dload = loads - _table(table, attrgetter("ref_load"))[cidx]
         gs, ps = _elements(counts["seg"])
         seg_d = padded(seg_dir)[cidx[gs], ps]
-        seg_row = _excl(kind_seg)[cidx[gs]] + ps
-        slope = {
-            kind: _table(
-                slope_rows, lambda x: getattr(x[0], kind)[_dir(x[1])]
-            )[seg_row] * dload[gs]
-            for kind in ("load_delay_slope", "load_trans_slope")
-        }
         ga, pa = _elements(counts["lane"])
         cols = [padded([[lane[i] for lane in r] for r in lane_cols])
-                for i in range(4)]
-        lane_pin, lane_off, lane_row, lane_seg = (
-            c[cidx[ga], pa] for c in cols
-        )
-        seg_of_lane = _excl(counts["seg"])[ga] + lane_seg
+                for i in range(3)]
+        lane_pin, lane_off, lane_row = (c[cidx[ga], pa] for c in cols)
         gn, pn = _elements(counts["noarc"])
         packs = _pack_rows(pack_entries) if pack_entries else None
         return _ArcGroup(
@@ -1443,8 +1564,7 @@ class CompiledCircuit:
             in_rows=in_idx[in_start[ga] + lane_pin] + lane_off,
             lane_order=order_idx[ga],
             pack=_take(packs, lane_row),
-            d_adj=slope["load_delay_slope"][seg_of_lane],
-            r_adj=slope["load_trans_slope"][seg_of_lane],
+            **load_terms("arc", table, cidx, loads)[0],
             no_arc_rows=out_idx[gn] + padded(no_arc)[cidx[gn], pn] * n_lines,
         )
 
@@ -1477,14 +1597,29 @@ class CompiledCircuit:
         cell = self._cell_for(self.circuit.gates[line])
         return _slot_key(cell, self._peak) == loc[2]
 
-    def patch_gate(self, line: str, load: float) -> None:
-        """Rewrite one gate's runs in place.
+    def _built_cell(self, line: str) -> CellTiming:
+        """The cell gate ``line``'s leaves were built or last patched for."""
+        cell = self._patched.get(line)
+        if cell is None:
+            cell = self.cells[self.layout.gate_cells[self._order_pos[line]]]
+        return cell
 
-        Builds the gate — coefficient rows, gather rows, index leaves
-        and the load-adjust terms for ``load`` — from its current cell
-        with the compile's own code and writes it over the old one, so a
-        patched circuit is bitwise-indistinguishable from a recompiled
-        one.
+    def patch_gate(self, line: str, load: float) -> bool:
+        """Rewrite one gate's runs in place for its current cell and
+        output ``load``.
+
+        A resize or a re-load moves only the gate's load-adjust terms:
+        while its cell differs from the one its leaves were built for at
+        most in those (:func:`load_variant`), only they are rewritten
+        (:meth:`gate_load_terms`).  Any other cell (a swap) builds the
+        gate whole — coefficient rows, gather rows, index leaves and
+        load terms — with the compile's own code and writes it over the
+        old one.  Either way a patched circuit is
+        bitwise-indistinguishable from a recompiled one.
+
+        Returns:
+            Whether the gate was rebuilt (False: only its load terms
+            were rewritten).
 
         Raises:
             ValueError: If the gate's current cell no longer fits its
@@ -1505,12 +1640,18 @@ class CompiledCircuit:
                 f"cell {cell.name!r} does not fit the compiled slot {key} "
                 f"of gate {line!r}; recompile required"
             )
-        (fresh,) = self.build_gates(
-            [gate], [[cell]], np.array([[load]], dtype=float)
-        )
-        group.put(col, fresh)
+        rebuild = not load_variant(self._built_cell(line), cell)
+        loads = np.array([[load]], dtype=float)
+        if rebuild:
+            (fresh,) = self.build_gates([gate], [[cell]], loads)
+            leaves = fresh.leaves()
+        else:
+            (leaves,) = self.gate_load_terms([[cell]], loads)
+        group.put(col, leaves)
         group.version += 1
         self.loads[self._order_pos[line]] = load
+        self._patched[line] = cell
+        return rebuild
 
     def same_layout(self, cell: CellTiming, other: CellTiming) -> bool:
         """Whether ``other`` can stand in for ``cell`` as a coefficient
@@ -1535,11 +1676,10 @@ class CompiledCircuit:
         """
         out: List[Union[_CtrlGroup, _ArcGroup, None]] = [None] * len(gates)
         ctxs = [self._ctx] * loads.shape[1]
-        for kind, build in (("ctrl", self._build_ctrl),
-                            ("arc", self._build_arc)):
+        for ctrl, build in ((True, self._build_ctrl),
+                            (False, self._build_arc)):
             pick = [
-                i for i, row in enumerate(cells)
-                if _slot_key(row[0], self._peak)[0] == kind
+                i for i, row in enumerate(cells) if _is_ctrl(row[0]) == ctrl
             ]
             if not pick:
                 continue
@@ -1551,6 +1691,43 @@ class CompiledCircuit:
             )
             for i, part in zip(pick, whole.split(range(len(pick) + 1))):
                 out[i] = part
+        return out
+
+    def gate_load_terms(
+        self, cells: Sequence[Sequence[CellTiming]], loads: np.ndarray
+    ) -> List[Dict[str, np.ndarray]]:
+        """Each gate's load-adjust leaves (:func:`load_terms`), by name,
+        one column per cell.
+
+        Column ``c`` of gate ``i`` is cell ``cells[i][c]`` at output
+        load ``loads[i, c]``: bitwise the load terms
+        :meth:`build_gates` gives that cell and load, while the gate's
+        other leaves are that build's as long as each cell differs from
+        the one the gate was built for at most in its load terms
+        (:func:`load_variant`).  All gates of one kind share one call; a
+        gate without Λ-peak data gets no ``p_adj``.
+        """
+        out: List[Optional[Dict[str, np.ndarray]]] = [None] * len(cells)
+        for kind, axes in (("ctrl", _CtrlGroup.AXES),
+                           ("arc", _ArcGroup.AXES)):
+            pick = [
+                i for i, row in enumerate(cells)
+                if _is_ctrl(row[0]) == (kind == "ctrl")
+            ]
+            if not pick:
+                continue
+            leaves, counts = load_terms(
+                kind, [cells[i] for i in pick], np.arange(len(pick)),
+                loads[pick], self._peak,
+            )
+            runs = {
+                name: np.split(leaf, np.cumsum(counts[axes[name][0]])[:-1])
+                for name, leaf in leaves.items()
+            }
+            for j, i in enumerate(pick):
+                out[i] = {
+                    name: run[j] for name, run in runs.items() if len(run[j])
+                }
         return out
 
 
@@ -1781,6 +1958,48 @@ class ColumnTimings(Mapping):
 
     def __contains__(self, line: object) -> bool:
         return line in self._index
+
+
+class LiveTimings(ColumnTimings):
+    """A :class:`ColumnTimings` over window state that is re-timed in
+    place: the incremental engine's master (:mod:`repro.sta.incremental`).
+
+    It reads the column from the arrays themselves rather than from a
+    copy, so it follows every in-place write.  A line's
+    :class:`LineTiming` is still built on first read and kept;
+    :meth:`forget` drops the lines a re-time rewrote, and their next
+    read builds them afresh.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, windows: CompiledWindows, column: int = 0) -> None:
+        self._index = windows.line_index
+        self._n = windows.n_lines
+        self._a_s = windows.a_s[:, column]
+        self._a_l = windows.a_l[:, column]
+        self._t_s = windows.t_s[:, column]
+        self._t_l = windows.t_l[:, column]
+        self._states = windows.states
+        self._built: Dict[str, LineTiming] = {}
+
+    def _window(self, r: int) -> DirWindow:
+        state = int(self._states[r])
+        if state == IMPOSSIBLE:
+            return DirWindow.impossible()
+        w = DirWindow.__new__(DirWindow)
+        w.a_s = float(self._a_s[r])
+        w.a_l = float(self._a_l[r])
+        w.t_s = float(self._t_s[r])
+        w.t_l = float(self._t_l[r])
+        w.state = state
+        return w
+
+    def forget(self, lines: Iterable[str]) -> None:
+        """Drop the built windows of ``lines``, which a re-time rewrote."""
+        built = self._built
+        for line in lines:
+            built.pop(line, None)
 
 
 class ColumnRequired(Mapping):

@@ -22,10 +22,15 @@ How it works:
   everything downstream — bit-identical to a fresh analyzer;
 * coefficient-only edits (resize/cell swap) are patched into the
   :class:`~repro.sta.compile.CompiledCircuit` SoA arrays in place
-  (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`); only
-  structural edits (rewires) and swaps that change a gate's compiled
-  slot recompile.  The window state survives a recompile: its rows
-  follow ``circuit.lines``, which no edit reorders.
+  (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`): a resize
+  and a re-load rewrite only the gate's load-adjust terms, a swap
+  rebuilds the gate; only structural edits (rewires) and swaps that
+  change a gate's compiled slot recompile.  The window state survives
+  a recompile: its rows follow ``circuit.lines``, which no edit
+  reorders;
+* results read that state through one live, read-only view
+  (:class:`~repro.sta.compile.LiveTimings`), which builds a line's
+  windows on first read and drops those a replay or commit rewrites.
 
 The cone then replays on the compiled level sweep: per level, the
 dirty gates of each compiled group (at most one ctrl and one arc-table
@@ -42,10 +47,12 @@ What-if trials (:meth:`IncrementalAnalyzer.try_edits`) ride the same
 level sweep with one column per hypothetical edit, the way a corner
 compile carries one column per corner library.  The *seed* gates of a
 batch (each edited gate and the drivers of its re-loaded fan-in lines)
-join the sweep at their own level with per-column coefficients, built
-by the compile's own code: the variant cell or load in the columns
-whose edit touches them, the master's elsewhere.  Every gate is thus
-computed inside the kernels, from inputs that are already final.
+join the sweep at their own level with per-column coefficients: the
+variant cell or load in the columns whose edit touches them, the
+master's elsewhere.  A seed that only resizes or re-loads gets K
+columns of load terms and nothing else; a swapped seed is built by the
+compile's own code.  Every gate is thus computed inside the kernels,
+from inputs that are already final.
 :meth:`IncrementalAnalyzer.commit` applies the chosen edit for real and
 adopts its column as the master state instead of re-timing its cone.
 
@@ -69,6 +76,7 @@ import numpy as np
 from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
+from .compile import LiveTimings, load_variant, subset_group
 from .windows import IMPOSSIBLE, DirWindow, LineTiming
 
 
@@ -241,7 +249,6 @@ class IncrementalAnalyzer:
         # Patches write into the compile, so it must be this engine's.
         analyzer.own_compile()
         self._log_pos = len(self.circuit.edit_log)
-        self._timings: Optional[Dict[str, LineTiming]] = None
         self._outputs = set(self.circuit.outputs)
         self._lvl: Optional[Dict[str, int]] = None
         #: Compiled-form bookkeeping.
@@ -251,6 +258,8 @@ class IncrementalAnalyzer:
         #: replays and adopted commits update it in place.  Its rows
         #: follow ``circuit.lines``, so it outlives recompiles.
         self._cw = None
+        #: The read-only view every result serves ``_cw`` through.
+        self._view: Optional[LiveTimings] = None
         #: (id(group), cols) -> (group.version, (subset, output rows,
         #: owning column per row)) — cones revisit
         #: the same group columns across edits (optimizer trial loops),
@@ -266,12 +275,15 @@ class IncrementalAnalyzer:
         self._m_retimes = obs.counter("sta.incr.retimes")
         self._m_gates = obs.counter("sta.incr.gates_retimed")
         self._m_early = obs.counter("sta.incr.early_terminations")
-        self._m_patches = obs.counter("sta.incr.patches")
+        self._m_load_patches = obs.counter("sta.incr.load_term_patches")
+        self._m_rebuild_patches = obs.counter("sta.incr.rebuild_patches")
         self._m_rebuilds = obs.counter("sta.incr.full_rebuilds")
         self._m_full = obs.counter("sta.incr.full_passes")
         self._m_trials = obs.counter("sta.incr.trials")
         self._m_trial_batches = obs.counter("sta.incr.trial_batches")
         self._m_adopted = obs.counter("sta.incr.commits_adopted")
+        self._m_seed_terms = obs.counter("sta.incr.seed_load_terms")
+        self._m_seed_builds = obs.counter("sta.incr.seed_builds")
         self._h_cone = obs.histogram("sta.incr.cone_gates")
         self._h_trial_cone = obs.histogram("sta.incr.trial_cone_gates")
 
@@ -281,17 +293,18 @@ class IncrementalAnalyzer:
     def analyze(self) -> StaResult:
         """Run a full pass and (re)baseline the incremental state.
 
-        The pass's column view is materialized into the dict that
-        re-timing updates in place, so the returned result is live,
-        like :meth:`retime`'s.
+        The returned result reads the pass's window state through a
+        :class:`~repro.sta.compile.LiveTimings` view, which builds a
+        line's windows on first read; re-timing updates that state in
+        place, so the result is live, like :meth:`retime`'s.
         """
         self._ingest_edits()
         self._sync_compiled()
-        result = self.analyzer.analyze()
-        self._timings = dict(result.timings)
+        self.analyzer.analyze()
         self._cw = self.analyzer._level.last_windows
+        self._view = LiveTimings(self._cw)
         self._m_full.inc()
-        return StaResult(self.circuit, self._timings)
+        return StaResult(self.circuit, self._view)
 
     # ------------------------------------------------------------------
     # Incremental pass
@@ -304,12 +317,12 @@ class IncrementalAnalyzer:
         yet.
         """
         seeds = self._ingest_edits()
-        if self._timings is None:
+        if self._view is None:
             return self.analyze()
         self._m_retimes.inc()
         if seeds:
             self._replay(seeds)
-        return StaResult(self.circuit, self._timings)
+        return StaResult(self.circuit, self._view)
 
     def _replay(self, seeds: Set[str]) -> int:
         """Level-batched cone replay over the persistent SoA state.
@@ -334,8 +347,7 @@ class IncrementalAnalyzer:
 
         with self._obs.timer("sta.incr.retime_s"):
             cone, changed = self._sweep(seeds, arrays, cw.states, run)
-            for line in changed:
-                self._timings[line] = cw.line_timing(line)
+            self._view.forget(changed)
         self._m_early.inc(cone - len(changed))
         self._m_gates.inc(cone)
         self._h_cone.observe(cone)
@@ -410,8 +422,6 @@ class IncrementalAnalyzer:
         hit = self._subsets.get(key)
         if hit is not None and hit[0] == group.version:
             return hit[1]
-        from .compile import subset_group
-
         if len(self._subsets) >= 4096:
             self._subsets.clear()
         sub = subset_group(group, cols)
@@ -451,7 +461,9 @@ class IncrementalAnalyzer:
         the drivers of its re-loaded fan-in lines — are swept at their
         own level like any other gate, with one coefficient column per
         edit: the variant cell or load where that edit touches the
-        gate, the master's elsewhere.  So the union cone costs one
+        gate, the master's elsewhere (where no edit swaps the gate,
+        only its load-adjust terms differ; see :meth:`_trial_builds`).
+        So the union cone costs one
         kernel call per group and level for all K variants, and no
         gate is computed outside the kernels.  An edit whose cell lays
         the gate out differently (a polarity flip such as NAND2 ->
@@ -505,7 +517,7 @@ class IncrementalAnalyzer:
         level = self.analyzer.level_engine()
         master = self._cw
         K = len(edits)
-        builds, swaps = self._trial_builds(edits)
+        seeds, swaps = self._trial_builds(edits)
         arrays = tuple(
             np.repeat(a, K, axis=1)
             for a in (master.a_s, master.a_l, master.t_s, master.t_l)
@@ -514,13 +526,16 @@ class IncrementalAnalyzer:
 
         def run(sub, lines: List[str]) -> bool:
             seeded = [
-                (col, builds[line])
-                for col, line in enumerate(lines) if line in builds
+                (col, seeds[line])
+                for col, line in enumerate(lines) if line in seeds
             ]
             if seeded:
-                sub = sub.widen(K)  # never write into the memoized subset
-                for col, fresh in seeded:
-                    sub.put(col, fresh)
+                # Widen only the leaves the seeds override, and never
+                # write into the memoized subset.
+                names = set().union(*(leaves for _, leaves in seeded))
+                sub = sub.widen(K, names)
+                for col, leaves in seeded:
+                    sub.put(col, leaves)
             level.run_group(sub, arrays, states)
             for line in lines:
                 for k, fresh in swaps.get(line, ()):
@@ -532,7 +547,7 @@ class IncrementalAnalyzer:
                         return False
             return True
 
-        swept = self._sweep(set(builds) | set(swaps), arrays, states, run)
+        swept = self._sweep(set(seeds) | set(swaps), arrays, states, run)
         if swept is None:
             return None
         cone = swept[0]
@@ -550,20 +565,27 @@ class IncrementalAnalyzer:
         )
 
     def _trial_builds(self, edits: List[TrialEdit]):
-        """The per-column gate builds of a trial batch.
+        """The per-column leaves of a trial batch's seed gates.
 
         Each edit is resolved on the netlist — applied, read, reverted,
         so the netlist's own validation and :func:`line_load` apply —
         into its gate's variant cell and the re-derived loads of the
-        gate's fan-in lines.  Every seed gate then gets one coefficient
-        column per edit from :meth:`~repro.sta.compile.CompiledCircuit
-        .build_gates`, one build call per group kind for the batch.
+        gate's fan-in lines.  A resize or a re-load moves only a gate's
+        load-adjust terms, so a seed gate whose every column keeps its
+        master cell's coefficients (a resized gate, or the driver of a
+        resized gate's input) gets just its K columns of load terms
+        (:meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms`);
+        a seed swapped to another cell of the same layout in some column
+        gets a K-column one-gate build
+        (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`).  Each
+        is one call per group kind for the batch.
 
         Returns:
-            ``(builds, swaps)``: seed line -> its K-column one-gate
-            group, and edited line -> ``[(k, one-column build)]`` for
-            the edits whose cell changes the gate's layout (their
-            column keeps the master's coefficients in ``builds``).
+            ``(seeds, swaps)``: seed line -> its K-column leaves by name
+            (the load terms, or the build's coefficient leaves), and
+            edited line -> ``[(k, one-column build)]`` for the edits
+            whose cell changes the gate's layout (their column keeps the
+            master's coefficients in ``seeds``).
         """
         circuit = self.circuit
         analyzer = self.analyzer
@@ -599,29 +621,45 @@ class IncrementalAnalyzer:
             self._log_pos = len(circuit.edit_log)
             analyzer._epoch = circuit.edit_epoch
         K = len(edits)
-        seeds = list(dict.fromkeys([*cells, *loads]))
-        gates = [circuit.gates[line] for line in seeds]
-        columns, col_loads = [], []
-        for line, gate in zip(seeds, gates):
+        #: (line, gate, column cells, column loads) per seed, by path.
+        terms, builds = [], []
+        for line in dict.fromkeys([*cells, *loads]):
+            gate = circuit.gates[line]
             own = compiled._cell_for(gate)
             cell_k = cells.get(line, {})
             load_k = loads.get(line, {})
-            columns.append([cell_k.get(k, own) for k in range(K)])
-            col_loads.append([
-                load_k.get(k, analyzer._loads[line]) for k in range(K)
-            ])
-        built = compiled.build_gates(
-            gates, columns, np.array(col_loads, dtype=float).reshape(-1, K)
-        )
+            seed = (
+                line, gate, [cell_k.get(k, own) for k in range(K)],
+                [load_k.get(k, analyzer._loads[line]) for k in range(K)],
+            )
+            if all(load_variant(own, cell) for cell in cell_k.values()):
+                terms.append(seed)
+            else:
+                builds.append(seed)
+        seeds: Dict[str, Dict[str, object]] = {}
+        if terms:
+            for seed, leaves in zip(terms, compiled.gate_load_terms(
+                [s[2] for s in terms],
+                np.array([s[3] for s in terms], dtype=float),
+            )):
+                seeds[seed[0]] = leaves
+        if builds:
+            for seed, fresh in zip(builds, compiled.build_gates(
+                [s[1] for s in builds], [s[2] for s in builds],
+                np.array([s[3] for s in builds], dtype=float),
+            )):
+                seeds[seed[0]] = fresh.leaves(index=False)
         solo: Dict[str, List[Tuple[int, object]]] = {}
-        for (line, k, _), fresh in zip(swaps, compiled.build_gates(
-            [circuit.gates[line] for line, _, _ in swaps],
-            [[cell] for _, _, cell in swaps],
-            np.array([analyzer._loads[line] for line, _, _ in swaps],
-                     dtype=float).reshape(-1, 1),
-        )):
-            solo.setdefault(line, []).append((k, fresh))
-        return dict(zip(seeds, built)), solo
+        if swaps:
+            for (line, k, _), fresh in zip(swaps, compiled.build_gates(
+                [circuit.gates[line] for line, _, _ in swaps],
+                [[cell] for _, _, cell in swaps],
+                np.array([[analyzer._loads[line]] for line, _, _ in swaps]),
+            )):
+                solo.setdefault(line, []).append((k, fresh))
+        self._m_seed_terms.inc(K * len(terms))
+        self._m_seed_builds.inc(K * len(builds) + len(swaps))
+        return seeds, solo
 
     def _try_fallback(self, edits: List[TrialEdit]) -> TrialResult:
         """Trial evaluation by real edits, for a batch whose columns'
@@ -711,10 +749,11 @@ class IncrementalAnalyzer:
             for array, column in zip(arrays, columns):
                 array[rows, 0] = column[rows]
             lines = list(cw.line_index)
-            for i in np.unique(rows % cw.n_lines).tolist():
-                self._timings[lines[i]] = cw.line_timing(lines[i])
+            self._view.forget(
+                lines[i] for i in np.unique(rows % cw.n_lines).tolist()
+            )
             self._m_adopted.inc()
-        return StaResult(self.circuit, self._timings)
+        return StaResult(self.circuit, self._view)
 
     # ------------------------------------------------------------------
     # Edit ingestion
@@ -819,8 +858,10 @@ class IncrementalAnalyzer:
             self._m_rebuilds.inc()
         else:
             for line in sorted(self._patch_pending):
-                compiled.patch_gate(line, self.analyzer._loads[line])
-                self._m_patches.inc()
+                if compiled.patch_gate(line, self.analyzer._loads[line]):
+                    self._m_rebuild_patches.inc()
+                else:
+                    self._m_load_patches.inc()
         self._patch_pending.clear()
 
     # ------------------------------------------------------------------
@@ -844,9 +885,9 @@ class IncrementalAnalyzer:
     # ------------------------------------------------------------------
     def result(self) -> StaResult:
         """The current window state as a (live) :class:`StaResult`."""
-        if self._timings is None:
+        if self._view is None:
             return self.analyze()
-        return StaResult(self.circuit, self._timings)
+        return StaResult(self.circuit, self._view)
 
 
 def edits_since(circuit: Circuit, epoch: int) -> List[CircuitEdit]:

@@ -413,10 +413,15 @@ class GateSizer:
                         l: g.size for l, g in self.circuit.gates.items()
                     }
             temp *= cfg.anneal_decay
-        # Restore the best state seen (SA may end uphill).
+        # Restore the best state seen (SA may end uphill): every changed
+        # gate at once, then one replay of their union cone.
+        restored = False
         for line, size in best_sizes.items():
             if self.circuit.gates[line].size != size:
-                self.incr.resize_gate(line, size)
+                self.circuit.resize_gate(line, size)
+                restored = True
+        if restored:
+            self.incr.retime()
         return best_cost
 
 

@@ -779,3 +779,172 @@ class TestCommit:
             Circuit.from_dict(circuit.to_dict()), library, perf=SCALAR
         ).analyze_per_gate(pi_overrides=overrides)
         _assert_all_lines_equal(circuit, result, reference)
+
+
+class TestLoadTermSeeds:
+    """A resize or a re-load moves only a gate's load-adjust terms: the
+    seeds of a resize trial carry columns of load terms, and commits
+    and re-times of resizes rewrite only those terms, so none of them
+    builds a gate.  Every column and every committed state still equals
+    a fresh analysis."""
+
+    # NAND2/NAND3/NOR2 and INV/BUF/XOR2 gates; every resized gate below
+    # except y2 also drives a resized gate, so it is resized in its own
+    # column and re-loaded in its sink's.
+    BENCH = (
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\n"
+        "OUTPUT(y1)\nOUTPUT(y2)\nOUTPUT(y3)\n"
+        "inv = NOT(a)\nbuf = BUFF(inv)\nxor = XOR(b, c)\n"
+        "n2 = NAND(a, b)\nn3 = NAND(b, c, d)\nr2 = NOR(c, d)\n"
+        "y1 = NOR(n2, xor)\ny2 = NAND(buf, n3, r2)\ny3 = XOR(n2, buf)\n"
+    )
+    RESIZES = [
+        TrialEdit("resize", line, size) for line, size in (
+            ("n2", 2.0), ("y1", 4.0), ("inv", 0.5), ("buf", 2.8),
+            ("xor", 1.4), ("y3", 2.0), ("r2", 0.7), ("y2", 5.7),
+        )
+    ]
+
+    @staticmethod
+    def _engine(circuit, library, model_cls):
+        incr = IncrementalAnalyzer(
+            TimingAnalyzer(circuit, library, model_cls(), StaConfig())
+        )
+        incr.analyze()
+        return incr
+
+    @staticmethod
+    def _match(circuit, library, model_cls, timings, edit=None):
+        reference = TestMergedGroups._fresh(
+            circuit, library, model_cls, edit
+        )
+        for line in circuit.lines:
+            assert timings_equal(timings(line), reference.line(line)), (
+                edit, line,
+            )
+
+    @pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
+    def test_resizes_build_no_gate(self, library, monkeypatch, model_cls):
+        from repro.sta.compile import CompiledCircuit
+
+        circuit = parse_bench(self.BENCH, name="loads")
+        edits = self.RESIZES
+        states = []  # (the circuit, its windows) after each real edit
+        with use_registry() as registry, monkeypatch.context() as patch:
+            incr = self._engine(circuit, library, model_cls)
+            compiled = incr.analyzer._level.compiled
+            peaked = {
+                line for line, (_, _, key) in compiled._locs.items()
+                if key[0] == "ctrl" and key[2]
+            }
+            # Λ-peak load terms (p_adj) ride along under the non-ctrl
+            # aware model.
+            assert ("n2" in peaked) == (model_cls is NonCtrlAwareModel)
+            patch.setattr(CompiledCircuit, "build_gates", _forbidden)
+            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
+            trial = incr.try_edits(edits)
+            before = Circuit.from_dict(circuit.to_dict())
+            # y1's column: y1 resized, n2 and xor re-loaded.
+            result = incr.commit(trial, 1)
+            states.append((Circuit.from_dict(circuit.to_dict()),
+                           dict(result.timings)))
+            circuit.resize_gate("buf", 2.0)  # re-loads inv
+            result = incr.retime()
+            states.append((Circuit.from_dict(circuit.to_dict()),
+                           dict(result.timings)))
+        counters = registry.snapshot()["counters"]
+        # Every gate resized or re-loaded by the batch is a seed: the
+        # eight resized gates and n3 (re-loaded by y2).
+        assert counters["sta.incr.seed_load_terms"] == 9 * len(edits)
+        assert counters.get("sta.incr.seed_builds", 0) == 0
+        assert counters["sta.incr.load_term_patches"] == 5
+        assert counters.get("sta.incr.rebuild_patches", 0) == 0
+        assert incr.analyzer._level.compiled is compiled
+        for k, e in enumerate(edits):
+            self._match(
+                before, library, model_cls,
+                functools.partial(trial.line_timing, k=k), e,
+            )
+        for variant, timings in states:
+            self._match(variant, library, model_cls, timings.__getitem__)
+
+    @staticmethod
+    def _with_xnor(library):
+        """A copy of the shipped library with an XNOR2: XOR2's layout
+        with other delay coefficients, so XOR2 <-> XNOR2 is the swap
+        that keeps a gate's layout but not its coefficients (the shipped
+        cells have no such pair)."""
+        lib = copy.deepcopy(library)
+        xor = lib.cells["XOR2"]
+        lib.cells["XNOR2"] = dataclasses.replace(
+            xor, name="XNOR2", kind="xnor", arcs={
+                key: dataclasses.replace(arc, delay=dataclasses.replace(
+                    arc.delay, a0=arc.delay.a0 * 1.25
+                ))
+                for key, arc in xor.arcs.items()
+            },
+        )
+        lib._sized_cache.clear()
+        return lib
+
+    def test_mixed_batch_matches_fresh(self, library, monkeypatch):
+        lib = self._with_xnor(library)
+        circuit = parse_bench(self.BENCH, name="loads")
+        edits = [
+            TrialEdit("resize", "xor", 2.0),   # xor: new load terms
+            TrialEdit("swap", "xor", "xnor"),  # xor: same layout, rebuilt
+            TrialEdit("resize", "y1", 4.0),    # re-loads n2 and xor
+            TrialEdit("swap", "n2", "nor"),    # another layout: solo build
+            TrialEdit("swap", "inv", "buf"),   # other arcs: solo build
+            TrialEdit("resize", "buf", 2.0),   # re-loads inv
+        ]
+        with use_registry() as registry, monkeypatch.context() as patch:
+            incr = self._engine(circuit, lib, VShapeModel)
+            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
+            trial = incr.try_edits(edits)
+            before = Circuit.from_dict(circuit.to_dict())
+            result = incr.commit(trial, 1)
+        counters = registry.snapshot()["counters"]
+        # xor's six columns come from one build, the two layout changes
+        # from one each; y1, n2, buf and inv get load terms.
+        assert counters["sta.incr.seed_builds"] == 6 + 2
+        assert counters["sta.incr.seed_load_terms"] == 6 * 4
+        assert counters["sta.incr.rebuild_patches"] == 1
+        assert counters.get("sta.incr.load_term_patches", 0) == 0
+        _assert_columns_match_fresh(before, lib, trial, edits)
+        _assert_all_lines_equal(circuit, result, _fresh_timings(circuit, lib))
+
+
+class TestLiveView:
+    """The engine serves its window state through one read-only live
+    view, which builds a line on first read and rebuilds the lines a
+    replay or an adopted commit rewrote."""
+
+    def test_reads_follow_the_master_state(self, library):
+        from repro.sta.compile import LiveTimings
+
+        circuit = load_packaged_bench("c432s")
+        incr = _incremental(circuit, library, "level")
+        live = incr.result()
+        assert isinstance(live.timings, LiveTimings)
+        assert not live.timings._built  # analyze() builds no line
+        gate = "G110"
+        sink = circuit.fanouts(gate)[0].output
+        read = (live.line(gate), live.line(sink))
+        circuit.resize_gate(gate, 4.0)
+        assert incr.retime().timings is live.timings
+        assert live.line(gate) is not read[0]
+        _assert_all_lines_equal(
+            circuit, live, _fresh_timings(circuit, library)
+        )
+        trial = incr.try_edits([TrialEdit("resize", gate, 0.5)])
+        assert incr.commit(trial, 0).timings is live.timings
+        _assert_all_lines_equal(
+            circuit, live, _fresh_timings(circuit, library)
+        )
+        with pytest.raises(TypeError):
+            live.timings[gate] = read[0]
+        # Required times read the view's columns in place.
+        TestRequiredTimes._assert_required_match_fresh(
+            circuit, library, incr.analyzer, live
+        )
