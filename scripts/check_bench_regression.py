@@ -3,14 +3,16 @@
 
 Compares a fresh ``scripts/bench_timing.py`` run against the committed
 baseline in ``benchmarks/results/BENCH_timing.json`` on *per-unit*
-metrics (seconds per STA pass / ITR decision / ATPG fault), which are
+metrics (seconds per STA pass / compile / backward pass / what-if edit /
+Monte Carlo sample / ITR decision / ATPG fault / warm query), which are
 comparable between ``--quick`` and full runs because both exercise the
-same circuits — quick mode only lowers repeat counts — and on in-run
-ratios (``*_ratio``: compile time over one compiled pass, one compiled
-pass over one seed-structure scalar pass, the compiled backward pass
-over its per-gate reference, one Monte Carlo sample over one per-gate
-pass, one what-if trial edit over one full compiled pass), which also
-transfer across hosts because both sides are timed in the same run.
+same circuits — quick mode only lowers repeat counts.
+
+Every gate is the absolute time of one program leg.  No gate is an
+in-run ratio: a ratio's denominator is another leg (the scalar
+reference walk, a seed emulation, one compiled pass), so speeding that
+leg up would read as a regression of the numerator.  The bench still
+reports its ratios and speedups, ungated.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
@@ -47,22 +49,18 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "results" / "BENCH_timing.json"
 
-#: (section, key) pairs gated on: seconds per unit of work, or (keys
-#: ending in ``_ratio``) dimensionless in-run ratios.
+#: (section, key) pairs gated on, each in seconds per unit of work.
 GATED_METRICS = (
     ("sta_full_pass", "optimized_s_per_pass"),
     ("sta_full_pass_level", "level_s_per_pass"),
-    ("sta_full_pass_level", "compile_vs_pass_ratio"),
-    ("sta_full_pass_level", "level_vs_baseline_ratio"),
-    ("sta_required", "compiled_vs_per_gate_ratio"),
+    ("sta_full_pass_level", "compile_s"),
+    ("sta_required", "compiled_s"),
     ("sta_incremental", "incr_s_per_edit"),
-    ("sta_incremental", "trial_vs_full_ratio"),
     ("itr_refine", "optimized_s_per_decision"),
     ("atpg_with_itr", "s_per_fault_optimized"),
     ("mc", "mc_s_per_sample"),
-    ("mc", "mc_vs_baseline_ratio"),
     ("corner", "batched_s_per_corner"),
-    ("corner", "batched_compile_vs_pass_ratio"),
+    ("corner", "batched_compile_s"),
     ("server", "warm_s_per_query"),
 )
 
@@ -142,10 +140,7 @@ def check(
         verdict = "ok" if ratio <= threshold else "REGRESSION"
         if verdict != "ok":
             failures += 1
-        if key.endswith("_ratio"):
-            values = f"base {base:9.3f}     now {cur:9.3f}    "
-        else:
-            values = f"base {base * 1e3:9.3f} ms  now {cur * 1e3:9.3f} ms"
+        values = f"base {base * 1e3:9.3f} ms  now {cur * 1e3:9.3f} ms"
         print(f"  {name:<40} {values}  ({ratio:5.2f}x)  {verdict}")
     if failures:
         print(

@@ -123,6 +123,16 @@ class SimultaneousTiming:
     trans_multi_scale: Dict[str, float]
 
 
+def multi_input_ratio(scales: Dict[str, float], k: int) -> float:
+    """The k-input ratio of a ``multi_scale`` / ``trans_multi_scale``
+    table, with ``k`` clamped to the characterized input counts."""
+    key = str(k)
+    if key in scales:
+        return scales[key]
+    known = sorted(int(x) for x in scales)
+    return scales[str(min(known[-1], max(known[0], k)))]
+
+
 @dataclasses.dataclass
 class CellTiming:
     """Complete characterized timing of one library cell."""
@@ -444,6 +454,23 @@ def _cell_to_dict(cell: CellTiming) -> dict:
 
 
 def _cell_from_dict(raw: dict) -> CellTiming:
+    """One cell of a library document.
+
+    Raises:
+        LibraryFormatError: If the cell has Λ-peak data (``nonctrl``)
+            without to-controlling data, or its Λ-peak does not respond
+            in the direction opposite the to-controlling one: the peak's
+            tails are the cell's to-non-controlling arcs.
+    """
+    ctrl, nonctrl = raw["ctrl"], raw.get("nonctrl")
+    if nonctrl is not None and (
+        ctrl is None or nonctrl["out_rising"] == ctrl["out_rising"]
+    ):
+        raise LibraryFormatError(
+            f"cell {raw['name']!r}: its nonctrl (Λ-peak) data needs ctrl "
+            f"data responding in the opposite output direction — "
+            f"re-run characterization"
+        )
     return CellTiming(
         name=raw["name"],
         kind=raw["kind"],
@@ -453,12 +480,8 @@ def _cell_from_dict(raw: dict) -> CellTiming:
         input_caps=list(raw["input_caps"]),
         ref_load=raw["ref_load"],
         arcs={key: _arc_from_dict(a) for key, a in raw["arcs"].items()},
-        ctrl=_ctrl_from_dict(raw["ctrl"]) if raw["ctrl"] is not None else None,
+        ctrl=_ctrl_from_dict(ctrl) if ctrl is not None else None,
         load_delay_slope=dict(raw["load_delay_slope"]),
         load_trans_slope=dict(raw["load_trans_slope"]),
-        nonctrl=(
-            _ctrl_from_dict(raw["nonctrl"])
-            if raw.get("nonctrl") is not None
-            else None
-        ),
+        nonctrl=_ctrl_from_dict(nonctrl) if nonctrl is not None else None,
     )

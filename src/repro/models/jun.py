@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..characterize.library import CellTiming
+from ..characterize.library import CellTiming, multi_input_ratio
 from .base import DelayModel, InputEvent, ctrl_arc_delay, ctrl_arc_trans
 
 
@@ -53,8 +53,8 @@ class JunModel(DelayModel):
         t_eq = float(np.mean([e.trans for e in events])) + spread
         arc = cell.ctrl_arc(events[0].pin)
         t_eq = arc.clamp(t_eq)
-        scale = self._multi_scale(ctrl.multi_scale, len(events))
-        t_scale = self._multi_scale(ctrl.trans_multi_scale, len(events))
+        scale = multi_input_ratio(ctrl.multi_scale, len(events))
+        t_scale = multi_input_ratio(ctrl.trans_multi_scale, len(events))
         load_adj = cell.load_adjusted_delay(ctrl.out_rising, load)
         delay_from_mean = ctrl.d0(t_eq, t_eq) * scale + load_adj
         trans = (
@@ -64,11 +64,3 @@ class JunModel(DelayModel):
         mean_arrival = float(np.mean(arrivals))
         earliest = min(arrivals)
         return (mean_arrival - earliest) + delay_from_mean, trans
-
-    @staticmethod
-    def _multi_scale(scales: dict, k: int) -> float:
-        key = str(k)
-        if key in scales:
-            return scales[key]
-        known = sorted(int(x) for x in scales)
-        return scales[str(min(known[-1], max(known[0], k)))]

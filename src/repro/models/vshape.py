@@ -24,7 +24,12 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..characterize.formulas import ONE_THIRD
-from ..characterize.library import CellTiming, TimingArc, pair_key
+from ..characterize.library import (
+    CellTiming,
+    TimingArc,
+    multi_input_ratio,
+    pair_key,
+)
 from .base import DelayModel, InputEvent, ctrl_arc_delay, ctrl_arc_trans
 
 #: Numerical floor for saturation skews (avoids division by zero when the
@@ -339,8 +344,8 @@ class VShapeModel(DelayModel):
         delay = best_arrival - earliest.arrival
         trans = best_trans
         if k_near > 2 and cell.ctrl is not None:
-            ratio = self._multi_ratio(cell.ctrl.multi_scale, k_near)
-            t_ratio = self._multi_ratio(cell.ctrl.trans_multi_scale, k_near)
+            ratio = multi_input_ratio(cell.ctrl.multi_scale, k_near)
+            t_ratio = multi_input_ratio(cell.ctrl.trans_multi_scale, k_near)
             floor = min(ev.arrival for ev in events)
             pair_floor = min(best_pair[0].arrival, best_pair[1].arrival)
             delay = (best_arrival - pair_floor) * ratio + (pair_floor - floor)
@@ -360,11 +365,3 @@ class VShapeModel(DelayModel):
             if ev.arrival - earliest.arrival < 0.5 * shape.s_pos:
                 count += 1
         return count
-
-    @staticmethod
-    def _multi_ratio(scales: dict, k: int) -> float:
-        key = str(k)
-        if key in scales:
-            return scales[key]
-        available = sorted(int(x) for x in scales)
-        return scales[str(min(available[-1], max(available[0], k)))]

@@ -31,7 +31,7 @@ gate owns one contiguous run of elements on each:
 
 * **lanes** — one per (gate, pin) of a ctrl gate, or one per arc of an
   arc-table gate's output direction.  A lane carries its input row(s),
-  its arc-pack coefficients and its gate's load terms;
+  its arcs' coefficient rows and its gate's load terms;
 * **pairs** — a ctrl gate's real pin pairs ``a < b < fan-in``;
 * **combos** — the four endpoint combinations of each pair, carrying
   their pair scale, their gate and their pins' lanes, and the rows of
@@ -41,8 +41,12 @@ gate owns one contiguous run of elements on each:
   23 rows per combo would cost a 4-corner c7552s compile 17 MiB;
 * smaller axes for the overlap-depth pin pairs, the multi-input ratio
   tables, and the Λ-peak gates, lanes and combos, which exist only for
-  gates with peak data.  The backward pass's (pin, partner) candidates
-  are derived from per-fan-in templates when it runs.
+  gates with peak data.  A Λ-peak lane is an index into the lanes: the
+  peak's tails are the pin's to-non-controlling arcs, so the merge
+  reads their rows (``npack``), their load terms (``d_adj_n``) and the
+  endpoints the pin-to-pin bounds clamped against them.  The backward
+  pass's (pin, partner) candidates are derived from per-fan-in
+  templates when it runs.
 
 Per-gate results are ``np.minimum`` / ``np.maximum`` /
 ``np.logical_or`` / ``np.add`` ``.reduceat`` over each gate's run.
@@ -52,14 +56,16 @@ direction without arcs stays outside the lanes (``no_arc_rows``).
 
 Compile.  The paper characterizes its K-coefficient formulas once per
 cell, and the compile follows that structure: per-cell (and per-cell
-pin, pair, ratio-table entry) rows hold the coefficients of every
-distinct cell, all gates of one kind (ctrl or arc) gather their rows
-with one fancy index per leaf in (level, topological) order, and each
-level's group is a contiguous cut of those circuit-wide arrays.  Float
+pin, arc, pair, ratio-table entry) rows hold the coefficients of every
+distinct cell, packed straight from the cell's records (arcs by
+:func:`_arc_rows`), all gates of one kind (ctrl or arc) gather their
+rows with one fancy index per leaf in (level, topological) order, and
+each level's group is a contiguous cut of those circuit-wide arrays.
+Every coefficient is held once: no leaf is a copy of another.  Float
 leaves are coefficients ``(..., N, C)`` (``C`` corner libraries on the
 trailing axis), integer leaves are rows or indices ``(N,)``; each
 group's ``AXES`` table names the axis of every leaf and, for an index
-leaf, the axis it points into.  Column subsets (:func:`subset_group`)
+leaf, the axis it points into.  Column subsets (:meth:`_Ragged.cut`)
 and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
 table.
 
@@ -86,8 +92,9 @@ incremental engine builds a compile of its own, which it patches.
 
 The trailing axis ``B`` generalizes the Monte Carlo engine's trailing
 sample axis (:mod:`repro.stat.engine`): it batches MC samples (via
-per-gate variation ``factors``) *and* boundary-condition scenarios (via
-``boundaries``) through the very same compiled pass.
+per-gate variation ``factors``), PVT corners (a corner-batched compile)
+and what-if trial columns (:mod:`repro.sta.incremental`) through the
+very same compiled pass.
 
 Exactness contract: the pass is **bit-identical** to the scalar
 reference and to :class:`TimingAnalyzer`.  Cube roots go through
@@ -148,6 +155,7 @@ from ..characterize.library import (
     CellLibrary,
     CellTiming,
     SimultaneousTiming,
+    TimingArc,
     pair_key,
 )
 from ..circuit.netlist import Circuit, Gate, UnknownCellError
@@ -156,7 +164,6 @@ from ..models.vshape import VShapeModel
 from ..obs import get_registry
 from .analysis import StaConfig, StaResult, compute_loads
 from .kernels import (
-    KernelContext,
     _pair_combos,
     _peak_delay,
     _trans_v,
@@ -179,10 +186,6 @@ from .windows import (
     RequiredWindow,
 )
 
-#: One boundary scenario: ((a_s, a_l), (t_s, t_l)) applied to every PI.
-Boundary = Tuple[Tuple[float, float], Tuple[float, float]]
-
-
 def _is_ctrl(cell: CellTiming) -> bool:
     """Whether a cell's gates join the ctrl groups (else the arc-table
     groups)."""
@@ -201,31 +204,21 @@ def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
     if _is_ctrl(cell):
         uses_peak = peak_enabled and getattr(cell, "nonctrl", None) is not None
         return ("ctrl", cell.n_inputs, uses_peak)
-    arcs_t = sum(
-        1
-        for pin in range(cell.n_inputs)
-        for d in (True, False)
-        if cell.has_arc(pin, d, True)
+    return (
+        "arc", cell.n_inputs,
+        len(_fanin_arcs(cell, True)), len(_fanin_arcs(cell, False)),
     )
-    arcs_f = sum(
-        1
-        for pin in range(cell.n_inputs)
-        for d in (True, False)
-        if cell.has_arc(pin, d, False)
-    )
-    return ("arc", cell.n_inputs, arcs_t, arcs_f)
 
 
-def _same_layout(
+def _same_structure(
     cell: CellTiming, other: CellTiming, peak_enabled: bool
 ) -> bool:
     """Whether ``other`` lays a gate out exactly as ``cell`` does.
 
     Slot key, controlling value, output polarity and arc presence decide
     a gate's gather rows and index leaves; coefficients may differ.  Two
-    such cells can be one gate's coefficient columns in one group: the
-    corner libraries of a corner-batched compile, or the variants of a
-    what-if trial.
+    such cells can be one gate's coefficient columns in one group, as
+    the corner libraries of a corner-batched compile are.
     """
     return (
         _slot_key(cell, peak_enabled) == _slot_key(other, peak_enabled)
@@ -351,22 +344,24 @@ class _StackedShape:
     t_vertex_skew = _surface_rows("t_vertex_skew")
 
 
-#: ArcPack fields in the row order of :class:`_StackedPack`: each
-#: delay coefficient sits next to its transition twin, so the stacked
-#: (delay, transition) families ``q_*`` are slices.
-_PACK_ROWS = ("t_lo", "t_hi", "d_a2", "r_a2", "d_a1", "r_a1", "d_a0", "r_a0")
+def _arc_values(arc: TimingArc) -> Tuple[float, ...]:
+    """One arc's row of a :class:`_StackedPack`: its clamp range, then
+    each delay coefficient (``d_*``) next to its transition twin
+    (``r_*``), so the stacked (delay, transition) families are slices."""
+    d, r = arc.delay, arc.trans
+    return (arc.t_lo, arc.t_hi, d.a2, r.a2, d.a1, r.a1, d.a0, r.a0)
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedPack:
-    """Per-lane rows of :class:`~repro.sta.kernels.ArcPack` leaves.
+    """Per-lane rows of pin-to-pin arc coefficients (:func:`_arc_rows`).
 
     ``t_lo`` / ``t_hi`` / ``d_*`` are ``(N, C)`` views and the stacked
     quadratic families ``q_*`` ``(2, N, C)`` views (delay row 0,
     transition row 1).
     """
 
-    rows: np.ndarray  # (8, N, C) in _PACK_ROWS order
+    rows: np.ndarray  # (8, N, C) in _arc_values order
 
     t_lo = property(lambda self: self.rows[0])
     t_hi = property(lambda self: self.rows[1])
@@ -452,9 +447,18 @@ class _Ragged:
     def n_gates(self) -> int:
         return len(self.counts["gate"])
 
-    def cut(self, cols: np.ndarray):
-        """The gates ``cols`` (ascending) as a group of their own —
-        copies, runnable against the global state."""
+    def cut(self, cols: Sequence[int]):
+        """The gates ``cols`` (ascending) as a group of their own.
+
+        The subset gathers the selected gates' runs on every axis
+        (copies: the source group stays patchable) and re-bases its
+        index leaves, while the row-gather arrays keep pointing into the
+        *global* SoA state, so running the subset through the level
+        kernels recomputes exactly those gates, bitwise as in a full
+        pass.  This is the unit of work of the incremental engine's
+        cone replays and trial sweeps.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
         counts: Dict[str, np.ndarray] = {}
         pick: Dict[str, np.ndarray] = {}
         gate_of: Dict[str, np.ndarray] = {}
@@ -496,19 +500,12 @@ class _Ragged:
             parts.append(type(self)(counts=counts, **fields))
         return parts
 
-    def leaves(self, index: bool = True) -> Dict[str, object]:
-        """The leaves this group carries, by name; without ``index``,
-        only its coefficients (float and stacked leaves)."""
-        out = {}
-        for name in self.AXES:
-            leaf = getattr(self, name)
-            if leaf is None or (
-                not index and isinstance(leaf, np.ndarray)
-                and leaf.dtype.kind == "i"
-            ):
-                continue
-            out[name] = leaf
-        return out
+    def leaves(self) -> Dict[str, object]:
+        """The leaves this group carries, by name."""
+        leaves = {name: getattr(self, name) for name in self.AXES}
+        return {
+            name: leaf for name, leaf in leaves.items() if leaf is not None
+        }
 
     def widen(self, width: int, names: Iterable[str]):
         """A copy of this single-column group whose coefficient leaves
@@ -555,7 +552,9 @@ class _CtrlGroup(_Ragged):
     trailing corner axis ``C`` (size 1 for a single-corner compile).
     Pair-merge and Λ-peak leaves are ``None`` until a model that reads
     them extends the compile (:meth:`CompiledCircuit.extend`), Λ-peak
-    leaves also without peak data anywhere in the group's kind.
+    leaves also without peak data anywhere in the group's kind.  The
+    Λ-peak has no arcs or load terms of its own: its tails are its
+    lanes' ``npack`` arcs with ``d_adj_n``.
     """
 
     counts: Dict[str, np.ndarray]
@@ -594,10 +593,7 @@ class _CtrlGroup(_Ragged):
     # ---- Λ-peak (gates with peak data only) ----
     pgate: Optional[np.ndarray] = _on("pgate", "gate")
     peak: Optional[_StackedShape] = _on("pgate")  # Λ-peak surfaces
-    p_adj: Optional[np.ndarray] = _on("pgate")    # Λ-peak load terms
-    plane: Optional[np.ndarray] = _on("plane", "lane")
-    plane_gate: Optional[np.ndarray] = _on("plane", "pgate")
-    ppack: Optional[_StackedPack] = _on("plane")  # Λ-peak tail arcs
+    plane: Optional[np.ndarray] = _on("plane", "lane")  # tails: npack
     pscale_c: Optional[np.ndarray] = _on("pcombo")
     pcombo_gate: Optional[np.ndarray] = _on("pcombo", "pgate")
     plo_row: Optional[np.ndarray] = _on("pcombo", "plane2")
@@ -680,15 +676,38 @@ def _rows(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
     ])
 
 
-def _pack_rows(packs: Sequence[Sequence[object]]) -> _StackedPack:
-    """Per-(cell, arc) rows of ``packs[cell][corner]`` ArcPacks."""
-    return _StackedPack(np.concatenate([
-        np.stack(
-            [np.stack([getattr(p, f) for f in _PACK_ROWS]) for p in row],
-            axis=-1,
-        )
-        for row in packs
-    ], axis=-2))
+def _arc_rows(arcs: Sequence[Sequence[Sequence[TimingArc]]]) -> _StackedPack:
+    """Per-(entry, arc) rows of ``arcs[entry][corner]``, one list of arcs
+    per entry and corner (the corners' lists pair up arc by arc), the
+    entries' lists concatenated: ``(8, arcs, C)``."""
+    values = np.array(
+        [[_arc_values(arc) for entry in lists for arc in entry]
+         for lists in zip(*arcs)],
+        dtype=float,
+    )  # (C, arcs, 8)
+    return _StackedPack(np.ascontiguousarray(values.transpose(2, 1, 0)))
+
+
+def _pin_arcs(cell: CellTiming, to_ctrl: bool) -> List[TimingArc]:
+    """A ctrl cell's to-controlling (``to_ctrl``) or to-non-controlling
+    arc of every pin, in pin order: one per lane of its gate."""
+    in_rising = cell.controlling_value == 1
+    out_rising = cell.ctrl.out_rising
+    if not to_ctrl:
+        in_rising, out_rising = not in_rising, not out_rising
+    return [cell.arc(pin, in_rising, out_rising)
+            for pin in range(cell.n_inputs)]
+
+
+def _fanin_arcs(cell: CellTiming, out_rising: bool) -> List[Tuple[int, bool]]:
+    """``(pin, input rising)`` of every arc producing ``out_rising``, pin
+    by pin, rising input first: the lanes of an arc-table segment."""
+    return [
+        (pin, in_rising)
+        for pin in range(cell.n_inputs)
+        for in_rising in (True, False)
+        if cell.has_arc(pin, in_rising, out_rising)
+    ]
 
 
 def _surface_table(
@@ -785,8 +804,7 @@ def load_terms(
     cells: Sequence[Sequence[CellTiming]],
     cidx: np.ndarray,
     loads: np.ndarray,
-    peak: bool = False,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """The load-adjust leaves of gates of one group kind.
 
     Gate ``i`` is cell ``cells[cidx[i]][c]`` driving ``loads[i, c]`` in
@@ -796,15 +814,13 @@ def load_terms(
     direction its leaf serves, elementwise, so it equals the scalar
     value bit for bit.  A ctrl lane carries its gate's terms of the
     to-controlling (``d_adj_c``, ``r_adj_c``) and the
-    to-non-controlling response (``d_adj_n``, ``r_adj_n``); with
-    ``peak``, each gate whose cell has Λ-peak data gets one ``p_adj``,
-    the delay term of the peak's direction.  An arc lane carries the
-    terms of its output direction (``d_adj``, ``r_adj``).
+    to-non-controlling response (``d_adj_n``, ``r_adj_n``, which the
+    Λ-peak's tails and P0 read too); an arc lane carries the terms of
+    its output direction (``d_adj``, ``r_adj``).
 
     Returns:
-        ``(leaves, counts)``: the leaves, gate-major in group order
-        (``p_adj`` on the peak-gate axis, the rest on the lanes), and
-        each gate's run length on those two axes.
+        ``(leaves, lanes)``: the leaves, gate-major in group order, and
+        each gate's number of lanes.
     """
     base = [row[0] for row in cells]
     dload = loads - _table(cells, attrgetter("ref_load"))[cidx]
@@ -833,22 +849,7 @@ def load_terms(
                                   lambda c: not ctrl_out(c))),
             )
         }
-        kind_peak = np.array(
-            [peak and getattr(c, "nonctrl", None) is not None for c in base],
-            dtype=bool,
-        )
-        if kind_peak.any():
-            pkinds = np.flatnonzero(kind_peak)
-            prank = np.full(len(base), -1, dtype=np.intp)
-            prank[pkinds] = np.arange(pkinds.size)
-            pgate = np.flatnonzero(kind_peak[cidx])
-            leaves["p_adj"] = term(
-                slope("load_delay_slope", attrgetter("nonctrl.out_rising")),
-                [cells[k] for k in pkinds], prank[cidx[pgate]], pgate,
-            )
-        return leaves, {
-            "lane": n, "pgate": kind_peak[cidx].astype(np.intp),
-        }
+        return leaves, n
     # Each cell's segments: its output directions with arcs, rising
     # first, and their arc counts.  A gate's lanes run segment by segment.
     segs = [
@@ -876,22 +877,7 @@ def load_terms(
     kind_lanes = np.bincount(
         [k for k, _, _ in segs], weights=seg_lanes, minlength=len(base)
     ).astype(np.intp)
-    return leaves, {"lane": kind_lanes[cidx]}
-
-
-def subset_group(
-    group: Union[_CtrlGroup, _ArcGroup], cols: Sequence[int]
-) -> Union[_CtrlGroup, _ArcGroup]:
-    """A column subset of one compiled group, runnable on its own.
-
-    The subset gathers the selected gates' runs on every axis (copies —
-    the source group stays patchable) and re-bases its index leaves,
-    while the row-gather arrays keep pointing into the *global* SoA
-    state, so running the subset through the level kernels recomputes
-    exactly those gates, bitwise as in a full pass.  This is the unit of
-    work of the incremental engine's batched cone re-timing.
-    """
-    return group.cut(np.asarray(cols, dtype=np.intp))
+    return leaves, kind_lanes[cidx]
 
 
 def _check_positive(name: str, values: np.ndarray) -> None:
@@ -1163,11 +1149,6 @@ class CompiledCircuit:
         self._order_pos = layout.order_pos
         #: Which model leaves the groups carry (see :meth:`extend`).
         self._merge = self._peak = False
-        # One kernel context per corner: contexts cache arc packs by
-        # cell *name*, and the same name resolves to different
-        # coefficients in each corner's library.
-        self._ctxs = [KernelContext() for _ in libraries]
-        self._ctx = self._ctxs[0]
         self._corner_cells = [
             resolve_cells(circuit, lib, layout.names) for lib in libraries
         ]
@@ -1213,7 +1194,7 @@ class CompiledCircuit:
         base = self._corner_cells[0]
         for ci, cells in enumerate(self._corner_cells[1:], start=1):
             for name, cell in base.items():
-                if not _same_layout(cell, cells[name], peak):
+                if not _same_structure(cell, cells[name], peak):
                     raise ValueError(
                         f"corner library {ci} disagrees with corner 0 on "
                         f"the structure of cell {name!r}"
@@ -1277,8 +1258,7 @@ class CompiledCircuit:
                 continue
             build = self._build_ctrl if kind == "ctrl" else self._build_arc
             groups = build(
-                gates, kinds, cells, self._ctxs, self.loads[members],
-                parts, rows,
+                gates, kinds, cells, self.loads[members], parts, rows,
             ).split(bounds)
             for lvl, start, group in zip(lvls, bounds, groups):
                 for col in range(group.n_gates):
@@ -1312,7 +1292,6 @@ class CompiledCircuit:
         gates: Sequence[Gate],
         names: Sequence[str],
         cells: Dict[str, Sequence[CellTiming]],
-        ctxs: Sequence[KernelContext],
         loads: np.ndarray,
         parts: set,
         line_rows: Optional[tuple] = None,
@@ -1324,11 +1303,13 @@ class CompiledCircuit:
         ``"merge"`` and ``"peak"``; the other set's leaves stay ``None``.
 
         Coefficients come from per-cell rows with one fancy index per
-        leaf and the load-adjust terms from :func:`load_terms`; rows and
-        index leaves are whole-vector arithmetic — elementwise IEEE ops,
-        equal to the scalar values.
+        leaf (each pin's to-controlling and to-non-controlling arcs from
+        :func:`_arc_rows`) and the load-adjust terms from
+        :func:`load_terms`; rows and index leaves are whole-vector
+        arithmetic — elementwise IEEE ops, equal to the scalar values.
         Λ-peak axes count their elements only with ``"peak"`` in
-        ``parts``.
+        ``parts``; a peak lane indexes its lane, whose to-non-controlling
+        arc is the peak's tail.
         """
         n_lines = self.n_lines
         kinds = list(dict.fromkeys(names))
@@ -1363,11 +1344,11 @@ class CompiledCircuit:
         starts = {axis: _excl(c) for axis, c in counts.items()}
         tpl = _fanin_tables(int(kind_n.max()))
 
-        def packs(make: Callable, rows) -> _StackedPack:
-            return _pack_rows([
-                [make(ctx, cell) for ctx, cell in zip(ctxs, row)]
-                for row in rows
-            ])
+        def pins(to_ctrl: bool) -> _StackedPack:
+            """Every lane's to-controlling (or -non-controlling) arc."""
+            return _take(_arc_rows([
+                [_pin_arcs(cell, to_ctrl) for cell in row] for row in table
+            ]), pin_row)
 
         def spread(axis: str, name: str, target: str) -> np.ndarray:
             """Template ``name`` over ``axis``, re-based into ``target``."""
@@ -1376,7 +1357,7 @@ class CompiledCircuit:
 
         gl, pin = _elements(n)
         leaves: Dict[str, object] = dict.fromkeys(_CtrlGroup.AXES)
-        leaves.update(load_terms("ctrl", table, cidx, loads, peak_on)[0])
+        leaves.update(load_terms("ctrl", table, cidx, loads)[0])
         out_idx, order_idx, in_idx = (
             line_rows if line_rows is not None
             else self.layout.gate_rows(gates)
@@ -1397,8 +1378,8 @@ class CompiledCircuit:
             ctrl_rows=in_idx + ctrl_off_l,
             nonctrl_rows=in_idx + (n_lines - ctrl_off_l),
             lane_order=order_idx[gl],
-            pack=_take(packs(KernelContext.ctrl_pack, table), pin_row),
-            npack=_take(packs(KernelContext.nonctrl_pack, table), pin_row),
+            pack=pins(True),
+            npack=pins(False),
         )
         if "merge" in parts:
             gc, pc = _elements(counts["combo"])
@@ -1460,11 +1441,6 @@ class CompiledCircuit:
                     prank[cidx[pgate]],
                 ),
                 plane=starts["lane"][gpl] + ppin,
-                plane_gate=gate_rank[gpl],
-                ppack=_take(
-                    packs(KernelContext.peak_pack, ptable),
-                    _excl(kind_n[pkinds])[prank[cidx[gpl]]] + ppin,
-                ),
                 pscale_c=_rows(
                     ptable, lambda c: _pair_scales(c.nonctrl, c.n_inputs)
                 )[ppair_row],
@@ -1481,7 +1457,6 @@ class CompiledCircuit:
         gates: Sequence[Gate],
         names: Sequence[str],
         cells: Dict[str, Sequence[CellTiming]],
-        ctxs: Sequence[KernelContext],
         loads: np.ndarray,
         parts: set,
         line_rows: Optional[tuple] = None,
@@ -1489,10 +1464,10 @@ class CompiledCircuit:
         """One arc-table group over ``gates`` (see :meth:`_build_ctrl`;
         arc-table gates carry no model leaves, so ``parts`` is moot).
 
-        Per cell and output direction, the arcs run in arc-table
-        enumeration order (the pack row order); integer layout comes
-        from corner 0 (:meth:`_validate_corner_cells` guarantees the
-        rest agree).
+        Per cell and output direction, the arcs run in
+        :func:`_fanin_arcs` order (the arc row order); integer layout
+        comes from corner 0 (:meth:`_validate_corner_cells` guarantees
+        the rest agree).
         """
         n_lines = self.n_lines
         kinds = list(dict.fromkeys(names))
@@ -1505,13 +1480,12 @@ class CompiledCircuit:
         seg_n: List[List[int]] = []
         lane_cols: List[List[Tuple[int, int, int]]] = []
         no_arc: List[List[int]] = []
-        pack_entries = []
+        arc_lists = []
         n_arcs = 0
         for row in table:
             segs, ns, lanes, empty = [], [], [], []
             for d, out_rising in enumerate((True, False)):
-                index, _ = ctxs[0].fanin_pack(row[0], out_rising)
-                arcs = sorted(index, key=index.get)
+                arcs = _fanin_arcs(row[0], out_rising)
                 if not arcs:
                     empty.append(d)
                     continue
@@ -1520,9 +1494,9 @@ class CompiledCircuit:
                 n_arcs += len(arcs)
                 segs.append(d)
                 ns.append(len(arcs))
-                pack_entries.append([
-                    ctx.fanin_pack(cell, out_rising)[1]
-                    for ctx, cell in zip(ctxs, row)
+                arc_lists.append([
+                    [cell.arc(pin, rising, out_rising) for pin, rising in arcs]
+                    for cell in row
                 ])
             seg_dir.append(segs)
             seg_n.append(ns)
@@ -1556,7 +1530,7 @@ class CompiledCircuit:
                 for i in range(3)]
         lane_pin, lane_off, lane_row = (c[cidx[ga], pa] for c in cols)
         gn, pn = _elements(counts["noarc"])
-        packs = _pack_rows(pack_entries) if pack_entries else None
+        packs = _arc_rows(arc_lists) if arc_lists else None
         return _ArcGroup(
             counts=counts,
             out_rows=out_idx[gs] + seg_d * n_lines,
@@ -1641,52 +1615,42 @@ class CompiledCircuit:
                 f"of gate {line!r}; recompile required"
             )
         rebuild = not load_variant(self._built_cell(line), cell)
-        loads = np.array([[load]], dtype=float)
         if rebuild:
-            (fresh,) = self.build_gates([gate], [[cell]], loads)
+            (fresh,) = self.build_gates([gate], [cell], [load])
             leaves = fresh.leaves()
         else:
-            (leaves,) = self.gate_load_terms([[cell]], loads)
+            (leaves,) = self.gate_load_terms(
+                [[cell]], np.array([[load]], dtype=float)
+            )
         group.put(col, leaves)
         group.version += 1
         self.loads[self._order_pos[line]] = load
         self._patched[line] = cell
         return rebuild
 
-    def same_layout(self, cell: CellTiming, other: CellTiming) -> bool:
-        """Whether ``other`` can stand in for ``cell`` as a coefficient
-        column of one gate (see :func:`_same_layout`)."""
-        return _same_layout(cell, other, self._peak)
-
     def build_gates(
         self,
         gates: Sequence[Gate],
-        cells: Sequence[Sequence[CellTiming]],
-        loads: np.ndarray,
+        cells: Sequence[CellTiming],
+        loads: Sequence[float],
     ) -> List[Union[_CtrlGroup, _ArcGroup]]:
-        """Each gate as a one-gate group, one coefficient column per cell.
-
-        The columns of gate ``i`` come from ``cells[i][c]`` and output
-        load ``loads[i, c]``.  They must share one layout (see
-        :meth:`same_layout`), as a corner compile's libraries do, and
-        the gate's kind follows the cells' slot key.  All gates of one
-        kind share one build call.  As in a corner compile, column
-        ``c`` of a gate is bitwise a single-corner build of that cell
-        and load, which in turn is bitwise a recompile.
-        """
+        """Each gate as a one-gate, one-column group: gate ``i`` built
+        for cell ``cells[i]`` at output load ``loads[i]``, with the
+        model leaves this compile carries; bitwise what a recompile
+        builds for it.  All gates of one kind share one build call."""
         out: List[Union[_CtrlGroup, _ArcGroup, None]] = [None] * len(gates)
-        ctxs = [self._ctx] * loads.shape[1]
+        loads = np.asarray(loads, dtype=float)[:, None]
         for ctrl, build in ((True, self._build_ctrl),
                             (False, self._build_arc)):
             pick = [
-                i for i, row in enumerate(cells) if _is_ctrl(row[0]) == ctrl
+                i for i, cell in enumerate(cells) if _is_ctrl(cell) == ctrl
             ]
             if not pick:
                 continue
-            names = [tuple(cell.name for cell in cells[i]) for i in pick]
+            names = [cells[i].name for i in pick]
             whole = build(
                 [gates[i] for i in pick], names,
-                dict(zip(names, (cells[i] for i in pick))), ctxs,
+                {cells[i].name: [cells[i]] for i in pick},
                 loads[pick], self._parts(),
             )
             for i, part in zip(pick, whole.split(range(len(pick) + 1))):
@@ -1704,30 +1668,26 @@ class CompiledCircuit:
         :meth:`build_gates` gives that cell and load, while the gate's
         other leaves are that build's as long as each cell differs from
         the one the gate was built for at most in its load terms
-        (:func:`load_variant`).  All gates of one kind share one call; a
-        gate without Λ-peak data gets no ``p_adj``.
+        (:func:`load_variant`).  All gates of one kind share one call.
         """
         out: List[Optional[Dict[str, np.ndarray]]] = [None] * len(cells)
-        for kind, axes in (("ctrl", _CtrlGroup.AXES),
-                           ("arc", _ArcGroup.AXES)):
+        for kind in ("ctrl", "arc"):
             pick = [
                 i for i, row in enumerate(cells)
                 if _is_ctrl(row[0]) == (kind == "ctrl")
             ]
             if not pick:
                 continue
-            leaves, counts = load_terms(
+            leaves, lanes = load_terms(
                 kind, [cells[i] for i in pick], np.arange(len(pick)),
-                loads[pick], self._peak,
+                loads[pick],
             )
+            cuts = np.cumsum(lanes)[:-1]
             runs = {
-                name: np.split(leaf, np.cumsum(counts[axes[name][0]])[:-1])
-                for name, leaf in leaves.items()
+                name: np.split(leaf, cuts) for name, leaf in leaves.items()
             }
             for j, i in enumerate(pick):
-                out[i] = {
-                    name: run[j] for name, run in runs.items() if len(run[j])
-                }
+                out[i] = {name: run[j] for name, run in runs.items()}
         return out
 
 
@@ -1809,7 +1769,7 @@ class CompiledWindows:
     """SoA windows of one compiled pass.
 
     Rows index line x direction (rise rows first), columns index the
-    batch axis (MC samples, boundary scenarios, or PVT corners).
+    batch axis (MC samples, PVT corners or what-if trials).
     ``states`` is structural and shared by every column.  Results read
     a column through a :class:`ColumnTimings` view, which builds
     :class:`LineTiming` objects only for the lines a caller reads, and
@@ -2145,26 +2105,6 @@ class LevelCompiledAnalyzer:
                 widths.observe(value)
         return result
 
-    def analyze_boundaries(
-        self, boundaries: Sequence[Boundary]
-    ) -> List[StaResult]:
-        """One batched pass over many PI boundary scenarios.
-
-        Args:
-            boundaries: ``((a_s, a_l), (t_s, t_l))`` per scenario,
-                applied to every primary input.  Loads are fixed at
-                compile time, so only the PI windows may vary.
-
-        Returns:
-            One :class:`StaResult` per scenario, each bit-identical to
-            a separate ``analyze`` run under that boundary condition
-            and, like it, a :class:`ColumnTimings` view of its column.
-        """
-        compiled = self.propagate(boundaries=boundaries)
-        return [
-            self._extract(compiled, b) for b in range(compiled.n_columns)
-        ]
-
     def analyze_corners(
         self, derates: Optional[Tuple] = None
     ) -> List[StaResult]:
@@ -2192,7 +2132,6 @@ class LevelCompiledAnalyzer:
     def propagate(
         self,
         factors: Optional[np.ndarray] = None,
-        boundaries: Optional[Sequence[Boundary]] = None,
         pi_overrides: Optional[Dict[str, LineTiming]] = None,
         derates: Optional[Tuple] = None,
     ) -> CompiledWindows:
@@ -2200,12 +2139,9 @@ class LevelCompiledAnalyzer:
 
         Args:
             factors: Per-gate variation factors ``(n_gates, B)`` aligned
-                with ``circuit.topological_order()`` (Monte Carlo mode);
-                mutually exclusive with ``boundaries``.  Requires a
-                single-corner compile — on a corner-batched compile the
-                batch axis *is* the corner axis.
-            boundaries: PI boundary scenarios, one column each
-                (single-corner compiles only, like ``factors``).
+                with ``circuit.topological_order()`` (Monte Carlo mode).
+                Requires a single-corner compile — on a corner-batched
+                compile the batch axis *is* the corner axis.
             pi_overrides: Per-PI windows replacing the default boundary
                 condition (broadcast across all columns).
             derates: Optional ``(early, late)`` timing-derate pair.
@@ -2227,15 +2163,10 @@ class LevelCompiledAnalyzer:
                 :func:`check_derates`.
         """
         cc = self.compiled
-        if factors is not None and boundaries is not None:
-            raise ValueError("factors and boundaries are mutually exclusive")
-        if cc.n_corners > 1 and (
-            factors is not None or boundaries is not None
-        ):
+        if cc.n_corners > 1 and factors is not None:
             raise ValueError(
-                "factors/boundaries require a single-corner compile; "
-                "the batch axis of a corner-batched compile is the "
-                "corner axis"
+                "factors require a single-corner compile; the batch axis "
+                "of a corner-batched compile is the corner axis"
             )
         if factors is not None:
             factors = np.asarray(factors, dtype=float)
@@ -2245,10 +2176,6 @@ class LevelCompiledAnalyzer:
                 )
             _check_positive("variation factor", factors)
             n_cols = factors.shape[1]
-        elif boundaries is not None:
-            n_cols = len(boundaries)
-            if n_cols == 0:
-                raise ValueError("need at least one boundary scenario")
         else:
             n_cols = cc.n_corners
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -2267,7 +2194,7 @@ class LevelCompiledAnalyzer:
         t_s = np.full((n_rows, n_cols), np.nan)
         t_l = np.full((n_rows, n_cols), np.nan)
         states = np.full(n_rows, IMPOSSIBLE, dtype=np.int8)
-        self._init_pis(a_s, a_l, t_s, t_l, states, boundaries, pi_overrides)
+        self._init_pis(a_s, a_l, t_s, t_l, states, pi_overrides)
         arrays = (a_s, a_l, t_s, t_l)
         with self._obs.timer("sta.compile.pass_s"):
             for level in cc.levels:
@@ -2368,7 +2295,7 @@ class LevelCompiledAnalyzer:
 
         ``arrays``/``states`` are a persistent ``(2 * n_lines, B)``
         window state (as produced by :meth:`propagate`), ``group`` is
-        either a compiled group or a :func:`subset_group` slice of one,
+        either a compiled group or a column subset (:meth:`_Ragged.cut`),
         and ``factors`` the whole ``(n_gates, B)`` variation matrix (the
         group gathers its own rows).  The incremental engine's batched
         cone re-timing calls this directly.
@@ -2388,18 +2315,11 @@ class LevelCompiledAnalyzer:
         t_s: np.ndarray,
         t_l: np.ndarray,
         states: np.ndarray,
-        boundaries: Optional[Sequence[Boundary]],
         pi_overrides: Optional[Dict[str, LineTiming]],
     ) -> None:
         cc = self.compiled
-        if boundaries is not None:
-            arr_lo = np.array([arr[0] for arr, _ in boundaries], dtype=float)
-            arr_hi = np.array([arr[1] for arr, _ in boundaries], dtype=float)
-            trn_lo = np.array([trn[0] for _, trn in boundaries], dtype=float)
-            trn_hi = np.array([trn[1] for _, trn in boundaries], dtype=float)
-        else:
-            arr_lo, arr_hi = self.config.pi_arrival
-            trn_lo, trn_hi = self.config.pi_trans
+        arr_lo, arr_hi = self.config.pi_arrival
+        trn_lo, trn_hi = self.config.pi_trans
         rows = np.array(
             [cc.row(pi, rising) for pi in self.circuit.inputs
              for rising in (True, False)],
@@ -2627,12 +2547,11 @@ class LevelCompiledAnalyzer:
         act = st_in != IMPOSSIBLE
         def_ = st_in == DEFINITE
         all_act = bool(act.all())
-        t_s_in = arr_t_s[rows]
-        t_l_in = arr_t_l[rows]
         a_s_in = arr_a_s[rows]
         a_l_in = arr_a_l[rows]
-        d_min, d_max, r_min, r_max, _, _ = self._pin_to_pin(
-            grp.npack, grp.d_adj_n, grp.r_adj_n, t_s_in, t_l_in, f, g,
+        d_min, d_max, r_min, r_max, c_lo, c_hi = self._pin_to_pin(
+            grp.npack, grp.d_adj_n, grp.r_adj_n, arr_t_s[rows],
+            arr_t_l[rows], f, g,
         )
         has_def = np.logical_or.reduceat(def_, ls)
         lows = a_s_in + d_min
@@ -2661,7 +2580,7 @@ class LevelCompiledAnalyzer:
         if self._peak and grp.pgate is not None and grp.pgate.size:
             self._peak_merge(
                 grp, f, None if g is None else g[1],
-                t_s_in, t_l_in, a_s_in, a_l_in, a_l,
+                c_lo, c_hi, a_s_in, a_l_in, a_l,
             )
         a_s = np.minimum(a_s, a_l)
         state = np.where(has_def, DEFINITE, POTENTIAL)
@@ -2748,7 +2667,7 @@ class LevelCompiledAnalyzer:
         shape = _take(grp.shape, grp.combo_gate)
         d0, s_pos, s_neg = vshape_anchor_surfaces(
             shape, t_lo_c, t_hi_c, grp.scale_c,
-            dr_lo, dr_hi, grp.d_adj_c[grp.ca], f=fc, roots=roots, g=ge,
+            dr_lo, dr_hi, grp.d_adj_c[grp.ca], roots, f=fc, g=ge,
         )
         n_pairs = grp.pa.size
 
@@ -2806,7 +2725,7 @@ class LevelCompiledAnalyzer:
         vskew, vval, sp_t, sn_t = (
             quads(x) for x in trans_anchor_surfaces(
                 shape, t_lo_c, t_hi_c, tr_lo, tr_hi, grp.r_adj_c[grp.ca],
-                f=fc, roots=roots, g=ge, slopes=(s_pos, s_neg),
+                roots, (s_pos, s_neg), f=fc, g=ge,
             )
         )
         delta_t = np.minimum(np.maximum(vskew, blo), bhi)
@@ -2835,8 +2754,8 @@ class LevelCompiledAnalyzer:
         grp: _CtrlGroup,
         f: Optional[np.ndarray],
         gl: Optional[np.ndarray],
-        t_s_in: np.ndarray,
-        t_l_in: np.ndarray,
+        c_lo: np.ndarray,
+        c_hi: np.ndarray,
         a_s_in: np.ndarray,
         a_l_in: np.ndarray,
         a_l: np.ndarray,
@@ -2844,29 +2763,25 @@ class LevelCompiledAnalyzer:
         """The Λ-peak slow-down of the non-controlling response: raise
         the latest arrival ``a_l`` of each gate with peak data in place.
 
-        Peak lanes and combos exist only for those gates; the peak
-        clamps window endpoints against its own tail arcs.  The mirror
-        of :meth:`_pair_merge` with ceilings and a maximum: peak combos
+        Peak lanes and combos exist only for those gates.  The peak's
+        tails are its pins' to-non-controlling arcs (``npack``) at the
+        window endpoints the pin-to-pin bounds clamped against them
+        (``c_lo`` / ``c_hi``, per lane), plus the gate's
+        to-non-controlling load terms (``d_adj_n``).  The mirror of
+        :meth:`_pair_merge` with ceilings and a maximum: peak combos
         also run four per pair, pair quantities broadcast from
         ``(Q, 1, B)``, and the Λ-shape runs only at the window edges and
         the arrival offset (P0, ``tail_q`` and ``tail_p`` are its values
         at zero skew, +S and −S).
         """
         lanes = grp.plane
-        ppack = grp.ppack
-        p_lo = ppack.t_lo
-        p_hi = ppack.t_hi
-        tc = np.stack(
-            [
-                np.minimum(np.maximum(t_s_in[lanes], p_lo), p_hi),
-                np.minimum(np.maximum(t_l_in[lanes], p_lo), p_hi),
-            ],
-            axis=1,
-        )  # (Lp, 2, B)
+        npack = grp.npack
+        tc = np.stack([c_lo[lanes], c_hi[lanes]], axis=1)  # (Lp, 2, B)
         tails = (
-            (ppack.d_a2[:, None] * tc + ppack.d_a1[:, None]) * tc
-            + ppack.d_a0[:, None]
-            + grp.p_adj[grp.plane_gate][:, None]
+            (npack.d_a2[lanes][:, None] * tc + npack.d_a1[lanes][:, None])
+            * tc
+            + npack.d_a0[lanes][:, None]
+            + grp.d_adj_n[lanes][:, None]
         )
         if f is not None:
             tails = tails * f[lanes][:, None]
@@ -2879,12 +2794,10 @@ class LevelCompiledAnalyzer:
         lo, hi = grp.plo_row, grp.phi_row
         tail_lo = tails[lo]
         tail_hi = tails[hi]
-        gate = grp.pcombo_gate
         p0, s_pos, s_neg = peak_anchor_surfaces(
-            _take(grp.peak, gate), tc[lo], tc[hi], grp.pscale_c,
-            tail_lo, tail_hi, grp.p_adj[gate],
-            f=None if f is None else f[grp.pca],
-            roots=(rc[lo], rc[hi]), g=gl,
+            _take(grp.peak, grp.pcombo_gate), tc[lo], tc[hi], grp.pscale_c,
+            tail_lo, tail_hi, grp.d_adj_n[grp.pca], (rc[lo], rc[hi]),
+            f=None if f is None else f[grp.pca], g=gl,
         )
         n_pairs = grp.pca.size // 4
 

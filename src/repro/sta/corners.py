@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence, Tuple
 
-from ..characterize.library import CellTiming, TimingArc
+from ..characterize.library import CellTiming, TimingArc, multi_input_ratio
 from ..models.vshape import CtrlAnchors, TransVShape, VShape
 from .windows import DEFINITE, DirWindow, POTENTIAL
 
@@ -184,14 +184,6 @@ def _overlap_count(inputs: Sequence[CtrlInput]) -> int:
     return best
 
 
-def _multi_ratio(scales: dict, k: int) -> float:
-    key = str(k)
-    if key in scales:
-        return scales[key]
-    known = sorted(int(x) for x in scales)
-    return scales[str(min(known[-1], max(known[0], k)))]
-
-
 def ctrl_response_window(
     cell: CellTiming,
     model,
@@ -272,8 +264,8 @@ def ctrl_response_window(
         overlap = _overlap_count(active)
         ratio = t_ratio = 1.0
         if overlap > 2:
-            ratio = _multi_ratio(ctrl.multi_scale, overlap)
-            t_ratio = _multi_ratio(ctrl.trans_multi_scale, overlap)
+            ratio = multi_input_ratio(ctrl.multi_scale, overlap)
+            t_ratio = multi_input_ratio(ctrl.trans_multi_scale, overlap)
         anchors = CtrlAnchors(cell, load, f, early)
         ends = [
             (anchors.end(arc, item.window.t_s),

@@ -34,8 +34,8 @@ How it works:
 
 The cone then replays on the compiled level sweep: per level, the
 dirty gates of each compiled group (at most one ctrl and one arc-table
-group per level) are sliced into a column subset
-(:func:`~repro.sta.compile.subset_group`) and run through the same
+group per level) are cut into a column subset of their own
+(``group.cut(cols)``) and run through the same
 level kernels against the persistent state, then the output rows are
 diffed bitwise and only the fan-outs of gates that changed join the
 frontier.  A re-time thus pays full-pass kernel rates per gate, and it
@@ -47,12 +47,13 @@ What-if trials (:meth:`IncrementalAnalyzer.try_edits`) ride the same
 level sweep with one column per hypothetical edit, the way a corner
 compile carries one column per corner library.  The *seed* gates of a
 batch (each edited gate and the drivers of its re-loaded fan-in lines)
-join the sweep at their own level with per-column coefficients: the
-variant cell or load in the columns whose edit touches them, the
-master's elsewhere.  A seed that only resizes or re-loads gets K
-columns of load terms and nothing else; a swapped seed is built by the
-compile's own code.  Every gate is thus computed inside the kernels,
-from inputs that are already final.
+join the sweep at their own level with K columns of load terms: the
+variant size or load in the columns whose edit touches them, the
+master's elsewhere.  A column whose edit swaps the gate to a cell
+that differs in more than its load terms keeps the master's
+coefficients there and re-runs alone on the gate's one-gate build,
+made by the compile's own code.  Every gate is thus computed inside
+the kernels, from inputs that are already final.
 :meth:`IncrementalAnalyzer.commit` applies the chosen edit for real and
 adopts its column as the master state instead of re-timing its cone.
 
@@ -76,7 +77,7 @@ import numpy as np
 from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
-from .compile import LiveTimings, load_variant, subset_group
+from .compile import LiveTimings, load_variant
 from .windows import IMPOSSIBLE, DirWindow, LineTiming
 
 
@@ -424,7 +425,7 @@ class IncrementalAnalyzer:
             return hit[1]
         if len(self._subsets) >= 4096:
             self._subsets.clear()
-        sub = subset_group(group, cols)
+        sub = group.cut(cols)
         entry = (sub, *sub.outputs())
         self._subsets[key] = (group.version, entry)
         return entry
@@ -457,18 +458,15 @@ class IncrementalAnalyzer:
                 an unknown line), before anything is mutated.
 
         The K variants run as ONE level sweep with K columns.  Its
-        seed gates — every edited gate and
-        the drivers of its re-loaded fan-in lines — are swept at their
-        own level like any other gate, with one coefficient column per
-        edit: the variant cell or load where that edit touches the
-        gate, the master's elsewhere (where no edit swaps the gate,
-        only its load-adjust terms differ; see :meth:`_trial_builds`).
-        So the union cone costs one
-        kernel call per group and level for all K variants, and no
-        gate is computed outside the kernels.  An edit whose cell lays
-        the gate out differently (a polarity flip such as NAND2 ->
-        NOR2, or another slot such as NAND2 -> XOR2) keeps the master's
-        coefficients in the shared group; its own one-gate build then
+        seed gates — every edited gate and the drivers of its re-loaded
+        fan-in lines — are swept at their own level like any other gate,
+        with one column of load-adjust terms per edit: the variant size
+        or load where that edit touches the gate, the master's elsewhere
+        (see :meth:`_trial_builds`).  So the union cone costs one kernel
+        call per group and level for all K variants, and no gate is
+        computed outside the kernels.  A swap (say NAND2 -> NOR2, or
+        NAND2 -> XOR2) keeps the master's coefficients in the shared
+        group; the gate's one-gate build for the swapped cell then
         re-runs that column alone.  Only if that moves a window state,
         which the columns share, does the batch fall back to applying
         each edit for real (:meth:`_try_fallback`).
@@ -509,7 +507,7 @@ class IncrementalAnalyzer:
     ) -> Optional[TrialResult]:
         """One K-column level sweep over the compiled level kernels.
 
-        Returns None when a layout-changing swap moves a window state:
+        Returns None when a swap's solo column moves a window state:
         ``states`` is shared across columns, so the batch would be
         invalid.  Under the default (symmetric) boundary activation that
         does not happen; :meth:`_try_fallback` covers the rest.
@@ -570,22 +568,24 @@ class IncrementalAnalyzer:
         Each edit is resolved on the netlist — applied, read, reverted,
         so the netlist's own validation and :func:`line_load` apply —
         into its gate's variant cell and the re-derived loads of the
-        gate's fan-in lines.  A resize or a re-load moves only a gate's
-        load-adjust terms, so a seed gate whose every column keeps its
-        master cell's coefficients (a resized gate, or the driver of a
-        resized gate's input) gets just its K columns of load terms
-        (:meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms`);
-        a seed swapped to another cell of the same layout in some column
-        gets a K-column one-gate build
-        (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`).  Each
-        is one call per group kind for the batch.
+        gate's fan-in lines.  A seed column takes one of two paths:
+
+        * load terms, when the column's cell is a load variant of the
+          master's (:func:`~repro.sta.compile.load_variant`: a resized
+          gate, the driver of a resized gate's input, or a column that
+          leaves the gate alone): every seed gets its K columns of
+          load-adjust terms
+          (:meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms`);
+        * the solo one-gate build, for any other swap
+          (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`): the
+          column keeps the master's coefficients in the shared group and
+          re-runs alone on that build.
+
+        Each is one call per group kind for the batch.
 
         Returns:
-            ``(seeds, swaps)``: seed line -> its K-column leaves by name
-            (the load terms, or the build's coefficient leaves), and
-            edited line -> ``[(k, one-column build)]`` for the edits
-            whose cell changes the gate's layout (their column keeps the
-            master's coefficients in ``seeds``).
+            ``(seeds, swaps)``: seed line -> its K columns of load terms
+            by name, and swapped line -> ``[(k, one-gate build)]``.
         """
         circuit = self.circuit
         analyzer = self.analyzer
@@ -611,7 +611,7 @@ class IncrementalAnalyzer:
                             )
                 finally:
                     self._apply(e.op, e.line, saved)
-                if compiled.same_layout(master, variant):
+                if load_variant(master, variant):
                     cells.setdefault(e.line, {})[k] = variant
                 else:
                     swaps.append((e.line, k, variant))
@@ -621,44 +621,29 @@ class IncrementalAnalyzer:
             self._log_pos = len(circuit.edit_log)
             analyzer._epoch = circuit.edit_epoch
         K = len(edits)
-        #: (line, gate, column cells, column loads) per seed, by path.
-        terms, builds = [], []
-        for line in dict.fromkeys([*cells, *loads]):
-            gate = circuit.gates[line]
-            own = compiled._cell_for(gate)
+        lines = list(dict.fromkeys([*cells, *loads]))
+        column_cells, column_loads = [], []
+        for line in lines:
+            own = compiled._cell_for(circuit.gates[line])
             cell_k = cells.get(line, {})
             load_k = loads.get(line, {})
-            seed = (
-                line, gate, [cell_k.get(k, own) for k in range(K)],
-                [load_k.get(k, analyzer._loads[line]) for k in range(K)],
+            column_cells.append([cell_k.get(k, own) for k in range(K)])
+            column_loads.append(
+                [load_k.get(k, analyzer._loads[line]) for k in range(K)]
             )
-            if all(load_variant(own, cell) for cell in cell_k.values()):
-                terms.append(seed)
-            else:
-                builds.append(seed)
-        seeds: Dict[str, Dict[str, object]] = {}
-        if terms:
-            for seed, leaves in zip(terms, compiled.gate_load_terms(
-                [s[2] for s in terms],
-                np.array([s[3] for s in terms], dtype=float),
-            )):
-                seeds[seed[0]] = leaves
-        if builds:
-            for seed, fresh in zip(builds, compiled.build_gates(
-                [s[1] for s in builds], [s[2] for s in builds],
-                np.array([s[3] for s in builds], dtype=float),
-            )):
-                seeds[seed[0]] = fresh.leaves(index=False)
+        seeds = dict(zip(lines, compiled.gate_load_terms(
+            column_cells, np.array(column_loads, dtype=float),
+        )))
         solo: Dict[str, List[Tuple[int, object]]] = {}
         if swaps:
             for (line, k, _), fresh in zip(swaps, compiled.build_gates(
                 [circuit.gates[line] for line, _, _ in swaps],
-                [[cell] for _, _, cell in swaps],
-                np.array([[analyzer._loads[line]] for line, _, _ in swaps]),
+                [cell for _, _, cell in swaps],
+                [analyzer._loads[line] for line, _, _ in swaps],
             )):
                 solo.setdefault(line, []).append((k, fresh))
-        self._m_seed_terms.inc(K * len(terms))
-        self._m_seed_builds.inc(K * len(builds) + len(swaps))
+        self._m_seed_terms.inc(K * len(lines))
+        self._m_seed_builds.inc(len(swaps))
         return seeds, solo
 
     def _try_fallback(self, edits: List[TrialEdit]) -> TrialResult:

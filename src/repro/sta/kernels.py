@@ -6,8 +6,6 @@ through per-candidate Python model calls; it is the scalar reference.
 The level-compiled engine (:mod:`repro.sta.compile`) evaluates the same
 candidate sets for a whole level at once from the pieces kept here:
 
-* :class:`ArcPack` / :class:`KernelContext` — per-cell arc coefficients
-  and clamp bounds laid out as arrays;
 * :func:`quad_extremes_batch` — interval extremes of the pin-to-pin
   quadratics (the paper's T* rule);
 * :func:`_v_delay`, :func:`_peak_delay` and :func:`_trans_v` — the
@@ -28,123 +26,13 @@ whether NumPy or the Python interpreter executes it.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..characterize.formulas import cbrt_many
-from ..characterize.library import CellTiming, TimingArc
+from ..characterize.library import multi_input_ratio
 from ..models.vshape import _S_FLOOR
-from .corners import _multi_ratio
-
-
-# ----------------------------------------------------------------------
-# Coefficient packs
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class ArcPack:
-    """Quadratic coefficients and clamp bounds of a list of arcs, as arrays.
-
-    Row ``i`` holds arc ``i``'s delay quadratic (``d_*``), output
-    transition-time quadratic (``r_*``), and characterized clamp range.
-    """
-
-    t_lo: np.ndarray
-    t_hi: np.ndarray
-    d_a2: np.ndarray
-    d_a1: np.ndarray
-    d_a0: np.ndarray
-    r_a2: np.ndarray
-    r_a1: np.ndarray
-    r_a0: np.ndarray
-    # Delay (row 0) and transition (row 1) coefficients stacked, so both
-    # polynomial families go through one quad_extremes_batch call.
-    q_a2: np.ndarray
-    q_a1: np.ndarray
-    q_a0: np.ndarray
-
-    @classmethod
-    def from_arcs(cls, arcs: Sequence[TimingArc]) -> "ArcPack":
-        d_a2 = np.array([a.delay.a2 for a in arcs], dtype=float)
-        d_a1 = np.array([a.delay.a1 for a in arcs], dtype=float)
-        d_a0 = np.array([a.delay.a0 for a in arcs], dtype=float)
-        r_a2 = np.array([a.trans.a2 for a in arcs], dtype=float)
-        r_a1 = np.array([a.trans.a1 for a in arcs], dtype=float)
-        r_a0 = np.array([a.trans.a0 for a in arcs], dtype=float)
-        return cls(
-            t_lo=np.array([a.t_lo for a in arcs], dtype=float),
-            t_hi=np.array([a.t_hi for a in arcs], dtype=float),
-            d_a2=d_a2, d_a1=d_a1, d_a0=d_a0,
-            r_a2=r_a2, r_a1=r_a1, r_a0=r_a0,
-            q_a2=np.stack([d_a2, r_a2]),
-            q_a1=np.stack([d_a1, r_a1]),
-            q_a0=np.stack([d_a0, r_a0]),
-        )
-
-
-class KernelContext:
-    """Per-library cache of :class:`ArcPack` layouts, keyed by cell name."""
-
-    def __init__(self) -> None:
-        self._ctrl: Dict[str, ArcPack] = {}
-        self._nonctrl: Dict[str, ArcPack] = {}
-        self._peak: Dict[str, ArcPack] = {}
-        self._fanin: Dict[
-            Tuple[str, bool],
-            Tuple[Dict[Tuple[int, bool], int], ArcPack],
-        ] = {}
-
-    def ctrl_pack(self, cell: CellTiming) -> ArcPack:
-        """Arc pack of the to-controlling arcs, row = pin."""
-        pack = self._ctrl.get(cell.name)
-        if pack is None:
-            arcs = [cell.ctrl_arc(pin) for pin in range(cell.n_inputs)]
-            pack = self._ctrl[cell.name] = ArcPack.from_arcs(arcs)
-        return pack
-
-    def nonctrl_pack(self, cell: CellTiming) -> ArcPack:
-        """Arc pack of the to-non-controlling arcs, row = pin."""
-        pack = self._nonctrl.get(cell.name)
-        if pack is None:
-            in_rising = cell.controlling_value == 0
-            out_rising = not cell.ctrl.out_rising
-            arcs = [
-                cell.arc(pin, in_rising, out_rising)
-                for pin in range(cell.n_inputs)
-            ]
-            pack = self._nonctrl[cell.name] = ArcPack.from_arcs(arcs)
-        return pack
-
-    def peak_pack(self, cell: CellTiming) -> ArcPack:
-        """Arc pack used by the Λ-shape extension tails, row = pin."""
-        pack = self._peak.get(cell.name)
-        if pack is None:
-            in_rising = cell.controlling_value == 0
-            out_rising = cell.nonctrl.out_rising
-            arcs = [
-                cell.arc(pin, in_rising, out_rising)
-                for pin in range(cell.n_inputs)
-            ]
-            pack = self._peak[cell.name] = ArcPack.from_arcs(arcs)
-        return pack
-
-    def fanin_pack(
-        self, cell: CellTiming, out_rising: bool
-    ) -> Tuple[Dict[Tuple[int, bool], int], ArcPack]:
-        """Arc pack of every arc producing ``out_rising``, plus its index."""
-        key = (cell.name, out_rising)
-        entry = self._fanin.get(key)
-        if entry is None:
-            arcs: List[TimingArc] = []
-            index: Dict[Tuple[int, bool], int] = {}
-            for pin in range(cell.n_inputs):
-                for in_rising in (True, False):
-                    if cell.has_arc(pin, in_rising, out_rising):
-                        index[(pin, in_rising)] = len(arcs)
-                        arcs.append(cell.arc(pin, in_rising, out_rising))
-            entry = self._fanin[key] = (index, ArcPack.from_arcs(arcs))
-        return entry
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +48,7 @@ def ratio_table(scales: dict, max_k: int) -> np.ndarray:
     """Lookup table k -> multi-input ratio (1.0 for k <= 2)."""
     return np.array(
         [
-            1.0 if k <= 2 else _multi_ratio(scales, k)
+            1.0 if k <= 2 else multi_input_ratio(scales, k)
             for k in range(max_k + 1)
         ],
         dtype=float,
@@ -194,22 +82,22 @@ def vshape_anchor_surfaces(
     scale: np.ndarray,
     dr_lo: np.ndarray,
     dr_hi: np.ndarray,
-    load_adj: float,
+    load_adj: np.ndarray,
+    roots: Tuple[np.ndarray, np.ndarray],
     f: Optional[np.ndarray] = None,
-    roots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     g: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V-shape anchors (d0, s_pos, s_neg) of the candidate surfaces.
 
     The array form of :meth:`VShapeModel.vshape` for position-ordered
     pairs: the caller supplies the tails, the precomputed load
-    adjustment, an optional per-element variation factor ``f`` (Monte
-    Carlo), an optional timing derate ``g`` (multiplied after ``f``, at
-    the same sites) and optionally the precomputed cube roots of the
-    transition times.  Per element the float operations match the model
-    method with the same ``f`` and ``g``, bit for bit.
+    adjustment, the cube roots of the transition times
+    (:func:`cbrt_grid`), an optional per-element variation factor ``f``
+    (Monte Carlo) and an optional timing derate ``g`` (multiplied after
+    ``f``, at the same sites).  Per element the float operations match
+    the model method with the same ``f`` and ``g``, bit for bit.
     """
-    x, y = roots if roots is not None else (cbrt_grid(t_lo), cbrt_grid(t_hi))
+    x, y = roots
     d0 = ctrl.d0.eval_roots(x, y) * scale + load_adj
     if f is not None:
         d0 = d0 * f
@@ -226,18 +114,19 @@ def trans_anchor_surfaces(
     t_hi: np.ndarray,
     tail_lo: np.ndarray,
     tail_hi: np.ndarray,
-    load_adj: float,
+    load_adj: np.ndarray,
+    roots: Tuple[np.ndarray, np.ndarray],
+    slopes: Tuple[np.ndarray, np.ndarray],
     f: Optional[np.ndarray] = None,
-    roots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     g: Optional[np.ndarray] = None,
-    slopes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transition-V anchors (vertex_skew, vertex_value, s_pos, s_neg).
 
-    ``slopes`` hands in the :func:`sr_slopes` a caller already evaluated
-    on the same operands (the V-shape anchors share them).
+    ``slopes`` are the :func:`sr_slopes` the V-shape anchors evaluated
+    on the same operands, ``roots`` as in
+    :func:`vshape_anchor_surfaces`.
     """
-    x, y = roots if roots is not None else (cbrt_grid(t_lo), cbrt_grid(t_hi))
+    x, y = roots
     vertex_value = ctrl.t_vertex.eval_roots(x, y) + load_adj
     vertex_skew = ctrl.t_vertex_skew.eval_many(t_lo, t_hi)
     if f is not None:
@@ -246,9 +135,7 @@ def trans_anchor_surfaces(
     if g is not None:
         vertex_value = vertex_value * g
         vertex_skew = vertex_skew * g
-    s_pos, s_neg = (
-        slopes if slopes is not None else sr_slopes(ctrl, t_lo, t_hi, f, g)
-    )
+    s_pos, s_neg = slopes
     vertex_skew = np.minimum(np.maximum(vertex_skew, -s_neg), s_pos)
     vertex_value = np.minimum(np.minimum(vertex_value, tail_lo), tail_hi)
     return vertex_skew, vertex_value, s_pos, s_neg
@@ -261,13 +148,14 @@ def peak_anchor_surfaces(
     scale: np.ndarray,
     tail_lo: np.ndarray,
     tail_hi: np.ndarray,
-    load_adj: float,
+    load_adj: np.ndarray,
+    roots: Tuple[np.ndarray, np.ndarray],
     f: Optional[np.ndarray] = None,
-    roots: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     g: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Λ-peak anchors (p0, s_pos, s_neg) of the non-ctrl slow-down."""
-    x, y = roots if roots is not None else (cbrt_grid(t_lo), cbrt_grid(t_hi))
+    """Λ-peak anchors (p0, s_pos, s_neg) of the non-ctrl slow-down
+    (``roots`` as in :func:`vshape_anchor_surfaces`)."""
+    x, y = roots
     p0 = data.d0.eval_roots(x, y) * scale + load_adj
     if f is not None:
         p0 = p0 * f

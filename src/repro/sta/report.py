@@ -13,12 +13,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from ..characterize.library import multi_input_ratio
 from ..circuit.netlist import Circuit
 from ..models.vshape import CtrlAnchors
 from .analysis import StaResult, TimingAnalyzer
 from .corners import (
     CtrlInput,
-    _multi_ratio,
     _overlap_count,
     _pair_max_arrival_peak,
     _pair_min_arrival,
@@ -131,7 +131,7 @@ class TimingReporter:
             if len(active) >= 2:
                 overlap = _overlap_count(active)
                 ratio = (
-                    _multi_ratio(ctrl.multi_scale, overlap)
+                    multi_input_ratio(ctrl.multi_scale, overlap)
                     if overlap > 2 else 1.0
                 )
                 # The forward search's per-endpoint and per-combo

@@ -91,6 +91,13 @@ def test_mc_metric_is_gated():
     assert ("mc", "mc_s_per_sample") in gate.GATED_METRICS
 
 
+def test_no_in_run_ratio_is_gated():
+    """A ratio's denominator is another program leg, which a later
+    change may speed up; the gate reads absolute seconds only."""
+    for section, key in gate.GATED_METRICS:
+        assert not key.endswith("_ratio"), f"{section}.{key}"
+
+
 def test_committed_baseline_carries_every_gated_metric():
     """The repo's own baseline must never trip the missing-metric gate."""
     baseline_path = (

@@ -837,8 +837,8 @@ class TestLoadTermSeeds:
                 line for line, (_, _, key) in compiled._locs.items()
                 if key[0] == "ctrl" and key[2]
             }
-            # Λ-peak load terms (p_adj) ride along under the non-ctrl
-            # aware model.
+            # Under the non-ctrl aware model the Λ-peak reads the load
+            # terms too (d_adj_n), so they must reach it.
             assert ("n2" in peaked) == (model_cls is NonCtrlAwareModel)
             patch.setattr(CompiledCircuit, "build_gates", _forbidden)
             patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
@@ -871,9 +871,10 @@ class TestLoadTermSeeds:
     @staticmethod
     def _with_xnor(library):
         """A copy of the shipped library with an XNOR2: XOR2's layout
-        with other delay coefficients, so XOR2 <-> XNOR2 is the swap
-        that keeps a gate's layout but not its coefficients (the shipped
-        cells have no such pair)."""
+        with other delay coefficients, so XOR2 <-> XNOR2 is a swap that
+        keeps a gate's layout but not its coefficients (the shipped
+        cells have no such pair); it takes the solo path like any
+        other swap."""
         lib = copy.deepcopy(library)
         xor = lib.cells["XOR2"]
         lib.cells["XNOR2"] = dataclasses.replace(
@@ -892,7 +893,7 @@ class TestLoadTermSeeds:
         circuit = parse_bench(self.BENCH, name="loads")
         edits = [
             TrialEdit("resize", "xor", 2.0),   # xor: new load terms
-            TrialEdit("swap", "xor", "xnor"),  # xor: same layout, rebuilt
+            TrialEdit("swap", "xor", "xnor"),  # same layout: solo build
             TrialEdit("resize", "y1", 4.0),    # re-loads n2 and xor
             TrialEdit("swap", "n2", "nor"),    # another layout: solo build
             TrialEdit("swap", "inv", "buf"),   # other arcs: solo build
@@ -905,10 +906,10 @@ class TestLoadTermSeeds:
             before = Circuit.from_dict(circuit.to_dict())
             result = incr.commit(trial, 1)
         counters = registry.snapshot()["counters"]
-        # xor's six columns come from one build, the two layout changes
-        # from one each; y1, n2, buf and inv get load terms.
-        assert counters["sta.incr.seed_builds"] == 6 + 2
-        assert counters["sta.incr.seed_load_terms"] == 6 * 4
+        # Each swap is one solo build; xor, y1, n2, buf and inv get six
+        # columns of load terms each.
+        assert counters["sta.incr.seed_builds"] == 3
+        assert counters["sta.incr.seed_load_terms"] == 6 * 5
         assert counters["sta.incr.rebuild_patches"] == 1
         assert counters.get("sta.incr.load_term_patches", 0) == 0
         _assert_columns_match_fresh(before, lib, trial, edits)

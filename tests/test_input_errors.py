@@ -1,16 +1,18 @@
 """External inputs the timing stack cannot take fail with structured
-errors: a gate whose cell the library lacks, a primary output wired to a
+errors: a gate whose cell the library lacks, a library cell whose
+Λ-peak data breaks its direction rule, a primary output wired to a
 primary input, and clock or period values that are not finite and > 0.
 """
 
 import copy
+import json
 import math
 
 import pytest
 
 import repro.cli
 from repro.atpg import AtpgConfig
-from repro.characterize import CellLibrary
+from repro.characterize import CellLibrary, LibraryFormatError
 from repro.circuit import CircuitError, UnknownCellError, parse_bench
 from repro.cli import main
 from repro.obs import get_registry
@@ -115,6 +117,35 @@ def test_cells_are_checked_in_the_libraries_a_command_runs_on(
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "slow" in captured.out
+
+
+#: Ways to break the rule a cell's Λ-peak data keeps: it responds in
+#: the direction opposite the to-controlling response, whose data it
+#: needs (its tails are the cell's to-non-controlling arcs).
+PEAK_FAULTS = {
+    "same_direction": lambda cell: cell["nonctrl"].update(
+        out_rising=cell["ctrl"]["out_rising"]
+    ),
+    "no_ctrl": lambda cell: cell.update(ctrl=None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PEAK_FAULTS))
+def test_malformed_peak_cell_is_refused_at_load(fault, library, capsys,
+                                               tmp_path):
+    """A library whose NAND2 breaks the Λ-peak rule fails to load with a
+    :class:`LibraryFormatError` naming the cell, both directly and as a
+    ``--corner-library`` file (``error:`` and exit 2)."""
+    doc = library.to_dict()
+    PEAK_FAULTS[fault](doc["cells"]["NAND2"])
+    with pytest.raises(LibraryFormatError, match="'NAND2'"):
+        CellLibrary.from_dict(doc)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sta", "c17", "--corner-library", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cell 'NAND2'"), err
+    assert "Traceback" not in err
 
 
 def test_server_refuses_a_circuit_with_a_missing_cell(library):

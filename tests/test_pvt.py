@@ -156,7 +156,7 @@ class TestCorner:
 # Engine API contracts under a corner-batched compile
 # ----------------------------------------------------------------------
 class TestCornerCompile:
-    def test_factors_and_boundaries_rejected(self, corner_set):
+    def test_factors_rejected(self, corner_set):
         circuit = load_packaged_bench("c17")
         corners, libraries = corner_set
         engine = LevelCompiledAnalyzer(circuit, libraries)
@@ -165,8 +165,6 @@ class TestCornerCompile:
             engine.propagate(
                 factors=np.ones((engine.compiled.n_gates, 2))
             )
-        with pytest.raises(ValueError, match="corner"):
-            engine.propagate(boundaries=[((0.0, 0.0), (0.2e-9, 0.2e-9))])
 
     def test_patching_requires_single_corner(self, corner_set):
         circuit = load_packaged_bench("c17")

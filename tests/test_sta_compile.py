@@ -5,10 +5,10 @@ path in this tree: **bit-identical** windows, on every line, in every
 direction, against the gate-at-a-time walk
 (``TimingAnalyzer.analyze_per_gate``, itself parity-locked to the
 scalar reference by ``test_perf_parity``).  These tests hold the
-compiled pass to it across circuits, delay models, boundary-scenario
-batches, per-PI overrides, and the Monte Carlo sample axis: every
-factor (and derate) column equals the scalar walk run with that
-column's factors (``analyze_per_gate(factors=, derates=)``).
+compiled pass to it across circuits, delay models, per-PI overrides,
+and the Monte Carlo sample axis: every factor (and derate) column
+equals the scalar walk run with that column's factors
+(``analyze_per_gate(factors=, derates=)``).
 """
 
 import copy
@@ -101,27 +101,6 @@ def test_engine_option_is_gone(library):
         assert exit_info.value.code == 2
 
 
-def test_boundary_batch_matches_separate_analyses(library):
-    """One batched pass over B scenarios == B single-scenario analyses."""
-    circuit = load_packaged_bench("c432s")
-    scenarios = [
-        ((0.0, 0.0), (0.10 * NS, 0.10 * NS)),
-        ((0.0, 0.45 * NS), (0.08 * NS, 0.30 * NS)),
-        ((0.05 * NS, 0.20 * NS), (0.12 * NS, 0.18 * NS)),
-        ((0.0, 1.0 * NS), (0.05 * NS, 0.50 * NS)),
-    ]
-    analyzer = LevelCompiledAnalyzer(circuit, library)
-    batched = analyzer.analyze_boundaries(scenarios)
-    assert len(batched) == len(scenarios)
-    for scenario, result in zip(scenarios, batched):
-        arrival, trans = scenario
-        config = StaConfig(pi_arrival=arrival, pi_trans=trans)
-        single = TimingAnalyzer(
-            circuit, library, config=config
-        ).analyze_per_gate()
-        assert_results_equal(circuit, single, result)
-
-
 def test_pi_override_parity(library, c880s):
     """Per-PI overrides flow through the compiled pass unchanged."""
     overrides = {
@@ -147,15 +126,10 @@ def test_propagate_rejects_bad_batch_inputs(library):
     circuit = load_packaged_bench("c17")
     analyzer = LevelCompiledAnalyzer(circuit, library)
     n = analyzer.compiled.n_gates
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        analyzer.propagate(
-            factors=np.ones((n, 2)),
-            boundaries=[((0.0, 0.0), (0.1 * NS, 0.1 * NS))],
-        )
     with pytest.raises(ValueError, match="factor rows"):
         analyzer.propagate(factors=np.ones((n + 1, 2)))
-    with pytest.raises(ValueError, match="boundary"):
-        analyzer.propagate(boundaries=[])
+    with pytest.raises(ValueError, match="factor rows"):
+        analyzer.propagate(factors=np.ones(n))
 
 
 # ----------------------------------------------------------------------
@@ -360,9 +334,7 @@ def test_level_counters_account_per_gate(library):
         assert registry.counter("sta.compile.passes").value == 1
         assert registry.counter("sta.compile.columns").value == 1
         # A 5-column batch is still one pass of per-gate work.
-        analyzer.analyze_boundaries(
-            [((0.0, 0.0), (0.1 * NS, 0.1 * NS))] * 5
-        )
+        analyzer.propagate(factors=np.ones((n_gates, 5)))
         assert registry.counter("sta.gates_evaluated").value == 2 * n_gates
         assert registry.counter("sta.corner_calls").value == 4 * n_gates
         assert registry.counter("sta.compile.passes").value == 2
@@ -473,16 +445,18 @@ def _runs(group, col):
 
 @pytest.mark.parametrize("model_cls", MODELS)
 def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
-    """Vectorized rows and load adjustments equal the per-gate scalars on
-    every lane (gate pin or arc), combo and Λ-peak element."""
+    """Vectorized rows, arc coefficients and load adjustments equal the
+    per-gate scalars on every lane (gate pin or arc) and combo, and a
+    Λ-peak lane's tail, its pin's ``npack`` delay plus ``d_adj_n``, is
+    the scalar Λ-shape's tail."""
     from repro.sta.analysis import compute_loads
-    from repro.sta.compile import CompiledCircuit
-    from repro.sta.kernels import KernelContext
+    from repro.sta.compile import CompiledCircuit, _arc_values, _fanin_arcs
 
     circuit = load_packaged_bench("c880s")
-    cc = CompiledCircuit(circuit, library, model_cls(), StaConfig())
+    model = model_cls()
+    cc = CompiledCircuit(circuit, library, model, StaConfig())
     loads = compute_loads(circuit, library, StaConfig())
-    ctx = KernelContext()
+    n_peak = 0
     for line, (group, col, key) in cc._locs.items():
         gate = circuit.gates[line]
         cell = library.cell(gate.cell_name())
@@ -498,6 +472,13 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                 lane = lanes.start + pin
                 assert group.ctrl_rows[lane] == cc.row(src, ctrl_in)
                 assert group.nonctrl_rows[lane] == cc.row(src, not ctrl_in)
+                for pack, arc in (
+                    (group.pack, cell.ctrl_arc(pin)),
+                    (group.npack, cell.arc(pin, not ctrl_in, not out)),
+                ):
+                    assert pack.rows[:, lane, 0].tolist() == list(
+                        _arc_values(arc)
+                    ), (line, pin)
             assert group.out_ctrl[col] == cc.row(line, out)
             assert group.out_nonctrl[col] == cc.row(line, not out)
             d_c = cell.load_adjusted_delay(out, load)
@@ -518,36 +499,58 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                     assert lanes.start <= lane.min(), line
                     assert lane.max() < lanes.stop, line
             if key[2]:
+                n_peak += 1
                 rank = runs["pgate"].start
                 assert group.pgate[rank] == col, line
-                assert (group.plane_gate[runs["plane"]] == rank).all()
                 assert (group.pcombo_gate[runs["pcombo"]] == rank).all()
-                p_adj = cell.load_adjusted_delay(cell.nonctrl.out_rising, load)
-                terms.append((group.p_adj[runs["pgate"]], p_adj))
+                # The peak lanes are the gate's own lanes, in pin order,
+                # and each tail is the pin's to-non-controlling arc.
+                plane = group.plane[runs["plane"]].tolist()
+                assert plane == list(range(lanes.start, lanes.stop)), line
+                npack = group.npack
+                for pin, lane in enumerate(plane):
+                    lo = float(npack.t_lo[lane, 0])
+                    hi = float(npack.t_hi[lane, 0])
+                    for t in (lo, 0.5 * (lo + hi), hi):
+                        tail = (
+                            (npack.d_a2[lane, 0] * t + npack.d_a1[lane, 0])
+                            * t
+                            + npack.d_a0[lane, 0]
+                            + group.d_adj_n[lane, 0]
+                        )
+                        shape = model.nonctrl_shape(
+                            cell, pin, 1 - min(pin, 1), t, lo, load
+                        )
+                        assert float(tail) == shape.tail_p, (line, pin, t)
         else:
             lane = lanes.start
             segs = list(range(runs["seg"].start, runs["seg"].stop))
             for out in (True, False):
-                index, _ = ctx.fanin_pack(cell, out)
-                if not index:
+                arcs = _fanin_arcs(cell, out)
+                if not arcs:
                     empty = group.no_arc_rows[runs["noarc"]]
                     assert cc.row(line, out) in empty
                     continue
                 seg = segs.pop(0)
                 assert group.out_rows[seg] == cc.row(line, out)
-                assert group.seg_n[seg] == len(index)
-                for (pin, rising), arc in index.items():
+                assert group.seg_n[seg] == len(arcs)
+                # Arc lanes run in the fan-in helper's order.
+                for k, (pin, rising) in enumerate(arcs):
                     src = gate.inputs[pin]
-                    assert group.in_rows[lane + arc] == cc.row(src, rising)
-                arcs = slice(lane, lane + len(index))
+                    assert group.in_rows[lane + k] == cc.row(src, rising)
+                    assert group.pack.rows[:, lane + k, 0].tolist() == list(
+                        _arc_values(cell.arc(pin, rising, out))
+                    ), (line, pin, rising)
+                run = slice(lane, lane + len(arcs))
                 terms += [
-                    (group.d_adj[arcs], cell.load_adjusted_delay(out, load)),
-                    (group.r_adj[arcs], cell.load_adjusted_trans(out, load)),
+                    (group.d_adj[run], cell.load_adjusted_delay(out, load)),
+                    (group.r_adj[run], cell.load_adjusted_trans(out, load)),
                 ]
-                lane += len(index)
+                lane += len(arcs)
             assert lane == lanes.stop and not segs, line
         for leaf, want in terms:
             assert leaf.size and (leaf[:, 0] == want).all(), line
+    assert (n_peak > 0) == (model_cls is NonCtrlAwareModel)
 
 
 # ----------------------------------------------------------------------
@@ -644,24 +647,6 @@ def test_one_level_parity(model_cls, library):
         ),
         analyzer.analyze(pi_overrides=ONE_LEVEL_OVERRIDES),
     )
-    # Boundary scenarios, overrides broadcast over every column.
-    scenarios = [
-        ((0.0, 0.0), (0.10 * NS, 0.10 * NS)),
-        ((0.0, 0.45 * NS), (0.08 * NS, 0.30 * NS)),
-        ((0.05 * NS, 0.20 * NS), (0.12 * NS, 0.18 * NS)),
-    ]
-    windows = analyzer.propagate(
-        boundaries=scenarios, pi_overrides=ONE_LEVEL_OVERRIDES
-    )
-    for b, (arrival, trans) in enumerate(scenarios):
-        config = StaConfig(pi_arrival=arrival, pi_trans=trans)
-        assert_results_equal(
-            circuit,
-            TimingAnalyzer(
-                circuit, library, model_cls(), config=config
-            ).analyze_per_gate(pi_overrides=ONE_LEVEL_OVERRIDES),
-            analyzer._extract(windows, b),
-        )
     # Four corners with derates.
     corners = list(STANDARD_CORNERS.values())
     corner_analyzer = CornerAnalyzer(
@@ -711,12 +696,10 @@ def test_every_level_is_at_most_one_ctrl_and_one_arc_group(bench, library):
 
 
 def _subset_matches_full_pass(analyzer, group, cols, circuit, reference):
-    """Run ``subset_group(group, cols)`` over a full pass whose rows of
-    those gates were wiped; every line must come back as the reference."""
-    from repro.sta.compile import subset_group
-
+    """Run ``group.cut(cols)`` over a full pass whose rows of those gates
+    were wiped; every line must come back as the reference."""
     windows = analyzer.propagate()
-    sub = subset_group(group, cols)
+    sub = group.cut(cols)
     rows, owner = sub.outputs()
     assert sorted(set(owner.tolist())) == list(range(len(cols)))
     arrays = (windows.a_s, windows.a_l, windows.t_s, windows.t_l)
@@ -769,7 +752,7 @@ def test_patches_of_merged_groups_equal_a_fresh_compile(
     beside a NAND4 without — leaves every leaf as a recompile would,
     and subsets cut after the patch equal subsets of the fresh compile."""
     from repro.sta.analysis import compute_loads
-    from repro.sta.compile import CompiledCircuit, subset_group
+    from repro.sta.compile import CompiledCircuit
 
     circuit = one_level_circuit()
     analyzer = TimingAnalyzer(circuit, library, model_cls())
@@ -797,7 +780,7 @@ def test_patches_of_merged_groups_equal_a_fresh_compile(
         _assert_same_leaf(path, got[path], want[path])
     for mine, theirs in zip(compiled.levels[0], fresh.levels[0]):
         cols = [0, 1, mine.n_gates - 1]
-        a, b = subset_group(mine, cols), subset_group(theirs, cols)
+        a, b = mine.cut(cols), theirs.cut(cols)
         for (path, x), (_, y) in zip(_group_leaves(a), _group_leaves(b)):
             _assert_same_leaf(path, x, y)
     engine = analyzer.level_engine()
