@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Micro-benchmark the timing core: STA, ITR, and ATPG throughput.
 
-Times three workloads against a *seed-faithful* baseline — the scalar,
-uncached code paths plus the search-layer behaviors of the
-pre-optimization tree (full re-implication per refine, full window
-refinement per fault, fresh faulty simulator per candidate vector):
+Times each layer of the timing core as the program runs it:
 
 * **STA full pass, per-gate walk** — ``TimingAnalyzer.analyze_per_gate()``
   over a benchmark circuit: the scalar corner searches ITR and ATPG pay
-  for, timed alone (no baseline leg).
+  for.
 * **STA full pass, level engine** — the level-compiled
-  structure-of-arrays pass (``repro.sta.compile``) vs. the scalar
-  reference on the two largest packaged circuits, plus the compile
-  itself.
+  structure-of-arrays pass (``repro.sta.compile``) on the two largest
+  packaged circuits, plus the compile itself.
 * **STA required times** — the compiled backward pass
   (``TimingAnalyzer.compute_required``) vs. the per-gate reference walk
   (``compute_required_per_gate``) on c7552s.
@@ -21,10 +17,9 @@ refinement per fault, fresh faulty simulator per candidate vector):
   ladder per gate) and solo re-times vs. the full level pass, on the
   same two circuits.
 * **ITR per-decision refine** — ``refine_incremental`` over a decision
-  sequence (the gate-propagation memo makes the untouched cone free).
+  sequence (only the cone a decision touches is re-walked).
 * **ATPG fault throughput** — ``run_all`` over a random fault list with
-  ITR pruning on, seed-behavior serial baseline vs. optimized serial
-  vs. fault-parallel.
+  ITR pruning on, serial and fault-parallel.
 * **Monte Carlo STA** — ``repro.stat.run_mc`` sample throughput vs. the
   naive alternative of one deterministic analyzer pass per sample (the
   vectorized engine pushes a whole sample block through one
@@ -32,18 +27,17 @@ refinement per fault, fresh faulty simulator per candidate vector):
 
 All timings are best-of-N to damp scheduler noise.  Writes a
 machine-readable ``benchmarks/results/BENCH_timing.json`` with
-per-workload seconds and speedups.  ``--quick`` shrinks the workloads
-for CI smoke runs.  ``scripts/check_bench_regression.py`` gates only
-absolute seconds of program legs; the in-run ratios (``*_ratio``) and
-speedups are reported, not gated, since a faster reference leg would
-raise them.
+per-workload seconds and speedups.  There is one mode, so a CI run
+measures the same work as the committed baseline.
+``scripts/check_bench_regression.py`` gates only absolute seconds of
+program legs; the in-run ratios (``*_ratio``) and speedups are
+reported, not gated, since a faster reference leg would raise them.
 
 Usage:
-    python scripts/bench_timing.py [--quick] [--jobs N] [--out FILE]
+    python scripts/bench_timing.py [--jobs N] [--out FILE]
 """
 
 import argparse
-import contextlib
 import gc
 import json
 import os
@@ -57,166 +51,22 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.atpg import AtpgConfig, CrosstalkAtpg, generate_fault_list  # noqa: E402
-from repro.atpg.excite import check_excitation  # noqa: E402
-from repro.characterize.formulas import QuadPoly1  # noqa: E402
 from repro.characterize.library import CellLibrary  # noqa: E402
 from repro.circuit import load_packaged_bench  # noqa: E402
-from repro.circuit import logic  # noqa: E402
-from repro.itr import implication  # noqa: E402
 from repro.itr.refine import ItrEngine  # noqa: E402
 from repro.itr.values import TwoFrame  # noqa: E402
 from repro.models import VShapeModel  # noqa: E402
-from repro.models import base as models_base  # noqa: E402
-from repro.sta import corners  # noqa: E402
 from repro.obs.manifest import (  # noqa: E402
     attach_manifest,
     current_manifest,
     library_content_hash,
     set_run_context,
 )
-from repro.sta.analysis import (  # noqa: E402
-    PerfConfig,
-    StaConfig,
-    TimingAnalyzer,
-)
+from repro.sta.analysis import StaConfig, TimingAnalyzer  # noqa: E402
 from repro.sta.incremental import IncrementalAnalyzer, TrialEdit  # noqa: E402
 from repro.stat import run_mc  # noqa: E402
 
 NS = 1e-9
-
-BASELINE = PerfConfig(memo_enabled=False)
-OPTIMIZED = PerfConfig()
-
-
-def _seed_min_over(self, lo, hi):
-    """The seed's interval minimum (candidate list, double evaluation)."""
-    candidates = [lo, hi]
-    if self.a2 > 0.0:
-        valley = -self.a1 / (2.0 * self.a2)
-        if lo < valley < hi:
-            candidates.append(valley)
-    best = min(candidates, key=self.__call__)
-    return best, self(best)
-
-
-def _seed_max_over(self, lo, hi):
-    """The seed's interval maximum (candidate list, double evaluation)."""
-    candidates = [lo, hi]
-    peak = self.peak_location()
-    if peak is not None and lo < peak < hi:
-        candidates.append(peak)
-    best = max(candidates, key=self.__call__)
-    return best, self(best)
-
-
-def _seed_pin_bounds(arc, t_s, t_l, d_adj, r_adj, f, early, late):
-    """The seed's per-pin bounds: one clamp per bound family (then the
-    variation factor and derates of the current walk)."""
-    lo, hi = corners._clamped_interval(arc, t_s, t_l)
-    _, d_min = arc.delay.min_over(lo, hi)
-    _, d_max = arc.delay.max_over(lo, hi)
-    lo, hi = corners._clamped_interval(arc, t_s, t_l)
-    _, t_min = arc.trans.min_over(lo, hi)
-    _, t_max = arc.trans.max_over(lo, hi)
-    return (
-        (d_min + d_adj) * f * early, (d_max + d_adj) * f * late,
-        (t_min + r_adj) * f * early, (t_max + r_adj) * f * late,
-    )
-
-
-@contextlib.contextmanager
-def _seed_scalar_layer():
-    """Restore the seed's scalar arithmetic structure while active.
-
-    The current tree's scalar reference path carries micro-optimizations
-    the seed did not have (fused per-pin bounds, single-evaluation
-    interval extremes, the three-valued gate-evaluation memo).  They
-    change no results — only cost — so the baseline legs run with the
-    seed's structure to keep the recorded speedups meaningful against
-    the original code.  Not restored: arcs and load adjustments
-    resolved once per corner search, and the pair merge's evaluation
-    of each pin endpoint and each endpoint combo once
-    (``repro.models.vshape.CtrlAnchors``); the baseline legs pay the
-    current, smaller cost of those.
-    """
-    saved = (QuadPoly1.min_over, QuadPoly1.max_over, corners._pin_bounds)
-    saved_eval = (
-        implication.evaluate_gate,
-        models_base.evaluate_gate,
-        logic.evaluate_gate,
-    )
-    QuadPoly1.min_over = _seed_min_over
-    QuadPoly1.max_over = _seed_max_over
-    corners._pin_bounds = _seed_pin_bounds
-    implication.evaluate_gate = logic._evaluate_gate
-    models_base.evaluate_gate = logic._evaluate_gate
-    logic.evaluate_gate = logic._evaluate_gate
-    try:
-        yield
-    finally:
-        QuadPoly1.min_over, QuadPoly1.max_over, corners._pin_bounds = saved
-        implication.evaluate_gate = saved_eval[0]
-        models_base.evaluate_gate = saved_eval[1]
-        logic.evaluate_gate = saved_eval[2]
-
-
-def _seed_imply(engine):
-    """Strip the implication fixpoint marker, as the seed tree had none.
-
-    ``imply`` then returns a plain dict, so every refine re-implies the
-    full circuit — the seed's behavior.  The implied values (and hence
-    every search decision) are unchanged; only the repeat work returns.
-    """
-    implicator = engine.implicator
-    original = implicator.imply
-    implicator.imply = (
-        lambda values, seeds=None: dict(original(values, seeds))
-    )
-
-
-class SeedBehaviorAtpg(CrosstalkAtpg):
-    """The seed revision's search loop, for the baseline measurement.
-
-    A plain ``PerfConfig(memo_enabled=False)`` only turns off the memo
-    layer; the search layer of this tree
-    also carries algorithmic improvements the seed did not have.  This
-    subclass disables those too, reproducing the seed's code paths:
-
-    * full re-implication on every refine (no fixpoint marker),
-    * a full window refinement at the start of every fault (no shared
-      all-unspecified baseline result),
-    * a fresh faulty-circuit simulator for every candidate vector.
-
-    Results are identical either way — only the running time differs.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _seed_imply(self.engine)
-
-    def _prune(self, fault, values, previous=None):
-        # Seed behavior: previous=None means a full refine, per fault.
-        if previous is not None:
-            result = self.engine.refine_incremental(previous, values)
-        else:
-            result = self.engine.refine(values)
-        verdict = check_excitation(fault, result, self._required)
-        reason = None
-        if not verdict.logic_possible:
-            reason = "excitation logic"
-        elif not verdict.alignment_possible:
-            reason = "timing alignment"
-        elif not verdict.violation_possible:
-            reason = "no violation possible"
-        if reason is not None:
-            self.stats.itr_prunes += 1
-            self._m_prunes.inc()
-        return reason, result
-
-    def _detects(self, fault, vector):
-        self._faulty_for = None  # defeat the per-fault simulator reuse
-        return super()._detects(fault, vector)
-
 
 def _best_of(repeats, fn):
     """Best-of-N wall time (seconds) plus the last return value."""
@@ -230,14 +80,11 @@ def _best_of(repeats, fn):
 
 
 def bench_sta(circuit, library, passes):
-    """Per-gate full pass: the scalar walk ITR and ATPG pay for."""
+    """Per-gate full pass: the scalar walk ITR and ATPG pay for, each
+    pass on a fresh analyzer."""
 
-    # A fresh analyzer per pass so the memo never carries over: this
-    # times the corner searches, not the cache.
     def one_pass():
-        return TimingAnalyzer(
-            circuit, library, perf=OPTIMIZED
-        ).analyze_per_gate()
+        return TimingAnalyzer(circuit, library).analyze_per_gate()
 
     best, _ = _best_of(passes, one_pass)
     return {
@@ -248,15 +95,12 @@ def bench_sta(circuit, library, passes):
 
 
 def bench_sta_level(circuits, library, passes):
-    """Full-pass STA: level-compiled SoA engine vs. the seed scalar path.
+    """Full-pass STA on the level-compiled SoA engine.
 
-    The baseline leg times fresh seed-structure scalar analyzers (one
-    full pass each); the level leg compiles once per circuit and times
-    the compiled forward pass, which is how the engine is used.  The
-    compile itself is timed best-of-N as ``compile_s``.  Two in-run
-    ratios are reported: ``compile_vs_pass_ratio`` (compile over one
-    pass) and ``level_vs_baseline_ratio`` (one level pass over one
-    baseline pass).
+    The level leg compiles once per circuit and times the compiled
+    forward pass, which is how the engine is used.  The compile itself
+    is timed best-of-N as ``compile_s``, and ``compile_vs_pass_ratio``
+    reports it over one pass.
     ``groups`` and ``levels`` record the kernel calls per pass.  The
     compile leg constructs :class:`CompiledCircuit` directly, the build
     without the compile registry, which would hand every analyzer after
@@ -267,15 +111,8 @@ def bench_sta_level(circuits, library, passes):
     from repro.sta.compile import CompiledCircuit, LevelCompiledAnalyzer
 
     out = {"passes": passes, "circuits": {}}
-    total_base = total_level = total_compile = 0.0
+    total_level = total_compile = 0.0
     for circuit in circuits:
-        def scalar_pass(circuit=circuit):
-            return TimingAnalyzer(
-                circuit, library, perf=BASELINE
-            ).analyze_per_gate()
-
-        with _seed_scalar_layer():
-            base_s, _ = _best_of(passes, scalar_pass)
         compile_s, _ = _best_of(
             passes, lambda circuit=circuit: CompiledCircuit(
                 circuit, library, VShapeModel(), StaConfig()
@@ -286,23 +123,16 @@ def bench_sta_level(circuits, library, passes):
         entry = {
             "groups": analyzer.compiled.n_groups,
             "levels": analyzer.compiled.n_levels,
-            "baseline_s_per_pass": base_s,
             "level_s_per_pass": level_s,
             "compile_s": compile_s,
             "compile_vs_pass_ratio": compile_s / level_s,
-            "level_vs_baseline_ratio": level_s / base_s,
-            "speedup": base_s / level_s,
         }
         out["circuits"][circuit.name] = entry
-        total_base += base_s
         total_level += level_s
         total_compile += compile_s
-    out["baseline_s_per_pass"] = total_base
     out["level_s_per_pass"] = total_level
     out["compile_s"] = total_compile
     out["compile_vs_pass_ratio"] = total_compile / total_level
-    out["level_vs_baseline_ratio"] = total_level / total_base
-    out["speedup"] = total_base / total_level
     return out
 
 
@@ -339,8 +169,10 @@ def bench_itr(circuit, library, decisions, repeats):
     """Per-decision incremental refinement, search-style.
 
     Each trial walks the same decision sequence twice from the base
-    result — the way a backtracking search re-derives sibling branches —
-    so the propagation memo gets the revisits it is built for.
+    result, the way a backtracking search re-derives sibling branches;
+    every decision re-walks the cone it touches gate by gate.  Only the
+    decision loops are timed (engine setup and the base refinement are
+    not), best of ``repeats`` trials.
     """
     pis = circuit.inputs
     sequence = [
@@ -353,34 +185,21 @@ def bench_itr(circuit, library, decisions, repeats):
         "decisions": len(sequence),
         "passes": passes,
     }
-    for label, perf in (("baseline", BASELINE), ("optimized", OPTIMIZED)):
 
-        def run(perf=perf, label=label):
-            engine = ItrEngine(circuit, library, perf=perf)
-            if label == "baseline":
-                _seed_imply(engine)
-            base = engine.refine(engine.initial_values())
-            started = time.perf_counter()
-            for _ in range(passes):
-                result = base
-                for line, literal in sequence:
-                    result = engine.refine_assign(result, line, literal)
-            return time.perf_counter() - started
+    def run():
+        engine = ItrEngine(circuit, library)
+        base = engine.refine(engine.initial_values())
+        started = time.perf_counter()
+        for _ in range(passes):
+            result = base
+            for line, literal in sequence:
+                result = engine.refine_assign(result, line, literal)
+        return time.perf_counter() - started
 
-        # run() times just the decision loops (engine setup excluded),
-        # so take the best of its returns rather than _best_of's wall.
-        scope = (
-            _seed_scalar_layer() if label == "baseline"
-            else contextlib.nullcontext()
-        )
-        with scope:
-            times = [run() for _ in range(repeats)]
-        out[f"{label}_s_per_decision"] = (
-            min(times) / (passes * len(sequence))
-        )
-    out["speedup"] = (
-        out["baseline_s_per_decision"] / out["optimized_s_per_decision"]
-    )
+    # run() times just the decision loops, so take the best of its
+    # returns rather than _best_of's wall.
+    times = [run() for _ in range(repeats)]
+    out["optimized_s_per_decision"] = min(times) / (passes * len(sequence))
     return out
 
 
@@ -389,7 +208,8 @@ def bench_atpg(circuit, library, n_faults, jobs, repeats):
 
     The workload mirrors the Section 7 experiment: sizeable fault deltas
     and a clock at 85% of the longest fault-free arrival, so every fault
-    drives a real ITR-pruned search.
+    drives a real ITR-pruned search.  The parallel leg must reach the
+    serial leg's statuses.
     """
     faults = generate_fault_list(
         circuit, n_faults, seed=1, delta=0.5 * NS, window=0.4 * NS
@@ -402,38 +222,22 @@ def bench_atpg(circuit, library, n_faults, jobs, repeats):
         "faults": len(faults),
         "jobs": jobs,
         "repeats": repeats,
-        "baseline": "seed-behavior serial (scalar kernels, no memo, "
-                    "full re-imply + full refine per fault, seed scalar "
-                    "arithmetic structure)",
     }
 
-    def run(cls, perf, run_jobs):
-        # A fresh generator per repetition: memo and shared baseline
-        # start cold, so repeats measure the same work.  The collect
+    def run(run_jobs):
+        # A fresh generator per repetition: the shared base refinement
+        # starts cold, so repeats measure the same work.  The collect
         # keeps one leg's garbage from being charged to the next.
         gc.collect()
-        atpg = cls(circuit, library, config=config, perf=perf)
+        atpg = CrosstalkAtpg(circuit, library, config=config)
         return atpg.run_all(faults, jobs=run_jobs)
 
-    with _seed_scalar_layer():
-        base_s, base = _best_of(
-            repeats, lambda: run(SeedBehaviorAtpg, BASELINE, 1)
-        )
-    opt_s, opt = _best_of(repeats, lambda: run(CrosstalkAtpg, OPTIMIZED, 1))
-    par_s, par = _best_of(
-        repeats, lambda: run(CrosstalkAtpg, OPTIMIZED, jobs)
-    )
-    statuses = [r.status for r in base.results]
-    if [r.status for r in opt.results] != statuses or (
-        [r.status for r in par.results] != statuses
-    ):
-        raise AssertionError("optimized ATPG diverged from the baseline")
-    out["baseline_serial_s"] = base_s
+    opt_s, opt = _best_of(repeats, lambda: run(1))
+    par_s, par = _best_of(repeats, lambda: run(jobs))
+    if [r.status for r in par.results] != [r.status for r in opt.results]:
+        raise AssertionError("parallel ATPG diverged from the serial run")
     out["optimized_serial_s"] = opt_s
     out["optimized_parallel_s"] = par_s
-    out["speedup_serial"] = base_s / opt_s
-    out["speedup_parallel"] = base_s / par_s
-    out["s_per_fault_baseline"] = base_s / len(faults)
     out["s_per_fault_optimized"] = opt_s / len(faults)
     return out
 
@@ -687,8 +491,6 @@ def bench_server(circuit_name, warm_queries, cold_runs):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workloads (CI smoke mode)")
     parser.add_argument("--jobs", type=int,
                         default=min(4, os.cpu_count() or 1),
                         help="worker processes for the parallel ATPG leg")
@@ -701,25 +503,10 @@ def main():
     library = CellLibrary.load_default()
     sta_circuit = load_packaged_bench("c880s")
     itr_circuit = load_packaged_bench("c432s")
-    passes = 3 if args.quick else 5
-    decisions = 8 if args.quick else 24
-    n_faults = 6 if args.quick else 20
-    repeats = 2 if args.quick else 3
-    # Both modes run every Monte Carlo sample: the gated per-sample cost
-    # spreads a run's fixed cost over its samples, so a --quick run with
-    # fewer samples would not be comparable with a full baseline.
-    mc_samples = 256
-    mc_baseline_passes = 3 if args.quick else 8
+    passes = 5
+    repeats = 3
 
-    report = {
-        "generated_unix": time.time(),
-        "quick": args.quick,
-        "perf_defaults": {
-            "memo_enabled": OPTIMIZED.memo_enabled,
-            "memo_max_entries": OPTIMIZED.memo_max_entries,
-            "memo_quantum": OPTIMIZED.memo_quantum,
-        },
-    }
+    report = {"generated_unix": time.time()}
     print("benchmarking STA full pass ...", flush=True)
     report["sta_full_pass"] = bench_sta(sta_circuit, library, passes)
     print("benchmarking STA full pass (level engine) ...", flush=True)
@@ -735,28 +522,27 @@ def main():
     )
     print("benchmarking incremental STA trials ...", flush=True)
     report["sta_incremental"] = bench_sta_incremental(
-        level_circuits, library, passes, trial_gates=4 if args.quick else 12
+        level_circuits, library, passes, trial_gates=12
     )
     print("benchmarking ITR per-decision refine ...", flush=True)
-    report["itr_refine"] = bench_itr(itr_circuit, library, decisions, repeats)
+    report["itr_refine"] = bench_itr(
+        itr_circuit, library, decisions=24, repeats=repeats
+    )
     print("benchmarking ATPG fault throughput ...", flush=True)
     report["atpg_with_itr"] = bench_atpg(
-        itr_circuit, library, n_faults, args.jobs, repeats
+        itr_circuit, library, 20, args.jobs, repeats
     )
     print("benchmarking Monte Carlo STA throughput ...", flush=True)
     report["mc"] = bench_mc(
-        itr_circuit, library, mc_samples, mc_baseline_passes, repeats
+        itr_circuit, library, samples=256, baseline_passes=8,
+        repeats=repeats,
     )
     print("benchmarking corner-batched STA ...", flush=True)
     report["corner"] = bench_corner(
         load_packaged_bench("c7552s"), library, passes
     )
     print("benchmarking daemon warm-query latency ...", flush=True)
-    report["server"] = bench_server(
-        "c432s",
-        warm_queries=16 if args.quick else 48,
-        cold_runs=2 if args.quick else 3,
-    )
+    report["server"] = bench_server("c432s", warm_queries=48, cold_runs=3)
 
     attach_manifest(
         report,
@@ -767,24 +553,15 @@ def main():
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        "  sta_full_pass: "
-        f"{report['sta_full_pass']['optimized_s_per_pass']:.4f} s/pass"
-    )
-    for name in (
-        "sta_full_pass_level", "sta_required",
-        "sta_incremental", "itr_refine", "atpg_with_itr", "mc", "corner",
-        "server",
+    for section, key in (
+        ("sta_full_pass", "optimized_s_per_pass"),
+        ("sta_full_pass_level", "level_s_per_pass"),
+        ("itr_refine", "optimized_s_per_decision"),
+        ("atpg_with_itr", "s_per_fault_optimized"),
     ):
-        entry = report[name]
-        speedup = entry.get("speedup", entry.get("speedup_serial"))
-        print(f"  {name}: {speedup:.2f}x")
-    if "speedup_parallel" in report["atpg_with_itr"]:
-        print(
-            "  atpg_with_itr (parallel, jobs="
-            f"{report['atpg_with_itr']['jobs']}): "
-            f"{report['atpg_with_itr']['speedup_parallel']:.2f}x"
-        )
+        print(f"  {section}.{key}: {report[section][key] * 1e3:.3f} ms")
+    for name in ("sta_required", "sta_incremental", "mc", "corner", "server"):
+        print(f"  {name}: {report[name]['speedup']:.2f}x")
     print(f"wrote {args.out}")
     return 0
 

@@ -4,20 +4,20 @@
 Compares a fresh ``scripts/bench_timing.py`` run against the committed
 baseline in ``benchmarks/results/BENCH_timing.json`` on *per-unit*
 metrics (seconds per STA pass / compile / backward pass / what-if edit /
-Monte Carlo sample / ITR decision / ATPG fault / warm query), which are
-comparable between ``--quick`` and full runs because both exercise the
-same circuits — quick mode only lowers repeat counts.
+Monte Carlo sample / ITR decision / ATPG fault / warm query).  The bench
+has one mode, so both reports measure the same circuits, decisions,
+faults, samples and best-of counts.
 
 Every gate is the absolute time of one program leg.  No gate is an
 in-run ratio: a ratio's denominator is another leg (the scalar
-reference walk, a seed emulation, one compiled pass), so speeding that
-leg up would read as a regression of the numerator.  The bench still
-reports its ratios and speedups, ungated.
+reference walk, one compiled pass), so speeding that leg up would read
+as a regression of the numerator.  The bench still reports its ratios
+and speedups, ungated.
 
 The threshold is deliberately generous (default 2.5x): shared CI runners
 are noisy, and the gate exists to catch order-of-magnitude regressions
-(an accidentally disabled kernel path, a memo that stopped hitting), not
-to police single-digit percentages.
+(an accidentally disabled kernel path, a per-gate walk on a compiled
+path), not to police single-digit percentages.
 
 Usage::
 

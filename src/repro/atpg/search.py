@@ -28,7 +28,7 @@ from ..itr.values import TwoFrame
 from ..models.base import DelayModel
 from ..obs import get_registry
 from ..obs.merge import capture_and_reset, init_worker_obs, merge_payloads
-from ..sta.analysis import PerfConfig, StaConfig
+from ..sta.analysis import StaConfig
 from ..sta.simulate import PiStimulus, TimingSimulator
 from .excite import check_excitation, transition_literal
 from .faults import CrosstalkFault, FaultySimulator
@@ -151,7 +151,7 @@ _WORKER_ATPG: Optional["CrosstalkAtpg"] = None
 
 
 def _atpg_worker_init(
-    circuit, library, model, sta_config, config, perf, obs_enabled=False
+    circuit, library, model, sta_config, config, obs_enabled=False
 ):
     """Build the per-process test generator for the fault pool.
 
@@ -167,7 +167,7 @@ def _atpg_worker_init(
     global _WORKER_ATPG
     registry = init_worker_obs(obs_enabled)
     _WORKER_ATPG = CrosstalkAtpg(
-        circuit, library, model, sta_config, config, perf
+        circuit, library, model, sta_config, config
     )
     if config is not None and config.use_itr:
         _WORKER_ATPG._baseline()
@@ -194,8 +194,8 @@ class CrosstalkAtpg:
     walk runs until a search needs one.  The refined windows of the
     all-unspecified assignment, every search's starting point, are
     computed once per generator by the first ITR check (or up front by
-    a ``jobs > 1`` run); that refinement walks the circuit gate by gate
-    and fills the propagation memo the searches' cones are served from.
+    a ``jobs > 1`` run); that refinement walks the circuit gate by gate,
+    and each search re-walks only the cones its decisions touch.
 
     Args:
         circuit: Circuit under test.
@@ -204,8 +204,6 @@ class CrosstalkAtpg:
             proposed V-shape model).
         sta_config: Boundary conditions shared with STA/ITR.
         config: Search parameters.
-        perf: Timing-core performance knobs forwarded to ITR's analyzer
-            (defaults to the propagation memo on).
     """
 
     def __init__(
@@ -215,17 +213,15 @@ class CrosstalkAtpg:
         model: Optional[DelayModel] = None,
         sta_config: Optional[StaConfig] = None,
         config: Optional[AtpgConfig] = None,
-        perf: Optional[PerfConfig] = None,
     ) -> None:
         self.circuit = circuit
         self.library = library
         self.config = config or AtpgConfig()
-        self.perf = perf
-        self.engine = ItrEngine(circuit, library, model, sta_config, perf)
+        self.engine = ItrEngine(circuit, library, model, sta_config)
         self.model = self.engine.analyzer.model
         self.sta_config = self.engine.analyzer.config
-        # Bit-identical to the per-gate walk; the memo fills where it
-        # is read, in the base refinement (see _baseline).
+        # Bit-identical to the per-gate walk, which first runs in the
+        # base refinement (see _baseline).
         self._sta = self.engine.analyzer.analyze()
         self.period = (
             self.config.period
@@ -460,7 +456,7 @@ class CrosstalkAtpg:
                 initializer=_atpg_worker_init,
                 initargs=(
                     self.circuit, self.library, self.model,
-                    self.sta_config, cfg, self.perf, obs.enabled,
+                    self.sta_config, cfg, obs.enabled,
                 ),
             ) as pool:
                 futures = {

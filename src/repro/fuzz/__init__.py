@@ -7,7 +7,7 @@ scenarios:
 * :mod:`repro.fuzz.generate` — seeded generators for circuits, boundary
   windows, ITR decision sequences, fault lists, and gate scenarios;
 * :mod:`repro.fuzz.oracles`  — the differential oracle registry
-  (propagation memo, level-compiled passes, incremental re-timing, ITR,
+  (level-compiled passes, incremental re-timing, incremental ITR,
   fault-parallel ATPG, pooled characterization, Monte Carlo, the timing
   daemon, PVT corners, model-vs-SPICE);
 * :mod:`repro.fuzz.shrink`   — greedy minimization of failing cases;

@@ -65,7 +65,7 @@ def random_circuit_dict(
                         "or": 0.10, "inv": 0.18, "buf": 0.04, "xor": 0.08}
         fanin_weights = {2: 0.55, 3: 0.27, 4: 0.13, 5: 0.05}
     else:
-        # Chain-like: deep single-pin propagation, memo-friendly.
+        # Chain-like: deep single-pin propagation.
         kind_weights = {"nand": 0.20, "nor": 0.10, "and": 0.05,
                         "or": 0.05, "inv": 0.40, "buf": 0.15, "xor": 0.05}
         fanin_weights = {2: 0.8, 3: 0.2}

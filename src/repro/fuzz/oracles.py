@@ -7,8 +7,6 @@ walks of :class:`~repro.sta.analysis.TimingAnalyzer`:
 ``analyze_per_gate`` (plain, with per-gate variation factors, or with
 corner derates) and ``compute_required_per_gate``.
 
-* ``memo``      — propagation-memo per-gate walk vs. memo-free, bit for
-  bit;
 * ``level``     — the level-compiled structure-of-arrays pass
   (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, and its
   backward pass (``compute_required``, at the default and a
@@ -18,8 +16,9 @@ corner derates) and ``compute_required_per_gate``.
   after every edit of a random mutation sequence (cone replay on the
   compiled sweep, over a patched compile or through a recompile), bit
   for bit;
-* ``itr``       — incremental refinement under a random decision
-  sequence, fast timing core vs. scalar reference;
+* ``itr``       — cone-limited incremental refinement under a random
+  decision sequence vs. a full refinement of the same assignment, and
+  the all-unspecified refinement vs. the scalar walk, bit for bit;
 * ``atpg-jobs`` — fault-parallel ATPG (``jobs=2``) vs. the serial path:
   statuses, vectors, backtrack counts, and merged stats;
 * ``char-jobs`` — pooled characterization (``jobs=2``) vs. serial,
@@ -58,7 +57,7 @@ from ..characterize import (
 )
 from ..itr import Conflict, ItrEngine, TwoFrame
 from ..models import InputEvent, VShapeModel
-from ..sta.analysis import PerfConfig, StaResult, TimingAnalyzer
+from ..sta.analysis import StaResult, TimingAnalyzer
 from ..stat import (
     MC_MODELS,
     MonteCarloEngine,
@@ -71,9 +70,6 @@ from . import generate as gen
 from .case import FuzzCase
 
 NS = 1e-9
-
-#: The uncached reference configuration of the scalar walk.
-SCALAR = PerfConfig(memo_enabled=False)
 
 #: Model-vs-SPICE tolerance of the ``spice`` oracle: the paper reports
 #: a few percent typical error; the oracle flags gross breakage, not
@@ -211,78 +207,6 @@ def _required_mismatches(
     return problems
 
 
-def _compare_sta(
-    case: FuzzCase, fast_perf: Optional[PerfConfig]
-) -> OracleResult:
-    """The scalar per-gate walk vs. a fast path over the case's models.
-
-    The fast path is the per-gate walk under ``fast_perf``, or, when it
-    is None, the level-compiled :meth:`TimingAnalyzer.analyze` plus the
-    compiled backward pass :meth:`TimingAnalyzer.compute_required`.
-    """
-    circuit = case.build_circuit()
-    config = case.build_sta_config()
-    overrides = case.build_pi_overrides()
-    library = CellLibrary.load_default()
-    for name, model in case.build_models():
-        base_analyzer = TimingAnalyzer(
-            circuit, library, model, config, perf=SCALAR
-        )
-        base = base_analyzer.analyze_per_gate(pi_overrides=overrides)
-        # The compiled passes never read the memo, so their analyzer
-        # carries none.
-        fast_analyzer = TimingAnalyzer(
-            circuit, library, model, config,
-            perf=SCALAR if fast_perf is None else fast_perf,
-        )
-        fast = (
-            fast_analyzer.analyze(pi_overrides=overrides)
-            if fast_perf is None
-            else fast_analyzer.analyze_per_gate(pi_overrides=overrides)
-        )
-        problems = _window_mismatches(circuit, base, fast)
-        if not problems and fast_perf is None:
-            problems = _required_mismatches(
-                circuit, base_analyzer, base, fast_analyzer, fast
-            )
-        if problems:
-            return OracleResult(
-                False, f"model={name}: " + "; ".join(problems)
-            )
-    return OracleResult(True)
-
-
-# ----------------------------------------------------------------------
-# memo: propagation memo vs. memo-free analyzer
-# ----------------------------------------------------------------------
-def _gen_memo(rng: random.Random) -> FuzzCase:
-    return FuzzCase(
-        oracle="memo",
-        circuit=gen.random_circuit_dict(rng),
-        sta=gen.random_sta_dict(rng),
-        models=gen.random_models(rng, k=1),
-    )
-
-
-def _check_memo(case: FuzzCase) -> OracleResult:
-    # A deliberately coarse quantum stresses hash-bucket collisions;
-    # exactness must come from tag verification, not key resolution.
-    return _compare_sta(
-        case,
-        PerfConfig(memo_enabled=True, memo_quantum=1e-12),
-    )
-
-
-register_oracle(Oracle(
-    name="memo",
-    description="propagation-memo analyzer vs. memo-free "
-                "(coarse-quantum keys, tag-verified hits)",
-    generate=_gen_memo,
-    check=_check_memo,
-    supports_pi_windows=True,
-))
-
-
 # ----------------------------------------------------------------------
 # level: level-compiled SoA pass vs. scalar corner search
 # ----------------------------------------------------------------------
@@ -296,7 +220,29 @@ def _gen_level(rng: random.Random) -> FuzzCase:
 
 
 def _check_level(case: FuzzCase) -> OracleResult:
-    return _compare_sta(case, None)
+    """The scalar per-gate walk vs. the level-compiled pass
+    (:meth:`TimingAnalyzer.analyze`) and its backward pass
+    (:meth:`TimingAnalyzer.compute_required`) over the case's models.
+    """
+    circuit = case.build_circuit()
+    config = case.build_sta_config()
+    overrides = case.build_pi_overrides()
+    library = CellLibrary.load_default()
+    for name, model in case.build_models():
+        base_analyzer = TimingAnalyzer(circuit, library, model, config)
+        base = base_analyzer.analyze_per_gate(pi_overrides=overrides)
+        fast_analyzer = TimingAnalyzer(circuit, library, model, config)
+        fast = fast_analyzer.analyze(pi_overrides=overrides)
+        problems = _window_mismatches(circuit, base, fast)
+        if not problems:
+            problems = _required_mismatches(
+                circuit, base_analyzer, base, fast_analyzer, fast
+            )
+        if problems:
+            return OracleResult(
+                False, f"model={name}: " + "; ".join(problems)
+            )
+    return OracleResult(True)
 
 
 register_oracle(Oracle(
@@ -387,7 +333,7 @@ def _check_incremental(case: FuzzCase) -> OracleResult:
             for edit in replayed + ([extra] if extra else []):
                 _apply_edit(ref_circuit, edit)
             return TimingAnalyzer(
-                ref_circuit, library, model, config, perf=SCALAR
+                ref_circuit, library, model, config
             ).analyze_per_gate()
 
         seen = incr._compiled()
@@ -501,7 +447,7 @@ register_oracle(Oracle(
 
 
 # ----------------------------------------------------------------------
-# itr: incremental refinement, fast core vs. scalar reference
+# itr: cone-limited incremental refinement vs. a full refinement
 # ----------------------------------------------------------------------
 def _gen_itr(rng: random.Random) -> FuzzCase:
     circuit = gen.random_circuit_dict(rng, min_gates=6, max_gates=40)
@@ -517,33 +463,24 @@ def _check_itr(case: FuzzCase) -> OracleResult:
     circuit = case.build_circuit()
     config = case.build_sta_config()
     library = CellLibrary.load_default()
-    base_eng = ItrEngine(circuit, library, config=config, perf=SCALAR)
-    fast_eng = ItrEngine(circuit, library, config=config, perf=PerfConfig())
-    base = base_eng.refine(base_eng.initial_values())
-    fast = fast_eng.refine(fast_eng.initial_values())
-    problems = _window_mismatches(circuit, base.sta, fast.sta)
+    engine = ItrEngine(circuit, library, config=config)
+    # STA is the special case of ITR with every line unspecified.
+    result = engine.refine(engine.initial_values())
+    sta = TimingAnalyzer(circuit, library, config=config).analyze_per_gate()
+    problems = _window_mismatches(circuit, sta, result.sta)
     if problems:
-        return OracleResult(False, "initial refine: " + "; ".join(problems))
+        return OracleResult(
+            False, "initial refine vs. STA: " + "; ".join(problems)
+        )
     for step, (line, literal) in enumerate(case.decisions or ()):
-        value = TwoFrame.parse(literal)
-        base_conflict = fast_conflict = False
         try:
-            base = base_eng.refine_assign(base, line, value)
-        except Conflict:
-            base_conflict = True
-        try:
-            fast = fast_eng.refine_assign(fast, line, value)
-        except Conflict:
-            fast_conflict = True
-        if base_conflict != fast_conflict:
-            return OracleResult(
-                False,
-                f"decision {step} ({line}={literal}): conflict divergence "
-                f"(scalar={base_conflict}, fast={fast_conflict})",
+            result = engine.refine_assign(
+                result, line, TwoFrame.parse(literal)
             )
-        if base_conflict:
+        except Conflict:
             break
-        problems = _window_mismatches(circuit, base.sta, fast.sta)
+        full = engine.refine(result.values)
+        problems = _window_mismatches(circuit, full.sta, result.sta)
         if problems:
             return OracleResult(
                 False,
@@ -555,8 +492,8 @@ def _check_itr(case: FuzzCase) -> OracleResult:
 
 register_oracle(Oracle(
     name="itr",
-    description="incremental timing refinement under random decision "
-                "sequences, fast core vs. scalar",
+    description="cone-limited incremental timing refinement under "
+                "random decision sequences vs. full refinement",
     generate=_gen_itr,
     check=_check_itr,
 ))
@@ -747,7 +684,7 @@ def _check_mc(case: FuzzCase) -> OracleResult:
         circuit, library, MC_MODELS[model_name](), config
     )
     analyzer = TimingAnalyzer(
-        circuit, library, MC_MODELS[model_name](), config, perf=SCALAR
+        circuit, library, MC_MODELS[model_name](), config
     )
     _, size = plan_blocks(kwargs["samples"], kwargs["block"])[0]
     factors = kwargs["variation"].factors_for_block(
@@ -814,7 +751,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
     one in-process :class:`ServerApp`, exercising the per-circuit
     queue, drainer batching, what-if coalescing, and the dedup/memo
     path via the planted duplicate), then rebuilds every answer cold —
-    SCALAR-config per-gate walks (forward, and backward for ``slack``),
+    scalar per-gate walks (forward, and backward for ``slack``),
     serial ``run_mc``, one fresh analysis per what-if edit — formatted
     through the shared :mod:`repro.server.session` serializers, so any
     diff is engine output, not formatting.
@@ -856,8 +793,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
     def scalar(model: str):
         if model not in base:
             analyzer = TimingAnalyzer(
-                case.build_circuit(), library, MC_MODELS[model](),
-                perf=SCALAR,
+                case.build_circuit(), library, MC_MODELS[model]()
             )
             base[model] = (analyzer, analyzer.analyze_per_gate())
         return base[model]
@@ -907,7 +843,7 @@ def _check_serve(case: FuzzCase) -> OracleResult:
             else:
                 variant.swap_cell(edit["line"], edit["value"])
             arrivals.append(TimingAnalyzer(
-                variant, library, MC_MODELS[model](), perf=SCALAR
+                variant, library, MC_MODELS[model]()
             ).analyze_per_gate().output_max_arrival())
         _, base_result = scalar(model)
         return srv.whatif_payload(

@@ -34,7 +34,6 @@ from .shrink import shrink_case
 
 #: Shrink budgets (oracle checks) per oracle; heavy oracles get fewer.
 SHRINK_BUDGETS: Dict[str, int] = {
-    "memo": 400,
     "itr": 200,
     "atpg-jobs": 60,
     "char-jobs": 0,

@@ -177,7 +177,7 @@ class Shrinker:
         changes (windows depend on the whole upstream circuit).
         """
         from ..characterize import CellLibrary
-        from .oracles import SCALAR, get_oracle
+        from .oracles import get_oracle
 
         try:
             oracle = get_oracle(case.oracle)
@@ -199,7 +199,6 @@ class Shrinker:
             CellLibrary.load_default(),
             model,
             case.build_sta_config(),
-            perf=SCALAR,
         ).analyze(pi_overrides=case.build_pi_overrides())
         windows = {
             line: {

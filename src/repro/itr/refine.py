@@ -25,7 +25,7 @@ from ..characterize.library import CellLibrary
 from ..circuit.netlist import Circuit
 from ..models.base import DelayModel
 from ..obs import get_registry
-from ..sta.analysis import PerfConfig, StaConfig, StaResult, TimingAnalyzer
+from ..sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from ..sta.windows import (
     DirWindow,
     IMPOSSIBLE,
@@ -63,8 +63,6 @@ class ItrEngine:
         config: STA boundary conditions, shared with plain STA so that
             ``refine(initial_assignment)`` reproduces the STA result
             exactly (the paper: "STA is a special case of ITR").
-        perf: Performance knobs forwarded to the analyzer (the
-            propagation memo, on by default).
     """
 
     def __init__(
@@ -73,10 +71,9 @@ class ItrEngine:
         library: CellLibrary,
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
-        perf: Optional[PerfConfig] = None,
     ) -> None:
         self.circuit = circuit
-        self.analyzer = TimingAnalyzer(circuit, library, model, config, perf)
+        self.analyzer = TimingAnalyzer(circuit, library, model, config)
         self.implicator = TwoFrameImplicator(circuit)
         # The PI boundary windows depend only on the (immutable) config,
         # so compute them once instead of on every refine call.
@@ -114,7 +111,6 @@ class ItrEngine:
             return DirWindow.impossible()
         if not window.is_active:
             return window
-        # A new window, never an alias of the memo-held one.
         return DirWindow(window.a_s, window.a_l, window.t_s, window.t_l, state)
 
     def refine(self, values: Assignment) -> ItrResult:

@@ -1,13 +1,11 @@
 """Static timing analysis, corner identification and timing simulation."""
 
 from .analysis import (
-    PerfConfig,
     StaConfig,
     StaResult,
     TimingAnalyzer,
     Violation,
 )
-from .cache import PropagationCache
 from .compile import (
     CompiledCircuit,
     CompiledWindows,
@@ -52,9 +50,7 @@ __all__ = [
     "LineTiming",
     "POTENTIAL",
     "PathStage",
-    "PerfConfig",
     "PiStimulus",
-    "PropagationCache",
     "RequiredWindow",
     "SimulationResult",
     "StaConfig",

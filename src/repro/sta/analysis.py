@@ -37,7 +37,6 @@ from ..circuit.netlist import Circuit, Gate
 from ..models.base import DelayModel
 from ..models.vshape import CtrlAnchors, VShapeModel
 from ..obs import get_registry
-from .cache import PropagationCache
 from .corners import (
     CtrlInput,
     arc_fanin_window,
@@ -70,32 +69,6 @@ class StaConfig:
     pi_trans: Tuple[float, float] = (0.2e-9, 0.2e-9)
     po_load: float = 7e-15
     dangling_load: float = 7e-15
-
-
-@dataclasses.dataclass(frozen=True)
-class PerfConfig:
-    """Performance knobs of the per-gate walk.
-
-    They tune :meth:`TimingAnalyzer.propagate_gate` — the gate-at-a-time
-    corner searches behind ITR, ATPG and
-    :meth:`TimingAnalyzer.analyze_per_gate`.  Full passes
-    (:meth:`TimingAnalyzer.analyze`) and incremental re-timing always
-    run on the level-compiled engine and ignore them.  The memo is bit-identical to the uncached
-    walk (the parity test suite enforces this), so it is on by default;
-    the flag exists for debugging and for the parity tests themselves.
-
-    Args:
-        memo_enabled: Memoize ``propagate_gate`` results per analyzer
-            (see :class:`repro.sta.cache.PropagationCache`).
-        memo_max_entries: LRU eviction bound of the memo cache.
-        memo_quantum: Quantization step (seconds) for memo hash keys;
-            exactness is guaranteed by tag verification, so this only
-            affects hash bucketing.
-    """
-
-    memo_enabled: bool = True
-    memo_max_entries: int = 100_000
-    memo_quantum: float = 1e-15
 
 
 def line_load(
@@ -228,9 +201,6 @@ class TimingAnalyzer:
         library: Characterized cell library.
         model: Delay model (defaults to the proposed V-shape model).
         config: Boundary conditions.
-        perf: Knobs of the per-gate walk (defaults to memoized,
-            bit-identical to the uncached walk).  Full passes run on
-            the level-compiled engine regardless.
 
     Raises:
         UnknownCellError: If the library lacks a gate's cell.
@@ -243,24 +213,15 @@ class TimingAnalyzer:
         library: CellLibrary,
         model: Optional[DelayModel] = None,
         config: Optional[StaConfig] = None,
-        perf: Optional[PerfConfig] = None,
     ) -> None:
         self.circuit = circuit
         self.library = library
         self.model = model if model is not None else VShapeModel()
         self.config = config or StaConfig()
-        self.perf = perf or PerfConfig()
         obs = get_registry()
         self._obs = obs
         self._m_gates = obs.counter("sta.gates_evaluated")
         self._m_corners = obs.counter("sta.corner_calls")
-        self._memo = (
-            PropagationCache(
-                self.perf.memo_max_entries, self.perf.memo_quantum
-            )
-            if self.perf.memo_enabled
-            else None
-        )
         self._level = None  # lazily-built LevelCompiledAnalyzer
         #: Whether compiles are this analyzer's own (see own_compile).
         self._owns_compile = False
@@ -350,25 +311,9 @@ class TimingAnalyzer:
     ) -> LineTiming:
         """Compute the output windows of one gate from its input windows."""
         self._sync_epoch()
-        cell = self.cell_of(gate)
-        load = self.load(gate.output)
-        if self._memo is None:
-            return self._propagate_windows(gate, cell, load, timings)
-        key, tag = self._memo.key_for(
-            cell.name,
-            load,
-            [timings[line] for line in gate.inputs],
-            epoch=self._epoch,
+        return self._propagate_windows(
+            gate, self.cell_of(gate), self.load(gate.output), timings
         )
-        cached = self._memo.lookup(key, tag)
-        if cached is not None:
-            # Memo hit: no corner search ran.  The work counters stay
-            # put; the hit itself is counted by ``sta.memo.hits`` inside
-            # the cache (consistent with the cross-worker merge rules).
-            return cached
-        result = self._propagate_windows(gate, cell, load, timings)
-        self._memo.store(key, tag, result)
-        return result
 
     def _propagate_windows(
         self,
@@ -468,14 +413,15 @@ class TimingAnalyzer:
     ) -> StaResult:
         """The scalar reference walk: one gate at a time, in topo order.
 
-        A plain walk sends every gate through :meth:`propagate_gate`, so
-        it honours :class:`PerfConfig` and fills the propagation memo
-        that ITR and ATPG reuse.  A factored or derated walk is one
-        column of a compiled Monte Carlo block or corner pass, bit for
-        bit: the factor and then the derate multiply at the sites
-        :meth:`LevelCompiledAnalyzer.propagate` scales.  It bypasses
-        the memo, whose key carries no factor.  The parity tests and
-        fuzz oracles diff the compiled passes against this walk.
+        Every gate runs the corner searches of :meth:`propagate_gate`,
+        the ones ITR and ATPG walk, under its variation factor and the
+        derates.  A factored or derated walk is one column of a compiled
+        Monte Carlo block or corner pass, bit for bit: the factor and
+        then the derate multiply at the sites
+        :meth:`LevelCompiledAnalyzer.propagate` scales.  A plain walk's
+        factor and derates are 1.0, which multiplies exactly.  The
+        parity tests and fuzz oracles diff the compiled passes against
+        this walk.
 
         Args:
             pi_overrides: Optional per-PI timing windows replacing the
@@ -497,7 +443,6 @@ class TimingAnalyzer:
         """
         self._sync_epoch()
         order = self.circuit.topological_order()
-        plain = factors is None and derates is None
         scale, early, late = [1.0] * len(order), 1.0, 1.0
         if factors is not None:
             # Imported lazily: compile.py depends on this module.
@@ -527,13 +472,10 @@ class TimingAnalyzer:
                     )
             for out, f in zip(order, scale):
                 gate = self.circuit.gates[out]
-                if plain:
-                    timings[out] = self.propagate_gate(gate, timings)
-                else:
-                    timings[out] = self._propagate_windows(
-                        gate, self.cell_of(gate), self.load(out), timings,
-                        f, early, late,
-                    )
+                timings[out] = self._propagate_windows(
+                    gate, self.cell_of(gate), self.load(out), timings,
+                    f, early, late,
+                )
         if self._obs.enabled:
             widths = self._obs.histogram("sta.window_width_s")
             for timing in timings.values():

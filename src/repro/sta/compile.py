@@ -1,8 +1,8 @@
 """Level-compiled structure-of-arrays STA: the whole-circuit fast pass.
 
 :class:`repro.sta.analysis.TimingAnalyzer` walks the circuit one gate at
-a time, so its full pass pays Python dispatch, window (un)boxing and
-memo bookkeeping per gate and per corner candidate.  This module
+a time, so its full pass pays Python dispatch and window (un)boxing
+per gate and per corner candidate.  This module
 compiles circuit + library **once** into a level-ordered
 structure-of-arrays form and then evaluates each *level* in a handful of
 NumPy ops:

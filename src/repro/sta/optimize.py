@@ -38,7 +38,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..obs import get_registry
-from .analysis import PerfConfig, StaConfig, TimingAnalyzer
+from .analysis import StaConfig, TimingAnalyzer
 from .incremental import IncrementalAnalyzer, TrialEdit
 from .report import TimingReporter
 
@@ -431,7 +431,6 @@ def optimize_sizing(
     model=None,
     config: Optional[SizingConfig] = None,
     sta_config: Optional[StaConfig] = None,
-    perf: Optional[PerfConfig] = None,
 ) -> SizingResult:
     """One-call sizing: build the incremental engine and run the sizer.
 
@@ -441,6 +440,6 @@ def optimize_sizing(
 
     if library is None:
         library = CellLibrary.load_default()
-    analyzer = TimingAnalyzer(circuit, library, model, sta_config, perf)
+    analyzer = TimingAnalyzer(circuit, library, model, sta_config)
     sizer = GateSizer(IncrementalAnalyzer(analyzer), config)
     return sizer.run()

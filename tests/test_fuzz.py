@@ -36,7 +36,7 @@ from repro.sta.windows import DirWindow
 #: deterministic because cases derive entirely from (seed, oracle, index).
 PLANTED_SEED, PLANTED_INDEX = 1234, 2
 
-FAST_ORACLES = ("memo", "level", "itr")
+FAST_ORACLES = ("level", "itr")
 
 
 def plant_curvature_bug(monkeypatch):
@@ -96,7 +96,7 @@ class TestGenerators:
 class TestOracleRegistry:
     def test_expected_oracles_registered(self):
         assert set(ORACLES) == {
-            "memo", "level", "incremental", "itr", "atpg-jobs",
+            "level", "incremental", "itr", "atpg-jobs",
             "char-jobs", "mc", "serve", "corners", "spice",
         }
 
@@ -134,11 +134,11 @@ class TestCampaign:
 
     def test_parallel_matches_serial_schedule(self, tmp_path):
         serial = run_fuzz(FuzzConfig(
-            oracles=("level", "memo"), cases=6, seed=4,
+            oracles=("level", "itr"), cases=6, seed=4,
             artifact_dir=tmp_path,
         ))
         parallel = run_fuzz(FuzzConfig(
-            oracles=("level", "memo"), cases=6, seed=4, jobs=2,
+            oracles=("level", "itr"), cases=6, seed=4, jobs=2,
             artifact_dir=tmp_path,
         ))
         key = lambda r: sorted((o.oracle, o.index, o.ok) for o in r.outcomes)  # noqa: E731
@@ -277,7 +277,7 @@ class TestCli:
 
     def test_fuzz_green_run(self, tmp_path, capsys):
         rc = main([
-            "fuzz", "--oracles", "level,memo", "--cases", "6",
+            "fuzz", "--oracles", "level,itr", "--cases", "6",
             "--seed", "7", "--artifact-dir", str(tmp_path),
         ])
         assert rc == 0

@@ -20,16 +20,11 @@ from repro.models import NonCtrlAwareModel, VShapeModel
 from repro.obs import use_registry
 from repro.sta import (
     IncrementalAnalyzer,
-    PerfConfig,
     StaConfig,
     TimingAnalyzer,
     TrialEdit,
 )
-from repro.sta.cache import PropagationCache
 from repro.sta.windows import DirWindow, LineTiming, timings_equal
-
-#: Reference configuration: no kernels, no memo — the plain definition.
-SCALAR = PerfConfig(memo_enabled=False)
 
 #: How the baseline is reached: ``level`` is one full pass;
 #: ``recompiled`` then rewires a gate and reverts it, two structural
@@ -60,12 +55,10 @@ def _incremental(circuit, library, start):
     return incr
 
 
-def _fresh_timings(circuit, library, perf=SCALAR):
+def _fresh_timings(circuit, library):
     """Analyze a rebuilt copy of ``circuit`` from scratch."""
     rebuilt = Circuit.from_dict(circuit.to_dict())
-    analyzer = TimingAnalyzer(
-        rebuilt, library, VShapeModel(), StaConfig(), perf=perf
-    )
+    analyzer = TimingAnalyzer(rebuilt, library, VShapeModel(), StaConfig())
     return analyzer.analyze_per_gate()
 
 
@@ -363,7 +356,7 @@ class TestTryEdits:
             variant = Circuit.from_dict(circuit.to_dict())
             _apply(variant, (e.op, e.line, e.value, None))
             reference = TimingAnalyzer(
-                variant, library, VShapeModel(), StaConfig(), perf=SCALAR
+                variant, library, VShapeModel(), StaConfig()
             ).analyze_per_gate()
             for line in variant.lines:
                 assert timings_equal(
@@ -410,7 +403,7 @@ class TestTryEdits:
             variant = Circuit.from_dict(circuit.to_dict())
             variant.resize_gate(e.line, e.value)
             reference = TimingAnalyzer(
-                variant, library, VShapeModel(), StaConfig(), perf=SCALAR
+                variant, library, VShapeModel(), StaConfig()
             ).analyze_per_gate()
             for line in variant.lines:
                 assert timings_equal(
@@ -481,7 +474,7 @@ class TestMergedGroups:
         if edit is not None:
             _apply(variant, (edit.op, edit.line, edit.value, None))
         return TimingAnalyzer(
-            variant, library, model_cls(), StaConfig(), perf=SCALAR
+            variant, library, model_cls(), StaConfig()
         ).analyze_per_gate()
 
     @pytest.mark.parametrize(
@@ -539,24 +532,7 @@ class TestMergedGroups:
                 ), (e, line)
 
 
-class TestMemoEpoch:
-    def test_epoch_distinguishes_cache_keys(self):
-        # Regression: a circuit mutated behind the analyzer must never
-        # be served a memo entry recorded before the edit — the edit
-        # epoch is part of both the hash key and the exact tag.
-        cache = PropagationCache(max_entries=8, quantum=1e-15)
-        timing = LineTiming(
-            rise=DirWindow(1e-10, 2e-10, 5e-11, 8e-11),
-            fall=DirWindow(1e-10, 2e-10, 5e-11, 8e-11),
-        )
-        key0, tag0 = cache.key_for("nand2", 1e-14, [timing], epoch=0)
-        key1, tag1 = cache.key_for("nand2", 1e-14, [timing], epoch=1)
-        assert key0 != key1
-        assert tag0 != tag1
-        cache.store(key0, tag0, timing)
-        assert cache.lookup(key0, tag0) is not None
-        assert cache.lookup(key1, tag1) is None
-
+class TestAnalyzerEpoch:
     def test_analyzer_epoch_tracks_circuit_edits(self, library):
         circuit = load_packaged_bench("c17")
         analyzer = TimingAnalyzer(
@@ -705,7 +681,7 @@ class TestTrialSweep:
             variant = Circuit.from_dict(circuit.to_dict())
             _apply(variant, (e.op, e.line, e.value, None))
             reference = TimingAnalyzer(
-                variant, library, perf=SCALAR
+                variant, library
             ).analyze_per_gate(pi_overrides=overrides)
             for line in variant.lines:
                 assert timings_equal(
@@ -776,7 +752,7 @@ class TestCommit:
         assert trial.base is None
         result = incr.commit(trial, 1)
         reference = TimingAnalyzer(
-            Circuit.from_dict(circuit.to_dict()), library, perf=SCALAR
+            Circuit.from_dict(circuit.to_dict()), library
         ).analyze_per_gate(pi_overrides=overrides)
         _assert_all_lines_equal(circuit, result, reference)
 

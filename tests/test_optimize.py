@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit import Circuit, load_packaged_bench
 from repro.models import VShapeModel
-from repro.sta import PerfConfig, StaConfig, TimingAnalyzer
+from repro.sta import StaConfig, TimingAnalyzer
 from repro.sta.optimize import (
     DEFAULT_SIZES,
     SizingConfig,
@@ -114,24 +114,6 @@ class TestOptimizeSizing:
         result = optimize_sizing(circuit, library, config=config)
         assert result.cost_mode == "tns"
         assert result.final_cost <= result.initial_cost
-
-    def test_scalar_perf_config_gives_same_result(self, library):
-        # The per-gate knobs only shape the per-gate walk, which the
-        # sizer's compiled re-timing never runs, so they cannot change
-        # what it decides.
-        config = SizingConfig(max_passes=1, gates_per_pass=2)
-        results = [
-            optimize_sizing(
-                load_packaged_bench("c17"), library, config=config,
-                perf=perf,
-            )
-            for perf in (None, PerfConfig(memo_enabled=False))
-        ]
-        default, scalar = results
-        assert scalar.final_wns >= scalar.initial_wns
-        assert scalar.resizes == default.resizes
-        assert scalar.final_cost == default.final_cost
-
 
 class TestOptimizeCli:
     def test_smoke_and_exit_code(self, capsys):

@@ -1,11 +1,13 @@
-"""Bit-parity of the per-gate timing core's fast layers.
+"""Bit-parity of the per-gate timing core's entry points and pools.
 
-The per-gate walk's perf layers — the gate-propagation memo and
-fault-parallel ATPG — promise *bit-identical* results.  These tests
-hold them to it: full-circuit STA across delay models, randomized ITR
-decision sequences, and ATPG runs with every knob flipped must match
-the uncached/serial paths float for float.  (The level-compiled pass
-is held to the scalar walk by ``test_sta_compile``.)
+ITR and ATPG walk the circuit gate by gate through
+``TimingAnalyzer.propagate_gate``; ``analyze_per_gate`` is the scalar
+reference walk, and ``refine_incremental`` re-walks only the cone a
+decision touches.  These tests hold every pair to bit-identical
+results: full-circuit windows across delay models and boundary windows,
+randomized ITR decision sequences, and fault-parallel ATPG against the
+serial path.  (The level-compiled pass is held to the scalar walk by
+``test_sta_compile``.)
 """
 
 import random
@@ -16,10 +18,8 @@ from repro.atpg import AtpgConfig, CrosstalkAtpg, generate_fault_list
 from repro.circuit import load_packaged_bench
 from repro.itr import ItrEngine, TwoFrame
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
-from repro.sta.analysis import PerfConfig, TimingAnalyzer
+from repro.sta.analysis import StaConfig, TimingAnalyzer
 
-SCALAR = PerfConfig(memo_enabled=False)
-FAST = PerfConfig()
 NS = 1e-9
 
 
@@ -46,21 +46,17 @@ def assert_results_equal(circuit, base, fast):
 )
 @pytest.mark.parametrize("bench", ["c17", "c432s", "c880s"])
 def test_sta_full_circuit_parity(bench, model_cls, library):
-    """Memoized STA is bit-identical to the uncached scalar walk."""
+    """ITR's all-unspecified walk through ``propagate_gate`` is
+    bit-identical to the reference walk (STA is ITR's special case)."""
     circuit = load_packaged_bench(bench)
-    base = TimingAnalyzer(
-        circuit, library, model_cls(), perf=SCALAR
-    ).analyze_per_gate()
-    fast = TimingAnalyzer(
-        circuit, library, model_cls(), perf=FAST
-    ).analyze_per_gate()
-    assert_results_equal(circuit, base, fast)
+    base = TimingAnalyzer(circuit, library, model_cls()).analyze_per_gate()
+    engine = ItrEngine(circuit, library, model_cls())
+    walked = engine.refine(engine.initial_values())
+    assert_results_equal(circuit, base, walked.sta)
 
 
 def test_sta_parity_over_random_boundary_windows(library, c880s):
-    """Parity holds across randomized PI window configurations."""
-    from repro.sta.analysis import StaConfig
-
+    """The same parity across randomized PI window configurations."""
     rng = random.Random(7)
     for _ in range(5):
         a_s = rng.uniform(0.0, 0.4) * NS
@@ -68,36 +64,36 @@ def test_sta_parity_over_random_boundary_windows(library, c880s):
         t_s = rng.uniform(0.05, 0.2) * NS
         t_l = t_s + rng.uniform(0.0, 0.3) * NS
         config = StaConfig(pi_arrival=(a_s, a_l), pi_trans=(t_s, t_l))
-        base = TimingAnalyzer(c880s, library, config=config, perf=SCALAR)
-        fast = TimingAnalyzer(c880s, library, config=config, perf=FAST)
+        base = TimingAnalyzer(c880s, library, config=config)
+        engine = ItrEngine(c880s, library, config=config)
         assert_results_equal(
-            c880s, base.analyze_per_gate(), fast.analyze_per_gate()
+            c880s,
+            base.analyze_per_gate(),
+            engine.refine(engine.initial_values()).sta,
         )
 
 
 def test_itr_decision_sequence_parity(library):
-    """Refinement under random decision sequences matches scalar ITR."""
+    """Cone-limited refinement under a random decision sequence matches
+    a full refinement of each assignment."""
     circuit = load_packaged_bench("c432s")
     rng = random.Random(11)
-    base_eng = ItrEngine(circuit, library, perf=SCALAR)
-    fast_eng = ItrEngine(circuit, library, perf=FAST)
-    base = base_eng.refine(base_eng.initial_values())
-    fast = fast_eng.refine(fast_eng.initial_values())
+    engine = ItrEngine(circuit, library)
+    result = engine.refine(engine.initial_values())
     pis = list(circuit.inputs)
     rng.shuffle(pis)
     for pi in pis[:10]:
         literal = TwoFrame.parse(rng.choice(["01", "10", "00", "11"]))
-        base = base_eng.refine_assign(base, pi, literal)
-        fast = fast_eng.refine_assign(fast, pi, literal)
-        assert_results_equal(circuit, base.sta, fast.sta)
+        result = engine.refine_assign(result, pi, literal)
+        full = engine.refine(result.values)
+        assert_results_equal(circuit, full.sta, result.sta)
 
 
-def _run_atpg(circuit, library, faults, period, perf, jobs):
+def _run_atpg(circuit, library, faults, period, jobs):
     atpg = CrosstalkAtpg(
         circuit,
         library,
         config=AtpgConfig(use_itr=True, backtrack_limit=24, period=period),
-        perf=perf,
     )
     return atpg, atpg.run_all(faults, jobs=jobs)
 
@@ -113,23 +109,11 @@ def atpg_workload(library):
     return circuit, faults, period
 
 
-def test_atpg_perf_config_parity(library, atpg_workload):
-    """ATPG outcomes do not depend on the perf knobs."""
-    circuit, faults, period = atpg_workload
-    _, base = _run_atpg(circuit, library, faults, period, SCALAR, 1)
-    _, fast = _run_atpg(circuit, library, faults, period, FAST, 1)
-    for a, b in zip(base.results, fast.results):
-        assert a.status == b.status
-        assert a.backtracks == b.backtracks
-        assert a.vector == b.vector
-        assert a.reason == b.reason
-
-
 def test_atpg_parallel_matches_serial(library, atpg_workload):
     """jobs=2 returns the same results, order, and stats as jobs=1."""
     circuit, faults, period = atpg_workload
-    serial_atpg, serial = _run_atpg(circuit, library, faults, period, FAST, 1)
-    par_atpg, par = _run_atpg(circuit, library, faults, period, FAST, 2)
+    serial_atpg, serial = _run_atpg(circuit, library, faults, period, 1)
+    par_atpg, par = _run_atpg(circuit, library, faults, period, 2)
     assert [r.fault for r in par.results] == [r.fault for r in serial.results]
     for a, b in zip(serial.results, par.results):
         assert a.status == b.status

@@ -29,7 +29,7 @@ from repro.server import (
 from repro.server.app import _Pending
 from repro.server.client import ServerRequestError
 from repro.server.session import windows_payload
-from repro.sta.analysis import PerfConfig, TimingAnalyzer
+from repro.sta.analysis import TimingAnalyzer
 from repro.stat import run_mc
 from repro.stat.runner import MC_MODELS
 from repro.stat.variation import VariationModel
@@ -37,10 +37,6 @@ from repro.stat.variation import VariationModel
 CIRCUIT = load_packaged_bench("c17")
 LIBRARY = CellLibrary.load_default()
 GATE = sorted(CIRCUIT.gates)[0]
-
-#: The scalar reference configuration the parity tests compare against.
-SCALAR = PerfConfig(memo_enabled=False)
-
 
 def query(method, params=None, circuit="c17", **extra):
     payload = {"circuit": circuit, "method": method,
@@ -343,7 +339,7 @@ class TestParity:
         assert status == 200
         reference = windows_payload(
             TimingAnalyzer(
-                CIRCUIT, LIBRARY, MC_MODELS["vshape"](), perf=SCALAR
+                CIRCUIT, LIBRARY, MC_MODELS["vshape"]()
             ).analyze_per_gate(),
             list(CIRCUIT.outputs),
         )
@@ -424,14 +420,14 @@ class TestParity:
         assert status == 200
         model = MC_MODELS["vshape"]()
         base = TimingAnalyzer(
-            CIRCUIT, LIBRARY, model, perf=SCALAR
+            CIRCUIT, LIBRARY, model
         ).analyze_per_gate().output_max_arrival()
         assert body["result"]["base_max_arrival_s"] == base
         for edit, row in zip(edits, body["result"]["trials"]):
             variant = load_packaged_bench("c17")
             variant.resize_gate(edit["line"], edit["value"])
             arrival = TimingAnalyzer(
-                variant, LIBRARY, MC_MODELS["vshape"](), perf=SCALAR
+                variant, LIBRARY, MC_MODELS["vshape"]()
             ).analyze_per_gate().output_max_arrival()
             assert row["max_arrival_s"] == arrival
             assert row["delta_s"] == arrival - base

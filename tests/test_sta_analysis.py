@@ -31,7 +31,7 @@ from repro.sta import (
     TimingAnalyzer,
     TimingSimulator,
 )
-from repro.sta.analysis import PerfConfig, compute_loads
+from repro.sta.analysis import compute_loads
 
 from .test_perf_parity import assert_results_equal
 
@@ -231,6 +231,34 @@ class TestSoundnessAgainstSimulation:
                     event.arrival, event.trans, tol=1e-12
                 ), (line, event, window)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: when three or more inputs switch to "
+        "controlling within 0.5*S+ of each other, the timing simulator "
+        "applies the k-input ratio and the STA, which applies it only "
+        "to overlapping arrival windows, does not (vector 44: G59 "
+        "NOR3 falls at 0.1220 ns, window from 0.2042 ns; vector 51: "
+        "G82 OR3 rises at 0.3325 ns, window from 0.3466 ns)",
+    )
+    def test_c432s_multi_input_switching_sampled(self, library):
+        circuit = load_packaged_bench("c432s")
+        sta = TimingAnalyzer(circuit, library, VShapeModel()).analyze()
+        sim = TimingSimulator(circuit, library, VShapeModel())
+        rng = random.Random(7)
+        missed = []
+        for vector in range(60):
+            result = sim.run(random_stimuli(circuit, rng))
+            for line in circuit.lines:
+                event = result.events[line]
+                if event is None:
+                    continue
+                window = sta.line(line).window(event.rising)
+                if not window.contains_event(
+                    event.arrival, event.trans, tol=1e-12
+                ):
+                    missed.append((vector, line, event, window))
+        assert not missed, missed
+
     def test_pin2pin_sta_contains_pin2pin_simulation(self, c17, library):
         analyzer = TimingAnalyzer(c17, library, PinToPinModel())
         sta = analyzer.analyze()
@@ -355,7 +383,7 @@ class TestScaledWalk:
     @pytest.mark.parametrize(
         "scaling", ["factors", "derates", "both"]
     )
-    def test_scaled_walk_neither_reads_nor_writes_the_memo(
+    def test_scaled_walk_leaves_the_plain_walk_alone(
         self, library, scaling
     ):
         circuit = load_packaged_bench("c432s")
@@ -367,13 +395,9 @@ class TestScaledWalk:
             kwargs["derates"] = (0.93, 1.07)
         analyzer = TimingAnalyzer(circuit, library)
         first = analyzer.analyze_per_gate()
-        entries = len(analyzer._memo)
         scaled = analyzer.analyze_per_gate(**kwargs)
-        assert len(analyzer._memo) == entries
         second = analyzer.analyze_per_gate()
-        fresh = TimingAnalyzer(
-            circuit, library, perf=PerfConfig(memo_enabled=False)
-        ).analyze_per_gate(**kwargs)
+        fresh = TimingAnalyzer(circuit, library).analyze_per_gate(**kwargs)
         assert_results_equal(circuit, fresh, scaled)
         assert_results_equal(circuit, first, second)
         # The scaling is real: the scaled walk moved the outputs.

@@ -23,7 +23,7 @@ from repro.circuit import load_packaged_bench, parse_bench
 from repro.circuit.bench import packaged_bench_path
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
-from repro.sta.analysis import PerfConfig, StaConfig, StaResult, TimingAnalyzer
+from repro.sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from repro.sta.windows import (
     IMPOSSIBLE,
     DirWindow,
@@ -84,13 +84,17 @@ def test_analyze_runs_the_compiled_pass(library, c880s):
 
 
 def test_engine_option_is_gone(library):
-    """No switch back to a per-gate full pass is left to reach."""
+    """No switch back to a per-gate full pass, and no knob of the
+    per-gate walk, is left to reach."""
     from repro.cli import main
+    from repro.itr import ItrEngine
     from repro.stat import run_mc
 
     circuit = load_packaged_bench("c17")
     with pytest.raises(TypeError):
-        PerfConfig(engine="gate")
+        TimingAnalyzer(circuit, library, perf=None)
+    with pytest.raises(TypeError):
+        ItrEngine(circuit, library, perf=None)
     with pytest.raises(TypeError):
         MonteCarloEngine(circuit, library, engine="gate")
     with pytest.raises(TypeError):

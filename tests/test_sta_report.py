@@ -63,26 +63,6 @@ class TestPathTracing:
         assert "primary input" in text
         assert "ns" in text
 
-    def test_trace_through_memoized_passes(self, c17, library):
-        # A second per-gate walk is served entirely from the memo; the
-        # trace must reproduce every stage bound exactly against those
-        # copies.
-        from repro.sta.analysis import PerfConfig
-
-        analyzer = TimingAnalyzer(
-            c17, library, VShapeModel(), perf=PerfConfig(memo_enabled=True)
-        )
-        first = TimingReporter(
-            analyzer, analyzer.analyze_per_gate()
-        ).critical_path()
-        second = TimingReporter(
-            analyzer, analyzer.analyze_per_gate()
-        ).critical_path()
-        assert [s.line for s in first.stages] == [
-            s.line for s in second.stages
-        ]
-        assert first.arrival == second.arrival
-
     def test_trace_level_engine_result(self, c17, library):
         # The level-compiled pass is bit-identical, so the gate-level
         # tracer reproduces its bounds without slack.
