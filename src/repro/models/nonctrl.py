@@ -31,11 +31,12 @@ data fall back to the SDF rule, bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..characterize.library import CellTiming
+from ..characterize.formulas import ONE_THIRD
+from ..characterize.library import CellTiming, TimingArc
 from .base import InputEvent
-from .vshape import VShapeModel
+from .vshape import PinEnd, VShapeModel
 
 _S_FLOOR = 1e-12
 
@@ -78,6 +79,74 @@ class PeakShape:
         return max(self.p0, self.tail_p, self.tail_q)
 
 
+class PeakAnchors:
+    """Λ-shape anchors of one cell's to-non-controlling pairs at one
+    load, variation factor ``f`` and derate ``g``.
+
+    The split of :class:`~repro.models.vshape.CtrlAnchors`: each pin
+    endpoint is clamped, rooted and sent through the pin's
+    to-non-controlling arc once (:meth:`end`; the tail is its ``dr``),
+    and each (pin pair, endpoint combo) evaluates P0 and S± once
+    (:meth:`pair`).  ``f`` and then ``g`` multiply the tails, P0 and
+    S± before the clamp; at their 1.0 defaults the multiplies are exact.
+
+    Raises:
+        ValueError: If the cell has no nonctrl data.
+    """
+
+    __slots__ = ("data", "f", "g", "d_adj")
+
+    def __init__(
+        self, cell: CellTiming, load: float, f: float = 1.0, g: float = 1.0
+    ) -> None:
+        data = getattr(cell, "nonctrl", None)
+        if data is None:
+            raise ValueError(f"cell {cell.name} has no nonctrl data")
+        self.data = data
+        self.f = f
+        self.g = g
+        self.d_adj = cell.load_adjusted_delay(data.out_rising, load)
+
+    def end(self, arc: TimingArc, t: float) -> PinEnd:
+        """``t`` on ``arc``, the pin's to-non-controlling arc."""
+        t = arc.clamp(t)
+        tail = (arc.delay(t) + self.d_adj) * self.f * self.g
+        return PinEnd(t, t ** ONE_THIRD, tail, None)
+
+    def pair(
+        self,
+        pin_p: int,
+        pin_q: int,
+        ends_p: Sequence[PinEnd],
+        ends_q: Sequence[PinEnd],
+    ) -> List[PeakShape]:
+        """The Λ-shape of every (p end, q end) combo, p-major.  A
+        mirrored pair swaps the sides of S; P0 never undercuts the tails
+        (the peak is a slow-down)."""
+        data = self.data
+        f, g = self.f, self.g
+        lower = min(pin_p, pin_q)
+        scale = data.pair_scale.get(f"{lower}-{max(pin_p, pin_q)}", 1.0)
+        shapes = []
+        for e_p in ends_p:
+            for e_q in ends_q:
+                lo, hi = (e_p, e_q) if pin_p == lower else (e_q, e_p)
+                p0 = (
+                    data.d0.eval_roots(lo.root, hi.root) * scale + self.d_adj
+                ) * f * g
+                p0 = max(p0, e_p.dr, e_q.dr)
+                s_lo = max(data.s_pos(lo.t, hi.t), _S_FLOOR) * f * g
+                s_hi = max(data.s_neg(lo.t, hi.t), _S_FLOOR) * f * g
+                s_pos, s_neg = (
+                    (s_lo, s_hi) if pin_p == lower else (s_hi, s_lo)
+                )
+                shapes.append(PeakShape(
+                    p0=p0, s_pos=s_pos, s_neg=s_neg,
+                    tail_p=e_p.dr, tail_q=e_q.dr,
+                ))
+        return shapes
+
+
 class NonCtrlAwareModel(VShapeModel):
     """The proposed model plus the to-non-controlling extension.
 
@@ -105,34 +174,17 @@ class NonCtrlAwareModel(VShapeModel):
         ``f`` (a per-gate variation factor) and then ``g`` (the late
         timing derate: the peak raises latest arrivals) multiply the
         tails, P0 and S±, before the clamp.  At their 1.0 defaults the
-        multiplies are exact.
+        multiplies are exact.  One combo of :class:`PeakAnchors`.
         """
-        data = getattr(cell, "nonctrl", None)
-        if data is None:
-            raise ValueError(f"cell {cell.name} has no nonctrl data")
-        out_rising = data.out_rising
+        anchors = PeakAnchors(cell, load, f, g)
         in_rising = cell.controlling_value == 0
-        arc_p = cell.arc(pin_p, in_rising, out_rising)
-        arc_q = cell.arc(pin_q, in_rising, out_rising)
-        t_p = arc_p.clamp(t_p)
-        t_q = arc_q.clamp(t_q)
-        load_adj = cell.load_adjusted_delay(out_rising, load)
-        tail_p = (arc_p.delay(t_p) + load_adj) * f * g
-        tail_q = (arc_q.delay(t_q) + load_adj) * f * g
-        lo = min(pin_p, pin_q)
-        t_lo, t_hi = (t_p, t_q) if pin_p == lo else (t_q, t_p)
-        scale = data.pair_scale.get(f"{min(pin_p, pin_q)}-{max(pin_p, pin_q)}", 1.0)
-        p0 = (data.d0(t_lo, t_hi) * scale + load_adj) * f * g
-        p0 = max(p0, tail_p, tail_q)  # the peak is a slow-down
-        if pin_p == lo:
-            s_pos = max(data.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(data.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-        else:
-            s_pos = max(data.s_neg(t_lo, t_hi), _S_FLOOR) * f * g
-            s_neg = max(data.s_pos(t_lo, t_hi), _S_FLOOR) * f * g
-        return PeakShape(
-            p0=p0, s_pos=s_pos, s_neg=s_neg, tail_p=tail_p, tail_q=tail_q
+        out_rising = anchors.data.out_rising
+        (shape,) = anchors.pair(
+            pin_p, pin_q,
+            [anchors.end(cell.arc(pin_p, in_rising, out_rising), t_p)],
+            [anchors.end(cell.arc(pin_q, in_rising, out_rising), t_q)],
         )
+        return shape
 
     def noncontrolling_response(
         self,

@@ -31,21 +31,25 @@ gate owns one contiguous run of elements on each:
 
 * **lanes** — one per (gate, pin) of a ctrl gate, or one per arc of an
   arc-table gate's output direction.  A lane carries its input row(s),
-  its arcs' coefficient rows and its gate's load terms;
+  its arcs' coefficient rows and its gate's load terms; a ctrl lane
+  holds both responses' on a response axis before the lanes (0
+  to-controlling, 1 to-non-controlling: ``in_rows``, ``pack``, ``adj``,
+  and per gate ``out_rows``), so the kernel runs both at once;
 * **pairs** — a ctrl gate's real pin pairs ``a < b < fan-in``;
 * **combos** — the four endpoint combinations of each pair, carrying
   their pair scale, their gate and their pins' lanes, and the rows of
-  both endpoints in the level's clamped-endpoint grid (``(lanes, 2)``
-  flattened, so every real endpoint is cube-rooted once).  Surface
+  both endpoints in the level's clamped-endpoint grid (``ends``, into
+  ``(lanes, 2)`` flattened, so every real endpoint is cube-rooted
+  once).  Surface
   coefficients stay per gate and each call gathers them to its combos:
   23 rows per combo would cost a 4-corner c7552s compile 17 MiB;
 * smaller axes for the overlap-depth pin pairs, the multi-input ratio
   tables, and the Λ-peak gates, lanes and combos, which exist only for
   gates with peak data.  A Λ-peak lane is an index into the lanes: the
   peak's tails are the pin's to-non-controlling arcs, so the merge
-  reads their rows (``npack``), their load terms (``d_adj_n``) and the
-  endpoints the pin-to-pin bounds clamped against them.  The backward
-  pass's (pin, partner) candidates are derived from per-fan-in
+  reads their rows (``pack[1]``), their delay terms (``adj[0, 1]``)
+  and the endpoints the pin-to-pin bounds clamped against them.  The
+  backward pass's (pin, partner) candidates are derived from per-fan-in
   templates when it runs.
 
 Per-gate results are ``np.minimum`` / ``np.maximum`` /
@@ -58,16 +62,19 @@ Compile.  The paper characterizes its K-coefficient formulas once per
 cell, and the compile follows that structure: per-cell (and per-cell
 pin, arc, pair, ratio-table entry) rows hold the coefficients of every
 distinct cell, packed straight from the cell's records (arcs by
-:func:`_arc_rows`), all gates of one kind (ctrl or arc) gather their
-rows with one fancy index per leaf in (level, topological) order, and
+:func:`_arc_rows`, each with its quadratics' interior T* point and
+value, so no call divides for them), all gates of one kind (ctrl or
+arc) gather their rows with one fancy index per leaf in (level,
+topological) order, and
 each level's group is a contiguous cut of those circuit-wide arrays.
 Every coefficient is held once: no leaf is a copy of another.  Float
 leaves are coefficients ``(..., N, C)`` (``C`` corner libraries on the
-trailing axis), integer leaves are rows or indices ``(N,)``; each
+trailing axis), integer leaves are rows or indices ``(..., N)``; each
 group's ``AXES`` table names the axis of every leaf and, for an index
 leaf, the axis it points into.  Column subsets (:meth:`_Ragged.cut`)
 and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
-table.
+table, reading each axis's run starts from the table the group builds
+once.
 
 Load terms.  The model is linear in output load: a gate's load-adjust
 leaves, ``slope * (load - ref_load)`` per lane, are computed in one
@@ -120,13 +127,16 @@ the arrival offset, zero skew, +S and −S) at the coarsest axis each
 depends on: edges, offset, their floors (Λ-peak: ceilings) and
 validity, and the floor and validity at zero skew once per pin pair,
 broadcast over the pair's four endpoint combos; ±S, their floors and
-validity per combo.  The V-shape (Λ-shape) runs only at the edges and
-the offset.  The other three take the value its branches return there:
-DR_p at +S (first branch), DR_q at −S (second branch) and
-``D0 + (DR_p − D0) * 0.0`` at zero skew (the ``delta >= 0`` branch,
-``0.0 / S+`` being ``0.0``), the Λ-shape's ``tail_q``, ``tail_p`` and
-``P0 + (tail_q − P0) * 0.0`` alike — each the same float expression on
-the same operands.  That holds when both saturation skews are > 0:
+validity per combo, both in one stacked evaluation.  Every breakpoint
+folds into one running minimum (maximum) in place.  The V-shape
+(Λ-shape) runs once, over the edges and the offset stacked, since
+only there its branches decide.  The other three take the value its
+branches return there: DR_p at +S (first branch), DR_q at −S (second
+branch) and ``D0 + (DR_p − D0) * 0.0`` at zero skew (the ``delta >=
+0`` branch, ``0.0 / S+`` being ``0.0``), the Λ-shape's ``tail_q``,
+``tail_p`` and ``P0 + (tail_q − P0) * 0.0`` alike — each the same
+float expression on the same operands.  That holds when both
+saturation skews are > 0:
 they are fitted values floored at ``_S_FLOOR`` (1e-12) times the
 variation factor and the derate, which :meth:`LevelCompiledAnalyzer
 .propagate` requires to be finite and > 0 (:func:`check_derates`); the
@@ -140,6 +150,7 @@ import copy
 import dataclasses
 import functools
 import itertools
+import math
 import threading
 import weakref
 from collections.abc import Mapping
@@ -164,16 +175,13 @@ from ..models.vshape import VShapeModel
 from ..obs import get_registry
 from .analysis import StaConfig, StaResult, compute_loads
 from .kernels import (
-    _pair_combos,
-    _peak_delay,
+    _shape_delay,
     _trans_v,
-    _v_delay,
+    anchor_surfaces,
     cbrt_grid,
-    peak_anchor_surfaces,
     quad_extremes_batch,
     ratio_table,
     trans_anchor_surfaces,
-    vshape_anchor_surfaces,
 )
 from .windows import (
     DEFINITE,
@@ -259,7 +267,9 @@ def load_variant(cell: CellTiming, other: CellTiming) -> bool:
 # ----------------------------------------------------------------------
 # Each record keeps all its coefficients in one ``(k, N, C)`` array, so a
 # cut or gather touches one array per record; the named coefficients
-# are views of its first axis.
+# are views of its first axis.  The evaluators repeat the source
+# expressions' float operations in their order, but in place: a wide
+# call pays for every fresh temporary.
 @dataclasses.dataclass(frozen=True)
 class _StackedRoots:
     """Per-element rows of :class:`CubeRootSurface` coefficients.
@@ -272,7 +282,13 @@ class _StackedRoots:
 
     def eval_roots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         k_xy, k_x, k_y, k_c = self.rows
-        return k_xy * x * y + k_x * x + k_y * y + k_c
+        out = k_xy * x
+        out *= y
+        term = k_x * x
+        out += term
+        out += np.multiply(k_y, y, out=term)
+        out += k_c
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,15 +298,19 @@ class _StackedQuad2:
     rows: np.ndarray  # (6, N, C): k0 .. k5
 
     def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
+        # k0*tx*tx + k1*ty*ty + k2*tx*ty + k3*tx + k4*ty + k5
         k0, k1, k2, k3, k4, k5 = self.rows
-        return (
-            k0 * txs * txs
-            + k1 * tys * tys
-            + k2 * txs * tys
-            + k3 * txs
-            + k4 * tys
-            + k5
-        )
+        out = k0 * txs
+        out *= txs
+        term = k1 * tys
+        term *= tys
+        out += term
+        np.multiply(k2, txs, out=term)
+        out += np.multiply(term, tys, out=term)
+        out += np.multiply(k3, txs, out=term)
+        out += np.multiply(k4, tys, out=term)
+        out += k5
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -301,18 +321,28 @@ class _StackedLin2:
 
     def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
         c0, c1, c2 = self.rows
-        return c0 + c1 * txs + c2 * tys
+        out = c1 * txs
+        np.add(c0, out, out=out)
+        out += c2 * tys
+        return out
 
 
 #: (SimultaneousTiming attribute, stacked class, coefficient names) in
 #: the row order of :class:`_StackedShape`.
 _SURFACES = (
     ("d0", _StackedRoots, ("k_xy", "k_x", "k_y", "k_c")),
+    ("t_vertex", _StackedRoots, ("k_xy", "k_x", "k_y", "k_c")),
     ("s_pos", _StackedQuad2, ("k0", "k1", "k2", "k3", "k4", "k5")),
     ("s_neg", _StackedQuad2, ("k0", "k1", "k2", "k3", "k4", "k5")),
-    ("t_vertex", _StackedRoots, ("k_xy", "k_x", "k_y", "k_c")),
     ("t_vertex_skew", _StackedLin2, ("c0", "c1", "c2")),
 )
+
+
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    """Two surfaces' coefficient rows, one after the other, as one
+    surface's rows whose coefficients stack the two: ``(2k, ...)`` ->
+    ``(k, 2, ...)`` (a view)."""
+    return rows.reshape((2, -1) + rows.shape[1:]).swapaxes(0, 1)
 
 
 def _surface_rows(attr: str):
@@ -331,46 +361,71 @@ class _StackedShape:
     """Per-element rows of a :class:`SimultaneousTiming` record.
 
     Duck-types the attribute surface the anchor primitives of
-    :mod:`repro.sta.kernels` touch (``d0`` / ``s_pos`` / ``s_neg`` /
-    ``t_vertex`` / ``t_vertex_skew``).
+    :mod:`repro.sta.kernels` touch (``d0`` / ``sr`` /
+    ``t_vertex_skew``).  Two views stack surfaces that are evaluated at
+    the same points, their coefficients on a leading axis, so each pair
+    costs one evaluation: ``cube`` the D0 (P0) and transition-vertex
+    surfaces (at the endpoints' cube roots), ``sr`` the ``s_pos`` and
+    ``s_neg`` surfaces.
     """
 
     rows: np.ndarray  # (23, N, C), the surfaces in _SURFACES order
 
     d0 = _surface_rows("d0")
-    s_pos = _surface_rows("s_pos")
-    s_neg = _surface_rows("s_neg")
-    t_vertex = _surface_rows("t_vertex")
     t_vertex_skew = _surface_rows("t_vertex_skew")
+    cube = property(lambda self: _StackedRoots(_pairwise(self.rows[0:8])))
+    sr = property(lambda self: _StackedQuad2(_pairwise(self.rows[8:20])))
+
+
+def _quad_star(q) -> Tuple[float, float, float]:
+    """A quadratic's interior stationary point T* and its value there as
+    an interval-minimum candidate (``+inf`` unless convex) and as an
+    interval-maximum one (``-inf`` unless concave): the paper's Figure 9
+    rule, decided once per arc (see :func:`quad_extremes_batch`)."""
+    if q.a2 == 0.0:
+        return math.inf, math.inf, -math.inf
+    t = -q.a1 / (2.0 * q.a2)
+    if q.a2 > 0.0:
+        return t, q(t), -math.inf
+    return t, math.inf, q(t)
 
 
 def _arc_values(arc: TimingArc) -> Tuple[float, ...]:
     """One arc's row of a :class:`_StackedPack`: its clamp range, then
-    each delay coefficient (``d_*``) next to its transition twin
-    (``r_*``), so the stacked (delay, transition) families are slices."""
+    each delay coefficient next to its transition twin, so the stacked
+    (delay, transition) families are slices: the quadratic's ``a2``,
+    ``a1``, ``a0`` and its T* candidates (:func:`_quad_star`)."""
     d, r = arc.delay, arc.trans
-    return (arc.t_lo, arc.t_hi, d.a2, r.a2, d.a1, r.a1, d.a0, r.a0)
+    pairs = zip((d.a2, d.a1, d.a0, *_quad_star(d)),
+                (r.a2, r.a1, r.a0, *_quad_star(r)))
+    return (arc.t_lo, arc.t_hi, *itertools.chain.from_iterable(pairs))
 
 
 @dataclasses.dataclass(frozen=True)
 class _StackedPack:
-    """Per-lane rows of pin-to-pin arc coefficients (:func:`_arc_rows`).
+    """Rows of pin-to-pin arc coefficients (:func:`_arc_rows`), one per
+    lane, a ctrl group's with a response axis before the lanes.
 
-    ``t_lo`` / ``t_hi`` / ``d_*`` are ``(N, C)`` views and the stacked
-    quadratic families ``q_*`` ``(2, N, C)`` views (delay row 0,
-    transition row 1).
+    ``t_lo`` / ``t_hi`` are ``(..., N, C)`` views; ``quads``
+    views the six quadratic rows of :func:`_arc_values` as ``(6, 2,
+    ..., N, C)``, the family axis (delay, transition) second, in the
+    argument order of :func:`quad_extremes_batch`.  ``pack[r]`` is a
+    ctrl group's response ``r`` (0 to-controlling, 1
+    to-non-controlling).
     """
 
-    rows: np.ndarray  # (8, N, C) in _arc_values order
+    rows: np.ndarray  # (14, ..., N, C) in _arc_values order
 
     t_lo = property(lambda self: self.rows[0])
     t_hi = property(lambda self: self.rows[1])
-    d_a2 = property(lambda self: self.rows[2])
-    d_a1 = property(lambda self: self.rows[4])
-    d_a0 = property(lambda self: self.rows[6])
-    q_a2 = property(lambda self: self.rows[2:4])
-    q_a1 = property(lambda self: self.rows[4:6])
-    q_a0 = property(lambda self: self.rows[6:8])
+
+    @property
+    def quads(self) -> np.ndarray:
+        rows = self.rows[2:]
+        return rows.reshape((6, 2) + rows.shape[1:])
+
+    def __getitem__(self, response: int) -> "_StackedPack":
+        return _StackedPack(self.rows[:, response])
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +470,18 @@ def _write(dst, sl: slice, src) -> None:
         dst[..., sl, :] = src
 
 
+def _mask(inactive: np.ndarray, *bounds: np.ndarray) -> None:
+    """Pad the ``inactive`` lanes of ``(lows, highs, r_min, r_max)`` in
+    place with the identity of the reduction each feeds."""
+    for bound, value in zip(bounds, (np.inf, -np.inf, np.inf, -np.inf)):
+        np.copyto(bound, value, where=inactive[..., None])
+
+
+#: Signs turning stacked saturation skews ``(s_pos, s_neg)`` into the
+#: breakpoints ``(+S, -S)``: ``s * -1.0`` is ``-s`` bit for bit.
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
 def _on(axis: str, target: Optional[str] = None):
     """A group leaf on ``axis``; an index leaf names its ``target`` axis."""
     return dataclasses.field(metadata={"axis": (axis, target)})
@@ -433,15 +500,28 @@ def _ragged(cls):
 class _Ragged:
     """Shared machinery of the two group kinds.
 
-    ``counts[axis]`` holds each gate's run length on that axis.  Every
-    leaf field is declared with :func:`_on`; ``AXES`` maps it to
-    ``(axis, target)``, where ``target`` is the axis an index leaf
-    points into (``None`` for coefficients and for rows of the global
-    SoA arrays, which no cut moves).  Axes with no leaves of their own
-    (the endpoint grids) only serve as targets.
+    ``counts[axis]`` holds each gate's run length on that axis and
+    ``starts[axis]`` where its run starts; both view the rows of one
+    ``(axes, gates)`` table each, built once per group.  Every leaf
+    field is declared with :func:`_on`; ``AXES`` maps it to ``(axis,
+    target)``, where ``target`` is the axis an index leaf points into
+    (``None`` for coefficients and for rows of the global SoA arrays,
+    which no cut moves).  Axes with no leaves of their own (the endpoint
+    grids) only serve as targets.
     """
 
     AXES: Dict[str, Tuple[str, Optional[str]]] = {}
+
+    def __post_init__(self, runs: Optional[Tuple[np.ndarray, ...]]) -> None:
+        if runs is None:
+            table = np.stack(list(self.counts.values()))
+            starts = np.zeros_like(table)
+            np.cumsum(table[:, :-1], axis=1, out=starts[:, 1:])
+            runs = (table, starts)
+        #: The run-length and run-start tables (a cut hands over its own).
+        self._runs = runs
+        self.starts = dict(zip(self.counts, runs[1]))
+        self.counts = dict(zip(self.counts, runs[0]))
 
     @property
     def n_gates(self) -> int:
@@ -456,29 +536,45 @@ class _Ragged:
         *global* SoA state, so running the subset through the level
         kernels recomputes exactly those gates, bitwise as in a full
         pass.  This is the unit of work of the incremental engine's
-        cone replays and trial sweeps.
+        cone replays and trial sweeps.  Every axis is cut at once, from
+        the group's run tables: the elements of all axes are picked as
+        one flat run, which each axis then slices.
         """
         cols = np.asarray(cols, dtype=np.intp)
-        counts: Dict[str, np.ndarray] = {}
-        pick: Dict[str, np.ndarray] = {}
-        gate_of: Dict[str, np.ndarray] = {}
-        shift: Dict[str, np.ndarray] = {}
-        for axis, c in self.counts.items():
-            sub = c[cols]
-            gate, local = _elements(sub)
-            old = _excl(c)[cols]
-            counts[axis] = sub
-            pick[axis] = old[gate] + local
-            gate_of[axis] = gate
-            # Per new gate: how far its runs on this axis moved down.
-            shift[axis] = old - _excl(sub)
+        table, starts = self._runs
+        sub = table[:, cols]
+        new = np.cumsum(sub, axis=1)
+        new -= sub
+        # Per axis and new gate: how far its run moved down.
+        shift = starts[:, cols] - new
+        totals = new[:, -1] + sub[:, -1]
+        bounds = np.zeros(len(totals) + 1, dtype=np.intp)
+        np.cumsum(totals, out=bounds[1:])
+        runs = sub.ravel()
+        pick_all = np.repeat((shift - bounds[:-1, None]).ravel(), runs)
+        pick_all += np.arange(bounds[-1], dtype=np.intp)
+        gate_all = np.repeat(
+            np.tile(np.arange(len(cols), dtype=np.intp), len(totals)), runs
+        )
+        bounds = bounds.tolist()
+        pick, gate_of = {}, {}
+        for i, axis in enumerate(self.counts):
+            pick[axis] = pick_all[bounds[i]:bounds[i + 1]]
+            gate_of[axis] = gate_all[bounds[i]:bounds[i + 1]]
+        shifts = dict(zip(self.counts, shift))
+        rebase: Dict[Tuple[str, str], np.ndarray] = {}
         fields = {}
         for name, (axis, target) in self.AXES.items():
             leaf = _take(getattr(self, name), pick[axis])
             if leaf is not None and target is not None:
-                leaf = leaf - shift[target][gate_of[axis]]
+                by = rebase.get((axis, target))
+                if by is None:
+                    by = rebase[axis, target] = shifts[target][gate_of[axis]]
+                leaf -= by
             fields[name] = leaf
-        return type(self)(counts=counts, **fields)
+        return type(self)(
+            counts=dict(zip(self.counts, sub)), **fields, runs=(sub, new)
+        )
 
     def split(self, bounds: Sequence[int]) -> List["_Ragged"]:
         """The consecutive gate ranges ``bounds[i]:bounds[i + 1]`` as
@@ -530,15 +626,14 @@ class _Ragged:
         """Write one gate's ``leaves``, by name, over gate ``col``'s runs
         (a one-gate group's :meth:`leaves`, or its load terms); index
         leaves are re-based from the gate's own axes into this group's."""
-        counts = self.counts
         for name, leaf in leaves.items():
             axis, target = self.AXES[name]
             if target is not None:
-                leaf = leaf + int(counts[target][:col].sum())
-            first = int(counts[axis][:col].sum())
+                leaf = leaf + int(self.starts[target][col])
+            first = int(self.starts[axis][col])
             _write(
                 getattr(self, name),
-                slice(first, first + int(counts[axis][col])),
+                slice(first, first + int(self.counts[axis][col])),
                 leaf,
             )
 
@@ -550,36 +645,34 @@ class _CtrlGroup(_Ragged):
 
     Lanes are (gate, pin) pairs; every coefficient leaf carries the
     trailing corner axis ``C`` (size 1 for a single-corner compile).
-    Pair-merge and Λ-peak leaves are ``None`` until a model that reads
-    them extends the compile (:meth:`CompiledCircuit.extend`), Λ-peak
-    leaves also without peak data anywhere in the group's kind.  The
-    Λ-peak has no arcs or load terms of its own: its tails are its
-    lanes' ``npack`` arcs with ``d_adj_n``.
+    The two responses share one leaf per quantity, with a response axis
+    before the gate or lane axis: index 0 is the to-controlling
+    response, 1 the to-non-controlling one, so the kernel gathers,
+    bounds, reduces and scatters both at once.  Pair-merge and Λ-peak
+    leaves are ``None`` until a model that reads them extends the
+    compile (:meth:`CompiledCircuit.extend`), Λ-peak leaves also
+    without peak data anywhere in the group's kind.  The Λ-peak has no
+    arcs or load terms of its own: its tails are its lanes'
+    to-non-controlling arcs (``pack[1]``) with their delay terms
+    (``adj[0, 1]``).
     """
 
     counts: Dict[str, np.ndarray]
-    # Output rows of the ctrl / non-ctrl responses.
-    out_ctrl: np.ndarray = _on("gate")
-    out_nonctrl: np.ndarray = _on("gate")
-    # Input rows per lane (controlling / non-controlling direction).
-    ctrl_rows: np.ndarray = _on("lane")
-    nonctrl_rows: np.ndarray = _on("lane")
+    out_rows: np.ndarray = _on("gate")    # (2, G) output rows
+    in_rows: np.ndarray = _on("lane")     # (2, L) input rows
     lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
-    pack: _StackedPack = _on("lane")      # to-controlling arcs
-    npack: _StackedPack = _on("lane")     # to-non-controlling arcs
-    d_adj_c: np.ndarray = _on("lane")     # load-adjust terms
-    r_adj_c: np.ndarray = _on("lane")
-    d_adj_n: np.ndarray = _on("lane")
-    r_adj_n: np.ndarray = _on("lane")
+    pack: _StackedPack = _on("lane")      # (14, 2, L, C) arcs
+    # (2, 2, L, C) load-adjust terms: delay, then transition, per response.
+    adj: np.ndarray = _on("lane")
     # ---- pair merge ----
     rt_min: Optional[np.ndarray] = _on("lane")  # smallest ratio (backward)
     # V-shape surfaces per gate; each call gathers them to its combos.
     shape: Optional[_StackedShape] = _on("gate")
     scale_c: Optional[np.ndarray] = _on("combo")   # D0 pair scales
     combo_gate: Optional[np.ndarray] = _on("combo", "gate")
-    # Endpoint-grid rows of the combo's two pins, and their lanes.
-    lo_row: Optional[np.ndarray] = _on("combo", "lane2")
-    hi_row: Optional[np.ndarray] = _on("combo", "lane2")
+    # (2, K) endpoint-grid rows of the combo's two pins (lower position
+    # first), and their lanes.
+    ends: Optional[np.ndarray] = _on("combo", "lane2")
     ca: Optional[np.ndarray] = _on("combo", "lane")
     cb: Optional[np.ndarray] = _on("combo", "lane")
     pa: Optional[np.ndarray] = _on("pair", "lane")
@@ -588,37 +681,37 @@ class _CtrlGroup(_Ragged):
     # Ordered lane pairs (i, j) of each gate, j-major: overlap depth.
     ov_i: Optional[np.ndarray] = _on("ov", "lane")
     ov_j: Optional[np.ndarray] = _on("ov", "lane")
-    rt: Optional[np.ndarray] = _on("rt")    # multi-input delay ratios
-    rt_t: Optional[np.ndarray] = _on("rt")  # multi-input trans ratios
+    # (2, R, C) multi-input ratios: delay, then transition.
+    rt: Optional[np.ndarray] = _on("rt")
     # ---- Λ-peak (gates with peak data only) ----
     pgate: Optional[np.ndarray] = _on("pgate", "gate")
     peak: Optional[_StackedShape] = _on("pgate")  # Λ-peak surfaces
-    plane: Optional[np.ndarray] = _on("plane", "lane")  # tails: npack
+    plane: Optional[np.ndarray] = _on("plane", "lane")  # tails: pack[1]
     pscale_c: Optional[np.ndarray] = _on("pcombo")
     pcombo_gate: Optional[np.ndarray] = _on("pcombo", "pgate")
-    plo_row: Optional[np.ndarray] = _on("pcombo", "plane2")
-    phi_row: Optional[np.ndarray] = _on("pcombo", "plane2")
+    pends: Optional[np.ndarray] = _on("pcombo", "plane2")
     pca: Optional[np.ndarray] = _on("pcombo", "lane")
     pcb: Optional[np.ndarray] = _on("pcombo", "lane")
     #: bumped by every in-place patch; column-subset caches key on it.
     version: int = 0
+    runs: dataclasses.InitVar[Optional[Tuple[np.ndarray, ...]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, runs) -> None:
+        super().__post_init__(runs)
         # Run starts for the per-gate (and per-lane) reductions.
-        c = self.counts
-        self.lane_start = _excl(c["lane"])
-        self.pair_start = _excl(c["pair"])
-        self.combo_start = _excl(c["combo"])
-        self.rt_off = _excl(c["rt"])
+        c, s = self.counts, self.starts
+        self.lane_start = s["lane"]
+        self.pair_start = s["pair"]
+        self.combo_start = s["combo"]
+        self.rt_off = s["rt"]
         self.ov_start = _excl(np.repeat(c["lane"], c["lane"]))  # (gate, j)
-        self.pcombo_start = _excl(c["pcombo"][c["pgate"] > 0])
+        self.pcombo_start = s["pcombo"][c["pgate"] > 0]
 
     def outputs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every output row and the gate (column) it belongs to."""
-        cols = np.arange(self.n_gates, dtype=np.intp)
         return (
-            np.concatenate([self.out_ctrl, self.out_nonctrl]),
-            np.concatenate([cols, cols]),
+            self.out_rows.ravel(),
+            np.tile(np.arange(self.n_gates, dtype=np.intp), 2),
         )
 
 
@@ -638,14 +731,15 @@ class _ArcGroup(_Ragged):
     in_rows: np.ndarray = _on("lane")    # input row of each arc lane
     lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
     pack: _StackedPack = _on("lane")
-    d_adj: np.ndarray = _on("lane")
-    r_adj: np.ndarray = _on("lane")
+    adj: np.ndarray = _on("lane")  # (2, L, C): delay, transition terms
     # Output rows of the directions without arcs (always IMPOSSIBLE).
     no_arc_rows: np.ndarray = _on("noarc")
     #: bumped by every in-place patch; column-subset caches key on it.
     version: int = 0
+    runs: dataclasses.InitVar[Optional[Tuple[np.ndarray, ...]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, runs) -> None:
+        super().__post_init__(runs)
         self.seg_start = _excl(self.seg_n)
 
     def outputs(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -668,18 +762,19 @@ def _table(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
 
 
 def _rows(cells: Sequence[Sequence[object]], get: Callable) -> np.ndarray:
-    """Ragged per-cell rows: ``get(x)`` is a vector per cell and corner;
-    the cells' vectors are concatenated into ``(sum of lengths, C)``."""
+    """Ragged per-cell rows: ``get(x)`` is a vector (or a stack of
+    vectors) per cell and corner; the cells' vectors are concatenated
+    into ``(..., sum of lengths, C)``."""
     return np.concatenate([
         np.stack([np.asarray(get(x), dtype=float) for x in row], axis=-1)
         for row in cells
-    ])
+    ], axis=-2)
 
 
 def _arc_rows(arcs: Sequence[Sequence[Sequence[TimingArc]]]) -> _StackedPack:
     """Per-(entry, arc) rows of ``arcs[entry][corner]``, one list of arcs
     per entry and corner (the corners' lists pair up arc by arc), the
-    entries' lists concatenated: ``(8, arcs, C)``."""
+    entries' lists concatenated: ``(14, arcs, C)``."""
     values = np.array(
         [[_arc_values(arc) for entry in lists for arc in entry]
          for lists in zip(*arcs)],
@@ -726,8 +821,10 @@ def _surface_table(
 
 def _pair_scales(record: SimultaneousTiming, n: int) -> List[float]:
     """D0 pair scale of each pin pair, in pair order."""
-    _, _, _, _, pairs = _pair_combos(n)
-    return [record.pair_scale.get(pair_key(a, b), 1.0) for a, b in pairs]
+    return [
+        record.pair_scale.get(pair_key(a, b), 1.0)
+        for a, b in itertools.combinations(range(n), 2)
+    ]
 
 
 def _min_ratio(record: SimultaneousTiming) -> float:
@@ -744,9 +841,11 @@ def _dir(rising: bool) -> str:
 def _fanin_template(n: int) -> Dict[str, List[int]]:
     """Index templates of one fan-in-``n`` ctrl gate, local to the gate.
 
-    * combos (``_pair_combos`` order: pairs in position order, then
-      ``(t_s, t_s), (t_s, t_l), (t_l, t_s), (t_l, t_l)``): endpoint-grid
-      rows ``2 * pin + k``, the two pins, and the pair;
+    * combos (the scalar loop order: pairs in position order, then
+      ``(t_s, t_s), (t_s, t_l), (t_l, t_s), (t_l, t_l)``, so combo
+      ``4 * pair`` is the ``(t_s, t_s)`` one the k-input ratio rule
+      reuses): endpoint-grid rows ``2 * pin + k``, the two pins, and the
+      pair;
     * ``ov_i`` / ``ov_j``: every ordered pin pair, ``j``-major;
     * backward candidates, pin-major: for each pin every other pin as
       its partner, then (pin ``t_s``, ``t_l``) x (partner arc ``t_lo``,
@@ -754,16 +853,18 @@ def _fanin_template(n: int) -> Dict[str, List[int]]:
       t_hi]``, the D0 surface's ``x`` being the lower pin position —
       and the first combo of the pair.
     """
-    ii, jj, ki, kj, pairs = _pair_combos(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    combos = [(a, b, ka, kb) for a, b in pairs
+              for ka in (0, 1) for kb in (0, 1)]
     pair_of = {pair: q for q, pair in enumerate(pairs)}
     template = {
         "pa": [a for a, _ in pairs],
         "pb": [b for _, b in pairs],
-        "lo_row": (2 * ii + ki).tolist(),
-        "hi_row": (2 * jj + kj).tolist(),
-        "ca": ii.tolist(),
-        "cb": jj.tolist(),
-        "cpair": [k // 4 for k in range(4 * len(pairs))],
+        "lo_row": [2 * a + ka for a, _, ka, _ in combos],
+        "hi_row": [2 * b + kb for _, b, _, kb in combos],
+        "ca": [a for a, _, _, _ in combos],
+        "cb": [b for _, b, _, _ in combos],
+        "cpair": [k // 4 for k in range(len(combos))],
         "ov_i": [i for _ in range(n) for i in range(n)],
         "ov_j": [j for j in range(n) for _ in range(n)],
     }
@@ -811,12 +912,12 @@ def load_terms(
     column ``c``.  Every term is the scalar
     :meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`
     (``_trans``) expression ``slope * (load - ref_load)`` of the output
-    direction its leaf serves, elementwise, so it equals the scalar
-    value bit for bit.  A ctrl lane carries its gate's terms of the
-    to-controlling (``d_adj_c``, ``r_adj_c``) and the
-    to-non-controlling response (``d_adj_n``, ``r_adj_n``, which the
-    Λ-peak's tails and P0 read too); an arc lane carries the terms of
-    its output direction (``d_adj``, ``r_adj``).
+    direction its lane serves, elementwise, so it equals the scalar
+    value bit for bit.  The one leaf, ``adj``, stacks the delay terms
+    over the transition terms; a ctrl lane carries its gate's terms of
+    both responses, to-controlling then to-non-controlling (whose delay
+    terms the Λ-peak's tails and P0 read too), an arc lane those of its
+    output direction.
 
     Returns:
         ``(leaves, lanes)``: the leaves, gate-major in group order, and
@@ -828,28 +929,25 @@ def load_terms(
     def term(get: Callable, rows, pick, gates) -> np.ndarray:
         """``slope * dload``: the slopes ``get(x)`` of the per-cell
         ``rows``, gathered by ``pick``, at the loads of ``gates``."""
-        return _table(rows, get)[pick] * dload[gates]
+        return _table(rows, get)[..., pick, :] * dload[gates]
 
-    def slope(name: str, rising: Callable) -> Callable:
-        """Cell ``c``'s ``name`` slope of direction ``rising(c)``."""
-        return lambda c: getattr(c, name)[_dir(rising(c))]
+    def slopes(out_rising: bool) -> Callable:
+        """A cell's (delay, transition) slopes of one output direction."""
+        return lambda c: [
+            c.load_delay_slope[_dir(out_rising)],
+            c.load_trans_slope[_dir(out_rising)],
+        ]
 
     if kind == "ctrl":
         n = np.array([c.n_inputs for c in base], dtype=np.intp)[cidx]
         lane_gate, _ = _elements(n)
-        ctrl_out = attrgetter("ctrl.out_rising")
-        leaves = {
-            name: term(get, cells, cidx, slice(None))[lane_gate]
-            for name, get in (
-                ("d_adj_c", slope("load_delay_slope", ctrl_out)),
-                ("r_adj_c", slope("load_trans_slope", ctrl_out)),
-                ("d_adj_n", slope("load_delay_slope",
-                                  lambda c: not ctrl_out(c))),
-                ("r_adj_n", slope("load_trans_slope",
-                                  lambda c: not ctrl_out(c))),
-            )
-        }
-        return leaves, n
+
+        def per_response(c: CellTiming) -> List[List[float]]:
+            out = c.ctrl.out_rising
+            return [slopes(out)(c), slopes(not out)(c)]
+
+        adj = term(per_response, cells, cidx, slice(None))  # (2, 2, G, C)
+        return {"adj": adj.swapaxes(0, 1)[..., lane_gate, :]}, n
     # Each cell's segments: its output directions with arcs, rising
     # first, and their arc counts.  A gate's lanes run segment by segment.
     segs = [
@@ -867,12 +965,9 @@ def load_terms(
     seg_lanes = np.array([arcs for _, _, arcs in segs], dtype=np.intp)
     seg_of_lane = np.repeat(np.arange(seg_row.size), seg_lanes[seg_row])
     leaves = {
-        name: term(
-            lambda x, attr=attr: getattr(x[0], attr)[_dir(x[1])],
-            rows, seg_row, gs,
-        )[seg_of_lane]
-        for name, attr in (("d_adj", "load_delay_slope"),
-                           ("r_adj", "load_trans_slope"))
+        "adj": term(
+            lambda x: slopes(x[1])(x[0]), rows, seg_row, gs
+        )[..., seg_of_lane, :]
     }
     kind_lanes = np.bincount(
         [k for k, _, _ in segs], weights=seg_lanes, minlength=len(base)
@@ -1344,11 +1439,12 @@ class CompiledCircuit:
         starts = {axis: _excl(c) for axis, c in counts.items()}
         tpl = _fanin_tables(int(kind_n.max()))
 
-        def pins(to_ctrl: bool) -> _StackedPack:
-            """Every lane's to-controlling (or -non-controlling) arc."""
-            return _take(_arc_rows([
+        def pins(to_ctrl: bool) -> np.ndarray:
+            """Every cell pin's to-controlling (or -non-controlling)
+            arc row."""
+            return _arc_rows([
                 [_pin_arcs(cell, to_ctrl) for cell in row] for row in table
-            ]), pin_row)
+            ]).rows
 
         def spread(axis: str, name: str, target: str) -> np.ndarray:
             """Template ``name`` over ``axis``, re-based into ``target``."""
@@ -1373,13 +1469,13 @@ class CompiledCircuit:
         pin_row = _excl(kind_n)[cidx[gl]] + pin
         ctrl_off_l = ctrl_off[gl]
         leaves.update(
-            out_ctrl=out_idx + out_off,
-            out_nonctrl=out_idx + (n_lines - out_off),
-            ctrl_rows=in_idx + ctrl_off_l,
-            nonctrl_rows=in_idx + (n_lines - ctrl_off_l),
+            out_rows=out_idx + np.stack([out_off, n_lines - out_off]),
+            in_rows=in_idx + np.stack([ctrl_off_l, n_lines - ctrl_off_l]),
             lane_order=order_idx[gl],
-            pack=pins(True),
-            npack=pins(False),
+            pack=_take(
+                _StackedPack(np.stack([pins(True), pins(False)], axis=1)),
+                pin_row,
+            ),
         )
         if "merge" in parts:
             gc, pc = _elements(counts["combo"])
@@ -1399,8 +1495,10 @@ class CompiledCircuit:
                     table, lambda c: _pair_scales(c.ctrl, c.n_inputs)
                 )[pair_row],
                 combo_gate=gc,
-                lo_row=spread("combo", "lo_row", "lane2"),
-                hi_row=spread("combo", "hi_row", "lane2"),
+                ends=np.stack([
+                    spread("combo", "lo_row", "lane2"),
+                    spread("combo", "hi_row", "lane2"),
+                ]),
                 ca=spread("combo", "ca", "lane"),
                 cb=spread("combo", "cb", "lane"),
                 pa=spread("pair", "pa", "lane"),
@@ -1408,16 +1506,10 @@ class CompiledCircuit:
                 pair_gate=gq,
                 ov_i=spread("ov", "ov_i", "lane"),
                 ov_j=spread("ov", "ov_j", "lane"),
-                rt=_rows(
-                    table,
-                    lambda c: ratio_table(c.ctrl.multi_scale, c.n_inputs),
-                )[rt_row],
-                rt_t=_rows(
-                    table,
-                    lambda c: ratio_table(
-                        c.ctrl.trans_multi_scale, c.n_inputs
-                    ),
-                )[rt_row],
+                rt=_rows(table, lambda c: [
+                    ratio_table(c.ctrl.multi_scale, c.n_inputs),
+                    ratio_table(c.ctrl.trans_multi_scale, c.n_inputs),
+                ])[:, rt_row],
             )
         if "peak" in parts and kind_peak.any():
             pkinds = np.flatnonzero(kind_peak)
@@ -1445,8 +1537,10 @@ class CompiledCircuit:
                     ptable, lambda c: _pair_scales(c.nonctrl, c.n_inputs)
                 )[ppair_row],
                 pcombo_gate=gate_rank[gpc],
-                plo_row=spread("pcombo", "lo_row", "plane2"),
-                phi_row=spread("pcombo", "hi_row", "plane2"),
+                pends=np.stack([
+                    spread("pcombo", "lo_row", "plane2"),
+                    spread("pcombo", "hi_row", "plane2"),
+                ]),
                 pca=spread("pcombo", "ca", "lane"),
                 pcb=spread("pcombo", "cb", "lane"),
             )
@@ -1684,7 +1778,8 @@ class CompiledCircuit:
             )
             cuts = np.cumsum(lanes)[:-1]
             runs = {
-                name: np.split(leaf, cuts) for name, leaf in leaves.items()
+                name: np.split(leaf, cuts, axis=-2)
+                for name, leaf in leaves.items()
             }
             for j, i in enumerate(pick):
                 out[i] = {name: run[j] for name, run in runs.items()}
@@ -1769,9 +1864,11 @@ class CompiledWindows:
     """SoA windows of one compiled pass.
 
     Rows index line x direction (rise rows first), columns index the
-    batch axis (MC samples, PVT corners or what-if trials).
-    ``states`` is structural and shared by every column.  Results read
-    a column through a :class:`ColumnTimings` view, which builds
+    batch axis (MC samples, PVT corners or what-if trials).  A pass's
+    ``states`` are structural, one per row (``(2n,)``) and shared by
+    every column; windows gathered column by column from separate
+    passes carry one state per row and column (``(2n, B)``).  Results
+    read a column through a :class:`ColumnTimings` view, which builds
     :class:`LineTiming` objects only for the lines a caller reads, and
     :meth:`envelope` reduces the columns to one without building any.
     """
@@ -1792,10 +1889,14 @@ class CompiledWindows:
         idx = self.line_index[line]
         return idx if rising else idx + self.n_lines
 
+    def column_states(self, column: int) -> np.ndarray:
+        """The ``(2n,)`` states of one column."""
+        return self.states if self.states.ndim == 1 else self.states[:, column]
+
     def window(self, line: str, rising: bool, column: int = 0) -> DirWindow:
         """One direction's :class:`DirWindow` (exact float round-trip)."""
         r = self.row(line, rising)
-        state = int(self.states[r])
+        state = int(self.column_states(column)[r])
         if state == IMPOSSIBLE:
             return DirWindow.impossible()
         return DirWindow(
@@ -1818,9 +1919,10 @@ class CompiledWindows:
         Per row, the min over the columns of ``a_s`` / ``t_s`` and the
         max of ``a_l`` / ``t_l``: the window
         :func:`~repro.sta.windows.merge_dir_windows` builds from the
-        columns' windows, bit for bit (min and max are exact).  States
-        are per row, shared by every column, so a row is active in all
-        columns or in none, and its merged state is its own state.
+        columns' windows, bit for bit (min and max are exact).  It needs
+        a pass's states, per row and shared by every column, so a row is
+        active in all columns or in none, and its merged state is its
+        own state.
         """
         return CompiledWindows(
             self.a_s.min(axis=1, keepdims=True),
@@ -1857,7 +1959,7 @@ class ColumnTimings(Mapping):
         self._a_l = windows.a_l[:, column].tolist()
         self._t_s = windows.t_s[:, column].tolist()
         self._t_l = windows.t_l[:, column].tolist()
-        self._states = windows.states.tolist()
+        self._states = windows.column_states(column).tolist()
         self._built: Dict[str, LineTiming] = {}
 
     def __getitem__(self, line: str) -> LineTiming:
@@ -1940,7 +2042,7 @@ class LiveTimings(ColumnTimings):
         self._a_l = windows.a_l[:, column]
         self._t_s = windows.t_s[:, column]
         self._t_l = windows.t_l[:, column]
-        self._states = windows.states
+        self._states = windows.column_states(column)
         self._built: Dict[str, LineTiming] = {}
 
     def _window(self, r: int) -> DirWindow:
@@ -2272,13 +2374,11 @@ class LevelCompiledAnalyzer:
             for group in level:
                 if isinstance(group, _CtrlGroup):
                     pins = group.counts["lane"]
-                    merge = group if self._merge else None
-                    back(group.pack, group.d_adj_c, group.ctrl_rows,
-                         np.repeat(group.out_ctrl, pins), ins, q, merge)
-                    back(group.npack, group.d_adj_n, group.nonctrl_rows,
-                         np.repeat(group.out_nonctrl, pins), ins, q)
+                    back(group.pack, group.adj[0], group.in_rows,
+                         np.repeat(group.out_rows, pins, axis=1), ins, q,
+                         group if self._merge else None)
                 elif group.in_rows.size:
-                    back(group.pack, group.d_adj, group.in_rows,
+                    back(group.pack, group.adj[0], group.in_rows,
                          np.repeat(group.out_rows, group.seg_n), ins, q)
         return ColumnRequired(q_s[:, 0], q_l[:, 0], cc.line_index, n)
 
@@ -2358,65 +2458,51 @@ class LevelCompiledAnalyzer:
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
     ) -> None:
-        """Write one output row per gate (or segment); those with no
-        active fan-in get NaN fields so a missed mask surfaces in the
-        parity tests."""
+        """Write one output row per gate (or segment), of any number of
+        responses; those with no active fan-in get NaN fields so a
+        missed mask surfaces in the parity tests."""
         if ok.all():
             for target, value in zip(arrays, values):
                 target[rows] = value
             states[rows] = state.astype(np.int8)
             return
-        okb = ok[:, None]
+        okb = ok[..., None]
         for target, value in zip(arrays, values):
             target[rows] = np.where(okb, value, np.nan)
         states[rows] = np.where(ok, state, IMPOSSIBLE).astype(np.int8)
 
     @staticmethod
-    def _any(act: np.ndarray, all_act: bool, starts: np.ndarray) -> np.ndarray:
-        """Per gate: does any of its lanes carry an active window?"""
-        if all_act:
-            return np.ones(len(starts), dtype=bool)
-        return np.logical_or.reduceat(act, starts)
-
-    @staticmethod
     def _pin_to_pin(
         pack: _StackedPack,
-        d_adj: np.ndarray,
-        r_adj: np.ndarray,
+        adj: np.ndarray,
         t_s_in: np.ndarray,
         t_l_in: np.ndarray,
         f: Optional[np.ndarray],
         g: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[np.ndarray, ...]:
-        """Per-lane ``(d_min, d_max, r_min, r_max, c_lo, c_hi)``.
+        """Per-lane ``(mins, maxs, c_lo, c_hi)``.
 
-        Each lane's arc delay and transition range over its clamped
-        input window, load-adjusted, times the variation factor ``f``
-        and then the ``(early, late)`` derate pair ``g``.
+        Each lane's arc delay (row 0 of ``mins`` / ``maxs``) and
+        transition (row 1) range over its clamped input window,
+        load-adjusted, times the variation factor ``f`` and then the
+        ``(early, late)`` derate pair ``g``, with the clamped endpoints.
+        Any leading axes of the windows (a ctrl group's responses) ride
+        along.
         """
-        arc_lo = pack.t_lo
-        arc_hi = pack.t_hi
-        c_lo = np.minimum(np.maximum(t_s_in, arc_lo), arc_hi)
-        c_hi = np.minimum(np.maximum(t_l_in, arc_lo), arc_hi)
+        c_lo = np.minimum(np.maximum(t_s_in, pack.t_lo), pack.t_hi)
+        c_hi = np.minimum(np.maximum(t_l_in, pack.t_lo), pack.t_hi)
         mins, maxs = quad_extremes_batch(
-            pack.q_a2, pack.q_a1, pack.q_a0, c_lo, np.maximum(c_hi, c_lo)
+            *pack.quads, c_lo, np.maximum(c_hi, c_lo)
         )
-        d_min = mins[0] + d_adj
-        d_max = maxs[0] + d_adj
-        r_min = mins[1] + r_adj
-        r_max = maxs[1] + r_adj
+        mins += adj
+        maxs += adj
         if f is not None:
-            d_min = d_min * f
-            d_max = d_max * f
-            r_min = r_min * f
-            r_max = r_max * f
+            mins *= f
+            maxs *= f
         if g is not None:
-            ge, gl = g
-            d_min = d_min * ge
-            d_max = d_max * gl
-            r_min = r_min * ge
-            r_max = r_max * gl
-        return d_min, d_max, r_min, r_max, c_lo, c_hi
+            mins *= g[0]
+            maxs *= g[1]
+        return mins, maxs, c_lo, c_hi
 
     def _run_arc(
         self,
@@ -2444,18 +2530,13 @@ class LevelCompiledAnalyzer:
         act = st_in != IMPOSSIBLE
         n_act = np.add.reduceat(act, seg, dtype=np.intp)
         f = None if factors is None else factors[grp.lane_order]
-        d_min, d_max, r_min, r_max, _, _ = self._pin_to_pin(
-            grp.pack, grp.d_adj, grp.r_adj, arr_t_s[rows], arr_t_l[rows],
-            f, g,
+        (d_min, r_min), (d_max, r_max), _, _ = self._pin_to_pin(
+            grp.pack, grp.adj, arr_t_s[rows], arr_t_l[rows], f, g,
         )
         lows = arr_a_s[rows] + d_min
         highs = arr_a_l[rows] + d_max
         if not act.all():
-            actb = act[:, None]
-            lows = np.where(actb, lows, np.inf)
-            highs = np.where(actb, highs, -np.inf)
-            r_min = np.where(actb, r_min, np.inf)
-            r_max = np.where(actb, r_max, -np.inf)
+            _mask(~act, lows, highs, r_min, r_max)
         out = (
             np.minimum.reduceat(lows, seg),
             np.maximum.reduceat(highs, seg),
@@ -2477,115 +2558,81 @@ class LevelCompiledAnalyzer:
         """Level-batched mirror of ``corners.ctrl_response_window`` and
         ``corners.nonctrl_response_window`` (one group, both outputs).
 
-        Lane coefficients carry the trailing corner axis (size 1 on a
-        single-corner compile) and broadcast directly against the
-        gathered ``(L, B)`` windows.  ``g`` is the optional ``(early,
-        late)`` derate pair: the early factor multiplies every min-side
-        quantity (earliest arrivals, fastest transitions and the
-        pair-merge candidates that can only lower them), the late
-        factor every max-side quantity (latest arrivals, slowest
-        transitions and the Λ-peak candidates that can only raise them),
-        each applied *after* the variation factor.
+        Both responses run as one: every per-lane and per-gate array
+        carries the response axis first (0 to-controlling, 1
+        to-non-controlling), so one gather, one pin-to-pin bound, one
+        reduction per quantity and one scatter serve both; only the
+        definite-switcher rule, the pair merge (response 0) and the
+        Λ-peak (response 1) differ.  Lane coefficients carry the
+        trailing corner axis (size 1 on a single-corner compile) and
+        broadcast directly against the gathered ``(2, L, B)`` windows.
+        ``g`` is the optional ``(early, late)`` derate pair: the early
+        factor multiplies every min-side quantity (earliest arrivals,
+        fastest transitions and the pair-merge candidates that can only
+        lower them), the late factor every max-side quantity (latest
+        arrivals, slowest transitions and the Λ-peak candidates that can
+        only raise them), each applied *after* the variation factor.
         """
-        ge = None if g is None else g[0]
         arr_a_s, arr_a_l, arr_t_s, arr_t_l = arrays
         f = None if factors is None else factors[grp.lane_order]
         ls = grp.lane_start
-
-        # ---- to-controlling response ----
-        rows = grp.ctrl_rows
-        st_in = states[rows]  # (L,)
-        act = st_in != IMPOSSIBLE
-        def_ = st_in == DEFINITE
-        all_act = bool(act.all())
-        a_s_in = arr_a_s[rows]  # (L, B)
-        a_l_in = arr_a_l[rows]
-        d_min, d_max, r_min, r_max, c_lo, c_hi = self._pin_to_pin(
-            grp.pack, grp.d_adj_c, grp.r_adj_c, arr_t_s[rows],
-            arr_t_l[rows], f, g,
-        )
-        has_def = np.logical_or.reduceat(def_, ls)
-        upper = a_l_in + d_max
-        lows = a_s_in + d_min
-        if not all_act:
-            actb = act[:, None]
-            lows = np.where(actb, lows, np.inf)
-            r_min = np.where(actb, r_min, np.inf)
-            r_max = np.where(actb, r_max, -np.inf)
-        a_s = np.minimum.reduceat(lows, ls)
-        t_s = np.minimum.reduceat(r_min, ls)
-        t_l = np.maximum.reduceat(r_max, ls)
-        no_def_al = np.maximum.reduceat(
-            upper if all_act else np.where(actb, upper, -np.inf), ls
-        )
-        if has_def.any():
-            a_l = np.where(
-                has_def[:, None],
-                np.minimum.reduceat(
-                    np.where(def_[:, None], upper, np.inf), ls
-                ),
-                no_def_al,
-            )
-        else:
-            a_l = no_def_al
-        if self._merge:
-            a_s, t_s = self._pair_merge(
-                grp, f, ge, act, all_act, a_s_in, a_l_in,
-                c_lo, c_hi, a_s, t_s,
-            )
-        a_s = np.minimum(a_s, a_l)
-        t_s = np.minimum(t_s, t_l)
-        state = np.where(has_def, DEFINITE, POTENTIAL)
-        self._scatter(
-            grp.out_ctrl, self._any(act, all_act, ls), state,
-            (a_s, a_l, t_s, t_l), arrays, states,
-        )
-
-        # ---- to-non-controlling response ----
-        rows = grp.nonctrl_rows
+        rows = grp.in_rows  # (2, L)
         st_in = states[rows]
         act = st_in != IMPOSSIBLE
         def_ = st_in == DEFINITE
         all_act = bool(act.all())
-        a_s_in = arr_a_s[rows]
+        a_s_in = arr_a_s[rows]  # (2, L, B)
         a_l_in = arr_a_l[rows]
-        d_min, d_max, r_min, r_max, c_lo, c_hi = self._pin_to_pin(
-            grp.npack, grp.d_adj_n, grp.r_adj_n, arr_t_s[rows],
-            arr_t_l[rows], f, g,
+        (d_min, r_min), (d_max, r_max), c_lo, c_hi = self._pin_to_pin(
+            grp.pack, grp.adj, arr_t_s[rows], arr_t_l[rows], f, g,
         )
-        has_def = np.logical_or.reduceat(def_, ls)
         lows = a_s_in + d_min
         highs = a_l_in + d_max
-        if all_act:
-            no_def_as = np.minimum.reduceat(lows, ls)
-        else:
-            actb = act[:, None]
-            no_def_as = np.minimum.reduceat(np.where(actb, lows, np.inf), ls)
-            highs = np.where(actb, highs, -np.inf)
-            r_min = np.where(actb, r_min, np.inf)
-            r_max = np.where(actb, r_max, -np.inf)
-        a_l = np.maximum.reduceat(highs, ls)
-        t_s = np.minimum.reduceat(r_min, ls)
-        t_l = np.maximum.reduceat(r_max, ls)
-        if has_def.any():
-            a_s = np.where(
-                has_def[:, None],
-                np.maximum.reduceat(
-                    np.where(def_[:, None], lows, -np.inf), ls
+        if not all_act:
+            _mask(~act, lows, highs, r_min, r_max)
+        a_s = np.minimum.reduceat(lows, ls, axis=1)  # (2, G, B)
+        a_l = np.maximum.reduceat(highs, ls, axis=1)
+        t_s = np.minimum.reduceat(r_min, ls, axis=1)
+        t_l = np.maximum.reduceat(r_max, ls, axis=1)
+        has_def = np.logical_or.reduceat(def_, ls, axis=1)  # (2, G)
+        # A definite switcher bounds the to-controlling latest arrival by
+        # its own path; definite switchers raise the to-non-controlling
+        # earliest one.
+        if has_def[0].any():
+            a_l[0] = np.where(
+                has_def[0][:, None],
+                np.minimum.reduceat(
+                    np.where(def_[0][:, None], highs[0], np.inf), ls
                 ),
-                no_def_as,
+                a_l[0],
             )
-        else:
-            a_s = no_def_as
+        if has_def[1].any():
+            a_s[1] = np.where(
+                has_def[1][:, None],
+                np.maximum.reduceat(
+                    np.where(def_[1][:, None], lows[1], -np.inf), ls
+                ),
+                a_s[1],
+            )
+        if self._merge:
+            self._pair_merge(
+                grp, f, None if g is None else g[0], act[0],
+                bool(act[0].all()), a_s_in[0], a_l_in[0], c_lo[0], c_hi[0],
+                a_s[0], t_s[0],
+            )
         if self._peak and grp.pgate is not None and grp.pgate.size:
             self._peak_merge(
                 grp, f, None if g is None else g[1],
-                c_lo, c_hi, a_s_in, a_l_in, a_l,
+                c_lo[1], c_hi[1], a_s_in[1], a_l_in[1], a_l[1],
             )
-        a_s = np.minimum(a_s, a_l)
-        state = np.where(has_def, DEFINITE, POTENTIAL)
+        np.minimum(a_s, a_l, out=a_s)
+        np.minimum(t_s[0], t_l[0], out=t_s[0])
+        ok = (
+            np.ones(has_def.shape, dtype=bool) if all_act
+            else np.logical_or.reduceat(act, ls, axis=1)
+        )
         self._scatter(
-            grp.out_nonctrl, self._any(act, all_act, ls), state,
+            grp.out_rows, ok, np.where(has_def, DEFINITE, POTENTIAL),
             (a_s, a_l, t_s, t_l), arrays, states,
         )
 
@@ -2602,14 +2649,15 @@ class LevelCompiledAnalyzer:
         c_hi: np.ndarray,
         a_s: np.ndarray,
         t_s: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The V-shape pair merge: lowered earliest arrivals and fastest
-        transitions of the to-controlling response, ``(G, B)`` each.
+    ) -> None:
+        """The V-shape pair merge: lower the earliest arrivals ``a_s``
+        and fastest transitions ``t_s`` (``(G, B)`` each) of the
+        to-controlling response in place.
 
         Candidates involving an inactive lane carry NaN, fail every
-        comparison and fall to the ``±inf`` branch of ``np.where`` — so
-        gates with < 2 active inputs self-mask.  ``f`` holds the lanes'
-        variation factors; a combo reads its gate's through its lane.
+        comparison and never enter a masked minimum — so gates with < 2
+        active inputs self-mask.  ``f`` holds the lanes' variation
+        factors; a combo reads its gate's through its lane.
 
         Each quantity is computed at the coarsest axis it depends on.
         Combos run four per pair (combo ``4q + k`` is pair ``q``'s
@@ -2618,9 +2666,9 @@ class LevelCompiledAnalyzer:
         arrival offset, the floors and validity at those and at zero
         skew — broadcasts from ``(Q, 1, B)``.  The earliest arrival is
         the minimum of ``floor(δ) + V(δ)`` over the six breakpoints that
-        can win; the V-shape runs only at the three whose value it
-        decides, and the others take the value its branches return
-        there (see the module docstring).
+        can win, each folded into one running minimum; the V-shape runs
+        once, over the three breakpoints whose value it decides, stacked
+        (see the module docstring).
         """
         # Overlap depth: for each (gate, j) count the gate's lanes i
         # covering j's start, then take the gate's deepest j.
@@ -2636,43 +2684,42 @@ class LevelCompiledAnalyzer:
         # 0 — and to the per-corner column when B == C.
         k = grp.rt_off[:, None] + depth
         cidx = np.arange(grp.rt.shape[-1], dtype=np.intp)[None, :]
-        ratio = grp.rt[k, cidx][grp.pair_gate]      # (Q, B)
-        t_ratio = grp.rt_t[k, cidx][grp.pair_gate]
+        ratio, t_ratio = grp.rt[:, k, cidx][:, grp.pair_gate]  # (Q, B) each
+        width = c_lo.shape[-1]
         tc = np.stack([c_lo, c_hi], axis=1)  # (L, 2, B)
         # One cube root per real pin endpoint; the combos index into it.
-        rc = cbrt_grid(tc).reshape(-1, tc.shape[-1])
-        pack = grp.pack
-        drtr = (
-            (pack.q_a2[:, :, None] * tc + pack.q_a1[:, :, None]) * tc
-            + pack.q_a0[:, :, None]
-        )  # (2, L, 2, B)
-        dr = drtr[0] + grp.d_adj_c[:, None]
-        tr = drtr[1] + grp.r_adj_c[:, None]
+        rc = cbrt_grid(tc).reshape(-1, width)
+        a2, a1, a0 = grp.pack[0].quads[:3, :, :, None]  # (2, L, 1, C)
+        adj = grp.adj[:, 0]  # (2, L, C): delay and transition terms
+        drtr = a2 * tc  # (a2 * tc + a1) * tc + a0 + adj: (2, L, 2, B)
+        drtr += a1
+        drtr *= tc
+        drtr += a0
+        drtr += adj[:, :, None]
         if f is not None:
-            dr = dr * f[:, None]
-            tr = tr * f[:, None]
+            drtr *= f[:, None]
         if ge is not None:
-            dr = dr * ge
-            tr = tr * ge
-        width = tc.shape[-1]
-        tc = tc.reshape(-1, width)
-        dr = dr.reshape(-1, width)
-        tr = tr.reshape(-1, width)
-        lo, hi = grp.lo_row, grp.hi_row
-        t_lo_c, t_hi_c = tc[lo], tc[hi]  # (K, B)
-        dr_lo, dr_hi = dr[lo], dr[hi]
-        roots = (rc[lo], rc[hi])
+            drtr *= ge
+        # Each combo's (lower, upper) pin endpoint, stacked (2, K, B).
+        ends = grp.ends
+        t_end = tc.reshape(-1, width)[ends]
+        roots = rc[ends]
+        drtr = drtr.reshape(2, -1, width)
+        dr_end = drtr[0][ends]
         fc = None if f is None else f[grp.ca]
+        adj_c = adj[:, grp.ca]
         # Each combo's own cell surfaces and its gate's load terms.
         shape = _take(grp.shape, grp.combo_gate)
-        d0, s_pos, s_neg = vshape_anchor_surfaces(
-            shape, t_lo_c, t_hi_c, grp.scale_c,
-            dr_lo, dr_hi, grp.d_adj_c[grp.ca], roots, f=fc, g=ge,
+        cube = shape.cube.eval_roots(*roots)  # D0 and the vertex
+        d0, s = anchor_surfaces(
+            shape, t_end, cube[0], grp.scale_c, dr_end, adj_c[0],
+            np.minimum, f=fc, g=ge,
         )
+        sat = s * _SIGNS  # (+S, -S)
         n_pairs = grp.pa.size
 
         def quads(x: np.ndarray) -> np.ndarray:
-            return x.reshape(n_pairs, 4, width)
+            return x.reshape(x.shape[:-2] + (n_pairs, 4, width))
 
         # ---- pair level (Q, 1, B) ----
         pa, pb = grp.pa, grp.pb
@@ -2681,73 +2728,66 @@ class LevelCompiledAnalyzer:
         blo = asj - ali
         bhi = alj - asi
 
-        def edge(delta) -> Tuple[np.ndarray, np.ndarray]:
-            """Validity and arrival floor of breakpoint ``delta``."""
-            return (
-                (blo <= delta) & (delta <= bhi),
-                np.maximum(asi, asj - delta) + np.minimum(0.0, delta),
-            )
-
         # ---- combo level (Q, 4, B) ----
-        d0q, s_p, s_n = quads(d0), quads(s_pos), quads(s_neg)
-        dr_p, dr_q = quads(dr_lo), quads(dr_hi)
-        best = None
-        for delta, value in (
-            (blo, None),
-            (bhi, None),
-            (asj - asi, None),
-            (0.0, d0q + (dr_p - d0q) * 0.0),
-            (s_p, dr_p),
-            (-s_n, dr_q),
-        ):
-            if value is None:
-                value = _v_delay(delta, d0q, s_p, s_n, dr_p, dr_q)
-            valid, floor = edge(delta)
-            if best is None:
-                best = np.where(valid, floor + value, np.inf)
-            else:
-                np.minimum(best, floor + value, out=best, where=valid)
-        a_s = np.minimum(
-            a_s, np.minimum.reduceat(best.reshape(-1, width), grp.combo_start)
-        )
+        d0q, sat_q, dr_pq = quads(d0), quads(sat), quads(dr_end)
+        # The window edges and the arrival offset, where the V decides.
+        edges = np.stack([blo, bhi, asj - asi])  # (3, Q, 1, B)
+        cand = _shape_delay(edges, d0q, dr_pq, sat_q)
+        cand += np.maximum(asi, asj - edges) + np.minimum(0.0, edges)
+        valid = (blo <= edges) & (edges <= bhi)
+        best = np.where(valid[0], cand[0], np.inf)
+        np.minimum(best, cand[1], out=best, where=valid[1])
+        np.minimum(best, cand[2], out=best, where=valid[2])
+        # Zero skew and ±S take the value the V's branches return there:
+        # D0 + (DR_p - D0) * 0.0, DR_p and DR_q.
+        zero = dr_pq[0] - d0q
+        zero *= 0.0
+        zero += d0q
+        zero += np.maximum(asi, asj - 0.0) + np.minimum(0.0, 0.0)
+        np.minimum(best, zero, out=best, where=(blo <= 0.0) & (0.0 <= bhi))
+        cand = asj - sat_q
+        np.maximum(asi, cand, out=cand)
+        cand += np.minimum(0.0, sat_q)
+        cand += dr_pq
+        valid = (blo <= sat_q) & (sat_q <= bhi)
+        np.minimum(best, cand[0], out=best, where=valid[0])
+        np.minimum(best, cand[1], out=best, where=valid[1])
         # Same tolerance and form as DirWindow.overlaps_arrivals.
         pair_ov = (asi <= alj + OVERLAP_TOL) & (asj <= ali + OVERLAP_TOL)
-        pair_floor = np.maximum(asi, asj)
-        extra = np.where(
-            pair_ov[:, 0] & (ratio < 1.0),
-            pair_floor[:, 0] + d0q[:, 0] * ratio,
-            np.inf,
-        )  # (Q, B)
-        a_s = np.minimum(a_s, np.minimum.reduceat(extra, grp.pair_start))
+        # The k>2 candidate rides on each pair's (t_s, t_s) combo.
+        np.minimum(
+            best[:, 0], np.maximum(asi, asj)[:, 0] + d0q[:, 0] * ratio,
+            out=best[:, 0], where=pair_ov[:, 0] & (ratio < 1.0),
+        )
+        np.minimum(
+            a_s, np.minimum.reduceat(best.reshape(-1, width), grp.combo_start),
+            out=a_s,
+        )
 
         # ---- transition-time merge (SK_t,min rule) ----
-        tr_lo, tr_hi = tr[lo], tr[hi]
-        vskew, vval, sp_t, sn_t = (
+        tr_end = drtr[1][ends]
+        vskew, vval = (
             quads(x) for x in trans_anchor_surfaces(
-                shape, t_lo_c, t_hi_c, tr_lo, tr_hi, grp.r_adj_c[grp.ca],
-                roots, (s_pos, s_neg), f=fc, g=ge,
+                shape, t_end, cube[1], tr_end, adj_c[1], sat, f=fc, g=ge,
             )
         )
-        delta_t = np.minimum(np.maximum(vskew, blo), bhi)
-        tval = _trans_v(
-            delta_t, vskew, vval, sp_t, sn_t, quads(tr_lo), quads(tr_hi)
-        )
+        delta_t = np.maximum(vskew, blo)
+        np.minimum(delta_t, bhi, out=delta_t)
+        tval = _trans_v(delta_t, vskew, vval, sat_q, quads(tr_end))
         t_ratio = t_ratio[:, None]
-        tval = np.where(
-            pair_ov & (t_ratio < 1.0),
-            np.minimum(tval, vval * t_ratio),
-            tval,
+        np.minimum(
+            tval, vval * t_ratio, out=tval, where=pair_ov & (t_ratio < 1.0)
         )
         if not all_act:
             # Unlike the arrival candidates there is no validity
             # filter here, so combos touching an inactive lane need
             # an explicit mask before the reduction.
             pair_act = act[pa] & act[pb]
-            tval = np.where(pair_act[:, None, None], tval, np.inf)
-        t_s = np.minimum(
-            t_s, np.minimum.reduceat(tval.reshape(-1, width), grp.combo_start)
+            np.copyto(tval, np.inf, where=~pair_act[:, None, None])
+        np.minimum(
+            t_s, np.minimum.reduceat(tval.reshape(-1, width), grp.combo_start),
+            out=t_s,
         )
-        return a_s, t_s
 
     @staticmethod
     def _peak_merge(
@@ -2764,45 +2804,38 @@ class LevelCompiledAnalyzer:
         the latest arrival ``a_l`` of each gate with peak data in place.
 
         Peak lanes and combos exist only for those gates.  The peak's
-        tails are its pins' to-non-controlling arcs (``npack``) at the
+        tails are its pins' to-non-controlling arcs (``pack[1]``) at the
         window endpoints the pin-to-pin bounds clamped against them
         (``c_lo`` / ``c_hi``, per lane), plus the gate's
-        to-non-controlling load terms (``d_adj_n``).  The mirror of
+        to-non-controlling delay terms.  The mirror of
         :meth:`_pair_merge` with ceilings and a maximum: peak combos
         also run four per pair, pair quantities broadcast from
-        ``(Q, 1, B)``, and the Λ-shape runs only at the window edges and
-        the arrival offset (P0, ``tail_q`` and ``tail_p`` are its values
-        at zero skew, +S and −S).
+        ``(Q, 1, B)``, and the Λ-shape runs once, over the window edges
+        and the arrival offset stacked (P0, ``tail_q`` and ``tail_p``
+        are its values at zero skew, +S and −S).
         """
         lanes = grp.plane
-        npack = grp.npack
+        a2, a1, a0 = grp.pack[1].quads[:3, 0, lanes, None]  # delay family
         tc = np.stack([c_lo[lanes], c_hi[lanes]], axis=1)  # (Lp, 2, B)
-        tails = (
-            (npack.d_a2[lanes][:, None] * tc + npack.d_a1[lanes][:, None])
-            * tc
-            + npack.d_a0[lanes][:, None]
-            + grp.d_adj_n[lanes][:, None]
-        )
+        tails = (a2 * tc + a1) * tc + a0 + grp.adj[0, 1][lanes][:, None]
         if f is not None:
-            tails = tails * f[lanes][:, None]
+            tails *= f[lanes][:, None]
         if gl is not None:
-            tails = tails * gl
+            tails *= gl
         width = tc.shape[-1]
-        rc = cbrt_grid(tc).reshape(-1, width)
-        tc = tc.reshape(-1, width)
-        tails = tails.reshape(-1, width)
-        lo, hi = grp.plo_row, grp.phi_row
-        tail_lo = tails[lo]
-        tail_hi = tails[hi]
-        p0, s_pos, s_neg = peak_anchor_surfaces(
-            _take(grp.peak, grp.pcombo_gate), tc[lo], tc[hi], grp.pscale_c,
-            tail_lo, tail_hi, grp.d_adj_n[grp.pca], (rc[lo], rc[hi]),
+        ends = grp.pends
+        roots = cbrt_grid(tc).reshape(-1, width)[ends]
+        tail = tails.reshape(-1, width)[ends]  # (tail_p, tail_q)
+        peak = _take(grp.peak, grp.pcombo_gate)
+        p0, s = anchor_surfaces(
+            peak, tc.reshape(-1, width)[ends], peak.d0.eval_roots(*roots),
+            grp.pscale_c, tail, grp.adj[0, 1][grp.pca], np.maximum,
             f=None if f is None else f[grp.pca], g=gl,
         )
         n_pairs = grp.pca.size // 4
 
         def quads(x: np.ndarray) -> np.ndarray:
-            return x.reshape(n_pairs, 4, width)
+            return x.reshape(x.shape[:-2] + (n_pairs, 4, width))
 
         # ---- pair level (Q, 1, B) ----
         pa, pb = grp.pca[::4], grp.pcb[::4]
@@ -2811,32 +2844,28 @@ class LevelCompiledAnalyzer:
         blo = asj - ali
         bhi = alj - asi
 
-        def edge(delta) -> Tuple[np.ndarray, np.ndarray]:
-            """Validity and arrival ceiling of breakpoint ``delta``."""
-            return (
-                (blo <= delta) & (delta <= bhi),
-                np.minimum(ali, alj - delta) + np.maximum(0.0, delta),
-            )
-
         # ---- combo level (Q, 4, B) ----
-        p0q, s_p, s_n = quads(p0), quads(s_pos), quads(s_neg)
-        tail_p, tail_q = quads(tail_lo), quads(tail_hi)
-        best = None
-        for delta, value in (
-            (blo, None),
-            (bhi, None),
-            (alj - ali, None),
-            (0.0, p0q + (tail_q - p0q) * 0.0),
-            (s_p, tail_q),
-            (-s_n, tail_p),
-        ):
-            if value is None:
-                value = _peak_delay(delta, p0q, s_p, s_n, tail_p, tail_q)
-            valid, ceiling = edge(delta)
-            if best is None:
-                best = np.where(valid, ceiling + value, -np.inf)
-            else:
-                np.maximum(best, ceiling + value, out=best, where=valid)
+        p0q, sat_q, tail_pq = quads(p0), quads(s * _SIGNS), quads(tail)
+        edges = np.stack([blo, bhi, alj - ali])  # (3, Q, 1, B)
+        cand = _shape_delay(edges, p0q, tail_pq[::-1], sat_q)
+        cand += np.minimum(ali, alj - edges) + np.maximum(0.0, edges)
+        valid = (blo <= edges) & (edges <= bhi)
+        best = np.where(valid[0], cand[0], -np.inf)
+        np.maximum(best, cand[1], out=best, where=valid[1])
+        np.maximum(best, cand[2], out=best, where=valid[2])
+        # P0 + (tail_q - P0) * 0.0, tail_q and tail_p.
+        zero = tail_pq[1] - p0q
+        zero *= 0.0
+        zero += p0q
+        zero += np.minimum(ali, alj - 0.0) + np.maximum(0.0, 0.0)
+        np.maximum(best, zero, out=best, where=(blo <= 0.0) & (0.0 <= bhi))
+        cand = alj - sat_q
+        np.minimum(ali, cand, out=cand)
+        cand += np.maximum(0.0, sat_q)
+        cand += tail_pq[::-1]
+        valid = (blo <= sat_q) & (sat_q <= bhi)
+        np.maximum(best, cand[0], out=best, where=valid[0])
+        np.maximum(best, cand[1], out=best, where=valid[1])
         gates = grp.pgate
         a_l[gates] = np.maximum(
             a_l[gates],
@@ -2857,33 +2886,35 @@ class LevelCompiledAnalyzer:
         q: Tuple[np.ndarray, np.ndarray],
         merge: Optional[_CtrlGroup] = None,
     ) -> None:
-        """Fold the lanes' arcs (rows ``in_rows`` -> ``out_rows``) into
-        the required windows ``q`` of their inputs.
+        """Fold the lanes' arcs (rows ``in_rows`` -> ``out_rows``, with
+        any leading axes, a ctrl group's responses) into the required
+        windows ``q`` of their inputs.
 
         ``d_min`` / ``d_max`` are the forward pass's own expressions;
-        ``merge`` (a pair-merge ctrl group whose to-controlling arcs
-        these are) swaps in the V-shape minimum for ``d_min``.
+        ``merge`` (a pair-merge ctrl group whose arcs these are) swaps
+        in the V-shape minimum for the to-controlling ``d_min``.
         """
         t_s, t_l, states = ins
         q_s, q_l = q
-        act = states[in_rows] != IMPOSSIBLE  # (L,)
+        act = states[in_rows] != IMPOSSIBLE  # (..., L)
         c_lo = np.minimum(np.maximum(t_s[in_rows], pack.t_lo), pack.t_hi)
         c_hi = np.minimum(np.maximum(t_l[in_rows], pack.t_lo), pack.t_hi)
         mins, maxs = quad_extremes_batch(
-            pack.d_a2, pack.d_a1, pack.d_a0, c_lo, np.maximum(c_hi, c_lo)
+            *pack.quads[:, 0], c_lo, np.maximum(c_hi, c_lo)
         )
         d_min = mins + d_adj
         d_max = maxs + d_adj
         if merge is not None:
-            d_min = cls._vshape_min(merge, d_min, c_lo, c_hi)
+            d_min[0] = cls._vshape_min(merge, d_min[0], c_lo[0], c_hi[0])
         lo = q_s[out_rows] - d_min
         hi = q_l[out_rows] - d_max
         if not act.all():
-            actb = act[:, None]
+            actb = act[..., None]
             lo = np.where(actb, lo, -np.inf)
             hi = np.where(actb, hi, np.inf)
-        np.maximum.at(q_s, in_rows, lo)
-        np.minimum.at(q_l, in_rows, hi)
+        in_rows = in_rows.ravel()
+        np.maximum.at(q_s, in_rows, lo.reshape(-1, 1))
+        np.minimum.at(q_l, in_rows, hi.reshape(-1, 1))
 
     @staticmethod
     def _vshape_min(
@@ -2902,13 +2933,12 @@ class LevelCompiledAnalyzer:
         pin-to-pin ``d_min`` is scaled by the cell's smallest
         multi-input ratio.
         """
-        pack = grp.pack
+        pack = grp.pack[0]
+        d_adj = grp.adj[0, 0]
         t = np.stack([c_lo, c_hi, pack.t_lo, pack.t_hi], axis=1)  # (L, 4, 1)
         roots = cbrt_grid(t).reshape(-1, 1)
-        dr = (
-            (pack.d_a2[:, None] * t + pack.d_a1[:, None]) * t
-            + pack.d_a0[:, None] + grp.d_adj_c[:, None]
-        ).reshape(-1, 1)
+        a2, a1, a0 = pack.quads[:3, 0, :, None]  # delay family
+        dr = ((a2 * t + a1) * t + a0 + d_adj[:, None]).reshape(-1, 1)
         # The candidates, pin-major (see _fanin_template), re-based from
         # each gate's template into the group's grid and combo rows.
         n = grp.counts["lane"]
@@ -2928,7 +2958,7 @@ class LevelCompiledAnalyzer:
                 roots[x], roots[y]
             )
             * grp.scale_c[combo]
-            + grp.d_adj_c[grp.ca[combo]]
+            + d_adj[grp.ca[combo]]
         )
         cand = np.minimum(np.minimum(d0, dr[own]), dr[other])
         per_pin = np.minimum.reduceat(

@@ -22,6 +22,7 @@ import dataclasses
 from typing import Sequence, Tuple
 
 from ..characterize.library import CellTiming, TimingArc, multi_input_ratio
+from ..models.nonctrl import PeakAnchors, PeakShape
 from ..models.vshape import CtrlAnchors, TransVShape, VShape
 from .windows import DEFINITE, DirWindow, POTENTIAL
 
@@ -296,41 +297,32 @@ def ctrl_response_window(
 
 
 def _pair_max_arrival_peak(
-    cell: CellTiming,
-    model,
-    first: CtrlInput,
-    second: CtrlInput,
-    load: float,
-    f: float = 1.0,
-    g: float = 1.0,
+    wi: DirWindow, wj: DirWindow, shapes: Sequence[PeakShape]
 ) -> float:
     """Largest achievable output arrival under the Λ-shape extension.
 
     Maximizes ``latest_arrival(delta) + peak_delay(delta)`` over the
-    feasible skew interval; both terms are piecewise linear in the skew.
+    feasible skew interval, for each of the pair's endpoint combos
+    (``shapes``, from :meth:`PeakAnchors.pair`); both terms are
+    piecewise linear in the skew.
     """
-    wi, wj = first.window, second.window
     lo = wj.a_s - wi.a_l
     hi = wj.a_l - wi.a_s
     best = None
-    for t_i in (wi.t_s, wi.t_l):
-        for t_j in (wj.t_s, wj.t_l):
-            shape = model.nonctrl_shape(
-                cell, first.pin, second.pin, t_i, t_j, load, f, g
-            )
-            breakpoints = {lo, hi, wj.a_l - wi.a_l}
-            for bp in (0.0, shape.s_pos, -shape.s_neg):
-                if lo <= bp <= hi:
-                    breakpoints.add(bp)
-            for delta in breakpoints:
-                if not lo <= delta <= hi:
-                    continue
-                # Latest possible max(A_i, A_j) subject to the skew.
-                a_i = min(wi.a_l, wj.a_l - delta)
-                ceiling = a_i + max(0.0, delta)
-                candidate = ceiling + shape.delay(delta)
-                if best is None or candidate > best:
-                    best = candidate
+    for shape in shapes:
+        breakpoints = {lo, hi, wj.a_l - wi.a_l}
+        for bp in (0.0, shape.s_pos, -shape.s_neg):
+            if lo <= bp <= hi:
+                breakpoints.add(bp)
+        for delta in breakpoints:
+            if not lo <= delta <= hi:
+                continue
+            # Latest possible max(A_i, A_j) subject to the skew.
+            a_i = min(wi.a_l, wj.a_l - delta)
+            ceiling = a_i + max(0.0, delta)
+            candidate = ceiling + shape.delay(delta)
+            if best is None or candidate > best:
+                best = candidate
     return best
 
 
@@ -354,7 +346,10 @@ def nonctrl_response_window(
     the latest bound additionally covers the simultaneous slow-down peak.
     ``f``, ``early`` and ``late`` scale as in
     :func:`ctrl_response_window`, except that the Λ peak can only raise
-    the latest bound, so it takes the late derate.
+    the latest bound, so it takes the late derate.  Each active pin's
+    arc is resolved once, and under the Λ-shape each pin's two window
+    endpoints are evaluated once, each (pin pair, endpoint combo) once
+    (:class:`PeakAnchors`).
     """
     active = [i for i in inputs if i.window.is_active]
     if not active:
@@ -371,11 +366,11 @@ def nonctrl_response_window(
     highs = {}
     t_lows = []
     t_highs = []
-    for item in active:
+    arcs = [cell.arc(item.pin, in_rising, out_rising) for item in active]
+    for item, arc in zip(active, arcs):
         w = item.window
         d_min, d_max, t_min, t_max = _pin_bounds(
-            cell.arc(item.pin, in_rising, out_rising), w.t_s, w.t_l,
-            d_adj, r_adj, f, early, late,
+            arc, w.t_s, w.t_l, d_adj, r_adj, f, early, late,
         )
         lows[item.pin] = w.a_s + d_min
         highs[item.pin] = w.a_l + d_max
@@ -393,13 +388,21 @@ def nonctrl_response_window(
         and getattr(cell, "nonctrl", None) is not None
     )
     if uses_peak and len(active) >= 2:
+        anchors = PeakAnchors(cell, load, f, late)
+        ends = [
+            (anchors.end(arc, item.window.t_s),
+             anchors.end(arc, item.window.t_l))
+            for item, arc in zip(active, arcs)
+        ]
         for idx, first in enumerate(active):
-            for second in active[idx + 1:]:
+            for jdx in range(idx + 1, len(active)):
+                second = active[jdx]
+                shapes = anchors.pair(
+                    first.pin, second.pin, ends[idx], ends[jdx]
+                )
                 a_l = max(
                     a_l,
-                    _pair_max_arrival_peak(
-                        cell, model, first, second, load, f, late
-                    ),
+                    _pair_max_arrival_peak(first.window, second.window, shapes),
                 )
     a_s = min(a_s, a_l)
     state = DEFINITE if definite else POTENTIAL

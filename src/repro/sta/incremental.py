@@ -77,20 +77,8 @@ import numpy as np
 from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
-from .compile import LiveTimings, load_variant
-from .windows import IMPOSSIBLE, DirWindow, LineTiming
-
-
-def _dirty_gates(row_gate: np.ndarray, same: np.ndarray, n: int) -> np.ndarray:
-    """Per subset column: did any of its output rows change?
-
-    ``row_gate[r]`` is the column owning output row ``r`` (a gate owns
-    one row per output direction) and ``same[r]`` says whether that row
-    kept its bits, so a gate is clean iff every one of its rows is.
-    """
-    dirty = np.zeros(n, dtype=bool)
-    dirty[row_gate[~same]] = True
-    return dirty
+from .compile import CompiledWindows, LiveTimings, load_variant
+from .windows import IMPOSSIBLE
 
 
 def _rows_equal(
@@ -99,18 +87,18 @@ def _rows_equal(
     states: np.ndarray,
     rows: np.ndarray,
 ) -> np.ndarray:
-    """Bitwise row equality versus a pre-kernel snapshot.
+    """Bitwise equality versus a pre-kernel snapshot, ``(rows, B)``.
 
     ``old`` holds the rows' states and their four ``(rows, B)`` window
     arrays.  IMPOSSIBLE rows carry NaN fields, so state equality alone
-    decides them; active rows must match on all four window floats of
-    every column exactly.
+    decides them; an active row's column must match on all four window
+    floats exactly.
     """
     st = states[rows]
-    value_eq = np.ones(len(rows), dtype=bool)
-    for before, array in zip(old[1:], arrays):
-        value_eq &= (before == array[rows]).all(axis=1)
-    return (old[0] == st) & ((st == IMPOSSIBLE) | value_eq)
+    value_eq = old[1] == arrays[0][rows]
+    for before, array in zip(old[2:], arrays[1:]):
+        value_eq &= before == array[rows]
+    return (old[0] == st)[:, None] & ((st == IMPOSSIBLE)[:, None] | value_eq)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,74 +115,34 @@ class TrialEdit:
     value: object
 
 
-class TrialResult:
+@dataclasses.dataclass
+class TrialResult(CompiledWindows):
     """Windows of K hypothetical single-edit circuit variants.
 
     Column ``k`` holds windows bitwise-identical to a fresh full
     analysis of the circuit with only ``edits[k]`` applied; the
     analyzer's own (master) state is untouched until
-    :meth:`IncrementalAnalyzer.commit` adopts a column.
+    :meth:`IncrementalAnalyzer.commit` adopts a column.  A batched sweep
+    shares one state per row across its columns; the fallback, which
+    runs each edit for real, keeps one per row and column.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        edits: List[TrialEdit],
-        arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        states: np.ndarray,
-        line_index: Dict[str, int],
-        n_lines: int,
-        cone_gates: int,
-        base=None,
-        log_len: int = -1,
-    ) -> None:
-        self.circuit = circuit
-        self.edits = edits
-        self.a_s, self.a_l, self.t_s, self.t_l = arrays
-        self.states = states  # (2n, K) int8 — per-column, unlike master
-        self.line_index = line_index
-        self.n_lines = n_lines
-        #: Gates the sweep evaluated, seed gates included, each once
-        #: for all K columns (the fallback counts the gates of every
-        #: variant's own cone replay).
-        self.cone_gates = cone_gates
-        #: The master window state the columns were swept over and the
-        #: edit-log length right after the sweep: a column is adopted
-        #: by :meth:`IncrementalAnalyzer.commit` only while both are
-        #: current.  ``None`` for a trial that ran without it.
-        self.base = base
-        self.log_len = log_len
+    circuit: Circuit
+    edits: List[TrialEdit]
+    #: Gates the sweep evaluated, seed gates included, each once for
+    #: all K columns (the fallback counts the gates of every variant's
+    #: own cone replay).
+    cone_gates: int
+    #: The master window state the columns were swept over and the
+    #: edit-log length right after the sweep: a column is adopted by
+    #: :meth:`IncrementalAnalyzer.commit` only while both are current.
+    #: ``None`` for a trial that ran without it.
+    base: Optional[CompiledWindows] = None
+    log_len: int = -1
 
     @property
     def n_trials(self) -> int:
-        return self.a_s.shape[1]
-
-    def row(self, line: str, rising: bool) -> int:
-        idx = self.line_index[line]
-        return idx if rising else idx + self.n_lines
-
-    def window(self, line: str, rising: bool, k: int) -> DirWindow:
-        r = self.row(line, rising)
-        state = int(self.states[r, k])
-        if state == IMPOSSIBLE:
-            return DirWindow.impossible()
-        return DirWindow(
-            a_s=float(self.a_s[r, k]),
-            a_l=float(self.a_l[r, k]),
-            t_s=float(self.t_s[r, k]),
-            t_l=float(self.t_l[r, k]),
-            state=state,
-        )
-
-    def line_timing(self, line: str, k: int) -> LineTiming:
-        return LineTiming(
-            rise=self.window(line, True, k),
-            fall=self.window(line, False, k),
-        )
-
-    def timings(self, k: int) -> Dict[str, LineTiming]:
-        """Variant ``k``'s full per-line timing dict (test/debug aid)."""
-        return {line: self.line_timing(line, k) for line in self.line_index}
+        return self.n_columns
 
     def output_arrivals(self) -> np.ndarray:
         """Latest arrival per primary output, shape ``(n_outputs, K)``.
@@ -208,7 +156,9 @@ class TrialResult:
         )
         rows = np.concatenate([rows, rows + self.n_lines])
         active = self.states[rows] != IMPOSSIBLE
-        vals = np.where(active, self.a_l[rows], -np.inf)
+        vals = np.where(
+            active.reshape(len(rows), -1), self.a_l[rows], -np.inf
+        )
         half = len(self.circuit.outputs)
         return np.maximum(vals[:half], vals[half:])
 
@@ -285,6 +235,9 @@ class IncrementalAnalyzer:
         self._m_adopted = obs.counter("sta.incr.commits_adopted")
         self._m_seed_terms = obs.counter("sta.incr.seed_load_terms")
         self._m_seed_builds = obs.counter("sta.incr.seed_builds")
+        self._m_cuts = obs.counter("sta.incr.subset_cuts")
+        self._m_trial_columns = obs.counter("sta.incr.trial_gate_columns")
+        self._m_trial_moved = obs.counter("sta.incr.trial_moved_columns")
         self._h_cone = obs.histogram("sta.incr.cone_gates")
         self._h_trial_cone = obs.histogram("sta.incr.trial_cone_gates")
 
@@ -347,7 +300,7 @@ class IncrementalAnalyzer:
             return True
 
         with self._obs.timer("sta.incr.retime_s"):
-            cone, changed = self._sweep(seeds, arrays, cw.states, run)
+            cone, changed, _ = self._sweep(seeds, arrays, cw.states, run)
             self._view.forget(changed)
         self._m_early.inc(cone - len(changed))
         self._m_gates.inc(cone)
@@ -360,7 +313,7 @@ class IncrementalAnalyzer:
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
         run: Callable[[object, List[str]], bool],
-    ) -> Optional[Tuple[int, List[str]]]:
+    ) -> Optional[Tuple[int, List[str], int]]:
         """Level-ordered cone sweep over ``(2 * n_lines, B)`` SoA state.
 
         Per level, the pending gates of each compiled group form one
@@ -371,8 +324,10 @@ class IncrementalAnalyzer:
         frontier.  ``run`` returns False to abandon the sweep.
 
         Returns:
-            ``(gates swept, lines whose windows changed)``, or None when
-            ``run`` abandoned the sweep.
+            ``(gates swept, lines whose windows changed, gate-columns
+            whose windows changed)``, or None when ``run`` abandoned the
+            sweep.  The gate-columns are counted only while the registry
+            is enabled (0 otherwise).
         """
         circuit = self.circuit
         locs = self.analyzer._level.compiled._locs
@@ -380,7 +335,7 @@ class IncrementalAnalyzer:
         pending: Dict[int, Set[str]] = {}
         for line in seeds:
             pending.setdefault(level_of[line], set()).add(line)
-        cone = 0
+        cone = moved_columns = 0
         changed: List[str] = []
         while pending:
             # Group the level's pending gates by compiled group.
@@ -398,10 +353,17 @@ class IncrementalAnalyzer:
                 old = (states[rows], *(a[rows] for a in arrays))
                 if not run(sub, [line for _, line in cols_lines]):
                     return None
-                dirty = _dirty_gates(
-                    row_gate, _rows_equal(old, arrays, states, rows),
-                    len(cols),
-                )
+                # A gate is clean iff every one of its output rows (one
+                # per direction, ``row_gate`` names the owner) kept its
+                # bits in every column.
+                same = _rows_equal(old, arrays, states, rows)
+                dirty = np.zeros(len(cols), dtype=bool)
+                dirty[row_gate[~same.all(axis=1)]] = True
+                if self._obs.enabled:
+                    per_column = np.zeros((len(cols), same.shape[1]), bool)
+                    r, k = np.nonzero(~same)
+                    per_column[row_gate[r], k] = True
+                    moved_columns += int(per_column.sum())
                 cone += len(cols)
                 for (_, line), moved in zip(cols_lines, dirty):
                     if not moved:
@@ -410,7 +372,7 @@ class IncrementalAnalyzer:
                     for sink in circuit.fanouts(line):
                         out = sink.output
                         pending.setdefault(level_of[out], set()).add(out)
-        return cone, changed
+        return cone, changed, moved_columns
 
     def _subset(self, group, cols: Tuple[int, ...]):
         """Memoized column subset of one group of the current compile,
@@ -425,6 +387,7 @@ class IncrementalAnalyzer:
             return hit[1]
         if len(self._subsets) >= 4096:
             self._subsets.clear()
+        self._m_cuts.inc()
         sub = group.cut(cols)
         entry = (sub, *sub.outputs())
         self._subsets[key] = (group.version, entry)
@@ -548,18 +511,14 @@ class IncrementalAnalyzer:
         swept = self._sweep(set(seeds) | set(swaps), arrays, states, run)
         if swept is None:
             return None
-        cone = swept[0]
+        cone, _, moved = swept
         self._h_trial_cone.observe(cone)
+        self._m_trial_columns.inc(cone * K)
+        self._m_trial_moved.inc(moved)
         return TrialResult(
-            self.circuit,
-            edits,
-            arrays,
-            np.repeat(states[:, None], K, axis=1),
-            master.line_index,
-            master.n_lines,
-            cone,
-            base=master,
-            log_len=len(self.circuit.edit_log),
+            *arrays, states, master.line_index, master.n_lines,
+            circuit=self.circuit, edits=edits, cone_gates=cone,
+            base=master, log_len=len(self.circuit.edit_log),
         )
 
     def _trial_builds(self, edits: List[TrialEdit]):
@@ -676,8 +635,8 @@ class IncrementalAnalyzer:
                 self.retime()
         self._h_trial_cone.observe(cone)
         return TrialResult(
-            self.circuit, edits, arrays, states, cw.line_index, cw.n_lines,
-            cone,
+            *arrays, states, cw.line_index, cw.n_lines,
+            circuit=self.circuit, edits=edits, cone_gates=cone,
         )
 
     def _apply(self, op: str, line: str, value) -> None:

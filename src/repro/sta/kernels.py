@@ -7,14 +7,15 @@ The level-compiled engine (:mod:`repro.sta.compile`) evaluates the same
 candidate sets for a whole level at once from the pieces kept here:
 
 * :func:`quad_extremes_batch` — interval extremes of the pin-to-pin
-  quadratics (the paper's T* rule);
-* :func:`_v_delay`, :func:`_peak_delay` and :func:`_trans_v` — the
-  V-shape, Λ-peak and transition-V evaluated over candidate skews;
-* :func:`sr_slopes` and the anchor surfaces
-  (:func:`vshape_anchor_surfaces`, :func:`trans_anchor_surfaces`,
-  :func:`peak_anchor_surfaces`) — D0 / P0, the transition vertex and
-  S± under a variation factor and a derate;
-* :func:`cbrt_grid`, :func:`ratio_table` and :func:`_pair_combos`.
+  quadratics (the paper's T* rule, its stationary point and curvature
+  read from the compiled arc rows);
+* :func:`_shape_delay` and :func:`_trans_v` — the V-shape (and
+  Λ-peak) and the transition-V evaluated over candidate skews;
+* :func:`sr_slopes` and the anchor surfaces (:func:`anchor_surfaces`,
+  :func:`trans_anchor_surfaces`) — D0 / P0, the transition vertex and
+  S± (both SR surfaces in one evaluation) under a variation factor and
+  a derate;
+* :func:`cbrt_grid` and :func:`ratio_table`.
 
 Every primitive is bit-identical per element to its scalar counterpart.
 The only floating-point hazard is ``T**(1/3)`` (SIMD ``pow`` can differ
@@ -26,7 +27,7 @@ whether NumPy or the Python interpreter executes it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,115 +62,95 @@ def sr_slopes(
     t_hi: np.ndarray,
     f: Optional[np.ndarray] = None,
     g: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Saturation skews (s_pos, s_neg): the SR surfaces at the floor,
+) -> np.ndarray:
+    """Saturation skews ``(s_pos, s_neg)``, stacked on a leading axis:
+    both SR surfaces in one evaluation (``shape.sr``), at the floor,
     times the variation factor ``f`` and then the derate ``g``."""
-    s_pos = np.maximum(shape.s_pos.eval_many(t_lo, t_hi), _S_FLOOR)
-    s_neg = np.maximum(shape.s_neg.eval_many(t_lo, t_hi), _S_FLOOR)
+    s = shape.sr.eval_many(t_lo, t_hi)
+    np.maximum(s, _S_FLOOR, out=s)
     if f is not None:
-        s_pos = s_pos * f
-        s_neg = s_neg * f
+        s *= f
     if g is not None:
-        s_pos = s_pos * g
-        s_neg = s_neg * g
-    return s_pos, s_neg
+        s *= g
+    return s
 
 
-def vshape_anchor_surfaces(
-    ctrl,
-    t_lo: np.ndarray,
-    t_hi: np.ndarray,
+def anchor_surfaces(
+    shape,
+    t: np.ndarray,
+    surface: np.ndarray,
     scale: np.ndarray,
-    dr_lo: np.ndarray,
-    dr_hi: np.ndarray,
+    tails: np.ndarray,
     load_adj: np.ndarray,
-    roots: Tuple[np.ndarray, np.ndarray],
+    clamp: np.ufunc,
     f: Optional[np.ndarray] = None,
     g: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V-shape anchors (d0, s_pos, s_neg) of the candidate surfaces.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Zero-skew value and saturation skews ``(d0, s)`` of a pair shape,
+    ``s`` the stacked :func:`sr_slopes`.
 
-    The array form of :meth:`VShapeModel.vshape` for position-ordered
-    pairs: the caller supplies the tails, the precomputed load
-    adjustment, the cube roots of the transition times
-    (:func:`cbrt_grid`), an optional per-element variation factor ``f``
-    (Monte Carlo) and an optional timing derate ``g`` (multiplied after
-    ``f``, at the same sites).  Per element the float operations match
-    the model method with the same ``f`` and ``g``, bit for bit.
+    The array form of :meth:`VShapeModel.vshape` (D0, ``clamp``
+    ``np.minimum``: simultaneous to-controlling switching can only
+    speed a gate up) and of :class:`~repro.models.nonctrl.PeakAnchors`
+    (P0, ``np.maximum``: the peak is a slow-down) for position-ordered
+    pairs.  ``t`` and the ``tails`` hold the lower pin's endpoint, then
+    the upper pin's, on a leading axis; ``surface`` is the D0 (P0)
+    surface at the endpoints' cube roots (:func:`cbrt_grid`).  The
+    caller supplies the precomputed load adjustment, an optional
+    per-element variation factor ``f`` (Monte Carlo) and an optional
+    timing derate ``g`` (multiplied after ``f``, at the same sites).
+    Per element the float operations match the model's with the same
+    ``f`` and ``g``, bit for bit.
     """
-    x, y = roots
-    d0 = ctrl.d0.eval_roots(x, y) * scale + load_adj
+    d0 = surface * scale
+    d0 += load_adj
     if f is not None:
-        d0 = d0 * f
+        d0 *= f
     if g is not None:
-        d0 = d0 * g
-    d0 = np.minimum(np.minimum(d0, dr_lo), dr_hi)
-    s_pos, s_neg = sr_slopes(ctrl, t_lo, t_hi, f, g)
-    return d0, s_pos, s_neg
+        d0 *= g
+    clamp(d0, tails[0], out=d0)
+    clamp(d0, tails[1], out=d0)
+    return d0, sr_slopes(shape, t[0], t[1], f, g)
 
 
 def trans_anchor_surfaces(
     ctrl,
-    t_lo: np.ndarray,
-    t_hi: np.ndarray,
-    tail_lo: np.ndarray,
-    tail_hi: np.ndarray,
+    t: np.ndarray,
+    surface: np.ndarray,
+    tail: np.ndarray,
     load_adj: np.ndarray,
-    roots: Tuple[np.ndarray, np.ndarray],
-    slopes: Tuple[np.ndarray, np.ndarray],
+    skews: np.ndarray,
     f: Optional[np.ndarray] = None,
     g: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transition-V anchors (vertex_skew, vertex_value, s_pos, s_neg).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Transition-V anchors ``(vertex_skew, vertex_value)``.
 
-    ``slopes`` are the :func:`sr_slopes` the V-shape anchors evaluated
-    on the same operands, ``roots`` as in
-    :func:`vshape_anchor_surfaces`.
+    ``surface`` is the vertex surface at the endpoints' cube roots,
+    ``skews`` stacks ``+s_pos`` and ``-s_neg`` of the :func:`sr_slopes`
+    the V-shape anchors evaluated on the same operands; ``t`` and
+    ``tail`` as in :func:`anchor_surfaces`.
     """
-    x, y = roots
-    vertex_value = ctrl.t_vertex.eval_roots(x, y) + load_adj
-    vertex_skew = ctrl.t_vertex_skew.eval_many(t_lo, t_hi)
-    if f is not None:
-        vertex_value = vertex_value * f
-        vertex_skew = vertex_skew * f
-    if g is not None:
-        vertex_value = vertex_value * g
-        vertex_skew = vertex_skew * g
-    s_pos, s_neg = slopes
-    vertex_skew = np.minimum(np.maximum(vertex_skew, -s_neg), s_pos)
-    vertex_value = np.minimum(np.minimum(vertex_value, tail_lo), tail_hi)
-    return vertex_skew, vertex_value, s_pos, s_neg
-
-
-def peak_anchor_surfaces(
-    data,
-    t_lo: np.ndarray,
-    t_hi: np.ndarray,
-    scale: np.ndarray,
-    tail_lo: np.ndarray,
-    tail_hi: np.ndarray,
-    load_adj: np.ndarray,
-    roots: Tuple[np.ndarray, np.ndarray],
-    f: Optional[np.ndarray] = None,
-    g: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Λ-peak anchors (p0, s_pos, s_neg) of the non-ctrl slow-down
-    (``roots`` as in :func:`vshape_anchor_surfaces`)."""
-    x, y = roots
-    p0 = data.d0.eval_roots(x, y) * scale + load_adj
-    if f is not None:
-        p0 = p0 * f
-    if g is not None:
-        p0 = p0 * g
-    p0 = np.maximum(np.maximum(p0, tail_lo), tail_hi)
-    s_pos, s_neg = sr_slopes(data, t_lo, t_hi, f, g)
-    return p0, s_pos, s_neg
+    vertex_value = surface + load_adj
+    vertex_skew = ctrl.t_vertex_skew.eval_many(t[0], t[1])
+    for x in (vertex_value, vertex_skew):
+        if f is not None:
+            x *= f
+        if g is not None:
+            x *= g
+    np.maximum(vertex_skew, skews[1], out=vertex_skew)
+    np.minimum(vertex_skew, skews[0], out=vertex_skew)
+    np.minimum(vertex_value, tail[0], out=vertex_value)
+    np.minimum(vertex_value, tail[1], out=vertex_value)
+    return vertex_skew, vertex_value
 
 
 def quad_extremes_batch(
     a2: np.ndarray,
     a1: np.ndarray,
     a0: np.ndarray,
+    t_star: np.ndarray,
+    v_min: np.ndarray,
+    v_max: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,81 +158,86 @@ def quad_extremes_batch(
 
     Matches :meth:`repro.characterize.formulas.QuadPoly1.min_over` /
     ``max_over`` element-wise: endpoints always, the interior stationary
-    point only when it is strictly inside and of the right curvature.
-    Coefficients may carry extra leading axes (e.g. delay and transition
-    families stacked); ``lo`` / ``hi`` broadcast against them.
+    point ``t_star`` only when it is strictly inside.  Its curvature
+    rule is decided once per quadratic, not per call: ``v_min`` is the
+    value at ``t_star`` where that can be the minimum (``a2 > 0``) and
+    ``+inf`` elsewhere, ``v_max`` likewise for the maximum (``a2 < 0``)
+    with ``-inf``, so an inert candidate leaves the endpoints' extreme
+    as it is.  Coefficients may carry extra leading axes (e.g. delay and
+    transition families stacked); ``lo`` / ``hi`` broadcast against
+    them.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = -a1 / (2.0 * a2)
-    v_lo = (a2 * lo + a1) * lo + a0
-    v_hi = (a2 * hi + a1) * hi + a0
-    v_st = (a2 * stat + a1) * stat + a0
-    interior = (lo < stat) & (stat < hi)
+    v_lo, v_hi = a2 * lo, a2 * hi  # (a2 * t + a1) * t + a0, in place
+    for v, t in ((v_lo, lo), (v_hi, hi)):
+        v += a1
+        v *= t
+        v += a0
+    interior = (lo < t_star) & (t_star < hi)
     maxs = np.maximum(v_lo, v_hi)
-    maxs = np.where(interior & (a2 < 0.0), np.maximum(maxs, v_st), maxs)
-    mins = np.minimum(v_lo, v_hi)
-    mins = np.where(interior & (a2 > 0.0), np.minimum(mins, v_st), mins)
+    np.maximum(maxs, v_max, out=maxs, where=interior)
+    mins = np.minimum(v_lo, v_hi, out=v_lo)
+    np.minimum(mins, v_min, out=mins, where=interior)
     return mins, maxs
 
 
-def _v_delay(
+def _shape_delay(
     delta: np.ndarray,
-    d0: np.ndarray,
-    s_pos: np.ndarray,
-    s_neg: np.ndarray,
-    dr_p: np.ndarray,
-    dr_q: np.ndarray,
+    vertex: np.ndarray,
+    tails: np.ndarray,
+    skews: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :meth:`repro.models.vshape.VShape.delay`."""
-    pos = d0 + (dr_p - d0) * (delta / s_pos)
-    neg = d0 + (dr_q - d0) * (-delta / s_neg)
-    return np.where(
-        delta >= s_pos,
-        dr_p,
-        np.where(delta <= -s_neg, dr_q, np.where(delta >= 0.0, pos, neg)),
-    )
+    """Vectorized :meth:`repro.models.vshape.VShape.delay` and
+    :meth:`repro.models.nonctrl.PeakShape.delay` at a stack of skews.
 
-
-def _peak_delay(
-    delta: np.ndarray,
-    p0: np.ndarray,
-    s_pos: np.ndarray,
-    s_neg: np.ndarray,
-    tail_p: np.ndarray,
-    tail_q: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :meth:`repro.models.nonctrl.PeakShape.delay`."""
-    pos = p0 + (tail_q - p0) * (delta / s_pos)
-    neg = p0 + (tail_p - p0) * (-delta / s_neg)
-    return np.where(
-        delta >= s_pos,
-        tail_q,
-        np.where(delta <= -s_neg, tail_p, np.where(delta >= 0.0, pos, neg)),
-    )
+    ``vertex`` is the zero-skew value; ``tails`` and ``skews`` stack the
+    positive side over the negative one: the value reaches ``tails[0]``
+    at ``skews[0] = +S`` and ``tails[1]`` at ``skews[1] = -S`` (the V's
+    tails are ``(DR_p, DR_q)``, the Λ's ``(tail_q, tail_p)``).  ``delta``
+    carries a leading axis of breakpoints, which the result keeps.  Both
+    sides' fractions come from one division: ``delta / -S`` is
+    ``-delta / S`` bit for bit, so each value is the scalar expression
+    (up to the order of commutative operands).  Wide calls pay for every
+    fresh temporary, so the values are built in place.
+    """
+    side = delta / skews[:, None]
+    side *= (tails - vertex)[:, None]
+    side += vertex
+    out = np.where(delta >= 0.0, side[0], side[1])
+    np.copyto(out, tails[1], where=delta <= skews[1])
+    np.copyto(out, tails[0], where=delta >= skews[0])
+    return out
 
 
 def _trans_v(
     delta: np.ndarray,
     vskew: np.ndarray,
     vval: np.ndarray,
-    s_pos: np.ndarray,
-    s_neg: np.ndarray,
-    t_p: np.ndarray,
-    t_q: np.ndarray,
+    skews: np.ndarray,
+    tails: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :meth:`repro.models.vshape.TransVShape.trans`."""
-    span_p = s_pos - vskew
-    span_q = vskew + s_neg
+    """Vectorized :meth:`repro.models.vshape.TransVShape.trans`.
+
+    ``skews`` and ``tails`` stack ``(+S, -S)`` and ``(t_p, t_q)`` as in
+    :func:`_shape_delay` (``vskew - (-S)`` is ``vskew + S`` bit for
+    bit); the sides are built in place.
+    """
+    t_p, t_q = tails
+    span_p = skews[0] - vskew
+    span_q = vskew - skews[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac_p = (delta - vskew) / span_p
-        frac_q = (vskew - delta) / span_q
-        val_p = vval + (t_p - vval) * frac_p
-        val_q = vval + (t_q - vval) * frac_q
+        val_p = delta - vskew
+        val_p /= span_p
+        val_p *= t_p - vval
+        val_p += vval
+        val_q = vskew - delta
+        val_q /= span_q
+        val_q *= t_q - vval
+        val_q += vval
     return np.where(
-        delta >= s_pos,
+        delta >= skews[0],
         t_p,
         np.where(
-            delta <= -s_neg,
+            delta <= skews[1],
             t_q,
             np.where(
                 delta >= vskew,
@@ -260,47 +246,3 @@ def _trans_v(
             ),
         ),
     )
-
-
-_COMBOS_CACHE: Dict[
-    int,
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]],
-] = {}
-
-
-def _pair_combos(
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[int, int]]]:
-    """Index arrays enumerating every (pair, endpoint-combo) candidate.
-
-    Combos follow the scalar loop order: pairs in position order, then
-    ``(t_s, t_s), (t_s, t_l), (t_l, t_s), (t_l, t_l)`` — so combo
-    ``4*pair + 0`` is the (t_s, t_s) corner the multi-input ratio rule
-    reuses.  The layout depends only on the input count, so it is cached.
-    """
-    entry = _COMBOS_CACHE.get(n)
-    if entry is not None:
-        return entry
-    ii: List[int] = []
-    jj: List[int] = []
-    ki: List[int] = []
-    kj: List[int] = []
-    pairs: List[Tuple[int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            pairs.append((a, b))
-            for k1 in (0, 1):
-                for k2 in (0, 1):
-                    ii.append(a)
-                    jj.append(b)
-                    ki.append(k1)
-                    kj.append(k2)
-    entry = (
-        np.array(ii, dtype=np.intp),
-        np.array(jj, dtype=np.intp),
-        np.array(ki, dtype=np.intp),
-        np.array(kj, dtype=np.intp),
-        pairs,
-    )
-    _COMBOS_CACHE[n] = entry
-    return entry

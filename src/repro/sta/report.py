@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from ..characterize.library import multi_input_ratio
 from ..circuit.netlist import Circuit
+from ..models.nonctrl import PeakAnchors
 from ..models.vshape import CtrlAnchors
 from .analysis import StaResult, TimingAnalyzer
 from .corners import (
@@ -193,10 +194,22 @@ class TimingReporter:
                 if self.result.line(l).window(in_rising).is_active
             ]
             if len(active) >= 2:
+                anchors = PeakAnchors(cell, load)
+                ends = {}
+                for item in active:
+                    arc = cell.arc(item.pin, in_rising, rising)
+                    ends[item.pin] = (
+                        anchors.end(arc, item.window.t_s),
+                        anchors.end(arc, item.window.t_l),
+                    )
                 for idx, first in enumerate(active):
                     for second in active[idx + 1:]:
                         bound = _pair_max_arrival_peak(
-                            cell, model, first, second, load
+                            first.window, second.window,
+                            anchors.pair(
+                                first.pin, second.pin,
+                                ends[first.pin], ends[second.pin],
+                            ),
                         )
                         lead = (
                             first

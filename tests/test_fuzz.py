@@ -49,17 +49,21 @@ def plant_curvature_bug(monkeypatch):
     extremes while the scalar walk it is diffed against stays right.
     """
 
-    def buggy(a2, a1, a0, lo, hi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = -a1 / (2.0 * a2)
+    def buggy(a2, a1, a0, t_star, v_min, v_max, lo, hi):
+        # The arc rows carry the T* value as the candidate of the
+        # extreme its curvature allows (the other one is inert at
+        # +-inf); the mutant hands each to the other extreme.
         v_lo = (a2 * lo + a1) * lo + a0
         v_hi = (a2 * hi + a1) * hi + a0
-        v_st = (a2 * stat + a1) * stat + a0
-        interior = (lo < stat) & (stat < hi)
+        interior = (lo < t_star) & (t_star < hi)
         maxs = np.maximum(v_lo, v_hi)
-        maxs = np.where(interior & (a2 > 0.0), np.maximum(maxs, v_st), maxs)
+        maxs = np.where(
+            interior & np.isfinite(v_min), np.maximum(maxs, v_min), maxs
+        )
         mins = np.minimum(v_lo, v_hi)
-        mins = np.where(interior & (a2 < 0.0), np.minimum(mins, v_st), mins)
+        mins = np.where(
+            interior & np.isfinite(v_max), np.minimum(mins, v_max), mins
+        )
         return mins, maxs
 
     monkeypatch.setattr(compile_mod, "quad_extremes_batch", buggy)

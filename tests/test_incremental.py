@@ -814,7 +814,7 @@ class TestLoadTermSeeds:
                 if key[0] == "ctrl" and key[2]
             }
             # Under the non-ctrl aware model the Λ-peak reads the load
-            # terms too (d_adj_n), so they must reach it.
+            # terms too (adj[0, 1]), so they must reach it.
             assert ("n2" in peaked) == (model_cls is NonCtrlAwareModel)
             patch.setattr(CompiledCircuit, "build_gates", _forbidden)
             patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
@@ -839,7 +839,7 @@ class TestLoadTermSeeds:
         for k, e in enumerate(edits):
             self._match(
                 before, library, model_cls,
-                functools.partial(trial.line_timing, k=k), e,
+                functools.partial(trial.line_timing, column=k), e,
             )
         for variant, timings in states:
             self._match(variant, library, model_cls, timings.__getitem__)

@@ -25,6 +25,7 @@ from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
 from repro.sta.analysis import StaConfig, StaResult, TimingAnalyzer
 from repro.sta.windows import (
+    DEFINITE,
     IMPOSSIBLE,
     DirWindow,
     LineRequired,
@@ -450,9 +451,10 @@ def _runs(group, col):
 @pytest.mark.parametrize("model_cls", MODELS)
 def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
     """Vectorized rows, arc coefficients and load adjustments equal the
-    per-gate scalars on every lane (gate pin or arc) and combo, and a
-    Λ-peak lane's tail, its pin's ``npack`` delay plus ``d_adj_n``, is
-    the scalar Λ-shape's tail."""
+    per-gate scalars on every lane (gate pin or arc) and combo, both
+    responses of a ctrl lane on their own response axis, and a Λ-peak
+    lane's tail, its pin's to-non-controlling delay plus that
+    response's delay term, is the scalar Λ-shape's tail."""
     from repro.sta.analysis import compute_loads
     from repro.sta.compile import CompiledCircuit, _arc_values, _fanin_arcs
 
@@ -474,27 +476,23 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
             assert lanes.stop - lanes.start == gate.n_inputs, line
             for pin, src in enumerate(gate.inputs):
                 lane = lanes.start + pin
-                assert group.ctrl_rows[lane] == cc.row(src, ctrl_in)
-                assert group.nonctrl_rows[lane] == cc.row(src, not ctrl_in)
-                for pack, arc in (
-                    (group.pack, cell.ctrl_arc(pin)),
-                    (group.npack, cell.arc(pin, not ctrl_in, not out)),
-                ):
-                    assert pack.rows[:, lane, 0].tolist() == list(
-                        _arc_values(arc)
+                assert group.in_rows[0, lane] == cc.row(src, ctrl_in)
+                assert group.in_rows[1, lane] == cc.row(src, not ctrl_in)
+                for response, arc in enumerate((
+                    cell.ctrl_arc(pin), cell.arc(pin, not ctrl_in, not out),
+                )):
+                    assert group.pack.rows[:, response, lane, 0].tolist() == (
+                        list(_arc_values(arc))
                     ), (line, pin)
-            assert group.out_ctrl[col] == cc.row(line, out)
-            assert group.out_nonctrl[col] == cc.row(line, not out)
-            d_c = cell.load_adjusted_delay(out, load)
-            r_c = cell.load_adjusted_trans(out, load)
-            d_n = cell.load_adjusted_delay(not out, load)
-            r_n = cell.load_adjusted_trans(not out, load)
-            terms += [
-                (group.d_adj_c[lanes], d_c),
-                (group.r_adj_c[lanes], r_c),
-                (group.d_adj_n[lanes], d_n),
-                (group.r_adj_n[lanes], r_n),
-            ]
+            assert group.out_rows[0, col] == cc.row(line, out)
+            assert group.out_rows[1, col] == cc.row(line, not out)
+            for response, rising in enumerate((out, not out)):
+                terms += [
+                    (group.adj[0, response, lanes],
+                     cell.load_adjusted_delay(rising, load)),
+                    (group.adj[1, response, lanes],
+                     cell.load_adjusted_trans(rising, load)),
+                ]
             if group.shape is not None:
                 # Combos read their gate's surfaces and lane load terms.
                 combos = runs["combo"]
@@ -511,16 +509,16 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                 # and each tail is the pin's to-non-controlling arc.
                 plane = group.plane[runs["plane"]].tolist()
                 assert plane == list(range(lanes.start, lanes.stop)), line
-                npack = group.npack
+                npack = group.pack[1]
+                a2, a1, a0 = npack.quads[:3, 0]  # the delay family
                 for pin, lane in enumerate(plane):
                     lo = float(npack.t_lo[lane, 0])
                     hi = float(npack.t_hi[lane, 0])
                     for t in (lo, 0.5 * (lo + hi), hi):
                         tail = (
-                            (npack.d_a2[lane, 0] * t + npack.d_a1[lane, 0])
-                            * t
-                            + npack.d_a0[lane, 0]
-                            + group.d_adj_n[lane, 0]
+                            (a2[lane, 0] * t + a1[lane, 0]) * t
+                            + a0[lane, 0]
+                            + group.adj[0, 1, lane, 0]
                         )
                         shape = model.nonctrl_shape(
                             cell, pin, 1 - min(pin, 1), t, lo, load
@@ -547,8 +545,8 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                     ), (line, pin, rising)
                 run = slice(lane, lane + len(arcs))
                 terms += [
-                    (group.d_adj[run], cell.load_adjusted_delay(out, load)),
-                    (group.r_adj[run], cell.load_adjusted_trans(out, load)),
+                    (group.adj[0, run], cell.load_adjusted_delay(out, load)),
+                    (group.adj[1, run], cell.load_adjusted_trans(out, load)),
                 ]
                 lane += len(arcs)
             assert lane == lanes.stop and not segs, line
@@ -602,6 +600,16 @@ ONE_LEVEL_OVERRIDES = {
 }
 
 
+#: ``ONE_LEVEL_OVERRIDES`` with e pinned as well.
+TWO_DEFINITE_OVERRIDES = {
+    **ONE_LEVEL_OVERRIDES,
+    "e": LineTiming(
+        rise=DirWindow.point(0.2 * NS, 0.1 * NS),
+        fall=DirWindow.point(0.04 * NS, 0.25 * NS),
+    ),
+}
+
+
 def one_level_circuit():
     text = "".join(f"INPUT({pi})\n" for pi in "abcdef")
     text += "".join(f"OUTPUT({g})\n" for g in ONE_LEVEL_GATES)
@@ -626,7 +634,7 @@ def test_one_level_fixture_compiles_to_two_groups(library):
         circuit.gates[g].n_inputs for g in ONE_LEVEL_GATES
         if g not in ("inv", "buf", "xor")
     ]
-    assert len(ctrl.ctrl_rows) == sum(fanins)
+    assert ctrl.in_rows.shape == (2, sum(fanins))
     assert len(ctrl.pa) == sum(n * (n - 1) // 2 for n in fanins)
     # Peak lanes only for the gates whose cells carry peak data.
     peak = {
@@ -699,10 +707,13 @@ def test_every_level_is_at_most_one_ctrl_and_one_arc_group(bench, library):
         assert kinds in ([_CtrlGroup], [_ArcGroup], [_CtrlGroup, _ArcGroup])
 
 
-def _subset_matches_full_pass(analyzer, group, cols, circuit, reference):
-    """Run ``group.cut(cols)`` over a full pass whose rows of those gates
-    were wiped; every line must come back as the reference."""
-    windows = analyzer.propagate()
+def _subset_matches_full_pass(
+    analyzer, group, cols, circuit, references, factors=None, overrides=None
+):
+    """Run ``group.cut(cols)`` over a full pass (under ``factors`` and PI
+    ``overrides``) whose rows of those gates were wiped; every line of
+    every column must come back as that column's reference."""
+    windows = analyzer.propagate(factors=factors, pi_overrides=overrides)
     sub = group.cut(cols)
     rows, owner = sub.outputs()
     assert sorted(set(owner.tolist())) == list(range(len(cols)))
@@ -710,8 +721,14 @@ def _subset_matches_full_pass(analyzer, group, cols, circuit, reference):
     for array in arrays:
         array[rows] = np.nan
     windows.states[rows] = IMPOSSIBLE
-    analyzer.run_group(sub, arrays, windows.states)
-    assert_results_equal(circuit, reference, analyzer._extract(windows, 0))
+    analyzer.run_group(
+        sub, arrays, windows.states, None if factors is None else
+        np.asarray(factors, dtype=float),
+    )
+    for k, reference in enumerate(references):
+        assert_bitwise(
+            circuit, reference, analyzer._extract(windows, k), (cols, k)
+        )
 
 
 @pytest.mark.parametrize("model_cls", MODELS)
@@ -724,10 +741,29 @@ def test_column_subsets_of_merged_groups(model_cls, library):
         circuit, library, model_cls()
     ).analyze_per_gate()
     ctrl, arc = analyzer.compiled.levels[0]
-    for cols in ([0], [1, 4, 7], [2, 3, 14, 15], list(range(ctrl.n_gates))):
-        _subset_matches_full_pass(analyzer, ctrl, cols, circuit, reference)
-    for cols in ([1], [0, 2], [0, 1, 2]):
-        _subset_matches_full_pass(analyzer, arc, cols, circuit, reference)
+    ctrl_cols = ([0], [1, 4, 7], [2, 3, 14, 15], list(range(ctrl.n_gates)))
+    arc_cols = ([1], [0, 2], [0, 1, 2])
+    for group, subsets in ((ctrl, ctrl_cols), (arc, arc_cols)):
+        for cols in subsets:
+            _subset_matches_full_pass(
+                analyzer, group, cols, circuit, [reference]
+            )
+    # DEFINITE and IMPOSSIBLE lanes in both responses, across a factor
+    # batch: each column against its factored per-gate walk.  With e
+    # pinned too, gates reading e and f have two definite lanes.
+    factors = 1.0 + 0.08 * np.random.default_rng(17).standard_normal(
+        (len(circuit.gates), 3)
+    )
+    for overrides in (ONE_LEVEL_OVERRIDES, TWO_DEFINITE_OVERRIDES):
+        references = scalar_columns(
+            circuit, library, model_cls(), factors, overrides
+        )
+        for group, subsets in ((ctrl, ctrl_cols), (arc, arc_cols)):
+            for cols in subsets:
+                _subset_matches_full_pass(
+                    analyzer, group, cols, circuit, references, factors,
+                    overrides,
+                )
     # A deeper circuit: subsets of every level's groups.
     big = load_packaged_bench("c432s")
     analyzer = LevelCompiledAnalyzer(big, library, model_cls())
@@ -735,7 +771,70 @@ def test_column_subsets_of_merged_groups(model_cls, library):
     for level in analyzer.compiled.levels:
         for group in level:
             cols = list(range(0, group.n_gates, 2))
-            _subset_matches_full_pass(analyzer, group, cols, big, reference)
+            _subset_matches_full_pass(
+                analyzer, group, cols, big, [reference]
+            )
+
+
+def test_one_level_overrides_reach_both_responses(library):
+    """The fixture behind the factored subsets above holds DEFINITE and
+    IMPOSSIBLE input lanes in both responses of the ctrl group."""
+    circuit = one_level_circuit()
+    analyzer = LevelCompiledAnalyzer(circuit, library, VShapeModel())
+    windows = analyzer.propagate(pi_overrides=ONE_LEVEL_OVERRIDES)
+    (ctrl, _) = analyzer.compiled.levels[0]
+    lanes = windows.states[ctrl.in_rows]  # (2, L)
+    for response in (0, 1):
+        assert (lanes[response] == DEFINITE).any(), response
+        assert (lanes[response] == IMPOSSIBLE).any(), response
+
+
+@pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
+def test_cut_equals_concatenated_one_gate_splits(model_cls, library):
+    """For random ascending column sets on every c432s group, every leaf
+    of ``cut(cols)`` (and its run counts and starts) equals the
+    concatenation of its one-gate ``split`` pieces, index leaves
+    re-based by the pieces' run starts on their target axes."""
+    compiled = LevelCompiledAnalyzer(
+        load_packaged_bench("c432s"), library, model_cls()
+    ).compiled
+    rng = np.random.default_rng(23)
+    for level in compiled.levels:
+        for group in level:
+            pieces = group.split(list(range(group.n_gates + 1)))
+            for _ in range(3):
+                size = int(rng.integers(1, group.n_gates + 1))
+                cols = np.sort(
+                    rng.choice(group.n_gates, size, replace=False)
+                ).tolist()
+                sub = group.cut(cols)
+                picked = [pieces[c] for c in cols]
+                for axis, counts in sub.counts.items():
+                    want = np.concatenate([p.counts[axis] for p in picked])
+                    _assert_same_leaf(axis, counts, want)
+                    starts = np.concatenate(
+                        [[0], np.cumsum(want)[:-1]]
+                    ).astype(np.intp)
+                    _assert_same_leaf(axis, sub.starts[axis], starts)
+                for name, (axis, target) in group.AXES.items():
+                    got = getattr(sub, name)
+                    if got is None:
+                        continue
+                    parts = []
+                    for at, piece in enumerate(picked):
+                        leaf = getattr(piece, name)
+                        if target is not None:
+                            leaf = leaf + sub.starts[target][at]
+                        parts.append(leaf)
+                    if isinstance(got, np.ndarray):
+                        axis_at = -1 if got.dtype.kind == "i" else -2
+                        want = np.concatenate(parts, axis=axis_at)
+                        _assert_same_leaf(name, got, want)
+                    else:
+                        want = np.concatenate(
+                            [p.rows for p in parts], axis=-2
+                        )
+                        _assert_same_leaf(name, got.rows, want)
 
 
 @pytest.mark.parametrize(
