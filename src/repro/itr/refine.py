@@ -19,7 +19,7 @@ them to the logic values and keeps everything incremental.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..characterize.library import CellLibrary
 from ..circuit.netlist import Circuit
@@ -30,7 +30,7 @@ from ..sta.windows import (
     DirWindow,
     IMPOSSIBLE,
     LineTiming,
-    timings_equal,
+    windows_equal,
 )
 from .implication import (
     Assignment,
@@ -83,6 +83,7 @@ class ItrEngine:
         self._m_changed_lines = obs.counter("itr.changed_lines")
         self._m_conflicts = obs.counter("itr.conflicts")
         self._m_recomputed = obs.counter("itr.recomputed_gates")
+        self._m_reused = obs.counter("itr.reused_directions")
 
     # ------------------------------------------------------------------
     # Value manipulation
@@ -154,16 +155,21 @@ class ItrEngine:
     def refine_incremental(
         self, previous: ItrResult, values: Assignment
     ) -> ItrResult:
-        """Refine windows, recomputing only the cone affected by changes.
+        """Refine windows, recomputing only what a decision can move.
 
-        This is the "incremental" in ITR made literal: per test-generation
-        decision, only lines whose implied value changed — and the gates
-        downstream of lines whose *windows* actually changed — are
-        recomputed.  The recomputation stops as soon as windows settle, so
-        a decision touching a small cone costs a small update.
-
-        The result is bit-identical to :meth:`refine` (the test suite
-        checks this on random decision sequences).
+        Dirtiness is per line and direction: a gate is visited when its
+        implied value changed or an input window moved, and an output
+        direction runs its corner search only if the gate's value leaves
+        it possible and an input window that response reads
+        (:meth:`TimingAnalyzer.fanin`) moved.  Any other direction
+        re-applies the value's state to the stored window, which is what
+        the search would return, unless that window is impossible and
+        the value changed: then it searches.  Recomputation stops as
+        soon as windows settle.  ``sta.corner_calls`` counts the
+        searches run, ``itr.reused_directions`` the visited directions
+        that ran none.  The result is bit-identical to :meth:`refine`
+        (the tests and the ``itr`` fuzz oracle check this on random
+        decision sequences).
 
         Args:
             previous: The result of a previous refine over a less-specific
@@ -183,36 +189,60 @@ class ItrEngine:
         }
         self._m_changed_lines.inc(len(changed))
         timings: Dict[str, LineTiming] = dict(previous.sta.timings)
-        dirty = set()
-        recomputed = 0
+        #: line -> the directions whose windows moved.
+        dirty: Dict[str, List[bool]] = {}
+
+        def settle(line: str, stored: LineTiming, fresh: LineTiming) -> None:
+            moved = [
+                rising for rising in (True, False)
+                if not windows_equal(fresh.window(rising),
+                                     stored.window(rising))
+            ]
+            if moved:
+                timings[line] = fresh
+                dirty[line] = moved
+
         default = self._pi_default
         for pi in self.circuit.inputs:
-            if pi not in changed:
-                continue
-            fresh = LineTiming(
-                rise=self._apply_logic_state(default.rise, values[pi], True),
-                fall=self._apply_logic_state(default.fall, values[pi], False),
-            )
-            if not timings_equal(fresh, timings[pi]):
-                timings[pi] = fresh
-                dirty.add(pi)
+            if pi in changed:
+                settle(pi, timings[pi], LineTiming(*(
+                    self._apply_logic_state(
+                        default.window(rising), values[pi], rising
+                    )
+                    for rising in (True, False)
+                )))
+        recomputed = reused = 0
+        analyzer = self.analyzer
         for out in self.circuit.topological_order():
             gate = self.circuit.gates[out]
-            if out not in changed and not any(
-                inp in dirty for inp in gate.inputs
-            ):
+            moved = out in changed
+            if not moved and not any(inp in dirty for inp in gate.inputs):
                 continue
-            computed = self.analyzer.propagate_gate(gate, timings)
-            recomputed += 1
+            cell = analyzer.cell_of(gate)
             value = values[out]
-            fresh = LineTiming(
-                rise=self._apply_logic_state(computed.rise, value, True),
-                fall=self._apply_logic_state(computed.fall, value, False),
-            )
-            if not timings_equal(fresh, timings[out]):
-                timings[out] = fresh
-                dirty.add(out)
+            stored = timings[out]
+            search = [
+                rising for rising in (True, False)
+                if value.state(rising) != IMPOSSIBLE and (
+                    (moved and not stored.window(rising).is_active) or any(
+                        in_rising in dirty.get(gate.inputs[pin], ())
+                        for pin, in_rising in analyzer.fanin(cell, rising)
+                    )
+                )
+            ]
+            if search:
+                searched = analyzer.propagate_gate(gate, timings, search)
+                recomputed += 1
+            reused += 2 - len(search)
+            settle(out, stored, LineTiming(*(
+                self._apply_logic_state(
+                    (searched if rising in search else stored).window(rising),
+                    value, rising,
+                )
+                for rising in (True, False)
+            )))
         self._m_recomputed.inc(recomputed)
+        self._m_reused.inc(reused)
         return ItrResult(StaResult(self.circuit, timings), values)
 
 

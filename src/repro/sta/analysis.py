@@ -106,6 +106,19 @@ def line_load(
     return total
 
 
+def fanin_arcs(cell: CellTiming, out_rising: bool) -> List[Tuple[int, bool]]:
+    """``(pin, input rising)`` of every arc producing ``out_rising``, pin
+    by pin, rising input first: the input windows that output
+    direction's corner search reads (a ctrl cell's pins all switch one
+    way), and the lanes of an arc-table segment."""
+    return [
+        (pin, in_rising)
+        for pin in range(cell.n_inputs)
+        for in_rising in (True, False)
+        if cell.has_arc(pin, in_rising, out_rising)
+    ]
+
+
 def compute_loads(
     circuit: Circuit, library: CellLibrary, config: StaConfig
 ) -> Dict[str, float]:
@@ -222,6 +235,8 @@ class TimingAnalyzer:
         self._obs = obs
         self._m_gates = obs.counter("sta.gates_evaluated")
         self._m_corners = obs.counter("sta.corner_calls")
+        #: (cell name, output rising) -> :func:`fanin_arcs`.
+        self._fanin: Dict[Tuple[str, bool], List[Tuple[int, bool]]] = {}
         self._level = None  # lazily-built LevelCompiledAnalyzer
         #: Whether compiles are this analyzer's own (see own_compile).
         self._owns_compile = False
@@ -307,13 +322,29 @@ class TimingAnalyzer:
         )
 
     def propagate_gate(
-        self, gate: Gate, timings: Dict[str, LineTiming]
+        self,
+        gate: Gate,
+        timings: Dict[str, LineTiming],
+        directions: Sequence[bool] = (True, False),
     ) -> LineTiming:
-        """Compute the output windows of one gate from its input windows."""
+        """Compute the output windows of one gate from its input windows.
+
+        Only the output ``directions`` given (``True`` rising) are
+        searched; any other keeps :class:`LineTiming`'s default window.
+        """
         self._sync_epoch()
         return self._propagate_windows(
-            gate, self.cell_of(gate), self.load(gate.output), timings
+            gate, self.cell_of(gate), self.load(gate.output), timings,
+            directions=directions,
         )
+
+    def fanin(self, cell: CellTiming, out_rising: bool):
+        """The cell's :func:`fanin_arcs`, kept per cell name."""
+        key = (cell.name, out_rising)
+        arcs = self._fanin.get(key)
+        if arcs is None:
+            arcs = self._fanin[key] = fanin_arcs(cell, out_rising)
+        return arcs
 
     def _propagate_windows(
         self,
@@ -324,44 +355,37 @@ class TimingAnalyzer:
         f: float = 1.0,
         early: float = 1.0,
         late: float = 1.0,
+        directions: Sequence[bool] = (True, False),
     ) -> LineTiming:
-        """The corner searches of one gate, under variation factor ``f``
-        and the ``(early, late)`` derates (1.0 multiplies exactly)."""
+        """The corner searches of one gate, one per output direction,
+        under variation factor ``f`` and the ``(early, late)`` derates
+        (1.0 multiplies exactly).  Each reads the input windows of
+        :meth:`fanin`: a ctrl cell's to-controlling or
+        to-non-controlling response, or the arcs of an inv / buf / xor.
+        """
         self._m_gates.inc()
-        self._m_corners.inc(2)  # one corner search per output direction
-        if cell.controlling_value is not None and cell.n_inputs >= 2:
-            ctrl_in_rising = cell.controlling_value == 1
-            ctrl_ins = [
-                CtrlInput(pin, timings[line].window(ctrl_in_rising))
-                for pin, line in enumerate(gate.inputs)
-            ]
-            nonctrl_ins = [
-                CtrlInput(pin, timings[line].window(not ctrl_in_rising))
-                for pin, line in enumerate(gate.inputs)
-            ]
-            ctrl_window = ctrl_response_window(
-                cell, self.model, ctrl_ins, load, f, early, late
-            )
-            nonctrl_window = nonctrl_response_window(
-                cell, nonctrl_ins, load, self.model, f, early, late
-            )
-            result = LineTiming()
-            result.set_window(cell.ctrl.out_rising, ctrl_window)
-            result.set_window(not cell.ctrl.out_rising, nonctrl_window)
-            return result
-        # inv / buf / xor: per-arc propagation.
+        self._m_corners.inc(len(directions))
+        ctrl = cell.controlling_value is not None and cell.n_inputs >= 2
         result = LineTiming()
-        for out_rising in (True, False):
-            arcs = []
-            for pin, line in enumerate(gate.inputs):
-                for in_rising in (True, False):
-                    if cell.has_arc(pin, in_rising, out_rising):
-                        arcs.append(
-                            (pin, in_rising, timings[line].window(in_rising))
-                        )
-            window = arc_fanin_window(
-                cell, arcs, out_rising, load, f, early, late
-            )
+        for out_rising in directions:
+            arcs = [
+                (pin, in_rising, timings[gate.inputs[pin]].window(in_rising))
+                for pin, in_rising in self.fanin(cell, out_rising)
+            ]
+            if not ctrl:
+                window = arc_fanin_window(
+                    cell, arcs, out_rising, load, f, early, late
+                )
+            elif out_rising == cell.ctrl.out_rising:
+                window = ctrl_response_window(
+                    cell, self.model, [CtrlInput(p, w) for p, _, w in arcs],
+                    load, f, early, late,
+                )
+            else:
+                window = nonctrl_response_window(
+                    cell, [CtrlInput(p, w) for p, _, w in arcs], load,
+                    self.model, f, early, late,
+                )
             result.set_window(out_rising, window)
         return result
 

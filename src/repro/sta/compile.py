@@ -146,7 +146,6 @@ product underflows to zero only for factor times derate below about
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -173,7 +172,7 @@ from ..circuit.netlist import Circuit, Gate, UnknownCellError
 from ..models.base import DelayModel
 from ..models.vshape import VShapeModel
 from ..obs import get_registry
-from .analysis import StaConfig, StaResult, compute_loads
+from .analysis import StaConfig, StaResult, compute_loads, fanin_arcs
 from .kernels import (
     _shape_delay,
     _trans_v,
@@ -214,7 +213,7 @@ def _slot_key(cell: CellTiming, peak_enabled: bool) -> tuple:
         return ("ctrl", cell.n_inputs, uses_peak)
     return (
         "arc", cell.n_inputs,
-        len(_fanin_arcs(cell, True)), len(_fanin_arcs(cell, False)),
+        len(fanin_arcs(cell, True)), len(fanin_arcs(cell, False)),
     )
 
 
@@ -511,6 +510,8 @@ class _Ragged:
     """
 
     AXES: Dict[str, Tuple[str, Optional[str]]] = {}
+    #: The leaves holding rows of the global SoA state.
+    ROWS = ("in_rows", "out_rows", "no_arc_rows")
 
     def __post_init__(self, runs: Optional[Tuple[np.ndarray, ...]]) -> None:
         if runs is None:
@@ -527,8 +528,14 @@ class _Ragged:
     def n_gates(self) -> int:
         return len(self.counts["gate"])
 
-    def cut(self, cols: Sequence[int]):
-        """The gates ``cols`` (ascending) as a group of their own.
+    def cut(
+        self,
+        cols: Sequence[int],
+        columns: Optional[np.ndarray] = None,
+        width: int = 1,
+    ):
+        """The gates ``cols`` (ascending, repeats allowed) as a group of
+        their own.
 
         The subset gathers the selected gates' runs on every axis
         (copies: the source group stays patchable) and re-bases its
@@ -539,6 +546,13 @@ class _Ragged:
         cone replays and trial sweeps.  Every axis is cut at once, from
         the group's run tables: the elements of all axes are picked as
         one flat run, which each axis then slices.
+
+        With ``columns``, subset gate ``i`` is a *lane*: gate
+        ``cols[i]`` in column ``columns[i]`` of a ``width``-column
+        state.  Its rows (:attr:`ROWS`) become ``row * width +
+        column``, the rows of that state's flat ``(2n * width, 1)``
+        view, so one call computes each gate in only the columns it
+        lists.
         """
         cols = np.asarray(cols, dtype=np.intp)
         table, starts = self._runs
@@ -571,6 +585,9 @@ class _Ragged:
                 if by is None:
                     by = rebase[axis, target] = shifts[target][gate_of[axis]]
                 leaf -= by
+            elif columns is not None and name in self.ROWS:
+                leaf *= width
+                leaf += columns[gate_of[axis]]
             fields[name] = leaf
         return type(self)(
             counts=dict(zip(self.counts, sub)), **fields, runs=(sub, new)
@@ -602,25 +619,6 @@ class _Ragged:
         return {
             name: leaf for name, leaf in leaves.items() if leaf is not None
         }
-
-    def widen(self, width: int, names: Iterable[str]):
-        """A copy of this single-column group whose coefficient leaves
-        ``names`` have ``width`` columns, each a copy of the one they
-        have; :meth:`put` may then write per-column leaves into them.
-        Every other leaf is this group's own: its one column broadcasts
-        against the ``width`` window columns in the kernels, and nothing
-        writes it, so nothing written to the copy reaches this group."""
-        wide = copy.copy(self)
-        for name in names:
-            leaf = getattr(self, name)
-            if leaf is None:
-                continue
-            if isinstance(leaf, np.ndarray):
-                leaf = np.repeat(leaf, width, axis=-1)
-            else:
-                leaf = type(leaf)(np.repeat(leaf.rows, width, axis=-1))
-            setattr(wide, name, leaf)
-        return wide
 
     def put(self, col: int, leaves: Mapping[str, object]) -> None:
         """Write one gate's ``leaves``, by name, over gate ``col``'s runs
@@ -792,17 +790,6 @@ def _pin_arcs(cell: CellTiming, to_ctrl: bool) -> List[TimingArc]:
         in_rising, out_rising = not in_rising, not out_rising
     return [cell.arc(pin, in_rising, out_rising)
             for pin in range(cell.n_inputs)]
-
-
-def _fanin_arcs(cell: CellTiming, out_rising: bool) -> List[Tuple[int, bool]]:
-    """``(pin, input rising)`` of every arc producing ``out_rising``, pin
-    by pin, rising input first: the lanes of an arc-table segment."""
-    return [
-        (pin, in_rising)
-        for pin in range(cell.n_inputs)
-        for in_rising in (True, False)
-        if cell.has_arc(pin, in_rising, out_rising)
-    ]
 
 
 def _surface_table(
@@ -1559,7 +1546,7 @@ class CompiledCircuit:
         arc-table gates carry no model leaves, so ``parts`` is moot).
 
         Per cell and output direction, the arcs run in
-        :func:`_fanin_arcs` order (the arc row order); integer layout
+        :func:`fanin_arcs` order (the arc row order); integer layout
         comes from corner 0 (:meth:`_validate_corner_cells` guarantees
         the rest agree).
         """
@@ -1579,7 +1566,7 @@ class CompiledCircuit:
         for row in table:
             segs, ns, lanes, empty = [], [], [], []
             for d, out_rising in enumerate((True, False)):
-                arcs = _fanin_arcs(row[0], out_rising)
+                arcs = fanin_arcs(row[0], out_rising)
                 if not arcs:
                     empty.append(d)
                     continue
@@ -1916,20 +1903,31 @@ class CompiledWindows:
     def envelope(self) -> "CompiledWindows":
         """The conservative envelope of every column, as one column.
 
-        Per row, the min over the columns of ``a_s`` / ``t_s`` and the
-        max of ``a_l`` / ``t_l``: the window
-        :func:`~repro.sta.windows.merge_dir_windows` builds from the
-        columns' windows, bit for bit (min and max are exact).  It needs
-        a pass's states, per row and shared by every column, so a row is
-        active in all columns or in none, and its merged state is its
-        own state.
+        Per row, over the columns where it is active, the min of
+        ``a_s`` / ``t_s`` and the max of ``a_l`` / ``t_l``; DEFINITE
+        only if every active column is, IMPOSSIBLE if none is active:
+        the window :func:`~repro.sta.windows.merge_dir_windows` builds
+        from the columns' windows, bit for bit (min and max are exact).
+        States may be a pass's, one per row, or one per row and column.
         """
+        states = np.broadcast_to(
+            self.states.reshape(len(self.states), -1), self.a_s.shape
+        )
+        active = states != IMPOSSIBLE
+        definite = ((states == DEFINITE) | ~active).all(axis=1)
         return CompiledWindows(
-            self.a_s.min(axis=1, keepdims=True),
-            self.a_l.max(axis=1, keepdims=True),
-            self.t_s.min(axis=1, keepdims=True),
-            self.t_l.max(axis=1, keepdims=True),
-            self.states, self.line_index, self.n_lines,
+            *(
+                reduce(np.where(active, a, pad), axis=1, keepdims=True)
+                for a, reduce, pad in (
+                    (self.a_s, np.min, np.inf), (self.a_l, np.max, -np.inf),
+                    (self.t_s, np.min, np.inf), (self.t_l, np.max, -np.inf),
+                )
+            ),
+            np.select(
+                [~active.any(axis=1), definite], [IMPOSSIBLE, DEFINITE],
+                POTENTIAL,
+            ).astype(np.int8),
+            self.line_index, self.n_lines,
         )
 
 

@@ -45,17 +45,22 @@ quickly).
 
 What-if trials (:meth:`IncrementalAnalyzer.try_edits`) ride the same
 level sweep with one column per hypothetical edit, the way a corner
-compile carries one column per corner library.  The *seed* gates of a
-batch (each edited gate and the drivers of its re-loaded fan-in lines)
-join the sweep at their own level with K columns of load terms: the
-variant size or load in the columns whose edit touches them, the
-master's elsewhere.  A column whose edit swaps the gate to a cell
-that differs in more than its load terms keeps the master's
-coefficients there and re-runs alone on the gate's one-gate build,
-made by the compile's own code.  Every gate is thus computed inside
-the kernels, from inputs that are already final.
+compile carries one column per corner library, but each column
+computes only the gates its own edit reaches.  The sweep's unit is a
+*lane*, one gate in one column: a level's pending lanes of one group
+are cut as one subset whose rows point into the flat ``(2n * K, 1)``
+view of the trial state (:meth:`~repro.sta.compile._Ragged.cut`), so
+the kernels run unchanged, and a column no lane touches keeps the
+master's bits.  The *seed* lanes of a column (its edited gate and the
+drivers of the gate's re-loaded fan-in lines) run with the column's
+own load terms; a swap to a cell that differs in more than its load
+terms runs its lane on the gate's one-gate build, made by the
+compile's own code.  Each column carries its own window states, so a
+swap may move them.  Every gate is thus computed inside the kernels,
+from inputs that are already final.
 :meth:`IncrementalAnalyzer.commit` applies the chosen edit for real and
-adopts its column as the master state instead of re-timing its cone.
+adopts its column, states included, as the master state instead of
+re-timing its cone.
 
 Early termination is *bitwise*, not tolerance-based: a timestamp/dirty-
 bit scheme would either re-run the whole cone every time or risk serving
@@ -69,8 +74,9 @@ Metrics are published under ``sta.incr.*``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -120,23 +126,20 @@ class TrialResult(CompiledWindows):
     """Windows of K hypothetical single-edit circuit variants.
 
     Column ``k`` holds windows bitwise-identical to a fresh full
-    analysis of the circuit with only ``edits[k]`` applied; the
-    analyzer's own (master) state is untouched until
-    :meth:`IncrementalAnalyzer.commit` adopts a column.  A batched sweep
-    shares one state per row across its columns; the fallback, which
-    runs each edit for real, keeps one per row and column.
+    analysis of the circuit with only ``edits[k]`` applied, and its own
+    states (``states`` is ``(2n, K)``); the analyzer's own (master)
+    state is untouched until :meth:`IncrementalAnalyzer.commit` adopts a
+    column.
     """
 
     circuit: Circuit
     edits: List[TrialEdit]
-    #: Gates the sweep evaluated, seed gates included, each once for
-    #: all K columns (the fallback counts the gates of every variant's
-    #: own cone replay).
+    #: Gates the sweep evaluated, seed gates included, each once however
+    #: many of its columns ran.
     cone_gates: int
     #: The master window state the columns were swept over and the
     #: edit-log length right after the sweep: a column is adopted by
     #: :meth:`IncrementalAnalyzer.commit` only while both are current.
-    #: ``None`` for a trial that ran without it.
     base: Optional[CompiledWindows] = None
     log_len: int = -1
 
@@ -211,14 +214,14 @@ class IncrementalAnalyzer:
         self._cw = None
         #: The read-only view every result serves ``_cw`` through.
         self._view: Optional[LiveTimings] = None
-        #: (id(group), cols) -> (group.version, (subset, output rows,
-        #: owning column per row)) — cones revisit
-        #: the same group columns across edits (optimizer trial loops),
-        #: so slices are memoized until a patch bumps the version.  The
-        #: keys are ids of one compile's groups, which a recompile frees
-        #: for reuse, so the memo resets whenever the compile it was
-        #: filled from (``_subsets_of``) is replaced.
-        self._subsets: Dict[Tuple[int, tuple], Tuple[int, object]] = {}
+        #: (id(group), lanes, K) -> (group.version, (subset, output
+        #: rows, owning lane per row)) — cones revisit the same group
+        #: lanes across edits (optimizer trial loops), so subsets are
+        #: memoized until a patch bumps the version.  The keys are ids
+        #: of one compile's groups, which a recompile frees for reuse,
+        #: so the memo resets whenever the compile it was filled from
+        #: (``_subsets_of``) is replaced.
+        self._subsets: Dict[tuple, Tuple[int, object]] = {}
         self._subsets_of = None
         obs = get_registry()
         self._obs = obs
@@ -279,28 +282,17 @@ class IncrementalAnalyzer:
         return StaResult(self.circuit, self._view)
 
     def _replay(self, seeds: Set[str]) -> int:
-        """Level-batched cone replay over the persistent SoA state.
-
-        Brings the compile up to date with the ingested edits first
-        (patching it, or recompiling after a structural edit).  Per
-        level, the dirty gates of each compiled group run as one
-        column-subset kernel call; output rows are diffed bitwise to
-        decide which fan-outs join the frontier.
-
-        Returns:
-            The number of gates swept.
-        """
+        """Cone replay over the persistent SoA state, after bringing the
+        compile up to date with the ingested edits (patching it, or
+        recompiling after a structural edit); returns the number of
+        gates swept (:meth:`_sweep`, in the master's one column)."""
         self._sync_compiled()
-        level = self.analyzer.level_engine()
         cw = self._cw
-        arrays = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
-
-        def run(sub, lines: List[str]) -> bool:
-            level.run_group(sub, arrays, cw.states)
-            return True
-
         with self._obs.timer("sta.incr.retime_s"):
-            cone, changed, _ = self._sweep(seeds, arrays, cw.states, run)
+            cone, _, changed = self._sweep(
+                [(line, 0) for line in seeds],
+                (cw.a_s, cw.a_l, cw.t_s, cw.t_l), cw.states,
+            )
             self._view.forget(changed)
         self._m_early.inc(cone - len(changed))
         self._m_gates.inc(cone)
@@ -309,88 +301,127 @@ class IncrementalAnalyzer:
 
     def _sweep(
         self,
-        seeds: Iterable[str],
+        lanes: Iterable[Tuple[str, int]],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
-        run: Callable[[object, List[str]], bool],
-    ) -> Optional[Tuple[int, List[str], int]]:
-        """Level-ordered cone sweep over ``(2 * n_lines, B)`` SoA state.
+        seeds: Mapping[Tuple[str, int], Dict[str, np.ndarray]] = {},
+        swaps: Mapping[Tuple[str, int], object] = {},
+    ) -> Tuple[int, int, Dict[str, List[int]]]:
+        """Level-ordered sweep of ``(line, column)`` lanes over
+        ``(2 * n_lines, K)`` SoA state, ``K`` = 1 for the master.
 
-        Per level, the pending gates of each compiled group form one
-        column subset, which ``run(subset, lines)`` evaluates against
-        ``arrays``/``states``.  Their output rows are then diffed
-        bitwise against a snapshot taken before the call, and the
-        fan-outs of every gate that changed in any column join the
-        frontier.  ``run`` returns False to abandon the sweep.
+        Per level, the pending lanes of each compiled group form one
+        subset (:meth:`_subset`): a gate once per column it is pending
+        in, its rows rebased into the flat ``(2n * K, 1)`` view of the
+        state, so the level kernels run unchanged and compute only those
+        gate-columns; a column no lane touches keeps its bits, which is
+        what recomputing it would give.  ``seeds`` maps a lane to the
+        load terms it runs with, ``swaps`` to the one-gate build it runs
+        on instead.  Each lane whose output rows changed bits sends its
+        gate's fan-outs, in its own column, to the frontier.
 
         Returns:
-            ``(gates swept, lines whose windows changed, gate-columns
-            whose windows changed)``, or None when ``run`` abandoned the
-            sweep.  The gate-columns are counted only while the registry
-            is enabled (0 otherwise).
+            ``(gates swept, lanes swept, {line: the columns its
+            windows changed in}``.
         """
         circuit = self.circuit
-        locs = self.analyzer._level.compiled._locs
+        level = self.analyzer.level_engine()
+        locs = level.compiled._locs
         level_of = self._levels()
-        pending: Dict[int, Set[str]] = {}
-        for line in seeds:
-            pending.setdefault(level_of[line], set()).add(line)
-        cone = moved_columns = 0
-        changed: List[str] = []
-        while pending:
-            # Group the level's pending gates by compiled group.
-            by_group: Dict[int, Tuple[object, List[Tuple[int, str]]]] = {}
-            for line in pending.pop(min(pending)):
-                group, col, _ = locs[line]
-                by_group.setdefault(id(group), (group, []))[1].append(
-                    (col, line)
-                )
-            for gid in sorted(by_group):
-                group, cols_lines = by_group[gid]
-                cols_lines.sort()
-                cols = tuple(c for c, _ in cols_lines)
-                sub, rows, row_gate = self._subset(group, cols)
-                old = (states[rows], *(a[rows] for a in arrays))
-                if not run(sub, [line for _, line in cols_lines]):
-                    return None
-                # A gate is clean iff every one of its output rows (one
-                # per direction, ``row_gate`` names the owner) kept its
-                # bits in every column.
-                same = _rows_equal(old, arrays, states, rows)
-                dirty = np.zeros(len(cols), dtype=bool)
-                dirty[row_gate[~same.all(axis=1)]] = True
-                if self._obs.enabled:
-                    per_column = np.zeros((len(cols), same.shape[1]), bool)
-                    r, k = np.nonzero(~same)
-                    per_column[row_gate[r], k] = True
-                    moved_columns += int(per_column.sum())
-                cone += len(cols)
-                for (_, line), moved in zip(cols_lines, dirty):
-                    if not moved:
-                        continue
-                    changed.append(line)
-                    for sink in circuit.fanouts(line):
-                        out = sink.output
-                        pending.setdefault(level_of[out], set()).add(out)
-        return cone, changed, moved_columns
+        K = arrays[0].shape[1]
+        flat = tuple(a.reshape(-1, 1) for a in arrays)
+        flat_states = states.reshape(-1)
+        #: level -> line -> the columns the line is pending in.
+        pending: Dict[int, Dict[str, Set[int]]] = {}
 
-    def _subset(self, group, cols: Tuple[int, ...]):
-        """Memoized column subset of one group of the current compile,
-        with its output rows and the subset column owning each row."""
+        def add(line: str, ks: Iterable[int]) -> None:
+            pending.setdefault(level_of[line], {}).setdefault(
+                line, set()
+            ).update(ks)
+
+        for line, k in lanes:
+            add(line, (k,))
+        cone = swept = 0
+        #: line -> the columns its windows changed in.
+        moved: Dict[str, List[int]] = {}
+        while pending:
+            batch = pending.pop(min(pending))
+            cone += len(batch)
+            # Group the level's lanes by compiled group; a swapped lane
+            # runs alone on its one-gate build.
+            by_group: Dict[int, Tuple[object, list]] = {}
+            calls = []
+            for line, ks in batch.items():
+                swept += len(ks)
+                group, col, _ = locs[line]
+                picked = by_group.setdefault(id(group), (group, []))[1]
+                for k in ks:
+                    fresh = swaps.get((line, k))
+                    if fresh is None:
+                        picked.append((col, k, line))
+                    else:
+                        sub = fresh.cut([0], np.array([k]), K)
+                        calls.append(((sub, *sub.outputs()), [(0, k, line)]))
+            for gid in sorted(by_group):
+                group, picked = by_group[gid]
+                if picked:
+                    picked.sort()
+                    calls.append((self._subset(group, picked, K), picked))
+            for (sub, rows, row_lane), picked in calls:
+                put = [
+                    (i, seeds[line, k])
+                    for i, (_, k, line) in enumerate(picked)
+                    if (line, k) in seeds
+                ]
+                if put:
+                    # Load terms are the ``adj`` leaf; never write into
+                    # the memoized subset's.
+                    sub = copy.copy(sub)
+                    sub.adj = sub.adj.copy()
+                    for i, leaves in put:
+                        sub.put(i, leaves)
+                old = (flat_states[rows], *(a[rows] for a in flat))
+                level.run_group(sub, flat, flat_states)
+                # A lane is clean iff every one of its output rows (one
+                # per direction, ``row_lane`` names the owner) kept its
+                # bits.
+                same = _rows_equal(old, flat, flat_states, rows)[:, 0]
+                dirty = np.zeros(len(picked), dtype=bool)
+                dirty[row_lane[~same]] = True
+                hit: Dict[str, List[int]] = {}
+                for i in np.flatnonzero(dirty).tolist():
+                    _, k, line = picked[i]
+                    hit.setdefault(line, []).append(k)
+                for line, ks in hit.items():
+                    moved.setdefault(line, []).extend(ks)
+                    for sink in circuit.fanouts(line):
+                        add(sink.output, ks)
+        return cone, swept, moved
+
+    def _subset(self, group, picked: List[Tuple[int, int, str]], K: int):
+        """Lane subset of one group of the current compile (gate ``col``
+        in column ``k`` of a ``K``-column state for each ``(col, k,
+        line)`` of ``picked``), with its output rows and the lane owning
+        each row.  A re-time's subsets, and trial subsets of up to 32
+        lanes, are memoized: a lane holds its own copy of its gate's
+        coefficients, and in an anneal job on c5315s the larger trial
+        subsets were cut for 8,400 lanes and re-read 24 times."""
         compiled = self.analyzer._level.compiled
         if compiled is not self._subsets_of:
             self._subsets.clear()
             self._subsets_of = compiled
-        key = (id(group), cols)
+        key = (id(group), tuple(picked), K)
         hit = self._subsets.get(key)
         if hit is not None and hit[0] == group.version:
             return hit[1]
         if len(self._subsets) >= 4096:
             self._subsets.clear()
         self._m_cuts.inc()
-        sub = group.cut(cols)
+        cols, columns = np.array([lane[:2] for lane in picked]).T
+        sub = group.cut(cols, columns if K > 1 else None, K)
         entry = (sub, *sub.outputs())
-        self._subsets[key] = (group.version, entry)
+        if K == 1 or len(picked) <= 32:
+            self._subsets[key] = (group.version, entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -420,19 +451,17 @@ class IncrementalAnalyzer:
                 edit whose line is not a gate output (a primary input or
                 an unknown line), before anything is mutated.
 
-        The K variants run as ONE level sweep with K columns.  Its
-        seed gates — every edited gate and the drivers of its re-loaded
-        fan-in lines — are swept at their own level like any other gate,
-        with one column of load-adjust terms per edit: the variant size
-        or load where that edit touches the gate, the master's elsewhere
-        (see :meth:`_trial_builds`).  So the union cone costs one kernel
-        call per group and level for all K variants, and no gate is
-        computed outside the kernels.  A swap (say NAND2 -> NOR2, or
-        NAND2 -> XOR2) keeps the master's coefficients in the shared
-        group; the gate's one-gate build for the swapped cell then
-        re-runs that column alone.  Only if that moves a window state,
-        which the columns share, does the batch fall back to applying
-        each edit for real (:meth:`_try_fallback`).
+        The K variants run as ONE level sweep with K columns, each
+        column computing only the gates its own edit reaches: its *seed*
+        gates — the edited gate and the drivers of its re-loaded fan-in
+        lines — then the fan-outs of every gate that changed in that
+        column (see :meth:`_sweep`).  A seed runs in its column with
+        that column's load-adjust terms (:meth:`_trial_builds`), so a
+        level's lanes cost one kernel call per group for all K variants,
+        and no gate is computed outside the kernels.  A swap (say NAND2
+        -> NOR2, or NAND2 -> XOR2) runs its column on the gate's
+        one-gate build for the swapped cell.  Every column carries its
+        own window states, so a swap that moves a state stays batched.
         """
         edits = [
             e if isinstance(e, TrialEdit) else TrialEdit(*e) for e in edits
@@ -460,99 +489,55 @@ class IncrementalAnalyzer:
         self._m_trials.inc(len(edits))
         self._m_trial_batches.inc()
         with self._obs.timer("sta.incr.trial_s"):
-            result = self._try_batched(edits)
-            if result is None:
-                result = self._try_fallback(edits)
-            return result
-
-    def _try_batched(
-        self, edits: List[TrialEdit]
-    ) -> Optional[TrialResult]:
-        """One K-column level sweep over the compiled level kernels.
-
-        Returns None when a swap's solo column moves a window state:
-        ``states`` is shared across columns, so the batch would be
-        invalid.  Under the default (symmetric) boundary activation that
-        does not happen; :meth:`_try_fallback` covers the rest.
-        """
-        level = self.analyzer.level_engine()
-        master = self._cw
-        K = len(edits)
-        seeds, swaps = self._trial_builds(edits)
-        arrays = tuple(
-            np.repeat(a, K, axis=1)
-            for a in (master.a_s, master.a_l, master.t_s, master.t_l)
-        )
-        states = master.states.copy()
-
-        def run(sub, lines: List[str]) -> bool:
-            seeded = [
-                (col, seeds[line])
-                for col, line in enumerate(lines) if line in seeds
-            ]
-            if seeded:
-                # Widen only the leaves the seeds override, and never
-                # write into the memoized subset.
-                names = set().union(*(leaves for _, leaves in seeded))
-                sub = sub.widen(K, names)
-                for col, leaves in seeded:
-                    sub.put(col, leaves)
-            level.run_group(sub, arrays, states)
-            for line in lines:
-                for k, fresh in swaps.get(line, ()):
-                    scratch = states.copy()
-                    level.run_group(
-                        fresh, tuple(a[:, k:k + 1] for a in arrays), scratch
-                    )
-                    if not np.array_equal(scratch, states):
-                        return False
-            return True
-
-        swept = self._sweep(set(seeds) | set(swaps), arrays, states, run)
-        if swept is None:
-            return None
-        cone, _, moved = swept
-        self._h_trial_cone.observe(cone)
-        self._m_trial_columns.inc(cone * K)
-        self._m_trial_moved.inc(moved)
-        return TrialResult(
-            *arrays, states, master.line_index, master.n_lines,
-            circuit=self.circuit, edits=edits, cone_gates=cone,
-            base=master, log_len=len(self.circuit.edit_log),
-        )
+            master = self._cw
+            K = len(edits)
+            seeds, swaps = self._trial_builds(edits)
+            arrays = tuple(
+                np.repeat(a, K, axis=1)
+                for a in (master.a_s, master.a_l, master.t_s, master.t_l)
+            )
+            states = np.repeat(master.states[:, None], K, axis=1)
+            cone, swept, moved = self._sweep(
+                [*seeds, *swaps], arrays, states, seeds, swaps
+            )
+            self._h_trial_cone.observe(cone)
+            self._m_trial_columns.inc(swept)
+            self._m_trial_moved.inc(sum(map(len, moved.values())))
+            return TrialResult(
+                *arrays, states, master.line_index, master.n_lines,
+                circuit=circuit, edits=edits, cone_gates=cone,
+                base=master, log_len=len(circuit.edit_log),
+            )
 
     def _trial_builds(self, edits: List[TrialEdit]):
-        """The per-column leaves of a trial batch's seed gates.
+        """The seed lanes of a trial batch and the leaves they run with.
 
         Each edit is resolved on the netlist — applied, read, reverted,
         so the netlist's own validation and :func:`line_load` apply —
         into its gate's variant cell and the re-derived loads of the
-        gate's fan-in lines.  A seed column takes one of two paths:
+        gate's fan-in lines.  Column ``k``'s seeds are its edited gate
+        and the drivers of those lines, each taking one of two paths:
 
-        * load terms, when the column's cell is a load variant of the
+        * load terms, when the lane's cell is a load variant of the
           master's (:func:`~repro.sta.compile.load_variant`: a resized
-          gate, the driver of a resized gate's input, or a column that
-          leaves the gate alone): every seed gets its K columns of
-          load-adjust terms
-          (:meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms`);
-        * the solo one-gate build, for any other swap
-          (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`): the
-          column keeps the master's coefficients in the shared group and
-          re-runs alone on that build.
+          gate, or the driver of a re-loaded line):
+          :meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms` at
+          the lane's cell and load;
+        * the one-gate build, for any other swap
+          (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`), on
+          which the lane runs instead of its group.
 
         Each is one call per group kind for the batch.
 
         Returns:
-            ``(seeds, swaps)``: seed line -> its K columns of load terms
-            by name, and swapped line -> ``[(k, one-gate build)]``.
+            ``(seeds, swaps)``: ``(line, k)`` -> its load terms by name,
+            and ``(line, k)`` -> its one-gate build.
         """
         circuit = self.circuit
         analyzer = self.analyzer
-        compiled = analyzer._level.compiled
-        #: seed line -> {column: cell} / {column: load} where they
-        #: differ from the master's.
-        cells: Dict[str, Dict[int, object]] = {}
-        loads: Dict[str, Dict[int, float]] = {}
+        compiled = analyzer.level_engine().compiled
+        #: (seed line, column) -> [cell, load] of the lane.
+        lanes: Dict[Tuple[str, int], list] = {}
         swaps: List[Tuple[str, int, object]] = []
         try:
             for k, e in enumerate(edits):
@@ -564,14 +549,17 @@ class IncrementalAnalyzer:
                     variant = compiled._cell_for(gate)
                     for line in dict.fromkeys(gate.inputs):
                         if line in circuit.gates:
-                            loads.setdefault(line, {})[k] = line_load(
-                                circuit, line, analyzer.cell_of,
-                                analyzer.config, self._outputs,
-                            )
+                            lanes[line, k] = [
+                                compiled._cell_for(circuit.gates[line]),
+                                line_load(
+                                    circuit, line, analyzer.cell_of,
+                                    analyzer.config, self._outputs,
+                                ),
+                            ]
                 finally:
                     self._apply(e.op, e.line, saved)
                 if load_variant(master, variant):
-                    cells.setdefault(e.line, {})[k] = variant
+                    lanes[e.line, k] = [variant, analyzer._loads[e.line]]
                 else:
                     swaps.append((e.line, k, variant))
         finally:
@@ -579,65 +567,21 @@ class IncrementalAnalyzer:
             # the next retime doesn't replay them.
             self._log_pos = len(circuit.edit_log)
             analyzer._epoch = circuit.edit_epoch
-        K = len(edits)
-        lines = list(dict.fromkeys([*cells, *loads]))
-        column_cells, column_loads = [], []
-        for line in lines:
-            own = compiled._cell_for(circuit.gates[line])
-            cell_k = cells.get(line, {})
-            load_k = loads.get(line, {})
-            column_cells.append([cell_k.get(k, own) for k in range(K)])
-            column_loads.append(
-                [load_k.get(k, analyzer._loads[line]) for k in range(K)]
-            )
-        seeds = dict(zip(lines, compiled.gate_load_terms(
-            column_cells, np.array(column_loads, dtype=float),
+        seeds = dict(zip(lanes, compiled.gate_load_terms(
+            [[cell] for cell, _ in lanes.values()],
+            np.array([[load] for _, load in lanes.values()], dtype=float),
         )))
-        solo: Dict[str, List[Tuple[int, object]]] = {}
-        if swaps:
-            for (line, k, _), fresh in zip(swaps, compiled.build_gates(
+        solo = dict(zip(
+            [(line, k) for line, k, _ in swaps],
+            compiled.build_gates(
                 [circuit.gates[line] for line, _, _ in swaps],
                 [cell for _, _, cell in swaps],
                 [analyzer._loads[line] for line, _, _ in swaps],
-            )):
-                solo.setdefault(line, []).append((k, fresh))
-        self._m_seed_terms.inc(K * len(lines))
+            ) if swaps else (),
+        ))
+        self._m_seed_terms.inc(len(seeds))
         self._m_seed_builds.inc(len(swaps))
         return seeds, solo
-
-    def _try_fallback(self, edits: List[TrialEdit]) -> TrialResult:
-        """Trial evaluation by real edits, for a batch whose columns'
-        window states diverge.
-
-        Each variant is applied for real, its cone replayed, the master
-        state copied into its column, then the edit is reverted and
-        replayed back: two solo cone replays per trial instead of one
-        shared sweep, with identical results.
-        """
-        cw = self._cw
-        master = (cw.a_s, cw.a_l, cw.t_s, cw.t_l)
-        K = len(edits)
-        arrays = tuple(np.empty((len(cw.states), K)) for _ in master)
-        states = np.empty((len(cw.states), K), dtype=np.int8)
-        cone = 0
-        for k, e in enumerate(edits):
-            gate = self.circuit.gates[e.line]
-            saved = gate.size if e.op == "resize" else gate.kind
-            self._apply(e.op, e.line, e.value)
-            try:
-                cone += self._replay(self._ingest_edits())
-                for column, array in zip(arrays, master):
-                    column[:, k] = array[:, 0]
-                states[:, k] = cw.states
-            finally:
-                # Revert; the reverse replay restores the master bitwise.
-                self._apply(e.op, e.line, saved)
-                self.retime()
-        self._h_trial_cone.observe(cone)
-        return TrialResult(
-            *arrays, states, cw.line_index, cw.n_lines,
-            circuit=self.circuit, edits=edits, cone_gates=cone,
-        )
 
     def _apply(self, op: str, line: str, value) -> None:
         """Apply one coefficient-only edit to the netlist."""
@@ -655,10 +599,10 @@ class IncrementalAnalyzer:
         Loads and the compiled form follow the edit as in
         :meth:`retime`.  If the trial was swept over the live master —
         the same window state, and no circuit edit since — column ``k``
-        already holds the edited circuit's windows bit for bit, so the
-        rows where it differs from the master are copied in and no cone
-        is re-timed.  ``sta.incr.commits_adopted`` counts those commits;
-        they add nothing to ``sta.incr.retime_s`` or
+        already holds the edited circuit's windows and states bit for
+        bit, so the rows where it differs from the master are copied in
+        and no cone is re-timed.  ``sta.incr.commits_adopted`` counts
+        those commits; they add nothing to ``sta.incr.retime_s`` or
         ``sta.incr.gates_retimed``.  Any other commit re-times the edit
         like :meth:`retime`.  Each call is one ``sta.incr.commit_s``
         observation.
@@ -685,13 +629,15 @@ class IncrementalAnalyzer:
                 trial.a_s[:, k], trial.a_l[:, k],
                 trial.t_s[:, k], trial.t_l[:, k],
             )
-            active = cw.states != IMPOSSIBLE
-            same = np.ones_like(active)
+            state = trial.states[:, k]
+            active = state != IMPOSSIBLE
+            moved = cw.states != state
             for array, column in zip(arrays, columns):
-                same &= array[:, 0] == column
-            rows = np.flatnonzero(active & ~same)
+                moved |= active & (array[:, 0] != column)
+            rows = np.flatnonzero(moved)
             for array, column in zip(arrays, columns):
                 array[rows, 0] = column[rows]
+            cw.states[rows] = state[rows]
             lines = list(cw.line_index)
             self._view.forget(
                 lines[i] for i in np.unique(rows % cw.n_lines).tolist()

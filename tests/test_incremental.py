@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from repro.circuit import Circuit, load_packaged_bench, parse_bench
@@ -24,7 +25,13 @@ from repro.sta import (
     TimingAnalyzer,
     TrialEdit,
 )
-from repro.sta.windows import DirWindow, LineTiming, timings_equal
+from repro.sta.windows import (
+    DirWindow,
+    LineTiming,
+    merge_dir_windows,
+    timings_equal,
+    windows_equal,
+)
 
 #: How the baseline is reached: ``level`` is one full pass;
 #: ``recompiled`` then rewires a gate and reverts it, two structural
@@ -562,11 +569,11 @@ DIVERGING_EDITS = [
 
 def _diverging(library, monkeypatch):
     """``(circuit, PI overrides, baselined analyzer)`` on which
-    :data:`DIVERGING_EDITS` falls back to real edits.
+    :data:`DIVERGING_EDITS` moves window states.
 
-    The columns of a trial share one state vector.  With a's rise
-    impossible, INV -> BUF moves n's states, so its column cannot ride
-    the batch and every variant is re-timed on its own instead.
+    With a's rise impossible, INV -> BUF moves n's states (and y's
+    after it) in the swap's column only; each column carries its own
+    states, so the batch stays one sweep.
     """
     circuit = parse_bench(
         "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn = NOT(a)\ny = NAND(n, b)\n",
@@ -598,8 +605,8 @@ def _assert_columns_match_fresh(circuit, library, trial, edits):
 
 class TestTrialSweep:
     """Trial batches run wholly inside the compiled level sweep: seed
-    gates carry their own coefficient columns, so no gate is computed
-    by the per-gate walk and no batch falls back."""
+    lanes carry their own column's coefficients and every column its
+    own states, so no gate is computed by the per-gate walk."""
 
     @staticmethod
     def _batches(circuit, seed):
@@ -630,7 +637,6 @@ class TestTrialSweep:
         batches = self._batches(circuit, seed=len(name))
         with monkeypatch.context() as patch:
             patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
-            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
             trials = [incr.try_edits(edits) for edits in batches]
         for edits, trial in zip(batches, trials):
             _assert_columns_match_fresh(circuit, library, trial, edits)
@@ -657,7 +663,6 @@ class TestTrialSweep:
             incr = _incremental(circuit, library, "level")
             compiled = incr.analyzer._level.compiled
             patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
-            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
             trial = incr.try_edits(edits)
         _assert_columns_match_fresh(circuit, library, trial, edits)
         # Trials never edit the master: no recompile, not even for the
@@ -666,17 +671,19 @@ class TestTrialSweep:
         assert counters.get("sta.incr.full_rebuilds", 0) == 0
         assert incr.analyzer._level.compiled is compiled
 
-    def test_state_divergence_falls_back(self, library, monkeypatch):
+    def test_state_divergence_stays_batched(self, library, monkeypatch):
         circuit, overrides, incr = _diverging(library, monkeypatch)
-        fallbacks = []
-        fallback = IncrementalAnalyzer._try_fallback
-        monkeypatch.setattr(
-            IncrementalAnalyzer, "_try_fallback",
-            lambda self, edits: fallbacks.append(edits)
-            or fallback(self, edits),
-        )
-        trial = incr.try_edits(DIVERGING_EDITS)
-        assert len(fallbacks) == 1
+        master = incr._cw.states.copy()
+        with monkeypatch.context() as patch:
+            patch.setattr(TimingAnalyzer, "propagate_gate", _forbidden)
+            patch.setattr(IncrementalAnalyzer, "_replay", _forbidden)
+            trial = incr.try_edits(DIVERGING_EDITS)
+        assert trial.base is incr._cw
+        assert trial.states.shape == (len(master), len(DIVERGING_EDITS))
+        # The swap's column moved states; the resize's kept the master's.
+        assert np.array_equal(trial.states[:, 0], master)
+        assert not np.array_equal(trial.states[:, 1], master)
+        assert np.array_equal(incr._cw.states, master)
         for k, e in enumerate(DIVERGING_EDITS):
             variant = Circuit.from_dict(circuit.to_dict())
             _apply(variant, (e.op, e.line, e.value, None))
@@ -687,6 +694,22 @@ class TestTrialSweep:
                 assert timings_equal(
                     trial.line_timing(line, k), reference.line(line)
                 ), (k, line)
+
+
+    def test_envelope_merges_per_column_states(self, library, monkeypatch):
+        circuit, _, incr = _diverging(library, monkeypatch)
+        edits = DIVERGING_EDITS + [TrialEdit("resize", "n", 0.5)]
+        trial = incr.try_edits(edits)
+        assert (trial.states != trial.states[:, :1]).any()
+        merged = trial.envelope()
+        for line in circuit.lines:
+            for rising in (True, False):
+                want = merge_dir_windows([
+                    trial.window(line, rising, k) for k in range(len(edits))
+                ])
+                assert windows_equal(
+                    merged.window(line, rising), want
+                ), (line, rising)
 
 
 class TestCommit:
@@ -746,15 +769,25 @@ class TestCommit:
             circuit, result, _fresh_timings(circuit, library)
         )
 
-    def test_fallback_trial_retimes(self, library, monkeypatch):
+    def test_state_divergence_commit_adopts(self, library, monkeypatch):
         circuit, overrides, incr = _diverging(library, monkeypatch)
         trial = incr.try_edits(DIVERGING_EDITS)
-        assert trial.base is None
-        result = incr.commit(trial, 1)
+        with monkeypatch.context() as patch:
+            # Adopted: no cone is re-timed.
+            patch.setattr(IncrementalAnalyzer, "_replay", _forbidden)
+            result = incr.commit(trial, 1)
+        # The master took the column's states along with its windows.
+        assert np.array_equal(incr._cw.states, trial.states[:, 1])
         reference = TimingAnalyzer(
             Circuit.from_dict(circuit.to_dict()), library
         ).analyze_per_gate(pi_overrides=overrides)
         _assert_all_lines_equal(circuit, result, reference)
+        # A re-time from the adopted state still matches a fresh walk.
+        circuit.resize_gate("n", 2.0)
+        reference = TimingAnalyzer(
+            Circuit.from_dict(circuit.to_dict()), library
+        ).analyze_per_gate(pi_overrides=overrides)
+        _assert_all_lines_equal(circuit, incr.retime(), reference)
 
 
 class TestLoadTermSeeds:
@@ -817,7 +850,6 @@ class TestLoadTermSeeds:
             # terms too (adj[0, 1]), so they must reach it.
             assert ("n2" in peaked) == (model_cls is NonCtrlAwareModel)
             patch.setattr(CompiledCircuit, "build_gates", _forbidden)
-            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
             trial = incr.try_edits(edits)
             before = Circuit.from_dict(circuit.to_dict())
             # y1's column: y1 resized, n2 and xor re-loaded.
@@ -829,9 +861,10 @@ class TestLoadTermSeeds:
             states.append((Circuit.from_dict(circuit.to_dict()),
                            dict(result.timings)))
         counters = registry.snapshot()["counters"]
-        # Every gate resized or re-loaded by the batch is a seed: the
-        # eight resized gates and n3 (re-loaded by y2).
-        assert counters["sta.incr.seed_load_terms"] == 9 * len(edits)
+        # A column's seed lanes are its resized gate and the gates
+        # driving that gate's inputs: n2 1, y1 3 (n2, xor), inv 1, buf 2
+        # (inv), xor 1, y3 3 (n2, buf), r2 1, y2 4 (buf, n3, r2).
+        assert counters["sta.incr.seed_load_terms"] == 16
         assert counters.get("sta.incr.seed_builds", 0) == 0
         assert counters["sta.incr.load_term_patches"] == 5
         assert counters.get("sta.incr.rebuild_patches", 0) == 0
@@ -877,15 +910,15 @@ class TestLoadTermSeeds:
         ]
         with use_registry() as registry, monkeypatch.context() as patch:
             incr = self._engine(circuit, lib, VShapeModel)
-            patch.setattr(IncrementalAnalyzer, "_try_fallback", _forbidden)
             trial = incr.try_edits(edits)
             before = Circuit.from_dict(circuit.to_dict())
             result = incr.commit(trial, 1)
         counters = registry.snapshot()["counters"]
-        # Each swap is one solo build; xor, y1, n2, buf and inv get six
-        # columns of load terms each.
+        # Each swap is one solo build (its gates' inputs are primary
+        # inputs); the resizes' lanes take load terms: xor 1, y1 3 (n2,
+        # xor), buf 2 (inv).
         assert counters["sta.incr.seed_builds"] == 3
-        assert counters["sta.incr.seed_load_terms"] == 6 * 5
+        assert counters["sta.incr.seed_load_terms"] == 6
         assert counters["sta.incr.rebuild_patches"] == 1
         assert counters.get("sta.incr.load_term_patches", 0) == 0
         _assert_columns_match_fresh(before, lib, trial, edits)

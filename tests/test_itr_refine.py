@@ -15,9 +15,12 @@ import random
 
 import pytest
 
-from repro.itr import ItrEngine, TwoFrame
+from repro.circuit import load_packaged_bench
+from repro.itr import Conflict, ItrEngine, TwoFrame
 from repro.models import VShapeModel
+from repro.obs import use_registry
 from repro.sta import PiStimulus, TimingAnalyzer, TimingSimulator
+from repro.sta.windows import IMPOSSIBLE, timings_equal
 
 V = TwoFrame.parse
 NS = 1e-9
@@ -141,6 +144,62 @@ class TestIncrementalRefinement:
         assert updated.sta.timings["G19"] is base.sta.timings["G19"]
         # The changed line is refreshed.
         assert not updated.line("G1").rise.is_active
+
+
+    @pytest.mark.parametrize("bench", ["c17", "c432s"])
+    def test_matches_full_refine_on_internal_decisions(self, bench, library):
+        """Decisions on any line, internal ones included, along random
+        sequences: every window, state included, bitwise as a full
+        refine of the same assignment.  A value change re-states the
+        stored windows its gate does not search again, so a stale state
+        shows here."""
+        circuit = load_packaged_bench(bench)
+        engine = ItrEngine(circuit, library, VShapeModel())
+        literals = ["01", "10", "00", "11", "0x", "x1", "1x", "x0"]
+        lines = list(circuit.lines)
+        for seed in range(6):
+            rng = random.Random(seed)
+            result = engine.refine(engine.initial_values())
+            for _ in range(10):
+                line = rng.choice(lines)
+                try:
+                    result = engine.refine_assign(
+                        result, line, V(rng.choice(literals))
+                    )
+                except Conflict:
+                    continue
+                full = engine.refine(result.values)
+                for name in lines:
+                    assert timings_equal(
+                        result.line(name), full.line(name)
+                    ), (seed, line, name)
+
+    def test_searches_only_directions_a_decision_can_move(self, library):
+        """G3 = 00 holds G10 and G11 at 1: neither runs a corner search,
+        and no gate searches a direction its value makes impossible."""
+        with use_registry() as registry:
+            engine = ItrEngine(load_packaged_bench("c17"), library)
+            base = engine.refine(engine.initial_values())
+            calls = []
+            search = engine.analyzer.propagate_gate
+
+            def record(gate, timings, directions=(True, False)):
+                calls.append((gate.output, tuple(directions)))
+                return search(gate, timings, directions)
+
+            engine.analyzer.propagate_gate = record
+            before = registry.snapshot()["counters"]
+            result = engine.refine_assign(base, "G3", V("00"))
+            after = registry.snapshot()["counters"]
+        searched = {line for line, _ in calls}
+        assert searched and not searched & {"G10", "G11"}
+        for line, directions in calls:
+            value = result.values[line]
+            assert all(value.state(r) != IMPOSSIBLE for r in directions)
+        assert after["sta.corner_calls"] - before["sta.corner_calls"] == sum(
+            len(directions) for _, directions in calls
+        )
+        assert after["itr.reused_directions"] >= 4  # G10's and G11's
 
 
 class TestRefinedSoundness:

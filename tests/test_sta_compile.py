@@ -456,7 +456,8 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
     lane's tail, its pin's to-non-controlling delay plus that
     response's delay term, is the scalar Λ-shape's tail."""
     from repro.sta.analysis import compute_loads
-    from repro.sta.compile import CompiledCircuit, _arc_values, _fanin_arcs
+    from repro.sta.analysis import fanin_arcs
+    from repro.sta.compile import CompiledCircuit, _arc_values
 
     circuit = load_packaged_bench("c880s")
     model = model_cls()
@@ -528,7 +529,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
             lane = lanes.start
             segs = list(range(runs["seg"].start, runs["seg"].stop))
             for out in (True, False):
-                arcs = _fanin_arcs(cell, out)
+                arcs = fanin_arcs(cell, out)
                 if not arcs:
                     empty = group.no_arc_rows[runs["noarc"]]
                     assert cc.row(line, out) in empty
@@ -835,6 +836,55 @@ def test_cut_equals_concatenated_one_gate_splits(model_cls, library):
                             [p.rows for p in parts], axis=-2
                         )
                         _assert_same_leaf(name, got.rows, want)
+
+
+@pytest.mark.parametrize("model_cls", [VShapeModel, NonCtrlAwareModel])
+def test_lanes_equal_columns_of_the_wide_run(model_cls, library):
+    """On every c432s group, a cut with repeated gates, each a lane in
+    its own column, run on the flat ``(2n * K, 1)`` view of a K-column
+    state, writes each lane's rows as column ``k`` of the whole group's
+    K-wide run, bit for bit, and leaves every other gate-column alone."""
+    analyzer = LevelCompiledAnalyzer(
+        load_packaged_bench("c432s"), library, model_cls()
+    )
+    K = 5
+    windows = analyzer.propagate()
+    # Distinct columns: arrivals shifted, transitions scaled.
+    shift = np.arange(K) * 7e-12
+    scale = 1.0 + 0.05 * np.arange(K)
+    base = (
+        windows.a_s + shift, windows.a_l + shift,
+        windows.t_s * scale, windows.t_l * scale,
+    )
+    rng = np.random.default_rng(29)
+    for level in analyzer.compiled.levels:
+        for group in level:
+            wide = tuple(a.copy() for a in base)
+            wide_states = windows.states.copy()
+            analyzer.run_group(group, wide, wide_states)
+            draws = int(rng.integers(1, 2 * group.n_gates + 1))
+            lanes = sorted({
+                (int(rng.integers(group.n_gates)), int(rng.integers(K)))
+                for _ in range(draws)
+            })
+            cols, columns = zip(*lanes)
+            arrays = tuple(a.copy() for a in base)
+            states = np.repeat(windows.states[:, None], K, axis=1)
+            analyzer.run_group(
+                group.cut(cols, np.array(columns), K),
+                tuple(a.reshape(-1, 1) for a in arrays), states.reshape(-1),
+            )
+            want = tuple(a.copy() for a in base)
+            want_states = np.repeat(windows.states[:, None], K, axis=1)
+            rows, owner = group.outputs()
+            for g, k in lanes:
+                r = rows[owner == g]
+                for dst, src in zip(want, wide):
+                    dst[r, k] = src[r, k]
+                want_states[r, k] = wide_states[r]
+            for got, expect in zip(arrays, want):
+                assert got.tobytes() == expect.tobytes(), (group, lanes)
+            assert np.array_equal(states, want_states), (group, lanes)
 
 
 @pytest.mark.parametrize(
