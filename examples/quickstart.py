@@ -31,9 +31,9 @@ def main() -> None:
     # The V-shape itself: anchors of the piecewise-linear skew curve.
     shape = proposed.vshape(nand2, 0, 1, T_X, T_Y, nand2.ref_load)
     print("V-shape anchors for NAND2 (T_X = T_Y = 0.5 ns):")
-    print(f"  D0  (zero-skew delay)     = {shape.d0 / NS:.4f} ns")
-    print(f"  DR  (pin-to-pin, X side)  = {shape.dr_p / NS:.4f} ns")
-    print(f"  DYR (pin-to-pin, Y side)  = {shape.dr_q / NS:.4f} ns")
+    print(f"  D0  (zero-skew delay)     = {shape.vertex / NS:.4f} ns")
+    print(f"  DR  (pin-to-pin, X side)  = {shape.tail_pos / NS:.4f} ns")
+    print(f"  DYR (pin-to-pin, Y side)  = {shape.tail_neg / NS:.4f} ns")
     print(f"  SR  (saturation skew, +)  = {shape.s_pos / NS:.4f} ns")
     print(f"  SYR (saturation skew, -)  = {shape.s_neg / NS:.4f} ns")
 

@@ -130,8 +130,9 @@ def _load_circuit(spec: str, corner_set=None):
 
 
 def _check_positive(flag: str, value) -> None:
-    """Reject a clock, period or period fraction that is not finite and
-    > 0 before any analysis runs on it (the configs check it again)."""
+    """Reject a clock, period, period fraction or row count that is not
+    finite and > 0 before any analysis runs on it (the configs check
+    the times again)."""
     if value is not None and not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
 
@@ -196,6 +197,7 @@ def _sta_corners(circuit, corner_set, max_outputs: int) -> int:
 def _cmd_sta(args: argparse.Namespace) -> int:
     library = CellLibrary.load_default()
     try:
+        _check_positive("--max-outputs", args.max_outputs)
         corner_set = _corner_set(args, library)
         circuit = _load_circuit(args.circuit, corner_set)
     except (ValueError, KeyError, OSError) as exc:
@@ -368,6 +370,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         circuit = _load_circuit(args.circuit, corner_set)
         qs = _parse_quantiles(args.quantiles)
         _check_positive("--period", args.period)
+        _check_positive("--max-outputs", args.max_outputs)
         variation = VariationModel(
             sigma_corr=(
                 args.sigma_corr if args.sigma_corr is not None
@@ -453,10 +456,15 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    stimuli = {
-        pi: PiStimulus(int(a), int(b))
-        for pi, a, b in zip(circuit.inputs, v1, v2)
-    }
+    try:
+        stimuli = {
+            pi: PiStimulus(int(a), int(b))
+            for pi, a, b in zip(circuit.inputs, v1, v2)
+        }
+    except ValueError:
+        print(f"error: vectors must be strings of 0 and 1 bits, got "
+              f"{v1!r} and {v2!r}", file=sys.stderr)
+        return 2
     result = TimingSimulator(circuit, library).run(stimuli)
     print("line          v1 v2  arrival(ns)  trans(ns)")
     for line in circuit.inputs + circuit.topological_order():
@@ -552,6 +560,7 @@ def _spice_check_vectors(atpg, summary, limit: int) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
+        _check_positive("--worst", args.worst)
         circuit = _load_circuit(args.circuit)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

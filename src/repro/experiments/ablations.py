@@ -82,7 +82,7 @@ def _multi_input_ablation(library) -> list:
     with_scale, _ = model.controlling_response(nand3, events, nand3.ref_load)
     # Pairwise only: evaluate the best pair's V at zero skew.
     pair_shape = model.vshape(nand3, 0, 1, 0.4 * NS, 0.4 * NS, nand3.ref_load)
-    without_scale = pair_shape.d0
+    without_scale = pair_shape.vertex
     return [
         "k>2 multi-input scale",
         "NAND3, 3 simultaneous, T=0.4ns",
@@ -101,9 +101,12 @@ def _pair_scale_ablation(library) -> list:
     stimuli[1] = RampStimulus.transition(False, ARRIVAL, 0.4 * NS, TECH.vdd)
     stimuli[2] = RampStimulus.transition(False, ARRIVAL, 0.4 * NS, TECH.vdd)
     measured = simulate_gate(cell, stimuli).delay_from_earliest()
-    scaled = model.vshape(nand3, 1, 2, 0.4 * NS, 0.4 * NS, nand3.ref_load).d0
-    unscaled = model.vshape(nand3, 0, 1, 0.4 * NS, 0.4 * NS,
-                            nand3.ref_load).d0
+    scaled = model.vshape(
+        nand3, 1, 2, 0.4 * NS, 0.4 * NS, nand3.ref_load
+    ).vertex
+    unscaled = model.vshape(
+        nand3, 0, 1, 0.4 * NS, 0.4 * NS, nand3.ref_load
+    ).vertex
     return [
         "per-pair D0 scaling",
         "NAND3 pair (1,2), T=0.4ns",

@@ -55,9 +55,9 @@ def run(
             "min_delay_at_zero_skew": bool(
                 np.argmin(measured) == zero_index
             ),
-            "anchor_D0R_ns": shape.d0 / NS,
-            "anchor_DR_ns": shape.dr_p / NS,
-            "anchor_DYR_ns": shape.dr_q / NS,
+            "anchor_D0R_ns": shape.vertex / NS,
+            "anchor_DR_ns": shape.tail_pos / NS,
+            "anchor_DYR_ns": shape.tail_neg / NS,
             "anchor_SR_ns": shape.s_pos / NS,
             "anchor_SYR_ns": shape.s_neg / NS,
             "max_abs_error_ns": max_abs_error(measured, approximated) / NS,

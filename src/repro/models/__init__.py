@@ -16,7 +16,7 @@ from .lookup import (
     build_lookup_table,
 )
 from .nabavi import NabaviModel
-from .nonctrl import NonCtrlAwareModel, PeakShape
+from .nonctrl import NonCtrlAwareModel
 from .pin2pin import PinToPinModel
 from .vshape import TransVShape, VShape, VShapeModel
 
@@ -30,7 +30,6 @@ __all__ = [
     "NabaviModel",
     "NonCtrlAwareModel",
     "OutputEvent",
-    "PeakShape",
     "PinToPinModel",
     "TransVShape",
     "VShape",

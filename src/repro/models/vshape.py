@@ -21,11 +21,12 @@ load via linear slopes.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..characterize.formulas import ONE_THIRD
 from ..characterize.library import (
     CellTiming,
+    SimultaneousTiming,
     TimingArc,
     multi_input_ratio,
     pair_key,
@@ -38,38 +39,53 @@ _S_FLOOR = 1e-12
 
 
 class VShape(NamedTuple):
-    """The evaluated V-shape of one input pair at fixed transition times.
+    """The piecewise-linear delay of one input pair at fixed transition
+    times, as a function of the skew ``delta = A_q - A_p``.
+
+    One type serves both pair shapes of the model.  The paper's
+    to-controlling V (Figure 2) has its delay measured from the earliest
+    arrival and its vertex D0 at or below the tails.  The Λ of the
+    to-non-controlling extension (:mod:`repro.models.nonctrl`) has its
+    delay measured from the latest arrival and its vertex P0 at or
+    above the tails.  The Λ is the V mirrored: the same interpolation
+    from the vertex to the tail each side saturates to.
 
     Attributes:
-        d0: Zero-skew delay (vertex value).
+        vertex: Zero-skew delay (the V's D0, the Λ's P0).
         s_pos: Positive saturation skew (pin q lagging).
         s_neg: Negative saturation skew magnitude (pin p lagging).
-        dr_p: Pin-to-pin delay from p (right tail level).
-        dr_q: Pin-to-pin delay from q (left tail level).
+        tail_pos: Delay at skews ``>= s_pos``: the pin-to-pin delay of
+            the reference pin, p for the V, q for the Λ.
+        tail_neg: Delay at skews ``<= -s_neg``: the other pin's.
     """
 
-    d0: float
+    vertex: float
     s_pos: float
     s_neg: float
-    dr_p: float
-    dr_q: float
+    tail_pos: float
+    tail_neg: float
 
     def delay(self, skew: float) -> float:
-        """Gate delay (from the earliest arrival) at the given skew."""
+        """Gate delay (from the reference arrival) at the given skew."""
         if skew >= self.s_pos:
-            return self.dr_p
+            return self.tail_pos
         if skew <= -self.s_neg:
-            return self.dr_q
+            return self.tail_neg
         if skew >= 0.0:
-            return self.d0 + (self.dr_p - self.d0) * (skew / self.s_pos)
-        return self.d0 + (self.dr_q - self.d0) * (-skew / self.s_neg)
+            return self.vertex + (self.tail_pos - self.vertex) * (
+                skew / self.s_pos
+            )
+        return self.vertex + (self.tail_neg - self.vertex) * (
+            -skew / self.s_neg
+        )
 
     def min_delay(self) -> float:
-        """Claim 1: the minimum over all skews, attained at skew zero."""
-        return self.d0
+        """The minimum over all skews: the V's vertex (Claim 1)."""
+        return min(self.vertex, self.tail_pos, self.tail_neg)
 
     def max_delay(self) -> float:
-        return max(self.dr_p, self.dr_q)
+        """The maximum over all skews: the Λ's vertex."""
+        return max(self.vertex, self.tail_pos, self.tail_neg)
 
 
 class TransVShape(NamedTuple):
@@ -129,43 +145,57 @@ class PinEnd(NamedTuple):
     tail: Optional[float]
 
 
-class CtrlAnchors:
-    """V-shape anchors of one cell's to-controlling pairs at one load,
-    variation factor ``f`` and derate ``g``.
+class PairAnchors:
+    """Pair-shape anchors of one cell's simultaneous-switching record
+    (``ctrl`` for the V, ``nonctrl`` for the Λ, whose ``d0`` surface is
+    the peak P0) at one load, variation factor ``f`` and derate ``g``.
 
-    The work is split the way the compiled pair merge splits it: each
-    pin endpoint is clamped, rooted and sent through its arc once
+    The Λ is the V mirrored by two choices: ``clamp`` bounds the vertex
+    by the tails (``min`` for D0: simultaneous to-controlling switching
+    can only speed a gate up; ``max`` for P0: the peak is a slow-down),
+    and ``lagging`` puts the lagging pin's (q's) tail on the +S side, as
+    a delay measured from the latest arrival needs (the V's is the
+    leading pin's, p's).
+
+    The work is split the way the compiled merges split it: each pin
+    endpoint is clamped, rooted and sent through its arc once
     (:meth:`end`), and each (pin pair, endpoint combo) evaluates the
-    surfaces once (:meth:`pair`), both Vs sharing the combo's clamps
-    and S±.  ``delay=False`` skips the delay V's work (DR, D0) and
-    ``trans=False`` the transition V's (tails, vertex), so no caller
-    pays for a shape it does not read.
-
-    ``f`` and then ``g`` multiply the tails, D0, the vertex and S±
-    before the clamps; at their 1.0 defaults the multiplies are exact.
+    surfaces once (:meth:`pair`), the delay shape and the transition V
+    sharing the combo's clamps and S±.  ``delay=False`` skips the delay
+    shape's work and ``trans=False`` the transition V's, so no caller
+    pays for a shape it does not read.  ``f`` and then ``g`` multiply
+    the tails, the vertices and S± before the clamps; at their 1.0
+    defaults the multiplies are exact.
 
     Raises:
-        ValueError: If the cell has no simultaneous data.
+        ValueError: If ``record`` is None (the cell has no such data).
     """
 
-    __slots__ = ("ctrl", "f", "g", "d_adj", "r_adj")
+    __slots__ = ("record", "f", "g", "d_adj", "r_adj", "clamp", "lagging")
 
     def __init__(
         self,
         cell: CellTiming,
+        record: Optional[SimultaneousTiming],
         load: float,
         f: float = 1.0,
         g: float = 1.0,
+        clamp: Callable[..., float] = min,
+        lagging: bool = False,
         delay: bool = True,
         trans: bool = True,
     ) -> None:
-        ctrl = cell.ctrl
-        if ctrl is None:
-            raise ValueError(f"cell {cell.name} has no simultaneous data")
-        self.ctrl = ctrl
+        if record is None:
+            raise ValueError(
+                f"cell {cell.name} has no simultaneous-switching data "
+                "for this response"
+            )
+        self.record = record
         self.f = f
         self.g = g
-        out_rising = ctrl.out_rising
+        self.clamp = clamp
+        self.lagging = lagging
+        out_rising = record.out_rising
         self.d_adj = (
             cell.load_adjusted_delay(out_rising, load) if delay else None
         )
@@ -174,7 +204,8 @@ class CtrlAnchors:
         )
 
     def end(self, arc: TimingArc, t: float) -> PinEnd:
-        """Transition time ``t`` on ``arc`` (the pin's to-controlling arc)."""
+        """Transition time ``t`` on ``arc``, the pin's arc of the
+        record's response."""
         t = arc.clamp(t)
         dr = tail = None
         if self.d_adj is not None:
@@ -190,19 +221,18 @@ class CtrlAnchors:
         ends_p: Sequence[PinEnd],
         ends_q: Sequence[PinEnd],
     ) -> Tuple[Optional[List[VShape]], Optional[List[TransVShape]]]:
-        """The delay and transition Vs of every (p end, q end) combo.
+        """The delay shape and transition V of every (p end, q end) combo.
 
-        Pins are ordered: each V's skew argument is ``A_q - A_p``.
+        Pins are ordered: each shape's skew argument is ``A_q - A_p``.
         Combos run p-major, so with ``(t_s, t_l)`` ends combo 0 is
-        ``(t_s, t_s)``.  D0 is clamped to never exceed the pin-to-pin
-        tails (simultaneous to-controlling switching can only speed a
-        gate up), and the transition vertex to the tails and to
-        ``[-s_neg, s_pos]``.  A list the anchors skip (see the class) is
-        None.
+        ``(t_s, t_s)``.  The vertex is clamped by the tails (see the
+        class), the transition vertex to the tails and to ``[-s_neg,
+        s_pos]``.  A list the anchors skip (see the class) is None.
         """
-        ctrl = self.ctrl
+        rec = self.record
         f, g = self.f, self.g
         d_adj, r_adj = self.d_adj, self.r_adj
+        clamp, lagging = self.clamp, self.lagging
         # The surfaces are characterized on the (0, 1) pair with the
         # first argument belonging to the lower position; a mirrored
         # pair swaps the arguments and the sides of S and SK_t,min.
@@ -210,26 +240,28 @@ class CtrlAnchors:
         shapes = [] if d_adj is not None else None
         tshapes = [] if r_adj is not None else None
         if shapes is not None:
-            scale = ctrl.pair_scale.get(pair_key(pin_p, pin_q), 1.0)
+            scale = rec.pair_scale.get(pair_key(pin_p, pin_q), 1.0)
         for e_p in ends_p:
             for e_q in ends_q:
                 lo, hi = (e_q, e_p) if mirrored else (e_p, e_q)
-                s_lo = max(ctrl.s_pos(lo.t, hi.t), _S_FLOOR) * f * g
-                s_hi = max(ctrl.s_neg(lo.t, hi.t), _S_FLOOR) * f * g
+                s_lo = max(rec.s_pos(lo.t, hi.t), _S_FLOOR) * f * g
+                s_hi = max(rec.s_neg(lo.t, hi.t), _S_FLOOR) * f * g
                 s_pos, s_neg = (s_hi, s_lo) if mirrored else (s_lo, s_hi)
                 if shapes is not None:
-                    d0 = (
-                        ctrl.d0.eval_roots(lo.root, hi.root) * scale + d_adj
+                    vertex = (
+                        rec.d0.eval_roots(lo.root, hi.root) * scale + d_adj
                     ) * f * g
+                    pos, neg = (e_q, e_p) if lagging else (e_p, e_q)
                     shapes.append(VShape(
-                        min(d0, e_p.dr, e_q.dr), s_pos, s_neg, e_p.dr, e_q.dr
+                        clamp(vertex, e_p.dr, e_q.dr), s_pos, s_neg,
+                        pos.dr, neg.dr,
                     ))
                 if tshapes is not None:
-                    skew = ctrl.t_vertex_skew(lo.t, hi.t) * f * g
+                    skew = rec.t_vertex_skew(lo.t, hi.t) * f * g
                     if mirrored:
                         skew = -skew
                     value = (
-                        ctrl.t_vertex.eval_roots(lo.root, hi.root) + r_adj
+                        rec.t_vertex.eval_roots(lo.root, hi.root) + r_adj
                     ) * f * g
                     tshapes.append(TransVShape(
                         min(max(skew, -s_neg), s_pos),
@@ -246,7 +278,7 @@ class VShapeModel(DelayModel):
     supports_pair_merge = True
 
     # ------------------------------------------------------------------
-    # V-shape construction (one combo of :class:`CtrlAnchors`)
+    # V-shape construction (one combo of :class:`PairAnchors`)
     # ------------------------------------------------------------------
     def vshape(
         self,
@@ -271,7 +303,7 @@ class VShapeModel(DelayModel):
         tails, D0 and S±, before the clamp.  At their 1.0 defaults the
         multiplies are exact.
         """
-        anchors = CtrlAnchors(cell, load, f, g, trans=False)
+        anchors = PairAnchors(cell, cell.ctrl, load, f, g, trans=False)
         shapes, _ = anchors.pair(
             pin_p, pin_q,
             [anchors.end(cell.ctrl_arc(pin_p), t_p)],
@@ -295,7 +327,7 @@ class VShapeModel(DelayModel):
         ``f`` and ``g`` scale the tails, the vertex and S± as in
         :meth:`vshape`.
         """
-        anchors = CtrlAnchors(cell, load, f, g, delay=False)
+        anchors = PairAnchors(cell, cell.ctrl, load, f, g, delay=False)
         _, tshapes = anchors.pair(
             pin_p, pin_q,
             [anchors.end(cell.ctrl_arc(pin_p), t_p)],

@@ -35,7 +35,7 @@ import numpy as np
 from ..characterize.library import CellLibrary, CellTiming
 from ..circuit.netlist import Circuit, Gate
 from ..models.base import DelayModel
-from ..models.vshape import CtrlAnchors, VShapeModel
+from ..models.vshape import PairAnchors, VShapeModel
 from ..obs import get_registry
 from .corners import (
     CtrlInput,
@@ -572,7 +572,7 @@ class TimingAnalyzer:
         if not getattr(self.model, "supports_pair_merge", False) or cell.ctrl is None:
             return d_min
         best = d_min
-        anchors = CtrlAnchors(cell, load, trans=False)
+        anchors = PairAnchors(cell, cell.ctrl, load, trans=False)
         own = cell.ctrl_arc(pin)
         ends = [anchors.end(own, t_s), anchors.end(own, t_l)]
         for partner in range(cell.n_inputs):
@@ -584,7 +584,7 @@ class TimingAnalyzer:
                 [anchors.end(arc, arc.t_lo), anchors.end(arc, arc.t_hi)],
             )
             for shape in shapes:
-                best = min(best, shape.d0)
+                best = min(best, shape.vertex)
         ratios = [float(v) for v in cell.ctrl.multi_scale.values()]
         return best * min(ratios) if ratios else best
 

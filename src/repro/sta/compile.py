@@ -122,26 +122,22 @@ The backward pass keeps the same contract against
 The ``test_sta_compile`` parity suite and the ``level`` fuzz oracle
 enforce this.
 
-The pair merges evaluate their six skew breakpoints (the window edges,
-the arrival offset, zero skew, +S and −S) at the coarsest axis each
-depends on: edges, offset, their floors (Λ-peak: ceilings) and
-validity, and the floor and validity at zero skew once per pin pair,
-broadcast over the pair's four endpoint combos; ±S, their floors and
-validity per combo, both in one stacked evaluation.  Every breakpoint
-folds into one running minimum (maximum) in place.  The V-shape
-(Λ-shape) runs once, over the edges and the offset stacked, since
-only there its branches decide.  The other three take the value its
-branches return there: DR_p at +S (first branch), DR_q at −S (second
-branch) and ``D0 + (DR_p − D0) * 0.0`` at zero skew (the ``delta >=
-0`` branch, ``0.0 / S+`` being ``0.0``), the Λ-shape's ``tail_q``,
-``tail_p`` and ``P0 + (tail_q − P0) * 0.0`` alike — each the same
-float expression on the same operands.  That holds when both
-saturation skews are > 0:
-they are fitted values floored at ``_S_FLOOR`` (1e-12) times the
-variation factor and the derate, which :meth:`LevelCompiledAnalyzer
-.propagate` requires to be finite and > 0 (:func:`check_derates`); the
-product underflows to zero only for factor times derate below about
-2.5e-312.
+The pair merges are one fold.  The Λ-peak is the V-shape mirrored:
+:meth:`LevelCompiledAnalyzer._pair_merge` minimizes ``floor(δ) +
+V(δ)`` over the earliest arrivals, :meth:`~LevelCompiledAnalyzer
+._peak_merge` maximizes ``ceiling(δ) + Λ(δ)`` over the latest, and both
+call :func:`~repro.sta.kernels.fold_pairs` with their reduction
+(``np.minimum`` or ``np.maximum``) and arrival rows, their endpoint
+tails from the one expression of :func:`~repro.sta.kernels.end_tails`.
+The fold computes each of the six skew breakpoints (the window edges,
+the arrival offset, zero skew, +S and −S) once, at the coarsest axis it
+depends on, and at zero skew and ±S writes the value the shape's
+branches return there.  That is the scalar value when both saturation
+skews are > 0: they are fitted values floored at ``_S_FLOOR`` (1e-12)
+times the variation factor and the derate, which
+:meth:`LevelCompiledAnalyzer.propagate` requires to be finite and > 0
+(:func:`check_derates`); the product underflows to zero only for
+factor times derate below about 2.5e-312.
 """
 
 from __future__ import annotations
@@ -174,10 +170,11 @@ from ..models.vshape import VShapeModel
 from ..obs import get_registry
 from .analysis import StaConfig, StaResult, compute_loads, fanin_arcs
 from .kernels import (
-    _shape_delay,
     _trans_v,
     anchor_surfaces,
     cbrt_grid,
+    end_tails,
+    fold_pairs,
     quad_extremes_batch,
     ratio_table,
     trans_anchor_surfaces,
@@ -2660,13 +2657,11 @@ class LevelCompiledAnalyzer:
         Each quantity is computed at the coarsest axis it depends on.
         Combos run four per pair (combo ``4q + k`` is pair ``q``'s
         ``k``-th endpoint combination), so a ``(K, B)`` combo array views
-        as ``(Q, 4, B)`` and a pair quantity — the window edges, the
-        arrival offset, the floors and validity at those and at zero
-        skew — broadcasts from ``(Q, 1, B)``.  The earliest arrival is
-        the minimum of ``floor(δ) + V(δ)`` over the six breakpoints that
-        can win, each folded into one running minimum; the V-shape runs
-        once, over the three breakpoints whose value it decides, stacked
-        (see the module docstring).
+        as ``(Q, 4, B)`` and a pair quantity — the window edges and the
+        earliest arrivals — broadcasts from ``(Q, 1, B)``.  The earliest
+        arrival is the fold of the pair breakpoints
+        (:func:`~repro.sta.kernels.fold_pairs`, the minimum of
+        ``floor(δ) + V(δ)``), then the k>2 candidate.
         """
         # Overlap depth: for each (gate, j) count the gate's lanes i
         # covering j's start, then take the gate's deepest j.
@@ -2687,17 +2682,11 @@ class LevelCompiledAnalyzer:
         tc = np.stack([c_lo, c_hi], axis=1)  # (L, 2, B)
         # One cube root per real pin endpoint; the combos index into it.
         rc = cbrt_grid(tc).reshape(-1, width)
-        a2, a1, a0 = grp.pack[0].quads[:3, :, :, None]  # (2, L, 1, C)
         adj = grp.adj[:, 0]  # (2, L, C): delay and transition terms
-        drtr = a2 * tc  # (a2 * tc + a1) * tc + a0 + adj: (2, L, 2, B)
-        drtr += a1
-        drtr *= tc
-        drtr += a0
-        drtr += adj[:, :, None]
-        if f is not None:
-            drtr *= f[:, None]
-        if ge is not None:
-            drtr *= ge
+        # Both families' tails at once: (2, L, 2, B).
+        drtr = end_tails(
+            grp.pack[0].quads[:3, :, :, None], adj[:, :, None], tc, f, ge
+        )
         # Each combo's (lower, upper) pin endpoint, stacked (2, K, B).
         ends = grp.ends
         t_end = tc.reshape(-1, width)[ends]
@@ -2727,29 +2716,10 @@ class LevelCompiledAnalyzer:
         bhi = alj - asi
 
         # ---- combo level (Q, 4, B) ----
-        d0q, sat_q, dr_pq = quads(d0), quads(sat), quads(dr_end)
-        # The window edges and the arrival offset, where the V decides.
-        edges = np.stack([blo, bhi, asj - asi])  # (3, Q, 1, B)
-        cand = _shape_delay(edges, d0q, dr_pq, sat_q)
-        cand += np.maximum(asi, asj - edges) + np.minimum(0.0, edges)
-        valid = (blo <= edges) & (edges <= bhi)
-        best = np.where(valid[0], cand[0], np.inf)
-        np.minimum(best, cand[1], out=best, where=valid[1])
-        np.minimum(best, cand[2], out=best, where=valid[2])
-        # Zero skew and ±S take the value the V's branches return there:
-        # D0 + (DR_p - D0) * 0.0, DR_p and DR_q.
-        zero = dr_pq[0] - d0q
-        zero *= 0.0
-        zero += d0q
-        zero += np.maximum(asi, asj - 0.0) + np.minimum(0.0, 0.0)
-        np.minimum(best, zero, out=best, where=(blo <= 0.0) & (0.0 <= bhi))
-        cand = asj - sat_q
-        np.maximum(asi, cand, out=cand)
-        cand += np.minimum(0.0, sat_q)
-        cand += dr_pq
-        valid = (blo <= sat_q) & (sat_q <= bhi)
-        np.minimum(best, cand[0], out=best, where=valid[0])
-        np.minimum(best, cand[1], out=best, where=valid[1])
+        d0q, sat_q = quads(d0), quads(sat)
+        best = fold_pairs(
+            np.minimum, asi, asj, blo, bhi, d0q, quads(dr_end), sat_q
+        )
         # Same tolerance and form as DirWindow.overlaps_arrivals.
         pair_ov = (asi <= alj + OVERLAP_TOL) & (asj <= ali + OVERLAP_TOL)
         # The k>2 candidate rides on each pair's (t_s, t_s) combo.
@@ -2801,25 +2771,21 @@ class LevelCompiledAnalyzer:
         """The Λ-peak slow-down of the non-controlling response: raise
         the latest arrival ``a_l`` of each gate with peak data in place.
 
-        Peak lanes and combos exist only for those gates.  The peak's
-        tails are its pins' to-non-controlling arcs (``pack[1]``) at the
-        window endpoints the pin-to-pin bounds clamped against them
-        (``c_lo`` / ``c_hi``, per lane), plus the gate's
-        to-non-controlling delay terms.  The mirror of
-        :meth:`_pair_merge` with ceilings and a maximum: peak combos
-        also run four per pair, pair quantities broadcast from
-        ``(Q, 1, B)``, and the Λ-shape runs once, over the window edges
-        and the arrival offset stacked (P0, ``tail_q`` and ``tail_p``
-        are its values at zero skew, +S and −S).
+        The V's merge mirrored: peak lanes and combos exist only for
+        those gates, and P0 is clamped from below, but the tails, the
+        anchors and the breakpoint fold (with ``np.maximum`` over the
+        latest arrivals) are the V's.  The peak's tails are its pins'
+        to-non-controlling arcs (``pack[1]``) at the window endpoints
+        the pin-to-pin bounds clamped against them (``c_lo`` / ``c_hi``,
+        per lane), plus the gate's to-non-controlling delay terms.
         """
         lanes = grp.plane
-        a2, a1, a0 = grp.pack[1].quads[:3, 0, lanes, None]  # delay family
         tc = np.stack([c_lo[lanes], c_hi[lanes]], axis=1)  # (Lp, 2, B)
-        tails = (a2 * tc + a1) * tc + a0 + grp.adj[0, 1][lanes][:, None]
-        if f is not None:
-            tails *= f[lanes][:, None]
-        if gl is not None:
-            tails *= gl
+        tails = end_tails(
+            grp.pack[1].quads[:3, 0, lanes, None],  # delay family
+            grp.adj[0, 1][lanes][:, None], tc,
+            None if f is None else f[lanes], gl,
+        )
         width = tc.shape[-1]
         ends = grp.pends
         roots = cbrt_grid(tc).reshape(-1, width)[ends]
@@ -2839,31 +2805,12 @@ class LevelCompiledAnalyzer:
         pa, pb = grp.pca[::4], grp.pcb[::4]
         asi, asj = a_s_in[pa][:, None], a_s_in[pb][:, None]
         ali, alj = a_l_in[pa][:, None], a_l_in[pb][:, None]
-        blo = asj - ali
-        bhi = alj - asi
 
-        # ---- combo level (Q, 4, B) ----
-        p0q, sat_q, tail_pq = quads(p0), quads(s * _SIGNS), quads(tail)
-        edges = np.stack([blo, bhi, alj - ali])  # (3, Q, 1, B)
-        cand = _shape_delay(edges, p0q, tail_pq[::-1], sat_q)
-        cand += np.minimum(ali, alj - edges) + np.maximum(0.0, edges)
-        valid = (blo <= edges) & (edges <= bhi)
-        best = np.where(valid[0], cand[0], -np.inf)
-        np.maximum(best, cand[1], out=best, where=valid[1])
-        np.maximum(best, cand[2], out=best, where=valid[2])
-        # P0 + (tail_q - P0) * 0.0, tail_q and tail_p.
-        zero = tail_pq[1] - p0q
-        zero *= 0.0
-        zero += p0q
-        zero += np.minimum(ali, alj - 0.0) + np.maximum(0.0, 0.0)
-        np.maximum(best, zero, out=best, where=(blo <= 0.0) & (0.0 <= bhi))
-        cand = alj - sat_q
-        np.minimum(ali, cand, out=cand)
-        cand += np.maximum(0.0, sat_q)
-        cand += tail_pq[::-1]
-        valid = (blo <= sat_q) & (sat_q <= bhi)
-        np.maximum(best, cand[0], out=best, where=valid[0])
-        np.maximum(best, cand[1], out=best, where=valid[1])
+        # ---- combo level (Q, 4, B); the +S tail is q's ----
+        best = fold_pairs(
+            np.maximum, ali, alj, asj - ali, alj - asi,
+            quads(p0), quads(tail)[::-1], quads(s * _SIGNS),
+        )
         gates = grp.pgate
         a_l[gates] = np.maximum(
             a_l[gates],

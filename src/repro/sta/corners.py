@@ -19,11 +19,10 @@ against exhaustive timing simulation).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from ..characterize.library import CellTiming, TimingArc, multi_input_ratio
-from ..models.nonctrl import PeakAnchors, PeakShape
-from ..models.vshape import CtrlAnchors, TransVShape, VShape
+from ..models.vshape import PairAnchors, TransVShape, VShape
 from .windows import DEFINITE, DirWindow, POTENTIAL
 
 
@@ -114,35 +113,50 @@ def _pin_bounds(
     )
 
 
-def _pair_min_arrival(
-    wi: DirWindow, wj: DirWindow, shapes: Sequence[VShape]
+def fold_pair(
+    wi: DirWindow,
+    wj: DirWindow,
+    shapes: Sequence[VShape],
+    edge: str,
+    reduce: Callable[..., float],
 ) -> float:
-    """Smallest achievable output arrival from a switching input pair.
+    """The extreme output arrival a switching input pair can produce.
 
-    Minimizes ``earliest_arrival(delta) + d_V(delta)`` over the feasible
-    skew interval, for each of the pair's endpoint combos (``shapes``,
-    from :meth:`CtrlAnchors.pair`).  Both terms are piecewise linear in
-    the skew, so the minimum is attained at a breakpoint.
+    The paper's worst-case-corner rule for a pair (Section 4.2), for
+    both pair shapes.  The V (``edge`` ``"a_s"``, ``reduce`` ``min``)
+    minimizes ``floor(δ) + V(δ)``, the floor being the earliest possible
+    ``min(A_i, A_j)`` at skew ``δ = A_j - A_i``: ``max(a_s_i, a_s_j -
+    δ) + min(0, δ)``.  The Λ (``"a_l"``, ``max``) is its mirror: it
+    maximizes the ceiling, the latest possible ``max(A_i, A_j)``, plus
+    Λ(δ), with min and max swapped.  Each of the pair's endpoint combos
+    (``shapes``, from :meth:`PairAnchors.pair`) is folded over the
+    breakpoints inside the feasible skew interval: its edges, the
+    arrival offset, zero skew and the combo's ±S.  Both terms are
+    piecewise linear in the skew, so the extreme is attained at one of
+    them.  As in the compiled fold, the floor of a breakpoint the
+    combos share is computed once per pair.
     """
     lo = wj.a_s - wi.a_l
     hi = wj.a_l - wi.a_s
-    offset = wj.a_s - wi.a_s
-    best = None
+    e_i = getattr(wi, edge)
+    e_j = getattr(wj, edge)
+    bound = max if reduce is min else min
+    floors = [
+        (delta, bound(e_i, e_j - delta) + reduce(0.0, delta))
+        for delta in {lo, hi, e_j - e_i, 0.0}
+        if lo <= delta <= hi
+    ]
+    candidates = []
     for shape in shapes:
-        breakpoints = {lo, hi, offset}
-        for bp in (0.0, shape.s_pos, -shape.s_neg):
-            if lo <= bp <= hi:
-                breakpoints.add(bp)
-        for delta in breakpoints:
-            if not lo <= delta <= hi:
-                continue
-            # Earliest possible min(A_i, A_j) subject to the skew.
-            a_i = max(wi.a_s, wj.a_s - delta)
-            floor = a_i + min(0.0, delta)
-            candidate = floor + shape.delay(delta)
-            if best is None or candidate < best:
-                best = candidate
-    return best
+        for delta, floor in floors:
+            candidates.append(floor + shape.delay(delta))
+        for delta in (shape.s_pos, -shape.s_neg):
+            if lo <= delta <= hi:
+                candidates.append(
+                    bound(e_i, e_j - delta) + reduce(0.0, delta)
+                    + shape.delay(delta)
+                )
+    return reduce(candidates)
 
 
 def _pair_min_trans(
@@ -267,7 +281,7 @@ def ctrl_response_window(
         if overlap > 2:
             ratio = multi_input_ratio(ctrl.multi_scale, overlap)
             t_ratio = multi_input_ratio(ctrl.trans_multi_scale, overlap)
-        anchors = CtrlAnchors(cell, load, f, early)
+        anchors = PairAnchors(cell, ctrl, load, f, early)
         ends = [
             (anchors.end(arc, item.window.t_s),
              anchors.end(arc, item.window.t_l))
@@ -281,12 +295,12 @@ def ctrl_response_window(
                 shapes, tshapes = anchors.pair(
                     first.pin, second.pin, ends[idx], ends[jdx]
                 )
-                candidates.append(_pair_min_arrival(wi, wj, shapes))
+                candidates.append(fold_pair(wi, wj, shapes, "a_s", min))
                 if ratio < 1.0 and wi.overlaps_arrivals(wj):
                     # k>2 inputs can align: scale the zero-skew delay of
                     # the (t_s, t_s) combo.
                     floor = max(wi.a_s, wj.a_s)
-                    candidates.append(floor + shapes[0].d0 * ratio)
+                    candidates.append(floor + shapes[0].vertex * ratio)
                 t_s = _pair_min_trans(wi, wj, tshapes, t_ratio, t_s)
     a_s = min(candidates)
     a_s = min(a_s, a_l)
@@ -294,36 +308,6 @@ def ctrl_response_window(
 
     state = DEFINITE if definite else POTENTIAL
     return DirWindow(a_s=a_s, a_l=a_l, t_s=t_s, t_l=t_l, state=state)
-
-
-def _pair_max_arrival_peak(
-    wi: DirWindow, wj: DirWindow, shapes: Sequence[PeakShape]
-) -> float:
-    """Largest achievable output arrival under the Λ-shape extension.
-
-    Maximizes ``latest_arrival(delta) + peak_delay(delta)`` over the
-    feasible skew interval, for each of the pair's endpoint combos
-    (``shapes``, from :meth:`PeakAnchors.pair`); both terms are
-    piecewise linear in the skew.
-    """
-    lo = wj.a_s - wi.a_l
-    hi = wj.a_l - wi.a_s
-    best = None
-    for shape in shapes:
-        breakpoints = {lo, hi, wj.a_l - wi.a_l}
-        for bp in (0.0, shape.s_pos, -shape.s_neg):
-            if lo <= bp <= hi:
-                breakpoints.add(bp)
-        for delta in breakpoints:
-            if not lo <= delta <= hi:
-                continue
-            # Latest possible max(A_i, A_j) subject to the skew.
-            a_i = min(wi.a_l, wj.a_l - delta)
-            ceiling = a_i + max(0.0, delta)
-            candidate = ceiling + shape.delay(delta)
-            if best is None or candidate > best:
-                best = candidate
-    return best
 
 
 def nonctrl_response_window(
@@ -343,13 +327,14 @@ def nonctrl_response_window(
     switchers.  The base rule is pin-to-pin (SDF), exactly as the paper
     uses; when the model carries the Λ-shape extension data
     (:class:`repro.models.NonCtrlAwareModel` with characterized cells),
-    the latest bound additionally covers the simultaneous slow-down peak.
-    ``f``, ``early`` and ``late`` scale as in
+    the latest bound additionally covers the simultaneous slow-down peak:
+    the V's pair merge mirrored, through the same anchors and fold
+    (:func:`fold_pair`).  ``f``, ``early`` and ``late`` scale as in
     :func:`ctrl_response_window`, except that the Λ peak can only raise
     the latest bound, so it takes the late derate.  Each active pin's
     arc is resolved once, and under the Λ-shape each pin's two window
     endpoints are evaluated once, each (pin pair, endpoint combo) once
-    (:class:`PeakAnchors`).
+    (:class:`PairAnchors`).
     """
     active = [i for i in inputs if i.window.is_active]
     if not active:
@@ -388,7 +373,10 @@ def nonctrl_response_window(
         and getattr(cell, "nonctrl", None) is not None
     )
     if uses_peak and len(active) >= 2:
-        anchors = PeakAnchors(cell, load, f, late)
+        anchors = PairAnchors(
+            cell, cell.nonctrl, load, f, late,
+            clamp=max, lagging=True, trans=False,
+        )
         ends = [
             (anchors.end(arc, item.window.t_s),
              anchors.end(arc, item.window.t_l))
@@ -397,13 +385,12 @@ def nonctrl_response_window(
         for idx, first in enumerate(active):
             for jdx in range(idx + 1, len(active)):
                 second = active[jdx]
-                shapes = anchors.pair(
+                shapes, _ = anchors.pair(
                     first.pin, second.pin, ends[idx], ends[jdx]
                 )
-                a_l = max(
-                    a_l,
-                    _pair_max_arrival_peak(first.window, second.window, shapes),
-                )
+                a_l = max(a_l, fold_pair(
+                    first.window, second.window, shapes, "a_l", max
+                ))
     a_s = min(a_s, a_l)
     state = DEFINITE if definite else POTENTIAL
     return DirWindow(

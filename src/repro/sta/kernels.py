@@ -10,7 +10,9 @@ candidate sets for a whole level at once from the pieces kept here:
   quadratics (the paper's T* rule, its stationary point and curvature
   read from the compiled arc rows);
 * :func:`_shape_delay` and :func:`_trans_v` — the V-shape (and
-  Λ-peak) and the transition-V evaluated over candidate skews;
+  Λ-peak) and the transition-V evaluated over candidate skews, and
+  :func:`fold_pairs`, the pair breakpoint fold both shapes run through;
+* :func:`end_tails` — the pin endpoints' arc values, the shapes' tails;
 * :func:`sr_slopes` and the anchor surfaces (:func:`anchor_surfaces`,
   :func:`trans_anchor_surfaces`) — D0 / P0, the transition vertex and
   S± (both SR surfaces in one evaluation) under a variation factor and
@@ -89,12 +91,12 @@ def anchor_surfaces(
     """Zero-skew value and saturation skews ``(d0, s)`` of a pair shape,
     ``s`` the stacked :func:`sr_slopes`.
 
-    The array form of :meth:`VShapeModel.vshape` (D0, ``clamp``
-    ``np.minimum``: simultaneous to-controlling switching can only
-    speed a gate up) and of :class:`~repro.models.nonctrl.PeakAnchors`
-    (P0, ``np.maximum``: the peak is a slow-down) for position-ordered
-    pairs.  ``t`` and the ``tails`` hold the lower pin's endpoint, then
-    the upper pin's, on a leading axis; ``surface`` is the D0 (P0)
+    The array form of :meth:`~repro.models.vshape.PairAnchors.pair`'s
+    vertex and S± for position-ordered pairs: D0 with ``clamp``
+    ``np.minimum`` (simultaneous to-controlling switching can only speed
+    a gate up), P0 with ``np.maximum`` (the peak is a slow-down).  ``t``
+    and the ``tails`` hold the lower pin's endpoint, then the upper
+    pin's, on a leading axis; ``surface`` is the D0 (P0)
     surface at the endpoints' cube roots (:func:`cbrt_grid`).  The
     caller supplies the precomputed load adjustment, an optional
     per-element variation factor ``f`` (Monte Carlo) and an optional
@@ -180,19 +182,47 @@ def quad_extremes_batch(
     return mins, maxs
 
 
+def end_tails(
+    quads: np.ndarray,
+    adj: np.ndarray,
+    tc: np.ndarray,
+    f: Optional[np.ndarray] = None,
+    g: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The pair shapes' tails: each lane's arc at its two clamped
+    endpoints ``tc`` ``(L, 2, B)``, the array form of
+    :meth:`~repro.models.vshape.PairAnchors.end`.  ``quads`` stacks
+    ``a2``, ``a1``, ``a0`` (any leading axes, say the delay and
+    transition families), ``adj`` holds the lanes' load terms and ``f``
+    their variation factors ``(L, B)``."""
+    a2, a1, a0 = quads
+    out = a2 * tc
+    out += a1
+    out *= tc
+    out += a0
+    out += adj
+    if f is not None:
+        out *= f[:, None]
+    if g is not None:
+        out *= g
+    return out
+
+
 def _shape_delay(
     delta: np.ndarray,
     vertex: np.ndarray,
     tails: np.ndarray,
     skews: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :meth:`repro.models.vshape.VShape.delay` and
-    :meth:`repro.models.nonctrl.PeakShape.delay` at a stack of skews.
+    """Vectorized :meth:`repro.models.vshape.VShape.delay` at a stack of
+    skews: the V and, mirrored through the same fold
+    (:func:`fold_pairs`), the Λ.
 
     ``vertex`` is the zero-skew value; ``tails`` and ``skews`` stack the
     positive side over the negative one: the value reaches ``tails[0]``
     at ``skews[0] = +S`` and ``tails[1]`` at ``skews[1] = -S`` (the V's
-    tails are ``(DR_p, DR_q)``, the Λ's ``(tail_q, tail_p)``).  ``delta``
+    tails are ``(DR_p, DR_q)``; the Λ's are ``(tail_q, tail_p)``, its
+    delay running from the latest arrival).  ``delta``
     carries a leading axis of breakpoints, which the result keeps.  Both
     sides' fractions come from one division: ``delta / -S`` is
     ``-delta / S`` bit for bit, so each value is the scalar expression
@@ -206,6 +236,56 @@ def _shape_delay(
     np.copyto(out, tails[1], where=delta <= skews[1])
     np.copyto(out, tails[0], where=delta >= skews[0])
     return out
+
+
+def fold_pairs(
+    reduce: np.ufunc,
+    e_i: np.ndarray,
+    e_j: np.ndarray,
+    blo: np.ndarray,
+    bhi: np.ndarray,
+    vertex: np.ndarray,
+    tails: np.ndarray,
+    skews: np.ndarray,
+) -> np.ndarray:
+    """Vectorized :func:`repro.sta.corners.fold_pair`: each endpoint
+    combo's extreme output arrival, ``(Q, 4, B)``.
+
+    ``reduce`` is ``np.minimum`` for the V, whose ``e_i`` / ``e_j`` are
+    the pair's earliest arrivals, and ``np.maximum`` for the Λ, whose
+    are the latest.  The pair quantities (``e_i``, ``e_j`` and the
+    feasible-skew edges ``blo`` / ``bhi``) are ``(Q, 1, B)`` and
+    broadcast over the pair's four combos; ``tails`` and ``skews``
+    stack the +S side over the −S side as in :func:`_shape_delay`.
+    Every breakpoint folds into one running extreme in place.  The
+    shape runs over the edges and the offset only; at zero skew and ±S
+    its branches return ``vertex + (tails[0] - vertex) * 0.0``,
+    ``tails[0]`` and ``tails[1]`` (while S± > 0, see
+    :mod:`repro.sta.compile`), written directly.
+    """
+    bound = np.maximum if reduce is np.minimum else np.minimum
+    edges = np.stack([blo, bhi, e_j - e_i])  # (3, Q, 1, B)
+    cand = _shape_delay(edges, vertex, tails, skews)
+    cand += bound(e_i, e_j - edges) + reduce(0.0, edges)
+    valid = (blo <= edges) & (edges <= bhi)
+    best = np.where(
+        valid[0], cand[0], np.inf if reduce is np.minimum else -np.inf
+    )
+    reduce(best, cand[1], out=best, where=valid[1])
+    reduce(best, cand[2], out=best, where=valid[2])
+    zero = tails[0] - vertex
+    zero *= 0.0
+    zero += vertex
+    zero += bound(e_i, e_j - 0.0) + reduce(0.0, 0.0)
+    reduce(best, zero, out=best, where=(blo <= 0.0) & (0.0 <= bhi))
+    cand = e_j - skews
+    bound(e_i, cand, out=cand)
+    cand += reduce(0.0, skews)
+    cand += tails
+    valid = (blo <= skews) & (skews <= bhi)
+    reduce(best, cand[0], out=best, where=valid[0])
+    reduce(best, cand[1], out=best, where=valid[1])
+    return best
 
 
 def _trans_v(

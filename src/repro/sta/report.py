@@ -15,16 +15,9 @@ from typing import Dict, List, Optional
 
 from ..characterize.library import multi_input_ratio
 from ..circuit.netlist import Circuit
-from ..models.nonctrl import PeakAnchors
-from ..models.vshape import CtrlAnchors
+from ..models.vshape import PairAnchors
 from .analysis import StaResult, TimingAnalyzer
-from .corners import (
-    CtrlInput,
-    _overlap_count,
-    _pair_max_arrival_peak,
-    _pair_min_arrival,
-    pin_delay_bounds,
-)
+from .corners import CtrlInput, _overlap_count, fold_pair, pin_delay_bounds
 from .windows import LineRequired
 
 NS = 1e-9
@@ -104,11 +97,13 @@ class TimingReporter:
         """Pair-merged arrival bounds no single arc reproduces.
 
         The V-shape model's simultaneous-switching merge can set the
-        earliest ctrl-response bound (and the Λ-peak extension the latest
-        non-ctrl bound) from an input *pair*; the tracer must know those
-        candidates or it would reject a perfectly valid result.  Each
-        candidate is attributed to the pair member whose own bound keeps
-        the traced arrivals monotone.
+        earliest ctrl-response bound (and its mirror, the Λ-peak
+        extension, the latest non-ctrl bound) from an input *pair*; the
+        tracer must know those candidates or it would reject a perfectly
+        valid result.  Both run through the forward search's anchors and
+        fold (:func:`~repro.sta.corners.fold_pair`).  Each candidate is
+        attributed to the pair member whose own bound keeps the traced
+        arrivals monotone.
 
         Returns:
             (bound, pin, in_line, in_rising) tuples.
@@ -117,108 +112,73 @@ class TimingReporter:
         ctrl = cell.ctrl
         if ctrl is None or cell.controlling_value is None or cell.n_inputs < 2:
             return []
-        out: List[tuple] = []
-        if (
-            kind == "min"
-            and rising == ctrl.out_rising
-            and getattr(model, "supports_pair_merge", False)
-        ):
+        if kind == "min":
+            # The V lowers the to-controlling earliest bound.
+            if rising != ctrl.out_rising or not getattr(
+                model, "supports_pair_merge", False
+            ):
+                return []
+            record, edge, reduce = ctrl, "a_s", min
             in_rising = cell.controlling_value == 1
-            active = [
-                CtrlInput(pin, self.result.line(l).window(in_rising))
-                for pin, l in enumerate(gate.inputs)
-                if self.result.line(l).window(in_rising).is_active
-            ]
-            if len(active) >= 2:
-                overlap = _overlap_count(active)
-                ratio = (
-                    multi_input_ratio(ctrl.multi_scale, overlap)
-                    if overlap > 2 else 1.0
-                )
-                # The forward search's per-endpoint and per-combo
-                # evaluation, delay V only.
-                anchors = CtrlAnchors(cell, load, trans=False)
-                ends = {}
-                for item in active:
-                    arc = cell.ctrl_arc(item.pin)
-                    ends[item.pin] = (
-                        anchors.end(arc, item.window.t_s),
-                        anchors.end(arc, item.window.t_l),
-                    )
-                for idx, first in enumerate(active):
-                    for second in active[idx + 1:]:
-                        shapes, _ = anchors.pair(
-                            first.pin, second.pin,
-                            ends[first.pin], ends[second.pin],
-                        )
-                        bound = _pair_min_arrival(
-                            first.window, second.window, shapes
-                        )
-                        # The earliest-arriving member can have switched
-                        # by the pair floor, keeping arrivals monotone.
-                        lead = (
-                            first
-                            if first.window.a_s <= second.window.a_s
-                            else second
-                        )
-                        out.append(
-                            (bound, lead.pin, gate.inputs[lead.pin], in_rising)
-                        )
-                        if ratio < 1.0 and first.window.overlaps_arrivals(
-                            second.window
-                        ):
-                            floor = max(
-                                first.window.a_s, second.window.a_s
-                            )
-                            late = (
-                                first
-                                if first.window.a_s >= second.window.a_s
-                                else second
-                            )
-                            out.append((
-                                floor + shapes[0].d0 * ratio,
-                                late.pin,
-                                gate.inputs[late.pin],
-                                in_rising,
-                            ))
-        elif (
-            kind == "max"
-            and rising != ctrl.out_rising
-            and hasattr(model, "nonctrl_shape")
-            and getattr(cell, "nonctrl", None) is not None
-        ):
+        else:
+            # The Λ raises the to-non-controlling latest bound.
+            if (
+                rising == ctrl.out_rising
+                or not hasattr(model, "nonctrl_shape")
+                or cell.nonctrl is None
+            ):
+                return []
+            record, edge, reduce = cell.nonctrl, "a_l", max
             in_rising = cell.controlling_value == 0
-            active = [
-                CtrlInput(pin, self.result.line(l).window(in_rising))
-                for pin, l in enumerate(gate.inputs)
-                if self.result.line(l).window(in_rising).is_active
-            ]
-            if len(active) >= 2:
-                anchors = PeakAnchors(cell, load)
-                ends = {}
-                for item in active:
-                    arc = cell.arc(item.pin, in_rising, rising)
-                    ends[item.pin] = (
-                        anchors.end(arc, item.window.t_s),
-                        anchors.end(arc, item.window.t_l),
-                    )
-                for idx, first in enumerate(active):
-                    for second in active[idx + 1:]:
-                        bound = _pair_max_arrival_peak(
-                            first.window, second.window,
-                            anchors.pair(
-                                first.pin, second.pin,
-                                ends[first.pin], ends[second.pin],
-                            ),
-                        )
-                        lead = (
-                            first
-                            if first.window.a_l <= second.window.a_l
-                            else second
-                        )
-                        out.append(
-                            (bound, lead.pin, gate.inputs[lead.pin], in_rising)
-                        )
+        active = [
+            CtrlInput(pin, self.result.line(l).window(in_rising))
+            for pin, l in enumerate(gate.inputs)
+            if self.result.line(l).window(in_rising).is_active
+        ]
+        if len(active) < 2:
+            return []
+        ratio = 1.0
+        if kind == "min":
+            overlap = _overlap_count(active)
+            if overlap > 2:
+                ratio = multi_input_ratio(ctrl.multi_scale, overlap)
+        # The forward search's per-endpoint and per-combo evaluation,
+        # delay shape only (the Λ's vertex clamped from below, the
+        # lagging pin's tail at +S).
+        anchors = PairAnchors(
+            cell, record, load, clamp=reduce, lagging=reduce is max,
+            trans=False,
+        )
+        ends = {}
+        for item in active:
+            arc = cell.arc(item.pin, in_rising, rising)
+            ends[item.pin] = (
+                anchors.end(arc, item.window.t_s),
+                anchors.end(arc, item.window.t_l),
+            )
+        out: List[tuple] = []
+        for idx, first in enumerate(active):
+            for second in active[idx + 1:]:
+                wi, wj = first.window, second.window
+                shapes, _ = anchors.pair(
+                    first.pin, second.pin, ends[first.pin], ends[second.pin]
+                )
+                # The member with the earlier edge can have switched by
+                # the pair's floor (ceiling), keeping arrivals monotone.
+                lead = (
+                    first if getattr(wi, edge) <= getattr(wj, edge)
+                    else second
+                )
+                out.append((
+                    fold_pair(wi, wj, shapes, edge, reduce),
+                    lead.pin, gate.inputs[lead.pin], in_rising,
+                ))
+                if ratio < 1.0 and wi.overlaps_arrivals(wj):
+                    late = first if wi.a_s >= wj.a_s else second
+                    out.append((
+                        max(wi.a_s, wj.a_s) + shapes[0].vertex * ratio,
+                        late.pin, gate.inputs[late.pin], in_rising,
+                    ))
         return out
 
     def _trace_step(

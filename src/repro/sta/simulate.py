@@ -29,12 +29,22 @@ class PiStimulus:
         v2: Second-frame logic value.
         arrival: Transition arrival time (ignored when v1 == v2).
         trans: Transition time (ignored when v1 == v2).
+
+    Raises:
+        ValueError: If ``v1`` or ``v2`` is not a logic value (0 or 1).
     """
 
     v1: int
     v2: int
     arrival: float = 0.0
     trans: float = 0.2e-9
+
+    def __post_init__(self) -> None:
+        if self.v1 not in (0, 1) or self.v2 not in (0, 1):
+            raise ValueError(
+                f"logic values must be 0 or 1, got v1={self.v1!r}, "
+                f"v2={self.v2!r}"
+            )
 
     @property
     def has_transition(self) -> bool:

@@ -207,6 +207,44 @@ def test_bad_clock_or_period_exits_2(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "c17", "--worst", "-1"],
+    ["report", "c17", "--worst", "0"],
+    ["sta", "c17", "--max-outputs", "-1"],
+    ["sta", "c17", "--max-outputs", "0", "--corners", "typ,slow"],
+    ["mc", "c17", "--max-outputs", "-1", "--samples", "4"],
+])
+def test_row_count_below_one_exits_2(argv, capsys, monkeypatch):
+    """A table row count below 1 would silently drop rows (a negative
+    slice end); it is refused before any analysis runs."""
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran before the argument checks")
+
+    monkeypatch.setattr(repro.cli, "run_mc", analysis)
+    monkeypatch.setattr(repro.cli, "TimingAnalyzer", analysis)
+    monkeypatch.setattr(repro.cli, "_corner_set", analysis)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[2]} must be finite and > 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("v1", ["22222", "0a010"])
+def test_sim_vectors_must_be_bits(v1, capsys):
+    assert main(["sim", "c17", v1, "00000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vectors must be strings of 0 and 1 bits")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", [(2, 0), (0, -1), ("1", 0)])
+def test_pi_stimulus_takes_logic_values_only(values):
+    from repro.sta.simulate import PiStimulus
+
+    with pytest.raises(ValueError, match="logic values must be 0 or 1"):
+        PiStimulus(*values)
+
+
 @pytest.mark.parametrize("method,field", [
     ("slack", "clock_ns"), ("whatif", "clock_ns"), ("mc", "period_ns"),
 ])

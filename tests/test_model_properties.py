@@ -94,10 +94,10 @@ def _vshape(name, pair_index, up, uq, uload):
 def test_vshape_saturates_to_pin_tails(name, pair_index, up, uq, uload):
     """Beyond SR the V equals the lagging pin's DR(Tx), exactly."""
     shape = _vshape(name, pair_index, up, uq, uload)
-    assert shape.delay(shape.s_pos) == shape.dr_p
-    assert shape.delay(shape.s_pos * 2.0 + 1e-12) == shape.dr_p
-    assert shape.delay(-shape.s_neg) == shape.dr_q
-    assert shape.delay(-shape.s_neg * 2.0 - 1e-12) == shape.dr_q
+    assert shape.delay(shape.s_pos) == shape.tail_pos
+    assert shape.delay(shape.s_pos * 2.0 + 1e-12) == shape.tail_pos
+    assert shape.delay(-shape.s_neg) == shape.tail_neg
+    assert shape.delay(-shape.s_neg * 2.0 - 1e-12) == shape.tail_neg
 
 
 @pytest.mark.parametrize("name", CTRL_CELLS)
@@ -112,12 +112,12 @@ def test_vshape_saturates_to_pin_tails(name, pair_index, up, uq, uload):
 def test_vshape_minimized_at_zero_skew(name, pair_index, up, uq, uload, uskew):
     """D0 is the global minimum: delay(0) == d0 <= delay(any skew)."""
     shape = _vshape(name, pair_index, up, uq, uload)
-    assert shape.delay(0.0) == shape.d0
-    assert shape.min_delay() == shape.d0
-    assert shape.d0 <= shape.dr_p
-    assert shape.d0 <= shape.dr_q
+    assert shape.delay(0.0) == shape.vertex
+    assert shape.min_delay() == shape.vertex
+    assert shape.vertex <= shape.tail_pos
+    assert shape.vertex <= shape.tail_neg
     skew = (uskew * 4.0 - 2.0) * max(shape.s_pos, shape.s_neg)
-    assert shape.delay(skew) >= shape.d0
+    assert shape.delay(skew) >= shape.vertex
 
 
 @pytest.mark.parametrize("name", CTRL_CELLS)
@@ -127,9 +127,9 @@ def test_vshape_continuous_at_anchors(name, pair_index, up, uq, uload):
     """No jumps where the linear flanks meet the vertex and the tails."""
     shape = _vshape(name, pair_index, up, uq, uload)
     for anchor, value in (
-        (shape.s_pos, shape.dr_p),
-        (-shape.s_neg, shape.dr_q),
-        (0.0, shape.d0),
+        (shape.s_pos, shape.tail_pos),
+        (-shape.s_neg, shape.tail_neg),
+        (0.0, shape.vertex),
     ):
         for side in (1.0, -1.0):
             probe = anchor + side * 1e-9 * max(shape.s_pos, shape.s_neg)
@@ -158,9 +158,9 @@ def test_vshape_pin_order_is_a_relabeling(
     load = _load(cell, uload)
     fwd = MODEL.vshape(cell, pin_p, pin_q, t_p, t_q, load)
     rev = MODEL.vshape(cell, pin_q, pin_p, t_q, t_p, load)
-    assert rev.d0 == fwd.d0
+    assert rev.vertex == fwd.vertex
     assert rev.s_pos == fwd.s_neg and rev.s_neg == fwd.s_pos
-    assert rev.dr_p == fwd.dr_q and rev.dr_q == fwd.dr_p
+    assert rev.tail_pos == fwd.tail_neg and rev.tail_neg == fwd.tail_pos
     skew = (uskew * 4.0 - 2.0) * max(fwd.s_pos, fwd.s_neg)
     assert rev.delay(-skew) == fwd.delay(skew)
 
@@ -259,14 +259,14 @@ def test_peak_shape_is_a_conservative_slowdown(
         _trans_in(arc_q, uq),
         _load(cell, uload),
     )
-    assert shape.p0 >= shape.tail_p
-    assert shape.p0 >= shape.tail_q
-    assert shape.delay(0.0) == shape.p0
-    assert shape.max_delay() == shape.p0
-    assert shape.delay(shape.s_pos) == shape.tail_q
-    assert shape.delay(-shape.s_neg) == shape.tail_p
+    assert shape.vertex >= shape.tail_neg
+    assert shape.vertex >= shape.tail_pos
+    assert shape.delay(0.0) == shape.vertex
+    assert shape.max_delay() == shape.vertex
+    assert shape.delay(shape.s_pos) == shape.tail_pos
+    assert shape.delay(-shape.s_neg) == shape.tail_neg
     skew = (uskew * 4.0 - 2.0) * max(shape.s_pos, shape.s_neg)
-    assert shape.delay(skew) <= shape.p0
+    assert shape.delay(skew) <= shape.vertex
 
 
 # ----------------------------------------------------------------------

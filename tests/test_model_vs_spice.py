@@ -152,8 +152,8 @@ class TestLibraryWideSanity:
         for t_p in (0.2 * NS, 0.6 * NS, 1.2 * NS):
             for t_q in (0.2 * NS, 0.6 * NS, 1.2 * NS):
                 shape = model.vshape(timing, 0, 1, t_p, t_q, timing.ref_load)
-                assert shape.d0 <= shape.dr_p + 1e-15
-                assert shape.d0 <= shape.dr_q + 1e-15
+                assert shape.vertex <= shape.tail_pos + 1e-15
+                assert shape.vertex <= shape.tail_neg + 1e-15
                 assert shape.s_pos > 0 and shape.s_neg > 0
 
     @pytest.mark.parametrize("name", ["NAND4", "NAND5", "NOR4"])

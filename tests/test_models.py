@@ -44,9 +44,9 @@ class TestVShapeGeometry:
     def test_vertex_and_tails(self, nand2, vmodel):
         shape = vmodel.vshape(nand2, 0, 1, 0.5 * NS, 0.5 * NS, REF_LOAD)
         # Pin tails: 0.10 + 0.1*0.5 = 0.15ns (pin0), 0.12 + 0.05 = 0.17ns.
-        assert shape.dr_p == pytest.approx(0.15 * NS)
-        assert shape.dr_q == pytest.approx(0.17 * NS)
-        assert shape.d0 == pytest.approx(0.06 * NS)
+        assert shape.tail_pos == pytest.approx(0.15 * NS)
+        assert shape.tail_neg == pytest.approx(0.17 * NS)
+        assert shape.vertex == pytest.approx(0.06 * NS)
         assert shape.delay(0.0) == pytest.approx(0.06 * NS)
         assert shape.delay(10 * NS) == pytest.approx(0.15 * NS)
         assert shape.delay(-10 * NS) == pytest.approx(0.17 * NS)
@@ -65,8 +65,8 @@ class TestVShapeGeometry:
     def test_mirrored_pair_swaps_sides(self, nand2, vmodel):
         fwd = vmodel.vshape(nand2, 0, 1, 0.5 * NS, 0.5 * NS, REF_LOAD)
         rev = vmodel.vshape(nand2, 1, 0, 0.5 * NS, 0.5 * NS, REF_LOAD)
-        assert rev.dr_p == pytest.approx(fwd.dr_q)
-        assert rev.dr_q == pytest.approx(fwd.dr_p)
+        assert rev.tail_pos == pytest.approx(fwd.tail_neg)
+        assert rev.tail_neg == pytest.approx(fwd.tail_pos)
         assert rev.s_pos == pytest.approx(fwd.s_neg)
         assert rev.s_neg == pytest.approx(fwd.s_pos)
         assert rev.delay(0.1 * NS) == pytest.approx(fwd.delay(-0.1 * NS))
@@ -75,7 +75,7 @@ class TestVShapeGeometry:
         # A cell whose fitted d0 would exceed the pin delay must clamp.
         cell = make_nand(2, d0=0.5 * NS)
         shape = vmodel.vshape(cell, 0, 1, 0.1 * NS, 0.1 * NS, REF_LOAD)
-        assert shape.d0 <= min(shape.dr_p, shape.dr_q)
+        assert shape.vertex <= min(shape.tail_pos, shape.tail_neg)
 
     def test_load_shifts_all_levels(self, nand2, vmodel):
         light = vmodel.vshape(nand2, 0, 1, 0.5 * NS, 0.5 * NS, REF_LOAD)
@@ -83,8 +83,8 @@ class TestVShapeGeometry:
             nand2, 0, 1, 0.5 * NS, 0.5 * NS, REF_LOAD + 10e-15
         )
         extra = 4e3 * 10e-15
-        assert heavy.d0 - light.d0 == pytest.approx(extra)
-        assert heavy.dr_p - light.dr_p == pytest.approx(extra)
+        assert heavy.vertex - light.vertex == pytest.approx(extra)
+        assert heavy.tail_pos - light.tail_pos == pytest.approx(extra)
 
     @given(
         skew=st.floats(min_value=-2e-9, max_value=2e-9),
@@ -97,7 +97,7 @@ class TestVShapeGeometry:
             make_nand(2), 0, 1, t_p, t_q, REF_LOAD
         )
         d = shape.delay(skew)
-        assert shape.d0 - 1e-15 <= d <= shape.max_delay() + 1e-15
+        assert shape.vertex - 1e-15 <= d <= shape.max_delay() + 1e-15
 
 
 class TestTransVShape:
@@ -320,7 +320,7 @@ class TestOutputEventSemantics:
 # ----------------------------------------------------------------------
 def _reference_vshapes(cell, p, q, t_p, t_q, load, f, g):
     """The anchors of one combo written out from the model's formulas:
-    ``(d0, s_pos, s_neg, dr_p, dr_q)`` and ``(vertex_skew,
+    ``(vertex, s_pos, s_neg, tail_pos, tail_neg)`` and ``(vertex_skew,
     vertex_value, s_pos, s_neg, tail_p, tail_q)``."""
     from repro.characterize.library import pair_key
 
@@ -363,13 +363,13 @@ def _times(arc):
 
 class TestSharedAnchors:
     """``vshape`` / ``trans_vshape`` are one combo of
-    :class:`CtrlAnchors`, the evaluation the STA corner search reads."""
+    :class:`PairAnchors`, the evaluation the STA corner search reads."""
 
     @pytest.mark.parametrize("f, g", [(1.0, 1.0), (1.13, 0.91)])
     def test_wrappers_equal_the_shared_evaluation(self, library, f, g):
         from itertools import product
 
-        from repro.models.vshape import CtrlAnchors
+        from repro.models.vshape import PairAnchors
 
         model = VShapeModel()
         checked = 0
@@ -377,7 +377,7 @@ class TestSharedAnchors:
             if cell.ctrl is None or cell.n_inputs < 2:
                 continue
             load = 1.7 * cell.ref_load
-            anchors = CtrlAnchors(cell, load, f, g)
+            anchors = PairAnchors(cell, cell.ctrl, load, f, g)
             for p, q in product(range(cell.n_inputs), repeat=2):
                 if p == q:
                     continue
@@ -409,16 +409,20 @@ class TestSharedAnchors:
         )
 
     def test_one_shape_costs_no_work_of_the_other(self, library):
-        from repro.models.vshape import CtrlAnchors
+        from repro.models.vshape import PairAnchors
 
         cell = library.cells["NAND3"]
         arc = cell.ctrl_arc(0)
-        delay_only = CtrlAnchors(cell, cell.ref_load, trans=False)
+        delay_only = PairAnchors(
+            cell, cell.ctrl, cell.ref_load, trans=False
+        )
         end = delay_only.end(arc, 0.3 * NS)
         assert end.tail is None and end.dr is not None
         shapes, tshapes = delay_only.pair(0, 1, [end], [end])
         assert tshapes is None and len(shapes) == 1
-        trans_only = CtrlAnchors(cell, cell.ref_load, delay=False)
+        trans_only = PairAnchors(
+            cell, cell.ctrl, cell.ref_load, delay=False
+        )
         end = trans_only.end(arc, 0.3 * NS)
         assert end.dr is None and end.tail is not None
         shapes, tshapes = trans_only.pair(0, 1, [end], [end])

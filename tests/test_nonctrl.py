@@ -5,7 +5,7 @@ import pytest
 from repro.models import (
     InputEvent,
     NonCtrlAwareModel,
-    PeakShape,
+    VShape,
     VShapeModel,
 )
 from repro.spice import GateCell, RampStimulus, simulate_gate
@@ -21,10 +21,13 @@ def rise(pin, arrival, trans=0.5 * NS):
 
 
 class TestPeakShapeGeometry:
+    """The Λ is a :class:`VShape` whose vertex tops its tails; its +S
+    tail is the lagging pin q's."""
+
     def make(self):
-        return PeakShape(
-            p0=0.15 * NS, s_pos=0.3 * NS, s_neg=0.2 * NS,
-            tail_p=0.10 * NS, tail_q=0.09 * NS,
+        return VShape(
+            vertex=0.15 * NS, s_pos=0.3 * NS, s_neg=0.2 * NS,
+            tail_pos=0.09 * NS, tail_neg=0.10 * NS,
         )
 
     def test_peak_at_zero(self):
@@ -35,8 +38,8 @@ class TestPeakShapeGeometry:
 
     def test_tails(self):
         shape = self.make()
-        assert shape.delay(1.0 * NS) == shape.tail_q
-        assert shape.delay(-1.0 * NS) == shape.tail_p
+        assert shape.delay(1.0 * NS) == shape.tail_pos
+        assert shape.delay(-1.0 * NS) == shape.tail_neg
 
     def test_linear_interpolation(self):
         shape = self.make()
@@ -94,8 +97,8 @@ class TestCharacterizedExtension:
         shape = model.nonctrl_shape(
             nand2_ext, 0, 1, 0.5 * NS, 0.5 * NS, nand2_ext.ref_load
         )
-        assert shape.p0 > shape.tail_p
-        assert shape.p0 > shape.tail_q
+        assert shape.vertex > shape.tail_neg
+        assert shape.vertex > shape.tail_pos
         assert shape.s_pos > 0 and shape.s_neg > 0
 
     def test_sdf_underestimates_peak(self, nand2_ext):

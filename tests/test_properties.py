@@ -49,8 +49,8 @@ class TestVShapeProperties:
         """|d(s1) - d(s2)| <= L * |s1 - s2| with a finite slope L."""
         shape = VShapeModel().vshape(make_nand(2), 0, 1, t_p, t_q, REF_LOAD)
         slope = max(
-            abs(shape.dr_p - shape.d0) / shape.s_pos,
-            abs(shape.dr_q - shape.d0) / shape.s_neg,
+            abs(shape.tail_pos - shape.vertex) / shape.s_pos,
+            abs(shape.tail_neg - shape.vertex) / shape.s_neg,
         )
         assert abs(shape.delay(s1) - shape.delay(s2)) <= (
             slope * abs(s1 - s2) + 1e-15
@@ -60,9 +60,9 @@ class TestVShapeProperties:
     @settings(max_examples=60, deadline=None)
     def test_saturation_beyond_anchors(self, t_p, t_q):
         shape = VShapeModel().vshape(make_nand(2), 0, 1, t_p, t_q, REF_LOAD)
-        assert shape.delay(shape.s_pos) == pytest.approx(shape.dr_p)
-        assert shape.delay(shape.s_pos * 3) == shape.dr_p
-        assert shape.delay(-shape.s_neg * 3) == shape.dr_q
+        assert shape.delay(shape.s_pos) == pytest.approx(shape.tail_pos)
+        assert shape.delay(shape.s_pos * 3) == shape.tail_pos
+        assert shape.delay(-shape.s_neg * 3) == shape.tail_neg
 
     @given(t_p=times, t_q=times, skew=st.floats(-2e-9, 2e-9))
     @settings(max_examples=100, deadline=None)

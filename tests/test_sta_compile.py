@@ -524,7 +524,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                         shape = model.nonctrl_shape(
                             cell, pin, 1 - min(pin, 1), t, lo, load
                         )
-                        assert float(tail) == shape.tail_p, (line, pin, t)
+                        assert float(tail) == shape.tail_neg, (line, pin, t)
         else:
             lane = lanes.start
             segs = list(range(runs["seg"].start, runs["seg"].stop))
@@ -1024,8 +1024,8 @@ def _steep_library(library):
 
 def _breakpoint_candidates(shape_of, wi, wj, peak):
     """{breakpoint: best candidate over the endpoint combos} of one pair:
-    the scalar ``corners._pair_min_arrival`` (``_pair_max_arrival_peak``
-    with ``peak``), labelled by breakpoint."""
+    the scalar ``corners.fold_pair`` (its ``"a_s"``/``min`` V fold, or
+    its ``"a_l"``/``max`` Λ fold with ``peak``), labelled by breakpoint."""
     lo = wj.a_s - wi.a_l
     hi = wj.a_l - wi.a_s
     offset = wj.a_l - wi.a_l if peak else wj.a_s - wi.a_s

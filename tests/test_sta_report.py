@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.models import VShapeModel
+from repro.circuit import load_packaged_bench
+from repro.models import NonCtrlAwareModel, VShapeModel
 from repro.sta import TimingAnalyzer, TimingReporter
 
 NS = 1e-9
@@ -106,6 +107,66 @@ class TestPathTracing:
         bad = TimingReporter(analyzer, tampered)
         with pytest.raises(ValueError, match="stale"):
             bad.critical_path()
+
+
+#: Traced paths some of whose stages only a pair candidate reproduces:
+#: (circuit, model, kind, stages needing one, the path's stages as
+#: ``LINE`` + direction + ``/CELL.pin`` of the gate driving the line).
+PAIR_PATHS = [
+    ("c17", VShapeModel, "min", 1, "G1F G10R/NAND2.0 G22F/NAND2.0"),
+    ("c880s", VShapeModel, "min", 1, "I26R G224F/NOR3.2"),
+    (
+        "c1908s", NonCtrlAwareModel, "max", 2,
+        "I13R G0F/NAND3.0 G1F/AND4.1 G6R/NOR4.2 G27R/AND3.0 G83R/XOR2.1 "
+        "G388F/NAND2.0 G463F/OR2.0 G603F/AND3.2 G863R/NOR3.2 "
+        "G166R/OR4.0 G171F/NAND2.0 G199R/NOR5.3 G227R/OR2.1 "
+        "G236F/NAND5.0 G301R/NOR2.1 G402R/OR3.1 G496F/NAND4.3 "
+        "G516R/NAND2.0 G625F/NAND2.0 G867F/AND2.1 G246F/OR2.0 "
+        "G850R/INV.0 G340F/NAND2.0 G502F/AND2.0 G726R/NAND2.0 "
+        "G748R/AND4.1 G775F/NAND2.1 G787R/INV.0 G851F/INV.0 "
+        "G641R/XOR2.0 G708F/NAND3.0 G792R/INV.0 G814F/XOR2.1 "
+        "G874R/NAND5.0 G302F/INV.0 G515R/NAND2.1 G560F/NAND2.0 "
+        "G592R/XOR2.0 G848F/NOR2.0 G870R/NOR2.1 G554R/AND4.0 "
+        "G606F/INV.0 G766F/AND3.2 G873R/NOR2.1 G220R/AND3.1 "
+        "G503R/AND2.1 G615R/AND4.1 G742R/AND2.0 G834R/AND2.0 "
+        "G853F/NAND3.2 G230R/NOR2.0 G843F/NOR2.0 G862R/NAND3.0 "
+        "G655F/INV.0 G717R/NOR2.0 G826R/OR2.0",
+    ),
+]
+
+
+def _stage(stage) -> str:
+    via = f"/{stage.cell}.{stage.pin}" if stage.cell is not None else ""
+    return f"{stage.line}{'R' if stage.rising else 'F'}{via}"
+
+
+class TestPairStages:
+    """Paths through stages set by a pair merge: the V-shape's earliest
+    bound (shortest paths) and the Λ-peak's latest one (critical path
+    under :class:`NonCtrlAwareModel`).  The tracer reproduces those
+    stages only from its pair candidates."""
+
+    @pytest.mark.parametrize(
+        "name, model, kind, n_pair, stages", PAIR_PATHS,
+        ids=[f"{p[0]}-{p[2]}" for p in PAIR_PATHS],
+    )
+    def test_traced_stages(
+        self, library, monkeypatch, name, model, kind, n_pair, stages
+    ):
+        circuit = load_packaged_bench(name)
+        analyzer = TimingAnalyzer(circuit, library, model())
+        rep = TimingReporter(analyzer, analyzer.analyze())
+        path = rep.critical_path() if kind == "max" else rep.shortest_path()
+        assert [_stage(s) for s in path.stages] == stages.split()
+        # Without the pair candidates exactly n_pair stages fail to trace.
+        monkeypatch.setattr(rep, "_merge_candidates", lambda *args: [])
+        failing = 0
+        for stage in path.stages[1:]:
+            try:
+                rep._trace_step(stage.line, stage.rising, kind)
+            except ValueError:
+                failing += 1
+        assert failing == n_pair
 
 
 class TestSlackTable:
