@@ -55,7 +55,8 @@ class AtpgConfig:
         detect_guard: Margin a faulty arrival must exceed the period by.
 
     Raises:
-        ValueError: If ``period`` is given and not finite and > 0.
+        ValueError: If ``backtrack_limit`` is negative, or ``period`` is
+            given and not finite and > 0.
     """
 
     backtrack_limit: int = 128
@@ -64,6 +65,10 @@ class AtpgConfig:
     detect_guard: float = 1e-12
 
     def __post_init__(self) -> None:
+        if self.backtrack_limit < 0:
+            raise ValueError(
+                f"backtrack_limit must be >= 0, got {self.backtrack_limit!r}"
+            )
         if self.period is not None and not (
             math.isfinite(self.period) and self.period > 0.0
         ):

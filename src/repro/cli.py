@@ -130,11 +130,19 @@ def _load_circuit(spec: str, corner_set=None):
 
 
 def _check_positive(flag: str, value) -> None:
-    """Reject a clock, period, period fraction or row count that is not
-    finite and > 0 before any analysis runs on it (the configs check
-    the times again)."""
+    """Reject a clock, period, period fraction, row count or fault count
+    that is not finite and > 0 before any analysis runs on it (the
+    configs check the times again)."""
     if value is not None and not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
+
+
+def _check_non_negative(flag: str, value) -> None:
+    """Reject a sigma or a backtrack limit that is not finite and >= 0
+    before any analysis runs on it (:class:`VariationModel` and
+    :class:`AtpgConfig` check them again)."""
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
 
 
 def _corner_set(args: argparse.Namespace, library):
@@ -371,6 +379,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         qs = _parse_quantiles(args.quantiles)
         _check_positive("--period", args.period)
         _check_positive("--max-outputs", args.max_outputs)
+        _check_non_negative("--sigma", args.sigma)
+        _check_non_negative("--sigma-corr", args.sigma_corr)
+        _check_non_negative("--sigma-ind", args.sigma_ind)
         variation = VariationModel(
             sigma_corr=(
                 args.sigma_corr if args.sigma_corr is not None
@@ -486,6 +497,8 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     try:
         circuit = _load_circuit(args.circuit)
         _check_positive("--period-fraction", args.period_fraction)
+        _check_positive("--faults", args.faults)
+        _check_non_negative("--backtrack-limit", args.backtrack_limit)
         faults = generate_fault_list(
             circuit, args.faults, seed=args.seed,
             delta=args.delta * NS, window=args.window * NS,

@@ -10,7 +10,8 @@ corner derates) and ``compute_required_per_gate``.
 * ``level``     — the level-compiled structure-of-arrays pass
   (``TimingAnalyzer.analyze``) vs. the scalar per-gate walk, and its
   backward pass (``compute_required``, at the default and a
-  setup+hold clock) vs. the per-gate backward walk, bit for bit;
+  setup+hold clock) vs. the per-gate backward walk, bit for bit; every
+  output's latest and earliest path then traces on the compiled result;
 * ``incremental`` — cone-limited re-timing, ``try_edits`` trial
   batches and ``commit`` of a trial column vs. a fresh scalar analysis
   after every edit of a random mutation sequence (cone replay on the
@@ -58,6 +59,7 @@ from ..characterize import (
 from ..itr import Conflict, ItrEngine, TwoFrame
 from ..models import InputEvent, VShapeModel
 from ..sta.analysis import StaResult, TimingAnalyzer
+from ..sta.report import TimingReporter
 from ..stat import (
     MC_MODELS,
     MonteCarloEngine,
@@ -219,10 +221,27 @@ def _gen_level(rng: random.Random) -> FuzzCase:
     )
 
 
+def _trace_failures(circuit, analyzer, result) -> List[str]:
+    """Every active output direction's latest and earliest path must
+    trace back to a primary input (:class:`TimingReporter`)."""
+    reporter = TimingReporter(analyzer, result)
+    for po in circuit.outputs:
+        for rising in (True, False):
+            for kind in ("max", "min"):
+                if result.line(po).window(rising).is_active:
+                    try:
+                        reporter.trace(po, rising, kind)
+                    except ValueError as exc:
+                        direction = "R" if rising else "F"
+                        return [f"{kind} path to {po}.{direction}: {exc}"]
+    return []
+
+
 def _check_level(case: FuzzCase) -> OracleResult:
     """The scalar per-gate walk vs. the level-compiled pass
     (:meth:`TimingAnalyzer.analyze`) and its backward pass
-    (:meth:`TimingAnalyzer.compute_required`) over the case's models.
+    (:meth:`TimingAnalyzer.compute_required`) over the case's models,
+    then the path traces of every output on the compiled result.
     """
     circuit = case.build_circuit()
     config = case.build_sta_config()
@@ -238,6 +257,8 @@ def _check_level(case: FuzzCase) -> OracleResult:
             problems = _required_mismatches(
                 circuit, base_analyzer, base, fast_analyzer, fast
             )
+        if not problems:
+            problems = _trace_failures(circuit, fast_analyzer, fast)
         if problems:
             return OracleResult(
                 False, f"model={name}: " + "; ".join(problems)
@@ -249,7 +270,7 @@ register_oracle(Oracle(
     name="level",
     description="level-compiled structure-of-arrays pass vs. scalar "
                 "corner search (bit-identical STA windows and "
-                "required times)",
+                "required times; every output's paths trace)",
     generate=_gen_level,
     check=_check_level,
     supports_pi_windows=True,

@@ -114,15 +114,24 @@ def _bad(message: str) -> ServerError:
 
 
 def _as_float(name: str, value) -> float:
+    """A finite number: request bodies are parsed by ``json.loads``,
+    which takes ``NaN`` and ``Infinity``, and no engine input may be
+    either."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad(f"{name} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise _bad(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _as_time(name: str, value) -> float:
     """A clock or period: a number, finite and > 0."""
     value = _as_float(name, value)
-    if not (math.isfinite(value) and value > 0.0):
+    if not value > 0.0:
         raise _bad(f"{name} must be finite and > 0, got {value!r}")
     return value
 

@@ -39,9 +39,10 @@ from ..models.vshape import PairAnchors, VShapeModel
 from ..obs import get_registry
 from .corners import (
     CtrlInput,
-    arc_fanin_window,
-    ctrl_response_window,
-    nonctrl_response_window,
+    Searched,
+    arc_fanin_search,
+    ctrl_response_search,
+    nonctrl_response_search,
     pin_delay_bounds,
 )
 from .windows import (
@@ -357,37 +358,48 @@ class TimingAnalyzer:
         late: float = 1.0,
         directions: Sequence[bool] = (True, False),
     ) -> LineTiming:
-        """The corner searches of one gate, one per output direction,
-        under variation factor ``f`` and the ``(early, late)`` derates
-        (1.0 multiplies exactly).  Each reads the input windows of
-        :meth:`fanin`: a ctrl cell's to-controlling or
-        to-non-controlling response, or the arcs of an inv / buf / xor.
-        """
+        """The corner searches of one gate, one per output direction
+        (:meth:`search`), under variation factor ``f`` and the
+        ``(early, late)`` derates (1.0 multiplies exactly)."""
         self._m_gates.inc()
         self._m_corners.inc(len(directions))
-        ctrl = cell.controlling_value is not None and cell.n_inputs >= 2
         result = LineTiming()
         for out_rising in directions:
-            arcs = [
-                (pin, in_rising, timings[gate.inputs[pin]].window(in_rising))
-                for pin, in_rising in self.fanin(cell, out_rising)
-            ]
-            if not ctrl:
-                window = arc_fanin_window(
-                    cell, arcs, out_rising, load, f, early, late
-                )
-            elif out_rising == cell.ctrl.out_rising:
-                window = ctrl_response_window(
-                    cell, self.model, [CtrlInput(p, w) for p, _, w in arcs],
-                    load, f, early, late,
-                )
-            else:
-                window = nonctrl_response_window(
-                    cell, [CtrlInput(p, w) for p, _, w in arcs], load,
-                    self.model, f, early, late,
-                )
-            result.set_window(out_rising, window)
+            result.set_window(out_rising, self.search(
+                gate, cell, load, timings, out_rising, f, early, late
+            )[0])
         return result
+
+    def search(
+        self, gate: Gate, cell: CellTiming, load: float,
+        timings: Mapping[str, LineTiming], out_rising: bool,
+        f: float = 1.0, early: float = 1.0, late: float = 1.0,
+    ) -> Searched:
+        """The corner search of one output direction over the input
+        windows of :meth:`fanin` (a ctrl cell's to-controlling or
+        to-non-controlling response, or the arcs of an inv / buf / xor):
+        the window and the inputs behind its bounds
+        (:class:`~repro.sta.corners.Winner`).  Not counted in
+        ``sta.gates_evaluated`` or ``sta.corner_calls``: the walk counts
+        its own searches, and the path tracer re-runs one to follow a
+        bound to its input.
+        """
+        arcs = [
+            (pin, in_rising, timings[gate.inputs[pin]].window(in_rising))
+            for pin, in_rising in self.fanin(cell, out_rising)
+        ]
+        if cell.controlling_value is None or cell.n_inputs < 2:
+            return arc_fanin_search(
+                cell, arcs, out_rising, load, f, early, late
+            )
+        inputs = [CtrlInput(p, w) for p, _, w in arcs]
+        if out_rising == cell.ctrl.out_rising:
+            return ctrl_response_search(
+                cell, self.model, inputs, load, f, early, late
+            )
+        return nonctrl_response_search(
+            cell, inputs, load, self.model, f, early, late
+        )
 
     def level_engine(self) -> "LevelCompiledAnalyzer":
         """The lazily-built level-compiled engine (compiling on first use).

@@ -19,7 +19,7 @@ against exhaustive timing simulation).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from ..characterize.library import CellTiming, TimingArc, multi_input_ratio
 from ..models.vshape import PairAnchors, TransVShape, VShape
@@ -32,6 +32,31 @@ class CtrlInput:
 
     pin: int
     window: DirWindow
+
+
+class Winner(NamedTuple):
+    """The input behind one bound of a corner search.
+
+    It is the first candidate to reach the extreme, in the search's own
+    order: single arcs in :func:`~repro.sta.analysis.fanin_arcs` order
+    (pins ascending, rising input first), then the pairs in that order,
+    each pair's fold before its k>2 candidate.  A bound over definite
+    switchers only (the to-controlling ``a_l``, the to-non-controlling
+    ``a_s``) names the first definite one, and a clamped ``a_s``
+    (``min(a_s, a_l)``) ``a_l``'s input.  A pair candidate names the
+    member whose own bound keeps traced arrivals monotone: for a fold
+    the one with the earlier edge (``a_s`` for the V, ``a_l`` for the
+    Λ), for the k>2 candidate the one with the later ``a_s``.
+    """
+
+    pin: int
+    in_rising: bool
+    pair: bool  #: whether a pair candidate set the bound
+
+
+#: A corner search's window and the :class:`Winner`\ s behind its
+#: ``a_s`` and ``a_l`` (None when no input is active).
+Searched = Tuple[DirWindow, Optional[Tuple[Winner, Winner]]]
 
 
 def _clamped_interval(arc, t_s: float, t_l: float) -> Tuple[float, float]:
@@ -84,30 +109,31 @@ def pin_trans_bounds(
 
 def _pin_bounds(
     arc: TimingArc,
-    t_s: float,
-    t_l: float,
+    w: DirWindow,
     d_adj: float,
     r_adj: float,
     f: float,
     early: float,
     late: float,
 ) -> Tuple[float, float, float, float]:
-    """(d_min, d_max, t_min, t_max) of one pin's ``arc`` over one window.
+    """The output (a_s, a_l, t_s, t_l) one pin's ``arc`` gives from its
+    input window ``w``: the single-arc candidates of a corner search.
 
-    One clamp serves all four bounds; the values are exactly those of
-    :func:`pin_delay_bounds` + :func:`pin_trans_bounds` (``d_adj`` and
-    ``r_adj`` are the cell's load adjustments of the arc's output
-    direction), times the variation factor ``f`` and then the ``early``
-    derate (min bounds) or the ``late`` one (max bounds).
+    One clamp serves all four bounds; the delays and transition times
+    are exactly those of :func:`pin_delay_bounds` +
+    :func:`pin_trans_bounds` (``d_adj`` and ``r_adj`` are the cell's
+    load adjustments of the arc's output direction), times the
+    variation factor ``f`` and then the ``early`` derate (min bounds) or
+    the ``late`` one (max bounds).
     """
-    lo, hi = _clamped_interval(arc, t_s, t_l)
+    lo, hi = _clamped_interval(arc, w.t_s, w.t_l)
     _, d_min = arc.delay.min_over(lo, hi)
     _, d_max = arc.delay.max_over(lo, hi)
     _, t_min = arc.trans.min_over(lo, hi)
     _, t_max = arc.trans.max_over(lo, hi)
     return (
-        (d_min + d_adj) * f * early,
-        (d_max + d_adj) * f * late,
+        w.a_s + (d_min + d_adj) * f * early,
+        w.a_l + (d_max + d_adj) * f * late,
         (t_min + r_adj) * f * early,
         (t_max + r_adj) * f * late,
     )
@@ -200,15 +226,19 @@ def _overlap_count(inputs: Sequence[CtrlInput]) -> int:
 
 
 def ctrl_response_window(
-    cell: CellTiming,
-    model,
-    inputs: Sequence[CtrlInput],
-    load: float,
-    f: float = 1.0,
-    early: float = 1.0,
-    late: float = 1.0,
+    cell: CellTiming, model, inputs: Sequence[CtrlInput], load: float,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
 ) -> DirWindow:
-    """Output window of the to-controlling response (paper Section 4.2).
+    """The window of :func:`ctrl_response_search`."""
+    return ctrl_response_search(cell, model, inputs, load, f, early, late)[0]
+
+
+def ctrl_response_search(
+    cell: CellTiming, model, inputs: Sequence[CtrlInput], load: float,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
+) -> Searched:
+    """Output window of the to-controlling response (paper Section 4.2),
+    and the inputs behind its bounds (:class:`Winner`).
 
     Each active pin's to-controlling arc is resolved once per call.
     Under a pair-merging model each pin's two window endpoints are
@@ -234,40 +264,28 @@ def ctrl_response_window(
         raise ValueError(f"cell {cell.name} has no controlling value")
     active = [i for i in inputs if i.window.is_active]
     if not active:
-        return DirWindow.impossible()
+        return DirWindow.impossible(), None
     out_rising = ctrl.out_rising
     in_rising = cell.controlling_value == 1
-    uses_vshape = getattr(model, "supports_pair_merge", False)
     d_adj = cell.load_adjusted_delay(out_rising, load)
     r_adj = cell.load_adjusted_trans(out_rising, load)
     arcs = [cell.arc(item.pin, in_rising, out_rising) for item in active]
 
-    # ---- latest arrival (paper's A_Z_R,L with the T* peak rule) ----
     # One fused bounds call per input serves the latest-arrival rule
-    # (d_max), the earliest-arrival candidates (d_min), and the
-    # transition-time window (t_min / t_max) further below.
-    definite = [i for i in active if i.window.is_definite]
-    single_bounds_max = {}
-    candidates = []
-    t_highs = []
-    t_lows = []
-    for item, arc in zip(active, arcs):
-        w = item.window
-        d_min, d_max, t_min, t_max = _pin_bounds(
-            arc, w.t_s, w.t_l, d_adj, r_adj, f, early, late
-        )
-        single_bounds_max[item.pin] = w.a_l + d_max
-        candidates.append(w.a_s + d_min)
-        t_lows.append(t_min)
-        t_highs.append(t_max)
+    # (the paper's A_Z_R,L with the T* peak rule), the earliest-arrival
+    # candidates and the transition-time window.
+    lows, highs, t_lows, t_highs = zip(*[
+        _pin_bounds(arc, item.window, d_adj, r_adj, f, early, late)
+        for item, arc in zip(active, arcs)
+    ])
+    definite = [k for k, i in enumerate(active) if i.window.is_definite]
     if definite:
         # A definite switcher alone guarantees the output by its own path;
         # extra simultaneous transitions can only speed the output up.
-        a_l = min(single_bounds_max[i.pin] for i in definite)
+        late_k = min(definite, key=highs.__getitem__)
     else:
-        a_l = max(single_bounds_max[i.pin] for i in active)
-
-    # ---- transition-time window (bounds gathered in the loop above) ----
+        late_k = highs.index(max(highs))
+    a_l = highs[late_k]
     # Even with a definite switcher bounding the arrival, a slower
     # potential switcher may arrive first and set the output slope, so the
     # transition-time upper bound ranges over every active input.
@@ -275,7 +293,9 @@ def ctrl_response_window(
     t_s = min(t_lows)
 
     # ---- pair merge: earliest arrival and fastest transition ----
-    if uses_vshape and len(active) >= 2:
+    candidates = list(lows)
+    leads = []  # the pin each pair candidate names, in candidate order
+    if getattr(model, "supports_pair_merge", False) and len(active) >= 2:
         overlap = _overlap_count(active)
         ratio = t_ratio = 1.0
         if overlap > 2:
@@ -296,30 +316,50 @@ def ctrl_response_window(
                     first.pin, second.pin, ends[idx], ends[jdx]
                 )
                 candidates.append(fold_pair(wi, wj, shapes, "a_s", min))
+                leads.append(first.pin if wi.a_s <= wj.a_s else second.pin)
                 if ratio < 1.0 and wi.overlaps_arrivals(wj):
                     # k>2 inputs can align: scale the zero-skew delay of
                     # the (t_s, t_s) combo.
                     floor = max(wi.a_s, wj.a_s)
                     candidates.append(floor + shapes[0].vertex * ratio)
+                    leads.append(
+                        first.pin if wi.a_s >= wj.a_s else second.pin
+                    )
                 t_s = _pair_min_trans(wi, wj, tshapes, t_ratio, t_s)
     a_s = min(candidates)
-    a_s = min(a_s, a_l)
+    k = candidates.index(a_s)
+    behind_l = Winner(active[late_k].pin, in_rising, False)
+    if k < len(active):
+        behind_s = Winner(active[k].pin, in_rising, False)
+    else:
+        behind_s = Winner(leads[k - len(active)], in_rising, True)
+    if a_l < a_s:
+        a_s, behind_s = a_l, behind_l
     t_s = min(t_s, t_l)
 
     state = DEFINITE if definite else POTENTIAL
-    return DirWindow(a_s=a_s, a_l=a_l, t_s=t_s, t_l=t_l, state=state)
+    return (
+        DirWindow(a_s=a_s, a_l=a_l, t_s=t_s, t_l=t_l, state=state),
+        (behind_s, behind_l),
+    )
 
 
 def nonctrl_response_window(
-    cell: CellTiming,
-    inputs: Sequence[CtrlInput],
-    load: float,
-    model=None,
-    f: float = 1.0,
-    early: float = 1.0,
-    late: float = 1.0,
+    cell: CellTiming, inputs: Sequence[CtrlInput], load: float, model=None,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
 ) -> DirWindow:
-    """Output window of the to-non-controlling response.
+    """The window of :func:`nonctrl_response_search`."""
+    return nonctrl_response_search(
+        cell, inputs, load, model, f, early, late
+    )[0]
+
+
+def nonctrl_response_search(
+    cell: CellTiming, inputs: Sequence[CtrlInput], load: float, model=None,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
+) -> Searched:
+    """Output window of the to-non-controlling response, and the inputs
+    behind its bounds (:class:`Winner`).
 
     The output settles only after *every* input has left the controlling
     value, so definite switchers raise the earliest bound (max of their
@@ -330,7 +370,7 @@ def nonctrl_response_window(
     the latest bound additionally covers the simultaneous slow-down peak:
     the V's pair merge mirrored, through the same anchors and fold
     (:func:`fold_pair`).  ``f``, ``early`` and ``late`` scale as in
-    :func:`ctrl_response_window`, except that the Λ peak can only raise
+    :func:`ctrl_response_search`, except that the Λ peak can only raise
     the latest bound, so it takes the late derate.  Each active pin's
     arc is resolved once, and under the Λ-shape each pin's two window
     endpoints are evaluated once, each (pin pair, endpoint combo) once
@@ -338,7 +378,7 @@ def nonctrl_response_window(
     """
     active = [i for i in inputs if i.window.is_active]
     if not active:
-        return DirWindow.impossible()
+        return DirWindow.impossible(), None
     ctrl = cell.ctrl
     if ctrl is None:
         raise ValueError(f"cell {cell.name} has no controlling value")
@@ -347,26 +387,19 @@ def nonctrl_response_window(
 
     d_adj = cell.load_adjusted_delay(out_rising, load)
     r_adj = cell.load_adjusted_trans(out_rising, load)
-    lows = {}
-    highs = {}
-    t_lows = []
-    t_highs = []
     arcs = [cell.arc(item.pin, in_rising, out_rising) for item in active]
-    for item, arc in zip(active, arcs):
-        w = item.window
-        d_min, d_max, t_min, t_max = _pin_bounds(
-            arc, w.t_s, w.t_l, d_adj, r_adj, f, early, late,
-        )
-        lows[item.pin] = w.a_s + d_min
-        highs[item.pin] = w.a_l + d_max
-        t_lows.append(t_min)
-        t_highs.append(t_max)
-    definite = [i for i in active if i.window.is_definite]
+    lows, highs, t_lows, t_highs = zip(*[
+        _pin_bounds(arc, item.window, d_adj, r_adj, f, early, late)
+        for item, arc in zip(active, arcs)
+    ])
+    definite = [k for k, i in enumerate(active) if i.window.is_definite]
     if definite:
-        a_s = max(lows[i.pin] for i in definite)
+        early_k = max(definite, key=lows.__getitem__)
     else:
-        a_s = min(lows.values())
-    a_l = max(highs.values())
+        early_k = lows.index(min(lows))
+    late_k = highs.index(max(highs))
+    a_s, a_l = lows[early_k], highs[late_k]
+    behind_l = Winner(active[late_k].pin, in_rising, False)
     uses_peak = (
         model is not None
         and hasattr(model, "nonctrl_shape")
@@ -383,56 +416,77 @@ def nonctrl_response_window(
             for item, arc in zip(active, arcs)
         ]
         for idx, first in enumerate(active):
+            wi = first.window
             for jdx in range(idx + 1, len(active)):
                 second = active[jdx]
+                wj = second.window
                 shapes, _ = anchors.pair(
                     first.pin, second.pin, ends[idx], ends[jdx]
                 )
-                a_l = max(a_l, fold_pair(
-                    first.window, second.window, shapes, "a_l", max
-                ))
-    a_s = min(a_s, a_l)
+                bound = fold_pair(wi, wj, shapes, "a_l", max)
+                if bound > a_l:
+                    a_l = bound
+                    behind_l = Winner(
+                        first.pin if wi.a_l <= wj.a_l else second.pin,
+                        in_rising, True,
+                    )
+    behind_s = Winner(active[early_k].pin, in_rising, False)
+    if a_l < a_s:
+        a_s, behind_s = a_l, behind_l
     state = DEFINITE if definite else POTENTIAL
-    return DirWindow(
-        a_s=a_s, a_l=a_l, t_s=min(t_lows), t_l=max(t_highs), state=state
+    return (
+        DirWindow(
+            a_s=a_s, a_l=a_l, t_s=min(t_lows), t_l=max(t_highs), state=state
+        ),
+        (behind_s, behind_l),
     )
 
 
 def arc_fanin_window(
-    cell: CellTiming,
-    arcs: Sequence[Tuple[int, bool, DirWindow]],
-    out_rising: bool,
-    load: float,
-    f: float = 1.0,
-    early: float = 1.0,
-    late: float = 1.0,
+    cell: CellTiming, arcs: Sequence[Tuple[int, bool, DirWindow]],
+    out_rising: bool, load: float,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
 ) -> DirWindow:
-    """Output window for cells without a controlling value (inv/buf/xor).
+    """The window of :func:`arc_fanin_search`."""
+    return arc_fanin_search(cell, arcs, out_rising, load, f, early, late)[0]
+
+
+def arc_fanin_search(
+    cell: CellTiming, arcs: Sequence[Tuple[int, bool, DirWindow]],
+    out_rising: bool, load: float,
+    f: float = 1.0, early: float = 1.0, late: float = 1.0,
+) -> Searched:
+    """Output window for cells without a controlling value (inv/buf/xor),
+    and the inputs behind its bounds (:class:`Winner`).
 
     Args:
         arcs: (pin, input direction, input window) triples whose arc can
             produce the requested output direction.
         f, early, late: Variation factor and derates, as in
-            :func:`ctrl_response_window`.
+            :func:`ctrl_response_search`.
     """
     active = [(p, d, w) for (p, d, w) in arcs if w.is_active]
     if not active:
-        return DirWindow.impossible()
+        return DirWindow.impossible(), None
     d_adj = cell.load_adjusted_delay(out_rising, load)
     r_adj = cell.load_adjusted_trans(out_rising, load)
-    a_s = a_l = None
-    t_s = t_l = None
-    any_definite = False
-    for pin, in_rising, w in active:
-        d_min, d_max, tr_min, tr_max = _pin_bounds(
-            cell.arc(pin, in_rising, out_rising), w.t_s, w.t_l,
+    lows, highs, t_lows, t_highs = zip(*[
+        _pin_bounds(
+            cell.arc(pin, in_rising, out_rising), w,
             d_adj, r_adj, f, early, late,
         )
-        lo, hi = w.a_s + d_min, w.a_l + d_max
-        a_s = lo if a_s is None else min(a_s, lo)
-        a_l = hi if a_l is None else max(a_l, hi)
-        t_s = tr_min if t_s is None else min(t_s, tr_min)
-        t_l = tr_max if t_l is None else max(t_l, tr_max)
-        any_definite = any_definite or w.is_definite
-    state = DEFINITE if any_definite and len(active) == 1 else POTENTIAL
-    return DirWindow(a_s=a_s, a_l=a_l, t_s=t_s, t_l=t_l, state=state)
+        for pin, in_rising, w in active
+    ])
+    early_k = lows.index(min(lows))
+    late_k = highs.index(max(highs))
+    definite = len(active) == 1 and active[0][2].is_definite
+    return (
+        DirWindow(
+            a_s=lows[early_k], a_l=highs[late_k], t_s=min(t_lows),
+            t_l=max(t_highs), state=DEFINITE if definite else POTENTIAL,
+        ),
+        (
+            Winner(*active[early_k][:2], False),
+            Winner(*active[late_k][:2], False),
+        ),
+    )

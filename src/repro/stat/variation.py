@@ -38,6 +38,7 @@ STA bit-for-bit, which the ``mc`` fuzz oracle enforces.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -52,6 +53,10 @@ class VariationModel:
         sigma_ind: Relative sigma of the per-gate independent term.
         floor: Lower clip on the multiplicative factor; keeps extreme
             tail draws from producing zero or negative delays.
+
+    Raises:
+        ValueError: If a sigma is not finite and >= 0, or ``floor`` is
+            outside (0, 1].
     """
 
     sigma_corr: float = 0.05
@@ -59,8 +64,13 @@ class VariationModel:
     floor: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.sigma_corr < 0.0 or self.sigma_ind < 0.0:
-            raise ValueError("variation sigmas must be non-negative")
+        for name in ("sigma_corr", "sigma_ind"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(
+                    f"variation {name} must be finite and >= 0, "
+                    f"got {sigma!r}"
+                )
         if not 0.0 < self.floor <= 1.0:
             raise ValueError("variation floor must be in (0, 1]")
 

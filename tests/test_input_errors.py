@@ -1,7 +1,9 @@
 """External inputs the timing stack cannot take fail with structured
 errors: a gate whose cell the library lacks, a library cell whose
 Λ-peak data breaks its direction rule, a primary output wired to a
-primary input, and clock or period values that are not finite and > 0.
+primary input, clock or period values that are not finite and > 0,
+sigmas and served numbers that are not finite, and ATPG counts the
+search cannot use.
 """
 
 import copy
@@ -20,7 +22,7 @@ from repro.pvt import STANDARD_CORNERS, CornerLibrary
 from repro.server import ServerError, ServerThread, validate_request
 from repro.sta import TimingAnalyzer
 from repro.sta.optimize import SizingConfig
-from repro.stat import run_mc
+from repro.stat import VariationModel, run_mc
 
 #: Netlists the packaged library has no cell for, and that cell.
 MISSING_CELLS = {
@@ -208,21 +210,79 @@ def test_bad_clock_or_period_exits_2(argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["mc", "c17", "--sigma", "nan", "--samples", "4"],
+    ["mc", "c17", "--sigma-corr", "inf", "--samples", "4"],
+    ["mc", "c17", "--sigma-ind", "-0.1", "--samples", "4"],
+    ["atpg", "c432s", "--backtrack-limit", "-1", "--faults", "3"],
+])
+def test_negative_or_non_finite_sigma_or_limit_exits_2(argv, capsys,
+                                                       monkeypatch):
+    """A sigma or backtrack limit that is not finite and >= 0 is refused
+    by its flag's name, before any analysis runs."""
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran before the argument checks")
+
+    monkeypatch.setattr(repro.cli, "run_mc", analysis)
+    monkeypatch.setattr(repro.cli, "CrosstalkAtpg", analysis)
+    monkeypatch.setattr(repro.cli, "generate_fault_list", analysis)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[2]} must be finite and >= 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sigmas", [
+    {"sigma_corr": math.nan}, {"sigma_ind": math.inf}, {"sigma_ind": -0.1},
+])
+def test_variation_sigmas_must_be_finite_and_non_negative(sigmas):
+    name, value = next(iter(sigmas.items()))
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        VariationModel(**sigmas)
+    VariationModel(sigma_corr=0.0, sigma_ind=0.0)
+
+
+def test_backtrack_limit_must_be_non_negative():
+    with pytest.raises(ValueError, match="backtrack_limit must be >= 0"):
+        AtpgConfig(backtrack_limit=-1)
+    AtpgConfig(backtrack_limit=0)
+
+
+@pytest.mark.parametrize("payload", [
+    {"method": "mc", "params": {"sigma_corr": math.nan}},
+    {"method": "mc", "params": {"sigma_ind": math.inf}},
+    {"method": "windows", "timeout_s": math.nan},
+    {"method": "windows", "timeout_s": math.inf},
+])
+def test_served_non_finite_numbers_are_bad_requests(payload):
+    """The daemon parses bodies with ``json.loads``, which takes ``NaN``
+    and ``Infinity``; the request normalizers refuse both."""
+    with pytest.raises(ServerError) as err:
+        validate_request({"circuit": "c17", **payload})
+    assert err.value.code == "bad_request"
+    assert "must be finite" in str(err.value)
+
+
+@pytest.mark.parametrize("argv", [
     ["report", "c17", "--worst", "-1"],
     ["report", "c17", "--worst", "0"],
     ["sta", "c17", "--max-outputs", "-1"],
     ["sta", "c17", "--max-outputs", "0", "--corners", "typ,slow"],
     ["mc", "c17", "--max-outputs", "-1", "--samples", "4"],
+    ["atpg", "c17", "--faults", "0"],
+    ["atpg", "c17", "--faults", "-1"],
 ])
 def test_row_count_below_one_exits_2(argv, capsys, monkeypatch):
     """A table row count below 1 would silently drop rows (a negative
-    slice end); it is refused before any analysis runs."""
+    slice end), and a fault count below 1 leaves ATPG an empty list; each
+    is refused before any analysis runs."""
     def analysis(*args, **kwargs):
         raise AssertionError("an analysis ran before the argument checks")
 
     monkeypatch.setattr(repro.cli, "run_mc", analysis)
     monkeypatch.setattr(repro.cli, "TimingAnalyzer", analysis)
     monkeypatch.setattr(repro.cli, "_corner_set", analysis)
+    monkeypatch.setattr(repro.cli, "CrosstalkAtpg", analysis)
+    monkeypatch.setattr(repro.cli, "generate_fault_list", analysis)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[2]} must be finite and > 0")

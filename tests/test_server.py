@@ -11,6 +11,7 @@ a real socket round-trip through :class:`ServerThread` +
 import asyncio
 import http.client
 import json
+import math
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.server import (
 )
 from repro.server.app import _Pending
 from repro.server.client import ServerRequestError
-from repro.server.session import windows_payload
+from repro.server.session import path_payload, windows_payload
 from repro.sta.analysis import TimingAnalyzer
 from repro.stat import run_mc
 from repro.stat.runner import MC_MODELS
@@ -117,6 +118,15 @@ class TestProtocol:
         (query("windows", timeout_s=0.0), "bad_request"),
         # mc takes no engine field: every pass runs on the compiled engine.
         (query("mc", {"engine": "level"}), "bad_request"),
+        # json.loads takes NaN and Infinity; no engine input may be either.
+        (query("windows", timeout_s=math.nan), "bad_request"),
+        (query("mc", {"sigma_corr": math.nan}), "bad_request"),
+        (query("mc", {"sigma_ind": math.inf}), "bad_request"),
+        (query("mc", {"sigma_corr": 10**400}), "bad_request"),
+        (query("whatif", {"edits": [{"op": "resize", "line": "G1",
+                                     "value": math.nan}]}), "bad_request"),
+        (query("corners", {"corners": [
+            {"name": "x", "vdd": math.inf}]}), "bad_request"),
     ]
 
     def test_corner_specs_normalize_into_the_key(self):
@@ -175,6 +185,9 @@ class TestErrorPaths:
          400, "bad_request"),
         (query("corners", {"corners": ["typ"], "lines": ["NOPE"]}),
          400, "bad_request"),
+        # Once an internal error ("ValueError while serving mc").
+        (query("mc", {"sigma_corr": math.nan}), 400, "bad_request"),
+        (query("mc", {"sigma_ind": math.inf}), 400, "bad_request"),
     ]
 
     @pytest.mark.parametrize("payload,status,code", SERVED_TABLE)
@@ -345,6 +358,18 @@ class TestParity:
         )
         assert body["result"] == reference
 
+    @pytest.mark.parametrize("kind", ["max", "min"])
+    def test_path_matches_fresh_per_gate_trace(self, kind):
+        status, body = run_app(
+            lambda app: app.handle_request_payload(
+                query("path", {"kind": kind})
+            )
+        )
+        assert status == 200
+        analyzer = TimingAnalyzer(CIRCUIT, LIBRARY, MC_MODELS["vshape"]())
+        reference = path_payload(analyzer, analyzer.analyze_per_gate(), kind)
+        assert body["result"] == reference
+
     def test_mc_matches_one_shot_run_mc(self):
         params = {
             "samples": 24, "seed": 7, "block": 5, "sigma_corr": 0.04,
@@ -477,6 +502,22 @@ class TestServerThread:
                 assert response.status == 400
                 assert json.loads(wire)["error"]["code"] == "bad_request"
                 assert "traceback" not in wire.lower()
+
+                # json.loads takes the NaN token; the normalizer does not.
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", handle.port, timeout=10
+                )
+                conn.request(
+                    "POST", "/v1/query",
+                    body=b'{"circuit": "c17", "method": "mc", '
+                         b'"params": {"sigma_corr": NaN}}',
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                wire = response.read().decode("utf-8")
+                conn.close()
+                assert response.status == 400
+                assert json.loads(wire)["error"]["code"] == "bad_request"
 
                 client.shutdown()
         assert handle.stop() == []

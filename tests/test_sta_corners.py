@@ -5,8 +5,11 @@ import pytest
 from repro.models import VShapeModel, PinToPinModel
 from repro.sta.corners import (
     CtrlInput,
+    Winner,
     arc_fanin_window,
+    ctrl_response_search,
     ctrl_response_window,
+    nonctrl_response_search,
     nonctrl_response_window,
     pin_delay_bounds,
     pin_trans_bounds,
@@ -189,3 +192,69 @@ class TestArcFaninWindow:
         arcs = [(0, True, win(1 * NS, 2 * NS, state=DEFINITE))]
         out = arc_fanin_window(cell, arcs, False, REF_LOAD)
         assert out.is_definite
+
+
+class TestWinners:
+    """The input each search names behind its bounds: the first
+    candidate to reach the extreme, in the search's own order."""
+
+    def test_tied_singles_name_the_first_pin(self):
+        cell = make_nand(2, pin_delay_step=0.0)
+        inputs = [CtrlInput(p, win(1 * NS, 2 * NS)) for p in range(2)]
+        _, winners = ctrl_response_search(
+            cell, PinToPinModel(), inputs, REF_LOAD
+        )
+        assert winners == (Winner(0, False, False), Winner(0, False, False))
+
+    def test_definite_switcher_named_ahead_of_a_tied_potential_one(self):
+        cell = make_nand(2, pin_delay_step=0.0)
+        inputs = [
+            CtrlInput(0, win(1 * NS, 2 * NS)),
+            CtrlInput(1, win(1 * NS, 2 * NS, state=DEFINITE)),
+        ]
+        _, (_, late) = ctrl_response_search(
+            cell, PinToPinModel(), inputs, REF_LOAD
+        )
+        assert late == Winner(1, False, False)
+        # The to-non-controlling earliest bound waits for definite ones.
+        _, (early, late) = nonctrl_response_search(
+            cell, [CtrlInput(p, w.window) for p, w in enumerate(inputs)],
+            REF_LOAD,
+        )
+        assert early == Winner(1, True, False)
+        assert late == Winner(0, True, False)
+
+    def test_fold_names_the_member_with_the_earlier_edge(self):
+        cell = make_nand(2)
+        inputs = [CtrlInput(0, win(1.1 * NS, 1.1 * NS)),
+                  CtrlInput(1, win(1 * NS, 1 * NS))]
+        window, (early, _) = ctrl_response_search(
+            cell, VShapeModel(), inputs, REF_LOAD
+        )
+        assert window.a_s < 1 * NS + 0.15 * NS  # below every single arc
+        assert early == Winner(1, False, True)
+
+    def test_k_input_candidate_names_the_member_with_the_later_edge(self):
+        cell = make_nand(3)
+        inputs = [CtrlInput(0, win(1 * NS, 1.2 * NS))] + [
+            CtrlInput(p, win(1.01 * NS, 1.2 * NS)) for p in (1, 2)
+        ]
+        window, (early, _) = ctrl_response_search(
+            cell, VShapeModel(), inputs, REF_LOAD
+        )
+        # multi_scale["3"] = 0.8 scales d0 from the later edge of (0, 1).
+        assert window.a_s == pytest.approx(1.01 * NS + 0.06 * NS * 0.8)
+        assert early == Winner(1, False, True)
+
+    def test_clamped_earliest_names_the_latest_bound_input(self):
+        # An early derate above the late one can put a_l below a_s.
+        cell = make_nand(2)
+        inputs = [
+            CtrlInput(0, win(1 * NS, 1 * NS)),
+            CtrlInput(1, win(1 * NS, 1 * NS, state=DEFINITE)),
+        ]
+        window, winners = ctrl_response_search(
+            cell, PinToPinModel(), inputs, REF_LOAD, early=1.2, late=0.8
+        )
+        assert window.a_s == window.a_l
+        assert winners == (Winner(1, False, False), Winner(1, False, False))

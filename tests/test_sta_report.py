@@ -1,7 +1,10 @@
 """Tests for timing-path tracing and slack reports."""
 
+import hashlib
+
 import pytest
 
+import repro.models
 from repro.circuit import load_packaged_bench
 from repro.models import NonCtrlAwareModel, VShapeModel
 from repro.sta import TimingAnalyzer, TimingReporter
@@ -96,6 +99,23 @@ class TestPathTracing:
         with pytest.raises(ValueError, match="stale"):
             rep.critical_path()
 
+    def test_trace_is_not_counted(self, library):
+        # The tracer re-runs corner searches, uncounted: the counters
+        # count the passes and the per-gate walk only.
+        from repro.obs import use_registry
+
+        with use_registry() as registry:
+            analyzer = TimingAnalyzer(
+                load_packaged_bench("c432s"), library, VShapeModel()
+            )
+            rep = TimingReporter(analyzer, analyzer.analyze_per_gate())
+            names = ("sta.gates_evaluated", "sta.corner_calls")
+            before = [registry.counter(n).value for n in names]
+            assert min(before) > 0
+            rep.critical_path()
+            rep.shortest_path()
+            assert [registry.counter(n).value for n in names] == before
+
     def test_trace_tampered_result_raises(self, reporter, c17):
         import copy
 
@@ -110,7 +130,7 @@ class TestPathTracing:
 
 
 #: Traced paths some of whose stages only a pair candidate reproduces:
-#: (circuit, model, kind, stages needing one, the path's stages as
+#: (circuit, model, kind, stages set by one, the path's stages as
 #: ``LINE`` + direction + ``/CELL.pin`` of the gate driving the line).
 PAIR_PATHS = [
     ("c17", VShapeModel, "min", 1, "G1F G10R/NAND2.0 G22F/NAND2.0"),
@@ -143,30 +163,69 @@ def _stage(stage) -> str:
 class TestPairStages:
     """Paths through stages set by a pair merge: the V-shape's earliest
     bound (shortest paths) and the Λ-peak's latest one (critical path
-    under :class:`NonCtrlAwareModel`).  The tracer reproduces those
-    stages only from its pair candidates."""
+    under :class:`NonCtrlAwareModel`).  The corner search names a pair
+    candidate behind exactly those stages' bounds."""
 
     @pytest.mark.parametrize(
         "name, model, kind, n_pair, stages", PAIR_PATHS,
         ids=[f"{p[0]}-{p[2]}" for p in PAIR_PATHS],
     )
-    def test_traced_stages(
-        self, library, monkeypatch, name, model, kind, n_pair, stages
-    ):
+    def test_traced_stages(self, library, name, model, kind, n_pair, stages):
         circuit = load_packaged_bench(name)
         analyzer = TimingAnalyzer(circuit, library, model())
-        rep = TimingReporter(analyzer, analyzer.analyze())
+        result = analyzer.analyze()
+        rep = TimingReporter(analyzer, result)
         path = rep.critical_path() if kind == "max" else rep.shortest_path()
         assert [_stage(s) for s in path.stages] == stages.split()
-        # Without the pair candidates exactly n_pair stages fail to trace.
-        monkeypatch.setattr(rep, "_merge_candidates", lambda *args: [])
-        failing = 0
+        by_pair = 0
         for stage in path.stages[1:]:
-            try:
-                rep._trace_step(stage.line, stage.rising, kind)
-            except ValueError:
-                failing += 1
-        assert failing == n_pair
+            gate = circuit.driver(stage.line)
+            _, winners = analyzer.search(
+                gate, analyzer.cell_of(gate), analyzer.load(stage.line),
+                result.timings, stage.rising,
+            )
+            by_pair += winners[kind == "max"].pair
+        assert by_pair == n_pair
+
+
+#: SHA-256 (first 16 hex digits) of every primary output's traced
+#: paths, both directions and both kinds, as :func:`_stage` strings.
+TRACE_DIGESTS = {
+    ("c432s", "VShapeModel"): "0964e3275fe50dab",
+    ("c432s", "PinToPinModel"): "04a4cf57a6de553f",
+    ("c432s", "NonCtrlAwareModel"): "87df784a72ccefa0",
+    ("c880s", "VShapeModel"): "fcf194376e3b9a06",
+    ("c880s", "PinToPinModel"): "a90f991d4cf63ce5",
+    ("c880s", "NonCtrlAwareModel"): "f16492b537cc2b94",
+    ("c1908s", "VShapeModel"): "3b134ab125c75ef6",
+    ("c1908s", "PinToPinModel"): "9d4c3fa7577bf792",
+    ("c1908s", "NonCtrlAwareModel"): "c4bc50abbaf0ed5f",
+}
+
+
+class TestAllOutputTraces:
+    """Every output's latest and earliest path, rising and falling,
+    keeps its stages: where several inputs reproduce a bound, the
+    tracer names the first in the search's candidate order."""
+
+    @pytest.mark.parametrize(
+        "name, model", sorted(TRACE_DIGESTS),
+        ids=[f"{n}-{m}" for n, m in sorted(TRACE_DIGESTS)],
+    )
+    def test_stages_digest(self, library, name, model):
+        circuit = load_packaged_bench(name)
+        analyzer = TimingAnalyzer(
+            circuit, library, getattr(repro.models, model)()
+        )
+        rep = TimingReporter(analyzer, analyzer.analyze())
+        rows = []
+        for po in circuit.outputs:
+            for rising in (True, False):
+                for kind in ("max", "min"):
+                    path = rep.trace(po, rising, kind)
+                    rows.append(" ".join(_stage(s) for s in path.stages))
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest[:16] == TRACE_DIGESTS[name, model]
 
 
 class TestSlackTable:
