@@ -130,17 +130,18 @@ def _load_circuit(spec: str, corner_set=None):
 
 
 def _check_positive(flag: str, value) -> None:
-    """Reject a clock, period, period fraction, row count or fault count
-    that is not finite and > 0 before any analysis runs on it (the
-    configs check the times again)."""
+    """Reject a clock, period, period fraction, row, fault, gate or
+    worker count that is not finite and > 0 before any analysis runs on
+    it (the configs check the times and counts again)."""
     if value is not None and not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
 
 
 def _check_non_negative(flag: str, value) -> None:
-    """Reject a sigma or a backtrack limit that is not finite and >= 0
-    before any analysis runs on it (:class:`VariationModel` and
-    :class:`AtpgConfig` check them again)."""
+    """Reject a sigma, a backtrack limit or a pass or step count that is
+    not finite and >= 0 before any analysis runs on it
+    (:class:`VariationModel`, :class:`AtpgConfig` and
+    :class:`~repro.sta.optimize.SizingConfig` check them again)."""
     if value is not None and not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{flag} must be finite and >= 0, got {value!r}")
 
@@ -250,6 +251,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     library = CellLibrary.load_default()
     try:
+        _check_non_negative("--passes", args.passes)
+        _check_positive("--gates-per-pass", args.gates_per_pass)
+        _check_non_negative("--anneal", args.anneal)
         corner_set = _corner_set(args, library)
         circuit = _load_circuit(args.circuit, corner_set)
         sizes = tuple(
@@ -379,6 +383,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         qs = _parse_quantiles(args.quantiles)
         _check_positive("--period", args.period)
         _check_positive("--max-outputs", args.max_outputs)
+        _check_positive("--jobs", args.jobs)
         _check_non_negative("--sigma", args.sigma)
         _check_non_negative("--sigma-corr", args.sigma_corr)
         _check_non_negative("--sigma-ind", args.sigma_ind)
@@ -498,6 +503,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         circuit = _load_circuit(args.circuit)
         _check_positive("--period-fraction", args.period_fraction)
         _check_positive("--faults", args.faults)
+        _check_positive("--jobs", args.jobs)
         _check_non_negative("--backtrack-limit", args.backtrack_limit)
         faults = generate_fault_list(
             circuit, args.faults, seed=args.seed,
@@ -731,6 +737,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if cases is None and args.time_budget is None:
         cases = 50
     try:
+        _check_positive("--jobs", args.jobs)
         config = FuzzConfig(
             oracles=oracles,
             cases=cases,

@@ -31,26 +31,25 @@ gate owns one contiguous run of elements on each:
 
 * **lanes** — one per (gate, pin) of a ctrl gate, or one per arc of an
   arc-table gate's output direction.  A lane carries its input row(s),
-  its arcs' coefficient rows and its gate's load terms; a ctrl lane
-  holds both responses' on a response axis before the lanes (0
-  to-controlling, 1 to-non-controlling: ``in_rows``, ``pack``, ``adj``,
-  and per gate ``out_rows``), so the kernel runs both at once;
+  the table row of its arcs (``pack``) and its gate's load terms
+  (``adj``); a ctrl lane holds both responses' on a response axis
+  before the lanes (0 to-controlling, 1 to-non-controlling: ``in_rows``,
+  ``adj``, the table's arcs, and per gate ``out_rows``), so the kernel
+  runs both at once;
 * **pairs** — a ctrl gate's real pin pairs ``a < b < fan-in``;
 * **combos** — the four endpoint combinations of each pair, carrying
-  their pair scale, their gate and their pins' lanes, and the rows of
-  both endpoints in the level's clamped-endpoint grid (``ends``, into
-  ``(lanes, 2)`` flattened, so every real endpoint is cube-rooted
-  once).  Surface
-  coefficients stay per gate and each call gathers them to its combos:
-  23 rows per combo would cost a 4-corner c7552s compile 17 MiB;
-* smaller axes for the overlap-depth pin pairs, the multi-input ratio
-  tables, and the Λ-peak gates, lanes and combos, which exist only for
-  gates with peak data.  A Λ-peak lane is an index into the lanes: the
-  peak's tails are the pin's to-non-controlling arcs, so the merge
-  reads their rows (``pack[1]``), their delay terms (``adj[0, 1]``)
-  and the endpoints the pin-to-pin bounds clamped against them.  The
-  backward pass's (pin, partner) candidates are derived from per-fan-in
-  templates when it runs.
+  the table row of their pair scale, their gate and their pins' lanes,
+  and the rows of both endpoints in the level's clamped-endpoint grid
+  (``ends``, into ``(lanes, 2)`` flattened, so every real endpoint is
+  cube-rooted once);
+* smaller axes for the overlap-depth pin pairs and the Λ-peak gates,
+  lanes and combos, which exist only for gates with peak data.  A
+  Λ-peak lane is an index into the lanes: the peak's tails are the
+  pin's to-non-controlling arcs, so the merge reads their rows
+  (``pack[1]``), their delay terms (``adj[0, 1]``) and the endpoints
+  the pin-to-pin bounds clamped against them.  The backward pass's
+  (pin, partner) candidates are derived from per-fan-in templates when
+  it runs.
 
 Per-gate results are ``np.minimum`` / ``np.maximum`` /
 ``np.logical_or`` / ``np.add`` ``.reduceat`` over each gate's run.
@@ -59,38 +58,37 @@ run may be empty: every ctrl gate has at least one pair, and an arc
 direction without arcs stays outside the lanes (``no_arc_rows``).
 
 Compile.  The paper characterizes its K-coefficient formulas once per
-cell, and the compile follows that structure: per-cell (and per-cell
-pin, arc, pair, ratio-table entry) rows hold the coefficients of every
-distinct cell, packed straight from the cell's records (arcs by
-:func:`_arc_rows`, each with its quadratics' interior T* point and
-value, so no call divides for them), all gates of one kind (ctrl or
-arc) gather their rows with one fancy index per leaf in (level,
-topological) order, and
-each level's group is a contiguous cut of those circuit-wide arrays.
-Every coefficient is held once: no leaf is a copy of another.  Float
-leaves are coefficients ``(..., N, C)`` (``C`` corner libraries on the
-trailing axis), integer leaves are rows or indices ``(..., N)``; each
-group's ``AXES`` table names the axis of every leaf and, for an index
-leaf, the axis it points into.  Column subsets (:meth:`_Ragged.cut`)
-and in-place patches (:meth:`CompiledCircuit.patch_gate`) walk that
-table, reading each axis's run starts from the table the group builds
-once.
+cell, and so does the compile: one table per group kind
+(:class:`_CtrlTable`, :class:`_ArcTable`) holds the coefficient rows of
+every cell of the library set, with the corner axis, packed straight
+from the cell's records (arcs by :func:`_arc_rows`, each with its
+quadratics' interior T* point and value, so no call divides for them).
+Group leaves are integer rows into a table, the global state or another
+axis ``(..., N)``, and the load terms ``(..., N, C)`` (``C`` corner
+libraries on the trailing axis), so every coefficient is held once and
+each kernel call gathers its own.  All gates of one kind are built in
+one go in (level, topological) order, each level's group a contiguous
+cut of them.  Each group's ``AXES`` table names the axis of every leaf
+and, for an index leaf, the axis it points into; column subsets
+(:meth:`_Ragged.cut`) and in-place patches
+(:meth:`CompiledCircuit.patch_gate`) walk it.
 
-Load terms.  The model is linear in output load: a gate's load-adjust
-leaves, ``slope * (load - ref_load)`` per lane, are computed in one
-place, :func:`load_terms`, for the group builds, the patches and the
-what-if trial columns alike.  A sized variant of a cell
-(:func:`~repro.characterize.library.sized_cell`) differs from it only
-in its reference load, load slopes and input caps, so a resize, or a
-re-load by a resized fan-out, moves nothing but those leaves: a patch
-or a trial column of one rewrites only them, and only a cell swap
-builds its gate again, with the compile's own code.
+Cell leaves.  A gate's cell decides its load terms, ``slope * (load -
+ref_load)`` per lane, its table rows and its rows of the global state
+(its polarities), computed in one place, :func:`cell_leaves`, for the
+builds, the patches and the what-if trials alike; its slot
+(:func:`_slot_key`) decides every other leaf.  A sized variant
+(:func:`~repro.characterize.library.sized_cell`) reads its base cell's
+rows, so a resize or a re-load moves only the load terms, a swap inside
+the slot only the cell leaves, and only a swap that changes the slot
+builds its gate again.
 
 Sharing.  A compile splits into the parts that depend on less: the
 circuit's :class:`CircuitLayout` (one per edit epoch), the library part
-(:class:`CompiledCircuit`: resolved cells, loads and the groups'
-pin-to-pin leaves, one per library set) and the model leaves (pair merge
-and Λ-peak, built when a model first needs them).
+(:class:`CompiledCircuit`: resolved cells, loads, the coefficient
+tables and the groups' pin-to-pin leaves, one per library set) and the
+model leaves (pair merge and Λ-peak, built when a model first needs
+them).
 :data:`COMPILES` hands every analyzer of one circuit, epoch, library set
 and pair of boundary loads the same compile, so a sign-off job builds
 one layout and one load sweep, not one per analyzer.  A pass picks its
@@ -163,6 +161,7 @@ from ..characterize.library import (
     SimultaneousTiming,
     TimingArc,
     pair_key,
+    parse_sized_name,
 )
 from ..circuit.netlist import Circuit, Gate, UnknownCellError
 from ..models.base import DelayModel
@@ -240,30 +239,12 @@ def _same_structure(
     )
 
 
-def load_variant(cell: CellTiming, other: CellTiming) -> bool:
-    """Whether ``other`` is ``cell`` up to its load terms.
-
-    The sized variants of one characterized cell
-    (:func:`~repro.characterize.library.sized_cell`) share its arcs and
-    surfaces and scale only the reference load, the load slopes and the
-    input caps, so a gate moved between them keeps every leaf but its
-    load-adjust terms (:func:`load_terms`).
-    """
-    return cell is other or (
-        cell.arcs is other.arcs
-        and cell.ctrl is other.ctrl
-        and cell.nonctrl is other.nonctrl
-        and cell.n_inputs == other.n_inputs
-        and cell.controlling_value == other.controlling_value
-    )
-
-
 # ----------------------------------------------------------------------
 # Stacked surfaces: per-element coefficient rows
 # ----------------------------------------------------------------------
 # Each record keeps all its coefficients in one ``(k, N, C)`` array, so a
-# cut or gather touches one array per record; the named coefficients
-# are views of its first axis.  The evaluators repeat the source
+# gather touches one array per record; the named coefficients are views
+# of its first axis.  The evaluators repeat the source
 # expressions' float operations in their order, but in place: a wide
 # call pays for every fresh temporary.
 @dataclasses.dataclass(frozen=True)
@@ -399,8 +380,8 @@ def _arc_values(arc: TimingArc) -> Tuple[float, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class _StackedPack:
-    """Rows of pin-to-pin arc coefficients (:func:`_arc_rows`), one per
-    lane, a ctrl group's with a response axis before the lanes.
+    """Rows of pin-to-pin arc coefficients (:func:`_arc_rows`), a ctrl
+    table's (and its lanes') with a response axis before the rows.
 
     ``t_lo`` / ``t_hi`` are ``(..., N, C)`` views; ``quads``
     views the six quadratic rows of :func:`_arc_values` as ``(6, 2,
@@ -441,7 +422,8 @@ def _elements(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _take(leaf, idx):
-    """A leaf gathered to the elements ``idx`` of its own axis.
+    """A leaf (or a table's coefficients) gathered to the elements
+    ``idx`` of its own axis.
 
     Float arrays carry the element axis at -2, integer arrays at -1, and
     a stacked record its ``rows``.  A slice gives views, an index array
@@ -458,8 +440,6 @@ def _take(leaf, idx):
 
 def _write(dst, sl: slice, src) -> None:
     """Write leaf ``src`` over the elements ``sl`` of ``dst``."""
-    if not isinstance(dst, np.ndarray):
-        dst, src = dst.rows, src.rows
     if dst.dtype.kind == "i":
         dst[..., sl] = src
     else:
@@ -501,9 +481,10 @@ class _Ragged:
     ``(axes, gates)`` table each, built once per group.  Every leaf
     field is declared with :func:`_on`; ``AXES`` maps it to ``(axis,
     target)``, where ``target`` is the axis an index leaf points into
-    (``None`` for coefficients and for rows of the global SoA arrays,
-    which no cut moves).  Axes with no leaves of their own (the endpoint
-    grids) only serve as targets.
+    (``None`` for the load terms and for rows of the global SoA arrays
+    or of the kind's coefficient ``table``, which no cut moves).  Axes
+    with no leaves of their own (the endpoint grids) only serve as
+    targets.
     """
 
     AXES: Dict[str, Tuple[str, Optional[str]]] = {}
@@ -537,7 +518,8 @@ class _Ragged:
         The subset gathers the selected gates' runs on every axis
         (copies: the source group stays patchable) and re-bases its
         index leaves, while the row-gather arrays keep pointing into the
-        *global* SoA state, so running the subset through the level
+        *global* SoA state and the table rows into the same table, so
+        running the subset through the level
         kernels recomputes exactly those gates, bitwise as in a full
         pass.  This is the unit of work of the incremental engine's
         cone replays and trial sweeps.  Every axis is cut at once, from
@@ -587,7 +569,8 @@ class _Ragged:
                 leaf += columns[gate_of[axis]]
             fields[name] = leaf
         return type(self)(
-            counts=dict(zip(self.counts, sub)), **fields, runs=(sub, new)
+            counts=dict(zip(self.counts, sub)), table=self.table, **fields,
+            runs=(sub, new),
         )
 
     def split(self, bounds: Sequence[int]) -> List["_Ragged"]:
@@ -607,7 +590,7 @@ class _Ragged:
                     leaf = leaf - ends[target][g0]
                 fields[name] = leaf
             counts = {axis: c[g0:g1] for axis, c in self.counts.items()}
-            parts.append(type(self)(counts=counts, **fields))
+            parts.append(type(self)(counts=counts, table=self.table, **fields))
         return parts
 
     def leaves(self) -> Dict[str, object]:
@@ -617,14 +600,19 @@ class _Ragged:
             name: leaf for name, leaf in leaves.items() if leaf is not None
         }
 
-    def put(self, col: int, leaves: Mapping[str, object]) -> None:
+    def put(self, col: int, leaves: Mapping[str, object],
+            column: int = 0, width: int = 1) -> None:
         """Write one gate's ``leaves``, by name, over gate ``col``'s runs
-        (a one-gate group's :meth:`leaves`, or its load terms); index
-        leaves are re-based from the gate's own axes into this group's."""
+        (its :meth:`CompiledCircuit.gate_leaves`); index leaves are
+        re-based from the gate's own axes into this group's, rows of the
+        global state into column ``column`` of a ``width``-column state,
+        as :meth:`cut` lays out a lane."""
         for name, leaf in leaves.items():
             axis, target = self.AXES[name]
             if target is not None:
                 leaf = leaf + int(self.starts[target][col])
+            elif name in self.ROWS:
+                leaf = leaf * width + column
             first = int(self.starts[axis][col])
             _write(
                 getattr(self, name),
@@ -638,32 +626,29 @@ class _Ragged:
 class _CtrlGroup(_Ragged):
     """The controlling-value gates of one level, any fan-in.
 
-    Lanes are (gate, pin) pairs; every coefficient leaf carries the
-    trailing corner axis ``C`` (size 1 for a single-corner compile).
-    The two responses share one leaf per quantity, with a response axis
+    Lanes are (gate, pin) pairs; ``pack``, ``cell``, ``scale_c``,
+    ``peak`` and ``pscale_c`` are rows of the :class:`_CtrlTable`.  The
+    two responses share one leaf per quantity, with a response axis
     before the gate or lane axis: index 0 is the to-controlling
     response, 1 the to-non-controlling one, so the kernel gathers,
     bounds, reduces and scatters both at once.  Pair-merge and Λ-peak
     leaves are ``None`` until a model that reads them extends the
-    compile (:meth:`CompiledCircuit.extend`), Λ-peak leaves also
-    without peak data anywhere in the group's kind.  The Λ-peak has no
-    arcs or load terms of its own: its tails are its lanes'
-    to-non-controlling arcs (``pack[1]``) with their delay terms
-    (``adj[0, 1]``).
+    compile (:meth:`CompiledCircuit.extend`).  The Λ-peak has no arcs or
+    load terms of its own: its tails are its lanes' to-non-controlling
+    arcs (``pack[1]``) with their delay terms (``adj[0, 1]``).
     """
 
     counts: Dict[str, np.ndarray]
+    table: "_CtrlTable"
     out_rows: np.ndarray = _on("gate")    # (2, G) output rows
     in_rows: np.ndarray = _on("lane")     # (2, L) input rows
     lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
-    pack: _StackedPack = _on("lane")      # (14, 2, L, C) arcs
+    pack: np.ndarray = _on("lane")        # table rows of the pins' arcs
     # (2, 2, L, C) load-adjust terms: delay, then transition, per response.
     adj: np.ndarray = _on("lane")
     # ---- pair merge ----
-    rt_min: Optional[np.ndarray] = _on("lane")  # smallest ratio (backward)
-    # V-shape surfaces per gate; each call gathers them to its combos.
-    shape: Optional[_StackedShape] = _on("gate")
-    scale_c: Optional[np.ndarray] = _on("combo")   # D0 pair scales
+    cell: Optional[np.ndarray] = _on("gate")       # table row of the cell
+    scale_c: Optional[np.ndarray] = _on("combo")   # table rows: D0 scales
     combo_gate: Optional[np.ndarray] = _on("combo", "gate")
     # (2, K) endpoint-grid rows of the combo's two pins (lower position
     # first), and their lanes.
@@ -676,11 +661,9 @@ class _CtrlGroup(_Ragged):
     # Ordered lane pairs (i, j) of each gate, j-major: overlap depth.
     ov_i: Optional[np.ndarray] = _on("ov", "lane")
     ov_j: Optional[np.ndarray] = _on("ov", "lane")
-    # (2, R, C) multi-input ratios: delay, then transition.
-    rt: Optional[np.ndarray] = _on("rt")
     # ---- Λ-peak (gates with peak data only) ----
     pgate: Optional[np.ndarray] = _on("pgate", "gate")
-    peak: Optional[_StackedShape] = _on("pgate")  # Λ-peak surfaces
+    peak: Optional[np.ndarray] = _on("pgate")  # table rows: Λ surfaces
     plane: Optional[np.ndarray] = _on("plane", "lane")  # tails: pack[1]
     pscale_c: Optional[np.ndarray] = _on("pcombo")
     pcombo_gate: Optional[np.ndarray] = _on("pcombo", "pgate")
@@ -698,7 +681,6 @@ class _CtrlGroup(_Ragged):
         self.lane_start = s["lane"]
         self.pair_start = s["pair"]
         self.combo_start = s["combo"]
-        self.rt_off = s["rt"]
         self.ov_start = _excl(np.repeat(c["lane"], c["lane"]))  # (gate, j)
         self.pcombo_start = s["pcombo"][c["pgate"] > 0]
 
@@ -721,11 +703,12 @@ class _ArcGroup(_Ragged):
     """
 
     counts: Dict[str, np.ndarray]
+    table: "_ArcTable"
     out_rows: np.ndarray = _on("seg")    # output row of each segment
     seg_n: np.ndarray = _on("seg")       # lanes per segment
     in_rows: np.ndarray = _on("lane")    # input row of each arc lane
     lane_order: np.ndarray = _on("lane")  # rows into the MC factor matrix
-    pack: _StackedPack = _on("lane")
+    pack: np.ndarray = _on("lane")       # table row of each lane's arc
     adj: np.ndarray = _on("lane")  # (2, L, C): delay, transition terms
     # Output rows of the directions without arcs (always IMPOSSIBLE).
     no_arc_rows: np.ndarray = _on("noarc")
@@ -817,8 +800,132 @@ def _min_ratio(record: SimultaneousTiming) -> float:
     return min(ratios) if ratios else 1.0
 
 
-def _dir(rising: bool) -> str:
-    return "R" if rising else "F"
+@dataclasses.dataclass(frozen=True)
+class _CtrlTable:
+    """Coefficient rows of every ctrl cell of a library set (``index``:
+    name -> row), the corner axis ``C`` trailing.  A cell's rows start
+    at ``pin`` in ``pack`` (each pin's arcs, both responses), at
+    ``pair`` in ``scale`` (D0 pair scales) and at ``rt_at`` in ``rt``
+    (multi-input ratios, k = 0 .. fan-in); ``shape`` and ``rt_min`` have
+    one row per cell.  A cell with peak data in every corner has row
+    ``peak_of`` (else -1) in ``peak``, its pair scales from ``ppair`` on
+    in ``pscale``.  ``n``, ``ctrl_one`` and ``out_rising`` decide a
+    gate's rows of the global state."""
+
+    index: Dict[str, int]
+    n: np.ndarray
+    ctrl_one: np.ndarray
+    out_rising: np.ndarray
+    pin: np.ndarray
+    pack: _StackedPack  # (14, 2, pins, C)
+    shape: _StackedShape  # (23, cells, C)
+    pair: np.ndarray
+    scale: np.ndarray  # (pairs, C)
+    rt_at: np.ndarray
+    rt: np.ndarray  # (2, entries, C)
+    rt_min: np.ndarray  # (cells, C)
+    peak_of: np.ndarray
+    peak: Optional[_StackedShape]
+    ppair: np.ndarray
+    pscale: Optional[np.ndarray]
+
+
+@dataclasses.dataclass(frozen=True)
+class _ArcTable:
+    """Arc rows of every arc-table cell of a library set (``index``:
+    name -> row), the corner axis ``C`` trailing.  A cell's ``n`` inputs
+    drive its ``lanes`` lanes, rows ``first`` on of ``pack``, rising
+    output first, each direction's arcs in :func:`fanin_arcs` order;
+    per row, the input ``pin`` and whether input and output fall."""
+
+    index: Dict[str, int]
+    n: np.ndarray
+    lanes: np.ndarray
+    first: np.ndarray
+    pin: np.ndarray
+    fall: np.ndarray
+    out_fall: np.ndarray
+    pack: Optional[_StackedPack]  # (14, rows, C)
+
+
+def _cell_tables(cells: Mapping[str, Sequence[CellTiming]]) -> dict:
+    """The table of each group kind over ``cells`` (name -> the cell in
+    every corner library), ``None`` for a kind without cells."""
+    ctrl = {name: row for name, row in cells.items() if _is_ctrl(row[0])}
+    arc = {name: row for name, row in cells.items() if name not in ctrl}
+    return {"ctrl": _ctrl_table(ctrl) if ctrl else None,
+            "arc": _arc_table(arc) if arc else None}
+
+
+def _ctrl_table(cells: Mapping[str, Sequence[CellTiming]]) -> _CtrlTable:
+    rows = list(cells.values())
+    base = [row[0] for row in rows]
+    n = np.array([c.n_inputs for c in base], dtype=np.intp)
+    has = np.array([all(c.nonctrl is not None for c in row) for row in rows])
+    peaks = [row for row, on in zip(rows, has) if on]
+    pn = n[has]
+
+    return _CtrlTable(
+        index={name: i for i, name in enumerate(cells)},
+        n=n,
+        ctrl_one=np.array([c.controlling_value == 1 for c in base]),
+        out_rising=np.array([c.ctrl.out_rising for c in base]),
+        pin=_excl(n),
+        pack=_StackedPack(np.stack([
+            _arc_rows([[_pin_arcs(c, to) for c in row] for row in rows]).rows
+            for to in (True, False)
+        ], axis=1)),
+        shape=_surface_table([[c.ctrl for c in row] for row in rows]),
+        pair=_excl(n * (n - 1) // 2),
+        scale=_rows(rows, lambda c: _pair_scales(c.ctrl, c.n_inputs)),
+        rt_at=_excl(n + 1),
+        rt=_rows(rows, lambda c: [
+            ratio_table(c.ctrl.multi_scale, c.n_inputs),
+            ratio_table(c.ctrl.trans_multi_scale, c.n_inputs),
+        ]),
+        rt_min=_table(rows, lambda c: _min_ratio(c.ctrl)),
+        peak_of=np.where(has, np.cumsum(has) - 1, -1),
+        peak=_surface_table(
+            [[c.nonctrl for c in row] for row in peaks]
+        ) if peaks else None,
+        ppair=_excl(pn * (pn - 1) // 2),
+        pscale=_rows(
+            peaks, lambda c: _pair_scales(c.nonctrl, c.n_inputs)
+        ) if peaks else None,
+    )
+
+
+def _arc_table(cells: Mapping[str, Sequence[CellTiming]]) -> _ArcTable:
+    rows = list(cells.values())
+    fans = [
+        [(out, pin, rising) for out in (True, False)
+         for pin, rising in fanin_arcs(row[0], out)]
+        for row in rows
+    ]
+    lanes = np.array([len(fan) for fan in fans], dtype=np.intp)
+    flat = np.array(sum(fans, []), dtype=np.intp).reshape(-1, 3)
+    return _ArcTable(
+        index={name: i for i, name in enumerate(cells)},
+        n=np.array([row[0].n_inputs for row in rows], dtype=np.intp),
+        lanes=lanes,
+        first=_excl(lanes),
+        pin=flat[:, 1],
+        fall=1 - flat[:, 2],
+        out_fall=1 - flat[:, 0],
+        pack=_arc_rows([
+            [[c.arc(pin, rising, out) for out, pin, rising in fan]
+             for c in row]
+            for fan, row in zip(fans, rows)
+        ]) if flat.size else None,
+    )
+
+
+def _table_row(table, name: str) -> Optional[int]:
+    """The row of cell ``name`` in ``table`` (``None`` if it lacks one);
+    a sized variant (``NAND2@X2.0``) reads its base cell's rows, as
+    :meth:`CellLibrary.cell` derives it from that cell."""
+    base = (parse_sized_name(name) or (name,))[0]
+    return table.index.get(name, table.index.get(base))
 
 
 @functools.lru_cache(maxsize=None)
@@ -828,8 +935,7 @@ def _fanin_template(n: int) -> Dict[str, List[int]]:
     * combos (the scalar loop order: pairs in position order, then
       ``(t_s, t_s), (t_s, t_l), (t_l, t_s), (t_l, t_l)``, so combo
       ``4 * pair`` is the ``(t_s, t_s)`` one the k-input ratio rule
-      reuses): endpoint-grid rows ``2 * pin + k``, the two pins, and the
-      pair;
+      reuses): endpoint-grid rows ``2 * pin + k`` and the two pins;
     * ``ov_i`` / ``ov_j``: every ordered pin pair, ``j``-major;
     * backward candidates, pin-major: for each pin every other pin as
       its partner, then (pin ``t_s``, ``t_l``) x (partner arc ``t_lo``,
@@ -848,7 +954,6 @@ def _fanin_template(n: int) -> Dict[str, List[int]]:
         "hi_row": [2 * b + kb for _, b, _, kb in combos],
         "ca": [a for a, _, _, _ in combos],
         "cb": [b for _, b, _, _ in combos],
-        "cpair": [k // 4 for k in range(len(combos))],
         "ov_i": [i for _ in range(n) for i in range(n)],
         "ov_j": [j for j in range(n) for _ in range(n)],
     }
@@ -884,79 +989,83 @@ def _fanin_tables(max_n: int) -> Dict[str, np.ndarray]:
     return tables
 
 
-def load_terms(
+def cell_leaves(
     kind: str,
-    cells: Sequence[Sequence[CellTiming]],
-    cidx: np.ndarray,
+    table,
+    names: Sequence[str],
+    cells: Mapping[str, Sequence[CellTiming]],
     loads: np.ndarray,
-) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """The load-adjust leaves of gates of one group kind.
+    lines: Optional[Tuple[np.ndarray, np.ndarray, int]] = None,
+    parts: Iterable[str] = (),
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """The leaves a gate's cell decides inside its slot, for gates of one
+    group kind: gate ``i`` is cell ``cells[names[i]][c]`` driving
+    ``loads[i, c]`` in column ``c``, reading its rows of ``table``.
 
-    Gate ``i`` is cell ``cells[cidx[i]][c]`` driving ``loads[i, c]`` in
-    column ``c``.  Every term is the scalar
+    ``adj`` holds the load terms: per lane, the scalar
     :meth:`~repro.characterize.library.CellTiming.load_adjusted_delay`
     (``_trans``) expression ``slope * (load - ref_load)`` of the output
-    direction its lane serves, elementwise, so it equals the scalar
-    value bit for bit.  The one leaf, ``adj``, stacks the delay terms
-    over the transition terms; a ctrl lane carries its gate's terms of
-    both responses, to-controlling then to-non-controlling (whose delay
-    terms the Λ-peak's tails and P0 read too), an arc lane those of its
-    output direction.
+    direction the lane serves, so bit for bit the scalar value; delay
+    over transition terms, a ctrl lane's for both responses.  With
+    ``lines`` (output and flat input line indices, number of lines)
+    come the rows of the global state and the table rows: ``pack`` and,
+    per the model leaf sets ``parts``, the merge's and the Λ-peak's.
 
     Returns:
-        ``(leaves, lanes)``: the leaves, gate-major in group order, and
-        each gate's number of lanes.
+        ``(leaves, runs)``: the leaves, gate-major, and each gate's run
+        length on every axis they lie on.
     """
-    base = [row[0] for row in cells]
+    kinds, cidx = np.unique(names, return_inverse=True)
+    rows = np.array([_table_row(table, k) for k in kinds], np.intp)[cidx]
+    cells = [cells[k] for k in kinds]
+    n = table.n[rows]
+    slopes = _table(cells, lambda c: [
+        [c.load_delay_slope["R"], c.load_delay_slope["F"]],
+        [c.load_trans_slope["R"], c.load_trans_slope["F"]],
+    ])  # (family, output falls, kinds, C)
     dload = loads - _table(cells, attrgetter("ref_load"))[cidx]
-
-    def term(get: Callable, rows, pick, gates) -> np.ndarray:
-        """``slope * dload``: the slopes ``get(x)`` of the per-cell
-        ``rows``, gathered by ``pick``, at the loads of ``gates``."""
-        return _table(rows, get)[..., pick, :] * dload[gates]
-
-    def slopes(out_rising: bool) -> Callable:
-        """A cell's (delay, transition) slopes of one output direction."""
-        return lambda c: [
-            c.load_delay_slope[_dir(out_rising)],
-            c.load_trans_slope[_dir(out_rising)],
-        ]
-
-    if kind == "ctrl":
-        n = np.array([c.n_inputs for c in base], dtype=np.intp)[cidx]
-        lane_gate, _ = _elements(n)
-
-        def per_response(c: CellTiming) -> List[List[float]]:
-            out = c.ctrl.out_rising
-            return [slopes(out)(c), slopes(not out)(c)]
-
-        adj = term(per_response, cells, cidx, slice(None))  # (2, 2, G, C)
-        return {"adj": adj.swapaxes(0, 1)[..., lane_gate, :]}, n
-    # Each cell's segments: its output directions with arcs, rising
-    # first, and their arc counts.  A gate's lanes run segment by segment.
-    segs = [
-        (k, out_rising, arcs)
-        for k, c in enumerate(base)
-        for out_rising, arcs in zip((True, False), _slot_key(c, False)[2:])
-        if arcs
-    ]
-    kind_seg = np.bincount([k for k, _, _ in segs], minlength=len(base))
-    gs, ps = _elements(kind_seg[cidx])
-    seg_row = _excl(kind_seg)[cidx[gs]] + ps
-    rows = [
-        [(cell, out_rising) for cell in cells[k]] for k, out_rising, _ in segs
-    ]
-    seg_lanes = np.array([arcs for _, _, arcs in segs], dtype=np.intp)
-    seg_of_lane = np.repeat(np.arange(seg_row.size), seg_lanes[seg_row])
-    leaves = {
-        "adj": term(
-            lambda x: slopes(x[1])(x[0]), rows, seg_row, gs
-        )[..., seg_of_lane, :]
-    }
-    kind_lanes = np.bincount(
-        [k for k, _, _ in segs], weights=seg_lanes, minlength=len(base)
-    ).astype(np.intp)
-    return leaves, kind_lanes[cidx]
+    if kind == "arc":
+        runs = {"lane": table.lanes[rows]}
+        gate, at = _elements(runs["lane"])
+        pack = table.first[rows][gate] + at
+        falls = table.out_fall[pack]
+    else:
+        runs = {"gate": np.ones_like(n), "lane": n, "combo": 2 * n * (n - 1)}
+        gate, pin = _elements(n)
+        pack = table.pin[rows][gate] + pin
+        falls = np.where(table.out_rising[rows], 0, 1)[gate]
+        falls = np.stack([falls, 1 - falls])  # per response
+    leaves = {"adj": slopes[:, falls, cidx[gate]] * dload[gate]}
+    if lines is None:
+        return leaves, runs
+    out_idx, in_idx, n_lines = lines
+    leaves["pack"] = pack
+    if kind == "arc":
+        leaves["in_rows"] = (
+            in_idx[_excl(n)[gate] + table.pin[pack]]
+            + table.fall[pack] * n_lines
+        )
+        return leaves, runs
+    ctrl_off = np.where(table.ctrl_one[rows], 0, n_lines)[gate]
+    out_off = np.where(table.out_rising[rows], 0, n_lines)
+    leaves.update(
+        out_rows=out_idx + np.stack([out_off, n_lines - out_off]),
+        in_rows=in_idx + np.stack([ctrl_off, n_lines - ctrl_off]),
+    )
+    if "merge" in parts:
+        gate, at = _elements(runs["combo"])
+        leaves.update(cell=rows, scale_c=table.pair[rows][gate] + at // 4)
+    if "peak" in parts:
+        prow = table.peak_of[rows]
+        runs.update(
+            pgate=(prow >= 0).astype(np.intp),
+            pcombo=runs["combo"] * (prow >= 0),
+        )
+        gate, at = _elements(runs["pcombo"])
+        leaves.update(
+            peak=prow[prow >= 0], pscale_c=table.ppair[prow[gate]] + at // 4
+        )
+    return leaves, runs
 
 
 def _check_positive(name: str, values: np.ndarray) -> None:
@@ -1235,6 +1344,14 @@ class CompiledCircuit:
         self.cells: Dict[str, CellTiming] = self._corner_cells[0]
         self._cells = dict(self.cells)
         self._validate_corner_cells(peak=False)
+        #: The table of each group kind over the cells of the library
+        #: set that every corner has, with one structure.
+        self.tables = _cell_tables({
+            name: row for name in libraries[0].cells
+            for row in [[lib.cells.get(name) for lib in libraries]]
+            if all(c is not None and _same_structure(row[0], c, False)
+                   for c in row)
+        })
         #: The line loads of every corner library, as dicts.
         self.line_loads: List[Dict[str, float]] = (
             [loads] if loads is not None else [
@@ -1253,9 +1370,6 @@ class CompiledCircuit:
         #: patch path of :meth:`patch_gate` addresses columns through it.
         self._locs: Dict[str, Tuple[Union[_CtrlGroup, _ArcGroup], int, tuple]]
         self._locs = {}
-        #: gate output line -> the cell :meth:`patch_gate` last wrote it
-        #: for; every other gate is built for its layout cell.
-        self._patched: Dict[str, CellTiming] = {}
         self._built = False
         get_registry().counter("sta.compile.library_builds").inc()
         if model is not None:
@@ -1337,7 +1451,8 @@ class CompiledCircuit:
                 continue
             build = self._build_ctrl if kind == "ctrl" else self._build_arc
             groups = build(
-                gates, kinds, cells, self.loads[members], parts, rows,
+                gates, kinds, cells, self.loads[members], parts,
+                self.tables[kind], rows,
             ).split(bounds)
             for lvl, start, group in zip(lvls, bounds, groups):
                 for col in range(group.n_gates):
@@ -1346,13 +1461,32 @@ class CompiledCircuit:
                     )
                 at_level.setdefault(lvl, []).append(group)
         self._locs = locs
-        self._patched = {}
         self.levels = [at_level[lvl] for lvl in sorted(at_level)]
         self.n_levels = len(self.levels)
         self.n_groups = sum(len(groups) for groups in self.levels)
         self._merge = "merge" in parts
         self._peak = peak
         self._built = True
+        get_registry().gauge("sta.compile.leaf_bytes").set(self.leaf_bytes())
+
+    def leaf_bytes(self) -> int:
+        """Bytes under the groups' leaves and the tables, each distinct
+        buffer once however many views (level cuts of one build) share
+        it."""
+        arrays = [
+            leaf for groups in self.levels for group in groups
+            for leaf in group.leaves().values()
+        ]
+        for table in filter(None, self.tables.values()):
+            arrays += vars(table).values()
+        buffers = {}
+        for array in arrays:
+            array = getattr(array, "rows", array)
+            if isinstance(array, np.ndarray):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                buffers[id(array)] = array.nbytes
+        return sum(buffers.values())
 
     def _parts(self) -> set:
         """The model leaf sets the groups carry."""
@@ -1373,112 +1507,52 @@ class CompiledCircuit:
         cells: Dict[str, Sequence[CellTiming]],
         loads: np.ndarray,
         parts: set,
+        table: _CtrlTable,
         line_rows: Optional[tuple] = None,
     ) -> _CtrlGroup:
         """One ctrl group over ``gates`` (cell ``names[i]``, per-corner
         ``cells[name]``, ``loads`` ``(G, C)``, ``line_rows`` as
-        :meth:`CircuitLayout.gate_rows` gives them): its rows and
-        pin-to-pin leaves, and the model leaf sets ``parts`` names,
-        ``"merge"`` and ``"peak"``; the other set's leaves stay ``None``.
+        :meth:`CircuitLayout.gate_rows` gives them) reading ``table``,
+        with the model leaf sets ``parts`` names, ``"merge"`` and
+        ``"peak"``; the other set's leaves stay ``None``.
 
-        Coefficients come from per-cell rows with one fancy index per
-        leaf (each pin's to-controlling and to-non-controlling arcs from
-        :func:`_arc_rows`) and the load-adjust terms from
-        :func:`load_terms`; rows and index leaves are whole-vector
-        arithmetic — elementwise IEEE ops, equal to the scalar values.
+        The cell decides its leaves by :func:`cell_leaves`, the slot
+        every other index leaf, spread from the per-fan-in templates.
         Λ-peak axes count their elements only with ``"peak"`` in
-        ``parts``; a peak lane indexes its lane, whose to-non-controlling
-        arc is the peak's tail.
+        ``parts``; a peak lane indexes its lane, whose
+        to-non-controlling arc is the peak's tail.
         """
-        n_lines = self.n_lines
-        kinds = list(dict.fromkeys(names))
-        kind_col = {name: i for i, name in enumerate(kinds)}
-        table = [cells[name] for name in kinds]  # [kind][corner]
-        base = [row[0] for row in table]
-        cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
-        kind_n = np.array([c.n_inputs for c in base], dtype=np.intp)
-        kind_pairs = kind_n * (kind_n - 1) // 2
-        peak_on = "peak" in parts
-        kind_peak = np.array(
-            [peak_on and getattr(c, "nonctrl", None) is not None
-             for c in base],
-            dtype=bool,
+        out_idx, order_idx, in_idx = (
+            line_rows if line_rows is not None
+            else self.layout.gate_rows(gates)
         )
-        n = kind_n[cidx]
-        pairs = kind_pairs[cidx]
-        peak = kind_peak[cidx].astype(np.intp)
+        leaves: Dict[str, object] = dict.fromkeys(_CtrlGroup.AXES)
+        cell, runs = cell_leaves(
+            "ctrl", table, names, cells, loads,
+            (out_idx, in_idx, self.n_lines), parts,
+        )
+        leaves.update(cell)
+        n = runs["lane"]
+        pairs = n * (n - 1) // 2
+        peak = runs.get("pgate", np.zeros_like(n))
         counts = {
-            "gate": np.ones(len(gates), dtype=np.intp),
-            "lane": n,
-            "lane2": 2 * n,
-            "pair": pairs,
-            "combo": 4 * pairs,
-            "ov": n * n,
-            "rt": n + 1,
-            "pgate": peak,
-            "plane": peak * n,
-            "plane2": 2 * peak * n,
+            "gate": runs["gate"], "lane": n, "lane2": 2 * n, "pair": pairs,
+            "combo": 4 * pairs, "ov": n * n, "pgate": peak,
+            "plane": peak * n, "plane2": 2 * peak * n,
             "pcombo": 4 * peak * pairs,
         }
         starts = {axis: _excl(c) for axis, c in counts.items()}
-        tpl = _fanin_tables(int(kind_n.max()))
-
-        def pins(to_ctrl: bool) -> np.ndarray:
-            """Every cell pin's to-controlling (or -non-controlling)
-            arc row."""
-            return _arc_rows([
-                [_pin_arcs(cell, to_ctrl) for cell in row] for row in table
-            ]).rows
+        tpl = _fanin_tables(int(n.max()))
 
         def spread(axis: str, name: str, target: str) -> np.ndarray:
             """Template ``name`` over ``axis``, re-based into ``target``."""
             gate, local = _elements(counts[axis])
             return tpl[name][n[gate], local] + starts[target][gate]
 
-        gl, pin = _elements(n)
-        leaves: Dict[str, object] = dict.fromkeys(_CtrlGroup.AXES)
-        leaves.update(load_terms("ctrl", table, cidx, loads)[0])
-        out_idx, order_idx, in_idx = (
-            line_rows if line_rows is not None
-            else self.layout.gate_rows(gates)
-        )
-        ctrl_off = np.array(
-            [0 if c.controlling_value == 1 else n_lines for c in base],
-            dtype=np.intp,
-        )[cidx]
-        out_off = np.array(
-            [0 if c.ctrl.out_rising else n_lines for c in base],
-            dtype=np.intp,
-        )[cidx]
-        pin_row = _excl(kind_n)[cidx[gl]] + pin
-        ctrl_off_l = ctrl_off[gl]
-        leaves.update(
-            out_rows=out_idx + np.stack([out_off, n_lines - out_off]),
-            in_rows=in_idx + np.stack([ctrl_off_l, n_lines - ctrl_off_l]),
-            lane_order=order_idx[gl],
-            pack=_take(
-                _StackedPack(np.stack([pins(True), pins(False)], axis=1)),
-                pin_row,
-            ),
-        )
+        leaves["lane_order"] = order_idx[_elements(n)[0]]
         if "merge" in parts:
-            gc, pc = _elements(counts["combo"])
-            pair_row = _excl(kind_pairs)[cidx[gc]] + tpl["cpair"][n[gc], pc]
-            gq, _ = _elements(counts["pair"])
-            gr, pr = _elements(counts["rt"])
-            rt_row = _excl(kind_n + 1)[cidx[gr]] + pr
             leaves.update(
-                rt_min=_table(
-                    table, lambda c: _min_ratio(c.ctrl)
-                )[cidx][gl],
-                shape=_take(
-                    _surface_table([[c.ctrl for c in row] for row in table]),
-                    cidx,
-                ),
-                scale_c=_rows(
-                    table, lambda c: _pair_scales(c.ctrl, c.n_inputs)
-                )[pair_row],
-                combo_gate=gc,
+                combo_gate=_elements(counts["combo"])[0],
                 ends=np.stack([
                     spread("combo", "lo_row", "lane2"),
                     spread("combo", "hi_row", "lane2"),
@@ -1487,40 +1561,18 @@ class CompiledCircuit:
                 cb=spread("combo", "cb", "lane"),
                 pa=spread("pair", "pa", "lane"),
                 pb=spread("pair", "pb", "lane"),
-                pair_gate=gq,
+                pair_gate=_elements(pairs)[0],
                 ov_i=spread("ov", "ov_i", "lane"),
                 ov_j=spread("ov", "ov_j", "lane"),
-                rt=_rows(table, lambda c: [
-                    ratio_table(c.ctrl.multi_scale, c.n_inputs),
-                    ratio_table(c.ctrl.trans_multi_scale, c.n_inputs),
-                ])[:, rt_row],
             )
-        if "peak" in parts and kind_peak.any():
-            pkinds = np.flatnonzero(kind_peak)
-            prank = np.full(len(kinds), -1, dtype=np.intp)
-            prank[pkinds] = np.arange(pkinds.size)
-            ptable = [table[k] for k in pkinds]
-            pgate, _ = _elements(peak)
-            gate_rank = np.cumsum(peak) - 1
+        if "peak" in parts:
             gpl, ppin = _elements(counts["plane"])
-            gpc, ppc = _elements(counts["pcombo"])
-            ppair_row = (
-                _excl(kind_pairs[pkinds])[prank[cidx[gpc]]]
-                + tpl["cpair"][n[gpc], ppc]
-            )
             leaves.update(
-                pgate=pgate,
-                peak=_take(
-                    _surface_table(
-                        [[c.nonctrl for c in row] for row in ptable]
-                    ),
-                    prank[cidx[pgate]],
-                ),
+                pgate=_elements(peak)[0],
                 plane=starts["lane"][gpl] + ppin,
-                pscale_c=_rows(
-                    ptable, lambda c: _pair_scales(c.nonctrl, c.n_inputs)
-                )[ppair_row],
-                pcombo_gate=gate_rank[gpc],
+                pcombo_gate=(np.cumsum(peak) - 1)[
+                    _elements(counts["pcombo"])[0]
+                ],
                 pends=np.stack([
                     spread("pcombo", "lo_row", "plane2"),
                     spread("pcombo", "hi_row", "plane2"),
@@ -1528,7 +1580,7 @@ class CompiledCircuit:
                 pca=spread("pcombo", "ca", "lane"),
                 pcb=spread("pcombo", "cb", "lane"),
             )
-        return _CtrlGroup(counts=counts, **leaves)
+        return _CtrlGroup(counts=counts, table=table, **leaves)
 
     def _build_arc(
         self,
@@ -1537,87 +1589,36 @@ class CompiledCircuit:
         cells: Dict[str, Sequence[CellTiming]],
         loads: np.ndarray,
         parts: set,
+        table: _ArcTable,
         line_rows: Optional[tuple] = None,
     ) -> _ArcGroup:
         """One arc-table group over ``gates`` (see :meth:`_build_ctrl`;
-        arc-table gates carry no model leaves, so ``parts`` is moot).
-
-        Per cell and output direction, the arcs run in
-        :func:`fanin_arcs` order (the arc row order); integer layout
-        comes from corner 0 (:meth:`_validate_corner_cells` guarantees
-        the rest agree).
-        """
-        n_lines = self.n_lines
-        kinds = list(dict.fromkeys(names))
-        kind_col = {name: i for i, name in enumerate(kinds)}
-        table = [cells[name] for name in kinds]
-        cidx = np.array([kind_col[name] for name in names], dtype=np.intp)
-        # Per-kind templates: segments (directions with arcs), lanes
-        # (pin, input-row offset, pack row) and arc-less dirs.
-        seg_dir: List[List[int]] = []
-        seg_n: List[List[int]] = []
-        lane_cols: List[List[Tuple[int, int, int]]] = []
-        no_arc: List[List[int]] = []
-        arc_lists = []
-        n_arcs = 0
-        for row in table:
-            segs, ns, lanes, empty = [], [], [], []
-            for d, out_rising in enumerate((True, False)):
-                arcs = fanin_arcs(row[0], out_rising)
-                if not arcs:
-                    empty.append(d)
-                    continue
-                for k, (pin, rising) in enumerate(arcs):
-                    lanes.append((pin, 0 if rising else n_lines, n_arcs + k))
-                n_arcs += len(arcs)
-                segs.append(d)
-                ns.append(len(arcs))
-                arc_lists.append([
-                    [cell.arc(pin, rising, out_rising) for pin, rising in arcs]
-                    for cell in row
-                ])
-            seg_dir.append(segs)
-            seg_n.append(ns)
-            lane_cols.append(lanes)
-            no_arc.append(empty)
-
-        def padded(rows: List[List[object]]) -> np.ndarray:
-            width = max(max((len(r) for r in rows), default=0), 1)
-            out = np.zeros((len(rows), width), dtype=np.intp)
-            for k, r in enumerate(rows):
-                out[k, : len(r)] = r
-            return out
-
-        kind_seg = np.array([len(s) for s in seg_dir], dtype=np.intp)
-        kind_lanes = np.array([len(r) for r in lane_cols], dtype=np.intp)
-        counts = {
-            "gate": np.ones(len(gates), dtype=np.intp),
-            "seg": kind_seg[cidx],
-            "lane": kind_lanes[cidx],
-            "noarc": 2 - kind_seg[cidx],
-        }
+        arc-table gates carry no model leaves, so ``parts`` is moot): a
+        gate's segments are its lanes' output directions, rising first,
+        the others its arc-less directions."""
         out_idx, order_idx, in_idx = (
             line_rows if line_rows is not None
             else self.layout.gate_rows(gates)
         )
-        in_start = _excl(np.array([g.n_inputs for g in gates], dtype=np.intp))
-        gs, ps = _elements(counts["seg"])
-        seg_d = padded(seg_dir)[cidx[gs], ps]
-        ga, pa = _elements(counts["lane"])
-        cols = [padded([[lane[i] for lane in r] for r in lane_cols])
-                for i in range(3)]
-        lane_pin, lane_off, lane_row = (c[cidx[ga], pa] for c in cols)
-        gn, pn = _elements(counts["noarc"])
-        packs = _arc_rows(arc_lists) if arc_lists else None
+        cell, runs = cell_leaves(
+            "arc", table, names, cells, loads,
+            (out_idx, in_idx, self.n_lines),
+        )
+        lane_gate, _ = _elements(runs["lane"])
+        arcs = np.zeros((len(gates), 2), dtype=np.intp)
+        np.add.at(arcs, (lane_gate, table.out_fall[cell["pack"]]), 1)
+        gs, ds = np.nonzero(arcs)
+        gn, dn = np.nonzero(arcs == 0)
+        segs = np.count_nonzero(arcs, axis=1)
         return _ArcGroup(
-            counts=counts,
-            out_rows=out_idx[gs] + seg_d * n_lines,
-            seg_n=padded(seg_n)[cidx[gs], ps],
-            in_rows=in_idx[in_start[ga] + lane_pin] + lane_off,
-            lane_order=order_idx[ga],
-            pack=_take(packs, lane_row),
-            **load_terms("arc", table, cidx, loads)[0],
-            no_arc_rows=out_idx[gn] + padded(no_arc)[cidx[gn], pn] * n_lines,
+            counts={"gate": np.ones(len(gates), dtype=np.intp), "seg": segs,
+                    "lane": runs["lane"], "noarc": 2 - segs},
+            table=table,
+            out_rows=out_idx[gs] + ds * self.n_lines,
+            seg_n=arcs[gs, ds],
+            lane_order=order_idx[lane_gate],
+            no_arc_rows=out_idx[gn] + dn * self.n_lines,
+            **cell,
         )
 
     # ------------------------------------------------------------------
@@ -1631,47 +1632,32 @@ class CompiledCircuit:
         return cell
 
     def can_patch(self, line: str) -> bool:
-        """True when the gate's *current* cell fits its compiled slot.
+        """True when the gate's *current* cell fits its compiled slot
+        (:meth:`fits`) on a single-corner compile.  Corner-batched
+        compiles are never patched."""
+        return self.n_corners == 1 and self.fits(
+            line, self._cell_for(self.circuit.gates[line])
+        )
 
-        Resizes always fit (a sized variant keeps the base cell's arc
-        layout); cell swaps fit as long as the new kind keeps the slot
-        key — fan-in, arc counts and Λ-peak membership (e.g. NAND2 ->
-        NOR2).  A swap that changes the slot (say NAND2 -> XOR2) or any
-        structural edit needs a recompile.  Corner-batched compiles are
-        never patchable — a resize would have to be re-derived against
-        every corner library at once.
-        """
-        if self.n_corners > 1:
-            return False
+    def fits(self, line: str, cell: CellTiming) -> bool:
+        """Whether gate ``line`` can take ``cell`` in its compiled slot:
+        the cell has table rows and keeps the slot key — fan-in, arc
+        counts and Λ-peak membership.  A resize always does, a swap such
+        as NAND2 -> NOR2 or INV -> BUF too; one that changes the slot
+        (say NAND2 -> XOR2) needs a build of its own."""
         loc = self._locs.get(line)
-        if loc is None:
-            return False
-        cell = self._cell_for(self.circuit.gates[line])
-        return _slot_key(cell, self._peak) == loc[2]
+        return (
+            loc is not None
+            and _slot_key(cell, self._peak) == loc[2]
+            and _table_row(self.tables[loc[2][0]], cell.name) is not None
+        )
 
-    def _built_cell(self, line: str) -> CellTiming:
-        """The cell gate ``line``'s leaves were built or last patched for."""
-        cell = self._patched.get(line)
-        if cell is None:
-            cell = self.cells[self.layout.gate_cells[self._order_pos[line]]]
-        return cell
-
-    def patch_gate(self, line: str, load: float) -> bool:
-        """Rewrite one gate's runs in place for its current cell and
-        output ``load``.
-
-        A resize or a re-load moves only the gate's load-adjust terms:
-        while its cell differs from the one its leaves were built for at
-        most in those (:func:`load_variant`), only they are rewritten
-        (:meth:`gate_load_terms`).  Any other cell (a swap) builds the
-        gate whole — coefficient rows, gather rows, index leaves and
-        load terms — with the compile's own code and writes it over the
-        old one.  Either way a patched circuit is
-        bitwise-indistinguishable from a recompiled one.
-
-        Returns:
-            Whether the gate was rebuilt (False: only its load terms
-            were rewritten).
+    def patch_gate(self, line: str, load: float) -> None:
+        """Rewrite one gate's cell leaves (:meth:`gate_leaves`) in place
+        for its current cell and output ``load``: a resize or a re-load
+        moves only the load terms, a swap inside the slot (:meth:`fits`)
+        the rows too.  A patched circuit is bitwise-indistinguishable
+        from a recompiled one.
 
         Raises:
             ValueError: If the gate's current cell no longer fits its
@@ -1687,24 +1673,28 @@ class CompiledCircuit:
         group, col, key = loc
         gate = self.circuit.gates[line]
         cell = self._cell_for(gate)
-        if _slot_key(cell, self._peak) != key:
+        if not self.fits(line, cell):
             raise ValueError(
                 f"cell {cell.name!r} does not fit the compiled slot {key} "
                 f"of gate {line!r}; recompile required"
             )
-        rebuild = not load_variant(self._built_cell(line), cell)
-        if rebuild:
-            (fresh,) = self.build_gates([gate], [cell], [load])
-            leaves = fresh.leaves()
-        else:
-            (leaves,) = self.gate_load_terms(
-                [[cell]], np.array([[load]], dtype=float)
-            )
+        (leaves,) = self.gate_leaves([gate], [cell], [load])
         group.put(col, leaves)
         group.version += 1
         self.loads[self._order_pos[line]] = load
-        self._patched[line] = cell
-        return rebuild
+
+    def _by_kind(self, cells: Sequence[CellTiming], run: Callable) -> list:
+        """``run(kind, pick)`` for the positions ``pick`` of each group
+        kind's ``cells``, its results put back in ``cells`` order."""
+        out = [None] * len(cells)
+        for kind in ("ctrl", "arc"):
+            pick = [
+                i for i, c in enumerate(cells)
+                if _is_ctrl(c) == (kind == "ctrl")
+            ]
+            for i, value in zip(pick, run(kind, pick) if pick else ()):
+                out[i] = value
+        return out
 
     def build_gates(
         self,
@@ -1712,62 +1702,58 @@ class CompiledCircuit:
         cells: Sequence[CellTiming],
         loads: Sequence[float],
     ) -> List[Union[_CtrlGroup, _ArcGroup]]:
-        """Each gate as a one-gate, one-column group: gate ``i`` built
-        for cell ``cells[i]`` at output load ``loads[i]``, with the
-        model leaves this compile carries; bitwise what a recompile
-        builds for it.  All gates of one kind share one build call."""
-        out: List[Union[_CtrlGroup, _ArcGroup, None]] = [None] * len(gates)
+        """Each gate as a one-gate, one-column group, over tables of its
+        own: gate ``i`` built for cell ``cells[i]`` at output load
+        ``loads[i]``, with the model leaves this compile carries; bitwise
+        what a recompile builds for it.  A swap that changes its gate's
+        slot (:meth:`fits`) runs on one.  One build call per kind."""
         loads = np.asarray(loads, dtype=float)[:, None]
-        for ctrl, build in ((True, self._build_ctrl),
-                            (False, self._build_arc)):
-            pick = [
-                i for i, cell in enumerate(cells) if _is_ctrl(cell) == ctrl
-            ]
-            if not pick:
-                continue
-            names = [cells[i].name for i in pick]
-            whole = build(
-                [gates[i] for i in pick], names,
+        tables = _cell_tables({cell.name: [cell] for cell in cells})
+
+        def build(kind: str, pick: List[int]) -> list:
+            builder = self._build_ctrl if kind == "ctrl" else self._build_arc
+            return builder(
+                [gates[i] for i in pick], [cells[i].name for i in pick],
                 {cells[i].name: [cells[i]] for i in pick},
-                loads[pick], self._parts(),
-            )
-            for i, part in zip(pick, whole.split(range(len(pick) + 1))):
-                out[i] = part
-        return out
+                loads[pick], self._parts(), tables[kind],
+            ).split(range(len(pick) + 1))
 
-    def gate_load_terms(
-        self, cells: Sequence[Sequence[CellTiming]], loads: np.ndarray
+        return self._by_kind(cells, build)
+
+    def gate_leaves(
+        self,
+        gates: Sequence[Gate],
+        cells: Sequence[CellTiming],
+        loads: Sequence[float],
+        rows: bool = True,
     ) -> List[Dict[str, np.ndarray]]:
-        """Each gate's load-adjust leaves (:func:`load_terms`), by name,
-        one column per cell.
+        """Each gate's cell leaves (:func:`cell_leaves`, only the load
+        terms without ``rows``), by name: gate ``i`` at cell ``cells[i]``
+        and output load ``loads[i]``, bitwise what a recompile builds for
+        them, while the gate's other leaves are its slot's
+        (:meth:`fits`).  All gates of one kind share one call."""
+        loads = np.asarray(loads, dtype=float)[:, None]
 
-        Column ``c`` of gate ``i`` is cell ``cells[i][c]`` at output
-        load ``loads[i, c]``: bitwise the load terms
-        :meth:`build_gates` gives that cell and load, while the gate's
-        other leaves are that build's as long as each cell differs from
-        the one the gate was built for at most in its load terms
-        (:func:`load_variant`).  All gates of one kind share one call.
-        """
-        out: List[Optional[Dict[str, np.ndarray]]] = [None] * len(cells)
-        for kind in ("ctrl", "arc"):
-            pick = [
-                i for i, row in enumerate(cells)
-                if _is_ctrl(row[0]) == (kind == "ctrl")
-            ]
-            if not pick:
-                continue
-            leaves, lanes = load_terms(
-                kind, [cells[i] for i in pick], np.arange(len(pick)),
-                loads[pick],
+        def split(kind: str, pick: List[int]) -> list:
+            lines = None
+            if rows:
+                out_idx, _, in_idx = self.layout.gate_rows(
+                    [gates[i] for i in pick]
+                )
+                lines = (out_idx, in_idx, self.n_lines)
+            leaves, runs = cell_leaves(
+                kind, self.tables[kind], [cells[i].name for i in pick],
+                {cells[i].name: [cells[i]] for i in pick}, loads[pick],
+                lines, self._parts(),
             )
-            cuts = np.cumsum(lanes)[:-1]
-            runs = {
-                name: np.split(leaf, cuts, axis=-2)
+            axes = (_CtrlGroup if kind == "ctrl" else _ArcGroup).AXES
+            return [dict(zip(leaves, run)) for run in zip(*(
+                np.split(leaf, np.cumsum(runs[axes[name][0]])[:-1],
+                         axis=-2 if leaf.dtype.kind == "f" else -1)
                 for name, leaf in leaves.items()
-            }
-            for j, i in enumerate(pick):
-                out[i] = {name: run[j] for name, run in runs.items()}
-        return out
+            ))]
+
+        return self._by_kind(cells, split)
 
 
 class CompileRegistry:
@@ -2367,13 +2353,14 @@ class LevelCompiledAnalyzer:
         back = self._back_arcs
         for level in reversed(cc.levels):
             for group in level:
+                pack = _take(group.table.pack, group.pack)
                 if isinstance(group, _CtrlGroup):
                     pins = group.counts["lane"]
-                    back(group.pack, group.adj[0], group.in_rows,
+                    back(pack, group.adj[0], group.in_rows,
                          np.repeat(group.out_rows, pins, axis=1), ins, q,
                          group if self._merge else None)
                 elif group.in_rows.size:
-                    back(group.pack, group.adj[0], group.in_rows,
+                    back(pack, group.adj[0], group.in_rows,
                          np.repeat(group.out_rows, group.seg_n), ins, q)
         return ColumnRequired(q_s[:, 0], q_l[:, 0], cc.line_index, n)
 
@@ -2510,9 +2497,9 @@ class LevelCompiledAnalyzer:
         """Level-batched mirror of ``corners.arc_fanin_window``, both
         output directions of every gate in one call.
 
-        Lanes broadcast their ``(A, C)`` coefficients against the
-        ``(A, B)`` gathered windows (per-corner columns when
-        ``B == C``); each segment's lanes reduce to its output row.
+        Lanes gather their ``(A, C)`` coefficients from the table against
+        the ``(A, B)`` gathered windows (per-corner columns when ``B ==
+        C``); each segment's lanes reduce to its output row.
         """
         arr_a_s, arr_a_l, arr_t_s, arr_t_l = arrays
         if grp.no_arc_rows.size:
@@ -2526,7 +2513,8 @@ class LevelCompiledAnalyzer:
         n_act = np.add.reduceat(act, seg, dtype=np.intp)
         f = None if factors is None else factors[grp.lane_order]
         (d_min, r_min), (d_max, r_max), _, _ = self._pin_to_pin(
-            grp.pack, grp.adj, arr_t_s[rows], arr_t_l[rows], f, g,
+            _take(grp.table.pack, grp.pack), grp.adj,
+            arr_t_s[rows], arr_t_l[rows], f, g,
         )
         lows = arr_a_s[rows] + d_min
         highs = arr_a_l[rows] + d_max
@@ -2558,9 +2546,9 @@ class LevelCompiledAnalyzer:
         to-non-controlling), so one gather, one pin-to-pin bound, one
         reduction per quantity and one scatter serve both; only the
         definite-switcher rule, the pair merge (response 0) and the
-        Λ-peak (response 1) differ.  Lane coefficients carry the
-        trailing corner axis (size 1 on a single-corner compile) and
-        broadcast directly against the gathered ``(2, L, B)`` windows.
+        Λ-peak (response 1) differ.  The lanes' arcs, gathered once per
+        call, carry the trailing corner axis (size 1 on a single-corner
+        compile) and broadcast against the ``(2, L, B)`` windows.
         ``g`` is the optional ``(early, late)`` derate pair: the early
         factor multiplies every min-side quantity (earliest arrivals,
         fastest transitions and the pair-merge candidates that can only
@@ -2578,8 +2566,9 @@ class LevelCompiledAnalyzer:
         all_act = bool(act.all())
         a_s_in = arr_a_s[rows]  # (2, L, B)
         a_l_in = arr_a_l[rows]
+        pack = _take(grp.table.pack, grp.pack)  # (14, 2, L, C)
         (d_min, r_min), (d_max, r_max), c_lo, c_hi = self._pin_to_pin(
-            grp.pack, grp.adj, arr_t_s[rows], arr_t_l[rows], f, g,
+            pack, grp.adj, arr_t_s[rows], arr_t_l[rows], f, g,
         )
         lows = a_s_in + d_min
         highs = a_l_in + d_max
@@ -2611,13 +2600,13 @@ class LevelCompiledAnalyzer:
             )
         if self._merge:
             self._pair_merge(
-                grp, f, None if g is None else g[0], act[0],
+                grp, pack, f, None if g is None else g[0], act[0],
                 bool(act[0].all()), a_s_in[0], a_l_in[0], c_lo[0], c_hi[0],
                 a_s[0], t_s[0],
             )
         if self._peak and grp.pgate is not None and grp.pgate.size:
             self._peak_merge(
-                grp, f, None if g is None else g[1],
+                grp, pack, f, None if g is None else g[1],
                 c_lo[1], c_hi[1], a_s_in[1], a_l_in[1], a_l[1],
             )
         np.minimum(a_s, a_l, out=a_s)
@@ -2634,6 +2623,7 @@ class LevelCompiledAnalyzer:
     @staticmethod
     def _pair_merge(
         grp: _CtrlGroup,
+        pack: _StackedPack,
         f: Optional[np.ndarray],
         ge: Optional[np.ndarray],
         act: np.ndarray,
@@ -2651,8 +2641,9 @@ class LevelCompiledAnalyzer:
 
         Candidates involving an inactive lane carry NaN, fail every
         comparison and never enter a masked minimum — so gates with < 2
-        active inputs self-mask.  ``f`` holds the lanes' variation
-        factors; a combo reads its gate's through its lane.
+        active inputs self-mask.  ``pack`` holds the lanes' arcs and
+        ``f`` their variation factors; a combo reads its gate's through
+        its lane, its cell's surfaces and pair scale from the table.
 
         Each quantity is computed at the coarsest axis it depends on.
         Combos run four per pair (combo ``4q + k`` is pair ``q``'s
@@ -2675,9 +2666,10 @@ class LevelCompiledAnalyzer:
         # Ratio lookup: the per-column corner index broadcasts to (1, 1)
         # on a single-corner compile — every batch column reads corner
         # 0 — and to the per-corner column when B == C.
-        k = grp.rt_off[:, None] + depth
-        cidx = np.arange(grp.rt.shape[-1], dtype=np.intp)[None, :]
-        ratio, t_ratio = grp.rt[:, k, cidx][:, grp.pair_gate]  # (Q, B) each
+        table = grp.table
+        k = table.rt_at[grp.cell][:, None] + depth
+        cidx = np.arange(table.rt.shape[-1], dtype=np.intp)[None, :]
+        ratio, t_ratio = table.rt[:, k, cidx][:, grp.pair_gate]  # (Q, B) each
         width = c_lo.shape[-1]
         tc = np.stack([c_lo, c_hi], axis=1)  # (L, 2, B)
         # One cube root per real pin endpoint; the combos index into it.
@@ -2685,7 +2677,7 @@ class LevelCompiledAnalyzer:
         adj = grp.adj[:, 0]  # (2, L, C): delay and transition terms
         # Both families' tails at once: (2, L, 2, B).
         drtr = end_tails(
-            grp.pack[0].quads[:3, :, :, None], adj[:, :, None], tc, f, ge
+            pack[0].quads[:3, :, :, None], adj[:, :, None], tc, f, ge
         )
         # Each combo's (lower, upper) pin endpoint, stacked (2, K, B).
         ends = grp.ends
@@ -2696,11 +2688,11 @@ class LevelCompiledAnalyzer:
         fc = None if f is None else f[grp.ca]
         adj_c = adj[:, grp.ca]
         # Each combo's own cell surfaces and its gate's load terms.
-        shape = _take(grp.shape, grp.combo_gate)
+        shape = _take(table.shape, grp.cell[grp.combo_gate])
         cube = shape.cube.eval_roots(*roots)  # D0 and the vertex
         d0, s = anchor_surfaces(
-            shape, t_end, cube[0], grp.scale_c, dr_end, adj_c[0],
-            np.minimum, f=fc, g=ge,
+            shape, t_end, cube[0], _take(table.scale, grp.scale_c), dr_end,
+            adj_c[0], np.minimum, f=fc, g=ge,
         )
         sat = s * _SIGNS  # (+S, -S)
         n_pairs = grp.pa.size
@@ -2760,6 +2752,7 @@ class LevelCompiledAnalyzer:
     @staticmethod
     def _peak_merge(
         grp: _CtrlGroup,
+        pack: _StackedPack,
         f: Optional[np.ndarray],
         gl: Optional[np.ndarray],
         c_lo: np.ndarray,
@@ -2777,12 +2770,13 @@ class LevelCompiledAnalyzer:
         latest arrivals) are the V's.  The peak's tails are its pins'
         to-non-controlling arcs (``pack[1]``) at the window endpoints
         the pin-to-pin bounds clamped against them (``c_lo`` / ``c_hi``,
-        per lane), plus the gate's to-non-controlling delay terms.
+        per lane, of the lanes' arcs ``pack``), plus the gate's
+        to-non-controlling delay terms.
         """
         lanes = grp.plane
         tc = np.stack([c_lo[lanes], c_hi[lanes]], axis=1)  # (Lp, 2, B)
         tails = end_tails(
-            grp.pack[1].quads[:3, 0, lanes, None],  # delay family
+            pack[1].quads[:3, 0, lanes, None],  # delay family
             grp.adj[0, 1][lanes][:, None], tc,
             None if f is None else f[lanes], gl,
         )
@@ -2790,10 +2784,11 @@ class LevelCompiledAnalyzer:
         ends = grp.pends
         roots = cbrt_grid(tc).reshape(-1, width)[ends]
         tail = tails.reshape(-1, width)[ends]  # (tail_p, tail_q)
-        peak = _take(grp.peak, grp.pcombo_gate)
+        peak = _take(grp.table.peak, grp.peak[grp.pcombo_gate])
         p0, s = anchor_surfaces(
             peak, tc.reshape(-1, width)[ends], peak.d0.eval_roots(*roots),
-            grp.pscale_c, tail, grp.adj[0, 1][grp.pca], np.maximum,
+            _take(grp.table.pscale, grp.pscale_c), tail,
+            grp.adj[0, 1][grp.pca], np.maximum,
             f=None if f is None else f[grp.pca], g=gl,
         )
         n_pairs = grp.pca.size // 4
@@ -2850,7 +2845,9 @@ class LevelCompiledAnalyzer:
         d_min = mins + d_adj
         d_max = maxs + d_adj
         if merge is not None:
-            d_min[0] = cls._vshape_min(merge, d_min[0], c_lo[0], c_hi[0])
+            d_min[0] = cls._vshape_min(
+                merge, pack, d_min[0], c_lo[0], c_hi[0]
+            )
         lo = q_s[out_rows] - d_min
         hi = q_l[out_rows] - d_max
         if not act.all():
@@ -2864,6 +2861,7 @@ class LevelCompiledAnalyzer:
     @staticmethod
     def _vshape_min(
         grp: _CtrlGroup,
+        pack: _StackedPack,
         d_min: np.ndarray,
         c_lo: np.ndarray,
         c_hi: np.ndarray,
@@ -2876,9 +2874,10 @@ class LevelCompiledAnalyzer:
         the pin at its clamped ``t_s`` / ``t_l`` and the partner at its
         arc's ``t_lo`` / ``t_hi``.  The pin's minimum over those and its
         pin-to-pin ``d_min`` is scaled by the cell's smallest
-        multi-input ratio.
+        multi-input ratio.  ``pack`` holds the lanes' arcs.
         """
-        pack = grp.pack[0]
+        table = grp.table
+        pack = pack[0]
         d_adj = grp.adj[0, 0]
         t = np.stack([c_lo, c_hi, pack.t_lo, pack.t_hi], axis=1)  # (L, 4, 1)
         roots = cbrt_grid(t).reshape(-1, 1)
@@ -2899,17 +2898,18 @@ class LevelCompiledAnalyzer:
             )
         )
         d0 = (
-            _take(grp.shape.d0, grp.combo_gate[combo]).eval_roots(
-                roots[x], roots[y]
-            )
-            * grp.scale_c[combo]
+            _take(table.shape.d0, grp.cell[grp.combo_gate[combo]])
+            .eval_roots(roots[x], roots[y])
+            * _take(table.scale, grp.scale_c[combo])
             + d_adj[grp.ca[combo]]
         )
         cand = np.minimum(np.minimum(d0, dr[own]), dr[other])
         per_pin = np.minimum.reduceat(
             cand, _excl(4 * (np.repeat(n, n) - 1))
         )
-        return np.minimum(d_min, per_pin) * grp.rt_min
+        return np.minimum(d_min, per_pin) * _take(
+            table.rt_min, np.repeat(grp.cell, n)
+        )
 
     # ------------------------------------------------------------------
     # Extraction

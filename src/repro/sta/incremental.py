@@ -23,11 +23,11 @@ How it works:
 * coefficient-only edits (resize/cell swap) are patched into the
   :class:`~repro.sta.compile.CompiledCircuit` SoA arrays in place
   (:meth:`~repro.sta.compile.CompiledCircuit.patch_gate`): a resize
-  and a re-load rewrite only the gate's load-adjust terms, a swap
-  rebuilds the gate; only structural edits (rewires) and swaps that
-  change a gate's compiled slot recompile.  The window state survives
-  a recompile: its rows follow ``circuit.lines``, which no edit
-  reorders;
+  and a re-load move only the gate's load-adjust terms, a swap also
+  its rows and its rows of the coefficient tables; only structural
+  edits (rewires) and swaps that change a gate's compiled slot
+  recompile.  The window state survives a recompile: its rows follow
+  ``circuit.lines``, which no edit reorders;
 * results read that state through one live, read-only view
   (:class:`~repro.sta.compile.LiveTimings`), which builds a line's
   windows on first read and drops those a replay or commit rewrites.
@@ -52,11 +52,12 @@ are cut as one subset whose rows point into the flat ``(2n * K, 1)``
 view of the trial state (:meth:`~repro.sta.compile._Ragged.cut`), so
 the kernels run unchanged, and a column no lane touches keeps the
 master's bits.  The *seed* lanes of a column (its edited gate and the
-drivers of the gate's re-loaded fan-in lines) run with the column's
-own load terms; a swap to a cell that differs in more than its load
-terms runs its lane on the gate's one-gate build, made by the
-compile's own code.  Each column carries its own window states, so a
-swap may move them.  Every gate is thus computed inside the kernels,
+drivers of the gate's re-loaded fan-in lines) run in their group's
+call with the column's own cell leaves: load terms, and for a swap
+inside the gate's slot its rows and table rows too; only a swap that
+changes the slot runs its lane on the gate's one-gate build, made by
+the compile's own code.  Each column carries its own window states, so
+a swap may move them.  Every gate is thus computed inside the kernels,
 from inputs that are already final.
 :meth:`IncrementalAnalyzer.commit` applies the chosen edit for real and
 adopts its column, states included, as the master state instead of
@@ -83,7 +84,7 @@ import numpy as np
 from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
-from .compile import CompiledWindows, LiveTimings, load_variant
+from .compile import CompiledWindows, LiveTimings
 from .windows import IMPOSSIBLE
 
 
@@ -230,7 +231,6 @@ class IncrementalAnalyzer:
         self._m_gates = obs.counter("sta.incr.gates_retimed")
         self._m_early = obs.counter("sta.incr.early_terminations")
         self._m_load_patches = obs.counter("sta.incr.load_term_patches")
-        self._m_rebuild_patches = obs.counter("sta.incr.rebuild_patches")
         self._m_rebuilds = obs.counter("sta.incr.full_rebuilds")
         self._m_full = obs.counter("sta.incr.full_passes")
         self._m_trials = obs.counter("sta.incr.trials")
@@ -316,9 +316,13 @@ class IncrementalAnalyzer:
         state, so the level kernels run unchanged and compute only those
         gate-columns; a column no lane touches keeps its bits, which is
         what recomputing it would give.  ``seeds`` maps a lane to the
-        load terms it runs with, ``swaps`` to the one-gate build it runs
-        on instead.  Each lane whose output rows changed bits sends its
-        gate's fan-outs, in its own column, to the frontier.
+        cell leaves it runs with (its load terms, and a same-slot swap's
+        rows and table rows), written over a copy of the subset's;
+        ``swaps`` maps a lane to the one-gate build it runs on instead.
+        A swap inside the slot keeps the gate's set of output rows, so
+        the subset's rows still name them.  Each lane whose output rows
+        changed bits sends its gate's fan-outs, in its own column, to
+        the frontier.
 
         Returns:
             ``(gates swept, lanes swept, {line: the columns its
@@ -369,17 +373,17 @@ class IncrementalAnalyzer:
                     calls.append((self._subset(group, picked, K), picked))
             for (sub, rows, row_lane), picked in calls:
                 put = [
-                    (i, seeds[line, k])
+                    (i, k, seeds[line, k])
                     for i, (_, k, line) in enumerate(picked)
                     if (line, k) in seeds
                 ]
                 if put:
-                    # Load terms are the ``adj`` leaf; never write into
-                    # the memoized subset's.
+                    # Never write into the memoized subset's leaves.
                     sub = copy.copy(sub)
-                    sub.adj = sub.adj.copy()
-                    for i, leaves in put:
-                        sub.put(i, leaves)
+                    for name in {n for *_, leaves in put for n in leaves}:
+                        setattr(sub, name, getattr(sub, name).copy())
+                    for i, k, leaves in put:
+                        sub.put(i, leaves, k, K)
                 old = (flat_states[rows], *(a[rows] for a in flat))
                 level.run_group(sub, flat, flat_states)
                 # A lane is clean iff every one of its output rows (one
@@ -403,9 +407,11 @@ class IncrementalAnalyzer:
         in column ``k`` of a ``K``-column state for each ``(col, k,
         line)`` of ``picked``), with its output rows and the lane owning
         each row.  A re-time's subsets, and trial subsets of up to 32
-        lanes, are memoized: a lane holds its own copy of its gate's
-        coefficients, and in an anneal job on c5315s the larger trial
-        subsets were cut for 8,400 lanes and re-read 24 times."""
+        lanes, are memoized.  Lanes hold only rows and load terms, but
+        the larger trial subsets are few re-reads for much memory:
+        memoized too, they saved 44 of 261 cuts in a greedy c7552s job
+        and 24 of 585 in an anneal c5315s job, and raised the search
+        benchmark's peak RSS from 73 to 85 MiB."""
         compiled = self.analyzer._level.compiled
         if compiled is not self._subsets_of:
             self._subsets.clear()
@@ -456,12 +462,13 @@ class IncrementalAnalyzer:
         gates — the edited gate and the drivers of its re-loaded fan-in
         lines — then the fan-outs of every gate that changed in that
         column (see :meth:`_sweep`).  A seed runs in its column with
-        that column's load-adjust terms (:meth:`_trial_builds`), so a
-        level's lanes cost one kernel call per group for all K variants,
-        and no gate is computed outside the kernels.  A swap (say NAND2
-        -> NOR2, or NAND2 -> XOR2) runs its column on the gate's
-        one-gate build for the swapped cell.  Every column carries its
-        own window states, so a swap that moves a state stays batched.
+        that column's cell leaves (:meth:`_trial_builds`), so a level's
+        lanes cost one kernel call per group for all K variants, and no
+        gate is computed outside the kernels.  A swap inside the gate's
+        slot (say NAND2 -> NOR2) is such a seed; one that changes the
+        slot (say NAND2 -> XOR2) runs its column on the gate's one-gate
+        build for the swapped cell.  Every column carries its own window
+        states, so a swap that moves a state stays batched.
         """
         edits = [
             e if isinstance(e, TrialEdit) else TrialEdit(*e) for e in edits
@@ -516,33 +523,34 @@ class IncrementalAnalyzer:
         so the netlist's own validation and :func:`line_load` apply —
         into its gate's variant cell and the re-derived loads of the
         gate's fan-in lines.  Column ``k``'s seeds are its edited gate
-        and the drivers of those lines, each taking one of two paths:
+        and the drivers of those lines, each taking one of three paths:
 
-        * load terms, when the lane's cell is a load variant of the
-          master's (:func:`~repro.sta.compile.load_variant`: a resized
-          gate, or the driver of a re-loaded line):
-          :meth:`~repro.sta.compile.CompiledCircuit.gate_load_terms` at
-          the lane's cell and load;
-        * the one-gate build, for any other swap
+        * load terms, for a resized gate (a sized variant reads its
+          base cell's table rows) or the driver of a re-loaded line;
+        * load terms, rows and table rows, for a swap that keeps the
+          gate's slot (:meth:`~repro.sta.compile.CompiledCircuit.fits`,
+          say NAND2 -> NOR2);
+        * the one-gate build of any other swap
           (:meth:`~repro.sta.compile.CompiledCircuit.build_gates`), on
           which the lane runs instead of its group.
 
-        Each is one call per group kind for the batch.
+        Each is one call per group kind for the batch
+        (:meth:`~repro.sta.compile.CompiledCircuit.gate_leaves` for the
+        first two).
 
         Returns:
-            ``(seeds, swaps)``: ``(line, k)`` -> its load terms by name,
+            ``(seeds, swaps)``: ``(line, k)`` -> its cell leaves by name,
             and ``(line, k)`` -> its one-gate build.
         """
         circuit = self.circuit
         analyzer = self.analyzer
         compiled = analyzer.level_engine().compiled
-        #: (seed line, column) -> [cell, load] of the lane.
+        #: (seed line, column) -> [cell, load, whether it writes rows].
         lanes: Dict[Tuple[str, int], list] = {}
         swaps: List[Tuple[str, int, object]] = []
         try:
             for k, e in enumerate(edits):
                 gate = circuit.gates[e.line]
-                master = compiled._cell_for(gate)
                 saved = gate.size if e.op == "resize" else gate.kind
                 self._apply(e.op, e.line, e.value)
                 try:
@@ -555,22 +563,30 @@ class IncrementalAnalyzer:
                                     circuit, line, analyzer.cell_of,
                                     analyzer.config, self._outputs,
                                 ),
+                                False,
                             ]
                 finally:
                     self._apply(e.op, e.line, saved)
-                if load_variant(master, variant):
-                    lanes[e.line, k] = [variant, analyzer._loads[e.line]]
-                else:
+                swap = e.op == "swap"
+                if swap and not compiled.fits(e.line, variant):
                     swaps.append((e.line, k, variant))
+                else:
+                    lanes[e.line, k] = [variant, analyzer._loads[e.line], swap]
         finally:
             # The apply/revert pairs are netlist no-ops: consume them so
             # the next retime doesn't replay them.
             self._log_pos = len(circuit.edit_log)
             analyzer._epoch = circuit.edit_epoch
-        seeds = dict(zip(lanes, compiled.gate_load_terms(
-            [[cell] for cell, _ in lanes.values()],
-            np.array([[load] for _, load in lanes.values()], dtype=float),
-        )))
+        seeds = {}
+        for rows in (False, True):
+            pick = [lane for lane, (*_, r) in lanes.items() if r == rows]
+            if pick:
+                seeds.update(zip(pick, compiled.gate_leaves(
+                    [circuit.gates[line] for line, _ in pick],
+                    [lanes[lane][0] for lane in pick],
+                    [lanes[lane][1] for lane in pick],
+                    rows=rows,
+                )))
         solo = dict(zip(
             [(line, k) for line, k, _ in swaps],
             compiled.build_gates(
@@ -748,10 +764,8 @@ class IncrementalAnalyzer:
             self._m_rebuilds.inc()
         else:
             for line in sorted(self._patch_pending):
-                if compiled.patch_gate(line, self.analyzer._loads[line]):
-                    self._m_rebuild_patches.inc()
-                else:
-                    self._m_load_patches.inc()
+                compiled.patch_gate(line, self.analyzer._loads[line])
+                self._m_load_patches.inc()
         self._patch_pending.clear()
 
     # ------------------------------------------------------------------

@@ -106,6 +106,22 @@ class SizingConfig:
             raise ValueError(
                 f"clock must be finite and > 0, got {self.clock!r}"
             )
+        for name, low in (("max_passes", 0), ("anneal_steps", 0),
+                          ("gates_per_pass", 1), ("anneal_batch", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)!r}"
+                )
+        if not math.isfinite(self.min_gain):
+            raise ValueError(f"min_gain must be finite, got {self.min_gain!r}")
+        for name in ("anneal_temp", "anneal_decay"):
+            value = getattr(self, name)
+            if value is not None and not (
+                math.isfinite(value) and value > 0.0
+            ):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
         if self.mc_samples <= 0:
             raise ValueError(
                 f"mc_samples must be > 0, got {self.mc_samples!r}"

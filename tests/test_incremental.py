@@ -867,7 +867,6 @@ class TestLoadTermSeeds:
         assert counters["sta.incr.seed_load_terms"] == 16
         assert counters.get("sta.incr.seed_builds", 0) == 0
         assert counters["sta.incr.load_term_patches"] == 5
-        assert counters.get("sta.incr.rebuild_patches", 0) == 0
         assert incr.analyzer._level.compiled is compiled
         for k, e in enumerate(edits):
             self._match(
@@ -882,8 +881,8 @@ class TestLoadTermSeeds:
         """A copy of the shipped library with an XNOR2: XOR2's layout
         with other delay coefficients, so XOR2 <-> XNOR2 is a swap that
         keeps a gate's layout but not its coefficients (the shipped
-        cells have no such pair); it takes the solo path like any
-        other swap."""
+        cells have no such pair); like any swap inside a slot, it
+        writes the gate's table rows."""
         lib = copy.deepcopy(library)
         xor = lib.cells["XOR2"]
         lib.cells["XNOR2"] = dataclasses.replace(
@@ -898,29 +897,34 @@ class TestLoadTermSeeds:
         return lib
 
     def test_mixed_batch_matches_fresh(self, library, monkeypatch):
+        from repro.sta.compile import CompiledCircuit
+
         lib = self._with_xnor(library)
         circuit = parse_bench(self.BENCH, name="loads")
         edits = [
             TrialEdit("resize", "xor", 2.0),   # xor: new load terms
-            TrialEdit("swap", "xor", "xnor"),  # same layout: solo build
+            TrialEdit("swap", "xor", "xnor"),  # same slot, other arcs
             TrialEdit("resize", "y1", 4.0),    # re-loads n2 and xor
-            TrialEdit("swap", "n2", "nor"),    # another layout: solo build
-            TrialEdit("swap", "inv", "buf"),   # other arcs: solo build
+            TrialEdit("swap", "n2", "nor"),    # same slot, other polarity
+            TrialEdit("swap", "inv", "buf"),   # same slot, other arcs
             TrialEdit("resize", "buf", 2.0),   # re-loads inv
         ]
         with use_registry() as registry, monkeypatch.context() as patch:
             incr = self._engine(circuit, lib, VShapeModel)
+            patch.setattr(CompiledCircuit, "build_gates", _forbidden)
             trial = incr.try_edits(edits)
             before = Circuit.from_dict(circuit.to_dict())
             result = incr.commit(trial, 1)
         counters = registry.snapshot()["counters"]
-        # Each swap is one solo build (its gates' inputs are primary
-        # inputs); the resizes' lanes take load terms: xor 1, y1 3 (n2,
-        # xor), buf 2 (inv).
-        assert counters["sta.incr.seed_builds"] == 3
-        assert counters["sta.incr.seed_load_terms"] == 6
-        assert counters["sta.incr.rebuild_patches"] == 1
-        assert counters.get("sta.incr.load_term_patches", 0) == 0
+        # Every swap keeps its gate's slot, so it is a seed lane with its
+        # cell's rows and load terms (its gate's inputs are primary
+        # inputs), as the resizes' lanes are with load terms: xor 1, y1
+        # 3 (n2, xor), buf 2 (inv).  No gate is built, and the commit
+        # patches xor in place.
+        assert counters.get("sta.incr.seed_builds", 0) == 0
+        assert counters["sta.incr.seed_load_terms"] == 9
+        assert "sta.incr.rebuild_patches" not in counters
+        assert counters["sta.incr.load_term_patches"] == 1
         _assert_columns_match_fresh(before, lib, trial, edits)
         _assert_all_lines_equal(circuit, result, _fresh_timings(circuit, lib))
 

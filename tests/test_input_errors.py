@@ -289,6 +289,62 @@ def test_row_count_below_one_exits_2(argv, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag, rule", [
+    (["optimize", "c17", "--passes", "-1"], "--passes", ">= 0"),
+    (["optimize", "c17", "--gates-per-pass", "0"], "--gates-per-pass",
+     "> 0"),
+    (["optimize", "c17", "--anneal", "-3"], "--anneal", ">= 0"),
+    (["mc", "c17", "--samples", "4", "--jobs", "0"], "--jobs", "> 0"),
+    (["mc", "c17", "--samples", "4", "--jobs", "-2"], "--jobs", "> 0"),
+    (["atpg", "c17", "--jobs", "0"], "--jobs", "> 0"),
+    (["fuzz", "--cases", "2", "--jobs", "0"], "--jobs", "> 0"),
+])
+def test_bad_pass_step_or_worker_count_exits_2(argv, flag, rule, capsys,
+                                               monkeypatch):
+    """A negative pass or anneal-step count, fewer than one gate per pass
+    or fewer than one worker is refused by its flag's name before any
+    analysis runs (these runs used to go ahead, sizing nothing or
+    running serially)."""
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran before the argument checks")
+
+    from repro.sta import optimize
+
+    monkeypatch.setattr(optimize, "optimize_sizing", analysis)
+    monkeypatch.setattr(repro.cli, "run_mc", analysis)
+    monkeypatch.setattr(repro.cli, "CrosstalkAtpg", analysis)
+    monkeypatch.setattr(repro.cli, "generate_fault_list", analysis)
+    monkeypatch.setattr(repro.cli, "run_fuzz", analysis)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite and {rule}"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_passes", -1, "max_passes must be >= 0, got -1"),
+    ("anneal_steps", -3, "anneal_steps must be >= 0, got -3"),
+    ("gates_per_pass", 0, "gates_per_pass must be >= 1, got 0"),
+    ("anneal_batch", 0, "anneal_batch must be >= 1, got 0"),
+    ("min_gain", math.nan, "min_gain must be finite, got nan"),
+    ("min_gain", -math.inf, "min_gain must be finite, got -inf"),
+    ("anneal_temp", math.nan, "anneal_temp must be finite and > 0"),
+    ("anneal_temp", 0.0, "anneal_temp must be finite and > 0, got 0.0"),
+    ("anneal_decay", -1.0, "anneal_decay must be finite and > 0, got -1.0"),
+    ("anneal_decay", math.inf, "anneal_decay must be finite and > 0"),
+])
+def test_sizing_counts_and_annealing_knobs_are_checked(field, value,
+                                                      message):
+    """:class:`SizingConfig` refuses what the sizing loop cannot run
+    (``anneal_batch=0`` used to fail deep inside ``try_edits``) and the
+    non-finite gains and temperatures it used to accept."""
+    with pytest.raises(ValueError) as info:
+        SizingConfig(**{field: value})
+    assert message in str(info.value)
+    SizingConfig(max_passes=0, anneal_steps=0, gates_per_pass=1,
+                 anneal_batch=1, min_gain=0.0, anneal_temp=None)
+
+
 @pytest.mark.parametrize("v1", ["22222", "0a010"])
 def test_sim_vectors_must_be_bits(v1, capsys):
     assert main(["sim", "c17", v1, "00000"]) == 2

@@ -450,14 +450,15 @@ def _runs(group, col):
 
 @pytest.mark.parametrize("model_cls", MODELS)
 def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
-    """Vectorized rows, arc coefficients and load adjustments equal the
-    per-gate scalars on every lane (gate pin or arc) and combo, both
-    responses of a ctrl lane on their own response axis, and a Λ-peak
-    lane's tail, its pin's to-non-controlling delay plus that
-    response's delay term, is the scalar Λ-shape's tail."""
+    """Vectorized rows, arc coefficients (read through each lane's table
+    row) and load adjustments equal the per-gate scalars on every lane
+    (gate pin or arc) and combo, both responses of a ctrl lane on their
+    own response axis, and a Λ-peak lane's tail, its pin's
+    to-non-controlling delay plus that response's delay term, is the
+    scalar Λ-shape's tail."""
     from repro.sta.analysis import compute_loads
     from repro.sta.analysis import fanin_arcs
-    from repro.sta.compile import CompiledCircuit, _arc_values
+    from repro.sta.compile import CompiledCircuit, _StackedPack, _arc_values
 
     circuit = load_packaged_bench("c880s")
     model = model_cls()
@@ -471,6 +472,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
         runs = _runs(group, col)
         lanes = runs["lane"]
         terms = []
+        pack = group.table.pack.rows[..., group.pack, :]
         if key[0] == "ctrl":
             ctrl_in = cell.controlling_value == 1
             out = cell.ctrl.out_rising
@@ -482,7 +484,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                 for response, arc in enumerate((
                     cell.ctrl_arc(pin), cell.arc(pin, not ctrl_in, not out),
                 )):
-                    assert group.pack.rows[:, response, lane, 0].tolist() == (
+                    assert pack[:, response, lane, 0].tolist() == (
                         list(_arc_values(arc))
                     ), (line, pin)
             assert group.out_rows[0, col] == cc.row(line, out)
@@ -494,7 +496,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                     (group.adj[1, response, lanes],
                      cell.load_adjusted_trans(rising, load)),
                 ]
-            if group.shape is not None:
+            if group.cell is not None:
                 # Combos read their gate's surfaces and lane load terms.
                 combos = runs["combo"]
                 assert (group.combo_gate[combos] == col).all(), line
@@ -510,7 +512,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                 # and each tail is the pin's to-non-controlling arc.
                 plane = group.plane[runs["plane"]].tolist()
                 assert plane == list(range(lanes.start, lanes.stop)), line
-                npack = group.pack[1]
+                npack = _StackedPack(pack[:, 1])
                 a2, a1, a0 = npack.quads[:3, 0]  # the delay family
                 for pin, lane in enumerate(plane):
                     lo = float(npack.t_lo[lane, 0])
@@ -541,7 +543,7 @@ def test_rows_and_load_terms_match_scalar_reference(model_cls, library):
                 for k, (pin, rising) in enumerate(arcs):
                     src = gate.inputs[pin]
                     assert group.in_rows[lane + k] == cc.row(src, rising)
-                    assert group.pack.rows[:, lane + k, 0].tolist() == list(
+                    assert pack[:, lane + k, 0].tolist() == list(
                         _arc_values(cell.arc(pin, rising, out))
                     ), (line, pin, rising)
                 run = slice(lane, lane + len(arcs))
