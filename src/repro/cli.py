@@ -215,10 +215,14 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     if corner_set is not None:
         return _sta_corners(circuit, corner_set, args.max_outputs)
     print(f"{circuit!r}")
-    rows = []
+    # The analyzers stay alive until both passes are done: the registry
+    # holds the compile they share weakly, so dropping the first one
+    # would make the second compile the circuit again.
+    analyzers, rows = [], []
     for label, model in (("proposed", VShapeModel()),
                          ("pin2pin", PinToPinModel())):
-        result = TimingAnalyzer(circuit, library, model).analyze()
+        analyzers.append(TimingAnalyzer(circuit, library, model))
+        result = analyzers[-1].analyze()
         rows.append((label, result))
         print(f"\n[{label}] per-output windows (ns):")
         for po in circuit.outputs[: args.max_outputs]:

@@ -169,6 +169,7 @@ from ..models.vshape import VShapeModel
 from ..obs import get_registry
 from .analysis import StaConfig, StaResult, compute_loads, fanin_arcs
 from .kernels import (
+    Workspace,
     _trans_v,
     anchor_surfaces,
     cbrt_grid,
@@ -245,8 +246,9 @@ def _same_structure(
 # Each record keeps all its coefficients in one ``(k, N, C)`` array, so a
 # gather touches one array per record; the named coefficients are views
 # of its first axis.  The evaluators repeat the source
-# expressions' float operations in their order, but in place: a wide
-# call pays for every fresh temporary.
+# expressions' float operations in their order, into the workspace
+# buffer ``name`` (partial terms in ``ws["term"]``): ``(..., N, B)``
+# values at ``(N, B)`` points.
 @dataclasses.dataclass(frozen=True)
 class _StackedRoots:
     """Per-element rows of :class:`CubeRootSurface` coefficients.
@@ -257,11 +259,12 @@ class _StackedRoots:
 
     rows: np.ndarray  # (4, N, C): k_xy, k_x, k_y, k_c
 
-    def eval_roots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def eval_roots(self, x, y, ws: Workspace, name: str) -> np.ndarray:
         k_xy, k_x, k_y, k_c = self.rows
-        out = k_xy * x
+        shape = self.rows.shape[1:-1] + x.shape[-1:]
+        out = np.multiply(k_xy, x, out=ws(name, shape))
         out *= y
-        term = k_x * x
+        term = np.multiply(k_x, x, out=ws("term", shape))
         out += term
         out += np.multiply(k_y, y, out=term)
         out += k_c
@@ -274,12 +277,13 @@ class _StackedQuad2:
 
     rows: np.ndarray  # (6, N, C): k0 .. k5
 
-    def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
+    def eval_many(self, txs, tys, ws: Workspace, name: str) -> np.ndarray:
         # k0*tx*tx + k1*ty*ty + k2*tx*ty + k3*tx + k4*ty + k5
         k0, k1, k2, k3, k4, k5 = self.rows
-        out = k0 * txs
+        shape = self.rows.shape[1:-1] + txs.shape[-1:]
+        out = np.multiply(k0, txs, out=ws(name, shape))
         out *= txs
-        term = k1 * tys
+        term = np.multiply(k1, tys, out=ws("term", shape))
         term *= tys
         out += term
         np.multiply(k2, txs, out=term)
@@ -296,11 +300,12 @@ class _StackedLin2:
 
     rows: np.ndarray  # (3, N, C): c0, c1, c2
 
-    def eval_many(self, txs: np.ndarray, tys: np.ndarray) -> np.ndarray:
+    def eval_many(self, txs, tys, ws: Workspace, name: str) -> np.ndarray:
         c0, c1, c2 = self.rows
-        out = c1 * txs
+        shape = self.rows.shape[1:-1] + txs.shape[-1:]
+        out = np.multiply(c1, txs, out=ws(name, shape))
         np.add(c0, out, out=out)
-        out += c2 * tys
+        out += np.multiply(c2, tys, out=ws("term", shape))
         return out
 
 
@@ -436,6 +441,24 @@ def _take(leaf, idx):
     if isinstance(idx, slice):
         return leaf[..., idx] if leaf.dtype.kind == "i" else leaf[..., idx, :]
     return leaf.take(idx, axis=-1 if leaf.dtype.kind == "i" else -2)
+
+
+def _gather(ws: Workspace, name: str, leaf, idx: np.ndarray):
+    """:func:`_take` of a float leaf or a stacked record at an index
+    array, into the workspace buffer ``name``."""
+    if isinstance(leaf, np.ndarray):
+        return ws.take(name, leaf, idx, -2)
+    return type(leaf)(ws.take(name, leaf.rows, idx, -2))
+
+
+def _pair_rows(a_s, a_l, pa, pb, asi, asj, ali, alj, blo, bhi) -> None:
+    """Each pair's arrival rows ``(Q, 1, B)`` and its window edges
+    ``blo = asj - ali``, ``bhi = alj - asi``, into the given buffers."""
+    for src, idx, dst in ((a_s, pa, asi), (a_s, pb, asj), (a_l, pa, ali),
+                          (a_l, pb, alj)):
+        src.take(idx, 0, dst[:, 0], "clip")
+    np.subtract(asj, ali, out=blo)
+    np.subtract(alj, asi, out=bhi)
 
 
 def _write(dst, sl: slice, src) -> None:
@@ -2157,6 +2180,7 @@ class LevelCompiledAnalyzer:
         self._m_corners = obs.counter("sta.corner_calls")
         self._m_passes = obs.counter("sta.compile.passes")
         self._m_cols = obs.counter("sta.compile.columns")
+        self._m_scratch = obs.gauge("sta.compile.scratch_bytes")
 
     # ------------------------------------------------------------------
     # Public API
@@ -2279,10 +2303,12 @@ class LevelCompiledAnalyzer:
         states = np.full(n_rows, IMPOSSIBLE, dtype=np.int8)
         self._init_pis(a_s, a_l, t_s, t_l, states, pi_overrides)
         arrays = (a_s, a_l, t_s, t_l)
+        ws = Workspace()
         with self._obs.timer("sta.compile.pass_s"):
             for level in cc.levels:
                 for group in level:
-                    self.run_group(group, arrays, states, factors, g)
+                    self.run_group(group, arrays, states, ws, factors, g)
+        self._m_scratch.set(ws.nbytes)
         self._m_passes.inc()
         self._m_cols.inc(n_cols)
         # Work accounting: one corner search per gate per direction,
@@ -2351,6 +2377,7 @@ class LevelCompiledAnalyzer:
         ins = (t_s[:, None], t_l[:, None], states)
         q = (q_s, q_l)
         back = self._back_arcs
+        ws = Workspace()
         for level in reversed(cc.levels):
             for group in level:
                 pack = _take(group.table.pack, group.pack)
@@ -2358,7 +2385,7 @@ class LevelCompiledAnalyzer:
                     pins = group.counts["lane"]
                     back(pack, group.adj[0], group.in_rows,
                          np.repeat(group.out_rows, pins, axis=1), ins, q,
-                         group if self._merge else None)
+                         (group, ws) if self._merge else None)
                 elif group.in_rows.size:
                     back(pack, group.adj[0], group.in_rows,
                          np.repeat(group.out_rows, group.seg_n), ins, q)
@@ -2370,6 +2397,7 @@ class LevelCompiledAnalyzer:
         group: Union[_CtrlGroup, _ArcGroup],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
+        ws: Workspace,
         factors: Optional[np.ndarray] = None,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
@@ -2378,12 +2406,13 @@ class LevelCompiledAnalyzer:
         ``arrays``/``states`` are a persistent ``(2 * n_lines, B)``
         window state (as produced by :meth:`propagate`), ``group`` is
         either a compiled group or a column subset (:meth:`_Ragged.cut`),
+        ``ws`` the caller's workspace, reused by every group it runs,
         and ``factors`` the whole ``(n_gates, B)`` variation matrix (the
         group gathers its own rows).  The incremental engine's batched
         cone re-timing calls this directly.
         """
         if isinstance(group, _CtrlGroup):
-            self._run_ctrl(group, factors, arrays, states, g=g)
+            self._run_ctrl(group, factors, arrays, states, ws, g=g)
         else:
             self._run_arc(group, factors, arrays, states, g=g)
 
@@ -2536,6 +2565,7 @@ class LevelCompiledAnalyzer:
         factors: Optional[np.ndarray],
         arrays: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         states: np.ndarray,
+        ws: Workspace,
         g: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Level-batched mirror of ``corners.ctrl_response_window`` and
@@ -2602,12 +2632,12 @@ class LevelCompiledAnalyzer:
             self._pair_merge(
                 grp, pack, f, None if g is None else g[0], act[0],
                 bool(act[0].all()), a_s_in[0], a_l_in[0], c_lo[0], c_hi[0],
-                a_s[0], t_s[0],
+                a_s[0], t_s[0], ws,
             )
         if self._peak and grp.pgate is not None and grp.pgate.size:
             self._peak_merge(
                 grp, pack, f, None if g is None else g[1],
-                c_lo[1], c_hi[1], a_s_in[1], a_l_in[1], a_l[1],
+                c_lo[1], c_hi[1], a_s_in[1], a_l_in[1], a_l[1], ws,
             )
         np.minimum(a_s, a_l, out=a_s)
         np.minimum(t_s[0], t_l[0], out=t_s[0])
@@ -2634,6 +2664,7 @@ class LevelCompiledAnalyzer:
         c_hi: np.ndarray,
         a_s: np.ndarray,
         t_s: np.ndarray,
+        ws: Workspace,
     ) -> None:
         """The V-shape pair merge: lower the earliest arrivals ``a_s``
         and fastest transitions ``t_s`` (``(G, B)`` each) of the
@@ -2644,6 +2675,8 @@ class LevelCompiledAnalyzer:
         active inputs self-mask.  ``pack`` holds the lanes' arcs and
         ``f`` their variation factors; a combo reads its gate's through
         its lane, its cell's surfaces and pair scale from the table.
+        Every gather and intermediate goes into the pass's workspace
+        ``ws``.
 
         Each quantity is computed at the coarsest axis it depends on.
         Combos run four per pair (combo ``4q + k`` is pair ``q``'s
@@ -2654,89 +2687,110 @@ class LevelCompiledAnalyzer:
         (:func:`~repro.sta.kernels.fold_pairs`, the minimum of
         ``floor(δ) + V(δ)``), then the k>2 candidate.
         """
+        width = c_lo.shape[-1]
+        n_lanes, n_gates = c_lo.shape[0], a_s.shape[0]
         # Overlap depth: for each (gate, j) count the gate's lanes i
         # covering j's start, then take the gate's deepest j.
-        s_i = a_s_in[grp.ov_i]
-        s_j = a_s_in[grp.ov_j]
-        covers = (s_i <= s_j) & (a_l_in[grp.ov_i] >= s_j)
+        s_i = ws.take("s_i", a_s_in, grp.ov_i)
+        s_j = ws.take("s_j", a_s_in, grp.ov_j)
+        covers, reaches = ws("covers", (2,) + s_i.shape, bool)
+        np.less_equal(s_i, s_j, out=covers)
+        l_i = a_l_in.take(grp.ov_i, 0, s_i, "clip")  # s_i is read
+        covers &= np.greater_equal(l_i, s_j, out=reaches)
         depth = np.maximum.reduceat(
-            np.add.reduceat(covers, grp.ov_start, dtype=np.intp),
-            grp.lane_start,
+            np.add.reduceat(covers, grp.ov_start, dtype=np.intp,
+                            out=ws("cover_n", (n_lanes, width), np.intp)),
+            grp.lane_start, out=ws("depth", (n_gates, width), np.intp),
         )  # (G, B)
         # Ratio lookup: the per-column corner index broadcasts to (1, 1)
         # on a single-corner compile — every batch column reads corner
-        # 0 — and to the per-corner column when B == C.
+        # 0 — and to the per-corner column when B == C; each pair reads
+        # its gate's k, row-major into the flattened (k, corner) table.
         table = grp.table
-        k = table.rt_at[grp.cell][:, None] + depth
-        cidx = np.arange(table.rt.shape[-1], dtype=np.intp)[None, :]
-        ratio, t_ratio = table.rt[:, k, cidx][:, grp.pair_gate]  # (Q, B) each
-        width = c_lo.shape[-1]
-        tc = np.stack([c_lo, c_hi], axis=1)  # (L, 2, B)
+        k = np.add(table.rt_at[grp.cell][:, None], depth, out=depth)
+        n_pairs = grp.pa.size
+        at = ws.take("k_at", k, grp.pair_gate)
+        n_c = table.rt.shape[-1]
+        at *= n_c
+        at += np.arange(n_c, dtype=np.intp)
+        ratio, t_ratio = ws.take("ratio", table.rt.reshape(2, -1), at, 1)
+        tc = np.stack(
+            [c_lo, c_hi], axis=1, out=ws("tc", (n_lanes, 2, width))
+        )
         # One cube root per real pin endpoint; the combos index into it.
         rc = cbrt_grid(tc).reshape(-1, width)
         adj = grp.adj[:, 0]  # (2, L, C): delay and transition terms
         # Both families' tails at once: (2, L, 2, B).
         drtr = end_tails(
-            pack[0].quads[:3, :, :, None], adj[:, :, None], tc, f, ge
+            pack[0].quads[:3, :, :, None], adj[:, :, None], tc, ws, f, ge
         )
-        # Each combo's (lower, upper) pin endpoint, stacked (2, K, B).
+        # Each combo's (lower, upper) pin endpoint, stacked (2, K, B),
+        # and the delay tails at them.
         ends = grp.ends
-        t_end = tc.reshape(-1, width)[ends]
-        roots = rc[ends]
-        drtr = drtr.reshape(2, -1, width)
-        dr_end = drtr[0][ends]
-        fc = None if f is None else f[grp.ca]
-        adj_c = adj[:, grp.ca]
+        t_end = ws.take("t_end", tc.reshape(-1, width), ends)
+        roots = ws.take("roots", rc, ends)
+        dr_end = ws.take("dr_end", drtr[0].reshape(-1, width), ends)
+        fc = None if f is None else ws.take("fc", f, grp.ca)
+        adj_c = ws.take("adj_c", adj, grp.ca, 1)
         # Each combo's own cell surfaces and its gate's load terms.
-        shape = _take(table.shape, grp.cell[grp.combo_gate])
-        cube = shape.cube.eval_roots(*roots)  # D0 and the vertex
-        d0, s = anchor_surfaces(
-            shape, t_end, cube[0], _take(table.scale, grp.scale_c), dr_end,
-            adj_c[0], np.minimum, f=fc, g=ge,
+        shape = _gather(ws, "shape", table.shape, grp.cell[grp.combo_gate])
+        cube = shape.cube.eval_roots(*roots, ws, "cube")  # D0, the vertex
+        d0, sat = anchor_surfaces(
+            shape, t_end, cube[0],
+            _gather(ws, "scale", table.scale, grp.scale_c), dr_end,
+            adj_c[0], np.minimum, ws, f=fc, g=ge,
         )
-        sat = s * _SIGNS  # (+S, -S)
-        n_pairs = grp.pa.size
+        sat *= _SIGNS  # (+S, -S)
 
         def quads(x: np.ndarray) -> np.ndarray:
             return x.reshape(x.shape[:-2] + (n_pairs, 4, width))
 
         # ---- pair level (Q, 1, B) ----
         pa, pb = grp.pa, grp.pb
-        asi, asj = a_s_in[pa][:, None], a_s_in[pb][:, None]
-        ali, alj = a_l_in[pa][:, None], a_l_in[pb][:, None]
-        blo = asj - ali
-        bhi = alj - asi
+        asi, asj, ali, alj, blo, bhi, lhs = ws("pair", (7, n_pairs, 1, width))
+        _pair_rows(a_s_in, a_l_in, pa, pb, asi, asj, ali, alj, blo, bhi)
 
         # ---- combo level (Q, 4, B) ----
         d0q, sat_q = quads(d0), quads(sat)
         best = fold_pairs(
-            np.minimum, asi, asj, blo, bhi, d0q, quads(dr_end), sat_q
+            np.minimum, asi, asj, blo, bhi, d0q, quads(dr_end), sat_q, ws
         )
         # Same tolerance and form as DirWindow.overlaps_arrivals.
-        pair_ov = (asi <= alj + OVERLAP_TOL) & (asj <= ali + OVERLAP_TOL)
-        # The k>2 candidate rides on each pair's (t_s, t_s) combo.
+        pair_ov, rhs = ws("pair_ov", (2,) + asi.shape, bool)
+        np.less_equal(asi, np.add(alj, OVERLAP_TOL, out=lhs), out=pair_ov)
+        np.less_equal(asj, np.add(ali, OVERLAP_TOL, out=lhs), out=rhs)
+        pair_ov &= rhs
+        # The k>2 candidate rides on each pair's (t_s, t_s) combo (the
+        # last read of d0).
+        k_cand = np.maximum(asi, asj, out=lhs)[:, 0]
+        k_cand += np.multiply(d0q[:, 0], ratio, out=d0q[:, 0])
+        below = np.less(ratio, 1.0, out=ws("below", ratio.shape, bool))
         np.minimum(
-            best[:, 0], np.maximum(asi, asj)[:, 0] + d0q[:, 0] * ratio,
-            out=best[:, 0], where=pair_ov[:, 0] & (ratio < 1.0),
+            best[:, 0], k_cand, out=best[:, 0],
+            where=np.logical_and(pair_ov[:, 0], below, out=below),
         )
-        np.minimum(
-            a_s, np.minimum.reduceat(best.reshape(-1, width), grp.combo_start),
-            out=a_s,
-        )
+        reduced = ws("reduced", a_s.shape)
+        np.minimum.reduceat(best.reshape(-1, width), grp.combo_start,
+                            out=reduced)
+        np.minimum(a_s, reduced, out=a_s)
 
         # ---- transition-time merge (SK_t,min rule) ----
-        tr_end = drtr[1][ends]
+        # The transition tails at the combos' endpoints (roots are read).
+        tr_end = drtr[1].reshape(-1, width).take(ends, 0, roots, "clip")
         vskew, vval = (
             quads(x) for x in trans_anchor_surfaces(
-                shape, t_end, cube[1], tr_end, adj_c[1], sat, f=fc, g=ge,
+                shape, t_end, cube[1], tr_end, adj_c[1], sat, ws, f=fc, g=ge,
             )
         )
-        delta_t = np.maximum(vskew, blo)
+        delta_t = np.maximum(vskew, blo, out=ws("delta_t", vskew.shape))
         np.minimum(delta_t, bhi, out=delta_t)
-        tval = _trans_v(delta_t, vskew, vval, sat_q, quads(tr_end))
+        tval = _trans_v(delta_t, vskew, vval, sat_q, quads(tr_end), ws)
         t_ratio = t_ratio[:, None]
+        scaled = np.multiply(vval, t_ratio, out=delta_t)  # delta_t is read
+        below = np.less(t_ratio, 1.0, out=ws("below", t_ratio.shape, bool))
         np.minimum(
-            tval, vval * t_ratio, out=tval, where=pair_ov & (t_ratio < 1.0)
+            tval, scaled, out=tval,
+            where=np.logical_and(pair_ov, below, out=below),
         )
         if not all_act:
             # Unlike the arrival candidates there is no validity
@@ -2744,10 +2798,9 @@ class LevelCompiledAnalyzer:
             # an explicit mask before the reduction.
             pair_act = act[pa] & act[pb]
             np.copyto(tval, np.inf, where=~pair_act[:, None, None])
-        np.minimum(
-            t_s, np.minimum.reduceat(tval.reshape(-1, width), grp.combo_start),
-            out=t_s,
-        )
+        np.minimum.reduceat(tval.reshape(-1, width), grp.combo_start,
+                            out=reduced)
+        np.minimum(t_s, reduced, out=t_s)
 
     @staticmethod
     def _peak_merge(
@@ -2760,6 +2813,7 @@ class LevelCompiledAnalyzer:
         a_s_in: np.ndarray,
         a_l_in: np.ndarray,
         a_l: np.ndarray,
+        ws: Workspace,
     ) -> None:
         """The Λ-peak slow-down of the non-controlling response: raise
         the latest arrival ``a_l`` of each gate with peak data in place.
@@ -2767,30 +2821,34 @@ class LevelCompiledAnalyzer:
         The V's merge mirrored: peak lanes and combos exist only for
         those gates, and P0 is clamped from below, but the tails, the
         anchors and the breakpoint fold (with ``np.maximum`` over the
-        latest arrivals) are the V's.  The peak's tails are its pins'
-        to-non-controlling arcs (``pack[1]``) at the window endpoints
-        the pin-to-pin bounds clamped against them (``c_lo`` / ``c_hi``,
-        per lane, of the lanes' arcs ``pack``), plus the gate's
-        to-non-controlling delay terms.
+        latest arrivals) are the V's, in the same workspace ``ws``.  The
+        peak's tails are its pins' to-non-controlling arcs (``pack[1]``)
+        at the window endpoints the pin-to-pin bounds clamped against
+        them (``c_lo`` / ``c_hi``, per lane, of the lanes' arcs
+        ``pack``), plus the gate's to-non-controlling delay terms.
         """
         lanes = grp.plane
-        tc = np.stack([c_lo[lanes], c_hi[lanes]], axis=1)  # (Lp, 2, B)
+        width = c_lo.shape[-1]
+        tc = ws("tc", (lanes.size, 2, width))  # (Lp, 2, B)
+        c_lo.take(lanes, 0, tc[:, 0], "clip")
+        c_hi.take(lanes, 0, tc[:, 1], "clip")
         tails = end_tails(
             pack[1].quads[:3, 0, lanes, None],  # delay family
-            grp.adj[0, 1][lanes][:, None], tc,
+            grp.adj[0, 1][lanes][:, None], tc, ws,
             None if f is None else f[lanes], gl,
         )
-        width = tc.shape[-1]
         ends = grp.pends
-        roots = cbrt_grid(tc).reshape(-1, width)[ends]
-        tail = tails.reshape(-1, width)[ends]  # (tail_p, tail_q)
-        peak = _take(grp.table.peak, grp.peak[grp.pcombo_gate])
+        roots = ws.take("roots", cbrt_grid(tc).reshape(-1, width), ends)
+        tail = ws.take("dr_end", tails.reshape(-1, width), ends)  # (p, q)
+        peak = _gather(ws, "shape", grp.table.peak, grp.peak[grp.pcombo_gate])
         p0, s = anchor_surfaces(
-            peak, tc.reshape(-1, width)[ends], peak.d0.eval_roots(*roots),
-            _take(grp.table.pscale, grp.pscale_c), tail,
-            grp.adj[0, 1][grp.pca], np.maximum,
-            f=None if f is None else f[grp.pca], g=gl,
+            peak, ws.take("t_end", tc.reshape(-1, width), ends),
+            peak.d0.eval_roots(*roots, ws, "cube"),
+            _gather(ws, "scale", grp.table.pscale, grp.pscale_c), tail,
+            grp.adj[0, 1][grp.pca], np.maximum, ws,
+            f=None if f is None else ws.take("fc", f, grp.pca), g=gl,
         )
+        s *= _SIGNS
         n_pairs = grp.pca.size // 4
 
         def quads(x: np.ndarray) -> np.ndarray:
@@ -2798,18 +2856,21 @@ class LevelCompiledAnalyzer:
 
         # ---- pair level (Q, 1, B) ----
         pa, pb = grp.pca[::4], grp.pcb[::4]
-        asi, asj = a_s_in[pa][:, None], a_s_in[pb][:, None]
-        ali, alj = a_l_in[pa][:, None], a_l_in[pb][:, None]
+        asi, asj, ali, alj, blo, bhi = ws("pair", (6, n_pairs, 1, width))
+        _pair_rows(a_s_in, a_l_in, pa, pb, asi, asj, ali, alj, blo, bhi)
 
         # ---- combo level (Q, 4, B); the +S tail is q's ----
         best = fold_pairs(
-            np.maximum, ali, alj, asj - ali, alj - asi,
-            quads(p0), quads(tail)[::-1], quads(s * _SIGNS),
+            np.maximum, ali, alj, blo, bhi,
+            quads(p0), quads(tail)[::-1], quads(s), ws,
         )
         gates = grp.pgate
         a_l[gates] = np.maximum(
             a_l[gates],
-            np.maximum.reduceat(best.reshape(-1, width), grp.pcombo_start),
+            np.maximum.reduceat(
+                best.reshape(-1, width), grp.pcombo_start,
+                out=ws("reduced", (gates.size, width)),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -2824,15 +2885,16 @@ class LevelCompiledAnalyzer:
         out_rows: np.ndarray,
         ins: Tuple[np.ndarray, np.ndarray, np.ndarray],
         q: Tuple[np.ndarray, np.ndarray],
-        merge: Optional[_CtrlGroup] = None,
+        merge: Optional[Tuple[_CtrlGroup, Workspace]] = None,
     ) -> None:
         """Fold the lanes' arcs (rows ``in_rows`` -> ``out_rows``, with
         any leading axes, a ctrl group's responses) into the required
         windows ``q`` of their inputs.
 
         ``d_min`` / ``d_max`` are the forward pass's own expressions;
-        ``merge`` (a pair-merge ctrl group whose arcs these are) swaps
-        in the V-shape minimum for the to-controlling ``d_min``.
+        ``merge`` (a pair-merge ctrl group whose arcs these are, and the
+        pass's workspace) swaps in the V-shape minimum for the
+        to-controlling ``d_min``.
         """
         t_s, t_l, states = ins
         q_s, q_l = q
@@ -2846,7 +2908,7 @@ class LevelCompiledAnalyzer:
         d_max = maxs + d_adj
         if merge is not None:
             d_min[0] = cls._vshape_min(
-                merge, pack, d_min[0], c_lo[0], c_hi[0]
+                *merge, pack, d_min[0], c_lo[0], c_hi[0]
             )
         lo = q_s[out_rows] - d_min
         hi = q_l[out_rows] - d_max
@@ -2861,6 +2923,7 @@ class LevelCompiledAnalyzer:
     @staticmethod
     def _vshape_min(
         grp: _CtrlGroup,
+        ws: Workspace,
         pack: _StackedPack,
         d_min: np.ndarray,
         c_lo: np.ndarray,
@@ -2899,7 +2962,7 @@ class LevelCompiledAnalyzer:
         )
         d0 = (
             _take(table.shape.d0, grp.cell[grp.combo_gate[combo]])
-            .eval_roots(roots[x], roots[y])
+            .eval_roots(roots[x], roots[y], ws, "d0")
             * _take(table.scale, grp.scale_c[combo])
             + d_adj[grp.ca[combo]]
         )

@@ -85,6 +85,7 @@ from ..circuit.netlist import Circuit, CircuitEdit
 from ..obs import get_registry
 from .analysis import StaResult, TimingAnalyzer, line_load
 from .compile import CompiledWindows, LiveTimings
+from .kernels import Workspace
 from .windows import IMPOSSIBLE
 
 
@@ -241,6 +242,7 @@ class IncrementalAnalyzer:
         self._m_cuts = obs.counter("sta.incr.subset_cuts")
         self._m_trial_columns = obs.counter("sta.incr.trial_gate_columns")
         self._m_trial_moved = obs.counter("sta.incr.trial_moved_columns")
+        self._m_scratch = obs.gauge("sta.compile.scratch_bytes")
         self._h_cone = obs.histogram("sta.incr.cone_gates")
         self._h_trial_cone = obs.histogram("sta.incr.trial_cone_gates")
 
@@ -322,7 +324,8 @@ class IncrementalAnalyzer:
         A swap inside the slot keeps the gate's set of output rows, so
         the subset's rows still name them.  Each lane whose output rows
         changed bits sends its gate's fan-outs, in its own column, to
-        the frontier.
+        the frontier.  Every kernel call of the sweep shares one
+        workspace.
 
         Returns:
             ``(gates swept, lanes swept, {line: the columns its
@@ -335,6 +338,7 @@ class IncrementalAnalyzer:
         K = arrays[0].shape[1]
         flat = tuple(a.reshape(-1, 1) for a in arrays)
         flat_states = states.reshape(-1)
+        ws = Workspace()
         #: level -> line -> the columns the line is pending in.
         pending: Dict[int, Dict[str, Set[int]]] = {}
 
@@ -385,7 +389,7 @@ class IncrementalAnalyzer:
                     for i, k, leaves in put:
                         sub.put(i, leaves, k, K)
                 old = (flat_states[rows], *(a[rows] for a in flat))
-                level.run_group(sub, flat, flat_states)
+                level.run_group(sub, flat, flat_states, ws)
                 # A lane is clean iff every one of its output rows (one
                 # per direction, ``row_lane`` names the owner) kept its
                 # bits.
@@ -400,6 +404,7 @@ class IncrementalAnalyzer:
                     moved.setdefault(line, []).extend(ks)
                     for sink in circuit.fanouts(line):
                         add(sink.output, ks)
+        self._m_scratch.set(ws.nbytes)
         return cone, swept, moved
 
     def _subset(self, group, picked: List[Tuple[int, int, str]], K: int):

@@ -93,6 +93,18 @@ def test_signoff_job_builds_each_part_once(registry, library):
         assert build_s.count - observed == 2, job
 
 
+def test_sta_command_compiles_once(registry, capsys):
+    """``repro-sta sta`` runs its proposed and pin-to-pin passes on one
+    compile: the proposed analyzer lives until the second pass is done,
+    so the weakly held compile does not die in between."""
+    from repro.cli import main
+
+    assert main(["sta", "c432s"]) == 0
+    builds = _builds(registry)
+    assert (builds["layout_builds"], builds["library_builds"],
+            builds["load_sweeps"]) == (1, 1, 1)
+
+
 def test_run_mc_at_defaults_shares_its_callers_compile(registry):
     """The packaged library is one object per process, so ``run_mc``
     without a library runs on the analyzer's compile."""

@@ -24,6 +24,7 @@ from repro.circuit.bench import packaged_bench_path
 from repro.models import NonCtrlAwareModel, PinToPinModel, VShapeModel
 from repro.sta import LevelCompiledAnalyzer
 from repro.sta.analysis import StaConfig, StaResult, TimingAnalyzer
+from repro.sta.kernels import Workspace
 from repro.sta.windows import (
     DEFINITE,
     IMPOSSIBLE,
@@ -725,8 +726,8 @@ def _subset_matches_full_pass(
         array[rows] = np.nan
     windows.states[rows] = IMPOSSIBLE
     analyzer.run_group(
-        sub, arrays, windows.states, None if factors is None else
-        np.asarray(factors, dtype=float),
+        sub, arrays, windows.states, Workspace(), None if factors is None
+        else np.asarray(factors, dtype=float),
     )
     for k, reference in enumerate(references):
         assert_bitwise(
@@ -863,7 +864,7 @@ def test_lanes_equal_columns_of_the_wide_run(model_cls, library):
         for group in level:
             wide = tuple(a.copy() for a in base)
             wide_states = windows.states.copy()
-            analyzer.run_group(group, wide, wide_states)
+            analyzer.run_group(group, wide, wide_states, Workspace())
             draws = int(rng.integers(1, 2 * group.n_gates + 1))
             lanes = sorted({
                 (int(rng.integers(group.n_gates)), int(rng.integers(K)))
@@ -875,6 +876,7 @@ def test_lanes_equal_columns_of_the_wide_run(model_cls, library):
             analyzer.run_group(
                 group.cut(cols, np.array(columns), K),
                 tuple(a.reshape(-1, 1) for a in arrays), states.reshape(-1),
+                Workspace(),
             )
             want = tuple(a.copy() for a in base)
             want_states = np.repeat(windows.states[:, None], K, axis=1)
